@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-full vet fmt doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
 DOCCHECK_PKGS = ./internal/checkpoint ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
@@ -15,6 +15,10 @@ vet:
 
 fmt:
 	gofmt -l -w .
+
+# Formatting gate (CI): fails, listing the files, when gofmt would change any.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Godoc-coverage gate: every exported identifier in DOCCHECK_PKGS must carry
 # a doc comment; failures list file:line.

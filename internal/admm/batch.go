@@ -1,0 +1,193 @@
+package admm
+
+import (
+	"math"
+
+	"uoivar/internal/mat"
+)
+
+// SolveRHSBatch is SolveRHS for many right-hand sides at one λ: column e of
+// the row-major p×E panel aty is the Xᵀy of response e, and out[e] is what
+// SolveRHS(column e, λ, warm pair e) returns — Beta, U, Iters, Converged and
+// the residuals bit for bit — while the E iterations run in lock-step so
+// every x-update is one multi-RHS triangular solve (mat.SolvePanelInPlace)
+// instead of E dependent substitution chains. UoI_VAR's p equations share
+// one design and one factorization, which makes a whole bootstrap × λ cell a
+// single call.
+//
+// warmZ[e] / warmU[e] seed column e (a nil slice, or a nil entry, is a cold
+// start); opts.WarmZ and opts.WarmU are ignored. The columns are split into
+// contiguous groups over at most `workers` goroutines (≤0 selects
+// mat.DefaultWorkers). A column never interacts with another — not in the
+// solve, not in its residual sums, not in its stopping test — so the result
+// is independent of the split; workers only decide who computes a column.
+// Tracer counters advance exactly as E SolveRHS calls would advance them.
+func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, warmU [][]float64, opts *Options, workers int) []Result {
+	if aty.Rows != f.p {
+		panic(mat.ErrShape)
+	}
+	o := opts.defaults()
+	out := make([]Result, aty.Cols)
+	mat.ParallelFor(aty.Cols, workers, func(lo, hi int) {
+		f.solveColumns(aty, lo, hi, lambda, warmZ, warmU, &o, out)
+	})
+	return out
+}
+
+// solveColumns runs the lock-step iteration for panel columns [lo, hi) and
+// writes out[lo:hi]. State lives in row-major p×stride panels whose leading
+// `active` slots hold the columns still iterating: a column that meets its
+// stopping test is copied out and its slot refilled from the last active one
+// (slot order is immaterial), so late iterations sweep only the stragglers.
+func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64, warmZ, warmU [][]float64, o *Options, out []Result) {
+	p, w := f.p, hi-lo
+	stride := padToTile(w)
+	panels := make([]float64, 4*p*stride)
+	a, z, u, x := panels[:p*stride], panels[p*stride:2*p*stride], panels[2*p*stride:3*p*stride], panels[3*p*stride:]
+	for i := 0; i < p; i++ {
+		copy(a[i*stride:i*stride+w], aty.Data[i*aty.Cols+lo:i*aty.Cols+hi])
+	}
+	slot := make([]int, w) // slot → panel column
+	for c := range slot {
+		slot[c] = lo + c
+		scatterCol(z, stride, c, warmAt(warmZ, lo+c), p)
+		scatterCol(u, stride, c, warmAt(warmU, lo+c), p)
+	}
+	// Per-slot reductions of one iteration: the squared residual sums and
+	// the plain sums of squares of x, z and u that screen the stopping test.
+	acc := make([]float64, 5*stride)
+	primal, dual := acc[:stride], acc[stride:2*stride]
+	sqX, sqZ, sqU := acc[2*stride:3*stride], acc[3*stride:4*stride], acc[4*stride:]
+	xc, zc, uc := make([]float64, p), make([]float64, p), make([]float64, p) // one column, for the exact test
+
+	totalIters := 0
+	finish := func(c, iters int, converged bool) {
+		r := Result{Beta: make([]float64, p), U: make([]float64, p), Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
+		gatherCol(r.Beta, z, stride, c)
+		gatherCol(r.U, u, stride, c)
+		out[slot[c]] = r
+		totalIters += iters
+	}
+
+	sqrtP := math.Sqrt(float64(p))
+	kappa := lambda / f.rho
+	// above reports that res certainly exceeds the stopping tolerance
+	// sqrtP·AbsTol + scale·‖v‖ given sq, the plain float sum of squares of
+	// v (for the primal test, the larger of x's and z's). Inside
+	// [1e-180, 1e300] sq is clear of overflow and of underflow in its
+	// terms, so √sq and mat.Norm2(v) agree to a relative (p+5)·2⁻⁵³ and the
+	// two tolerances differ by far less than the slack factor; the
+	// smaller of two screened vectors cannot matter, since a sum the range
+	// check would reject is below 1e-180 in truth as well. Outside the
+	// range, or with a NaN anywhere, above is false and the exact test
+	// decides.
+	slack := 1 + 4*float64(p+8)*0x1p-52
+	above := func(res, sq, scale float64) bool {
+		return sq >= 1e-180 && sq <= 1e300 && res > (sqrtP*o.AbsTol+scale*math.Sqrt(sq))*slack
+	}
+	active := w
+	for iter := 1; iter <= o.MaxIter && active > 0; iter++ {
+		// x-update: x = (XᵀX + ρI)⁻¹ (Xᵀy + ρ(z − u)), whole tiles only —
+		// the slots between active and the tile boundary solve zeros.
+		live := padToTile(active)
+		for i := 0; i < p; i++ {
+			ar, zr, ur, xr := a[i*stride:i*stride+active], z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+live]
+			for c, av := range ar {
+				xr[c] = av + f.rho*(zr[c]-ur[c])
+			}
+			for c := active; c < live; c++ {
+				xr[c] = 0
+			}
+		}
+		f.chol.SolvePanelInPlace(x, stride, live)
+
+		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, and the
+		// residual sums, each column accumulating in row order as the
+		// single-RHS loop does.
+		for c := range acc {
+			acc[c] = 0
+		}
+		for i := 0; i < p; i++ {
+			zr, ur, xr := z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+active]
+			for c, xv := range xr {
+				uv, zOld := ur[c], zr[c]
+				zv := xv + uv
+				if lambda > 0 {
+					zv = SoftThreshold(zv, kappa)
+				}
+				uv += xv - zv
+				zr[c], ur[c] = zv, uv
+				d := xv - zv
+				primal[c] += d * d
+				d = f.rho * (zv - zOld)
+				dual[c] += d * d
+				sqX[c] += xv * xv
+				sqZ[c] += zv * zv
+				sqU[c] += uv * uv
+			}
+		}
+
+		// Stopping test per column, last slot first so a refill only ever
+		// moves a slot that has already been tested this iteration. The
+		// test's tolerances use mat.Norm2 (scaled: a max pass, then a
+		// division per entry); a column far from convergence — almost every
+		// column on almost every iteration — is screened out by the plain
+		// sums of squares instead, and only a column the screen cannot rule
+		// out pays for the exact norms. The verdict is always the exact
+		// test's: the screen only ever answers "certainly not yet".
+		for c := active - 1; c >= 0; c-- {
+			primal[c], dual[c] = math.Sqrt(primal[c]), math.Sqrt(dual[c])
+			if above(primal[c], math.Max(sqX[c], sqZ[c]), o.RelTol) || above(dual[c], sqU[c], o.RelTol*f.rho) {
+				continue
+			}
+			gatherCol(xc, x, stride, c)
+			gatherCol(zc, z, stride, c)
+			gatherCol(uc, u, stride, c)
+			epsPrimal := sqrtP*o.AbsTol + o.RelTol*math.Max(mat.Norm2(xc), mat.Norm2(zc))
+			epsDual := sqrtP*o.AbsTol + o.RelTol*f.rho*mat.Norm2(uc)
+			if !(primal[c] <= epsPrimal && dual[c] <= epsDual) {
+				continue
+			}
+			finish(c, iter, true)
+			active--
+			if c == active {
+				continue
+			}
+			for i := 0; i < p; i++ {
+				a[i*stride+c], z[i*stride+c], u[i*stride+c] = a[i*stride+active], z[i*stride+active], u[i*stride+active]
+			}
+			primal[c], dual[c], slot[c] = primal[active], dual[active], slot[active]
+		}
+	}
+	for c := 0; c < active; c++ {
+		finish(c, o.MaxIter, false)
+	}
+	countSolves(o.Trace, w, totalIters)
+}
+
+// padToTile rounds a column count up to whole triangular-solve tiles.
+func padToTile(n int) int {
+	return (n + mat.PanelTile - 1) / mat.PanelTile * mat.PanelTile
+}
+
+// warmAt returns warm start e of a per-column list (nil: cold).
+func warmAt(warm [][]float64, e int) []float64 {
+	if e < len(warm) {
+		return warm[e]
+	}
+	return nil
+}
+
+// gatherCol reads panel column c into dst.
+func gatherCol(dst, panel []float64, stride, c int) {
+	for i := range dst {
+		dst[i] = panel[i*stride+c]
+	}
+}
+
+// scatterCol writes src (at most p entries) down panel column c.
+func scatterCol(panel []float64, stride, c int, src []float64, p int) {
+	for i := 0; i < p && i < len(src); i++ {
+		panel[i*stride+c] = src[i]
+	}
+}

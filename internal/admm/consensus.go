@@ -171,7 +171,7 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 			break
 		}
 	}
-	countSolve(o.Trace, iters)
+	countSolves(o.Trace, 1, iters)
 	return &Result{
 		Beta:       z,
 		U:          u,

@@ -71,12 +71,13 @@ func (o *Options) defaults() Options {
 	return out
 }
 
-// countSolve folds one solve's work into the tracer (nil-safe).
-func countSolve(tr *trace.Tracer, iters int) {
+// countSolves folds the work of `solves` solves totalling iters iterations
+// into the tracer (nil-safe).
+func countSolves(tr *trace.Tracer, solves, iters int) {
 	if tr == nil {
 		return
 	}
-	tr.Add("admm/solves", 1)
+	tr.Add("admm/solves", int64(solves))
 	tr.Add("admm/iters", int64(iters))
 	// One Cholesky back-substitution per x-update, i.e. per iteration.
 	tr.Add("admm/chol_solves", int64(iters))
@@ -269,11 +270,11 @@ func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *
 		epsPrimal := sqrtP*o.AbsTol + o.RelTol*math.Max(mat.Norm2(x), mat.Norm2(z))
 		epsDual := sqrtP*o.AbsTol + o.RelTol*f.rho*mat.Norm2(u)
 		if primal <= epsPrimal && dual <= epsDual {
-			countSolve(o.Trace, iter)
+			countSolves(o.Trace, 1, iter)
 			return &Result{Beta: z, U: u, Iters: iter, Converged: true, PrimalRes: primal, DualRes: dual}
 		}
 	}
-	countSolve(o.Trace, o.MaxIter)
+	countSolves(o.Trace, 1, o.MaxIter)
 	return &Result{Beta: z, U: u, Iters: o.MaxIter, Converged: false, PrimalRes: primal, DualRes: dual}
 }
 

@@ -27,11 +27,26 @@ func OLSOnSupportWorkers(x *mat.Dense, y []float64, support []int, workers int) 
 		return beta
 	}
 	sub := x.SelectCols(support)
-	gram := mat.AtAWorkers(sub, workers)
-	aty := mat.AtVecWorkers(sub, y, workers)
+	sol := OLSFromGram(mat.AtAWorkers(sub, workers), mat.AtVecWorkers(sub, y, workers))
+	for i, j := range support {
+		beta[j] = sol[i]
+	}
+	return beta
+}
+
+// OLSFromGram solves the normal equations gram·β = xty of a least-squares
+// fit from its sufficient statistics (gram = XᵀX, xty = Xᵀy), so callers
+// that fit many supports of one design extract sub-blocks of a Gram they
+// computed once instead of rebuilding it per fit.
+//
+// A gram that is not numerically positive definite (|S| close to or above
+// the sample count) falls down a ridge ladder: a jitter of 1e-8 × the mean
+// diagonal, then a strongly regularized +1. If even that cannot be factored
+// the data are non-finite and the estimate is all NaN — not a panic — so
+// held-out scoring discards the support.
+func OLSFromGram(gram *mat.Dense, xty []float64) []float64 {
 	ch, err := mat.NewCholesky(gram)
 	if err != nil {
-		// Ridge fallback: scale jitter with the average diagonal.
 		tr := 0.0
 		for i := 0; i < gram.Rows; i++ {
 			tr += gram.At(i, i)
@@ -39,24 +54,17 @@ func OLSOnSupportWorkers(x *mat.Dense, y []float64, support []int, workers int) 
 		jitter := 1e-8 * (tr/float64(gram.Rows) + 1)
 		ch, err = mat.NewCholesky(mat.AddRidge(gram, jitter))
 		if err != nil {
-			// Degenerate to a strongly regularized solve; still well defined.
 			ch, err = mat.NewCholesky(mat.AddRidge(gram, 1.0))
 		}
 		if err != nil {
-			// Unfactorable even under heavy ridge — non-finite data. Report
-			// a non-finite estimate instead of panicking, so held-out
-			// scoring discards this support.
-			for _, j := range support {
-				beta[j] = math.NaN()
+			sol := make([]float64, len(xty))
+			for i := range sol {
+				sol[i] = math.NaN()
 			}
-			return beta
+			return sol
 		}
 	}
-	sol := ch.Solve(aty)
-	for i, j := range support {
-		beta[j] = sol[i]
-	}
-	return beta
+	return ch.Solve(xty)
 }
 
 // ConsensusProjectedOLS solves min ½‖Xβ−y‖² subject to β_i = 0 for i off

@@ -54,6 +54,36 @@ func TestOLSOnSupportRankDeficient(t *testing.T) {
 	}
 }
 
+// TestOLSFromGramLadder walks the helper's three outcomes on Gram blocks
+// handed in directly: a positive-definite block solves the normal equations,
+// a singular block comes back finite through the ridge ladder, and a
+// non-finite block yields an all-NaN estimate rather than a panic.
+func TestOLSFromGramLadder(t *testing.T) {
+	x, y, _ := makeRegression(53, 50, 4, 2, 0.1)
+	gram, xty := mat.AtA(x), mat.AtVec(x, y)
+	want, err := mat.SolveSPD(gram, xty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range OLSFromGram(gram, xty) {
+		if v != want[i] {
+			t.Fatalf("PD block: beta[%d] = %v, want %v", i, v, want[i])
+		}
+	}
+	singular := mat.NewDenseData(2, 2, []float64{1, 1, 1, 1})
+	for i, v := range OLSFromGram(singular, []float64{1, 1}) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("singular block: beta[%d] = %v", i, v)
+		}
+	}
+	poisoned := mat.NewDenseData(2, 2, []float64{math.NaN(), 0, 0, 1})
+	for i, v := range OLSFromGram(poisoned, []float64{1, 1}) {
+		if !math.IsNaN(v) {
+			t.Fatalf("non-finite block: beta[%d] = %v, want NaN", i, v)
+		}
+	}
+}
+
 func TestSupportMask(t *testing.T) {
 	m := SupportMask(5, []int{0, 3})
 	want := []bool{true, false, false, true, false}

@@ -15,8 +15,26 @@ var ErrNotPD = errors.New("mat: matrix not positive definite")
 // factor across all ADMM iterations; the paper identifies this triangular
 // solve as one of the three hot kernels (§IV-A1).
 type Cholesky struct {
-	n int
-	l []float64 // row-major lower triangle (full storage)
+	n  int
+	l  []float64 // row-major lower triangle (full storage)
+	lt []float64 // Lᵀ, row-major: the backward sweep walks its rows unit-stride
+}
+
+// newCholesky wraps a factored n×n buffer: it zeroes the strict upper
+// triangle of l and materialises Lᵀ once, so every backward substitution
+// reads rows instead of stride-n columns.
+func newCholesky(n int, l []float64) *Cholesky {
+	lt := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		// Row i of Lᵀ is column i of L from the diagonal down; row i of L
+		// past the diagonal still holds the input's upper triangle.
+		ltRow := lt[i*n : (i+1)*n]
+		for k := i; k < n; k++ {
+			ltRow[k] = l[k*n+i]
+		}
+		clear(l[i*n+i+1 : (i+1)*n])
+	}
+	return &Cholesky{n: n, l: l, lt: lt}
 }
 
 // NewCholesky factors the symmetric positive-definite matrix a.
@@ -50,13 +68,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			l[i*n+j] = s * inv
 		}
 	}
-	// Zero the upper triangle for cleanliness.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l[i*n+j] = 0
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
+	return newCholesky(n, l), nil
 }
 
 // Size returns the factored dimension.
@@ -69,8 +81,8 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	}
 	y := make([]float64, c.n)
 	copy(y, b)
-	c.forwardSolve(y)
-	c.backwardSolve(y)
+	c.forwardCol(y, 1, 0)
+	c.backwardCol(y, 1, 0)
 	return y
 }
 
@@ -79,47 +91,47 @@ func (c *Cholesky) SolveInPlace(b []float64) {
 	if len(b) != c.n {
 		panic(ErrShape)
 	}
-	c.forwardSolve(b)
-	c.backwardSolve(b)
+	c.forwardCol(b, 1, 0)
+	c.backwardCol(b, 1, 0)
 }
 
-// forwardSolve solves L·y = b in place.
-func (c *Cholesky) forwardSolve(b []float64) {
+// forwardCol solves L·y = b in place on the strided column b[e], b[stride+e],
+// … — a plain vector is stride 1, e 0; a panel's remainder column uses the
+// panel's stride.
+func (c *Cholesky) forwardCol(b []float64, stride, e int) {
 	n := c.n
 	for i := 0; i < n; i++ {
-		s := b[i]
-		row := c.l[i*n : i*n+i]
-		for k, v := range row {
-			s -= v * b[k]
+		s := b[i*stride+e]
+		off := e
+		for _, v := range c.l[i*n : i*n+i] {
+			s -= v * b[off]
+			off += stride
 		}
-		b[i] = s / c.l[i*n+i]
+		b[i*stride+e] = s / c.l[i*n+i]
 	}
 }
 
-// backwardSolve solves Lᵀ·x = y in place.
-func (c *Cholesky) backwardSolve(b []float64) {
+// backwardCol solves Lᵀ·x = y in place on the strided column e.
+func (c *Cholesky) backwardCol(b []float64, stride, e int) {
 	n := c.n
 	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l[k*n+i] * b[k]
+		s := b[i*stride+e]
+		off := (i+1)*stride + e
+		for _, v := range c.lt[i*n+i+1 : (i+1)*n] {
+			s -= v * b[off]
+			off += stride
 		}
-		b[i] = s / c.l[i*n+i]
+		b[i*stride+e] = s / c.l[i*n+i]
 	}
 }
 
-// SolveMatrix solves A·X = B column-by-column.
+// SolveMatrix solves A·X = B for every column of B at once.
 func (c *Cholesky) SolveMatrix(b *Dense) *Dense {
 	if b.Rows != c.n {
 		panic(ErrShape)
 	}
-	out := NewDense(b.Rows, b.Cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.Cols; j++ {
-		b.Col(j, col)
-		c.SolveInPlace(col)
-		out.SetCol(j, col)
-	}
+	out := b.Clone()
+	c.SolvePanelInPlace(out.Data, out.Cols, out.Cols)
 	return out
 }
 

@@ -58,13 +58,7 @@ func NewCholeskyBlockedWorkers(a *Dense, workers int) (*Cholesky, error) {
 		// 3. Trailing update: A22 −= L21 · L21ᵀ (parallel over row blocks).
 		trailingUpdate(l, n, k, kb, w)
 	}
-	// Zero the upper triangle.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l[i*n+j] = 0
-		}
-	}
-	return &Cholesky{n: n, l: l}, nil
+	return newCholesky(n, l), nil
 }
 
 // cholPanel factors the kb×kb diagonal block at (k, k), unblocked.

@@ -192,3 +192,61 @@ func TestCholeskyBlockedRejectsNonPD(t *testing.T) {
 		t.Fatalf("expected ErrShape, got %v", err)
 	}
 }
+
+// TestSolvePanelMatchesSolveInPlace: every column of the multi-RHS solve
+// must equal SolveInPlace on that column bit for bit — across whole tiles,
+// the one-at-a-time remainder, a stride wider than the solved columns, and
+// both factorization routes — and columns past cols must be left alone.
+func TestSolvePanelMatchesSolveInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{1, 2, 7, 61, 2*cholBlock + 5} {
+		ch, err := NewCholeskyBlocked(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range []int{0, 1, 3, 4, PanelTile, PanelTile + 1, 57, 60} {
+			stride := cols + 2
+			b := make([]float64, n*stride)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want := append([]float64(nil), b...)
+			col := make([]float64, n)
+			for e := 0; e < cols; e++ {
+				for i := range col {
+					col[i] = want[i*stride+e]
+				}
+				ch.SolveInPlace(col)
+				for i := range col {
+					want[i*stride+e] = col[i]
+				}
+			}
+			ch.SolvePanelInPlace(b, stride, cols)
+			for i := range b {
+				if math.Float64bits(b[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d cols=%d: entry (%d,%d) = %v, want %v", n, cols, i/stride, i%stride, b[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestSolvePanelShapePanics(t *testing.T) {
+	ch, err := NewCholesky(randomSPD(rand.New(rand.NewSource(3)), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func(){
+		"cols>stride": func() { ch.SolvePanelInPlace(make([]float64, 16), 4, 5) },
+		"short panel": func() { ch.SolvePanelInPlace(make([]float64, 14), 4, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a shape panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

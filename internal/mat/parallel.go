@@ -113,6 +113,14 @@ func parallelFor(n, workers int, f func(lo, hi int)) {
 	release()
 }
 
+// ParallelFor is parallelFor for callers one layer up whose work items are
+// whole kernel calls (the batched ADMM solve fans column groups out with it):
+// the chunks run on at most `workers` goroutines (≤0 selects DefaultWorkers)
+// and count against the PeakWorkers gauge like any kernel stream.
+func ParallelFor(n, workers int, f func(lo, hi int)) {
+	parallelFor(n, clampWorkers(workers), f)
+}
+
 // parallelForRange splits [lo, hi) across at most `workers` goroutines.
 func parallelForRange(lo, hi, workers int, f func(lo, hi int)) {
 	n := hi - lo

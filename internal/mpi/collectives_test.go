@@ -21,7 +21,7 @@ func TestTreeReduceMatchesFlat(t *testing.T) {
 					flat := make([]float64, n)
 					for i := range tree {
 						// Integer-valued so OpSum is exact in any order.
-						tree[i] = float64((c.Rank()+1)*(i+3) % 11)
+						tree[i] = float64((c.Rank() + 1) * (i + 3) % 11)
 						flat[i] = tree[i]
 					}
 					orig := append([]float64(nil), tree...)

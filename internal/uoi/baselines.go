@@ -125,7 +125,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 	m := full.X.Rows
 	p := full.P
 	rowsB := full.X.Cols
-	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full), 1e-3, q)
+	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full, 0), 1e-3, q)
 	blockLen := int(math.Ceil(math.Sqrt(float64(m))))
 	rng := resample.NewRNG(seed)
 
@@ -145,12 +145,10 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		yCol := make([]float64, trainDes.X.Rows)
+		xty := designXtY(trainDes, 0)
 		beta := make([]float64, rowsB*p)
 		for j, lam := range lambdas {
-			for eq := 0; eq < p; eq++ {
-				trainDes.Y.Col(eq, yCol)
-				r := fac.SolveRHS(mat.AtVec(trainDes.X, yCol), lam, nil)
+			for eq, r := range fac.SolveRHSBatch(xty, lam, nil, nil, nil, 0) {
 				copy(beta[eq*rowsB:(eq+1)*rowsB], r.Beta)
 			}
 			cvLoss[j] += vecLoss(evalDes, beta)
@@ -167,11 +165,8 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	yCol := make([]float64, full.X.Rows)
 	beta := make([]float64, rowsB*p)
-	for eq := 0; eq < p; eq++ {
-		full.Y.Col(eq, yCol)
-		r := fac.SolveRHS(mat.AtVec(full.X, yCol), lambdas[best], nil)
+	for eq, r := range fac.SolveRHSBatch(designXtY(full, 0), lambdas[best], nil, nil, nil, 0) {
 		copy(beta[eq*rowsB:(eq+1)*rowsB], r.Beta)
 	}
 	a, mu := full.PartitionBeta(beta)

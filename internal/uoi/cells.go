@@ -170,14 +170,17 @@ func varSelCell(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambd
 
 // varSelCellRange is the λ-block body shared by the serial VAR cell (full
 // range) and the 2-D grid engine (contiguous λ block [jLo, jHi) per grid
-// column). The warm-start chain is per equation, so the grid handoff is
-// per-equation too: warm(eq), when non-nil, supplies the (z, u) pair the
-// serial sweep would carry into λ index jLo of equation eq, and emit(eq),
-// when non-nil, receives the chain state after jHi−1 for forwarding to the
-// next column. warm/emit callers must not set c.WarmBeta (the seeded sweep
-// reverses the λ order, which would reverse the pipeline direction); the
-// grid engine rejects that combination up front. sup is the block-local
-// flattening sup[(j−jLo)·betaLen + eq·rowsB + i].
+// column). The p equations share the design and its factorization, so the
+// sweep is λ-outer: each λ is one batched solve over all equations
+// (admm.SolveRHSBatch, column groups over kw goroutines), warm-started per
+// equation from the previous λ. The warm-start chain stays per equation, so
+// the grid handoff is per-equation too: warm(eq), when non-nil, supplies the
+// (z, u) pair the serial sweep would carry into λ index jLo of equation eq,
+// and emit(eq), when non-nil, receives the chain state after jHi−1 for
+// forwarding to the next column. warm/emit callers must not set c.WarmBeta
+// (the seeded sweep reverses the λ order, which would reverse the pipeline
+// direction); the grid engine rejects that combination up front. sup is the
+// block-local flattening sup[(j−jLo)·betaLen + eq·rowsB + i].
 func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm func(eq int) (z, u []float64), emit func(eq int, z, u []float64), c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
 	d := c.Order
 	p := series.Cols
@@ -212,31 +215,26 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 	for i := range order {
 		order[i] = jLo + i
 	}
-	var prev []float64
+	// Carry both halves of the warm start along the path; z alone restarts
+	// the dual from zero at every λ (see lassoSelCell).
+	warmZ, warmU := make([][]float64, p), make([][]float64, p)
 	if len(c.WarmBeta) == betaLen {
-		prev = c.WarmBeta
+		for eq := range warmZ {
+			warmZ[eq] = c.WarmBeta[eq*rowsB : (eq+1)*rowsB]
+		}
 		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 			order[i], order[j] = order[j], order[i]
 		}
 	}
-	yCol := make([]float64, des.X.Rows)
-	for eq := 0; eq < p; eq++ {
-		des.Y.Col(eq, yCol)
-		aty := mat.AtVecWorkers(des.X, yCol, kw)
-		// Carry both halves of the warm start along the path; z alone
-		// restarts the dual from zero at every λ (see lassoSelCell).
-		var warmZ, warmU []float64
-		if prev != nil {
-			warmZ = prev[eq*rowsB : (eq+1)*rowsB]
+	if warm != nil {
+		for eq := range warmZ {
+			warmZ[eq], warmU[eq] = warm(eq)
 		}
-		if warm != nil {
-			warmZ, warmU = warm(eq)
-		}
-		for _, j := range order {
-			opts := c.ADMM
-			opts.WarmZ, opts.WarmU = warmZ, warmU
-			r := f.SolveRHS(aty, lambdas[j], &opts)
-			warmZ, warmU = r.Beta, r.U
+	}
+	xty := designXtY(des, kw)
+	for _, j := range order {
+		for eq, r := range f.SolveRHSBatch(xty, lambdas[j], warmZ, warmU, &c.ADMM, kw) {
+			warmZ[eq], warmU[eq] = r.Beta, r.U
 			fits++
 			iters += r.Iters
 			row := sup[(j-jLo)*betaLen+eq*rowsB : (j-jLo)*betaLen+(eq+1)*rowsB]
@@ -246,8 +244,10 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 				}
 			}
 		}
-		if emit != nil {
-			emit(eq, warmZ, warmU)
+	}
+	if emit != nil {
+		for eq := range warmZ {
+			emit(eq, warmZ[eq], warmU[eq])
 		}
 	}
 	return sup, fits, iters, kron, nil
@@ -255,7 +255,10 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 
 // varEstCell runs estimation bootstrap k of UoI_VAR: block train/eval
 // split, per-equation OLS on every distinct vec support, and the held-out
-// winner (all zeros when the candidate family is empty).
+// winner (all zeros when the candidate family is empty). Every support is a
+// column subset of the one training design, so the cell computes that
+// design's sufficient statistics XᵀX and XᵀY once and each (support,
+// equation) fit solves the sub-blocks G[S,S]·β = XᵀY[S,eq].
 func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen int, distinct [][]int, c *VARConfig, kw int, spPhase trace.Span) (beta []float64, fits int, kron time.Duration) {
 	d := c.Order
 	rng := root.Derive(1_000_000 + uint64(k))
@@ -274,10 +277,12 @@ func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen i
 	spK.End()
 	kron = time.Since(t0)
 
+	gram := mat.AtAWorkers(trainDes.X, kw)
+	xty := designXtY(trainDes, kw)
 	bestLoss := math.Inf(1)
 	var bestBeta []float64
 	for _, s := range distinct {
-		b := olsOnVecSupport(trainDes, s, kw)
+		b := olsOnVecSupport(gram, xty, s)
 		fits++
 		loss := vecLoss(evalDes, b)
 		// Non-finite losses never win (see lassoEstCell).

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"uoivar/internal/admm"
+	"uoivar/internal/datagen"
+	"uoivar/internal/mat"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
@@ -106,5 +109,285 @@ func TestSupportKeyNoHighIndexCollision(t *testing.T) {
 	got := dedupeSupports([][]int{{0}, {1 << 24}, {5}, {5 + 1<<24}})
 	if len(got) != 4 {
 		t.Fatalf("dedupeSupports merged distinct high-index supports: kept %d of 4: %v", len(got), got)
+	}
+}
+
+// varCellFixture is a VAR problem reduced to what the cell bodies take.
+type varCellFixture struct {
+	series      *mat.Dense
+	c           VARConfig
+	m, blockLen int
+	rowsB       int
+	betaLen     int
+	lambdas     []float64
+}
+
+func newVarCellFixture(series *mat.Dense, cfg *VARConfig) varCellFixture {
+	c := cfg.defaults()
+	m := series.Rows - c.Order
+	full := varsim.NewDesign(series, c.Order, !c.NoIntercept)
+	return varCellFixture{
+		series: series, c: c, m: m, blockLen: int(math.Ceil(math.Sqrt(float64(m)))),
+		rowsB: full.X.Cols, betaLen: full.BetaLen(),
+		lambdas: admm.LogSpaceLambdas(vecLambdaMax(full, 1), c.LambdaRatio, c.Q),
+	}
+}
+
+// perSupportVarEstCell is the estimation cell as it was before the
+// sufficient-statistics rewrite, kept as the test oracle: every (support,
+// equation) pair gathers its design columns and rebuilds their Gram, and the
+// held-out loss goes through the materialised residual vector.
+func perSupportVarEstCell(fx varCellFixture, root *resample.RNG, k int, distinct [][]int) (beta []float64, winner int) {
+	d := fx.c.Order
+	trainIdx, evalIdx := resample.BlockTrainEvalSplit(root.Derive(1_000_000+uint64(k)), fx.m, fx.blockLen, fx.c.TrainFrac)
+	design := func(idx []int) *varsim.Design {
+		targets := make([]int, len(idx))
+		for i, v := range idx {
+			targets[i] = d + v
+		}
+		return varsim.NewDesignFromRows(fx.series, d, !fx.c.NoIntercept, targets)
+	}
+	trainDes, evalDes := design(trainIdx), design(evalIdx)
+	bestLoss, winner := math.Inf(1), -1
+	yCol := make([]float64, trainDes.X.Rows)
+	for si, s := range distinct {
+		b := make([]float64, fx.betaLen)
+		perEq := make([][]int, fx.series.Cols)
+		for _, g := range s {
+			perEq[g/fx.rowsB] = append(perEq[g/fx.rowsB], g%fx.rowsB)
+		}
+		for eq, cols := range perEq {
+			if len(cols) > 0 {
+				trainDes.Y.Col(eq, yCol)
+				copy(b[eq*fx.rowsB:(eq+1)*fx.rowsB], admm.OLSOnSupportWorkers(trainDes.X, yCol, cols, 1))
+			}
+		}
+		r := evalDes.Residual(b)
+		loss := 0.5 * mat.Dot(r, r)
+		if math.IsNaN(loss) || math.IsInf(loss, 0) {
+			continue
+		}
+		if beta == nil || loss < bestLoss {
+			bestLoss, beta, winner = loss, b, si
+		}
+	}
+	if beta == nil {
+		beta = make([]float64, fx.betaLen)
+	}
+	return beta, winner
+}
+
+// TestVarEstCellMatchesPerSupportPath: solving every (support, equation) OLS
+// from sub-blocks of one XᵀX / XᵀY per cell must pick the winner the
+// per-support Gram rebuilds picked, with its coefficients to 1e-10 relative.
+func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
+	fixtures := []struct {
+		seed    uint64
+		p, d, n int
+		cfg     VARConfig
+	}{
+		{21, 8, 1, 600, VARConfig{Order: 1, B1: 6, B2: 3, Q: 10, LambdaRatio: 1e-2, Seed: 5}},
+		{22, 5, 2, 800, VARConfig{Order: 2, B1: 5, B2: 3, Q: 8, Seed: 6}},
+		{31, 5, 1, 300, VARConfig{Order: 1, B1: 5, B2: 3, Q: 6, Seed: 9, NoIntercept: true}},
+	}
+	for _, f := range fixtures {
+		_, series := makeVARData(f.seed, f.p, f.d, f.n)
+		res, err := VAR(series, &f.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := dedupeSupports(res.Supports)
+		if len(distinct) < 3 {
+			t.Fatalf("fixture seed %d: only %d distinct supports", f.seed, len(distinct))
+		}
+		fx := newVarCellFixture(series, &f.cfg)
+		root := resample.NewRNG(fx.c.Seed)
+		// Kernel budget 3 on the new path: the full Gram then sums in row
+		// chunks the gathered-column Grams (below the parallel gate) do not.
+		for _, kw := range []int{1, 3} {
+			for k := 0; k < fx.c.B2; k++ {
+				want, winner := perSupportVarEstCell(fx, root, k, distinct)
+				got, fits, _ := varEstCell(series, root, k, fx.m, fx.blockLen, fx.betaLen, distinct, &fx.c, kw, trace.Span{})
+				if fits != len(distinct) {
+					t.Fatalf("seed %d cell %d: fits = %d, want %d", f.seed, k, fits, len(distinct))
+				}
+				for i := range want {
+					if (want[i] == 0) != (got[i] == 0) {
+						t.Fatalf("seed %d cell %d kw %d: winner differs from support %d at coefficient %d (%v vs %v)", f.seed, k, kw, winner, i, got[i], want[i])
+					}
+					if diff := math.Abs(got[i] - want[i]); diff > 1e-10*math.Abs(want[i]) {
+						t.Fatalf("seed %d cell %d kw %d: beta[%d] = %v, per-support path %v (rel %g)", f.seed, k, kw, i, got[i], want[i], diff/math.Abs(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVarEstCellPoisonedChannel is the NaN-sticky-winner regression on the
+// sufficient-statistics path. One NaN observation of channel 0 inside the
+// cell's training rows turns row 0 and column 0 of XᵀX and equation 0's
+// column of XᵀY into NaN: candidates that fit equation 0, or regress on
+// channel 0, score NaN and must be skipped even when listed first, while a
+// candidate whose Gram sub-block avoids the channel still wins. A channel
+// that is NaN throughout poisons every held-out loss and yields the null
+// model.
+func TestVarEstCellPoisonedChannel(t *testing.T) {
+	_, series := makeVARData(41, 4, 1, 200)
+	fx := newVarCellFixture(series, &VARConfig{Order: 1, Seed: 3})
+	root := resample.NewRNG(fx.c.Seed)
+	trainIdx, _ := resample.BlockTrainEvalSplit(root.Derive(1_000_000), fx.m, fx.blockLen, fx.c.TrainFrac)
+	// Series row τ is the target of design row τ−1 and the lag of design
+	// row τ; pick τ so both are training rows and the eval design is clean.
+	tau := -1
+	for i := 0; i+1 < len(trainIdx); i++ {
+		if trainIdx[i+1] == trainIdx[i]+1 {
+			tau = trainIdx[i] + 1
+			break
+		}
+	}
+	if tau < 0 {
+		t.Fatal("no two adjacent training rows")
+	}
+	series.Row(tau)[0] = math.NaN()
+	eq0onCh1, eq1onCh0, eq1onCh1 := 0*fx.rowsB+1, 1*fx.rowsB+0, 1*fx.rowsB+1
+	beta, fits, _ := varEstCell(series, root, 0, fx.m, fx.blockLen, fx.betaLen, [][]int{{eq0onCh1}, {eq1onCh0}, {eq1onCh1}}, &fx.c, 1, trace.Span{})
+	if fits != 3 {
+		t.Fatalf("fits = %d, want 3", fits)
+	}
+	for i, v := range beta {
+		if math.IsNaN(v) {
+			t.Fatalf("NaN winner survived: beta[%d]", i)
+		}
+		if (v != 0) != (i == eq1onCh1) {
+			t.Fatalf("clean candidate {%d} did not win: beta[%d] = %v", eq1onCh1, i, v)
+		}
+	}
+
+	for i := 0; i < series.Rows; i++ {
+		series.Row(i)[0] = math.NaN()
+	}
+	beta, _, _ = varEstCell(series, root, 0, fx.m, fx.blockLen, fx.betaLen, [][]int{{eq1onCh1}, {eq0onCh1}}, &fx.c, 1, trace.Span{})
+	for i, v := range beta {
+		if v != 0 {
+			t.Fatalf("all-NaN family must yield the null model, got beta[%d] = %v", i, v)
+		}
+	}
+}
+
+// TestVarSelCellMatchesPerEquationSweep pins the λ-outer batched selection
+// cell to the sweep it replaced — equation-outer, one SolveRHS per (equation,
+// λ) on the warm chain — bit for bit: same supports, fits and iterations, on
+// a cold sweep, a WarmBeta-seeded (reversed) sweep, an elastic-net cell and
+// a grid-style λ block with warm/emit hooks.
+func TestVarSelCellMatchesPerEquationSweep(t *testing.T) {
+	_, series := makeVARData(21, 8, 1, 400)
+	p := series.Cols
+	seed := make([]float64, 9*p)
+	for i := range seed {
+		seed[i] = 0.05 * float64(i%7-3)
+	}
+	for name, cfg := range map[string]VARConfig{
+		"cold":    {Order: 1, Q: 7, LambdaRatio: 1e-2, Seed: 5},
+		"warm":    {Order: 1, Q: 7, LambdaRatio: 1e-2, Seed: 5, WarmBeta: seed},
+		"elastic": {Order: 1, Q: 5, Seed: 8, L2: 0.5},
+	} {
+		fx := newVarCellFixture(series, &cfg)
+		root := resample.NewRNG(fx.c.Seed)
+		for _, kw := range []int{1, 3} {
+			jLo, jHi := 0, len(fx.lambdas)
+			var warm func(int) ([]float64, []float64)
+			var emitted [][2][]float64
+			var emit func(int, []float64, []float64)
+			if name == "cold" && kw == 3 {
+				// A grid column: the λ block [2, 5) entered from a handoff.
+				jLo, jHi = 2, 5
+				warm = func(eq int) ([]float64, []float64) {
+					z, u := make([]float64, fx.rowsB), make([]float64, fx.rowsB)
+					z[eq%fx.rowsB], u[(eq+1)%fx.rowsB] = 0.2, -0.1
+					return z, u
+				}
+				emitted = make([][2][]float64, p)
+				emit = func(eq int, z, u []float64) { emitted[eq] = [2][]float64{z, u} }
+			}
+			sup, fits, iters, _, err := varSelCellRange(series, root, 1, fx.m, fx.blockLen, fx.lambdas, jLo, jHi, warm, emit, &fx.c, kw, nil, trace.Span{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The oracle: same design and factorization, equation-outer.
+			des := varsim.NewDesignFromRows(series, 1, true, varSelTargets(root, 1, fx.m, fx.blockLen, &fx.c))
+			var f *admm.Factorization
+			if fx.c.L2 > 0 {
+				f, err = admm.NewFactorizationElasticWorkers(mat.AtAWorkers(des.X, kw), 0, fx.c.L2, kw)
+			} else {
+				f, err = admm.NewFactorizationGramWorkers(mat.AtAWorkers(des.X, kw), 0, kw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSup := make([]bool, (jHi-jLo)*fx.betaLen)
+			wantFits, wantIters := 0, 0
+			yCol := make([]float64, des.X.Rows)
+			for eq := 0; eq < p; eq++ {
+				aty := mat.AtVecWorkers(des.X, des.Y.Col(eq, yCol), kw)
+				var wz, wu []float64
+				if fx.c.WarmBeta != nil {
+					wz = fx.c.WarmBeta[eq*fx.rowsB : (eq+1)*fx.rowsB]
+				}
+				if warm != nil {
+					wz, wu = warm(eq)
+				}
+				for step := 0; step < jHi-jLo; step++ {
+					j := jLo + step
+					if fx.c.WarmBeta != nil {
+						j = jHi - 1 - step
+					}
+					r := f.SolveRHS(aty, fx.lambdas[j], &admm.Options{WarmZ: wz, WarmU: wu})
+					wz, wu = r.Beta, r.U
+					wantFits++
+					wantIters += r.Iters
+					for i, v := range r.Beta {
+						wantSup[(j-jLo)*fx.betaLen+eq*fx.rowsB+i] = math.Abs(v) > fx.c.SupportTol
+					}
+				}
+				if emit != nil {
+					for i := range wz {
+						if math.Float64bits(wz[i]) != math.Float64bits(emitted[eq][0][i]) || math.Float64bits(wu[i]) != math.Float64bits(emitted[eq][1][i]) {
+							t.Fatalf("%s kw=%d: emitted chain state of equation %d differs at %d", name, kw, eq, i)
+						}
+					}
+				}
+			}
+			if fits != wantFits || iters != wantIters {
+				t.Fatalf("%s kw=%d: fits/iters %d/%d, per-equation sweep %d/%d", name, kw, fits, iters, wantFits, wantIters)
+			}
+			for i := range wantSup {
+				if sup[i] != wantSup[i] {
+					t.Fatalf("%s kw=%d: support indicator %d differs", name, kw, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkVAREstCell times one estimation cell at the var_network
+// benchmark's shape (p=60, n=600, order 1) over the distinct supports of a
+// Q=16 fit: the Gram and XᵀY of the training design once, then a Cholesky
+// per (support, equation) sub-block.
+func BenchmarkVAREstCell(b *testing.B) {
+	series := datagen.MakeFinance(1000, 60, 600, nil).Series
+	cfg := VARConfig{Order: 1, B1: 6, B2: 3, Q: 16, Seed: 7}
+	res, err := VAR(series, &cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	distinct := dedupeSupports(res.Supports)
+	fx := newVarCellFixture(series, &cfg)
+	root := resample.NewRNG(fx.c.Seed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		varEstCell(series, root, i%fx.c.B2, fx.m, fx.blockLen, fx.betaLen, distinct, &fx.c, 1, trace.Span{})
 	}
 }

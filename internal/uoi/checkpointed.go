@@ -639,7 +639,7 @@ func varCheckpointed(comm *mpi.Comm, series *mat.Dense, c *VARConfig) (*VARResul
 	spGrid := tr.Start("lambda_grid")
 	lambdas := c.Lambdas
 	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full), c.LambdaRatio, c.Q)
+		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
 	}
 	spGrid.End()
 	meta := checkpoint.Meta{

@@ -574,7 +574,7 @@ func VARGrid(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, opt GridOptions)
 	spGrid := tr.Start("lambda_grid")
 	lambdas := c.Lambdas
 	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full), c.LambdaRatio, c.Q)
+		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
 	}
 	spGrid.End()
 	q := len(lambdas)

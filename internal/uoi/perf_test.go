@@ -244,6 +244,40 @@ func TestDistributedKernelWorkerBudget(t *testing.T) {
 	}
 }
 
+// TestVARKernelWorkerBudget is the same regression for UoI_VAR, whose λ grid
+// (vecLambdaMax) and held-out loss used to call the kernels with the default
+// full-machine budget whatever the fit was given. The series is long enough
+// that the full design (2199×41) and an evaluation design (≈440×41) cross
+// the kernels' parallel gate; with KernelWorkers 1 every stream of the fit
+// — bootstrap worker or grid rank — must stay a single kernel stream.
+func TestVARKernelWorkerBudget(t *testing.T) {
+	_, series := makeVARData(53, 40, 1, 2200)
+	cfg := func(workers int) *VARConfig {
+		return &VARConfig{Order: 1, B1: 2, B2: 2, Q: 3, Seed: 1, Workers: workers, KernelWorkers: 1}
+	}
+	for _, streams := range []int{1, 2} {
+		mat.ResetPeakWorkers()
+		if _, err := VAR(series, cfg(streams)); err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > int64(streams) {
+			t.Fatalf("Workers=%d KernelWorkers=1: peak kernel workers %d", streams, peak)
+		}
+	}
+	const ranks = 2
+	mat.ResetPeakWorkers()
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		_, err := VARGrid(c, series, cfg(0), GridOptions{Shape: GridShape{PB: ranks, PL: 1}})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := mat.PeakWorkers(); peak > ranks {
+		t.Fatalf("%d grid ranks, KernelWorkers=1: peak kernel workers %d", ranks, peak)
+	}
+}
+
 // BenchmarkLassoTracing compares the full serial pipeline with tracing off
 // (nil tracer: the default) and on — the <1% disabled-overhead budget is
 // asserted against the "off" variant tracking the pre-instrumentation

@@ -265,9 +265,9 @@ func median64(xs []float64) float64 {
 type Diagnostics struct {
 	SelectionTime  time.Duration // wall time of the selection phase
 	EstimationTime time.Duration // wall time of the estimation phase
-	LassoFits      int // LASSO solves in selection
-	OLSFits        int // OLS solves in estimation
-	ADMMIters      int // total ADMM iterations across all solves
+	LassoFits      int           // LASSO solves in selection
+	OLSFits        int           // OLS solves in estimation
+	ADMMIters      int           // total ADMM iterations across all solves
 }
 
 // Result is a fitted UoI model.

@@ -173,7 +173,7 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	spGrid := tr.Start("lambda_grid")
 	lambdas := c.Lambdas
 	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full), c.LambdaRatio, c.Q)
+		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
 	}
 	spGrid.End()
 	root := resample.NewRNG(c.Seed)
@@ -279,29 +279,33 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	return res, nil
 }
 
-// vecLambdaMax is ‖(I⊗X)ᵀ vec(Y)‖∞ = max_j ‖Xᵀ y_j‖∞.
-func vecLambdaMax(des *varsim.Design) float64 {
-	p := des.P
+// designXtY returns the q×p panel XᵀY of a design (q = X columns): column
+// eq is the Xᵀy of equation eq, with kernel budget kw. It is the right-hand
+// side panel of the batched selection solve and, with XᵀX, the sufficient
+// statistics every estimation fit on the design is solved from.
+func designXtY(des *varsim.Design, kw int) *mat.Dense {
+	xty := mat.NewDense(des.X.Cols, des.P)
 	yCol := make([]float64, des.X.Rows)
-	maxV := 0.0
-	for j := 0; j < p; j++ {
-		des.Y.Col(j, yCol)
-		if v := mat.NormInf(mat.AtVec(des.X, yCol)); v > maxV {
-			maxV = v
-		}
+	for eq := 0; eq < des.P; eq++ {
+		xty.SetCol(eq, mat.AtVecWorkers(des.X, des.Y.Col(eq, yCol), kw))
 	}
-	if maxV == 0 {
-		return 1
-	}
-	return maxV
+	return xty
 }
 
-// olsOnVecSupport fits the support-restricted OLS equation by equation
-// (the vec problem is block separable), with the caller's kernel worker
-// budget threaded into each per-equation Gram solve.
-func olsOnVecSupport(des *varsim.Design, support []int, kernelWorkers int) []float64 {
-	p := des.P
-	rowsB := des.X.Cols
+// vecLambdaMax is ‖(I⊗X)ᵀ vec(Y)‖∞ = max_j ‖Xᵀ y_j‖∞.
+func vecLambdaMax(des *varsim.Design, kw int) float64 {
+	if maxV := mat.NormInf(designXtY(des, kw).Data); maxV > 0 {
+		return maxV
+	}
+	return 1
+}
+
+// olsOnVecSupport fits the support-restricted OLS equation by equation (the
+// vec problem is block separable) from the design's sufficient statistics
+// gram = XᵀX and xty = XᵀY: equation eq with support columns S solves
+// gram[S,S]·β = xty[S,eq].
+func olsOnVecSupport(gram, xty *mat.Dense, support []int) []float64 {
+	rowsB, p := gram.Rows, xty.Cols
 	beta := make([]float64, rowsB*p)
 	// Split the vec support into per-equation supports.
 	perEq := make([][]int, p)
@@ -309,22 +313,53 @@ func olsOnVecSupport(des *varsim.Design, support []int, kernelWorkers int) []flo
 		eq := g / rowsB
 		perEq[eq] = append(perEq[eq], g%rowsB)
 	}
-	yCol := make([]float64, des.X.Rows)
-	for eq := 0; eq < p; eq++ {
-		if len(perEq[eq]) == 0 {
+	for eq, cols := range perEq {
+		if len(cols) == 0 {
 			continue
 		}
-		des.Y.Col(eq, yCol)
-		sub := admm.OLSOnSupportWorkers(des.X, yCol, perEq[eq], kernelWorkers)
-		copy(beta[eq*rowsB:(eq+1)*rowsB], sub)
+		sub := mat.NewDense(len(cols), len(cols))
+		rhs := make([]float64, len(cols))
+		for i, j := range cols {
+			rhs[i] = xty.At(j, eq)
+			row := gram.Row(j)
+			for k, jk := range cols {
+				sub.Data[i*len(cols)+k] = row[jk]
+			}
+		}
+		sol := admm.OLSFromGram(sub, rhs)
+		for i, j := range cols {
+			beta[eq*rowsB+j] = sol[i]
+		}
 	}
 	return beta
 }
 
-// vecLoss is ½‖vec(Y) − (I⊗X)β‖² evaluated blockwise.
+// vecLoss is ½‖vec(Y) − (I⊗X)β‖², summed row by row over each equation's
+// nonzero coefficients only: estimation and baseline candidates are sparse,
+// so a prediction costs |support| multiply-adds, not a full design row, and
+// no residual vector is materialised.
 func vecLoss(des *varsim.Design, beta []float64) float64 {
-	r := des.Residual(beta)
-	return 0.5 * mat.Dot(r, r)
+	rowsB := des.X.Cols
+	sum := 0.0
+	var nz []int
+	for eq := 0; eq < des.P; eq++ {
+		b := beta[eq*rowsB : (eq+1)*rowsB]
+		nz = nz[:0]
+		for j, v := range b {
+			if v != 0 {
+				nz = append(nz, j)
+			}
+		}
+		for i := 0; i < des.X.Rows; i++ {
+			xr := des.X.Row(i)
+			r := des.Y.At(i, eq)
+			for _, j := range nz {
+				r -= xr[j] * b[j]
+			}
+			sum += r * r
+		}
+	}
+	return 0.5 * sum
 }
 
 // Model packages the fitted coefficients as a varsim.Model so the
