@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race determinism bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
 DOCCHECK_PKGS = ./internal/checkpoint ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
@@ -35,6 +35,18 @@ test-short:
 # injection, bootstrap workers); -short keeps the chaos schedules small.
 test-race:
 	$(GO) test -race -short ./...
+
+# Determinism gate: a fit's bits may not depend on how many cores the host
+# has, so the bit-identity tests of the dense kernels, the solver and the UoI
+# engine (kernel budgets, worker counts, placements — DESIGN.md §6, §17) run
+# at several GOMAXPROCS, uncached.
+DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/uoi
+DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|Deterministic'
+determinism:
+	@for procs in 1 2 4 8; do \
+		echo "GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs $(GO) test -count=1 -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
+	done
 
 # Regenerate the machine-readable benchmark artifact (schema uoivar/bench/v2):
 # trace overhead on/off, kernel shapes, ADMM, full-pipeline fits, and the

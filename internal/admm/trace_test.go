@@ -54,25 +54,25 @@ func TestLassoNilTraceIsFree(t *testing.T) {
 }
 
 // TestWorkersVariantsMatch: the explicit-budget factorization constructors
-// must solve the same problem as the default-budget names. The parallel
-// Gram reduces per-worker partials, so summation order (and hence the last
-// few bits) may differ — compare to a tight tolerance, not bitwise.
+// solve the same problem as the default-budget names, bit for bit — every
+// dense kernel splits its outputs across workers, never a reduction, so the
+// kernel budget cannot reach the solution (the 180×20 design crosses the
+// Gram's parallel gate).
 func TestWorkersVariantsMatch(t *testing.T) {
 	reg := datagen.MakeRegression(5, 180, 20, &datagen.RegressionOptions{NNZ: 4, NoiseStd: 0.2})
 	f0, err := NewFactorization(reg.X, reg.Y, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := NewFactorizationWorkers(reg.X, reg.Y, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lambda := LambdaMax(reg.X, reg.Y) / 20
 	r0 := f0.Solve(lambda, nil)
-	r1 := f1.Solve(lambda, nil)
-	for i := range r0.Beta {
-		if d := r0.Beta[i] - r1.Beta[i]; d > 1e-8 || d < -1e-8 {
-			t.Fatalf("worker budget changed the solution at %d by %g", i, d)
+	for _, workers := range []int{1, 2, 3, 8} {
+		f1, err := NewFactorizationWorkers(reg.X, reg.Y, 1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1 := f1.Solve(lambda, nil); r1.Iters != r0.Iters || !sameBits(r0.Beta, r1.Beta) {
+			t.Fatalf("kernel budget %d changed the solution", workers)
 		}
 	}
 }

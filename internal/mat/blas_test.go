@@ -138,7 +138,8 @@ func TestMulTVecMatchesTranspose(t *testing.T) {
 }
 
 func TestMulTVecParallelPath(t *testing.T) {
-	// Large enough to trigger the parallel partial-sum path.
+	// A shape past the kernels' parallel gate, which the Aᵀx kernel once
+	// split into per-worker partial sums; it is a single pass now.
 	rng := rand.New(rand.NewSource(5))
 	a := randomDense(rng, 300, 120)
 	x := make([]float64, 300)
@@ -149,7 +150,7 @@ func TestMulTVecParallelPath(t *testing.T) {
 	want := MulVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("parallel MulTVec[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("MulTVec[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

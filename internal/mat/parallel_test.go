@@ -113,14 +113,50 @@ func TestWorkerBudgetUnderConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestAtAWorkersMatchesSerial covers the Gram kernel's split.
+// bitsEqual reports the first index at which a and b differ in their bits.
+func bitsEqual(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestAtAWorkersMatchesSerial pins the kernel-determinism contract for the
+// Gram: workers own bands of output rows, so every budget accumulates each
+// entry in input-row order and the bits equal the one-worker result — at
+// widths that are not a multiple of the band, narrower than one band, with
+// more workers than bands or rows, and with zeros in the input (the kernel
+// skips them).
 func TestAtAWorkersMatchesSerial(t *testing.T) {
-	x := randDense(300, 64, 10)
-	want := AtAWorkers(x, 1)
-	for _, w := range []int{0, 2, 5} {
-		got := AtAWorkers(x, w)
-		if d := maxAbsDiff(want.Data, got.Data); d > 1e-10 {
-			t.Fatalf("workers=%d: max diff %g", w, d)
+	for _, shape := range [][2]int{{300, 64}, {257, 61}, {3000, 5}, {40, 21}, {2, 100}} {
+		x := randDense(shape[0], shape[1], 10)
+		for i := 0; i < len(x.Data); i += 7 {
+			x.Data[i] = 0
+		}
+		want := AtAWorkers(x, 1)
+		// The one-worker result is the plain row-order sum.
+		p := x.Cols
+		ref := make([]float64, p*p)
+		for i := 0; i < x.Rows; i++ {
+			row := x.Row(i)
+			for j := 0; j < p; j++ {
+				for k := 0; k < p; k++ {
+					ref[j*p+k] += row[j] * row[k]
+				}
+			}
+		}
+		if d := maxAbsDiff(want.Data, ref); d > 1e-9 {
+			t.Fatalf("%v: Gram off by %g", shape, d)
+		}
+		for _, w := range []int{0, 2, 3, 5, 8, 64} {
+			if i, ok := bitsEqual(AtAWorkers(x, w).Data, want.Data); !ok {
+				t.Fatalf("%v workers=%d: entry %d differs in bits from the one-worker Gram", shape, w, i)
+			}
 		}
 	}
 }
@@ -135,14 +171,26 @@ func TestVecWorkersMatchSerial(t *testing.T) {
 	for i := range u {
 		u[i] = float64(i%5) - 2
 	}
-	if d := maxAbsDiff(MulVecWorkers(x, v, 1), MulVecWorkers(x, v, 4)); d > 1e-12 {
-		t.Fatalf("MulVec diff %g", d)
+	for _, w := range []int{0, 2, 3, 4, 64} {
+		if i, ok := bitsEqual(MulVecWorkers(x, v, w), MulVecWorkers(x, v, 1)); !ok {
+			t.Fatalf("MulVec workers=%d: entry %d differs in bits", w, i)
+		}
+		// Aᵀu is a single pass in row order whatever the budget.
+		if i, ok := bitsEqual(MulTVecWorkers(x, u, w), MulTVecWorkers(x, u, 1)); !ok {
+			t.Fatalf("MulTVec workers=%d: entry %d differs in bits", w, i)
+		}
+		if i, ok := bitsEqual(AtVecWorkers(x, u, w), AtVecWorkers(x, u, 1)); !ok {
+			t.Fatalf("AtVec workers=%d: entry %d differs in bits", w, i)
+		}
 	}
-	if d := maxAbsDiff(MulTVecWorkers(x, u, 1), MulTVecWorkers(x, u, 4)); d > 1e-12 {
-		t.Fatalf("MulTVec diff %g", d)
+	want := make([]float64, 48)
+	for i := 0; i < 700; i++ {
+		for j := range want {
+			want[j] += u[i] * x.At(i, j)
+		}
 	}
-	if d := maxAbsDiff(AtVecWorkers(x, u, 1), AtVecWorkers(x, u, 4)); d > 1e-12 {
-		t.Fatalf("AtVec diff %g", d)
+	if d := maxAbsDiff(MulTVecWorkers(x, u, 3), want); d > 1e-9 {
+		t.Fatalf("MulTVec off by %g", d)
 	}
 }
 

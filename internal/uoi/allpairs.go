@@ -319,10 +319,7 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 	// Selection: moving-block bootstraps × λ path, soft-intersected.
 	t0 = time.Now()
 	lambdas := admm.LogSpaceLambdas(admm.LambdaMax(xs, yc), c.LambdaRatio, c.Q)
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, screen)
-	}
+	counts := make([]float64, len(lambdas)*screen)
 	root := resample.NewRNG(c.Seed).Derive(uint64(i) + 1)
 	for b := 0; b < c.NB; b++ {
 		rng := root.Derive(uint64(b) + 1)
@@ -343,7 +340,7 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 			diag.ADMMIters += r.Iters
 			for k, v := range r.Beta {
 				if v > c.SupportTol || v < -c.SupportTol {
-					counts[j][k]++
+					counts[j*screen+k]++
 				}
 			}
 		}
@@ -351,13 +348,7 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 	threshold := selectionThreshold(c.SelectionFrac, c.NB)
 	var distinct [][]int
 	seen := map[string]bool{}
-	for j := range counts {
-		var sup []int
-		for k, v := range counts[j] {
-			if v >= threshold {
-				sup = append(sup, k)
-			}
-		}
+	for _, sup := range supportsFromCounts(counts, len(lambdas), screen, float64(threshold)) {
 		if len(sup) == 0 {
 			continue
 		}
@@ -374,8 +365,7 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 	// candidate, since only a strictly lower BIC replaces the best).
 	t0 = time.Now()
 	fit := &targetFit{mu: ybar[i]}
-	bestBIC := math.Inf(1)
-	var bestBeta []float64
+	var best winner
 	for _, sup := range distinct {
 		beta := admm.OLSOnSupportWorkers(xs, yc, sup, 1)
 		rss := 0.0
@@ -391,17 +381,11 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 			rss = math.SmallestNonzeroFloat64
 		}
 		bic := float64(m)*math.Log(rss/float64(m)) + float64(len(sup))*math.Log(float64(m))
-		if math.IsNaN(bic) || math.IsInf(bic, 0) {
-			continue
-		}
-		if bestBeta == nil || bic < bestBIC {
-			bestBIC = bic
-			bestBeta = beta
-		}
+		best.offer(bic, beta)
 	}
-	if bestBeta != nil {
+	if best.beta != nil {
 		mu := ybar[i]
-		for k, v := range bestBeta {
+		for k, v := range best.beta {
 			if v == 0 {
 				continue
 			}

@@ -22,29 +22,60 @@ import (
 // UoI embarrassingly parallel and, in checkpointed execution, independently
 // resumable: a checkpoint is just the union of completed cells.
 //
-// The serial algorithms (uoi.go, var.go) and the checkpointed engine
-// (checkpointed.go) share these bodies, so a resumed cell reproduces the
-// original bit for bit.
+// Every placement of the engine (engine.go) runs these bodies, so a cell
+// reproduces the same bits wherever it runs: on a pool worker, resumed from
+// a checkpoint, or as one λ block on one rank of a grid.
 
-// lassoSelCell runs selection bootstrap k of UoI_LASSO: resample, factorize
-// once, sweep the λ path with warm starts, and return the support
-// indicators flattened as sup[j·p+i] for λ index j and feature i.
-func lassoSelCell(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	sup, _, _, fits, iters, err = lassoSelCellRange(x, y, root, k, lambdas, 0, len(lambdas), nil, c, kw, tr)
-	return sup, fits, iters, err
+// warmFn supplies the (z, u) pair a selection cell's warm-start chain
+// carries into its first λ, and emitFn receives the chain's state after its
+// last: together they hand the λ path of one bootstrap from one grid column
+// to the next. A UoI_LASSO cell has one chain (chain 0), a UoI_VAR cell one
+// per equation. A cell calls every warm before its first solve and every
+// emit after its last, chains in ascending order.
+type (
+	warmFn func(chain int) (z, u []float64)
+	emitFn func(chain int, z, u []float64)
+)
+
+// winner keeps an estimation cell's best candidate under the one rule every
+// driver shares: a candidate wins only with a finite loss strictly below
+// the best so far, and when none does the null model wins. A NaN loss — in
+// the first slot or any other — makes every later `loss < best` false, so a
+// rule without the finiteness test lets it stick.
+type winner struct {
+	loss float64
+	beta []float64
 }
 
-// lassoSelCellRange is the λ-block body shared by the serial cell (full
-// range, cold start) and the 2-D grid engine (contiguous λ block [jLo, jHi)
-// per grid column, warm-started from the neighboring column). warm, when
-// non-nil, is invoked after the factorization succeeds and supplies the
-// (z, u) pair the serial sweep would have carried into λ index jLo — the
-// grid's cross-column pipeline handoff. Because serial and grid runs share
-// this one code path, a grid fit continues the exact serial warm-start
-// chain and its supports are bit-identical to serial by construction.
-// lastZ/lastU return the chain state after λ index jHi−1, for forwarding to
-// the next column. sup is the block-local flattening sup[(j−jLo)·p+i].
-func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm func() (z, u []float64), c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, lastZ, lastU []float64, fits, iters int, err error) {
+// offer considers a candidate estimate and its held-out loss.
+func (w *winner) offer(loss float64, beta []float64) {
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		return
+	}
+	if w.beta == nil || loss < w.loss {
+		w.loss, w.beta = loss, beta
+	}
+}
+
+// estimate returns the winning coefficients, or the null model (p zeros)
+// when no candidate had a finite loss or there was none.
+func (w *winner) estimate(p int) []float64 {
+	if w.beta == nil {
+		return make([]float64, p)
+	}
+	return w.beta
+}
+
+// lassoSelCellRange runs selection bootstrap k of UoI_LASSO over the λ
+// block [jLo, jHi): resample, factorize once, sweep the block with warm
+// starts, and return the support indicators in the block-local flattening
+// sup[(j−jLo)·p+i]. The whole path is the block [0, len(lambdas)) with nil
+// hooks. On a grid, warm (invoked after the factorization succeeds)
+// supplies the (z, u) pair the serial sweep would have carried into λ index
+// jLo and emit receives the pair after jHi−1, so the column pipeline
+// continues the exact serial warm-start chain and a grid fit's supports are
+// bit-identical to serial by construction.
+func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
 	n, p := x.Rows, x.Cols
 	rng := root.Derive(uint64(k) + 1)
 	idx := resample.Bootstrap(rng, n)
@@ -60,7 +91,7 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 		f, err = admm.NewFactorizationWorkers(xb, yb, c.ADMM.Rho, kw)
 	}
 	if err != nil {
-		return nil, nil, nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
+		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
 	tr.Add("admm/factorizations", 1)
 	sup = make([]bool, (jHi-jLo)*p)
@@ -69,7 +100,7 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 	// saved iterations (Boyd §4.3's standard path warm start).
 	var warmZ, warmU []float64
 	if warm != nil {
-		warmZ, warmU = warm()
+		warmZ, warmU = warm(0)
 	}
 	for j := jLo; j < jHi; j++ {
 		opts := c.ADMM
@@ -85,7 +116,10 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 			}
 		}
 	}
-	return sup, warmZ, warmU, fits, iters, nil
+	if emit != nil {
+		emit(0, warmZ, warmU)
+	}
+	return sup, fits, iters, nil
 }
 
 // lassoEstCell runs estimation bootstrap k of UoI_LASSO: resample a
@@ -101,42 +135,54 @@ func lassoEstCell(x *mat.Dense, y []float64, root *resample.RNG, k int, distinct
 	xe := x.SelectRows(evalIdx)
 	ye := selectVec(y, evalIdx)
 
-	bestLoss := math.Inf(1)
-	var bestBeta []float64
+	var best winner
 	for _, s := range distinct {
 		b := admm.OLSOnSupportWorkers(xt, yt, s, kw)
 		fits++
-		loss := metrics.PredictionLoss(xe, ye, b)
-		// Skip non-finite losses: a NaN in the first slot would make every
-		// later `loss < bestLoss` false and win silently.
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			continue
-		}
-		if bestBeta == nil || loss < bestLoss {
-			bestLoss = loss
-			bestBeta = b
-		}
+		best.offer(metrics.PredictionLoss(xe, ye, b), b)
 	}
-	// All candidates non-finite (or none): fall back to the null model.
-	if bestBeta == nil {
-		bestBeta = make([]float64, p)
-	}
-	return bestBeta, fits
+	return best.estimate(p), fits
 }
 
-// addSupportCounts folds one selection cell's support indicators
-// (flattened as sup[j·p+i]) into the per-(λ, feature) tally. Integer
-// addition is exactly order-independent, so the intersection is identical
-// at any worker or rank count and regardless of resume order.
-func addSupportCounts(counts [][]int, sup []bool, p int) {
-	for j := range counts {
-		row := sup[j*p : (j+1)*p]
-		for i, v := range row {
-			if v {
-				counts[j][i]++
+// addSupportCounts folds one selection cell's support indicators into the
+// per-(λ, coefficient) tally, which shares the cell's flattening. The
+// counts are small integers held in float64 (the type the reductions that
+// combine them across ranks take), so the addition is exact and
+// order-independent: the intersection is identical at any worker or rank
+// count and regardless of resume order.
+func addSupportCounts(counts []float64, sup []bool) {
+	for i, v := range sup {
+		if v {
+			counts[i]++
+		}
+	}
+}
+
+// supportsFromCounts thresholds the tally of q λ values × p coefficients
+// into the per-λ supports: the (possibly softened) intersection of eq. 3.
+func supportsFromCounts(counts []float64, q, p int, threshold float64) [][]int {
+	supports := make([][]int, q)
+	for j := range supports {
+		row := counts[j*p : (j+1)*p]
+		// Size each support exactly: a vec(B) support runs to hundreds of
+		// indices, which append would regrow many times over.
+		n := 0
+		for _, ct := range row {
+			if ct >= threshold {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		supports[j] = make([]int, 0, n)
+		for i, ct := range row {
+			if ct >= threshold {
+				supports[j] = append(supports[j], i)
 			}
 		}
 	}
+	return supports
 }
 
 // varSelTargets derives selection bootstrap k's design-row targets (window
@@ -159,29 +205,21 @@ func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 	return targets
 }
 
-// varSelCell runs selection bootstrap k of UoI_VAR: block-bootstrap target
-// rows, assemble the design, factorize once (shared across equations and
-// the λ path), and return the support indicators flattened as
-// sup[j·betaLen + eq·rowsB + i]. spPhase receives the kron_assembly child
-// span, mirroring the serial algorithm's trace shape.
-func varSelCell(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
-	return varSelCellRange(series, root, k, m, blockLen, lambdas, 0, len(lambdas), nil, nil, c, kw, tr, spPhase)
-}
-
-// varSelCellRange is the λ-block body shared by the serial VAR cell (full
-// range) and the 2-D grid engine (contiguous λ block [jLo, jHi) per grid
-// column). The p equations share the design and its factorization, so the
-// sweep is λ-outer: each λ is one batched solve over all equations
-// (admm.SolveRHSBatch, column groups over kw goroutines), warm-started per
-// equation from the previous λ. The warm-start chain stays per equation, so
-// the grid handoff is per-equation too: warm(eq), when non-nil, supplies the
-// (z, u) pair the serial sweep would carry into λ index jLo of equation eq,
-// and emit(eq), when non-nil, receives the chain state after jHi−1 for
-// forwarding to the next column. warm/emit callers must not set c.WarmBeta
-// (the seeded sweep reverses the λ order, which would reverse the pipeline
-// direction); the grid engine rejects that combination up front. sup is the
-// block-local flattening sup[(j−jLo)·betaLen + eq·rowsB + i].
-func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm func(eq int) (z, u []float64), emit func(eq int, z, u []float64), c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
+// varSelCellRange runs selection bootstrap k of UoI_VAR over the λ block
+// [jLo, jHi) — the whole path, or one grid column's share: block-bootstrap
+// target rows, assemble the design (spPhase receives the kron_assembly child
+// span), factorize once. The p equations share the design and its
+// factorization, so the sweep is λ-outer: each λ is one batched solve over
+// all equations (admm.SolveRHSBatch, column groups over kw goroutines),
+// warm-started per equation from the previous λ. The warm-start chain is
+// per equation, so the handoff is too: warm(eq) supplies the (z, u) pair
+// the serial sweep would carry into λ index jLo of equation eq, emit(eq)
+// receives the chain state after jHi−1. Callers that pass hooks must not
+// set c.WarmBeta (the seeded sweep reverses the λ order, which would
+// reverse the pipeline direction); VARGrid rejects that combination up
+// front. sup is the block-local flattening
+// sup[(j−jLo)·betaLen + eq·rowsB + i].
+func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
 	d := c.Order
 	p := series.Cols
 	targets := varSelTargets(root, k, m, blockLen, c)
@@ -279,24 +317,11 @@ func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen i
 
 	gram := mat.AtAWorkers(trainDes.X, kw)
 	xty := designXtY(trainDes, kw)
-	bestLoss := math.Inf(1)
-	var bestBeta []float64
+	var best winner
 	for _, s := range distinct {
 		b := olsOnVecSupport(gram, xty, s)
 		fits++
-		loss := vecLoss(evalDes, b)
-		// Non-finite losses never win (see lassoEstCell).
-		if math.IsNaN(loss) || math.IsInf(loss, 0) {
-			continue
-		}
-		if bestBeta == nil || loss < bestLoss {
-			bestLoss = loss
-			bestBeta = b
-		}
+		best.offer(vecLoss(evalDes, b), b)
 	}
-	// All candidates non-finite (or none): fall back to the null model.
-	if bestBeta == nil {
-		bestBeta = make([]float64, betaLen)
-	}
-	return bestBeta, fits, kron
+	return best.estimate(betaLen), fits, kron
 }

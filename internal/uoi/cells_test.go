@@ -1,12 +1,15 @@
 package uoi
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/datagen"
 	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
@@ -41,6 +44,138 @@ func TestEstCellSkipsNaNLoss(t *testing.T) {
 	}
 	if beta[1] == 0 && beta[2] == 0 && beta[3] == 0 {
 		t.Fatal("clean candidate {1,2,3} did not win")
+	}
+	t.Run("consensus-lasso", consensusLassoSkipsNaNLoss)
+	t.Run("consensus-var", consensusVARSkipsNaNLoss)
+}
+
+// The consensus drivers solve every candidate from one factorization, so a
+// NaN in the data poisons all candidates or none. What can single out the
+// first (densest) candidate is an overflow in the held-out prediction: two
+// huge-but-finite regressor values in one evaluation row, met by large
+// coefficients of opposite sign, sum to +Inf − Inf = NaN, while a candidate
+// whose support excludes the two columns multiplies them by exact zeros.
+// The λ grids are explicit and ascending, so the dense support comes first.
+const hugeRegressor = 1.7e308
+
+func consensusLassoSkipsNaNLoss(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, p = 200, 6
+	x := mat.NewDense(n, p)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+		y[i] = 3*row[0] - 3*row[1] + 10*row[2] + 0.1*rng.NormFloat64()
+	}
+	// λ = 1 keeps features 0, 1, 2 (|xᵀy| ≈ 600, 600, 2000); λ = 1000 keeps 2.
+	cfg := &LassoConfig{B1: 3, B2: 1, Lambdas: []float64{1, 1000}, Seed: 7}
+	c := cfg.defaults()
+	// Estimation bootstrap 0's evaluation rows on rank 0, as LassoDistributed
+	// derives them.
+	_, evalIdx := resample.TrainEvalSplit(resample.NewRNG(cfg.Seed).Derive(1_000_000).Derive(1), n, c.TrainFrac)
+	fit := func(xEst *mat.Dense, yEst []float64) *Result {
+		var res *Result
+		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
+			res, err = LassoDistributedPhases(comm, x, y, xEst, yEst, cfg, Grid{})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Supports[0]) < 3 || len(res.Supports[1]) != 1 || res.Supports[1][0] != 2 {
+			t.Fatalf("fixture supports %v, want a dense one then {2}", res.Supports)
+		}
+		return res
+	}
+	// First candidate non-finite: the finite one wins.
+	xEst := x.Clone()
+	xEst.Row(evalIdx[0])[0], xEst.Row(evalIdx[0])[1] = hugeRegressor, hugeRegressor
+	res := fit(xEst, y)
+	if res.Beta[0] != 0 || res.Beta[1] != 0 || res.Beta[2] == 0 {
+		t.Fatalf("the candidate with the NaN loss won: beta = %v", res.Beta)
+	}
+	// Every candidate non-finite: the null model.
+	yEst := append([]float64(nil), y...)
+	yEst[evalIdx[0]] = math.NaN()
+	for i, v := range fit(x, yEst).Beta {
+		if v != 0 {
+			t.Fatalf("all-NaN family must yield the null model, got beta[%d] = %v", i, v)
+		}
+	}
+}
+
+func consensusVARSkipsNaNLoss(t *testing.T) {
+	// Channels 1 and 2 are white noise driving channel 0 with coefficients
+	// ±1.5; channel 3 is a loud AR(1) driving channel 4, so that a large λ
+	// keeps (4←3) and (3←3) and drops everything in equation 0.
+	rng := rand.New(rand.NewSource(9))
+	const n, p = 301, 5
+	series := mat.NewDense(n, p)
+	for t := 1; t < n; t++ {
+		prev, row := series.Row(t-1), series.Row(t)
+		row[0] = 1.5*prev[1] - 1.5*prev[2] + rng.NormFloat64()
+		row[1] = rng.NormFloat64()
+		row[2] = rng.NormFloat64()
+		row[3] = 0.3*prev[3] + 10*rng.NormFloat64()
+		row[4] = prev[3] + rng.NormFloat64()
+	}
+	// Series row 0 is read only as the lag of design row 0 (target row 1).
+	// Find a seed whose selection bootstraps never draw that design row and
+	// whose estimation bootstrap 0 evaluates on it.
+	cfg := &VARConfig{Order: 1, B1: 2, B2: 1, Lambdas: []float64{30, 3000}}
+	const m, blockLen = n - 1, 18 // ⌈√300⌉
+	for cfg.Seed = 1; ; cfg.Seed++ {
+		if cfg.Seed > 500 {
+			t.Fatal("no seed places design row 0 in the evaluation split only")
+		}
+		c := cfg.defaults()
+		root := resample.NewRNG(cfg.Seed)
+		drawn := false
+		for k := 0; k < cfg.B1; k++ {
+			for _, target := range varSelTargets(root, k, m, blockLen, &c) {
+				drawn = drawn || target == 1
+			}
+		}
+		_, evalIdx := resample.BlockTrainEvalSplit(root.Derive(1_000_000), m, blockLen, c.TrainFrac)
+		evaluated := false
+		for _, i := range evalIdx {
+			evaluated = evaluated || i == 0
+		}
+		if !drawn && evaluated {
+			break
+		}
+	}
+	fit := func(series *mat.Dense) *VARResult {
+		var res *VARResult
+		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
+			res, err = VARDistributed(comm, series, cfg, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Supports[0]) <= len(res.Supports[1]) || len(res.Supports[1]) == 0 {
+			t.Fatalf("fixture supports %v, want a dense one then a sparse one", res.Supports)
+		}
+		return res
+	}
+	// First candidate non-finite: the finite one wins.
+	poisoned := series.Clone()
+	poisoned.Row(0)[1], poisoned.Row(0)[2] = hugeRegressor, hugeRegressor
+	res := fit(poisoned)
+	if res.A[0].At(0, 1) != 0 || res.A[0].At(0, 2) != 0 || res.A[0].At(4, 3) == 0 {
+		t.Fatalf("the candidate with the NaN loss won: A = %v", res.A[0].Data)
+	}
+	// Every candidate non-finite (a NaN regressor times an exact zero is
+	// still NaN): the null model.
+	poisoned.Row(0)[1] = math.NaN()
+	for i, v := range fit(poisoned).Beta {
+		if v != 0 {
+			t.Fatalf("all-NaN family must yield the null model, got beta[%d] = %v", i, v)
+		}
 	}
 }
 
@@ -100,11 +235,11 @@ func TestVarEstCellSkipsNaNLoss(t *testing.T) {
 }
 
 // TestSupportKeyNoHighIndexCollision is the regression test for the 3-byte
-// supportKey packing: {2²⁴} and {0} collided (both hashed to three zero
+// support-key packing: {2²⁴} and {0} collided (both hashed to three zero
 // bytes), silently merging distinct whole-brain-scale vec supports.
 func TestSupportKeyNoHighIndexCollision(t *testing.T) {
-	if supportKey([]int{0}) == supportKey([]int{1 << 24}) {
-		t.Fatal("supportKey collides on indices ≥ 2²⁴")
+	if string(appendSupportKey(nil, []int{0})) == string(appendSupportKey(nil, []int{1 << 24})) {
+		t.Fatal("the support key collides on indices ≥ 2²⁴")
 	}
 	got := dedupeSupports([][]int{{0}, {1 << 24}, {5}, {5 + 1<<24}})
 	if len(got) != 4 {
@@ -178,8 +313,10 @@ func perSupportVarEstCell(fx varCellFixture, root *resample.RNG, k int, distinct
 }
 
 // TestVarEstCellMatchesPerSupportPath: solving every (support, equation) OLS
-// from sub-blocks of one XᵀX / XᵀY per cell must pick the winner the
-// per-support Gram rebuilds picked, with its coefficients to 1e-10 relative.
+// from sub-blocks of one XᵀX / XᵀY per cell must return what the per-support
+// Gram rebuilds returned, bit for bit: a sub-block of the full Gram and the
+// Gram of the gathered columns are the same sums in the same (input-row)
+// order at any kernel budget.
 func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 	fixtures := []struct {
 		seed    uint64
@@ -202,8 +339,8 @@ func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 		}
 		fx := newVarCellFixture(series, &f.cfg)
 		root := resample.NewRNG(fx.c.Seed)
-		// Kernel budget 3 on the new path: the full Gram then sums in row
-		// chunks the gathered-column Grams (below the parallel gate) do not.
+		// Kernel budget 3 splits the full Gram across workers; the
+		// gathered-column Grams stay below the parallel gate.
 		for _, kw := range []int{1, 3} {
 			for k := 0; k < fx.c.B2; k++ {
 				want, winner := perSupportVarEstCell(fx, root, k, distinct)
@@ -215,10 +352,8 @@ func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 					if (want[i] == 0) != (got[i] == 0) {
 						t.Fatalf("seed %d cell %d kw %d: winner differs from support %d at coefficient %d (%v vs %v)", f.seed, k, kw, winner, i, got[i], want[i])
 					}
-					if diff := math.Abs(got[i] - want[i]); diff > 1e-10*math.Abs(want[i]) {
-						t.Fatalf("seed %d cell %d kw %d: beta[%d] = %v, per-support path %v (rel %g)", f.seed, k, kw, i, got[i], want[i], diff/math.Abs(want[i]))
-					}
 				}
+				assertBitsEqual(t, fmt.Sprintf("seed %d cell %d kw %d beta", f.seed, k, kw), got, want)
 			}
 		}
 	}

@@ -3,18 +3,12 @@ package uoi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
-	"uoivar/internal/admm"
 	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
-	"uoivar/internal/preprocess"
-	"uoivar/internal/resample"
 	"uoivar/internal/trace"
-	"uoivar/internal/varsim"
 )
 
 // CheckpointConfig enables checkpointed execution of a UoI fit: completed
@@ -63,222 +57,221 @@ const (
 	ckptCellFailed  = 3 // cell failed under strict mode; fit aborts
 )
 
-// ckptPhase describes one bootstrap phase (selection or estimation) to the
-// checkpointed cell engine in terms of pure per-cell operations.
-type ckptPhase struct {
-	name     string                         // "selection" | "estimation"
-	total    int                            // B1 or B2
-	payLen   int                            // exchanged payload floats per cell
-	recorded func(k int) bool               // already in the checkpoint?
-	compute  func(k int) ([]float64, error) // run cell k (owner only)
-	record   func(k int, payload []float64) // fold a completed cell into state
-	drop     func(k int)                    // record a durable quorum drop
-	fault    func(k int) error              // injected fault, pure in k; nil = none
-	quorum   bool                           // drop failed cells instead of aborting
-}
-
-// ckptEngine executes ckptPhases over the cells a checkpoint does not
-// already hold: serially (comm == nil) with the usual bootstrap worker
-// pool, or distributed in rounds of Size cells with an Allgather exchange
-// so every rank mirrors the full checkpoint state.
-type ckptEngine struct {
-	comm      *mpi.Comm
+// journal is the checkpointed placement: every completed cell is recorded
+// in a checkpoint.State that is saved durably at the configured cadence,
+// and cells already on record are skipped. Without a communicator the
+// unrecorded cells run on the bootstrap worker pool; over one they are
+// sharded in rounds of Size cells with an Allgather exchange, so every rank
+// mirrors the full state. Intersection and union are rebuilt from the
+// state, so they see resumed and freshly computed cells alike.
+type journal struct {
+	pool                // runs the cells when comm == nil
+	comm      *mpi.Comm // nil: in-process
 	cfg       *CheckpointConfig
 	st        *checkpoint.State
 	tr        *trace.Tracer
-	workers   int // serial bootstrap concurrency
 	every     int // resolved save cadence (≥1)
-	sinceSave int
+	sinceSave int // cells recorded since the last save
 	saveErr   error
 }
 
-// save writes the checkpoint atomically under a ckpt_write span.
-func (e *ckptEngine) save() error {
-	sp := e.tr.Start("ckpt_write")
-	defer sp.End()
-	if err := checkpoint.Save(e.cfg.Path, e.st); err != nil {
-		return fmt.Errorf("uoi: checkpoint write %s: %w", e.cfg.Path, err)
+// ledger is one phase's page of the journal: how its cells are looked up,
+// stored and dropped in the checkpoint state, and the length of the payload
+// a cell exchanges.
+type ledger struct {
+	payLen int
+	get    func(k int) (dropped, ok bool)
+	put    func(k int, pay []float64)
+	drop   func(k int)
+}
+
+func (j *journal) streams() int {
+	if j.comm != nil {
+		return j.comm.Size()
 	}
-	e.tr.Add("ckpt/writes", 1)
+	return j.workers
+}
+
+func (j *journal) begin(pb *problem) (err error) {
+	if j.every = j.cfg.Every; j.every <= 0 {
+		j.every = 1
+	}
+	j.tr = pb.tr
+	j.st, err = loadOrNew(j.cfg, pb.meta(), pb.lambdas, pb.tr)
+	if err != nil {
+		return err
+	}
+	return j.pool.begin(pb)
+}
+
+// save writes the checkpoint atomically under a ckpt_write span. Every rank
+// calls it at the same points, but only the writer (the process itself, or
+// rank 0) touches the file.
+func (j *journal) save() error {
+	if j.comm != nil && j.comm.Rank() != 0 {
+		return nil
+	}
+	sp := j.tr.Start("ckpt_write")
+	defer sp.End()
+	if err := checkpoint.Save(j.cfg.Path, j.st); err != nil {
+		return fmt.Errorf("uoi: checkpoint write %s: %w", j.cfg.Path, err)
+	}
+	j.tr.Add("ckpt/writes", 1)
 	return nil
 }
 
-// bumpLocked advances the completed-cell counter and saves at the cadence.
-// Only the writer (serial process, or rank 0) calls it; callers hold the
-// phase mutex in the serial engine.
-func (e *ckptEngine) bumpLocked(cells int) {
-	e.sinceSave += cells
-	if e.saveErr != nil || e.sinceSave < e.every {
-		return
+// recorded advances the cadence counter by n newly recorded cells and saves
+// when a save is due. Every rank tracks the counter, so it stays
+// rank-identical. In-process callers hold the phase mutex.
+func (j *journal) recorded(n int) {
+	j.sinceSave += n
+	if j.saveErr == nil && j.sinceSave >= j.every {
+		j.sinceSave = 0
+		j.saveErr = j.save()
 	}
-	e.sinceSave = 0
-	e.saveErr = e.save()
 }
 
-// remaining lists the phase's unrecorded cells in ascending order and
-// counts the skipped ones into the ckpt/cells_skipped counter.
-func (e *ckptEngine) remaining(ph *ckptPhase) []int {
+// cells runs the phase's unrecorded cells and returns how many of the
+// phase's cells are complete on record. A phase boundary is always durable.
+func (j *journal) cells(ph phase, led ledger, compute func(k int) ([]float64, error)) (int, error) {
+	// The unrecorded cells, ascending. A resumed fit shards them over
+	// however many ranks it now has.
 	var rem []int
-	skipped := 0
 	for k := 0; k < ph.total; k++ {
-		if ph.recorded(k) {
-			skipped++
-			continue
+		if _, ok := led.get(k); !ok {
+			rem = append(rem, k)
 		}
-		rem = append(rem, k)
 	}
-	if skipped > 0 {
-		e.tr.Add("ckpt/cells_skipped", int64(skipped))
+	if skipped := ph.total - len(rem); skipped > 0 {
+		j.tr.Add("ckpt/cells_skipped", int64(skipped))
 	}
-	return rem
-}
-
-// runPhase executes every unrecorded cell of the phase. In quorum mode the
-// returned failed slice holds the errors of cells dropped *this run*
-// (cells dropped before a resume are already durable in the state); fatal
-// is non-nil when the fit must abort (strict-mode cell failure, or a
-// checkpoint write failure).
-func (e *ckptEngine) runPhase(ph *ckptPhase) (failed []error, fatal error) {
-	if e.comm != nil {
-		return e.runPhaseDist(ph)
-	}
-	rem := e.remaining(ph)
-	var mu sync.Mutex
-	fn := func(i int) error {
-		k := rem[i]
-		var err error
-		if ph.fault != nil {
-			if ferr := ph.fault(k); ferr != nil {
-				err = fmt.Errorf("uoi: %s bootstrap %d: %w", ph.name, k, ferr)
+	var err error
+	if j.comm != nil {
+		err = j.rounds(ph, led, rem, compute)
+	} else {
+		var mu sync.Mutex
+		_, err = j.each(ph, len(rem), func(i int) error {
+			pay, err := compute(rem[i])
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				led.put(rem[i], pay)
+			case ph.quorum:
+				led.drop(rem[i])
+			default:
+				return err
 			}
-		}
-		var pay []float64
-		if err == nil {
-			pay, err = ph.compute(k)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if ph.quorum {
-				ph.drop(k)
-				e.bumpLocked(1)
-			}
+			j.recorded(1)
 			return err
-		}
-		ph.record(k, pay)
-		e.bumpLocked(1)
-		return nil
+		})
 	}
-	if ph.quorum {
-		failed = compactErrs(forEachBootstrapCollect(e.workers, len(rem), fn))
-	} else if err := forEachBootstrap(e.workers, len(rem), fn); err != nil {
-		return nil, err
+	if err == nil {
+		err = j.saveErr
 	}
-	if e.saveErr != nil {
-		return failed, e.saveErr
+	if err == nil && j.sinceSave > 0 {
+		j.sinceSave = 0
+		err = j.save()
 	}
-	if e.sinceSave > 0 {
-		e.sinceSave = 0
-		if err := e.save(); err != nil {
-			return failed, err
+	completed := 0
+	for k := 0; k < ph.total; k++ {
+		if dropped, ok := led.get(k); ok && !dropped {
+			completed++
 		}
 	}
-	return failed, nil
+	return completed, err
 }
 
-// runPhaseDist shards the remaining cells round-robin over the current
-// rank count: round r computes cells rem[r·Size : (r+1)·Size], one per
-// rank, and exchanges the results with Allgather so every rank applies
-// every outcome to its state mirror. Because the shard is over *remaining*
-// cells, a resumed fit automatically re-shards across however many ranks
-// it now has.
-func (e *ckptEngine) runPhaseDist(ph *ckptPhase) (failed []error, fatal error) {
-	comm := e.comm
-	size, rank := comm.Size(), comm.Rank()
-	rem := e.remaining(ph)
-	slotLen := 1 + ph.payLen
+// rounds shards the remaining cells round-robin over the ranks: round r
+// computes cells rem[r·Size : (r+1)·Size], one per rank, and exchanges one
+// slot of [code, payload...] per rank with Allgather so every rank applies
+// every outcome to its state mirror. The exchange is pure concatenation —
+// no floating-point arithmetic — so payloads cross ranks bit-exactly.
+func (j *journal) rounds(ph phase, led ledger, rem []int, compute func(k int) ([]float64, error)) error {
+	size, rank := j.comm.Size(), j.comm.Rank()
+	slotLen := 1 + led.payLen
 	for off := 0; off < len(rem); off += size {
 		slot := make([]float64, slotLen)
 		var myErr error
 		if myIdx := off + rank; myIdx < len(rem) {
-			k := rem[myIdx]
-			var err error
-			if ph.fault != nil {
-				if ferr := ph.fault(k); ferr != nil {
-					err = fmt.Errorf("uoi: %s bootstrap %d: %w", ph.name, k, ferr)
-				}
-			}
 			var pay []float64
-			if err == nil {
-				pay, err = ph.compute(k)
-			}
+			pay, myErr = compute(rem[myIdx])
 			switch {
-			case err == nil:
+			case myErr == nil:
 				slot[0] = ckptCellDone
 				copy(slot[1:], pay)
 			case ph.quorum:
 				slot[0] = ckptCellDropped
-				myErr = err
 			default:
 				slot[0] = ckptCellFailed
-				myErr = err
 			}
 		}
-		all := comm.Allgather(slot)
+		all := j.comm.Allgather(slot)
 		firstFailed := -1
 		completed := 0
-		for r := 0; r < size; r++ {
-			idx := off + r
-			if idx >= len(rem) {
-				continue
-			}
-			k := rem[idx]
-			s := all[r*slotLen]
-			switch s {
+		for r := 0; r < size && off+r < len(rem); r++ {
+			k := rem[off+r]
+			switch code := all[r*slotLen]; code {
 			case ckptCellDone:
-				ph.record(k, all[r*slotLen+1:(r+1)*slotLen])
+				led.put(k, all[r*slotLen+1:(r+1)*slotLen])
 				completed++
 			case ckptCellDropped:
-				ph.drop(k)
+				led.drop(k)
 				completed++
-				if r == rank && myErr != nil {
-					failed = append(failed, myErr)
-				}
 			case ckptCellFailed:
 				if firstFailed < 0 {
 					firstFailed = k
 				}
 			default:
-				return failed, fmt.Errorf("uoi: %s round at cell %d: invalid exchange code %v", ph.name, k, s)
+				return fmt.Errorf("uoi: %s round at cell %d: invalid exchange code %v", ph.name, k, code)
 			}
 		}
 		if firstFailed >= 0 {
 			if myErr != nil {
-				return failed, myErr
+				return myErr
 			}
-			return failed, fmt.Errorf("uoi: %s bootstrap %d failed on another rank", ph.name, firstFailed)
+			return fmt.Errorf("uoi: %s bootstrap %d failed on another rank", ph.name, firstFailed)
 		}
-		// Every rank tracks the cadence so the counter stays rank-identical,
-		// but only rank 0 touches the file.
-		e.sinceSave += completed
-		if e.sinceSave >= e.every {
-			e.sinceSave = 0
-			if rank == 0 {
-				if err := e.save(); err != nil {
-					return failed, err
-				}
-			}
+		if j.recorded(completed); j.saveErr != nil {
+			return j.saveErr
 		}
 	}
-	if e.sinceSave > 0 {
-		e.sinceSave = 0
-		if rank == 0 {
-			if err := e.save(); err != nil {
-				return failed, err
-			}
+	return nil
+}
+
+func (j *journal) selection(ph phase) (int, error) {
+	return j.cells(ph, ledger{
+		payLen: j.q * j.p,
+		get:    func(k int) (bool, bool) { _, dropped, ok := j.st.Selection(k); return dropped, ok },
+		put:    func(k int, pay []float64) { j.st.AddSelection(k, floatsToBools(pay)) },
+		drop:   j.st.DropSelection,
+	}, func(k int) ([]float64, error) {
+		sup, err := ph.sel(k, 0, j.q, nil, nil)
+		return boolsToFloats(sup), err
+	})
+}
+
+func (j *journal) supports(threshold int) ([][]int, error) {
+	for k := 0; k < j.st.Meta().B1; k++ {
+		if sup, dropped, ok := j.st.Selection(k); ok && !dropped {
+			addSupportCounts(j.counts, sup)
 		}
 	}
-	return failed, nil
+	return j.pool.supports(threshold)
+}
+
+func (j *journal) estimation(ph phase) ([][]float64, error) {
+	_, err := j.cells(ph, ledger{
+		payLen: j.p,
+		get:    func(k int) (bool, bool) { _, dropped, ok := j.st.Estimation(k); return dropped, ok },
+		put:    j.st.AddEstimation,
+		drop:   j.st.DropEstimation,
+	}, ph.est)
+	winners := make([][]float64, ph.total)
+	for k := range winners {
+		winners[k], _, _ = j.st.Estimation(k)
+	}
+	return winners, err
 }
 
 // loadOrNew opens the checkpoint for this fit: a fresh state, or on resume
@@ -400,7 +393,7 @@ func LassoCheckpointedDistributed(comm *mpi.Comm, x *mat.Dense, y []float64, cfg
 	if c.Checkpoint == nil {
 		return nil, errors.New("uoi: LassoCheckpointedDistributed requires cfg.Checkpoint")
 	}
-	return lassoCheckpointed(comm, x, y, &c)
+	return fitLasso(x, y, &c, &journal{comm: comm, cfg: c.Checkpoint})
 }
 
 // VARCheckpointedDistributed is LassoCheckpointedDistributed for UoI_VAR:
@@ -411,343 +404,5 @@ func VARCheckpointedDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfi
 	if c.Checkpoint == nil {
 		return nil, errors.New("uoi: VARCheckpointedDistributed requires cfg.Checkpoint")
 	}
-	return varCheckpointed(comm, series, &c)
-}
-
-// lassoCheckpointed is the checkpointed UoI_LASSO driver shared by the
-// serial (comm == nil) and distributed paths. c is already defaulted.
-func lassoCheckpointed(comm *mpi.Comm, x *mat.Dense, y []float64, c *LassoConfig) (*Result, error) {
-	if c.Standardize {
-		// Data is replicated, so every rank fits the identical scaler and the
-		// inner fit stays rank-deterministic.
-		if x.Rows != len(y) {
-			return nil, fmt.Errorf("uoi: %d rows but %d responses", x.Rows, len(y))
-		}
-		scaler := preprocess.FitXY(x, y)
-		inner := *c
-		inner.Standardize = false
-		res, err := lassoCheckpointed(comm, scaler.Transform(x), scaler.TransformY(y), &inner)
-		if err != nil {
-			return nil, err
-		}
-		beta, intercept := scaler.InverseBeta(res.Beta)
-		res.Beta = beta
-		res.Intercept = intercept
-		res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-		return res, nil
-	}
-	n, p := x.Rows, x.Cols
-	if n != len(y) {
-		return nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
-	}
-	if n < 4 {
-		return nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
-	}
-	tr := c.Trace
-	streams := c.Workers
-	if comm != nil {
-		streams = comm.Size()
-	}
-	kw := kernelBudget(c.KernelWorkers, streams)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(admm.LambdaMax(x, y), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	meta := checkpoint.Meta{
-		Kind: checkpoint.KindLasso, Seed: c.Seed, B1: c.B1, B2: c.B2,
-		P: p, Q: len(lambdas), Fingerprint: lassoFingerprint(x, y, c),
-	}
-	st, err := loadOrNew(c.Checkpoint, meta, lambdas, tr)
-	if err != nil {
-		return nil, err
-	}
-	eng := &ckptEngine{comm: comm, cfg: c.Checkpoint, st: st, tr: tr, workers: c.Workers, every: c.Checkpoint.Every}
-	if eng.every <= 0 {
-		eng.every = 1
-	}
-	root := resample.NewRNG(c.Seed)
-	res := &Result{Lambdas: lambdas}
-	quorum := c.MinBootstrapFrac > 0
-	var diagMu sync.Mutex
-
-	// ---- Model selection over unrecorded cells ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	selPhase := &ckptPhase{
-		name: "selection", total: c.B1, payLen: len(lambdas) * p,
-		recorded: func(k int) bool { _, _, ok := st.Selection(k); return ok },
-		compute: func(k int) ([]float64, error) {
-			spBoot := spSel.Child("bootstrap")
-			defer spBoot.End()
-			sup, fits, iters, err := lassoSelCell(x, y, root, k, lambdas, c, kw, tr)
-			if err != nil {
-				return nil, err
-			}
-			diagMu.Lock()
-			res.Diag.LassoFits += fits
-			res.Diag.ADMMIters += iters
-			diagMu.Unlock()
-			return boolsToFloats(sup), nil
-		},
-		record: func(k int, pay []float64) { st.AddSelection(k, floatsToBools(pay)) },
-		drop:   func(k int) { st.DropSelection(k) },
-		quorum: quorum,
-	}
-	if c.BootstrapFault != nil {
-		bf := c.BootstrapFault
-		selPhase.fault = func(k int) error { return bf("selection", k) }
-	}
-	selFailed, fatal := eng.runPhase(selPhase)
-	if fatal != nil {
-		return nil, fatal
-	}
-	spSel.End()
-	b1Done, b1Dropped := phaseTally(c.B1, st.Selection)
-	res.Bootstrap.B1Completed, res.Bootstrap.B1Failed = b1Done, b1Dropped
-	if quorum {
-		if need := quorumCount(c.MinBootstrapFrac, c.B1); b1Done < need {
-			head := fmt.Errorf("%w: selection completed %d/%d, need %d", ErrQuorum, b1Done, c.B1, need)
-			return nil, errors.Join(append([]error{head}, selFailed...)...)
-		}
-	}
-
-	// ---- Intersection, rebuilt from the full cell state (order-free) ----
-	spInt := tr.Start("intersection")
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, p)
-	}
-	for k := 0; k < c.B1; k++ {
-		if sup, dropped, ok := st.Selection(k); ok && !dropped {
-			addSupportCounts(counts, sup, p)
-		}
-	}
-	threshold := selectionThreshold(c.SelectionFrac, b1Done)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-
-	// ---- Model estimation over unrecorded cells ----
-	spEst := tr.Start("estimation")
-	estPhase := &ckptPhase{
-		name: "estimation", total: c.B2, payLen: p,
-		recorded: func(k int) bool { _, _, ok := st.Estimation(k); return ok },
-		compute: func(k int) ([]float64, error) {
-			spBoot := spEst.Child("bootstrap")
-			defer spBoot.End()
-			beta, fits := lassoEstCell(x, y, root, k, distinct, c, kw)
-			diagMu.Lock()
-			res.Diag.OLSFits += fits
-			diagMu.Unlock()
-			return beta, nil
-		},
-		record: func(k int, pay []float64) { st.AddEstimation(k, pay) },
-		drop:   func(k int) { st.DropEstimation(k) },
-		quorum: quorum,
-	}
-	if c.BootstrapFault != nil {
-		bf := c.BootstrapFault
-		estPhase.fault = func(k int) error { return bf("estimation", k) }
-	}
-	estFailed, fatal := eng.runPhase(estPhase)
-	if fatal != nil {
-		return nil, fatal
-	}
-	spEst.End()
-	b2Done, b2Dropped := phaseTally(c.B2, st.Estimation)
-	res.Bootstrap.B2Completed, res.Bootstrap.B2Failed = b2Done, b2Dropped
-	if quorum {
-		if need := quorumCount(c.MinBootstrapFrac, c.B2); b2Done < need {
-			head := fmt.Errorf("%w: estimation completed %d/%d, need %d", ErrQuorum, b2Done, c.B2, need)
-			return nil, errors.Join(append([]error{head}, estFailed...)...)
-		}
-	}
-
-	// ---- Union over the completed winners, in fixed k order ----
-	spUnion := tr.Start("union")
-	var completed [][]float64
-	for k := 0; k < c.B2; k++ {
-		if beta, dropped, ok := st.Estimation(k); ok && !dropped {
-			completed = append(completed, beta)
-		}
-	}
-	res.Beta = combineWinners(completed, p, c.MedianUnion)
-	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	return res, nil
-}
-
-// phaseTally counts done vs dropped cells of a phase from the checkpoint
-// state via its Selection or Estimation accessor.
-func phaseTally[T any](total int, get func(int) (T, bool, bool)) (done, dropped int) {
-	for k := 0; k < total; k++ {
-		if _, d, ok := get(k); ok {
-			if d {
-				dropped++
-			} else {
-				done++
-			}
-		}
-	}
-	return done, dropped
-}
-
-// varCheckpointed is the checkpointed UoI_VAR driver shared by the serial
-// (comm == nil) and distributed paths. Strict failure semantics only: the
-// VAR config has no quorum mode. c is already defaulted.
-func varCheckpointed(comm *mpi.Comm, series *mat.Dense, c *VARConfig) (*VARResult, error) {
-	nTotal, p := series.Rows, series.Cols
-	d := c.Order
-	if nTotal <= d+4 {
-		return nil, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, d)
-	}
-	m := nTotal - d
-	blockLen := c.BlockLen
-	if blockLen <= 0 {
-		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
-	}
-	tr := c.Trace
-	streams := c.Workers
-	if comm != nil {
-		streams = comm.Size()
-	}
-	kw := kernelBudget(c.KernelWorkers, streams)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-
-	tKron := time.Now()
-	spKron := tr.Start("kron_assembly")
-	full := varsim.NewDesign(series, d, !c.NoIntercept)
-	spKron.End()
-	kronTime := time.Since(tKron)
-	rowsB := full.X.Cols
-	betaLen := rowsB * p
-
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	meta := checkpoint.Meta{
-		Kind: checkpoint.KindVAR, Seed: c.Seed, B1: c.B1, B2: c.B2,
-		P: betaLen, Q: len(lambdas), Order: d, Intercept: !c.NoIntercept,
-		Fingerprint: varFingerprint(series, blockLen, c),
-	}
-	st, err := loadOrNew(c.Checkpoint, meta, lambdas, tr)
-	if err != nil {
-		return nil, err
-	}
-	eng := &ckptEngine{comm: comm, cfg: c.Checkpoint, st: st, tr: tr, workers: c.Workers, every: c.Checkpoint.Every}
-	if eng.every <= 0 {
-		eng.every = 1
-	}
-	root := resample.NewRNG(c.Seed)
-	res := &VARResult{Lambdas: lambdas}
-	var diagMu sync.Mutex
-
-	// ---- Model selection over unrecorded cells ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	selPhase := &ckptPhase{
-		name: "selection", total: c.B1, payLen: len(lambdas) * betaLen,
-		recorded: func(k int) bool { _, _, ok := st.Selection(k); return ok },
-		compute: func(k int) ([]float64, error) {
-			spBoot := spSel.Child("bootstrap")
-			defer spBoot.End()
-			sup, fits, iters, kTime, err := varSelCell(series, root, k, m, blockLen, lambdas, c, kw, tr, spSel)
-			if err != nil {
-				return nil, err
-			}
-			diagMu.Lock()
-			kronTime += kTime
-			res.Diag.LassoFits += fits
-			res.Diag.ADMMIters += iters
-			diagMu.Unlock()
-			return boolsToFloats(sup), nil
-		},
-		record: func(k int, pay []float64) { st.AddSelection(k, floatsToBools(pay)) },
-		drop:   func(k int) { st.DropSelection(k) },
-	}
-	if _, fatal := eng.runPhase(selPhase); fatal != nil {
-		return nil, fatal
-	}
-	spSel.End()
-
-	// ---- Intersection from the full cell state ----
-	spInt := tr.Start("intersection")
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, betaLen)
-	}
-	for k := 0; k < c.B1; k++ {
-		if sup, dropped, ok := st.Selection(k); ok && !dropped {
-			addSupportCounts(counts, sup, betaLen)
-		}
-	}
-	threshold := selectionThreshold(c.SelectionFrac, c.B1)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-
-	// ---- Model estimation over unrecorded cells ----
-	spEst := tr.Start("estimation")
-	estPhase := &ckptPhase{
-		name: "estimation", total: c.B2, payLen: betaLen,
-		recorded: func(k int) bool { _, _, ok := st.Estimation(k); return ok },
-		compute: func(k int) ([]float64, error) {
-			spBoot := spEst.Child("bootstrap")
-			defer spBoot.End()
-			beta, fits, kTime := varEstCell(series, root, k, m, blockLen, betaLen, distinct, c, kw, spEst)
-			diagMu.Lock()
-			kronTime += kTime
-			res.Diag.OLSFits += fits
-			diagMu.Unlock()
-			return beta, nil
-		},
-		record: func(k int, pay []float64) { st.AddEstimation(k, pay) },
-		drop:   func(k int) { st.DropEstimation(k) },
-	}
-	if _, fatal := eng.runPhase(estPhase); fatal != nil {
-		return nil, fatal
-	}
-	spEst.End()
-
-	// ---- Union in fixed k order ----
-	spUnion := tr.Start("union")
-	winners := make([][]float64, 0, c.B2)
-	for k := 0; k < c.B2; k++ {
-		if beta, dropped, ok := st.Estimation(k); ok && !dropped {
-			winners = append(winners, beta)
-		}
-	}
-	res.Beta = combineWinners(winners, betaLen, c.MedianUnion)
-	res.A, res.Mu = full.PartitionBeta(res.Beta)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	res.KronTime = kronTime
-	return res, nil
+	return fitVAR(series, &c, &journal{comm: comm, cfg: c.Checkpoint})
 }

@@ -244,15 +244,10 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 	}
 	spSel.End()
 	spInt := tr.Start("intersection")
+	// The summed counts are exact multiples of admmCores; the half-count
+	// slack only keeps the comparison away from the boundary.
 	threshold := float64(selectionThreshold(c.SelectionFrac, b1Done))
-	supports := make([][]int, q)
-	for j := 0; j < q; j++ {
-		for i := 0; i < p; i++ {
-			if counts[j*p+i]/float64(admmCores) >= threshold-0.5 {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
+	supports := supportsFromCounts(counts, q, p, (threshold-0.5)*float64(admmCores))
 	res.Supports = supports
 	res.Diag.SelectionTime = time.Since(tSel)
 
@@ -309,9 +304,7 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 			}
 		}
 		okB2[k] = 1
-		bestLoss := 0.0
-		var bestBeta []float64
-		first := true
+		var best winner
 		for _, s := range distinct {
 			mask := admm.SupportMask(p, s)
 			r := solver.SolveProjected(mask, &c.ADMM)
@@ -319,17 +312,9 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 			res.Diag.ADMMIters += r.Iters
 			// Held-out loss over the group's evaluation rows.
 			localLoss := predictionLossLocal(xe, ye, r.Beta)
-			loss := sub.AllreduceScalar(mpi.OpSum, localLoss)
-			if first || loss < bestLoss {
-				bestLoss = loss
-				bestBeta = r.Beta
-				first = false
-			}
+			best.offer(sub.AllreduceScalar(mpi.OpSum, localLoss), r.Beta)
 		}
-		if bestBeta == nil {
-			bestBeta = make([]float64, p)
-		}
-		copy(winners[k*p:(k+1)*p], bestBeta)
+		copy(winners[k*p:(k+1)*p], best.estimate(p))
 		spBoot.End()
 	}
 	comm.Allreduce(mpi.OpSum, winners)

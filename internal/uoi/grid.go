@@ -19,15 +19,10 @@ package uoi
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
-	"uoivar/internal/preprocess"
-	"uoivar/internal/resample"
-	"uoivar/internal/varsim"
 )
 
 // GridShape is a P_B × P_λ process-grid layout: PB bootstrap rows times PL
@@ -74,37 +69,49 @@ type GridOptions struct {
 	FlatCollectives bool
 }
 
-// gridComms bundles the derived communicators of one rank's grid position.
-type gridComms struct {
+// grid is the P_B × P_λ placement at one rank's position: the derived
+// communicators, the collective mode, and — once a fit begins — the rank's
+// λ block and that block's support counts.
+type grid struct {
 	world *mpi.Comm // the full grid, labeled "world"
 	row   *mpi.Comm // the PL ranks sharing this bootstrap row, labeled "row"
 	col   *mpi.Comm // the PB ranks sharing this λ column, labeled "col"
 	rowIx int       // this rank's grid row (bootstrap group)
 	colIx int       // this rank's grid column (λ group)
 	shape GridShape
+	flat  bool // flat barrier collectives instead of tree/ring
+
+	q, p     int       // λ-grid size and coefficient count of the fit
+	jLo, jHi int       // this column's λ block [jLo, jHi)
+	counts   []float64 // the block's per-(λ, coefficient) tally over this row's cells
+	// The column handoff of the selection bootstrap in progress, k: one
+	// message per warm-start chain, tagged k·chains + chain.
+	k, chains, chainLen int
 }
 
-// newGridComms validates the shape against the communicator and derives the
+// newGrid validates the shape against the communicator and derives the
 // row/column sub-communicators. Within a row the sub-comm rank equals the
 // grid column (Split orders by key = parent rank), and within a column it
 // equals the grid row, so column roots (col.Rank() == 0) are exactly the
 // grid's row 0.
-func newGridComms(comm *mpi.Comm, shape GridShape) (*gridComms, error) {
+func newGrid(comm *mpi.Comm, opt GridOptions) (*grid, error) {
+	shape := opt.Shape
 	if shape.PB < 1 || shape.PL < 1 {
 		return nil, fmt.Errorf("uoi: invalid grid shape %s", shape)
 	}
 	if comm.Size() != shape.Ranks() {
 		return nil, fmt.Errorf("uoi: grid %s needs %d ranks, have %d", shape, shape.Ranks(), comm.Size())
 	}
-	gc := &gridComms{
+	g := &grid{
 		world: comm.WithLabel("world"),
 		rowIx: comm.Rank() / shape.PL,
 		colIx: comm.Rank() % shape.PL,
 		shape: shape,
+		flat:  opt.FlatCollectives,
 	}
-	gc.row = comm.Split(gc.rowIx, comm.Rank()).WithLabel("row")
-	gc.col = comm.Split(gc.colIx, comm.Rank()).WithLabel("col")
-	return gc, nil
+	g.row = comm.Split(g.rowIx, comm.Rank()).WithLabel("row")
+	g.col = comm.Split(g.colIx, comm.Rank()).WithLabel("col")
+	return g, nil
 }
 
 // encodeSupports packs per-λ supports as [count, idx…]… — the
@@ -173,17 +180,112 @@ func splitWarmPayload(pay []float64, n int) (z, u []float64) {
 	return pay[:n], pay[n:]
 }
 
-// gridEstimate runs the estimation phase's reassembly: B2 bootstraps are
-// block-partitioned over all ranks in rank order (pure concatenation = k
-// order), computed in rounds, and exchanged either with the overlapped
-// non-blocking ring gather (each round's ADMM/OLS compute overlaps the
-// previous round's gather in flight) or, in flat baseline mode, with one
-// padded fixed-slot Allgather at the end. compute(k) returns bootstrap k's
-// winning estimate, nil when the bootstrap was dropped (quorum mode), or an
-// error to fail the fit (strict mode). Winners are returned indexed by k
-// (nil = dropped), identical on every rank.
-func gridEstimate(gc *gridComms, flat bool, b2, betaLen int, compute func(k int) ([]float64, error)) ([][]float64, error) {
-	world := gc.world
+func (g *grid) streams() int { return g.world.Size() }
+
+func (g *grid) begin(pb *problem) error {
+	if pb.reversed && g.shape.PL > 1 {
+		return fmt.Errorf("uoi: VARGrid does not support WarmBeta with PL > 1 (grid %s)", g.shape)
+	}
+	g.q, g.p = len(pb.lambdas), pb.p
+	g.chains, g.chainLen = pb.chains, pb.chainLen
+	g.jLo, g.jHi = admm.RowBlock(g.q, g.shape.PL, g.colIx)
+	g.counts = make([]float64, (g.jHi-g.jLo)*g.p)
+	return nil
+}
+
+// warm receives the (z, u) pair bootstrap g.k's chain carries into this
+// column's λ block from the column to the left.
+func (g *grid) warm(chain int) (z, u []float64) {
+	return splitWarmPayload(g.row.Recv(g.colIx-1, g.k*g.chains+chain), g.chainLen)
+}
+
+// emit sends the chain's state after this column's block to the right.
+func (g *grid) emit(chain int, z, u []float64) {
+	g.row.Send(g.colIx+1, g.k*g.chains+chain, warmPayload(z, u))
+}
+
+// selection runs bootstrap k on row k mod PB; within the row, each column
+// solves its λ block, chaining (z, u) from the column to its left (one
+// message per warm-start chain, tagged by bootstrap and chain). Distinct
+// bootstraps use distinct p2p tags, so column 0 pipelines ahead while later
+// columns drain earlier bootstraps (software pipelining). Faults and
+// factorization errors are pure functions of (phase, k) and the replicated
+// data, so every column of the row reaches the same skip/fail verdict with
+// no agreement messages.
+func (g *grid) selection(ph phase) (int, error) {
+	var warm warmFn
+	var emit emitFn
+	if g.colIx > 0 {
+		warm = g.warm
+	}
+	if g.colIx < g.shape.PL-1 {
+		emit = g.emit
+	}
+	var okB1 []float64 // quorum phases: the bootstraps this row completed
+	if ph.quorum {
+		okB1 = make([]float64, ph.total)
+	}
+	for g.k = g.rowIx; g.k < ph.total; g.k += g.shape.PB {
+		sup, err := ph.sel(g.k, g.jLo, g.jHi, warm, emit)
+		if err != nil {
+			if !ph.quorum {
+				return 0, err
+			}
+			continue
+		}
+		if ph.quorum {
+			okB1[g.k] = 1
+		}
+		addSupportCounts(g.counts, sup)
+	}
+	if !ph.quorum {
+		return ph.total, nil
+	}
+	// Every column of a row recorded the identical okB1 bits for its
+	// bootstraps, so a Max reduction gives the world-agreed completed set.
+	g.world.Allreduce(mpi.OpMax, okB1)
+	completed := 0
+	for _, ok := range okB1 {
+		if ok > 0 {
+			completed++
+		}
+	}
+	return completed, nil
+}
+
+func (g *grid) supports(threshold int) ([][]int, error) {
+	if g.flat {
+		// Flat baseline: embed the local λ block in a full q·p vector and
+		// Allreduce(Sum) world-wide — every rank then thresholds the full
+		// integer counts locally. Exact, but ships q·p floats per rank.
+		full := make([]float64, g.q*g.p)
+		copy(full[g.jLo*g.p:], g.counts)
+		g.world.Allreduce(mpi.OpSum, full)
+		return supportsFromCounts(full, g.q, g.p, float64(threshold)), nil
+	}
+	// Communication-avoiding reassembly: per-block counts tree-reduce down
+	// each column to its root (row 0); roots threshold to sparse supports;
+	// row 0 ring-allgathers the encoded blocks (column order = ascending λ,
+	// pure concatenation); each column root tree-broadcasts the full
+	// encoding back down. Counts are integers, so the tree reduction order
+	// cannot change any value.
+	g.col.TreeReduce(0, mpi.OpSum, g.counts)
+	var enc []float64
+	if g.rowIx == 0 {
+		block := supportsFromCounts(g.counts, g.jHi-g.jLo, g.p, float64(threshold))
+		enc = g.row.RingAllgatherv(encodeSupports(block))
+	}
+	return decodeSupports(g.col.TreeBcastV(0, enc), g.q)
+}
+
+// estimation block-partitions the B2 bootstraps over all ranks in rank
+// order (pure concatenation = k order), computes them in rounds, and
+// exchanges the winners either with the overlapped non-blocking ring gather
+// (each round's OLS compute overlaps the previous round's gather in flight)
+// or, in flat baseline mode, with one padded fixed-slot Allgather at the
+// end. The winners are identical on every rank.
+func (g *grid) estimation(ph phase) ([][]float64, error) {
+	world, b2, betaLen := g.world, ph.total, g.p
 	size := world.Size()
 	kLo, kHi := admm.RowBlock(b2, size, world.Rank())
 	rounds := (b2 + size - 1) / size
@@ -206,9 +308,8 @@ func gridEstimate(gc *gridComms, flat bool, b2, betaLen int, compute func(k int)
 				if pos+betaLen > len(data) {
 					return fmt.Errorf("uoi: estimation payload truncated in bootstrap %d", k)
 				}
-				beta := make([]float64, betaLen)
-				copy(beta, data[pos:pos+betaLen])
-				winners[k] = beta
+				// The gathered buffer is this rank's own: alias it.
+				winners[k] = data[pos : pos+betaLen : pos+betaLen]
 				pos += betaLen
 			}
 		}
@@ -219,18 +320,18 @@ func gridEstimate(gc *gridComms, flat bool, b2, betaLen int, compute func(k int)
 		if k >= kHi {
 			return nil, nil
 		}
-		beta, err := compute(k)
+		beta, err := ph.est(k)
 		if err != nil {
+			if ph.quorum {
+				return []float64{float64(k), 0}, nil
+			}
 			return nil, err
-		}
-		if beta == nil {
-			return []float64{float64(k), 0}, nil
 		}
 		pay := make([]float64, 0, 2+betaLen)
 		pay = append(pay, float64(k), 1)
 		return append(pay, beta...), nil
 	}
-	if flat {
+	if g.flat {
 		// Flat baseline: compute all rounds, then exchange once with a
 		// padded fixed-slot Allgather (slot = [k+1, status, beta…]; k+1 = 0
 		// marks an empty slot). Pure concatenation, like the ring path — the
@@ -254,6 +355,9 @@ func gridEstimate(gc *gridComms, flat bool, b2, betaLen int, compute func(k int)
 				slot := all[(r*rounds+t)*slotLen:][:slotLen]
 				if slot[0] == 0 {
 					continue
+				}
+				if slot[1] == 0 {
+					slot = slot[:2] // dropped: the rest of the slot is padding
 				}
 				tuple := append([]float64{slot[0] - 1}, slot[1:]...)
 				if err := apply(tuple); err != nil {
@@ -287,243 +391,33 @@ func gridEstimate(gc *gridComms, flat bool, b2, betaLen int, compute func(k int)
 	return winners, nil
 }
 
+// totals sums the work counters over the grid (integers: exact), so every
+// rank reports the fit's totals, like the serial Diag.
+func (g *grid) totals(d *Diagnostics) {
+	work := []float64{float64(d.LassoFits), float64(d.OLSFits), float64(d.ADMMIters)}
+	g.world.Allreduce(mpi.OpSum, work)
+	d.LassoFits, d.OLSFits, d.ADMMIters = int(work[0]), int(work[1]), int(work[2])
+}
+
 // LassoGrid runs UoI_LASSO over a PB × PL process grid with
 // communication-avoiding collectives. Every rank passes the identical
 // (replicated) design and response — the checkpointed engine's data model —
 // and every rank returns the identical Result, bit-for-bit equal to the
-// serial Lasso at any grid shape (see the package comment at the top of
-// this file for the argument). Selection cells shard over the full grid
-// (bootstraps over rows, λ blocks over columns, warm starts pipelined
-// across columns); estimation bootstraps shard over all PB·PL ranks.
-// Checkpointed mode is not supported here (use LassoCheckpointedDistributed).
+// serial Lasso at any grid shape (see the comment at the top of this file
+// for the argument). Selection cells shard over the full grid (bootstraps
+// over rows, λ blocks over columns, warm starts pipelined across columns);
+// estimation bootstraps shard over all PB·PL ranks. Checkpointed mode is
+// not supported here (use LassoCheckpointedDistributed).
 func LassoGrid(comm *mpi.Comm, x *mat.Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*Result, error) {
 	c := cfg.defaults()
 	if c.Checkpoint != nil {
 		return nil, fmt.Errorf("uoi: LassoGrid does not support checkpointing")
 	}
-	if c.Standardize {
-		// Replicated data: every rank fits the identical scaler locally, so
-		// the transform needs no communication and matches serial exactly.
-		scaler := preprocess.FitXY(x, y)
-		inner := c
-		inner.Standardize = false
-		res, err := LassoGrid(comm, scaler.Transform(x), scaler.TransformY(y), &inner, opt)
-		if err != nil {
-			return nil, err
-		}
-		beta, intercept := scaler.InverseBeta(res.Beta)
-		res.Beta = beta
-		res.Intercept = intercept
-		res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-		return res, nil
-	}
-	gc, err := newGridComms(comm, opt.Shape)
+	g, err := newGrid(comm, opt)
 	if err != nil {
 		return nil, err
 	}
-	n, p := x.Rows, x.Cols
-	if n != len(y) {
-		return nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
-	}
-	if n < 4 {
-		return nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
-	}
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, comm.Size())
-	tr.SetMax("mat/kernel_workers", int64(kw))
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		// Replicated data: the serial grid computation is already identical
-		// on every rank.
-		lambdas = admm.LogSpaceLambdas(admm.LambdaMax(x, y), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	q := len(lambdas)
-	root := resample.NewRNG(c.Seed)
-	res := &Result{Lambdas: lambdas}
-	quorum := c.MinBootstrapFrac > 0
-	jLo, jHi := admm.RowBlock(q, gc.shape.PL, gc.colIx)
-	blockLen := jHi - jLo
-
-	// ---- Model selection ----
-	// Bootstrap k runs on row k mod PB; within the row, each column solves
-	// its λ block, chaining (z, u) from the column to its left. Distinct
-	// bootstraps use distinct p2p tags, so column 0 pipelines ahead while
-	// later columns drain earlier bootstraps (software pipelining).
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	counts := make([]float64, blockLen*p)
-	okB1 := make([]float64, c.B1)
-	for k := gc.rowIx; k < c.B1; k += gc.shape.PB {
-		spBoot := spSel.Child("bootstrap")
-		// Faults and factorization errors are pure functions of (phase, k)
-		// and the replicated data, so every column of the row reaches the
-		// same skip/fail verdict with no agreement messages.
-		var cellErr error
-		if c.BootstrapFault != nil {
-			if ferr := c.BootstrapFault("selection", k); ferr != nil {
-				cellErr = fmt.Errorf("uoi: selection bootstrap %d: %w", k, ferr)
-			}
-		}
-		var sup []bool
-		if cellErr == nil {
-			var warm func() ([]float64, []float64)
-			if gc.colIx > 0 {
-				k := k
-				warm = func() ([]float64, []float64) {
-					return splitWarmPayload(gc.row.Recv(gc.colIx-1, k), p)
-				}
-			}
-			var lastZ, lastU []float64
-			var fits, iters int
-			sup, lastZ, lastU, fits, iters, cellErr = lassoSelCellRange(x, y, root, k, lambdas, jLo, jHi, warm, &c, kw, tr)
-			if cellErr == nil {
-				if gc.colIx < gc.shape.PL-1 {
-					gc.row.Send(gc.colIx+1, k, warmPayload(lastZ, lastU))
-				}
-				res.Diag.LassoFits += fits
-				res.Diag.ADMMIters += iters
-			}
-		}
-		if cellErr != nil {
-			if !quorum {
-				spBoot.End()
-				return nil, cellErr
-			}
-			tr.Instant("fault/bootstrap_dropped", "fault")
-			spBoot.End()
-			continue
-		}
-		okB1[k] = 1
-		for j := 0; j < blockLen; j++ {
-			row := sup[j*p : (j+1)*p]
-			for i, v := range row {
-				if v {
-					counts[j*p+i]++
-				}
-			}
-		}
-		spBoot.End()
-	}
-	// Quorum bookkeeping is q-independent and shared by both collective
-	// modes: every column of a row recorded the identical okB1 bits for its
-	// bootstraps, so a Max reduction gives the world-agreed completed set.
-	b1Done := c.B1
-	if quorum {
-		gc.world.Allreduce(mpi.OpMax, okB1)
-		b1Done = 0
-		for _, ok := range okB1 {
-			if ok > 0 {
-				b1Done++
-			}
-		}
-		res.Bootstrap.B1Completed, res.Bootstrap.B1Failed = b1Done, c.B1-b1Done
-		if need := quorumCount(c.MinBootstrapFrac, c.B1); b1Done < need {
-			return nil, fmt.Errorf("%w: selection completed %d/%d, need %d", ErrQuorum, b1Done, c.B1, need)
-		}
-	} else {
-		res.Bootstrap.B1Completed = c.B1
-	}
-	spSel.End()
-
-	// ---- Intersection reassembly ----
-	spInt := tr.Start("intersection")
-	threshold := float64(selectionThreshold(c.SelectionFrac, b1Done))
-	var supports [][]int
-	if opt.FlatCollectives {
-		// Flat baseline: embed the local λ block in a full q·p vector and
-		// Allreduce(Sum) world-wide — every rank then thresholds the full
-		// integer counts locally. Exact, but ships q·p floats per rank.
-		full := make([]float64, q*p)
-		copy(full[jLo*p:jHi*p], counts)
-		gc.world.Allreduce(mpi.OpSum, full)
-		supports = make([][]int, q)
-		for j := 0; j < q; j++ {
-			for i := 0; i < p; i++ {
-				if full[j*p+i] >= threshold {
-					supports[j] = append(supports[j], i)
-				}
-			}
-		}
-	} else {
-		// Communication-avoiding reassembly: per-block counts tree-reduce
-		// down each column to its root (row 0); roots threshold to sparse
-		// supports; row 0 ring-allgathers the encoded blocks (column order =
-		// ascending λ, pure concatenation); each column root tree-broadcasts
-		// the full encoding back down. Counts are integers, so the tree
-		// reduction order cannot change any value.
-		gc.col.TreeReduce(0, mpi.OpSum, counts)
-		var enc []float64
-		if gc.rowIx == 0 {
-			block := make([][]int, blockLen)
-			for j := 0; j < blockLen; j++ {
-				for i := 0; i < p; i++ {
-					if counts[j*p+i] >= threshold {
-						block[j] = append(block[j], i)
-					}
-				}
-			}
-			enc = gc.row.RingAllgatherv(encodeSupports(block))
-		}
-		enc = gc.col.TreeBcastV(0, enc)
-		supports, err = decodeSupports(enc, q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-	spInt.End()
-
-	// ---- Model estimation ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spEst := tr.Start("estimation")
-	winners, err := gridEstimate(gc, opt.FlatCollectives, c.B2, p, func(k int) ([]float64, error) {
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		if c.BootstrapFault != nil {
-			if ferr := c.BootstrapFault("estimation", k); ferr != nil {
-				if quorum {
-					tr.Instant("fault/bootstrap_dropped", "fault")
-					return nil, nil
-				}
-				return nil, fmt.Errorf("uoi: estimation bootstrap %d: %w", k, ferr)
-			}
-		}
-		beta, fits := lassoEstCell(x, y, root, k, distinct, &c, kw)
-		res.Diag.OLSFits += fits
-		return beta, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	spEst.End()
-	spUnion := tr.Start("union")
-	completed := make([][]float64, 0, c.B2)
-	for _, w := range winners {
-		if w != nil {
-			completed = append(completed, w)
-		}
-	}
-	b2Done := len(completed)
-	res.Bootstrap.B2Completed, res.Bootstrap.B2Failed = b2Done, c.B2-b2Done
-	if quorum {
-		if need := quorumCount(c.MinBootstrapFrac, c.B2); b2Done < need {
-			return nil, fmt.Errorf("%w: estimation completed %d/%d, need %d", ErrQuorum, b2Done, c.B2, need)
-		}
-	}
-	res.Beta = combineWinners(completed, p, c.MedianUnion)
-	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	// Work counters sum exactly (integers); every rank reports the global
-	// totals, like the serial Diag.
-	diag := []float64{float64(res.Diag.LassoFits), float64(res.Diag.OLSFits), float64(res.Diag.ADMMIters)}
-	gc.world.Allreduce(mpi.OpSum, diag)
-	res.Diag.LassoFits, res.Diag.OLSFits, res.Diag.ADMMIters = int(diag[0]), int(diag[1]), int(diag[2])
-	return res, nil
+	return fitLasso(x, y, &c, g)
 }
 
 // VARGrid runs UoI_VAR over a PB × PL process grid with
@@ -542,157 +436,9 @@ func VARGrid(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, opt GridOptions)
 	if c.Cells != nil {
 		return nil, fmt.Errorf("uoi: VARGrid does not support the cell cache")
 	}
-	gc, err := newGridComms(comm, opt.Shape)
+	g, err := newGrid(comm, opt)
 	if err != nil {
 		return nil, err
 	}
-	nTotal, p := series.Rows, series.Cols
-	d := c.Order
-	if nTotal <= d+4 {
-		return nil, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, d)
-	}
-	m := nTotal - d
-	blockLen := c.BlockLen
-	if blockLen <= 0 {
-		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
-	}
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, comm.Size())
-	tr.SetMax("mat/kernel_workers", int64(kw))
-
-	tKron := time.Now()
-	spKron := tr.Start("kron_assembly")
-	full := varsim.NewDesign(series, d, !c.NoIntercept)
-	spKron.End()
-	kronTime := time.Since(tKron)
-	rowsB := full.X.Cols
-	betaLen := rowsB * p
-	if len(c.WarmBeta) == betaLen && gc.shape.PL > 1 {
-		return nil, fmt.Errorf("uoi: VARGrid does not support WarmBeta with PL > 1 (grid %s)", gc.shape)
-	}
-
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	q := len(lambdas)
-	root := resample.NewRNG(c.Seed)
-	res := &VARResult{Lambdas: lambdas}
-	jLo, jHi := admm.RowBlock(q, gc.shape.PL, gc.colIx)
-	lamBlock := jHi - jLo
-
-	// ---- Model selection ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	counts := make([]float64, lamBlock*betaLen)
-	for k := gc.rowIx; k < c.B1; k += gc.shape.PB {
-		spBoot := spSel.Child("bootstrap")
-		var warm func(eq int) ([]float64, []float64)
-		var emit func(eq int, z, u []float64)
-		if gc.colIx > 0 {
-			k := k
-			warm = func(eq int) ([]float64, []float64) {
-				return splitWarmPayload(gc.row.Recv(gc.colIx-1, k*p+eq), rowsB)
-			}
-		}
-		if gc.colIx < gc.shape.PL-1 {
-			k := k
-			emit = func(eq int, z, u []float64) {
-				gc.row.Send(gc.colIx+1, k*p+eq, warmPayload(z, u))
-			}
-		}
-		sup, fits, iters, kTime, err := varSelCellRange(series, root, k, m, blockLen, lambdas, jLo, jHi, warm, emit, &c, kw, tr, spSel)
-		if err != nil {
-			spBoot.End()
-			return nil, err
-		}
-		kronTime += kTime
-		res.Diag.LassoFits += fits
-		res.Diag.ADMMIters += iters
-		for j := 0; j < lamBlock; j++ {
-			row := sup[j*betaLen : (j+1)*betaLen]
-			for i, v := range row {
-				if v {
-					counts[j*betaLen+i]++
-				}
-			}
-		}
-		spBoot.End()
-	}
-	spSel.End()
-
-	// ---- Intersection reassembly (see LassoGrid) ----
-	spInt := tr.Start("intersection")
-	threshold := float64(selectionThreshold(c.SelectionFrac, c.B1))
-	var supports [][]int
-	if opt.FlatCollectives {
-		fullCounts := make([]float64, q*betaLen)
-		copy(fullCounts[jLo*betaLen:jHi*betaLen], counts)
-		gc.world.Allreduce(mpi.OpSum, fullCounts)
-		supports = make([][]int, q)
-		for j := 0; j < q; j++ {
-			for i := 0; i < betaLen; i++ {
-				if fullCounts[j*betaLen+i] >= threshold {
-					supports[j] = append(supports[j], i)
-				}
-			}
-		}
-	} else {
-		gc.col.TreeReduce(0, mpi.OpSum, counts)
-		var enc []float64
-		if gc.rowIx == 0 {
-			block := make([][]int, lamBlock)
-			for j := 0; j < lamBlock; j++ {
-				for i := 0; i < betaLen; i++ {
-					if counts[j*betaLen+i] >= threshold {
-						block[j] = append(block[j], i)
-					}
-				}
-			}
-			enc = gc.row.RingAllgatherv(encodeSupports(block))
-		}
-		enc = gc.col.TreeBcastV(0, enc)
-		supports, err = decodeSupports(enc, q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-	spInt.End()
-
-	// ---- Model estimation ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spEst := tr.Start("estimation")
-	winners, err := gridEstimate(gc, opt.FlatCollectives, c.B2, betaLen, func(k int) ([]float64, error) {
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, betaLen, distinct, &c, kw, spEst)
-		kronTime += kTime
-		res.Diag.OLSFits += fits
-		return beta, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	spEst.End()
-	spUnion := tr.Start("union")
-	completed := make([][]float64, 0, c.B2)
-	for _, w := range winners {
-		if w != nil {
-			completed = append(completed, w)
-		}
-	}
-	res.Beta = combineWinners(completed, betaLen, c.MedianUnion)
-	res.A, res.Mu = full.PartitionBeta(res.Beta)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	res.KronTime = kronTime
-	diag := []float64{float64(res.Diag.LassoFits), float64(res.Diag.OLSFits), float64(res.Diag.ADMMIters)}
-	gc.world.Allreduce(mpi.OpSum, diag)
-	res.Diag.LassoFits, res.Diag.OLSFits, res.Diag.ADMMIters = int(diag[0]), int(diag[1]), int(diag[2])
-	return res, nil
+	return fitVAR(series, &c, g)
 }

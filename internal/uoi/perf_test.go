@@ -2,6 +2,7 @@ package uoi
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -275,6 +276,47 @@ func TestVARKernelWorkerBudget(t *testing.T) {
 	}
 	if peak := mat.PeakWorkers(); peak > ranks {
 		t.Fatalf("%d grid ranks, KernelWorkers=1: peak kernel workers %d", ranks, peak)
+	}
+}
+
+// TestLassoKernelWorkerBudget is the same regression for UoI_LASSO, whose λ
+// grid used to be computed with the default-budget admm.LambdaMax: on the
+// 2000×20 design the Aᵀy kernel of the time split its rows, so under
+// KernelWorkers 1 the λ_max product alone ran GOMAXPROCS kernel streams. At
+// every placement each stream of the fit must stay a single kernel stream.
+func TestLassoKernelWorkerBudget(t *testing.T) {
+	x, y, _ := makeRegression(59, 2000, 20, 4, 0.3)
+	cfg := func(workers int) *LassoConfig {
+		return &LassoConfig{B1: 2, B2: 2, Q: 3, Seed: 1, Workers: workers, KernelWorkers: 1}
+	}
+	for _, streams := range []int{1, 2} {
+		mat.ResetPeakWorkers()
+		if _, err := Lasso(x, y, cfg(streams)); err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > int64(streams) {
+			t.Fatalf("Workers=%d KernelWorkers=1: peak kernel workers %d", streams, peak)
+		}
+	}
+	const ranks = 2
+	for _, place := range []string{"journal", "grid"} {
+		mat.ResetPeakWorkers()
+		err := mpi.Run(ranks, func(c *mpi.Comm) error {
+			cfg := cfg(0)
+			if place == "grid" {
+				_, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: GridShape{PB: ranks, PL: 1}})
+				return err
+			}
+			cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "fit.uoickpt")}
+			_, err := LassoCheckpointedDistributed(c, x, y, cfg)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > ranks {
+			t.Fatalf("%s over %d ranks, KernelWorkers=1: peak kernel workers %d", place, ranks, peak)
+		}
 	}
 }
 

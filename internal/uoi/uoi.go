@@ -1,6 +1,6 @@
 // Package uoi implements the Union of Intersections framework: the
 // UoI_LASSO algorithm (paper Algorithm 1) and the UoI_VAR algorithm (paper
-// Algorithm 2), in both serial and distributed (mpi) forms.
+// Algorithm 2).
 //
 // UoI separates model selection from model estimation:
 //
@@ -12,21 +12,28 @@
 //     on every candidate support, keep the support that minimizes held-out
 //     loss per resample, and average ("union", eq. 4) the winning estimates
 //     — low variance, and nonzero wherever any winner was nonzero.
+//
+// With the data replicated on every process the algorithm exists once, as
+// run(problem, placement) in engine.go: a problem (UoI_LASSO or UoI_VAR)
+// owns validation, the λ grid and the cell bodies of cells.go; a placement
+// says where cells run and how their results meet — the bootstrap worker
+// pool (Lasso, VAR), the checkpoint journal (Checkpoint set;
+// Lasso/VARCheckpointedDistributed over a communicator) or the P_B × P_λ
+// process grid (LassoGrid, VARGrid). A fit's bits do not depend on the
+// placement (DESIGN.md §17). The consensus-ADMM drivers that shard rows
+// instead (LassoDistributed, VARDistributed) and whole-network all-pairs
+// inference (AllPairs) have their own loops over the same helpers.
 package uoi
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
-	"uoivar/internal/preprocess"
-	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 )
 
@@ -290,145 +297,37 @@ type Result struct {
 	Diag Diagnostics
 }
 
-// Lasso runs serial UoI_LASSO on design x and response y.
+// Lasso runs UoI_LASSO on design x and response y in this process:
+// bootstraps on cfg.Workers goroutines, journalled when cfg.Checkpoint is
+// set.
 func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return lassoCheckpointed(nil, x, y, &c)
-	}
-	if c.Standardize {
-		return lassoStandardized(x, y, &c)
-	}
-	n, p := x.Rows, x.Cols
-	if n != len(y) {
-		return nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
-	}
-	if n < 4 {
-		return nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
-	}
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, c.Workers)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(admm.LambdaMax(x, y), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	root := resample.NewRNG(c.Seed)
-	res := &Result{Lambdas: lambdas}
+	return fitLasso(x, y, &c, local(c.Workers, c.Checkpoint))
+}
 
-	// ---- Model selection (Algorithm 1 lines 2–11) ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	// counts[j][i] tallies the bootstraps whose support at λ_j contains
-	// feature i; the (possibly softened) intersection keeps features
-	// reaching the selection threshold.
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, p)
+// local is the in-process placement: the bootstrap worker pool, journalled
+// when the fit is checkpointed.
+func local(workers int, ck *CheckpointConfig) placement {
+	if ck != nil {
+		return &journal{pool: pool{workers: workers}, cfg: ck}
 	}
-	var selMu sync.Mutex
-	selFn := func(k int) error {
-		if c.BootstrapFault != nil {
-			if err := c.BootstrapFault("selection", k); err != nil {
-				return fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
-			}
-		}
-		spBoot := spSel.Child("bootstrap")
-		defer spBoot.End()
-		sup, fits, iters, err := lassoSelCell(x, y, root, k, lambdas, &c, kw, tr)
-		if err != nil {
-			return err
-		}
-		selMu.Lock()
-		res.Diag.LassoFits += fits
-		res.Diag.ADMMIters += iters
-		addSupportCounts(counts, sup, p)
-		selMu.Unlock()
-		return nil
-	}
-	b1Done := c.B1
-	if c.MinBootstrapFrac > 0 {
-		failed := compactErrs(forEachBootstrapCollect(c.Workers, c.B1, selFn))
-		b1Done = c.B1 - len(failed)
-		res.Bootstrap.B1Completed, res.Bootstrap.B1Failed = b1Done, len(failed)
-		if need := quorumCount(c.MinBootstrapFrac, c.B1); b1Done < need {
-			head := fmt.Errorf("%w: selection completed %d/%d, need %d", ErrQuorum, b1Done, c.B1, need)
-			return nil, errors.Join(append([]error{head}, failed...)...)
-		}
-	} else {
-		if err := forEachBootstrap(c.Workers, c.B1, selFn); err != nil {
-			return nil, err
-		}
-		res.Bootstrap.B1Completed = c.B1
-	}
-	spSel.End()
-	// In degraded mode the intersection threshold is relative to the
-	// bootstraps that actually completed.
-	spInt := tr.Start("intersection")
-	threshold := selectionThreshold(c.SelectionFrac, b1Done)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
+	return &pool{workers: workers}
+}
 
-	// ---- Model estimation (Algorithm 1 lines 12–24) ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-	spEst := tr.Start("estimation")
-	winners := make([][]float64, c.B2)
-	var estMu sync.Mutex
-	estFn := func(k int) error {
-		if c.BootstrapFault != nil {
-			if err := c.BootstrapFault("estimation", k); err != nil {
-				return fmt.Errorf("uoi: estimation bootstrap %d: %w", k, err)
-			}
-		}
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		beta, fits := lassoEstCell(x, y, root, k, distinct, &c, kw)
-		estMu.Lock()
-		res.Diag.OLSFits += fits
-		estMu.Unlock()
-		winners[k] = beta
-		return nil
+// fitLasso runs UoI_LASSO at a placement. c is already defaulted.
+func fitLasso(x *mat.Dense, y []float64, c *LassoConfig, pl placement) (*Result, error) {
+	pb, scaler, err := newLassoProblem(x, y, c, pl.streams())
+	if err != nil {
+		return nil, err
 	}
-	if c.MinBootstrapFrac > 0 {
-		failed := compactErrs(forEachBootstrapCollect(c.Workers, c.B2, estFn))
-		b2Done := c.B2 - len(failed)
-		res.Bootstrap.B2Completed, res.Bootstrap.B2Failed = b2Done, len(failed)
-		if need := quorumCount(c.MinBootstrapFrac, c.B2); b2Done < need {
-			head := fmt.Errorf("%w: estimation completed %d/%d, need %d", ErrQuorum, b2Done, c.B2, need)
-			return nil, errors.Join(append([]error{head}, failed...)...)
-		}
-	} else {
-		if err := forEachBootstrap(c.Workers, c.B2, estFn); err != nil {
-			return nil, err
-		}
-		res.Bootstrap.B2Completed = c.B2
+	res, err := run(pb, pl)
+	if err != nil {
+		return nil, err
 	}
-	spEst.End()
-	// Failed bootstraps left their winners row nil; the union is over the
-	// completed rows only.
-	spUnion := tr.Start("union")
-	completed := winners[:0:0]
-	for _, w := range winners {
-		if w != nil {
-			completed = append(completed, w)
-		}
+	if scaler != nil {
+		res.Beta, res.Intercept = scaler.InverseBeta(res.Beta)
 	}
-	res.Beta = combineWinners(completed, p, c.MedianUnion)
 	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
 	return res, nil
 }
 
@@ -458,10 +357,12 @@ func maskToSupport(mask []bool) []int {
 func dedupeSupports(supports [][]int) [][]int {
 	seen := map[string]bool{}
 	var out [][]int
+	var key []byte
 	for _, s := range supports {
-		key := supportKey(s)
-		if !seen[key] {
-			seen[key] = true
+		key = appendSupportKey(key[:0], s)
+		// The lookup reads key in place; only a new support copies it.
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			cp := make([]int, len(s))
 			copy(cp, s)
 			sort.Ints(cp)
@@ -471,34 +372,15 @@ func dedupeSupports(supports [][]int) [][]int {
 	return out
 }
 
-// supportKey packs a support into a collision-free map key: 4 bytes per
-// index covers betaLen = rowsB·p well past 2²⁴, where the previous 3-byte
-// packing silently aliased distinct whole-brain-scale vec supports.
-func supportKey(s []int) string {
-	b := make([]byte, 0, len(s)*4)
+// appendSupportKey appends a collision-free map key for a support to b:
+// 4 bytes per index covers betaLen = rowsB·p well past 2²⁴, where the
+// previous 3-byte packing silently aliased distinct whole-brain-scale vec
+// supports.
+func appendSupportKey(b []byte, s []int) []byte {
 	for _, v := range s {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return string(b)
-}
-
-// lassoStandardized fits in standardized space and maps back.
-func lassoStandardized(x *mat.Dense, y []float64, c *LassoConfig) (*Result, error) {
-	if x.Rows != len(y) {
-		return nil, fmt.Errorf("uoi: %d rows but %d responses", x.Rows, len(y))
-	}
-	scaler := preprocess.FitXY(x, y)
-	inner := *c
-	inner.Standardize = false
-	res, err := Lasso(scaler.Transform(x), scaler.TransformY(y), &inner)
-	if err != nil {
-		return nil, err
-	}
-	beta, intercept := scaler.InverseBeta(res.Beta)
-	res.Beta = beta
-	res.Intercept = intercept
-	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
-	return res, nil
+	return b
 }
 
 // Predict evaluates the fitted model on new inputs: Xβ + intercept.

@@ -1,14 +1,10 @@
 package uoi
 
 import (
-	"fmt"
-	"math"
-	"sync"
 	"time"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
-	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
 )
@@ -141,141 +137,25 @@ type VARResult struct {
 	KronTime time.Duration // total design-assembly time (see Diag comment)
 }
 
-// VAR runs serial UoI_VAR on an N×p series.
+// VAR runs UoI_VAR on an N×p series in this process: bootstraps on
+// cfg.Workers goroutines, journalled when cfg.Checkpoint is set.
 func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return varCheckpointed(nil, series, &c)
-	}
-	nTotal, p := series.Rows, series.Cols
-	d := c.Order
-	if nTotal <= d+4 {
-		return nil, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, d)
-	}
-	m := nTotal - d
-	blockLen := c.BlockLen
-	if blockLen <= 0 {
-		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
-	}
+	return fitVAR(series, &c, local(c.Workers, c.Checkpoint))
+}
 
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, c.Workers)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-
-	tKron := time.Now()
-	spKron := tr.Start("kron_assembly")
-	full := varsim.NewDesign(series, d, !c.NoIntercept)
-	spKron.End()
-	kronTime := time.Since(tKron)
-	rowsB := full.X.Cols // q: columns per equation (dp, +1 with intercept)
-	betaLen := rowsB * p
-
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
-	root := resample.NewRNG(c.Seed)
-	res := &VARResult{Lambdas: lambdas}
-
-	// ---- Model selection (Algorithm 2 lines 2–13) ----
-	tSel := time.Now()
-	spSel := tr.Start("selection")
-	counts := make([][]int, len(lambdas))
-	for j := range counts {
-		counts[j] = make([]int, betaLen)
-	}
-	var selMu sync.Mutex
-	err := forEachBootstrap(c.Workers, c.B1, func(k int) error {
-		spBoot := spSel.Child("bootstrap")
-		defer spBoot.End()
-		// With a cell cache, a bootstrap whose inputs are bit-unchanged from
-		// a previous fit (same touched rows, λ grid, warm seed) is skipped
-		// outright — the streaming refit's "re-run only what changed" path.
-		var key uint64
-		if c.Cells != nil {
-			key = selCellKey(series, k, m, blockLen, lambdas, &c)
-			if sup, ok := c.Cells.GetSel(key); ok {
-				tr.Add("uoi/sel_cells_reused", 1)
-				selMu.Lock()
-				addSupportCounts(counts, sup, betaLen)
-				selMu.Unlock()
-				return nil
-			}
-		}
-		sup, fits, iters, kTime, err := varSelCell(series, root, k, m, blockLen, lambdas, &c, kw, tr, spSel)
-		if err != nil {
-			return err
-		}
-		if c.Cells != nil {
-			c.Cells.PutSel(key, sup)
-		}
-		selMu.Lock()
-		kronTime += kTime
-		res.Diag.LassoFits += fits
-		res.Diag.ADMMIters += iters
-		addSupportCounts(counts, sup, betaLen)
-		selMu.Unlock()
-		return nil
-	})
+// fitVAR runs UoI_VAR at a placement. c is already defaulted.
+func fitVAR(series *mat.Dense, c *VARConfig, pl placement) (*VARResult, error) {
+	pb, full, err := newVARProblem(series, c, pl.streams())
 	if err != nil {
 		return nil, err
 	}
-	spSel.End()
-	spInt := tr.Start("intersection")
-	threshold := selectionThreshold(c.SelectionFrac, c.B1)
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		for i, ct := range counts[j] {
-			if ct >= threshold {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
-	res.Supports = supports
-	res.Diag.SelectionTime = time.Since(tSel)
-
-	// ---- Model estimation (Algorithm 2 lines 15–30) ----
-	tEst := time.Now()
-	distinct := dedupeSupports(supports)
-	spInt.End()
-	spEst := tr.Start("estimation")
-	winners := make([][]float64, c.B2)
-	var estMu sync.Mutex
-	err = forEachBootstrap(c.Workers, c.B2, func(k int) error {
-		spBoot := spEst.Child("bootstrap")
-		defer spBoot.End()
-		var key uint64
-		if c.Cells != nil {
-			key = estCellKey(series, k, m, blockLen, distinct, &c)
-			if beta, ok := c.Cells.GetEst(key); ok {
-				tr.Add("uoi/est_cells_reused", 1)
-				winners[k] = beta
-				return nil
-			}
-		}
-		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, betaLen, distinct, &c, kw, spEst)
-		if c.Cells != nil {
-			c.Cells.PutEst(key, beta)
-		}
-		estMu.Lock()
-		kronTime += kTime
-		res.Diag.OLSFits += fits
-		estMu.Unlock()
-		winners[k] = beta
-		return nil
-	})
+	fit, err := run(pb, pl)
 	if err != nil {
 		return nil, err
 	}
-	spEst.End()
-	spUnion := tr.Start("union")
-	res.Beta = combineWinners(winners, betaLen, c.MedianUnion)
+	res := &VARResult{Beta: fit.Beta, Lambdas: fit.Lambdas, Supports: fit.Supports, Diag: fit.Diag, KronTime: pb.kron}
 	res.A, res.Mu = full.PartitionBeta(res.Beta)
-	spUnion.End()
-	res.Diag.EstimationTime = time.Since(tEst)
-	res.KronTime = kronTime
 	return res, nil
 }
 

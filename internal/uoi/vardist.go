@@ -229,16 +229,10 @@ func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VA
 	}
 	spSel.End()
 	spInt := tr.Start("intersection")
+	// The rescaled counts are integers up to rounding; the half-count slack
+	// absorbs it.
 	threshold := float64(selectionThreshold(c.SelectionFrac, c.B1))
-	supports := make([][]int, len(lambdas))
-	for j := range supports {
-		row := indicator[j*betaLen : (j+1)*betaLen]
-		for i, v := range row {
-			if v >= threshold-0.5 {
-				supports[j] = append(supports[j], i)
-			}
-		}
-	}
+	supports := supportsFromCounts(indicator, len(lambdas), betaLen, threshold-0.5)
 	res.Supports = supports
 	res.Diag.SelectionTime = time.Since(tSel)
 
@@ -285,25 +279,15 @@ func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VA
 			return nil, fmt.Errorf("uoi: VAR train factorization %d: %w", k, err)
 		}
 		tr.Add("admm/factorizations", 1)
-		bestLoss := 0.0
-		var bestBeta []float64
-		first := true
+		var best winner
 		for _, s := range distinct {
 			mask := admm.SupportMask(betaLen, s)
 			r := f.SolveProjected(sub, mask, &c.ADMM)
 			res.Diag.OLSFits++
 			res.Diag.ADMMIters += r.Iters
-			loss := sub.AllreduceScalar(mpi.OpSum, evalBlock.LocalSquaredError(r.Beta))
-			if first || loss < bestLoss {
-				bestLoss = loss
-				bestBeta = r.Beta
-				first = false
-			}
+			best.offer(sub.AllreduceScalar(mpi.OpSum, evalBlock.LocalSquaredError(r.Beta)), r.Beta)
 		}
-		if bestBeta == nil {
-			bestBeta = make([]float64, betaLen)
-		}
-		copy(winnersFlat[k*betaLen:(k+1)*betaLen], bestBeta)
+		copy(winnersFlat[k*betaLen:(k+1)*betaLen], best.estimate(betaLen))
 		spBoot.End()
 	}
 	if groups > 1 {
