@@ -43,19 +43,29 @@ func NewConsensusSolver(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho
 // mat.DefaultWorkers). Ranks sharing one machine pass GOMAXPROCS/size so the
 // collective construction does not oversubscribe the cores.
 func NewConsensusSolverWorkers(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho float64, workers int) (*ConsensusSolver, error) {
-	gram := mat.AtAWorkers(xLocal, workers)
+	return NewConsensusSolverElasticWorkers(comm, xLocal, yLocal, rho, 0, workers)
+}
+
+// NewConsensusSolverGram builds the solver from this rank's sufficient
+// statistics gram = X_iᵀX_i and xty = X_iᵀy_i, so a caller that resamples its
+// block passes weighted sums over the original rows instead of a gathered
+// copy. lambda2 is the global elastic-net ℓ2 penalty (0 for the LASSO): the
+// x-update solves (X_iᵀX_i + (ρ+λ₂/N)I) — the consensus objective sums
+// rank-local f_i(x_i), so each of the N ranks carries λ₂/N — while the shared
+// z-update shrinkage stays at scale ρ. Collective like NewConsensusSolver.
+func NewConsensusSolverGram(comm *mpi.Comm, gram *mat.Dense, xty []float64, rho, lambda2 float64, workers int) (*ConsensusSolver, error) {
 	if rho <= 0 {
 		rho = comm.AllreduceScalar(mpi.OpSum, MeanDiag(gram)) / float64(comm.Size())
 		if rho <= 0 {
 			rho = 1
 		}
 	}
-	f, err := NewFactorizationGramWorkers(gram, rho, workers)
+	f, err := NewFactorizationElasticWorkers(gram, rho, lambda2/float64(comm.Size()), workers)
 	if err != nil {
 		return nil, err
 	}
-	f.aty = mat.AtVecWorkers(xLocal, yLocal, workers)
-	return &ConsensusSolver{comm: comm, f: f, p: xLocal.Cols}, nil
+	f.SetRHS(xty)
+	return &ConsensusSolver{comm: comm, f: f, p: gram.Cols}, nil
 }
 
 // Solve runs consensus ADMM at the given λ (λ=0 is distributed OLS). All
@@ -184,9 +194,8 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 }
 
 // NewConsensusSolverElastic is NewConsensusSolver with an elastic-net ℓ2
-// term folded into the local factorizations: the x-update solves
-// (X_iᵀX_i + (ρ+λ₂)I) while the shared z-update shrinkage stays at scale ρ,
-// so Solve(λ₁) minimizes ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖² globally.
+// term folded into the local factorizations, so Solve(λ₁) minimizes
+// ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖² globally.
 func NewConsensusSolverElastic(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho, lambda2 float64) (*ConsensusSolver, error) {
 	return NewConsensusSolverElasticWorkers(comm, xLocal, yLocal, rho, lambda2, 0)
 }
@@ -194,24 +203,7 @@ func NewConsensusSolverElastic(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float
 // NewConsensusSolverElasticWorkers is NewConsensusSolverElastic with an
 // explicit kernel worker budget for this rank's factorization.
 func NewConsensusSolverElasticWorkers(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho, lambda2 float64, workers int) (*ConsensusSolver, error) {
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	gram := mat.AtAWorkers(xLocal, workers)
-	if rho <= 0 {
-		rho = comm.AllreduceScalar(mpi.OpSum, MeanDiag(gram)) / float64(comm.Size())
-		if rho <= 0 {
-			rho = 1
-		}
-	}
-	// Split λ₂ across ranks: the consensus objective sums rank-local
-	// f_i(x_i), so each rank carries λ₂/N of the global ℓ2 penalty.
-	f, err := NewFactorizationElasticWorkers(gram, rho, lambda2/float64(comm.Size()), workers)
-	if err != nil {
-		return nil, err
-	}
-	f.SetRHS(mat.AtVecWorkers(xLocal, yLocal, workers))
-	return &ConsensusSolver{comm: comm, f: f, p: xLocal.Cols}, nil
+	return NewConsensusSolverGram(comm, mat.AtAWorkers(xLocal, workers), mat.AtVecWorkers(xLocal, yLocal, workers), rho, lambda2, workers)
 }
 
 // ConsensusLasso solves one LASSO across the ranks of comm, with each rank

@@ -9,6 +9,15 @@ import (
 	"uoivar/internal/mat"
 )
 
+// solveSPD is the tests' closed-form reference: factor a and solve a·x = b.
+func solveSPD(a *mat.Dense, b []float64) ([]float64, error) {
+	ch, err := mat.NewCholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	return ch.Solve(b), nil
+}
+
 // makeRegression builds y = Xβ + σε with a sparse β.
 func makeRegression(seed int64, n, p, nnz int, sigma float64) (*mat.Dense, []float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -52,7 +61,7 @@ func TestLassoZeroLambdaIsOLS(t *testing.T) {
 		t.Fatal("OLS-via-ADMM did not converge")
 	}
 	// Closed-form OLS.
-	want, err := mat.SolveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, err := solveSPD(mat.AtA(x), mat.AtVec(x, y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestOLSWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := mat.SolveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
 	for i := range want {
 		if math.Abs(res.Beta[i]-want[i]) > 1e-4 {
 			t.Fatalf("OLS beta[%d] = %v, want %v", i, res.Beta[i], want[i])
@@ -249,7 +258,7 @@ func TestRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ols, _ := mat.SolveSPD(mat.AtA(x), mat.AtVec(x, y))
+	ols, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
 	for i := range ols {
 		if math.Abs(b0[i]-ols[i]) > 1e-8 {
 			t.Fatal("Ridge(0) must equal OLS")

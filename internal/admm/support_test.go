@@ -21,7 +21,7 @@ func TestOLSOnSupport(t *testing.T) {
 	}
 	// Matches the closed-form restricted OLS.
 	sub := x.SelectCols(support)
-	want, err := mat.SolveSPD(mat.AtA(sub), mat.AtVec(sub, y))
+	want, err := solveSPD(mat.AtA(sub), mat.AtVec(sub, y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestOLSOnSupportRankDeficient(t *testing.T) {
 func TestOLSFromGramLadder(t *testing.T) {
 	x, y, _ := makeRegression(53, 50, 4, 2, 0.1)
 	gram, xty := mat.AtA(x), mat.AtVec(x, y)
-	want, err := mat.SolveSPD(gram, xty)
+	want, err := solveSPD(gram, xty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 
 func TestConsensusOLSWrapper(t *testing.T) {
 	x, y, _ := makeRegression(54, 90, 6, 6, 0.05)
-	want, _ := mat.SolveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
 		res, err := ConsensusOLS(c, x.SubRows(lo, hi), y[lo:hi], &Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})

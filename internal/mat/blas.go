@@ -125,95 +125,10 @@ func MulVecWorkers(a *Dense, x []float64, workers int) []float64 {
 // MulTVec computes y = Aᵀ·x without forming the transpose.
 func MulTVec(a *Dense, x []float64) []float64 { return MulTVecWorkers(a, x, 0) }
 
-// MulTVecWorkers is MulTVec under the signature of the budgeted kernels;
-// the budget is not used. Aᵀx is one pass over A's rows that accumulates
-// every y[j] in row order: Rows·Cols multiply-adds, which every caller
-// computes once beside a Rows·Cols² Gram. Splitting the rows would make the
-// sum's bits depend on the budget, and splitting the columns loses to the
-// goroutine hand-off at the shapes the fits run (767×41 at 2 workers: 90 µs
-// against 40 µs for this loop; 8192×256: 2.5 ms against 2.9 ms).
+// MulTVecWorkers is MulTVec under the signature of the budgeted kernels: the
+// all-rows case of GramVec, which explains why the budget is not used.
 func MulTVecWorkers(a *Dense, x []float64, _ int) []float64 {
-	if a.Rows != len(x) {
-		panic(ErrShape)
-	}
-	sp := tracer().Start("mat/gemv_t")
-	y := make([]float64, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		axpy(y, x[i], a.Row(i))
-	}
-	sp.End()
-	return y
-}
-
-// AtA computes the Gram matrix AᵀA (symmetric, p×p) with the default worker
-// budget. This is the dominant O(n·p²) kernel of the ADMM x-update setup.
-func AtA(a *Dense) *Dense { return AtAWorkers(a, 0) }
-
-// gramBand is the height of the bands of adjacent upper-triangle rows the
-// Gram kernel deals to its workers.
-const gramBand = 8
-
-// AtAWorkers is AtA with an explicit kernel worker budget (≤0 selects
-// DefaultWorkers). Workers own outputs, never a share of the reduction:
-// the upper triangle is cut into bands of gramBand adjacent rows dealt to
-// the workers cyclically (row j of the triangle is p−j long, so a
-// contiguous split would leave one worker all the long rows), and every
-// worker makes one pass over the input rows for its bands. Each c[j][k] is
-// therefore accumulated in input-row order at any budget, and the result's
-// bits do not depend on it.
-func AtAWorkers(a *Dense, workers int) *Dense {
-	p := a.Cols
-	tr := tracer()
-	sp := tr.Start("mat/ata")
-	c := NewDense(p, p)
-	nWorkers := clampWorkers(workers)
-	if bands := (p + gramBand - 1) / gramBand; nWorkers > bands {
-		nWorkers = bands
-	}
-	// a.Rows·p² is the madd count of the Gram accumulation.
-	if a.Rows < 2 || a.Rows*p*p < parallelThreshold || nWorkers < 1 {
-		nWorkers = 1
-	}
-	if nWorkers == 1 {
-		gramBands(c, a, 0, 1)
-	} else {
-		tr.SetMax("mat/workers", int64(nWorkers))
-		parallelFor(nWorkers, nWorkers, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				gramBands(c, a, t, nWorkers)
-			}
-		})
-	}
-	// Mirror the upper triangle into the lower.
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			c.Data[j*p+i] = c.Data[i*p+j]
-		}
-	}
-	sp.End()
-	return c
-}
-
-// gramBands accumulates worker t's share of the upper triangle of AᵀA into
-// c: bands t, t+nWorkers, t+2·nWorkers, … in one pass over the rows of a.
-func gramBands(c, a *Dense, t, nWorkers int) {
-	p := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for lo := t * gramBand; lo < p; lo += nWorkers * gramBand {
-			hi := lo + gramBand
-			if hi > p {
-				hi = p
-			}
-			for j := lo; j < hi; j++ {
-				v := row[j]
-				if v == 0 {
-					continue
-				}
-				axpy(c.Data[j*p+j:(j+1)*p], v, row[j:])
-			}
-		}
-	}
+	return GramVec(a, x, Sample{})
 }
 
 // MulABt computes A·Bᵀ with the default worker budget.
@@ -251,26 +166,6 @@ func MulABtWorkers(a, b *Dense, workers int) *Dense {
 	}
 	sp.End()
 	return c
-}
-
-// AtB computes AᵀB with the default worker budget.
-func AtB(a, b *Dense) *Dense { return AtBWorkers(a, b, 0) }
-
-// AtBWorkers is AtB with an explicit kernel worker budget.
-func AtBWorkers(a, b *Dense, workers int) *Dense {
-	if a.Rows != b.Rows {
-		panic(ErrShape)
-	}
-	return MulWorkers(a.T(), b, workers)
-}
-
-// AtVec computes Aᵀy — alias of MulTVec with a clearer name at call sites
-// building normal equations.
-func AtVec(a *Dense, y []float64) []float64 { return MulTVecWorkers(a, y, 0) }
-
-// AtVecWorkers is AtVec with an explicit kernel worker budget.
-func AtVecWorkers(a *Dense, y []float64, workers int) []float64 {
-	return MulTVecWorkers(a, y, workers)
 }
 
 // Dot returns xᵀy.

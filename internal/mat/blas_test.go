@@ -175,15 +175,6 @@ func TestAtAMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestAtB(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomDense(rng, 12, 5)
-	b := randomDense(rng, 12, 4)
-	if !AtB(a, b).Equal(Mul(a.T(), b), 1e-12) {
-		t.Fatal("AtB mismatch")
-	}
-}
-
 func TestDotAndNorms(t *testing.T) {
 	x := []float64{3, -4, 0}
 	y := []float64{1, 2, 5}

@@ -125,25 +125,6 @@ func (c *Cholesky) backwardCol(b []float64, stride, e int) {
 	}
 }
 
-// SolveMatrix solves A·X = B for every column of B at once.
-func (c *Cholesky) SolveMatrix(b *Dense) *Dense {
-	if b.Rows != c.n {
-		panic(ErrShape)
-	}
-	out := b.Clone()
-	c.SolvePanelInPlace(out.Data, out.Cols, out.Cols)
-	return out
-}
-
-// SolveSPD is a convenience that factors a and solves a single system.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return ch.Solve(b), nil
-}
-
 // AddRidge returns a + rho*I as a new matrix (a must be square).
 func AddRidge(a *Dense, rho float64) *Dense {
 	if a.Rows != a.Cols {

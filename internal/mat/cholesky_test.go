@@ -75,19 +75,6 @@ func TestCholeskySolveInPlace(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 12
-	a := randomSPD(rng, n)
-	xTrue := randomDense(rng, n, 3)
-	b := Mul(a, xTrue)
-	ch, _ := NewCholesky(a)
-	x := ch.SolveMatrix(b)
-	if !x.Equal(xTrue, 1e-7) {
-		t.Fatal("SolveMatrix mismatch")
-	}
-}
-
 func TestCholeskyRejectsNonPD(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); err != ErrNotPD {
@@ -95,20 +82,6 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 	}
 	if _, err := NewCholesky(NewDense(2, 3)); err != ErrShape {
 		t.Fatalf("expected ErrShape, got %v", err)
-	}
-}
-
-func TestSolveSPDConvenience(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{4, 1, 1, 3})
-	b := []float64{1, 2}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify residual.
-	r := Sub(MulVec(a, x), b)
-	if Norm2(r) > 1e-12 {
-		t.Fatalf("residual %v too large", Norm2(r))
 	}
 }
 

@@ -196,50 +196,3 @@ func (m *Dense) FrobeniusNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// Vstack concatenates matrices with equal column counts vertically.
-func Vstack(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(ErrShape)
-		}
-		rows += m.Rows
-	}
-	out := NewDense(rows, cols)
-	at := 0
-	for _, m := range ms {
-		copy(out.Data[at:], m.Data)
-		at += len(m.Data)
-	}
-	return out
-}
-
-// Hstack concatenates matrices with equal row counts horizontally.
-func Hstack(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return NewDense(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(ErrShape)
-		}
-		cols += m.Cols
-	}
-	out := NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
-		dst := out.Row(i)
-		at := 0
-		for _, m := range ms {
-			copy(dst[at:], m.Row(i))
-			at += m.Cols
-		}
-	}
-	return out
-}

@@ -164,42 +164,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone must deep-copy")
 	}
 }
-
-func TestVstack(t *testing.T) {
-	a := NewDenseData(1, 2, []float64{1, 2})
-	b := NewDenseData(2, 2, []float64{3, 4, 5, 6})
-	v := Vstack(a, b)
-	if v.Rows != 3 || v.Cols != 2 || v.At(2, 1) != 6 || v.At(0, 0) != 1 {
-		t.Fatalf("Vstack = %v", v.Data)
-	}
-	if z := Vstack(); z.Rows != 0 {
-		t.Fatal("empty Vstack")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("column mismatch must panic")
-		}
-	}()
-	Vstack(a, NewDense(1, 3))
-}
-
-func TestHstack(t *testing.T) {
-	a := NewDenseData(2, 1, []float64{1, 2})
-	b := NewDenseData(2, 2, []float64{3, 4, 5, 6})
-	h := Hstack(a, b)
-	if h.Rows != 2 || h.Cols != 3 {
-		t.Fatalf("Hstack shape %dx%d", h.Rows, h.Cols)
-	}
-	want := []float64{1, 3, 4, 2, 5, 6}
-	for i := range want {
-		if h.Data[i] != want[i] {
-			t.Fatalf("Hstack = %v", h.Data)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row mismatch must panic")
-		}
-	}()
-	Hstack(a, NewDense(3, 1))
-}

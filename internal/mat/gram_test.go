@@ -1,0 +1,218 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// gramAxpy is the kernel GramWorkers replaced, kept as the oracle: one axpy
+// of the row's tail per nonzero entry, rows in order. On finite input it
+// sums every c[j][k] in the same order as the tiled kernel, so the two must
+// agree in bits.
+func gramAxpy(a *Dense) *Dense {
+	p := a.Cols
+	c := NewDense(p, p)
+	for i := 0; i < a.Rows; i++ {
+		row := a.Row(i)
+		for j, v := range row {
+			if v == 0 {
+				continue
+			}
+			axpy(c.Data[j*p+j:(j+1)*p], v, row[j:])
+		}
+	}
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			c.Data[j*p+i] = c.Data[i*p+j]
+		}
+	}
+	return c
+}
+
+// drawRows is a repeated, unsorted row list of length n over [0, rows).
+func drawRows(rows, n int, seed uint64) []int {
+	idx := make([]int, n)
+	s := seed | 1
+	for i := range idx {
+		s ^= s >> 12
+		s ^= s << 25
+		s ^= s >> 27
+		idx[i] = int((s * 0x2545F4914F6CDD1D >> 33) % uint64(rows))
+	}
+	return idx
+}
+
+// multiplicities turns a draw into ascending distinct rows and their counts.
+func multiplicities(rows int, idx []int) ([]int, []float64) {
+	count := make([]float64, rows)
+	for _, i := range idx {
+		count[i]++
+	}
+	var distinct []int
+	var w []float64
+	for i, c := range count {
+		if c > 0 {
+			distinct, w = append(distinct, i), append(w, c)
+		}
+	}
+	return distinct, w
+}
+
+var gramWidths = []int{1, 2, 3, 5, 7, 8, 9, 61, 161, 256}
+
+// TestGramUnitWeightsIdentical: the tiled kernel equals the axpy kernel in
+// bits on every width, and a repeated, unsorted row list with unit weights
+// equals AtAWorkers of the gathered rows.
+func TestGramUnitWeightsIdentical(t *testing.T) {
+	for _, p := range gramWidths {
+		x := randDense(150, p, uint64(p))
+		for i := 0; i < len(x.Data); i += 7 {
+			x.Data[i] = 0
+		}
+		if i, ok := bitsEqual(AtAWorkers(x, 2).Data, gramAxpy(x).Data); !ok {
+			t.Fatalf("p=%d: entry %d differs in bits from the axpy kernel", p, i)
+		}
+		idx := drawRows(x.Rows, 200, 3)
+		got := GramWorkers(x, Sample{Rows: idx}, 2)
+		if i, ok := bitsEqual(got.Data, AtAWorkers(x.SelectRows(idx), 2).Data); !ok {
+			t.Fatalf("p=%d: entry %d differs in bits from the gathered Gram", p, i)
+		}
+	}
+}
+
+// TestGramWeightsMatchGatheredIdentical: multiplicity weights over the
+// distinct rows agree with the Gram of the gathered draw to rounding, at
+// every budget in the same bits, and GramVec likewise with the gathered Xᵀy.
+func TestGramWeightsMatchGatheredIdentical(t *testing.T) {
+	for _, p := range gramWidths {
+		x := randDense(300, p, uint64(100+p))
+		y := randDense(300, 1, 5).Data
+		idx := drawRows(x.Rows, 300, 9)
+		rows, w := multiplicities(x.Rows, idx)
+		s := Sample{Rows: rows, Weights: w}
+		want := AtAWorkers(x.SelectRows(idx), 1)
+		got := GramWorkers(x, s, 1)
+		scale := want.MaxAbs()
+		if d := maxAbsDiff(got.Data, want.Data); d > 1e-12*scale {
+			t.Fatalf("p=%d: weighted Gram off by %g (scale %g)", p, d, scale)
+		}
+		for i := 0; i < p; i++ {
+			for j := 0; j < i; j++ {
+				if got.At(i, j) != got.At(j, i) {
+					t.Fatalf("p=%d: not symmetric at (%d,%d)", p, i, j)
+				}
+			}
+		}
+		for _, budget := range []int{2, 3, 8} {
+			if i, ok := bitsEqual(GramWorkers(x, s, budget).Data, got.Data); !ok {
+				t.Fatalf("p=%d workers=%d: entry %d differs in bits from one worker", p, budget, i)
+			}
+		}
+		yb := make([]float64, len(idx))
+		for i, r := range idx {
+			yb[i] = y[r]
+		}
+		wantV := AtVec(x.SelectRows(idx), yb)
+		if d := maxAbsDiff(GramVec(x, y, s), wantV); d > 1e-12*NormInf(wantV) {
+			t.Fatalf("p=%d: weighted Xᵀy off by %g", p, d)
+		}
+	}
+}
+
+// TestGramRowCountsIdentical crosses the chunk edge: 0, 1, chunk−1, chunk
+// and chunk+1 summed rows, weighted and not.
+func TestGramRowCountsIdentical(t *testing.T) {
+	x := randDense(gramChunk+1, 13, 21)
+	w := make([]float64, x.Rows)
+	for i := range w {
+		w[i] = float64(1 + i%3)
+	}
+	for _, n := range []int{0, 1, gramChunk - 1, gramChunk, gramChunk + 1} {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		sub := x.SubRows(0, n)
+		if i, ok := bitsEqual(GramWorkers(x, Sample{Rows: rows}, 2).Data, gramAxpy(sub).Data); !ok {
+			t.Fatalf("n=%d: entry %d differs in bits from the axpy kernel", n, i)
+		}
+		// Σ wᵢ·xᵢxᵢᵀ is the Gram of the rows scaled by √wᵢ, to rounding.
+		scaled := sub.Clone()
+		for i := 0; i < n; i++ {
+			ScaleVec(scaled.Row(i), math.Sqrt(w[i]))
+		}
+		got := GramWorkers(x, Sample{Rows: rows, Weights: w[:n]}, 3)
+		if d := maxAbsDiff(got.Data, gramAxpy(scaled).Data); d > 1e-12*(1+got.MaxAbs()) {
+			t.Fatalf("n=%d: weighted Gram off by %g", n, d)
+		}
+	}
+}
+
+// TestGramColumnSubsetIdentical: an ascending column subset is bitwise the
+// sub-block of the full Gram, weights or not, and GramVec the sub-vector.
+func TestGramColumnSubsetIdentical(t *testing.T) {
+	x := randDense(200, 37, 31)
+	y := randDense(200, 1, 6).Data
+	rows, w := multiplicities(x.Rows, drawRows(x.Rows, 200, 4))
+	cols := []int{0, 3, 4, 9, 10, 11, 12, 20, 21, 30, 36}
+	for _, s := range []Sample{{}, {Rows: rows, Weights: w}} {
+		full := GramWorkers(x, s, 2)
+		fullV := GramVec(x, y, s)
+		s.Cols = cols
+		sub := GramWorkers(x, s, 3)
+		subV := GramVec(x, y, s)
+		for a, ja := range cols {
+			if math.Float64bits(subV[a]) != math.Float64bits(fullV[ja]) {
+				t.Fatalf("Xᵀy entry %d differs in bits from the full vector's", a)
+			}
+			for b, jb := range cols {
+				if math.Float64bits(sub.At(a, b)) != math.Float64bits(full.At(ja, jb)) {
+					t.Fatalf("entry (%d,%d) differs in bits from the full Gram's (%d,%d)", a, b, ja, jb)
+				}
+			}
+		}
+	}
+}
+
+// TestGramNonFiniteIdentical: a non-finite input row must poison the Gram.
+// The axpy kernel skipped zero entries, which hid 0·Inf.
+func TestGramNonFiniteIdentical(t *testing.T) {
+	x := randDense(20, 6, 41)
+	x.Set(7, 2, 0)
+	x.Set(7, 4, math.Inf(1))
+	g := AtAWorkers(x, 2)
+	if v := g.At(2, 4); !math.IsNaN(v) {
+		t.Fatalf("0·Inf entry = %v, want NaN", v)
+	}
+	if v := g.At(4, 4); !math.IsInf(v, 1) {
+		t.Fatalf("Inf² entry = %v, want +Inf", v)
+	}
+}
+
+// BenchmarkGram times the Gram kernel at the shapes the repository benchmark
+// runs: lasso_tall's full and bootstrap-weighted 8192×256, dist_mix's local
+// 4096×161, and the two VAR designs the kernel must not slow (600×61,
+// 768×41). GFLOP/s counts rows·p² like the bench's mat.ata_gflops.
+func BenchmarkGram(b *testing.B) {
+	for _, bc := range []struct {
+		n, p     int
+		weighted bool
+	}{{8192, 256, false}, {8192, 256, true}, {4096, 161, false}, {4096, 161, true}, {600, 61, false}, {768, 41, false}} {
+		x := randDense(bc.n, bc.p, 7)
+		var s Sample
+		name := fmt.Sprintf("%dx%d", bc.n, bc.p)
+		if bc.weighted {
+			s.Rows, s.Weights = multiplicities(bc.n, drawRows(bc.n, bc.n, 11))
+			name += "-bootstrap"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GramWorkers(x, s, 2)
+			}
+			flops := float64(bc.n) * float64(bc.p) * float64(bc.p)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

@@ -130,8 +130,7 @@ func bitsEqual(a, b []float64) (int, bool) {
 // Gram: workers own bands of output rows, so every budget accumulates each
 // entry in input-row order and the bits equal the one-worker result — at
 // widths that are not a multiple of the band, narrower than one band, with
-// more workers than bands or rows, and with zeros in the input (the kernel
-// skips them).
+// more workers than bands or rows, and with zeros in the input.
 func TestAtAWorkersMatchesSerial(t *testing.T) {
 	for _, shape := range [][2]int{{300, 64}, {257, 61}, {3000, 5}, {40, 21}, {2, 100}} {
 		x := randDense(shape[0], shape[1], 10)

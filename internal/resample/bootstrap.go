@@ -15,6 +15,31 @@ func Bootstrap(rng *RNG, n int) []int {
 	return idx
 }
 
+// Multiplicities turns a draw with replacement from [0, n) into its distinct
+// indices in ascending order and how often each was drawn. A statistic that
+// is a sum over the sample — a Gram matrix, Xᵀy — is then the count-weighted
+// sum over the distinct original rows (about 63 % of n for an iid bootstrap),
+// read in memory order with no gathered copy.
+func Multiplicities(idx []int, n int) (rows []int, counts []float64) {
+	tally := make([]int32, n)
+	distinct := 0
+	for _, i := range idx {
+		if tally[i] == 0 {
+			distinct++
+		}
+		tally[i]++
+	}
+	rows = make([]int, 0, distinct)
+	counts = make([]float64, 0, distinct)
+	for i, c := range tally {
+		if c > 0 {
+			rows = append(rows, i)
+			counts = append(counts, float64(c))
+		}
+	}
+	return rows, counts
+}
+
 // TrainEvalSplit shuffles [0, n) and splits it into a training set of
 // ceil(frac·n) indices and an evaluation set of the rest. UoI_LASSO's model
 // estimation uses such resampled train/evaluation pairs (Algorithm 1 lines

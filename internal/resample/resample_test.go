@@ -136,6 +136,30 @@ func TestBootstrapProperties(t *testing.T) {
 	if frac < 0.5 || frac > 0.75 {
 		t.Fatalf("distinct fraction %v implausible for with-replacement sampling", frac)
 	}
+	// Multiplicities is the same draw as (ascending distinct rows, counts).
+	rows, counts := Multiplicities(idx, n)
+	if len(rows) != len(distinct) || len(counts) != len(rows) {
+		t.Fatalf("Multiplicities: %d rows, %d counts, want %d", len(rows), len(counts), len(distinct))
+	}
+	total := 0.0
+	for i, v := range rows {
+		if i > 0 && v <= rows[i-1] {
+			t.Fatalf("Multiplicities rows not ascending at %d", i)
+		}
+		want := 0
+		for _, d := range idx {
+			if d == v {
+				want++
+			}
+		}
+		if counts[i] != float64(want) {
+			t.Fatalf("row %d drawn %d times, count %v", v, want, counts[i])
+		}
+		total += counts[i]
+	}
+	if total != float64(n) {
+		t.Fatalf("counts sum to %v, want %d", total, n)
+	}
 }
 
 func TestTrainEvalSplit(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
-	"uoivar/internal/metrics"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
@@ -66,6 +65,14 @@ func (w *winner) estimate(p int) []float64 {
 	return w.beta
 }
 
+// bootstrapSample draws an iid bootstrap of n rows as the sample its Gram and
+// Xᵀy are summed over: the distinct drawn rows, ascending, weighted by their
+// multiplicities — the draw is never gathered into a copy.
+func bootstrapSample(rng *resample.RNG, n int) mat.Sample {
+	rows, counts := resample.Multiplicities(resample.Bootstrap(rng, n), n)
+	return mat.Sample{Rows: rows, Weights: counts}
+}
+
 // lassoSelCellRange runs selection bootstrap k of UoI_LASSO over the λ
 // block [jLo, jHi): resample, factorize once, sweep the block with warm
 // starts, and return the support indicators in the block-local flattening
@@ -78,21 +85,12 @@ func (w *winner) estimate(p int) []float64 {
 func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
 	n, p := x.Rows, x.Cols
 	rng := root.Derive(uint64(k) + 1)
-	idx := resample.Bootstrap(rng, n)
-	xb := x.SelectRows(idx)
-	yb := selectVec(y, idx)
-	var f *admm.Factorization
-	if c.L2 > 0 {
-		f, err = admm.NewFactorizationElasticWorkers(mat.AtAWorkers(xb, kw), c.ADMM.Rho, c.L2, kw)
-		if err == nil {
-			f.SetRHS(mat.AtVecWorkers(xb, yb, kw))
-		}
-	} else {
-		f, err = admm.NewFactorizationWorkers(xb, yb, c.ADMM.Rho, kw)
-	}
+	boot := bootstrapSample(rng, n)
+	f, err := admm.NewFactorizationElasticWorkers(mat.GramWorkers(x, boot, kw), c.ADMM.Rho, c.L2, kw)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
+	f.SetRHS(mat.GramVec(x, y, boot))
 	tr.Add("admm/factorizations", 1)
 	sup = make([]bool, (jHi-jLo)*p)
 	// Warm-start each λ from its neighbor's (z, u) pair — carrying only z
@@ -125,23 +123,66 @@ func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lam
 // lassoEstCell runs estimation bootstrap k of UoI_LASSO: resample a
 // train/evaluation split, fit OLS on every distinct candidate support, and
 // return the estimate minimizing held-out loss (all zeros when the
-// candidate family is empty).
+// candidate family is empty). Every support is a column subset of the one
+// training sample, so the cell computes XᵀX and Xᵀy once over the training
+// rows and the union of the supports' columns, and each fit solves the
+// sub-block G[S,S]·β = Xᵀy[S] — the same bits as a Gram built per support.
 func lassoEstCell(x *mat.Dense, y []float64, root *resample.RNG, k int, distinct [][]int, c *LassoConfig, kw int) (beta []float64, fits int) {
 	n, p := x.Rows, x.Cols
 	rng := root.Derive(1_000_000 + uint64(k))
 	trainIdx, evalIdx := resample.TrainEvalSplit(rng, n, c.TrainFrac)
-	xt := x.SelectRows(trainIdx)
-	yt := selectVec(y, trainIdx)
-	xe := x.SelectRows(evalIdx)
-	ye := selectVec(y, evalIdx)
+	// The union of the candidate supports' columns, ascending (empty, not
+	// nil, when there is no candidate: nil would mean every column), and
+	// at[j], column j's position in it.
+	at := make([]int, p)
+	for _, s := range distinct {
+		for _, j := range s {
+			at[j] = 1
+		}
+	}
+	train := mat.Sample{Rows: trainIdx, Cols: []int{}}
+	for j, used := range at {
+		if used != 0 {
+			at[j] = len(train.Cols)
+			train.Cols = append(train.Cols, j)
+		}
+	}
+	gram := mat.GramWorkers(x, train, kw)
+	xty := mat.GramVec(x, y, train)
 
 	var best winner
 	for _, s := range distinct {
-		b := admm.OLSOnSupportWorkers(xt, yt, s, kw)
+		b := make([]float64, p)
+		if len(s) > 0 {
+			pos := make([]int, len(s))
+			rhs := make([]float64, len(s))
+			for i, j := range s {
+				pos[i], rhs[i] = at[j], xty[at[j]]
+			}
+			for i, v := range olsSubBlock(gram, pos, rhs) {
+				b[s[i]] = v
+			}
+		}
 		fits++
-		best.offer(metrics.PredictionLoss(xe, ye, b), b)
+		best.offer(heldOutLoss(x, y, evalIdx, s, b), b)
 	}
 	return best.estimate(p), fits
+}
+
+// heldOutLoss is ½‖y − Xβ‖² over the given evaluation rows of x, read in
+// place, for a β that is zero off the support: a prediction costs |support|
+// multiply-adds, not a full row.
+func heldOutLoss(x *mat.Dense, y []float64, rows, support []int, beta []float64) float64 {
+	sum := 0.0
+	for _, i := range rows {
+		xr := x.Row(i)
+		r := -y[i]
+		for _, j := range support {
+			r += xr[j] * beta[j]
+		}
+		sum += r * r
+	}
+	return 0.5 * sum
 }
 
 // addSupportCounts folds one selection cell's support indicators into the

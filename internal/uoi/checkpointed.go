@@ -317,14 +317,31 @@ func floatsToBools(fs []float64) []bool {
 	return out
 }
 
+// lassoCellRevision names the numerics of the UoI_LASSO cell bodies
+// (cells.go). It changes whenever a cell's floating-point result can change
+// for the same inputs, so that a checkpoint written by another revision is
+// refused instead of being resumed into a fit that mixes cells from two
+// kernels. Revision 1: selection cells sum a multiplicity-weighted Gram over
+// the distinct bootstrap rows (the build before it summed a gathered copy
+// and hashed no revision).
+const lassoCellRevision = 1
+
 // lassoFingerprint hashes everything that determines a UoI_LASSO fit's
-// cells: data dimensions and bits, the root seed's companions (the seed
-// itself lives in Meta), and every solver-affecting configuration scalar.
-// Execution-only knobs (Workers, KernelWorkers, trace wiring) and
-// post-combination choices recomputed fresh on resume (MedianUnion) are
-// deliberately excluded — they cannot change any cell.
+// cells: the cell-numerics revision, data dimensions and bits, the root
+// seed's companions (the seed itself lives in Meta), and every
+// solver-affecting configuration scalar. Execution-only knobs (Workers,
+// KernelWorkers, trace wiring) and post-combination choices recomputed fresh
+// on resume (MedianUnion) are deliberately excluded — they cannot change any
+// cell.
 func lassoFingerprint(x *mat.Dense, y []float64, c *LassoConfig) uint64 {
+	return lassoFingerprintAt(lassoCellRevision, x, y, c)
+}
+
+// lassoFingerprintAt is lassoFingerprint as a build at cell-numerics
+// revision rev computes it.
+func lassoFingerprintAt(rev uint64, x *mat.Dense, y []float64, c *LassoConfig) uint64 {
 	h := checkpoint.NewHasher()
+	h.AddUint64(rev)
 	h.AddUint64(uint64(x.Rows))
 	h.AddUint64(uint64(x.Cols))
 	h.AddFloat(c.ADMM.Rho)

@@ -175,6 +175,33 @@ func TestCheckpointedResumeRejectsForeignOrBrokenFiles(t *testing.T) {
 		t.Fatalf("foreign checkpoint: err = %v, want ErrMismatch", err)
 	}
 
+	// This fit's own checkpoint, but with cells computed by another revision
+	// of the cell numerics (the gathered-Gram build): same data, seed and
+	// configuration, so only the revision word of the fingerprint differs.
+	if _, err := Lasso(x, y, ckptLassoConfig(path)); err != nil {
+		t.Fatal(err)
+	}
+	own, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, c := own.Meta(), cfg.defaults()
+	if meta.Fingerprint != lassoFingerprint(x, y, &c) {
+		t.Fatal("fixture: the checkpoint does not carry this fit's fingerprint")
+	}
+	meta.Fingerprint = lassoFingerprintAt(lassoCellRevision-1, x, y, &c)
+	stale := checkpoint.New(meta, own.Lambdas())
+	for k := 0; k < meta.B1; k++ {
+		sup, _, _ := own.Selection(k)
+		stale.AddSelection(k, sup)
+	}
+	if err := checkpoint.Save(path, stale); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Lasso(x, y, cfg); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("stale cell revision: err = %v, want ErrMismatch", err)
+	}
+
 	// Structurally damaged file.
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -171,14 +171,8 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 		err := faultErr
 		if faultErr == nil {
 			rng := root.Derive(uint64(k) + 1).Derive(uint64(comm.Rank()) + 1)
-			idx := resample.Bootstrap(rng, nLocal)
-			xb := xSel.SelectRows(idx)
-			yb := selectVec(ySel, idx)
-			if c.L2 > 0 {
-				solver, err = admm.NewConsensusSolverElasticWorkers(sub, xb, yb, c.ADMM.Rho, c.L2, kw)
-			} else {
-				solver, err = admm.NewConsensusSolverWorkers(sub, xb, yb, c.ADMM.Rho, kw)
-			}
+			boot := bootstrapSample(rng, nLocal)
+			solver, err = admm.NewConsensusSolverGram(sub, mat.GramWorkers(xSel, boot, kw), mat.GramVec(xSel, ySel, boot), c.ADMM.Rho, c.L2, kw)
 			if err == nil {
 				tr.Add("admm/factorizations", 1)
 			}
@@ -272,17 +266,14 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 			faultErr = c.BootstrapFault("estimation", k)
 		}
 		var solver *admm.ConsensusSolver
-		var xe *mat.Dense
-		var ye []float64
+		var evalIdx []int
 		err := faultErr
 		if faultErr == nil {
 			rng := root.Derive(1_000_000 + uint64(k)).Derive(uint64(comm.Rank()) + 1)
-			trainIdx, evalIdx := resample.TrainEvalSplit(rng, nEst, c.TrainFrac)
-			xt := xEst.SelectRows(trainIdx)
-			yt := selectVec(yEst, trainIdx)
-			xe = xEst.SelectRows(evalIdx)
-			ye = selectVec(yEst, evalIdx)
-			solver, err = admm.NewConsensusSolverWorkers(sub, xt, yt, c.ADMM.Rho, kw)
+			var trainIdx []int
+			trainIdx, evalIdx = resample.TrainEvalSplit(rng, nEst, c.TrainFrac)
+			train := mat.Sample{Rows: trainIdx}
+			solver, err = admm.NewConsensusSolverGram(sub, mat.GramWorkers(xEst, train, kw), mat.GramVec(xEst, yEst, train), c.ADMM.Rho, 0, kw)
 			if err == nil {
 				tr.Add("admm/factorizations", 1)
 			}
@@ -310,8 +301,9 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 			r := solver.SolveProjected(mask, &c.ADMM)
 			res.Diag.OLSFits++
 			res.Diag.ADMMIters += r.Iters
-			// Held-out loss over the group's evaluation rows.
-			localLoss := predictionLossLocal(xe, ye, r.Beta)
+			// Held-out loss over the group's evaluation rows; the projected
+			// estimate is exactly zero off the support.
+			localLoss := heldOutLoss(xEst, yEst, evalIdx, s, r.Beta)
 			best.offer(sub.AllreduceScalar(mpi.OpSum, localLoss), r.Beta)
 		}
 		copy(winners[k*p:(k+1)*p], best.estimate(p))
@@ -351,9 +343,4 @@ func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 	spUnion.End()
 	res.Diag.EstimationTime = time.Since(tEst)
 	return res, nil
-}
-
-func predictionLossLocal(x *mat.Dense, y, beta []float64) float64 {
-	r := mat.Sub(mat.MulVec(x, beta), y)
-	return 0.5 * mat.Dot(r, r)
 }

@@ -3,11 +3,14 @@ package uoi
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
+	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 )
 
@@ -316,6 +319,46 @@ func TestLassoKernelWorkerBudget(t *testing.T) {
 		}
 		if peak := mat.PeakWorkers(); peak > ranks {
 			t.Fatalf("%s over %d ranks, KernelWorkers=1: peak kernel workers %d", place, ranks, peak)
+		}
+	}
+}
+
+// TestLassoFitAllocatesNoBootstrapCopies pins the cells' memory shape: no
+// cell copies its rows, so a whole fit allocates less than twice the bytes
+// of x. While every cell gathered its bootstrap (and its train and
+// evaluation rows) a fit allocated about B1+B2 times x.
+func TestLassoFitAllocatesNoBootstrapCopies(t *testing.T) {
+	x, y, _ := makeRegression(61, 2048, 64, 6, 0.3)
+	fit := func() {
+		if _, err := Lasso(x, y, &LassoConfig{B1: 4, B2: 2, Q: 6, Seed: 1, Workers: 1, KernelWorkers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fit() // fills the kernel's panel pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fit()
+	runtime.ReadMemStats(&after)
+	xBytes := uint64(8 * len(x.Data))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*xBytes {
+		t.Fatalf("fit allocated %d bytes, want under 2× the %d bytes of x", got, xBytes)
+	}
+}
+
+// BenchmarkLassoSelCell times one selection cell at the lasso_tall
+// benchmark's shape (8192×256, Q=12, two kernel workers): the bootstrap
+// draw, the weighted Gram and Xᵀy over the distinct rows, the Cholesky, and
+// the warm-chained λ path.
+func BenchmarkLassoSelCell(b *testing.B) {
+	x, y, _ := makeRegression(67, 8192, 256, 12, 0.5)
+	c := (&LassoConfig{Q: 12, Seed: 7}).defaults()
+	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.AtVec(x, y)), c.LambdaRatio, c.Q)
+	root := resample.NewRNG(c.Seed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := lassoSelCellRange(x, y, root, i%8, lambdas, 0, len(lambdas), nil, nil, &c, 2, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -112,10 +112,16 @@ func varTableProblem(name string, series *mat.Dense, base VARConfig) tableProble
 		}}
 }
 
-// tableProblems builds the problem axis. The shapes cross the dense
-// kernels' parallel gates (Gram: rows·cols² ≥ 16Ki, Aᵀy: rows·cols ≥ 16Ki)
-// so that the kernel budget actually changes how the kernels split.
-func tableProblems() []tableProblem {
+// lassoTableCase is one UoI_LASSO problem of the table with its data bound.
+type lassoTableCase struct {
+	name string
+	x    *mat.Dense
+	y    []float64
+	cfg  LassoConfig
+}
+
+// lassoTableCases builds the UoI_LASSO half of the problem axis.
+func lassoTableCases() []lassoTableCase {
 	x, y, _ := makeRegression(97, 900, 20, 6, 0.3)
 	// Heterogeneous feature scales and an offset make standardisation matter.
 	xs := x.Clone()
@@ -135,7 +141,23 @@ func tableProblems() []tableProblem {
 	}
 	lasso := LassoConfig{B1: 5, B2: 3, Q: 5, Seed: 11}
 	with := func(f func(c *LassoConfig)) LassoConfig { c := lasso; f(&c); return c }
+	return []lassoTableCase{
+		{"lasso", x, y, lasso},
+		{"lasso-std", xs, ys, with(func(c *LassoConfig) { c.Standardize = true })},
+		{"lasso-l2", x, y, with(func(c *LassoConfig) { c.L2 = 50 })},
+		{"lasso-soft-median", x, y, with(func(c *LassoConfig) { c.SelectionFrac, c.MedianUnion = 0.6, true })},
+		{"lasso-quorum", x, y, with(func(c *LassoConfig) { c.MinBootstrapFrac, c.BootstrapFault = 0.5, drop })},
+	}
+}
 
+// tableProblems builds the problem axis. The shapes cross the dense
+// kernels' parallel gates (Gram: rows·cols² ≥ 16Ki, Aᵀy: rows·cols ≥ 16Ki)
+// so that the kernel budget actually changes how the kernels split.
+func tableProblems() []tableProblem {
+	var problems []tableProblem
+	for _, lc := range lassoTableCases() {
+		problems = append(problems, lassoTableProblem(lc.name, lc.x, lc.y, lc.cfg))
+	}
 	_, s1 := makeVARData(23, 8, 1, 2100)
 	_, s2 := makeVARData(29, 6, 2, 1500)
 	v := VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5}
@@ -144,17 +166,12 @@ func tableProblems() []tableProblem {
 		warm[i] = 0.05 * float64(i%7-3)
 	}
 	withV := func(f func(c *VARConfig)) VARConfig { c := v; f(&c); return c }
-	return []tableProblem{
-		lassoTableProblem("lasso", x, y, lasso),
-		lassoTableProblem("lasso-std", xs, ys, with(func(c *LassoConfig) { c.Standardize = true })),
-		lassoTableProblem("lasso-l2", x, y, with(func(c *LassoConfig) { c.L2 = 50 })),
-		lassoTableProblem("lasso-soft-median", x, y, with(func(c *LassoConfig) { c.SelectionFrac, c.MedianUnion = 0.6, true })),
-		lassoTableProblem("lasso-quorum", x, y, with(func(c *LassoConfig) { c.MinBootstrapFrac, c.BootstrapFault = 0.5, drop })),
+	return append(problems,
 		varTableProblem("var1", s1, v),
 		varTableProblem("var2", s2, withV(func(c *VARConfig) { c.Order = 2 })),
 		varTableProblem("var-anchored", s1, withV(func(c *VARConfig) { c.Anchored, c.Anchor = true, 4096 })),
 		varTableProblem("var-warm", s1, withV(func(c *VARConfig) { c.WarmBeta = warm })),
-	}
+	)
 }
 
 // placedRun is one table cell's outcome: the fit every rank returned and

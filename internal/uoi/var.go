@@ -197,21 +197,30 @@ func olsOnVecSupport(gram, xty *mat.Dense, support []int) []float64 {
 		if len(cols) == 0 {
 			continue
 		}
-		sub := mat.NewDense(len(cols), len(cols))
 		rhs := make([]float64, len(cols))
 		for i, j := range cols {
 			rhs[i] = xty.At(j, eq)
-			row := gram.Row(j)
-			for k, jk := range cols {
-				sub.Data[i*len(cols)+k] = row[jk]
-			}
 		}
-		sol := admm.OLSFromGram(sub, rhs)
+		sol := olsSubBlock(gram, cols, rhs)
 		for i, j := range cols {
 			beta[eq*rowsB+j] = sol[i]
 		}
 	}
 	return beta
+}
+
+// olsSubBlock solves gram[idx,idx]·β = rhs, the least-squares fit on the
+// columns idx of a design whose Gram was computed once (rhs is Xᵀy already
+// restricted to idx).
+func olsSubBlock(gram *mat.Dense, idx []int, rhs []float64) []float64 {
+	sub := mat.NewDense(len(idx), len(idx))
+	for i, j := range idx {
+		row := gram.Row(j)
+		for k, jk := range idx {
+			sub.Data[i*len(idx)+k] = row[jk]
+		}
+	}
+	return admm.OLSFromGram(sub, rhs)
 }
 
 // vecLoss is ½‖vec(Y) − (I⊗X)β‖², summed row by row over each equation's
