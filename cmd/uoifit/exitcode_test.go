@@ -49,6 +49,18 @@ func TestExitCodeUsageErrors(t *testing.T) {
 	if code, out := uoifit(t, "-data", "x.hbf", "-algo", "lasso-cv", "-checkpoint", "c.uoickpt"); code != 2 {
 		t.Fatalf("-checkpoint with a baseline algo: exit %d\n%s", code, out)
 	}
+	// -pb/-pl shape the consensus fits only; a grid or checkpointed fit
+	// would silently ignore them.
+	for _, args := range [][]string{
+		{"-grid", "2x1", "-pb", "2"},
+		{"-grid", "1x2", "-pl", "2"},
+		{"-algo", "var", "-checkpoint", "c.uoickpt", "-pb", "2"},
+		{"-checkpoint", "c.uoickpt", "-pl", "3"},
+	} {
+		if code, out := uoifit(t, append([]string{"-data", "x.hbf"}, args...)...); code != 2 || !strings.Contains(out, "-pb/-pl") {
+			t.Fatalf("%v: exit %d, want 2\n%s", args, code, out)
+		}
+	}
 }
 
 // TestExitCodeFailedFitLeavesNoArtifact pins the contract the issue calls

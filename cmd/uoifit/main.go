@@ -236,6 +236,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-checkpoint supports -algo lasso | var, not %q\n", o.Algo)
 		os.Exit(2)
 	}
+	if (o.PB > 1 || o.PL > 1) && (o.Grid != "" || o.Checkpoint != "") {
+		fmt.Fprintln(os.Stderr, "-pb/-pl shape the consensus fits; -grid and -checkpoint fits do not take them")
+		os.Exit(2)
+	}
 	if *pprofAddr != "" {
 		expvar.Publish("uoifit.algo", expvar.Func(func() any { return o.Algo }))
 		go func() {
@@ -610,10 +614,11 @@ func runVAR(o *options) error {
 	if err != nil {
 		return err
 	}
-	readers := o.Readers
-	if readers > o.Ranks {
-		readers = o.Ranks
-	}
+	// Every ADMM group of the consensus fit has its own reader ranks: the
+	// leading ranks of the group.
+	grid := uoi.Grid{PB: o.PB, PLambda: o.PL}
+	groupSize := max(o.Ranks/max(grid.Groups(), 1), 1)
+	readers := min(o.Readers, groupSize)
 	var result *uoi.VARResult
 	perf := newPerfCollector(o, "uoi_var")
 	if err := perf.serve(); err != nil {
@@ -644,13 +649,13 @@ func runVAR(o *options) error {
 			})
 		} else {
 			var s *mat.Dense
-			if c.Rank() < readers {
+			if c.Rank()%groupSize < readers {
 				s = series
 			}
 			res, err = uoi.VARDistributed(c, s, &uoi.VARConfig{
 				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
 				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, &uoi.VARDistOptions{NReaders: readers})
+			}, &uoi.VARDistOptions{NReaders: readers, Grid: grid})
 		}
 		if err != nil {
 			return err

@@ -43,7 +43,7 @@ func NewConsensusSolver(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho
 // mat.DefaultWorkers). Ranks sharing one machine pass GOMAXPROCS/size so the
 // collective construction does not oversubscribe the cores.
 func NewConsensusSolverWorkers(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho float64, workers int) (*ConsensusSolver, error) {
-	return NewConsensusSolverElasticWorkers(comm, xLocal, yLocal, rho, 0, workers)
+	return NewConsensusSolverGram(comm, mat.AtAWorkers(xLocal, workers), mat.AtVecWorkers(xLocal, yLocal, workers), rho, 0, workers)
 }
 
 // NewConsensusSolverGram builds the solver from this rank's sufficient
@@ -193,19 +193,6 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 	}
 }
 
-// NewConsensusSolverElastic is NewConsensusSolver with an elastic-net ℓ2
-// term folded into the local factorizations, so Solve(λ₁) minimizes
-// ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖² globally.
-func NewConsensusSolverElastic(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho, lambda2 float64) (*ConsensusSolver, error) {
-	return NewConsensusSolverElasticWorkers(comm, xLocal, yLocal, rho, lambda2, 0)
-}
-
-// NewConsensusSolverElasticWorkers is NewConsensusSolverElastic with an
-// explicit kernel worker budget for this rank's factorization.
-func NewConsensusSolverElasticWorkers(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, rho, lambda2 float64, workers int) (*ConsensusSolver, error) {
-	return NewConsensusSolverGram(comm, mat.AtAWorkers(xLocal, workers), mat.AtVecWorkers(xLocal, yLocal, workers), rho, lambda2, workers)
-}
-
 // ConsensusLasso solves one LASSO across the ranks of comm, with each rank
 // holding a row block (xLocal, yLocal) of the global design. Convenience
 // wrapper over ConsensusSolver for single solves.
@@ -215,11 +202,6 @@ func ConsensusLasso(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, lambda 
 		return nil, err
 	}
 	return s.Solve(lambda, opts), nil
-}
-
-// ConsensusOLS is the distributed λ=0 specialization.
-func ConsensusOLS(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, opts *Options) (*Result, error) {
-	return ConsensusLasso(comm, xLocal, yLocal, 0, opts)
 }
 
 // RowBlock computes the [lo, hi) row range assigned to rank r when n rows

@@ -36,16 +36,11 @@ func ElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 float64, opts *Optio
 	return res, nil
 }
 
-// NewFactorizationElastic factors (XᵀX + (ρ+λ₂)I) for the elastic-net
-// x-update while keeping the soft-threshold scale at ρ; it is the
-// Factorization used when UoI's selection solves carry an ℓ2 term
-// (rho ≤ 0 auto-scales as usual).
-func NewFactorizationElastic(gram *mat.Dense, rho, lambda2 float64) (*Factorization, error) {
-	return NewFactorizationElasticWorkers(gram, rho, lambda2, 0)
-}
-
-// NewFactorizationElasticWorkers is NewFactorizationElastic with an explicit
-// kernel worker budget for the blocked Cholesky.
+// NewFactorizationElasticWorkers factors (XᵀX + (ρ+λ₂)I) for the
+// elastic-net x-update while keeping the soft-threshold scale at ρ, with a
+// kernel worker budget for the blocked Cholesky; it is the Factorization
+// used when UoI's selection solves carry an ℓ2 term (rho ≤ 0 auto-scales as
+// usual).
 func NewFactorizationElasticWorkers(gram *mat.Dense, rho, lambda2 float64, workers int) (*Factorization, error) {
 	if lambda2 < 0 {
 		lambda2 = 0

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"uoivar/internal/mat"
-	"uoivar/internal/mpi"
 )
 
 // OLSOnSupport solves the unpenalized least-squares problem restricted to
@@ -65,17 +64,6 @@ func OLSFromGram(gram *mat.Dense, xty []float64) []float64 {
 		}
 	}
 	return ch.Solve(xty)
-}
-
-// ConsensusProjectedOLS solves min ½‖Xβ−y‖² subject to β_i = 0 for i off
-// the support, distributed across comm (row blocks). Convenience wrapper
-// over ConsensusSolver.SolveProjected for single solves.
-func ConsensusProjectedOLS(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, support []bool, opts *Options) (*Result, error) {
-	s, err := NewConsensusSolver(comm, xLocal, yLocal, opts.defaults().Rho)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveProjected(support, opts), nil
 }
 
 // SupportMask converts an index support to a boolean mask of length p.

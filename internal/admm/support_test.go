@@ -102,11 +102,11 @@ func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 	const ranks = 3
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
-		res, err := ConsensusProjectedOLS(c, x.SubRows(lo, hi), y[lo:hi], mask,
-			&Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
+		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
 		}
+		res := s.SolveProjected(mask, &Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
 		for i := range want {
 			if math.Abs(res.Beta[i]-want[i]) > 1e-4 {
 				t.Errorf("beta[%d] = %v, want %v", i, res.Beta[i], want[i])
@@ -124,13 +124,14 @@ func TestConsensusOLSWrapper(t *testing.T) {
 	want, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
-		res, err := ConsensusOLS(c, x.SubRows(lo, hi), y[lo:hi], &Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
+		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
 		}
+		res := s.Solve(0, &Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
 		for i := range want {
 			if math.Abs(res.Beta[i]-want[i]) > 1e-4 {
-				t.Errorf("ConsensusOLS beta[%d] = %v, want %v", i, res.Beta[i], want[i])
+				t.Errorf("consensus OLS beta[%d] = %v, want %v", i, res.Beta[i], want[i])
 			}
 		}
 		return nil
@@ -146,7 +147,8 @@ func TestConsensusElasticMatchesSerialElastic(t *testing.T) {
 	serial := CoordinateDescentElasticNet(x, y, lambda1, lambda2, 8000, 1e-11)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
-		s, err := NewConsensusSolverElastic(c, x.SubRows(lo, hi), y[lo:hi], 0, lambda2)
+		xl, yl := x.SubRows(lo, hi), y[lo:hi]
+		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.AtVec(xl, yl), 0, lambda2, 0)
 		if err != nil {
 			return err
 		}

@@ -205,7 +205,7 @@ func TestVecConsensusMatchesSerial(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			f, err := NewVecFactorization(b, 1)
+			f, err := NewVecFactorizationWorkers(b, 1, 0)
 			if err != nil {
 				return err
 			}
@@ -309,7 +309,7 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		f, err := NewVecFactorization(b, GlobalRho(c, b))
+		f, err := NewVecFactorizationWorkers(b, GlobalRho(c, b), 0)
 		if err != nil {
 			return err
 		}

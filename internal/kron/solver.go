@@ -44,14 +44,9 @@ func GlobalRho(comm *mpi.Comm, b *VecBlock) float64 {
 	return rho
 }
 
-// NewVecFactorization precomputes factors for the block with penalty rho
-// (rho ≤ 0 falls back to 1; distributed callers should pass GlobalRho).
-func NewVecFactorization(b *VecBlock, rho float64) (*VecFactorization, error) {
-	return NewVecFactorizationWorkers(b, rho, 0)
-}
-
-// NewVecFactorizationWorkers is NewVecFactorization with an explicit kernel
-// worker budget for the per-equation Gram products (≤0 selects
+// NewVecFactorizationWorkers precomputes factors for the block with penalty
+// rho (rho ≤ 0 falls back to 1; distributed callers should pass GlobalRho)
+// and a kernel worker budget for the per-equation Gram products (≤0 selects
 // mat.DefaultWorkers). Ranks sharing a machine pass their share so the
 // collective construction does not oversubscribe the cores.
 func NewVecFactorizationWorkers(b *VecBlock, rho float64, workers int) (*VecFactorization, error) {
@@ -97,6 +92,45 @@ func NewVecFactorizationWorkers(b *VecBlock, rho float64, workers int) (*VecFact
 // iteration — the communication the paper measures growing with the
 // problem-size explosion (§IV-B).
 func (f *VecFactorization) Solve(comm *mpi.Comm, lambda float64, opts *admm.Options) *admm.Result {
+	nRanks := float64(comm.Size())
+	return f.run(comm, opts, func(z, sum []float64) {
+		if lambda > 0 {
+			k := lambda / (f.rho * nRanks)
+			for i := range z {
+				z[i] = admm.SoftThreshold(sum[i]/nRanks, k)
+			}
+			return
+		}
+		for i := range z {
+			z[i] = sum[i] / nRanks
+		}
+	})
+}
+
+// SolveProjected runs distributed consensus OLS on the vectorized problem
+// restricted to the given support mask (length Q·P): the z-update projects
+// onto the support instead of soft-thresholding. This implements the
+// UoI_VAR estimation step (Algorithm 2 line 24) without re-assembling a
+// column-restricted problem.
+func (f *VecFactorization) SolveProjected(comm *mpi.Comm, support []bool, opts *admm.Options) *admm.Result {
+	if len(support) != f.block.GlobalCols() {
+		panic("kron: support length mismatch")
+	}
+	nRanks := float64(comm.Size())
+	return f.run(comm, opts, func(z, sum []float64) {
+		for i := range z {
+			if support[i] {
+				z[i] = sum[i] / nRanks
+			} else {
+				z[i] = 0
+			}
+		}
+	})
+}
+
+// run is the consensus ADMM loop Solve and SolveProjected share; zUpdate
+// consumes the Allreduced Σ(x+u).
+func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(z, sum []float64)) *admm.Result {
 	o := optsWithDefaults(opts)
 	b := f.block
 	qTot := b.GlobalCols()
@@ -128,7 +162,7 @@ func (f *VecFactorization) Solve(comm *mpi.Comm, lambda float64, opts *admm.Opti
 			zj := z[j*q : (j+1)*q]
 			uj := u[j*q : (j+1)*q]
 			xj := x[j*q : (j+1)*q]
-			if j >= f.eqLo && j < f.eqHi && f.chol[j-f.eqLo] != nil {
+			if j >= f.eqLo && j < f.eqHi {
 				e := j - f.eqLo
 				for i := 0; i < q; i++ {
 					rhs[i] = f.aty[e][i] + f.rho*(zj[i]-uj[i])
@@ -157,16 +191,7 @@ func (f *VecFactorization) Solve(comm *mpi.Comm, lambda float64, opts *admm.Opti
 		comm.Allreduce(mpi.OpSum, buf)
 
 		copy(zOld, z)
-		if lambda > 0 {
-			k := lambda / (f.rho * nRanks)
-			for i := 0; i < qTot; i++ {
-				z[i] = admm.SoftThreshold(buf[i]/nRanks, k)
-			}
-		} else {
-			for i := 0; i < qTot; i++ {
-				z[i] = buf[i] / nRanks
-			}
-		}
+		zUpdate(z, buf[:qTot])
 		for i := range u {
 			u[i] += x[i] - z[i]
 		}

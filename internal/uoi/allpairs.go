@@ -330,20 +330,10 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 		if err != nil {
 			return nil, fmt.Errorf("uoi: all-pairs target %d bootstrap %d: %w", i, b, err)
 		}
-		var warmZ, warmU []float64
-		for j, lam := range lambdas {
-			opts := c.ADMM
-			opts.WarmZ, opts.WarmU = warmZ, warmU
-			r := f.Solve(lam, &opts)
-			warmZ, warmU = r.Beta, r.U
-			diag.LassoFits++
-			diag.ADMMIters += r.Iters
-			for k, v := range r.Beta {
-				if v > c.SupportTol || v < -c.SupportTol {
-					counts[j*screen+k]++
-				}
-			}
-		}
+		sup, fits, iters := lassoPath(f.Solve, screen, lambdas, 0, len(lambdas), nil, nil, c.ADMM, c.SupportTol)
+		addSupportCounts(counts, sup)
+		diag.LassoFits += fits
+		diag.ADMMIters += iters
 	}
 	threshold := selectionThreshold(c.SelectionFrac, c.NB)
 	var distinct [][]int

@@ -74,50 +74,59 @@ func bootstrapSample(rng *resample.RNG, n int) mat.Sample {
 }
 
 // lassoSelCellRange runs selection bootstrap k of UoI_LASSO over the λ
-// block [jLo, jHi): resample, factorize once, sweep the block with warm
-// starts, and return the support indicators in the block-local flattening
-// sup[(j−jLo)·p+i]. The whole path is the block [0, len(lambdas)) with nil
-// hooks. On a grid, warm (invoked after the factorization succeeds)
-// supplies the (z, u) pair the serial sweep would have carried into λ index
-// jLo and emit receives the pair after jHi−1, so the column pipeline
-// continues the exact serial warm-start chain and a grid fit's supports are
+// block [jLo, jHi): resample, factorize once, sweep the block with lassoPath
+// and return its block-local support indicators. The whole path is the block
+// [0, len(lambdas)) with nil hooks; on a grid the hooks continue the exact
+// serial warm-start chain across columns, so a grid fit's supports are
 // bit-identical to serial by construction.
 func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	n, p := x.Rows, x.Cols
 	rng := root.Derive(uint64(k) + 1)
-	boot := bootstrapSample(rng, n)
+	boot := bootstrapSample(rng, x.Rows)
 	f, err := admm.NewFactorizationElasticWorkers(mat.GramWorkers(x, boot, kw), c.ADMM.Rho, c.L2, kw)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
 	f.SetRHS(mat.GramVec(x, y, boot))
 	tr.Add("admm/factorizations", 1)
+	sup, fits, iters = lassoPath(f.Solve, x.Cols, lambdas, jLo, jHi, warm, emit, c.ADMM, c.SupportTol)
+	return sup, fits, iters, nil
+}
+
+// lassoPath sweeps one selection bootstrap's λ block [jLo, jHi) with solve
+// and returns the support indicators of its p coefficients in the
+// block-local flattening sup[(j−jLo)·p+i]. Each λ is warm-started from its
+// neighbour's (z, u) pair — carrying only z would restart the dual at zero
+// every step and forfeit most of the saved iterations (Boyd §4.3's standard
+// path warm start). On a grid, warm supplies the pair the serial sweep would
+// have carried into λ index jLo and emit receives the pair after jHi−1.
+func lassoPath(solve func(lambda float64, opts *admm.Options) *admm.Result, p int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, opts admm.Options, tol float64) (sup []bool, fits, iters int) {
 	sup = make([]bool, (jHi-jLo)*p)
-	// Warm-start each λ from its neighbor's (z, u) pair — carrying only z
-	// would restart the dual at zero every step and forfeit most of the
-	// saved iterations (Boyd §4.3's standard path warm start).
 	var warmZ, warmU []float64
 	if warm != nil {
 		warmZ, warmU = warm(0)
 	}
 	for j := jLo; j < jHi; j++ {
-		opts := c.ADMM
-		opts.WarmZ, opts.WarmU = warmZ, warmU
-		r := f.Solve(lambdas[j], &opts)
+		o := opts
+		o.WarmZ, o.WarmU = warmZ, warmU
+		r := solve(lambdas[j], &o)
 		warmZ, warmU = r.Beta, r.U
 		fits++
 		iters += r.Iters
-		row := sup[(j-jLo)*p : (j-jLo+1)*p]
-		for i, v := range r.Beta {
-			if v > c.SupportTol || v < -c.SupportTol {
-				row[i] = true
-			}
-		}
+		markSupport(sup[(j-jLo)*p:(j-jLo+1)*p], r.Beta, tol)
 	}
 	if emit != nil {
 		emit(0, warmZ, warmU)
 	}
-	return sup, fits, iters, nil
+	return sup, fits, iters
+}
+
+// markSupport sets row[i] for every coefficient with |beta[i]| > tol.
+func markSupport(row []bool, beta []float64, tol float64) {
+	for i, v := range beta {
+		if v > tol || v < -tol {
+			row[i] = true
+		}
+	}
 }
 
 // lassoEstCell runs estimation bootstrap k of UoI_LASSO: resample a
@@ -239,9 +248,15 @@ func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 	} else {
 		idx = resample.MovingBlockBootstrap(rng, m, blockLen)
 	}
+	return designTargets(c.Order, idx)
+}
+
+// designTargets maps design-row indices of an order-d model to the series
+// rows they predict.
+func designTargets(d int, idx []int) []int {
 	targets := make([]int, len(idx))
 	for i, v := range idx {
-		targets[i] = c.Order + v
+		targets[i] = d + v
 	}
 	return targets
 }
@@ -273,12 +288,7 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 
 	// One factorization shared across all p equations and the λ path — the
 	// block-diagonal Gram of (I ⊗ X_T) is I ⊗ (X_TᵀX_T).
-	var f *admm.Factorization
-	if c.L2 > 0 {
-		f, err = admm.NewFactorizationElasticWorkers(mat.AtAWorkers(des.X, kw), c.ADMM.Rho, c.L2, kw)
-	} else {
-		f, err = admm.NewFactorizationGramWorkers(mat.AtAWorkers(des.X, kw), c.ADMM.Rho, kw)
-	}
+	f, err := admm.NewFactorizationElasticWorkers(mat.AtAWorkers(des.X, kw), c.ADMM.Rho, c.L2, kw)
 	if err != nil {
 		return nil, 0, 0, kron, fmt.Errorf("uoi: VAR selection bootstrap %d: %w", k, err)
 	}
@@ -316,12 +326,7 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 			warmZ[eq], warmU[eq] = r.Beta, r.U
 			fits++
 			iters += r.Iters
-			row := sup[(j-jLo)*betaLen+eq*rowsB : (j-jLo)*betaLen+(eq+1)*rowsB]
-			for i, v := range r.Beta {
-				if v > c.SupportTol || v < -c.SupportTol {
-					row[i] = true
-				}
-			}
+			markSupport(sup[(j-jLo)*betaLen+eq*rowsB:], r.Beta, c.SupportTol)
 		}
 	}
 	if emit != nil {
@@ -342,17 +347,10 @@ func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen i
 	d := c.Order
 	rng := root.Derive(1_000_000 + uint64(k))
 	trainIdx, evalIdx := resample.BlockTrainEvalSplit(rng, m, blockLen, c.TrainFrac)
-	toTargets := func(idx []int) []int {
-		out := make([]int, len(idx))
-		for i, v := range idx {
-			out[i] = d + v
-		}
-		return out
-	}
 	t0 := time.Now()
 	spK := spPhase.Child("kron_assembly")
-	trainDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, toTargets(trainIdx))
-	evalDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, toTargets(evalIdx))
+	trainDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, designTargets(d, trainIdx))
+	evalDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, designTargets(d, evalIdx))
 	spK.End()
 	kron = time.Since(t0)
 

@@ -118,7 +118,10 @@ func TestLassoCellsMatchGatheredOracle(t *testing.T) {
 					t.Fatal("fixture: no candidate supports")
 				}
 				for k := 0; k < c.B2; k++ {
-					got := pb.estCell(k, distinct, trace.Span{})
+					got, err := pb.estCell(k, distinct, trace.Span{})
+					if err != nil {
+						t.Fatal(err)
+					}
 					want, fits := gatheredLassoEstCell(x, y, root, k, distinct, &c, kw)
 					for i := range want {
 						if d := math.Abs(got[i] - want[i]); !(d <= 1e-10) {

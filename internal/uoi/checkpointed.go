@@ -24,8 +24,8 @@ import (
 // crash/resume boundary — including resuming on fewer ranks than the fit
 // started with. (The consensus-ADMM distributed paths, LassoDistributed and
 // VARDistributed, shard *rows* rather than bootstraps; their iterates
-// depend on the rank count, so they are deliberately outside checkpoint
-// scope — see DESIGN.md §11.)
+// depend on the rank count, so they reject a CheckpointConfig — see
+// DESIGN.md §11.)
 type CheckpointConfig struct {
 	// Path is the checkpoint file location. In distributed runs every rank
 	// reads it on resume but only rank 0 writes, atomically

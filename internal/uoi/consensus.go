@@ -1,0 +1,506 @@
+package uoi
+
+// The consensus placement and its two problems: UoI over data distributed by
+// rows (§III), every cell a consensus-ADMM solve sequence over one group of
+// ranks. A cell's result is replicated on every rank of its group, so groups
+// meet through their leaders alone and every reassembled value is exact.
+
+import (
+	"errors"
+	"fmt"
+
+	"uoivar/internal/admm"
+	"uoivar/internal/kron"
+	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
+	"uoivar/internal/preprocess"
+	"uoivar/internal/resample"
+	"uoivar/internal/trace"
+	"uoivar/internal/varsim"
+)
+
+// Grid is the P_B × P_λ × ADMM_cores decomposition of §III for data
+// distributed by rows: the world is split into PB·PLambda groups of
+// size/(PB·PLambda) ranks, each of which runs consensus ADMM over its ranks'
+// row blocks. Group (b, l), of index b·PLambda + l in world-rank order, runs
+// the selection bootstraps k ≡ b (mod PB) over the contiguous λ block
+// admm.RowBlock(q, PLambda, l), and estimation bootstraps are dealt
+// round-robin over all groups. The paper's Figure 3 sweeps 16×2, 8×4, 4×8
+// and 2×16 at fixed total cores; its multi-node scaling runs use 1×1 (all
+// cores in one ADMM group).
+type Grid struct {
+	PB      int // bootstrap-level parallelism (1 = none)
+	PLambda int // λ-level parallelism (1 = none)
+}
+
+func (g Grid) normalize() Grid {
+	g.PB, g.PLambda = max(g.PB, 1), max(g.PLambda, 1)
+	return g
+}
+
+// Groups returns PB·PLambda.
+func (g Grid) Groups() int { return g.PB * g.PLambda }
+
+// consensus is the placement for data distributed by rows, at one rank's
+// position in the grid of ADMM groups.
+type consensus struct {
+	world *mpi.Comm
+	grid  Grid
+	group *mpi.Comm // this rank's ADMM group: the communicator of its cells' solves
+	row   *mpi.Comm // under quorum: the ranks of this group's bootstrap row
+	gIx   int       // this group's index, b·PLambda + l
+	b, l  int       // this group's grid row (bootstrap shard) and column (λ block)
+
+	q, p, jLo, jHi int
+	counts         []float64 // per-(λ, coefficient) tally of this group's selection cells
+}
+
+// newConsensus validates grid against the world and splits off this rank's
+// ADMM group.
+func newConsensus(comm *mpi.Comm, grid Grid) (*consensus, error) {
+	grid = grid.normalize()
+	size, groups := comm.Size(), grid.Groups()
+	if size%groups != 0 {
+		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %dx%d", size, grid.PB, grid.PLambda)
+	}
+	g := comm.Rank() / (size / groups)
+	pl := &consensus{world: comm, grid: grid, group: comm, gIx: g, b: g / grid.PLambda, l: g % grid.PLambda}
+	if groups > 1 {
+		pl.group = comm.Split(g, comm.Rank())
+	}
+	return pl, nil
+}
+
+func (pl *consensus) streams() int { return pl.world.Size() }
+
+func (pl *consensus) begin(pb *problem) error {
+	if pb.quorum > 0 {
+		// A selection cell runs on every rank of its bootstrap row, an
+		// estimation cell on one group: those ranks agree on dropping it.
+		pl.row = pl.world
+		if pl.grid.PB > 1 {
+			pl.row = pl.world.Split(pl.b, pl.world.Rank())
+		}
+		pb.agree = pl.agree
+	}
+	pl.q, pl.p = len(pb.lambdas), pb.p
+	pl.jLo, pl.jHi = admm.RowBlock(pl.q, pl.grid.PLambda, pl.l)
+	pl.counts = make([]float64, pl.q*pl.p)
+	return nil
+}
+
+// agree reports whether every rank sharing the phase's current cell can run
+// it.
+func (pl *consensus) agree(phase string, ok bool) bool {
+	domain := pl.group
+	if phase == "selection" {
+		domain = pl.row
+	}
+	v := 0.0
+	if ok {
+		v = 1
+	}
+	return domain.AllreduceScalar(mpi.OpMin, v) == 1
+}
+
+// ready is a consensus cell's step between building its solver (outcome err
+// on this rank) and its first collective solve: it names a failure, counts a
+// factorization, and under quorum has the cell's ranks agree to proceed.
+func (pb *problem) ready(phase string, k int, err error) error {
+	if err != nil {
+		err = fmt.Errorf("uoi: %s bootstrap %d: %w", phase, k, err)
+	} else {
+		pb.tr.Add("admm/factorizations", 1)
+	}
+	if pb.agree != nil && !pb.agree(phase, err == nil) && err == nil {
+		err = fmt.Errorf("uoi: %s bootstrap %d failed on another rank", phase, k)
+	}
+	return err
+}
+
+// leaderSum sums v over the groups. Each group's share is replicated on all
+// its ranks, so only the group leaders contribute and the sum is exact; with
+// one group v is already whole.
+func (pl *consensus) leaderSum(v []float64) {
+	if pl.grid.Groups() == 1 {
+		return
+	}
+	if pl.group.Rank() != 0 {
+		clear(v)
+	}
+	pl.world.Allreduce(mpi.OpSum, v)
+}
+
+// selection runs this group's bootstrap shard over its λ block. Every rank
+// of a row holds the same completion flags for the row's bootstraps, so
+// under quorum a world Max agrees on the completed set.
+func (pl *consensus) selection(ph phase) (int, error) {
+	done := make([]float64, ph.total)
+	for k := pl.b; k < ph.total; k += pl.grid.PB {
+		switch sup, err := ph.sel(k, pl.jLo, pl.jHi, nil, nil); {
+		case err == nil:
+			done[k] = 1
+			addSupportCounts(pl.counts[pl.jLo*pl.p:], sup)
+		case !ph.quorum:
+			return 0, err
+		}
+	}
+	if !ph.quorum {
+		return ph.total, nil
+	}
+	if pl.grid.Groups() > 1 {
+		pl.world.Allreduce(mpi.OpMax, done)
+	}
+	return countSet(done), nil
+}
+
+func (pl *consensus) supports(threshold int) ([][]int, error) {
+	pl.leaderSum(pl.counts)
+	return supportsFromCounts(pl.counts, pl.q, pl.p, float64(threshold)), nil
+}
+
+// estimation deals the bootstraps round-robin over the groups and, with
+// several groups, reassembles the winners with one leader sum (and under
+// quorum the completion flags with a world Max).
+func (pl *consensus) estimation(ph phase) ([][]float64, error) {
+	winners := make([][]float64, ph.total)
+	for k := pl.gIx; k < ph.total; k += pl.grid.Groups() {
+		switch beta, err := ph.est(k); {
+		case err == nil:
+			winners[k] = beta
+		case !ph.quorum:
+			return nil, err
+		}
+	}
+	if pl.grid.Groups() == 1 {
+		return winners, nil
+	}
+	flat := make([]float64, ph.total*pl.p)
+	done := make([]float64, ph.total)
+	for k, w := range winners {
+		if w != nil {
+			copy(flat[k*pl.p:], w)
+			done[k] = 1
+		}
+	}
+	pl.leaderSum(flat)
+	if ph.quorum {
+		pl.world.Allreduce(mpi.OpMax, done)
+	}
+	for k := range winners {
+		if winners[k] = nil; done[k] > 0 || !ph.quorum {
+			winners[k] = flat[k*pl.p : (k+1)*pl.p]
+		}
+	}
+	return winners, nil
+}
+
+// totals is a no-op: each rank reports the work of its own group's cells.
+func (pl *consensus) totals(*Diagnostics) {}
+
+// countSet counts the nonzero completion flags.
+func countSet(flags []float64) int {
+	n := 0
+	for _, f := range flags {
+		if f != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// consensusWinner is a consensus estimation cell's candidate loop: the
+// projected solve on every distinct support, the held-out loss summed over
+// the group, and the winner.
+func consensusWinner(group *mpi.Comm, p int, distinct [][]int, solve func(mask []bool) *admm.Result, loss func(support []int, beta []float64) float64) (beta []float64, fits, iters int) {
+	var best winner
+	for _, s := range distinct {
+		r := solve(admm.SupportMask(p, s))
+		fits++
+		iters += r.Iters
+		best.offer(group.AllreduceScalar(mpi.OpSum, loss(s, r.Beta)), r.Beta)
+	}
+	return best.estimate(p), fits, iters
+}
+
+// LassoDistributed runs UoI_LASSO across the ranks of comm. Each rank holds
+// a row block (xLocal, yLocal) of the global data — typically produced by
+// distio.RandomizedDistribute, whose Tier-2 randomization is what makes
+// per-rank local resampling a faithful bootstrap of the global data. Every
+// (bootstrap, λ) solve is a consensus ADMM run over one ADMM group of grid;
+// see Grid for how the cells are sharded. Checkpointing is not supported
+// (the iterates depend on the rank count; DESIGN.md §11).
+//
+// Every rank returns the identical Result.
+func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
+	return LassoDistributedPhases(comm, xLocal, yLocal, xLocal, yLocal, cfg, grid)
+}
+
+// LassoDistributedPhases is LassoDistributed with distinct local blocks for
+// the selection and estimation phases — the paper's Fig. 1c pipeline, where
+// a Tier-2 reshuffle re-randomizes row ownership between model selection
+// and model estimation so the two phases resample independent
+// randomizations:
+//
+//	selBlock, _ := distio.RandomizedDistribute(comm, path, seed)
+//	estBlock, _ := distio.Reshuffle(comm, selBlock, seed+1)
+//	res, _ := uoi.LassoDistributedPhases(comm, xSel, ySel, xEst, yEst, cfg, grid)
+func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
+	c := cfg.defaults()
+	if c.Checkpoint != nil {
+		return nil, errors.New("uoi: LassoDistributed does not support checkpointing")
+	}
+	pl, err := newConsensus(comm, grid)
+	if err != nil {
+		return nil, err
+	}
+	pb, scaler, err := newLassoConsensusProblem(pl, xSel, ySel, xEst, yEst, &c)
+	if err != nil {
+		return nil, err
+	}
+	return runLasso(pb, scaler, pl, c.SupportTol)
+}
+
+// newLassoConsensusProblem binds UoI_LASSO to row blocks distributed over
+// pl's ranks: selection cells resample (xSel, ySel) and estimation cells
+// split (xEst, yEst), each rank its own rows.
+func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, c *LassoConfig) (*problem, *preprocess.Scaler, error) {
+	world, p := pl.world, xSel.Cols
+	// The blocks differ per rank, so the ranks agree on validity before
+	// any of them leaves the collective sequence.
+	valid := 1.0
+	if xSel.Rows != len(ySel) || xSel.Rows < 4 || xEst.Rows != len(yEst) || xEst.Rows < 4 || xEst.Cols != p {
+		valid = 0
+	}
+	if world.AllreduceScalar(mpi.OpMin, valid) == 0 {
+		return nil, nil, fmt.Errorf("uoi: invalid local block on some rank (here: sel %d/%d, est %d/%d)", xSel.Rows, len(ySel), xEst.Rows, len(yEst))
+	}
+	var scaler *preprocess.Scaler
+	if c.Standardize {
+		// Global moments agreed by Allreduce; both phases share the scaler
+		// (same global data, different row ownership).
+		scaler = preprocess.FitDistributed(world, xSel, ySel)
+		xSel, ySel = scaler.Transform(xSel), scaler.TransformY(ySel)
+		xEst, yEst = scaler.Transform(xEst), scaler.TransformY(yEst)
+	}
+	// λ_max must agree everywhere: one Allreduce over local ‖Xᵀy‖∞.
+	pb, kw := lassoBase(c, p, pl.streams(), func(kw int) float64 {
+		return orOne(world.AllreduceScalar(mpi.OpMax, mat.NormInf(mat.AtVecWorkers(xSel, ySel, kw))))
+	})
+	root := resample.NewRNG(c.Seed)
+	rank := uint64(world.Rank()) + 1
+	pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, _ trace.Span) ([]bool, error) {
+		boot := bootstrapSample(root.Derive(uint64(k)+1).Derive(rank), xSel.Rows)
+		solver, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xSel, boot, kw), mat.GramVec(xSel, ySel, boot), c.ADMM.Rho, c.L2, kw)
+		if err = pb.ready("selection", k, err); err != nil {
+			return nil, err
+		}
+		sup, fits, iters := lassoPath(solver.Solve, p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
+		pb.addWork(fits, 0, iters, 0)
+		return sup, nil
+	}
+	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
+		trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)).Derive(rank), xEst.Rows, c.TrainFrac)
+		train := mat.Sample{Rows: trainIdx}
+		solver, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xEst, train, kw), mat.GramVec(xEst, yEst, train), c.ADMM.Rho, 0, kw)
+		if err = pb.ready("estimation", k, err); err != nil {
+			return nil, err
+		}
+		beta, fits, iters := consensusWinner(pl.group, p, distinct,
+			func(mask []bool) *admm.Result { return solver.SolveProjected(mask, &c.ADMM) },
+			func(support []int, beta []float64) float64 { return heldOutLoss(xEst, yEst, evalIdx, support, beta) })
+		pb.addWork(0, fits, iters, 0)
+		return beta, nil
+	}
+	return pb, scaler, nil
+}
+
+// VARDistOptions extends VARConfig for distributed runs.
+type VARDistOptions struct {
+	// NReaders is the number of reader ranks holding the series and design
+	// blocks ("a small number of processes ... read the data file in
+	// parallel and create windows", §III-B2). With a process grid, each
+	// ADMM group has its own NReaders reader ranks (the leading ranks of
+	// the group), all of which must hold the series. 0 selects
+	// min(groupSize, 8).
+	NReaders int
+	// CommAvoiding selects the de-duplicated assembly (the Discussion's
+	// proposed communication-avoiding strategy) instead of the paper's
+	// measured per-row Gets.
+	CommAvoiding bool
+	// Grid enables the P_B × P_λ process-grid parallelism of Fig. 8:
+	// bootstraps shard across P_B group rows and contiguous λ blocks across
+	// P_λ group columns (see Grid).
+	Grid Grid
+}
+
+// VARDistributed runs UoI_VAR across the ranks of comm, exercising the full
+// paper pipeline: per-bootstrap distributed Kronecker/vectorization
+// assembly from reader windows, consensus LASSO-ADMM over the vectorized
+// problem, support intersection, and projected-OLS estimation.
+//
+// series must be provided on reader ranks (the leading NReaders ranks of
+// every ADMM group) and may be nil elsewhere; every rank derives identical
+// bootstrap indices from cfg.Seed, so no coordination traffic is needed
+// beyond the assembly Gets and solver Allreduces. Every rank returns the
+// identical result. Checkpointing, the cell cache and WarmBeta are not
+// supported.
+func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VARDistOptions) (*VARResult, error) {
+	c := cfg.defaults()
+	switch {
+	case c.Checkpoint != nil:
+		return nil, errors.New("uoi: VARDistributed does not support checkpointing")
+	case c.Cells != nil:
+		return nil, errors.New("uoi: VARDistributed does not support the cell cache")
+	case c.WarmBeta != nil:
+		return nil, errors.New("uoi: VARDistributed does not support WarmBeta")
+	}
+	var opts VARDistOptions
+	if dopts != nil {
+		opts = *dopts
+	}
+	pl, err := newConsensus(comm, opts.Grid)
+	if err != nil {
+		return nil, err
+	}
+	pb, err := newVARConsensusProblem(pl, series, &c, opts)
+	if err != nil {
+		return nil, err
+	}
+	return runVAR(pb, pl, &c)
+}
+
+// newVARConsensusProblem binds UoI_VAR to a series held by the leading
+// NReaders ranks of every group of pl. Each bootstrap's vectorized design is
+// assembled across its group from the readers' rows, and its cells run
+// consensus ADMM on it. When the λ grid is derived, bootstrap 0's design is
+// assembled here, for λ_max, and handed to selection cell 0.
+func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, opts VARDistOptions) (*problem, error) {
+	world, group := pl.world, pl.group
+	nReaders := opts.NReaders
+	if nReaders <= 0 {
+		nReaders = min(group.Size(), 8)
+	}
+	if nReaders > group.Size() {
+		return nil, fmt.Errorf("uoi: %d readers exceed %d group ranks", nReaders, group.Size())
+	}
+	isReader := group.Rank() < nReaders
+	// Agree on validity before anyone leaves the collective sequence; the
+	// shape comes from world rank 0, a reader of the first group.
+	valid := 1.0
+	if isReader && series == nil {
+		valid = 0
+	}
+	shape := make([]float64, 2)
+	if world.Rank() == 0 && series != nil {
+		shape[0], shape[1] = float64(series.Rows), float64(series.Cols)
+	}
+	if world.AllreduceScalar(mpi.OpMin, valid) == 0 {
+		return nil, fmt.Errorf("uoi: reader rank(s) missing the series")
+	}
+	world.Bcast(0, shape)
+	m, blockLen, err := varWindow(int(shape[0]), c)
+	if err != nil {
+		return nil, err
+	}
+	pb, kw := varBase(c, int(shape[1]), pl.streams())
+	assemble := kron.Assemble
+	if opts.CommAvoiding {
+		assemble = kron.AssembleCommAvoiding
+	}
+	// design assembles, under the kron_assembly span sp, the vectorized
+	// design of the given target rows across the group, each reader
+	// contributing a contiguous share.
+	design := func(sp trace.Span, targets []int) (*kron.VecBlock, error) {
+		defer sp.End()
+		var local *varsim.Design
+		if isReader {
+			lo, hi := admm.RowBlock(len(targets), nReaders, group.Rank())
+			local = varsim.NewDesignFromRows(series, c.Order, !c.NoIntercept, targets[lo:hi])
+		}
+		b, err := assemble(group, local, nReaders)
+		if err == nil {
+			pb.addWork(0, 0, 0, b.AssembleTime)
+		}
+		return b, err
+	}
+	// rho is the ADMM penalty of a design: the configured one, or the
+	// auto-scaled one agreed over the group.
+	rho := func(b *kron.VecBlock) float64 {
+		if c.ADMM.Rho > 0 {
+			return c.ADMM.Rho
+		}
+		return kron.GlobalRho(group, b)
+	}
+	root := resample.NewRNG(c.Seed)
+	var block0 *kron.VecBlock
+	var rho0 float64
+	if c.Lambdas == nil {
+		if block0, err = design(pb.tr.Start("kron_assembly"), varSelTargets(root, 0, m, blockLen, c)); err != nil {
+			return nil, fmt.Errorf("uoi: selection bootstrap 0: assembly: %w", err)
+		}
+		rho0 = rho(block0)
+	}
+	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 {
+		// ‖(I⊗X)ᵀ vec(Y)‖∞ over the group's rows of the design.
+		aty := make([]float64, pb.p)
+		q := block0.Q
+		for r := 0; r < block0.X.Rows; r++ {
+			j := block0.Equation(r)
+			mat.Axpy(aty[j*q:(j+1)*q], block0.Y[r], block0.X.Row(r))
+		}
+		group.Allreduce(mpi.OpSum, aty)
+		return orOne(mat.NormInf(aty))
+	})
+	if pl.b != 0 {
+		block0 = nil // only bootstrap row 0 runs selection bootstrap 0
+	}
+	pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, phase trace.Span) ([]bool, error) {
+		b, r := block0, rho0
+		if k != 0 || b == nil {
+			var err error
+			if b, err = design(phase.Child("kron_assembly"), varSelTargets(root, k, m, blockLen, c)); err != nil {
+				return nil, fmt.Errorf("uoi: selection bootstrap %d: assembly: %w", k, err)
+			}
+			r = rho(b)
+		}
+		block0 = nil
+		f, err := kron.NewVecFactorizationWorkers(b, r, kw)
+		if err = pb.ready("selection", k, err); err != nil {
+			return nil, err
+		}
+		solve := func(lambda float64, o *admm.Options) *admm.Result { return f.Solve(group, lambda, o) }
+		sup, fits, iters := lassoPath(solve, pb.p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
+		pb.addWork(fits, 0, iters, 0)
+		return sup, nil
+	}
+	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
+		trainIdx, evalIdx := resample.BlockTrainEvalSplit(root.Derive(1_000_000+uint64(k)), m, blockLen, c.TrainFrac)
+		train, err := design(phase.Child("kron_assembly"), designTargets(c.Order, trainIdx))
+		var eval *kron.VecBlock
+		if err == nil {
+			eval, err = design(phase.Child("kron_assembly"), designTargets(c.Order, evalIdx))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("uoi: estimation bootstrap %d: assembly: %w", k, err)
+		}
+		f, err := kron.NewVecFactorizationWorkers(train, rho(train), kw)
+		if err = pb.ready("estimation", k, err); err != nil {
+			return nil, err
+		}
+		beta, fits, iters := consensusWinner(group, pb.p, distinct,
+			func(mask []bool) *admm.Result { return f.SolveProjected(group, mask, &c.ADMM) },
+			func(_ []int, beta []float64) float64 { return eval.LocalSquaredError(beta) })
+		pb.addWork(0, fits, iters, 0)
+		return beta, nil
+	}
+	return pb, nil
+}
+
+// orOne guards a λ_max: a non-positive one becomes 1.
+func orOne(v float64) float64 {
+	if v <= 0 {
+		return 1
+	}
+	return v
+}

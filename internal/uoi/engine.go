@@ -3,7 +3,6 @@ package uoi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -16,26 +15,29 @@ import (
 	"uoivar/internal/varsim"
 )
 
-// This file holds the replicated-data UoI algorithm — paper Algorithms 1 and
-// 2 are one skeleton: B1 selection bootstraps × a λ path, an intersection,
-// B2 estimation bootstraps, a union — exactly once, in three parts:
+// This file holds the UoI algorithm — paper Algorithms 1 and 2 are one
+// skeleton: B1 selection bootstraps × a λ path, an intersection, B2
+// estimation bootstraps, a union — exactly once, in three parts:
 //
-//   - a problem owns what differs between UoI_LASSO and UoI_VAR: validation,
-//     the λ grid, the cell bodies (cells.go), the fault and quorum policy
-//     and the checkpoint identity;
+//   - a problem owns what differs between fits: validation, the λ grid, the
+//     cell bodies (cells.go for replicated data, consensus.go for data
+//     distributed by rows), the fault and quorum policy and the checkpoint
+//     identity;
 //   - a placement says where cells run and how their results meet: the
-//     bootstrap worker pool (below), the checkpoint journal (checkpointed.go)
-//     or the P_B × P_λ process grid (grid.go) — the follow-up paper's
-//     P_B × P_λ × ADMM_cores decomposition (arXiv 1808.06992) with
-//     ADMM_cores = 1;
+//     bootstrap worker pool (below), the checkpoint journal (checkpointed.go),
+//     the P_B × P_λ process grid (grid.go) or the P_B × P_λ grid of
+//     consensus-ADMM groups (consensus.go) — the follow-up paper's
+//     P_B × P_λ × ADMM_cores decomposition (arXiv 1808.06992), with
+//     ADMM_cores = 1 on the replicated-data grid;
 //   - run owns everything else: spans, injected faults, the quorum rule, the
 //     threshold over completed bootstraps, dedupe, union, Diag.
 //
 // Every result a placement moves between cells is an exact integer count or
-// an untouched copy of a cell's output, and every cell is a pure function of
-// (data, seed, index), so a fit's bits do not depend on the placement
-// (DESIGN.md §17). Lasso, VAR, Lasso/VARCheckpointedDistributed and
-// Lasso/VARGrid are run at a choice of (problem, placement).
+// an untouched copy of a cell's output, and every replicated-data cell is a
+// pure function of (data, seed, index), so those fits' bits do not depend on
+// the placement (DESIGN.md §17). Lasso, VAR, Lasso/VARCheckpointedDistributed,
+// Lasso/VARGrid, LassoDistributed[Phases] and VARDistributed are run at a
+// choice of (problem, placement).
 
 // problem is a UoI fit with its data bound: everything run and a placement
 // need to know about the algorithm being fitted.
@@ -64,7 +66,12 @@ type problem struct {
 	// bootstrap k over the candidate supports and returns the winner. Both
 	// account their work through addWork; phase receives child spans.
 	selCell func(k, jLo, jHi int, warm warmFn, emit emitFn, phase trace.Span) ([]bool, error)
-	estCell func(k int, distinct [][]int, phase trace.Span) []float64
+	estCell func(k int, distinct [][]int, phase trace.Span) ([]float64, error)
+	// agree, set by a placement whose cells span several ranks, makes those
+	// ranks agree whether every one of them can run a cell under quorum. A
+	// cell calls it (through ready) between building its solver and its
+	// first collective solve; attempt calls it for a cell a fault skips.
+	agree func(phase string, ok bool) bool
 
 	mu   sync.Mutex // guards diag and kron: cells run concurrently on a pool
 	diag Diagnostics
@@ -100,84 +107,94 @@ func newLassoProblem(x *mat.Dense, y []float64, c *LassoConfig, streams int) (*p
 		scaler = preprocess.FitXY(x, y)
 		x, y = scaler.Transform(x), scaler.TransformY(y)
 	}
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, streams)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(mat.NormInf(mat.AtVecWorkers(x, y, kw)), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
+	pb, kw := lassoBase(c, p, streams, func(kw int) float64 { return mat.NormInf(mat.AtVecWorkers(x, y, kw)) })
 	root := resample.NewRNG(c.Seed)
-	pb := &problem{
-		b1: c.B1, b2: c.B2, p: p, lambdas: lambdas, chains: 1, chainLen: p,
-		selFrac: c.SelectionFrac, median: c.MedianUnion,
-		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault, tr: tr,
-	}
 	pb.meta = func() checkpoint.Meta {
 		return checkpoint.Meta{
 			Kind: checkpoint.KindLasso, Seed: c.Seed, B1: c.B1, B2: c.B2,
-			P: p, Q: len(lambdas), Fingerprint: lassoFingerprint(x, y, c),
+			P: p, Q: len(pb.lambdas), Fingerprint: lassoFingerprint(x, y, c),
 		}
 	}
 	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
-		sup, fits, iters, err := lassoSelCellRange(x, y, root, k, lambdas, jLo, jHi, warm, emit, c, kw, tr)
+		sup, fits, iters, err := lassoSelCellRange(x, y, root, k, pb.lambdas, jLo, jHi, warm, emit, c, kw, pb.tr)
 		pb.addWork(fits, 0, iters, 0)
 		return sup, err
 	}
-	pb.estCell = func(k int, distinct [][]int, _ trace.Span) []float64 {
+	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
 		beta, fits := lassoEstCell(x, y, root, k, distinct, c, kw)
 		pb.addWork(0, fits, 0, 0)
-		return beta
+		return beta, nil
 	}
 	return pb, scaler, nil
 }
 
+// lassoBase starts a UoI_LASSO problem over p features: the kernel budget
+// kw of a fit sharing the process with `streams` execution streams, and the
+// λ grid — c.Lambdas, or c.Q points below lmax(kw).
+func lassoBase(c *LassoConfig, p, streams int, lmax func(kw int) float64) (pb *problem, kw int) {
+	kw = kernelBudget(c.KernelWorkers, streams)
+	pb = &problem{
+		b1: c.B1, b2: c.B2, p: p, chains: 1, chainLen: p,
+		selFrac: c.SelectionFrac, median: c.MedianUnion,
+		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault, tr: c.Trace,
+	}
+	pb.tr.SetMax("mat/kernel_workers", int64(kw))
+	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return lmax(kw) })
+	return pb, kw
+}
+
+// varBase starts a UoI_VAR problem of p equations — the vec(B) of an
+// order-c.Order model, chainLen = rowsB coefficients per equation — and its
+// kernel budget, as lassoBase does. The caller sets the λ grid.
+func varBase(c *VARConfig, p, streams int) (pb *problem, kw int) {
+	rowsB := c.Order * p // columns per equation, +1 with the intercept
+	if !c.NoIntercept {
+		rowsB++
+	}
+	kw = kernelBudget(c.KernelWorkers, streams)
+	pb = &problem{
+		b1: c.B1, b2: c.B2, p: rowsB * p, chains: p, chainLen: rowsB,
+		reversed: len(c.WarmBeta) == rowsB*p,
+		selFrac:  c.SelectionFrac, median: c.MedianUnion, tr: c.Trace,
+	}
+	pb.tr.SetMax("mat/kernel_workers", int64(kw))
+	return pb, kw
+}
+
+// setLambdas fixes the λ grid: explicit, or q points from lmax() down to
+// ratio·lmax (traced as lambda_grid).
+func (pb *problem) setLambdas(explicit []float64, q int, ratio float64, lmax func() float64) {
+	sp := pb.tr.Start("lambda_grid")
+	if pb.lambdas = explicit; explicit == nil {
+		pb.lambdas = admm.LogSpaceLambdas(lmax(), ratio, q)
+	}
+	sp.End()
+}
+
 // newVARProblem binds UoI_VAR (Algorithm 2) to an N×p series: UoI_LASSO on
 // the vectorised problem, whose cells exploit its block structure. c is
-// already defaulted. The returned design partitions vec(B) estimates. With
-// c.Cells, whole cells are looked up in (and stored to) the cache around
-// the cell bodies, so every placement that runs whole cells honours it.
-func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, *varsim.Design, error) {
-	nTotal, p := series.Rows, series.Cols
-	d := c.Order
-	if nTotal <= d+4 {
-		return nil, nil, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, d)
+// already defaulted. With c.Cells, whole cells are looked up in (and stored
+// to) the cache around the cell bodies, so every placement that runs whole
+// cells honours it.
+func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, error) {
+	p, d := series.Cols, c.Order
+	m, blockLen, err := varWindow(series.Rows, c)
+	if err != nil {
+		return nil, err
 	}
-	m := nTotal - d
-	blockLen := c.BlockLen
-	if blockLen <= 0 {
-		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
-	}
-	tr := c.Trace
-	kw := kernelBudget(c.KernelWorkers, streams)
-	tr.SetMax("mat/kernel_workers", int64(kw))
-
+	pb, kw := varBase(c, p, streams)
+	tr := pb.tr
 	tKron := time.Now()
 	spKron := tr.Start("kron_assembly")
 	full := varsim.NewDesign(series, d, !c.NoIntercept)
 	spKron.End()
-	kronTime := time.Since(tKron)
-	rowsB := full.X.Cols // columns per equation (dp, +1 with intercept)
-	betaLen := rowsB * p
-
-	spGrid := tr.Start("lambda_grid")
-	lambdas := c.Lambdas
-	if lambdas == nil {
-		lambdas = admm.LogSpaceLambdas(vecLambdaMax(full, kw), c.LambdaRatio, c.Q)
-	}
-	spGrid.End()
+	pb.kron = time.Since(tKron)
+	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return vecLambdaMax(full, kw) })
 	root := resample.NewRNG(c.Seed)
-	pb := &problem{
-		b1: c.B1, b2: c.B2, p: betaLen, lambdas: lambdas, chains: p, chainLen: rowsB,
-		reversed: len(c.WarmBeta) == betaLen,
-		selFrac:  c.SelectionFrac, median: c.MedianUnion, tr: tr, kron: kronTime,
-	}
 	pb.meta = func() checkpoint.Meta {
 		return checkpoint.Meta{
 			Kind: checkpoint.KindVAR, Seed: c.Seed, B1: c.B1, B2: c.B2,
-			P: betaLen, Q: len(lambdas), Order: d, Intercept: !c.NoIntercept,
+			P: pb.p, Q: len(pb.lambdas), Order: d, Intercept: !c.NoIntercept,
 			Fingerprint: varFingerprint(series, blockLen, c),
 		}
 	}
@@ -188,36 +205,36 @@ func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, *var
 		// placement that splits the λ path, the grid, rejects c.Cells.
 		var key uint64
 		if c.Cells != nil {
-			key = selCellKey(series, k, m, blockLen, lambdas, c)
+			key = selCellKey(series, k, m, blockLen, pb.lambdas, c)
 			if sup, ok := c.Cells.GetSel(key); ok {
 				tr.Add("uoi/sel_cells_reused", 1)
 				return sup, nil
 			}
 		}
-		sup, fits, iters, kTime, err := varSelCellRange(series, root, k, m, blockLen, lambdas, jLo, jHi, warm, emit, c, kw, tr, phase)
+		sup, fits, iters, kTime, err := varSelCellRange(series, root, k, m, blockLen, pb.lambdas, jLo, jHi, warm, emit, c, kw, tr, phase)
 		pb.addWork(fits, 0, iters, kTime)
 		if err == nil && c.Cells != nil {
 			c.Cells.PutSel(key, sup)
 		}
 		return sup, err
 	}
-	pb.estCell = func(k int, distinct [][]int, phase trace.Span) []float64 {
+	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
 		var key uint64
 		if c.Cells != nil {
 			key = estCellKey(series, k, m, blockLen, distinct, c)
 			if beta, ok := c.Cells.GetEst(key); ok {
 				tr.Add("uoi/est_cells_reused", 1)
-				return beta
+				return beta, nil
 			}
 		}
-		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, betaLen, distinct, c, kw, phase)
+		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, pb.p, distinct, c, kw, phase)
 		pb.addWork(0, fits, 0, kTime)
 		if c.Cells != nil {
 			c.Cells.PutEst(key, beta)
 		}
-		return beta
+		return beta, nil
 	}
-	return pb, full, nil
+	return pb, nil
 }
 
 // placement says where a fit's cells run and how their results meet. Its
@@ -279,6 +296,8 @@ func (ph phase) attempt(k int, cell func() error) error {
 		sp := ph.span.Child("bootstrap")
 		err = cell()
 		sp.End()
+	} else if ph.pb.agree != nil {
+		ph.pb.agree(ph.name, false) // the cell's other ranks are agreeing on it
 	}
 	if err != nil && ph.quorum {
 		ph.errs[k] = err
@@ -298,9 +317,9 @@ func (ph phase) sel(k, jLo, jHi int, warm warmFn, emit emitFn) (sup []bool, err 
 
 // est runs estimation bootstrap k.
 func (ph phase) est(k int) (beta []float64, err error) {
-	err = ph.attempt(k, func() error {
-		beta = ph.pb.estCell(k, ph.distinct, ph.span)
-		return nil
+	err = ph.attempt(k, func() (err error) {
+		beta, err = ph.pb.estCell(k, ph.distinct, ph.span)
+		return err
 	})
 	return beta, err
 }

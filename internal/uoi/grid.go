@@ -244,13 +244,7 @@ func (g *grid) selection(ph phase) (int, error) {
 	// Every column of a row recorded the identical okB1 bits for its
 	// bootstraps, so a Max reduction gives the world-agreed completed set.
 	g.world.Allreduce(mpi.OpMax, okB1)
-	completed := 0
-	for _, ok := range okB1 {
-		if ok > 0 {
-			completed++
-		}
-	}
-	return completed, nil
+	return countSet(okB1), nil
 }
 
 func (g *grid) supports(threshold int) ([][]int, error) {

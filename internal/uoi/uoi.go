@@ -13,16 +13,16 @@
 //     loss per resample, and average ("union", eq. 4) the winning estimates
 //     — low variance, and nonzero wherever any winner was nonzero.
 //
-// With the data replicated on every process the algorithm exists once, as
-// run(problem, placement) in engine.go: a problem (UoI_LASSO or UoI_VAR)
-// owns validation, the λ grid and the cell bodies of cells.go; a placement
-// says where cells run and how their results meet — the bootstrap worker
-// pool (Lasso, VAR), the checkpoint journal (Checkpoint set;
-// Lasso/VARCheckpointedDistributed over a communicator) or the P_B × P_λ
-// process grid (LassoGrid, VARGrid). A fit's bits do not depend on the
-// placement (DESIGN.md §17). The consensus-ADMM drivers that shard rows
-// instead (LassoDistributed, VARDistributed) and whole-network all-pairs
-// inference (AllPairs) have their own loops over the same helpers.
+// The algorithm exists once, as run(problem, placement) in engine.go: a
+// problem (UoI_LASSO or UoI_VAR, over replicated data or over data
+// distributed by rows) owns validation, the λ grid and the cell bodies; a
+// placement says where cells run and how their results meet — the bootstrap
+// worker pool (Lasso, VAR), the checkpoint journal (Checkpoint set;
+// Lasso/VARCheckpointedDistributed over a communicator), the P_B × P_λ
+// process grid (LassoGrid, VARGrid) or the P_B × P_λ grid of consensus-ADMM
+// groups (LassoDistributed, VARDistributed). A replicated-data fit's bits do
+// not depend on the placement (DESIGN.md §17). Whole-network all-pairs
+// inference (AllPairs) has its own loop over the same helpers.
 package uoi
 
 import (
@@ -34,6 +34,7 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
+	"uoivar/internal/preprocess"
 	"uoivar/internal/trace"
 )
 
@@ -320,6 +321,13 @@ func fitLasso(x *mat.Dense, y []float64, c *LassoConfig, pl placement) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	return runLasso(pb, scaler, pl, c.SupportTol)
+}
+
+// runLasso runs a UoI_LASSO problem at pl, maps the estimate back to
+// original units when the problem was posed in standardized space, and
+// fills the selected support (|β| > tol).
+func runLasso(pb *problem, scaler *preprocess.Scaler, pl placement, tol float64) (*Result, error) {
 	res, err := run(pb, pl)
 	if err != nil {
 		return nil, err
@@ -327,7 +335,7 @@ func fitLasso(x *mat.Dense, y []float64, c *LassoConfig, pl placement) (*Result,
 	if scaler != nil {
 		res.Beta, res.Intercept = scaler.InverseBeta(res.Beta)
 	}
-	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
+	res.SelectedSupport = admm.Support(res.Beta, tol)
 	return res, nil
 }
 
@@ -338,17 +346,6 @@ func selectVec(y []float64, idx []int) []float64 {
 		out[i] = y[j]
 	}
 	return out
-}
-
-// maskToSupport converts a boolean mask to a sorted index list.
-func maskToSupport(mask []bool) []int {
-	var s []int
-	for i, b := range mask {
-		if b {
-			s = append(s, i)
-		}
-	}
-	return s
 }
 
 // dedupeSupports removes duplicate candidate supports (identical supports

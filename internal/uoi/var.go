@@ -1,6 +1,8 @@
 package uoi
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"uoivar/internal/admm"
@@ -146,16 +148,35 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 
 // fitVAR runs UoI_VAR at a placement. c is already defaulted.
 func fitVAR(series *mat.Dense, c *VARConfig, pl placement) (*VARResult, error) {
-	pb, full, err := newVARProblem(series, c, pl.streams())
+	pb, err := newVARProblem(series, c, pl.streams())
 	if err != nil {
 		return nil, err
 	}
+	return runVAR(pb, pl, c)
+}
+
+// varWindow resolves the design-row count m of an order-c.Order fit to an
+// nTotal-sample series and its block-bootstrap length (⌈√m⌉ by default).
+func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
+	if nTotal <= c.Order+4 {
+		return 0, 0, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, c.Order)
+	}
+	m, blockLen = nTotal-c.Order, c.BlockLen
+	if blockLen <= 0 {
+		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
+	}
+	return m, blockLen, nil
+}
+
+// runVAR runs a UoI_VAR problem at pl and partitions vec(B) into the lag
+// matrices and intercept (pb.chains is the channel count p).
+func runVAR(pb *problem, pl placement, c *VARConfig) (*VARResult, error) {
 	fit, err := run(pb, pl)
 	if err != nil {
 		return nil, err
 	}
 	res := &VARResult{Beta: fit.Beta, Lambdas: fit.Lambdas, Supports: fit.Supports, Diag: fit.Diag, KronTime: pb.kron}
-	res.A, res.Mu = full.PartitionBeta(res.Beta)
+	res.A, res.Mu = varsim.PartitionVec(res.Beta, pb.chains, c.Order, !c.NoIntercept)
 	return res, nil
 }
 
