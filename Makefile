@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race determinism bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
 DOCCHECK_PKGS = ./internal/checkpoint ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
@@ -43,10 +43,27 @@ test-race:
 DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/uoi
 DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|Deterministic'
 determinism:
-	@for procs in 1 2 4 8; do \
-		echo "GOMAXPROCS=$$procs"; \
-		GOMAXPROCS=$$procs $(GO) test -count=1 -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
+	@for tags in "" purego; do \
+		for procs in 1 2 4 8; do \
+			echo "GOMAXPROCS=$$procs tags=$$tags"; \
+			GOMAXPROCS=$$procs $(GO) test -count=1 -tags "$$tags" -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
+		done; \
 	done
+
+# FMA gate: Go may fuse c + a*b into one fused multiply-add that rounds once
+# (it does on arm64, and on amd64 at GOAMD64=v3) where default amd64 rounds
+# twice. internal/mat writes every such product as float64(a*b) so its bits
+# do not depend on the host (DESIGN.md §6); this compiles the package for both
+# targets and fails on any fused instruction in the listing.
+FMACHECK_PKGS = ./internal/mat
+fmacheck:
+	@for target in "GOARCH=arm64" "GOARCH=amd64 GOAMD64=v3"; do \
+		out="$$(env $$target $(GO) build -gcflags=-S $(FMACHECK_PKGS) 2>&1)" || { echo "$$out"; exit 1; }; \
+		[ -n "$$out" ] || { echo "fmacheck: no assembly listing for $$target"; exit 1; }; \
+		fused="$$(echo "$$out" | grep -E 'FN?M(ADD|SUB)' || true)"; \
+		if [ -n "$$fused" ]; then echo "fused multiply-add ($$target):"; echo "$$fused"; exit 1; fi; \
+	done; \
+	echo "fmacheck: no fused multiply-add in $(FMACHECK_PKGS)"
 
 # Regenerate the machine-readable benchmark artifact (schema uoivar/bench/v2):
 # trace overhead on/off, kernel shapes, ADMM, full-pipeline fits, and the

@@ -83,13 +83,13 @@ func axpy(y []float64, a float64, x []float64) {
 	n := len(y)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		y[i] += float64(a * x[i])
+		y[i+1] += float64(a * x[i+1])
+		y[i+2] += float64(a * x[i+2])
+		y[i+3] += float64(a * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }
 
@@ -177,14 +177,14 @@ func Dot(x, y []float64) float64 {
 	i := 0
 	n := len(x)
 	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+		s0 += float64(x[i] * y[i])
+		s1 += float64(x[i+1] * y[i+1])
+		s2 += float64(x[i+2] * y[i+2])
+		s3 += float64(x[i+3] * y[i+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < n; i++ {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }
@@ -204,7 +204,7 @@ func Norm2(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
 		r := v / max
-		s += r * r
+		s += float64(r * r)
 	}
 	return max * math.Sqrt(s)
 }

@@ -50,7 +50,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 		d := l[j*n+j]
 		for k := 0; k < j; k++ {
 			v := l[j*n+k]
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPD
@@ -63,7 +63,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			li := l[i*n : i*n+j]
 			lj := l[j*n : j*n+j]
 			for k := range lj {
-				s -= li[k] * lj[k]
+				s -= float64(li[k] * lj[k])
 			}
 			l[i*n+j] = s * inv
 		}
@@ -104,7 +104,7 @@ func (c *Cholesky) forwardCol(b []float64, stride, e int) {
 		s := b[i*stride+e]
 		off := e
 		for _, v := range c.l[i*n : i*n+i] {
-			s -= v * b[off]
+			s -= float64(v * b[off])
 			off += stride
 		}
 		b[i*stride+e] = s / c.l[i*n+i]
@@ -118,7 +118,7 @@ func (c *Cholesky) backwardCol(b []float64, stride, e int) {
 		s := b[i*stride+e]
 		off := (i+1)*stride + e
 		for _, v := range c.lt[i*n+i+1 : (i+1)*n] {
-			s -= v * b[off]
+			s -= float64(v * b[off])
 			off += stride
 		}
 		b[i*stride+e] = s / c.l[i*n+i]

@@ -67,7 +67,7 @@ func cholPanel(l []float64, n, k, kb int) error {
 		d := l[j*n+j]
 		for t := k; t < j; t++ {
 			v := l[j*n+t]
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || d != d {
 			return ErrNotPD
@@ -78,7 +78,7 @@ func cholPanel(l []float64, n, k, kb int) error {
 		for i := j + 1; i < k+kb; i++ {
 			s := l[i*n+j]
 			for t := k; t < j; t++ {
-				s -= l[i*n+t] * l[j*n+t]
+				s -= float64(l[i*n+t] * l[j*n+t])
 			}
 			l[i*n+j] = s * inv
 		}
@@ -96,7 +96,7 @@ func trsmRight(l []float64, n, k, kb, workers int) {
 				s := row[j]
 				diagRow := l[j*n:]
 				for t := k; t < j; t++ {
-					s -= row[t] * diagRow[t]
+					s -= float64(row[t] * diagRow[t])
 				}
 				row[j] = s / diagRow[j]
 			}
@@ -120,7 +120,7 @@ func trailingUpdate(l []float64, n, k, kb, workers int) {
 				lj := l[j*n+k : j*n+k+kb]
 				s := 0.0
 				for t := range li {
-					s += li[t] * lj[t]
+					s += float64(li[t] * lj[t])
 				}
 				l[i*n+j] -= s
 			}

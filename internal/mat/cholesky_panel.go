@@ -42,14 +42,14 @@ func (c *Cholesky) forwardTile(b []float64, stride, e int) {
 		off := e
 		for _, v := range c.l[i*n : i*n+i] {
 			bk := b[off : off+PanelTile : off+PanelTile]
-			s0 -= v * bk[0]
-			s1 -= v * bk[1]
-			s2 -= v * bk[2]
-			s3 -= v * bk[3]
-			s4 -= v * bk[4]
-			s5 -= v * bk[5]
-			s6 -= v * bk[6]
-			s7 -= v * bk[7]
+			s0 -= float64(v * bk[0])
+			s1 -= float64(v * bk[1])
+			s2 -= float64(v * bk[2])
+			s3 -= float64(v * bk[3])
+			s4 -= float64(v * bk[4])
+			s5 -= float64(v * bk[5])
+			s6 -= float64(v * bk[6])
+			s7 -= float64(v * bk[7])
 			off += stride
 		}
 		d := c.l[i*n+i]
@@ -66,14 +66,14 @@ func (c *Cholesky) backwardTile(b []float64, stride, e int) {
 		off := (i+1)*stride + e
 		for _, v := range c.lt[i*n+i+1 : (i+1)*n] {
 			bk := b[off : off+PanelTile : off+PanelTile]
-			s0 -= v * bk[0]
-			s1 -= v * bk[1]
-			s2 -= v * bk[2]
-			s3 -= v * bk[3]
-			s4 -= v * bk[4]
-			s5 -= v * bk[5]
-			s6 -= v * bk[6]
-			s7 -= v * bk[7]
+			s0 -= float64(v * bk[0])
+			s1 -= float64(v * bk[1])
+			s2 -= float64(v * bk[2])
+			s3 -= float64(v * bk[3])
+			s4 -= float64(v * bk[4])
+			s5 -= float64(v * bk[5])
+			s6 -= float64(v * bk[6])
+			s7 -= float64(v * bk[7])
 			off += stride
 		}
 		d := c.l[i*n+i]

@@ -173,7 +173,7 @@ func (m *Dense) AddScaled(a float64, n *Dense) {
 		panic(ErrShape)
 	}
 	for i, v := range n.Data {
-		m.Data[i] += a * v
+		m.Data[i] += float64(a * v)
 	}
 }
 
@@ -192,7 +192,7 @@ func (m *Dense) MaxAbs() float64 {
 func (m *Dense) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -68,10 +68,24 @@ const (
 // in ascending order is bitwise the sub-block of the full Gram, and unit
 // weights over a row list are bitwise AtA of the gathered rows.
 //
-// The pass packs gramChunk rows at a time into a transposed panel (one
-// contiguous run of the chunk per column; a second panel holds w·x when
-// there are weights) and accumulates tileJ×tileK register tiles from it.
+// The pass packs gramChunk rows at a time into a panel (a second panel holds
+// w·x when there are weights) and accumulates register tiles from it. On
+// amd64 CPUs with AVX2 the panel is row-major and a tile is 4×8 vector lanes,
+// one output entry each (gram_amd64.go); elsewhere the panel is transposed
+// (one contiguous run of the chunk per column) and a tile is tileJ×tileK
+// scalars. Both kernels add the same rounded products in the same order, so
+// their bits agree (DESIGN.md §6).
 func GramWorkers(a *Dense, s Sample, workers int) *Dense {
+	return gram(a, s, workers, hasAVX2)
+}
+
+// gram is GramWorkers with the kernel named by the caller: the AVX2 one when
+// avx2 is set (valid only where hasAVX2 is), the portable one otherwise.
+func gram(a *Dense, s Sample, workers int, avx2 bool) *Dense {
+	worker := gramWorker
+	if avx2 {
+		worker = gramWorkerAVX2
+	}
 	n, p := s.shape(a)
 	tr := tracer()
 	sp := tr.Start("mat/ata")
@@ -85,12 +99,12 @@ func GramWorkers(a *Dense, s Sample, workers int) *Dense {
 		nWorkers = 1
 	}
 	if nWorkers == 1 {
-		gramWorker(c, a, &s, 0, 1)
+		worker(c, a, &s, 0, 1)
 	} else {
 		tr.SetMax("mat/workers", int64(nWorkers))
 		parallelFor(nWorkers, nWorkers, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				gramWorker(c, a, &s, t, nWorkers)
+				worker(c, a, &s, t, nWorkers)
 			}
 		})
 	}
@@ -108,28 +122,36 @@ func GramWorkers(a *Dense, s Sample, workers int) *Dense {
 // cell, and a 256-column panel pair is 256 KiB.
 var gramPanels = sync.Pool{New: func() any { return new([]float64) }}
 
+// gramPanelPair takes a panel pair for width columns from gramPanels: xs for
+// x and ws for w·x, which is xs itself when there are no weights. The caller
+// puts buf back.
+func gramPanelPair(width int, weighted bool) (buf *[]float64, xs, ws []float64) {
+	size := width * gramChunk
+	if weighted {
+		size *= 2
+	}
+	buf = gramPanels.Get().(*[]float64)
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	xs = (*buf)[:width*gramChunk]
+	ws = xs // unit weights: w·x is x
+	if weighted {
+		ws = (*buf)[width*gramChunk : size]
+	}
+	return buf, xs, ws
+}
+
 // gramWorker accumulates worker t's share of the upper triangle of the Gram
-// into c: bands t, t+nWorkers, t+2·nWorkers, … in one pass over the rows.
+// into c: bands t, t+nWorkers, t+2·nWorkers, … in one pass over the rows. It
+// is the portable kernel and the AVX2 kernel's oracle.
 func gramWorker(c, a *Dense, s *Sample, t, nWorkers int) {
 	n, p := s.shape(a)
 	first := t * gramBand // columns before the worker's first band are never read
 	if first >= p || n == 0 {
 		return
 	}
-	width := p - first
-	size := width * gramChunk
-	if s.Weights != nil {
-		size *= 2
-	}
-	buf := gramPanels.Get().(*[]float64)
-	if cap(*buf) < size {
-		*buf = make([]float64, size)
-	}
-	xs := (*buf)[:width*gramChunk]
-	ws := xs // unit weights: w·x is x
-	if s.Weights != nil {
-		ws = (*buf)[width*gramChunk : size]
-	}
+	buf, xs, ws := gramPanelPair(p-first, s.Weights != nil)
 	for r0 := 0; r0 < n; r0 += gramChunk {
 		m := n - r0
 		if m > gramChunk {
@@ -208,7 +230,7 @@ func gramBandChunk(c []float64, p int, ws, xs []float64, first, m, lo, hi int) {
 					xk := xs[(kk-first)*m : (kk-first+1)*m]
 					acc := c[jj*p+kk]
 					for r, v := range wj {
-						acc += v * xk[r]
+						acc += float64(v * xk[r])
 					}
 					c[jj*p+kk] = acc
 				}
@@ -231,17 +253,17 @@ func gramTile(c0, c1, w, x []float64, m int) {
 	for r := range w0 {
 		a0, a1 := w0[r], w1[r]
 		b := x0[r]
-		c00 += a0 * b
-		c10 += a1 * b
+		c00 += float64(a0 * b)
+		c10 += float64(a1 * b)
 		b = x1[r]
-		c01 += a0 * b
-		c11 += a1 * b
+		c01 += float64(a0 * b)
+		c11 += float64(a1 * b)
 		b = x2[r]
-		c02 += a0 * b
-		c12 += a1 * b
+		c02 += float64(a0 * b)
+		c12 += float64(a1 * b)
 		b = x3[r]
-		c03 += a0 * b
-		c13 += a1 * b
+		c03 += float64(a0 * b)
+		c13 += float64(a1 * b)
 	}
 	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
@@ -287,7 +309,7 @@ func GramVec(a *Dense, y []float64, s Sample) []float64 {
 			continue
 		}
 		for j, cj := range s.Cols {
-			out[j] += v * row[cj]
+			out[j] += float64(v * row[cj])
 		}
 	}
 	sp.End()

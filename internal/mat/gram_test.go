@@ -190,6 +190,89 @@ func TestGramNonFiniteIdentical(t *testing.T) {
 	}
 }
 
+// sameBitsOrNaN is bitsEqual with every NaN equal to every other: which
+// operand's payload a NaN result carries is not part of the contract.
+func sameBitsOrNaN(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestGramKernelsIdentical: the AVX2 kernel and the portable one return the
+// same Float64bits across the chunk edge (n = 63, 64, 65), widths below, at
+// and past one 8-column tile, for all rows, a repeated row list, weights with
+// zeros, ascending and non-ascending column subsets, at budgets 1/2/3; and a
+// NaN or an Inf input row yields the same non-finite entries. Both kernels
+// run in this binary: the test passes the choice to gram, so no package
+// state is switched under other tests.
+func TestGramKernelsIdentical(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 Gram kernel in this build or on this CPU: only the portable kernel runs")
+	}
+	for _, n := range []int{1, 63, 64, 65, 767, 8192} {
+		for _, p := range []int{1, 3, 7, 8, 9, 41, 161, 256} {
+			// Above 2²⁴ madds a shape runs three samples at one budget, and
+			// not at all under -short (the race run).
+			big := n*p*p > 1<<24
+			if big && testing.Short() {
+				continue
+			}
+			x := randDense(n, p, uint64(1000*n+p))
+			rows := drawRows(n, n+n/2, uint64(p))
+			distinct, counts := multiplicities(n, rows)
+			for i := 0; i < len(counts); i += 4 {
+				counts[i] = 0
+			}
+			w := make([]float64, len(rows))
+			for i := range w {
+				w[i] = float64(i % 3)
+			}
+			var asc, desc []int
+			for j := 0; j < p; j++ {
+				if j%3 != 1 {
+					asc = append(asc, j)
+				}
+				desc = append(desc, p-1-j)
+			}
+			samples := []Sample{
+				{},
+				{Rows: distinct, Weights: counts},
+				{Rows: rows, Weights: w, Cols: desc},
+				{Rows: rows},
+				{Cols: asc},
+			}
+			budgets := []int{1, 2, 3}
+			if big {
+				samples, budgets = samples[:3], []int{2}
+			}
+			for si, s := range samples {
+				for _, b := range budgets {
+					if i, ok := bitsEqual(gram(x, s, b, true).Data, gram(x, s, b, false).Data); !ok {
+						t.Fatalf("n=%d p=%d sample %d workers=%d: entry %d differs in bits between the AVX2 and portable kernels", n, p, si, b, i)
+					}
+				}
+			}
+			if big {
+				continue
+			}
+			bad := x.Clone()
+			bad.Set(n/2, p/2, math.NaN())
+			bad.Set(n-1, 0, math.Inf(-1))
+			for si, s := range samples[:3] {
+				if i, ok := sameBitsOrNaN(gram(bad, s, 2, true).Data, gram(bad, s, 2, false).Data); !ok {
+					t.Fatalf("n=%d p=%d non-finite sample %d: entry %d differs between the AVX2 and portable kernels", n, p, si, i)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkGram times the Gram kernel at the shapes the repository benchmark
 // runs: lasso_tall's full and bootstrap-weighted 8192×256, dist_mix's local
 // 4096×161, and the two VAR designs the kernel must not slow (600×61,
