@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck deadcheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
 DOCCHECK_PKGS = ./internal/checkpoint ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
@@ -25,6 +25,12 @@ fmtcheck:
 doccheck:
 	$(GO) run ./scripts/doccheck $(DOCCHECK_PKGS)
 
+# Dead-surface gate: every exported identifier under internal/ needs a
+# non-test caller in this module or the bench module; the few test-only
+# oracles and helpers are allow-listed in scripts/deadcheck with reasons.
+deadcheck:
+	$(GO) run ./scripts/deadcheck
+
 test:
 	$(GO) test ./...
 
@@ -39,7 +45,9 @@ test-race:
 # Determinism gate: a fit's bits may not depend on how many cores the host
 # has, so the bit-identity tests of the dense kernels, the solver and the UoI
 # engine (kernel budgets, worker counts, placements — DESIGN.md §6, §17) run
-# at several GOMAXPROCS, uncached.
+# at several GOMAXPROCS, uncached. A GOARCH=386 pass (portable kernels, runs
+# natively on amd64) checks a second host's bits against the same golden
+# tables.
 DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/uoi
 DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|Deterministic'
 determinism:
@@ -48,14 +56,18 @@ determinism:
 			echo "GOMAXPROCS=$$procs tags=$$tags"; \
 			GOMAXPROCS=$$procs $(GO) test -count=1 -tags "$$tags" -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
 		done; \
+	done; \
+	for procs in 1 4; do \
+		echo "GOMAXPROCS=$$procs GOARCH=386"; \
+		GOARCH=386 GOMAXPROCS=$$procs $(GO) test -count=1 -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
 	done
 
 # FMA gate: Go may fuse c + a*b into one fused multiply-add that rounds once
 # (it does on arm64, and on amd64 at GOAMD64=v3) where default amd64 rounds
-# twice. internal/mat writes every such product as float64(a*b) so its bits
-# do not depend on the host (DESIGN.md §6); this compiles the package for both
-# targets and fails on any fused instruction in the listing.
-FMACHECK_PKGS = ./internal/mat
+# twice. The kernels and solvers write every such product as float64(a*b) so
+# their bits do not depend on the host (DESIGN.md §6); this compiles the
+# packages for both targets and fails on any fused instruction in the listing.
+FMACHECK_PKGS = ./internal/mat ./internal/admm ./internal/kron
 fmacheck:
 	@for target in "GOARCH=arm64" "GOARCH=amd64 GOAMD64=v3"; do \
 		out="$$(env $$target $(GO) build -gcflags=-S $(FMACHECK_PKGS) 2>&1)" || { echo "$$out"; exit 1; }; \

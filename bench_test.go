@@ -24,7 +24,6 @@ import (
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
-	"uoivar/internal/sparse"
 	"uoivar/internal/uoi"
 	"uoivar/internal/varsim"
 )
@@ -209,145 +208,9 @@ func BenchmarkAblationBootstrap(b *testing.B) {
 			resample.MovingBlockBootstrap(rng, m, 23)
 		}
 	})
-	b.Run("circular-block", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			resample.CircularBlockBootstrap(rng, m, 23)
-		}
-	})
 	b.Run("iid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			resample.Bootstrap(rng, m)
-		}
-	})
-}
-
-// BenchmarkAblationSparse compares solving the vectorized VAR problem via
-// the lazy block-diagonal operator against the materialized CSR and dense
-// forms (the §IV-B1 sparsity discussion).
-func BenchmarkAblationSparse(b *testing.B) {
-	rng := resample.NewRNG(7)
-	model := varsim.GenerateStable(rng, 24, 1, nil)
-	series := model.Simulate(rng.Derive(1), 128, 50)
-	des := varsim.NewDesign(series, 1, false)
-	bd := sparse.NewBlockDiag(des.X, des.P)
-	rows, cols := bd.Dims()
-	v := make([]float64, cols)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	u := make([]float64, rows)
-	b.Run("lazy-blockdiag", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			u = bd.MulVec(v)
-		}
-	})
-	csr := bd.ToCSR()
-	b.Run("materialized-csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			u = csr.MulVec(v)
-		}
-	})
-	dense := csr.ToDense()
-	b.Run("materialized-dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			u = mat.MulVec(dense, v)
-		}
-	})
-	_ = u
-}
-
-// BenchmarkAblationAdaptiveRho compares fixed-ρ ADMM against the
-// over-relaxed, residual-balanced variant on a badly scaled problem.
-func BenchmarkAblationAdaptiveRho(b *testing.B) {
-	reg := datagen.MakeRegression(11, 600, 40, &datagen.RegressionOptions{NNZ: 6, NoiseStd: 0.3})
-	// Heterogeneous column scales.
-	for j := 0; j < reg.X.Cols; j++ {
-		scale := 1.0
-		switch j % 3 {
-		case 0:
-			scale = 0.05
-		case 2:
-			scale = 20
-		}
-		for i := 0; i < reg.X.Rows; i++ {
-			reg.X.Set(i, j, reg.X.At(i, j)*scale)
-		}
-	}
-	lambda := admm.LambdaMax(reg.X, reg.Y) / 100
-	b.Run("fixed-rho", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := admm.Lasso(reg.X, reg.Y, lambda, &admm.Options{MaxIter: 20000, Rho: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("auto-rho", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := admm.Lasso(reg.X, reg.Y, lambda, &admm.Options{MaxIter: 20000}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("adaptive-relaxed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := admm.LassoAdaptive(reg.X, reg.Y, lambda, &admm.AdaptiveOptions{Options: admm.Options{MaxIter: 20000, Rho: 1}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationNonblocking compares blocking Allreduce against the
-// IAllreduce extension (the paper's proposed future work) with overlapped
-// local work.
-func BenchmarkAblationNonblocking(b *testing.B) {
-	const ranks, msg, rounds = 8, 4096, 16
-	work := func() float64 {
-		s := 0.0
-		for i := 0; i < 20000; i++ {
-			s += float64(i%7) * 1.0001
-		}
-		return s
-	}
-	b.Run("blocking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				data := make([]float64, msg)
-				sink := 0.0
-				for r := 0; r < rounds; r++ {
-					c.Allreduce(mpi.OpSum, data)
-					sink += work()
-				}
-				_ = sink
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nonblocking-overlap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				data := make([]float64, msg)
-				sink := 0.0
-				for r := 0; r < rounds; r++ {
-					req := c.IAllreduce(mpi.OpSum, data)
-					sink += work() // overlapped with the in-flight reduction
-					req.Wait()
-				}
-				_ = sink
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -435,40 +298,3 @@ func BenchmarkKernelAllreduce(b *testing.B) {
 
 // TestMain keeps the root package free of stray output during benches.
 func TestMain(m *testing.M) { os.Exit(m.Run()) }
-
-// BenchmarkAblationAlltoall compares the two Tier-2 redistribution
-// transports: one-sided Puts (the paper's design) vs a two-sided Alltoallv
-// exchange.
-func BenchmarkAblationAlltoall(b *testing.B) {
-	dir := b.TempDir()
-	reg := datagen.MakeRegression(14, 8192, 31, nil)
-	path := hbf.TempPath(dir, "a2a")
-	if _, err := reg.WriteHBF(path, hbf.CreateOptions{Stripes: 2, ChunkRows: 512}); err != nil {
-		b.Fatal(err)
-	}
-	const ranks = 8
-	b.Run("one-sided", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				_, err := distio.RandomizedDistribute(c, path, uint64(i))
-				return err
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("alltoallv", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				_, err := distio.RandomizedDistributeAlltoall(c, path, uint64(i))
-				return err
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

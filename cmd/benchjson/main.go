@@ -135,7 +135,7 @@ func main() {
 	report.bench("mat/chol-blocked-96", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mat.NewCholeskyBlocked(spd); err != nil {
+			if _, err := mat.NewCholeskyBlockedWorkers(spd, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"uoivar/internal/admm"
 	"uoivar/internal/datagen"
 	"uoivar/internal/distio"
 	"uoivar/internal/hbf"
@@ -162,40 +161,6 @@ func TestPipelineVARFromFile(t *testing.T) {
 	}
 }
 
-// TestPipelineReshuffleBetweenPhases mirrors the paper's Fig. 1c: the
-// Tier-2 reshuffle between selection and estimation re-randomizes ownership
-// without losing rows, and fitting after a reshuffle still works.
-func TestPipelineReshuffleBetweenPhases(t *testing.T) {
-	reg := datagen.MakeRegression(104, 1200, 30, &datagen.RegressionOptions{NNZ: 3, NoiseStd: 0.3})
-	path := hbf.TempPath(t.TempDir(), "reshuffle")
-	if _, err := reg.WriteHBF(path, hbf.CreateOptions{Stripes: 2}); err != nil {
-		t.Fatal(err)
-	}
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		block, err := distio.RandomizedDistribute(c, path, 1)
-		if err != nil {
-			return err
-		}
-		block2, err := distio.Reshuffle(c, block, 2)
-		if err != nil {
-			return err
-		}
-		x, y := block2.XY()
-		solver, err := admm.NewConsensusSolver(c, x, y, 0)
-		if err != nil {
-			return err
-		}
-		res := solver.Solve(admm.LambdaMax(x, y)/50, &admm.Options{MaxIter: 3000})
-		if !res.Converged {
-			t.Error("solve after reshuffle did not converge")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPipelineBaselineComparison reproduces the paper's statistical claim on
 // the full pipeline: UoI selects fewer (or equal) false positives than the
 // cross-validated LASSO at full recall, with lower estimation error.
@@ -225,8 +190,8 @@ func TestPipelineBaselineComparison(t *testing.T) {
 }
 
 // TestPipelineTwoPhaseReshuffle runs the complete Fig. 1c pipeline: Tier-2
-// randomized distribution for selection, a fresh reshuffle for estimation,
-// and the two-phase distributed fit.
+// randomized distribution for selection, a fresh randomized distribution
+// (another seed) for estimation, and the two-phase distributed fit.
 func TestPipelineTwoPhaseReshuffle(t *testing.T) {
 	reg := datagen.MakeRegression(106, 2000, 40, &datagen.RegressionOptions{NNZ: 4, NoiseStd: 0.4})
 	path := hbf.TempPath(t.TempDir(), "twophase")
@@ -239,7 +204,7 @@ func TestPipelineTwoPhaseReshuffle(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		estBlock, err := distio.Reshuffle(c, selBlock, 22)
+		estBlock, err := distio.RandomizedDistribute(c, path, 22)
 		if err != nil {
 			return err
 		}

@@ -81,9 +81,9 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	// check would reject is below 1e-180 in truth as well. Outside the
 	// range, or with a NaN anywhere, above is false and the exact test
 	// decides.
-	slack := 1 + 4*float64(p+8)*0x1p-52
+	slack := 1 + float64(4*float64(p+8)*0x1p-52)
 	above := func(res, sq, scale float64) bool {
-		return sq >= 1e-180 && sq <= 1e300 && res > (sqrtP*o.AbsTol+scale*math.Sqrt(sq))*slack
+		return sq >= 1e-180 && sq <= 1e300 && res > (float64(sqrtP*o.AbsTol)+float64(scale*math.Sqrt(sq)))*slack
 	}
 	active := w
 	for iter := 1; iter <= o.MaxIter && active > 0; iter++ {
@@ -93,7 +93,7 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 		for i := 0; i < p; i++ {
 			ar, zr, ur, xr := a[i*stride:i*stride+active], z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+live]
 			for c, av := range ar {
-				xr[c] = av + f.rho*(zr[c]-ur[c])
+				xr[c] = av + float64(f.rho*(zr[c]-ur[c]))
 			}
 			for c := active; c < live; c++ {
 				xr[c] = 0
@@ -118,12 +118,12 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 				uv += xv - zv
 				zr[c], ur[c] = zv, uv
 				d := xv - zv
-				primal[c] += d * d
+				primal[c] += float64(d * d)
 				d = f.rho * (zv - zOld)
-				dual[c] += d * d
-				sqX[c] += xv * xv
-				sqZ[c] += zv * zv
-				sqU[c] += uv * uv
+				dual[c] += float64(d * d)
+				sqX[c] += float64(xv * xv)
+				sqZ[c] += float64(zv * zv)
+				sqU[c] += float64(uv * uv)
 			}
 		}
 
@@ -143,8 +143,8 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 			gatherCol(xc, x, stride, c)
 			gatherCol(zc, z, stride, c)
 			gatherCol(uc, u, stride, c)
-			epsPrimal := sqrtP*o.AbsTol + o.RelTol*math.Max(mat.Norm2(xc), mat.Norm2(zc))
-			epsDual := sqrtP*o.AbsTol + o.RelTol*f.rho*mat.Norm2(uc)
+			epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(mat.Norm2(xc), mat.Norm2(zc)))
+			epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*f.rho*mat.Norm2(uc))
 			if !(primal[c] <= epsPrimal && dual[c] <= epsDual) {
 				continue
 			}

@@ -42,7 +42,7 @@ func CoordinateDescentLasso(x *mat.Dense, y []float64, lambda float64, maxIter i
 			}
 			old := beta[j]
 			// ρ_j = x_jᵀ r + β_j‖x_j‖²  (partial residual correlation)
-			rho := mat.Dot(cols[j], r) + old*colSq[j]
+			rho := mat.Dot(cols[j], r) + float64(old*colSq[j])
 			var next float64
 			if lambda > 0 {
 				next = SoftThreshold(rho, lambda) / colSq[j]
@@ -82,13 +82,13 @@ func Ridge(x *mat.Dense, y []float64, alpha float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ch.Solve(mat.AtVec(x, y)), nil
+	return ch.Solve(mat.GramVec(x, y, mat.Sample{})), nil
 }
 
 // LambdaMax returns ‖Xᵀy‖∞, the smallest λ for which the LASSO solution is
 // identically zero; λ grids are placed below it.
 func LambdaMax(x *mat.Dense, y []float64) float64 {
-	return mat.NormInf(mat.AtVec(x, y))
+	return mat.NormInf(mat.GramVec(x, y, mat.Sample{}))
 }
 
 // LogSpaceLambdas builds a q-point λ grid geometrically spaced in
@@ -112,7 +112,7 @@ func LogSpaceLambdas(lambdaMax float64, ratio float64, q int) []float64 {
 	logMin := math.Log(lambdaMax * ratio)
 	for i := 0; i < q; i++ {
 		t := float64(i) / float64(q-1)
-		out[i] = math.Exp(logMax + t*(logMin-logMax))
+		out[i] = math.Exp(logMax + float64(t*(logMin-logMax)))
 	}
 	// Pin the endpoints exactly; exp(log x) can drift an ulp.
 	out[0] = lambdaMax

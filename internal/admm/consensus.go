@@ -137,7 +137,7 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 		iters = iter
 		// Local x-update.
 		for i := range rhs {
-			rhs[i] = s.f.aty[i] + s.f.rho*(z[i]-u[i])
+			rhs[i] = s.f.aty[i] + float64(s.f.rho*(z[i]-u[i]))
 		}
 		copy(x, rhs)
 		s.f.chol.SolveInPlace(x)
@@ -147,9 +147,9 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 		for i := 0; i < p; i++ {
 			buf[i] = x[i] + u[i]
 			d := x[i] - z[i]
-			lp += d * d
-			lx += x[i] * x[i]
-			lu += u[i] * u[i]
+			lp += float64(d * d)
+			lx += float64(x[i] * x[i])
+			lu += float64(u[i] * u[i])
 		}
 		buf[p], buf[p+1], buf[p+2] = lp, lx, lu
 		s.comm.Allreduce(mpi.OpSum, buf)
@@ -168,14 +168,14 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 		dual = 0
 		for i := range z {
 			d := z[i] - zOld[i]
-			dual += d * d
+			dual += float64(d * d)
 		}
 		dual = s.f.rho * math.Sqrt(nRanks) * math.Sqrt(dual)
 		normX := math.Sqrt(buf[p+1])
 		normZ := math.Sqrt(nRanks) * mat.Norm2(z)
 		normU := math.Sqrt(buf[p+2])
-		epsPrimal := sqrtP*o.AbsTol + o.RelTol*math.Max(normX, normZ)
-		epsDual := sqrtP*o.AbsTol + o.RelTol*s.f.rho*normU
+		epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(normX, normZ))
+		epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*s.f.rho*normU)
 		if primal <= epsPrimal && dual <= epsDual {
 			converged = true
 			break

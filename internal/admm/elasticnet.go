@@ -25,11 +25,11 @@ func ElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 float64, opts *Optio
 		rho = MeanDiag(gram)
 	}
 	// Fold λ₂ into the quadratic term: f(β) = ½‖Xβ−y‖² + ½λ₂‖β‖².
-	ch, err := mat.NewCholeskyBlocked(mat.AddRidge(gram, rho+lambda2))
+	ch, err := mat.NewCholeskyBlockedWorkers(mat.AddRidge(gram, rho+lambda2), 0)
 	if err != nil {
 		return nil, err
 	}
-	f := &Factorization{chol: ch, aty: mat.AtVec(x, y), rho: rho, p: x.Cols}
+	f := &Factorization{chol: ch, aty: mat.GramVec(x, y, mat.Sample{}), rho: rho, p: x.Cols}
 	o.Rho = rho
 	res := f.Solve(lambda1, &o)
 	res.Objective = ElasticNetObjective(x, y, res.Beta, lambda1, lambda2)
@@ -64,73 +64,7 @@ func ElasticNetObjective(x *mat.Dense, y, beta []float64, lambda1, lambda2 float
 	r := mat.Sub(mat.MulVec(x, beta), y)
 	sq := 0.0
 	for _, v := range beta {
-		sq += v * v
+		sq += float64(v * v)
 	}
-	return 0.5*mat.Dot(r, r) + lambda1*mat.Norm1(beta) + 0.5*lambda2*sq
-}
-
-// CoordinateDescentElasticNet is the independent reference solver for the
-// elastic net, extending the LASSO CD update with the ℓ2 denominator:
-//
-//	β_j ← S(ρ_j, λ₁) / (‖x_j‖² + λ₂)
-func CoordinateDescentElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 float64, maxIter int, tol float64) *Result {
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	n, p := x.Rows, x.Cols
-	beta := make([]float64, p)
-	r := make([]float64, n)
-	copy(r, y)
-	colSq := make([]float64, p)
-	cols := make([][]float64, p)
-	for j := 0; j < p; j++ {
-		col := x.Col(j, nil)
-		cols[j] = col
-		colSq[j] = mat.Dot(col, col)
-	}
-	iters := 0
-	converged := false
-	for it := 1; it <= maxIter; it++ {
-		iters = it
-		maxDelta := 0.0
-		for j := 0; j < p; j++ {
-			denom := colSq[j] + lambda2
-			if denom == 0 {
-				continue
-			}
-			old := beta[j]
-			rho := mat.Dot(cols[j], r) + old*colSq[j]
-			next := SoftThreshold(rho, lambda1) / denom
-			if d := next - old; d != 0 {
-				mat.Axpy(r, -d, cols[j])
-				beta[j] = next
-				if a := abs64(d); a > maxDelta {
-					maxDelta = a
-				}
-			}
-		}
-		if maxDelta < tol {
-			converged = true
-			break
-		}
-	}
-	return &Result{
-		Beta:      beta,
-		Iters:     iters,
-		Converged: converged,
-		Objective: ElasticNetObjective(x, y, beta, lambda1, lambda2),
-	}
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return float64(0.5*mat.Dot(r, r)) + float64(lambda1*mat.Norm1(beta)) + float64(0.5*lambda2*sq)
 }

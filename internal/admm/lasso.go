@@ -117,7 +117,7 @@ func softThresholdVec(dst, src []float64, k float64) {
 // Objective evaluates ½‖Xβ−y‖² + λ‖β‖₁.
 func Objective(x *mat.Dense, y, beta []float64, lambda float64) float64 {
 	r := mat.Sub(mat.MulVec(x, beta), y)
-	return 0.5*mat.Dot(r, r) + lambda*mat.Norm1(beta)
+	return float64(0.5*mat.Dot(r, r)) + float64(lambda*mat.Norm1(beta))
 }
 
 // Factorization caches the Cholesky factor of (XᵀX + ρI) together with Xᵀy,
@@ -130,13 +130,9 @@ type Factorization struct {
 	p    int
 }
 
-// NewFactorization precomputes the factors for design x and response y.
-func NewFactorization(x *mat.Dense, y []float64, rho float64) (*Factorization, error) {
-	return NewFactorizationWorkers(x, y, rho, 0)
-}
-
-// NewFactorizationWorkers is NewFactorization with an explicit kernel worker
-// budget for the Gram product and Cholesky (≤0 selects mat.DefaultWorkers).
+// NewFactorizationWorkers precomputes the factors for design x and response
+// y, running the Gram product and Cholesky across at most workers
+// goroutines (≤0 selects mat.DefaultWorkers).
 func NewFactorizationWorkers(x *mat.Dense, y []float64, rho float64, workers int) (*Factorization, error) {
 	f, err := NewFactorizationGramWorkers(mat.AtAWorkers(x, workers), rho, workers)
 	if err != nil {
@@ -146,19 +142,14 @@ func NewFactorizationWorkers(x *mat.Dense, y []float64, rho float64, workers int
 	return f, nil
 }
 
-// NewFactorizationGram factors a precomputed Gram matrix XᵀX. The returned
-// factorization has no response attached; use SolveRHS with explicit Xᵀy
-// vectors. UoI_VAR uses this to share one factorization across all p
-// equations of a bootstrap (the design block X is identical; only the
+// NewFactorizationGramWorkers factors a precomputed Gram matrix XᵀX,
+// running the blocked Cholesky across at most workers goroutines. The
+// returned factorization has no response attached; use SolveRHS with
+// explicit Xᵀy vectors. UoI_VAR uses this to share one factorization across
+// all p equations of a bootstrap (the design block X is identical; only the
 // response column differs).
 //
 // rho ≤ 0 auto-scales the penalty to the mean Gram diagonal.
-func NewFactorizationGram(gram *mat.Dense, rho float64) (*Factorization, error) {
-	return NewFactorizationGramWorkers(gram, rho, 0)
-}
-
-// NewFactorizationGramWorkers is NewFactorizationGram with an explicit
-// kernel worker budget for the blocked Cholesky.
 func NewFactorizationGramWorkers(gram *mat.Dense, rho float64, workers int) (*Factorization, error) {
 	if rho <= 0 {
 		rho = MeanDiag(gram)
@@ -186,9 +177,6 @@ func MeanDiag(gram *mat.Dense) float64 {
 	}
 	return s
 }
-
-// Rho reports the penalty parameter the factorization was built with.
-func (f *Factorization) Rho() float64 { return f.rho }
 
 // Lasso solves min ½‖Xβ−y‖² + λ‖β‖₁ with serial ADMM.
 func Lasso(x *mat.Dense, y []float64, lambda float64, opts *Options) (*Result, error) {
@@ -232,7 +220,7 @@ func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *
 	for iter := 1; iter <= o.MaxIter; iter++ {
 		// x-update: x = (XᵀX + ρI)⁻¹ (Xᵀy + ρ(z − u))
 		for i := range rhs {
-			rhs[i] = aty[i] + f.rho*(z[i]-u[i])
+			rhs[i] = aty[i] + float64(f.rho*(z[i]-u[i]))
 		}
 		copy(x, rhs)
 		f.chol.SolveInPlace(x)
@@ -257,18 +245,18 @@ func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *
 		primal = 0
 		for i := range x {
 			d := x[i] - z[i]
-			primal += d * d
+			primal += float64(d * d)
 		}
 		primal = math.Sqrt(primal)
 		dual = 0
 		for i := range z {
 			d := f.rho * (z[i] - zOld[i])
-			dual += d * d
+			dual += float64(d * d)
 		}
 		dual = math.Sqrt(dual)
 
-		epsPrimal := sqrtP*o.AbsTol + o.RelTol*math.Max(mat.Norm2(x), mat.Norm2(z))
-		epsDual := sqrtP*o.AbsTol + o.RelTol*f.rho*mat.Norm2(u)
+		epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(mat.Norm2(x), mat.Norm2(z)))
+		epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*f.rho*mat.Norm2(u))
 		if primal <= epsPrimal && dual <= epsDual {
 			countSolves(o.Trace, 1, iter)
 			return &Result{Beta: z, U: u, Iters: iter, Converged: true, PrimalRes: primal, DualRes: dual}
@@ -276,13 +264,6 @@ func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *
 	}
 	countSolves(o.Trace, 1, o.MaxIter)
 	return &Result{Beta: z, U: u, Iters: o.MaxIter, Converged: false, PrimalRes: primal, DualRes: dual}
-}
-
-// OLS solves the unpenalized least-squares problem via the same machinery
-// with λ=0 (paper §II-C). A tiny ridge (rho) keeps rank-deficient bootstrap
-// designs factorable; the returned β is the ADMM consensus iterate.
-func OLS(x *mat.Dense, y []float64, opts *Options) (*Result, error) {
-	return Lasso(x, y, 0, opts)
 }
 
 // Support returns the indices with |beta_i| > tol, the support-extraction

@@ -61,7 +61,7 @@ func TestLassoZeroLambdaIsOLS(t *testing.T) {
 		t.Fatal("OLS-via-ADMM did not converge")
 	}
 	// Closed-form OLS.
-	want, err := solveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, err := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestLassoZeroLambdaIsOLS(t *testing.T) {
 
 func TestOLSWrapper(t *testing.T) {
 	x, y, _ := makeRegression(2, 40, 5, 5, 0.05)
-	res, err := OLS(x, y, nil)
+	res, err := Lasso(x, y, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
 	for i := range want {
 		if math.Abs(res.Beta[i]-want[i]) > 1e-4 {
 			t.Fatalf("OLS beta[%d] = %v, want %v", i, res.Beta[i], want[i])
@@ -140,7 +140,7 @@ func TestLassoRecoversSupport(t *testing.T) {
 
 func TestLassoShrinksVersusOLS(t *testing.T) {
 	x, y, _ := makeRegression(6, 60, 10, 10, 0.3)
-	ols, _ := OLS(x, y, nil)
+	ols, _ := Lasso(x, y, 0, nil)
 	las, _ := Lasso(x, y, 5, nil)
 	if mat.Norm1(las.Beta) >= mat.Norm1(ols.Beta) {
 		t.Fatalf("LASSO ℓ1 %v must be below OLS ℓ1 %v", mat.Norm1(las.Beta), mat.Norm1(ols.Beta))
@@ -149,7 +149,7 @@ func TestLassoShrinksVersusOLS(t *testing.T) {
 
 func TestFactorizationReuseAcrossLambdaPath(t *testing.T) {
 	x, y, _ := makeRegression(7, 70, 12, 5, 0.2)
-	f, err := NewFactorization(x, y, 1)
+	f, err := NewFactorizationWorkers(x, y, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,12 @@ func TestRhoAutoScaling(t *testing.T) {
 	for i := range y {
 		y[i] *= 20
 	}
-	f, err := NewFactorization(x, y, 0)
+	f, err := NewFactorizationWorkers(x, y, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rho() < 100 {
-		t.Fatalf("auto ρ = %v, expected to track the Gram scale", f.Rho())
+	if f.rho < 100 {
+		t.Fatalf("auto ρ = %v, expected to track the Gram scale", f.rho)
 	}
 	lmax := LambdaMax(x, y)
 	r := f.Solve(lmax/50, nil)
@@ -258,7 +258,7 @@ func TestRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ols, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
+	ols, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
 	for i := range ols {
 		if math.Abs(b0[i]-ols[i]) > 1e-8 {
 			t.Fatal("Ridge(0) must equal OLS")

@@ -6,20 +6,15 @@ import (
 	"uoivar/internal/mat"
 )
 
-// OLSOnSupport solves the unpenalized least-squares problem restricted to
-// the given support columns and scatters the solution back into a length-p
-// vector (zeros off support). This is the estimation-step solve of
-// Algorithm 1 line 18: "Compute OLS estimate β̂_{S_j}^k".
+// OLSOnSupportWorkers solves the unpenalized least-squares problem
+// restricted to the given support columns and scatters the solution back
+// into a length-p vector (zeros off support). This is the estimation-step
+// solve of Algorithm 1 line 18: "Compute OLS estimate β̂_{S_j}^k". The Gram
+// product on the support columns runs across at most workers goroutines
+// (≤0 selects mat.DefaultWorkers).
 //
 // Rank-deficient bootstrap designs (|S| close to or above the sample count)
 // are handled with a small ridge fallback.
-func OLSOnSupport(x *mat.Dense, y []float64, support []int) []float64 {
-	return OLSOnSupportWorkers(x, y, support, 0)
-}
-
-// OLSOnSupportWorkers is OLSOnSupport with an explicit kernel worker budget
-// for the Gram product on the support columns (≤0 selects
-// mat.DefaultWorkers).
 func OLSOnSupportWorkers(x *mat.Dense, y []float64, support []int, workers int) []float64 {
 	beta := make([]float64, x.Cols)
 	if len(support) == 0 {

@@ -11,7 +11,7 @@ import (
 func TestOLSOnSupport(t *testing.T) {
 	x, y, _ := makeRegression(51, 80, 10, 3, 0.1)
 	support := []int{1, 4, 7}
-	beta := OLSOnSupport(x, y, support)
+	beta := OLSOnSupportWorkers(x, y, support, 0)
 	// Off-support exactly zero.
 	for i, v := range beta {
 		onSup := i == 1 || i == 4 || i == 7
@@ -21,7 +21,7 @@ func TestOLSOnSupport(t *testing.T) {
 	}
 	// Matches the closed-form restricted OLS.
 	sub := x.SelectCols(support)
-	want, err := solveSPD(mat.AtA(sub), mat.AtVec(sub, y))
+	want, err := solveSPD(mat.AtA(sub), mat.GramVec(sub, y, mat.Sample{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestOLSOnSupport(t *testing.T) {
 		}
 	}
 	// Empty support → zero vector.
-	z := OLSOnSupport(x, y, nil)
+	z := OLSOnSupportWorkers(x, y, nil, 0)
 	for _, v := range z {
 		if v != 0 {
 			t.Fatal("empty support must give zeros")
@@ -46,7 +46,7 @@ func TestOLSOnSupportRankDeficient(t *testing.T) {
 	for i := 0; i < x.Rows; i++ {
 		x.Set(i, 1, x.At(i, 0)) // exact duplicate
 	}
-	beta := OLSOnSupport(x, y, []int{0, 1, 3})
+	beta := OLSOnSupportWorkers(x, y, []int{0, 1, 3}, 0)
 	for _, v := range beta {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("non-finite fallback solution: %v", beta)
@@ -60,7 +60,7 @@ func TestOLSOnSupportRankDeficient(t *testing.T) {
 // non-finite block yields an all-NaN estimate rather than a panic.
 func TestOLSFromGramLadder(t *testing.T) {
 	x, y, _ := makeRegression(53, 50, 4, 2, 0.1)
-	gram, xty := mat.AtA(x), mat.AtVec(x, y)
+	gram, xty := mat.AtA(x), mat.GramVec(x, y, mat.Sample{})
 	want, err := solveSPD(gram, xty)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSupportMask(t *testing.T) {
 func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 	x, y, _ := makeRegression(53, 120, 8, 3, 0.1)
 	support := []int{0, 2, 5}
-	want := OLSOnSupport(x, y, support)
+	want := OLSOnSupportWorkers(x, y, support, 0)
 	mask := SupportMask(8, support)
 	const ranks = 3
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
@@ -121,7 +121,7 @@ func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 
 func TestConsensusOLSWrapper(t *testing.T) {
 	x, y, _ := makeRegression(54, 90, 6, 6, 0.05)
-	want, _ := solveSPD(mat.AtA(x), mat.AtVec(x, y))
+	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
@@ -148,7 +148,7 @@ func TestConsensusElasticMatchesSerialElastic(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
 		xl, yl := x.SubRows(lo, hi), y[lo:hi]
-		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.AtVec(xl, yl), 0, lambda2, 0)
+		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl, mat.Sample{}), 0, lambda2, 0)
 		if err != nil {
 			return err
 		}

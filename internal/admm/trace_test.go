@@ -60,7 +60,7 @@ func TestLassoNilTraceIsFree(t *testing.T) {
 // Gram's parallel gate).
 func TestWorkersVariantsMatch(t *testing.T) {
 	reg := datagen.MakeRegression(5, 180, 20, &datagen.RegressionOptions{NNZ: 4, NoiseStd: 0.2})
-	f0, err := NewFactorization(reg.X, reg.Y, 1)
+	f0, err := NewFactorizationWorkers(reg.X, reg.Y, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

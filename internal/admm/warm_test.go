@@ -11,7 +11,7 @@ import (
 // supports at every λ.
 func TestWarmSweepCarriesDual(t *testing.T) {
 	x, y, _ := makeRegression(11, 80, 15, 6, 0.3)
-	f, err := NewFactorization(x, y, 0)
+	f, err := NewFactorizationWorkers(x, y, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestMakeFinanceStructure(t *testing.T) {
 	if fin.Series.Rows != 300 || fin.Series.Cols != 60 {
 		t.Fatalf("series shape %dx%d", fin.Series.Rows, fin.Series.Cols)
 	}
-	if !fin.Model.IsStable() {
+	if fin.Model.SpectralRadius() >= 1 {
 		t.Fatal("finance VAR must be stable")
 	}
 	if len(fin.Tickers) != 60 || fin.Tickers[0] != "GOOG" {
@@ -157,7 +157,7 @@ func TestMakeNeuroStructure(t *testing.T) {
 	if neu.Series.Rows != 500 || neu.Series.Cols != 32 {
 		t.Fatalf("series shape %dx%d", neu.Series.Rows, neu.Series.Cols)
 	}
-	if !neu.Model.IsStable() {
+	if neu.Model.SpectralRadius() >= 1 {
 		t.Fatal("neuro VAR must be stable")
 	}
 	// Transformed counts are nonnegative (sqrt of count + 0.25 ≥ 0.5).

@@ -138,38 +138,6 @@ func RandomizedDistributeOpts(comm *mpi.Comm, path string, seed uint64, opts *Re
 	}, nil
 }
 
-// Reshuffle re-randomizes row ownership of an existing distribution with
-// fresh one-sided traffic — the Tier-2 reshuffle the paper applies between
-// model selection and model estimation so the two phases see independent
-// randomizations (Figure 1c).
-func Reshuffle(comm *mpi.Comm, b *Block, seed uint64) (*Block, error) {
-	n := b.GlobalRows
-	cols := b.Data.Cols
-	size, rank := comm.Size(), comm.Rank()
-	lo, hi := rowBlock(n, size, rank)
-	if b.Data.Rows != hi-lo {
-		return nil, fmt.Errorf("distio: block has %d rows, expected %d", b.Data.Rows, hi-lo)
-	}
-	tDist := time.Now()
-	rng := resample.NewRNG(seed)
-	perm := rng.Perm(n)
-	recvBuf := make([]float64, (hi-lo)*cols)
-	win := comm.CreateWin(recvBuf)
-	win.Fence()
-	for i := lo; i < hi; i++ {
-		slot := perm[i]
-		dst := rankOfRow(n, size, slot)
-		dLo, _ := rowBlock(n, size, dst)
-		win.Put(dst, (slot-dLo)*cols, b.Data.Row(i-lo))
-	}
-	win.Fence()
-	return &Block{
-		Data:           mat.NewDenseData(hi-lo, cols, recvBuf),
-		GlobalRows:     n,
-		DistributeTime: time.Since(tDist),
-	}, nil
-}
-
 // ConventionalDistribute is the Table II baseline: a single core reads the
 // file serially chunk by chunk (serial HDF5 with hyperslabs) and ships each
 // rank its contiguous block with point-to-point sends. Its three structural
@@ -288,75 +256,4 @@ func rankOfRow(n, size, row int) int {
 		return size - 1
 	}
 	return rem + (row-boundary)/base
-}
-
-// RandomizedDistributeAlltoall is the two-sided variant of the randomized
-// distribution: Tier-1 parallel reads as in RandomizedDistribute, but the
-// Tier-2 redistribution runs as a single Alltoallv exchange instead of
-// one-sided Puts. Functionally identical output for the same seed; the
-// implementation ablation (BenchmarkAblationAlltoall) compares the two
-// transports, since one-sided RMA vs two-sided alltoall is a classic
-// design choice on real interconnects.
-func RandomizedDistributeAlltoall(comm *mpi.Comm, path string, seed uint64) (*Block, error) {
-	return RandomizedDistributeAlltoallOpts(comm, path, seed, nil)
-}
-
-// RandomizedDistributeAlltoallOpts is RandomizedDistributeAlltoall with a
-// fault-tolerant read path (see RandomizedDistributeOpts).
-func RandomizedDistributeAlltoallOpts(comm *mpi.Comm, path string, seed uint64, opts *ReadOptions) (*Block, error) {
-	f, err := opts.open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	meta := f.Meta
-	n, cols := meta.Rows, meta.Cols
-	size, rank := comm.Size(), comm.Rank()
-	if n < size {
-		return nil, fmt.Errorf("distio: %d rows cannot feed %d ranks", n, size)
-	}
-
-	lo, hi := rowBlock(n, size, rank)
-	tRead := time.Now()
-	local, err := f.ReadRows(lo, hi, nil)
-	if err != nil {
-		return nil, err
-	}
-	readTime := time.Since(tRead)
-
-	tDist := time.Now()
-	rng := resample.NewRNG(seed)
-	perm := rng.Perm(n)
-	// Bucket each local row (with its destination slot prepended) by owner.
-	send := make([][]float64, size)
-	for i := lo; i < hi; i++ {
-		slot := perm[i]
-		dst := rankOfRow(n, size, slot)
-		row := local[(i-lo)*cols : (i-lo+1)*cols]
-		payload := make([]float64, 1+cols)
-		payload[0] = float64(slot)
-		copy(payload[1:], row)
-		send[dst] = append(send[dst], payload...)
-	}
-	recv := comm.Alltoallv(send)
-	myLo, myHi := rowBlock(n, size, rank)
-	out := make([]float64, (myHi-myLo)*cols)
-	filled := 0
-	for _, blockData := range recv {
-		for off := 0; off+1+cols <= len(blockData); off += 1 + cols {
-			slot := int(blockData[off])
-			copy(out[(slot-myLo)*cols:(slot-myLo+1)*cols], blockData[off+1:off+1+cols])
-			filled++
-		}
-	}
-	if filled != myHi-myLo {
-		return nil, fmt.Errorf("distio: alltoall filled %d rows, want %d", filled, myHi-myLo)
-	}
-	return &Block{
-		Data:           mat.NewDenseData(myHi-myLo, cols, out),
-		GlobalRows:     n,
-		ReadTime:       readTime,
-		DistributeTime: time.Since(tDist),
-		ReadRetries:    f.Stats().Retries,
-	}, nil
 }

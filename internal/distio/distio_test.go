@@ -161,45 +161,6 @@ func TestRandomizedDistributeDeterministicInSeed(t *testing.T) {
 	}
 }
 
-func TestReshuffleKeepsCoverage(t *testing.T) {
-	const rows, cols, ranks = 40, 3, 4
-	path := writeDataset(t, rows, cols, 5, 2)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		b, err := RandomizedDistribute(c, path, 1)
-		if err != nil {
-			return err
-		}
-		b2, err := Reshuffle(c, b, 2)
-		if err != nil {
-			return err
-		}
-		// Gather all origin rows; every global row must appear exactly once.
-		mine := make([]float64, b2.Data.Rows)
-		for i := range mine {
-			mine[i] = float64(originRow(b2.Data.Row(i), cols))
-		}
-		all := c.Allgather(mine)
-		if c.Rank() == 0 {
-			seen := make([]bool, rows)
-			for _, g := range all {
-				if seen[int(g)] {
-					return fmt.Errorf("row %d duplicated after reshuffle", int(g))
-				}
-				seen[int(g)] = true
-			}
-			for i, s := range seen {
-				if !s {
-					return fmt.Errorf("row %d lost after reshuffle", i)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConventionalDistributeMatchesBlocks(t *testing.T) {
 	const rows, cols, ranks = 26, 4, 3
 	path := writeDataset(t, rows, cols, 4, 1)
@@ -263,38 +224,5 @@ func TestTooManyRanksFails(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlltoallDistributeMatchesOneSided(t *testing.T) {
-	const rows, cols, ranks = 60, 4, 5
-	path := writeDataset(t, rows, cols, 6, 2)
-	oneSided := make([][]float64, ranks)
-	twoSided := make([][]float64, ranks)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		a, err := RandomizedDistribute(c, path, 33)
-		if err != nil {
-			return err
-		}
-		b, err := RandomizedDistributeAlltoall(c, path, 33)
-		if err != nil {
-			return err
-		}
-		oneSided[c.Rank()] = a.Data.Data
-		twoSided[c.Rank()] = b.Data.Data
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < ranks; r++ {
-		if len(oneSided[r]) != len(twoSided[r]) {
-			t.Fatalf("rank %d: lengths differ", r)
-		}
-		for i := range oneSided[r] {
-			if oneSided[r][i] != twoSided[r][i] {
-				t.Fatalf("rank %d: transports disagree at %d", r, i)
-			}
-		}
 	}
 }

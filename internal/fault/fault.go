@@ -4,7 +4,7 @@
 // straggler slowdowns, one-shot message delays, transient I/O read errors,
 // per-bootstrap solve failures, and HTTP-level serving faults (replica
 // kills, refused connections) — that plugs into the hooks exposed by
-// internal/mpi (RunOptions.Fault), internal/hbf (File.SetFault),
+// internal/mpi (RunOptions.Fault), internal/hbf (OpenWithOptions),
 // internal/uoi (LassoConfig.BootstrapFault) and internal/fleet
 // (Config.FaultPlan).
 //
@@ -141,20 +141,6 @@ func NewPlan(size int, events ...Event) *Plan {
 	return &Plan{events: events, ops: make([]atomic.Int64, size), httpOps: make([]atomic.Int64, size)}
 }
 
-// Events returns the schedule (callers must not mutate it).
-func (p *Plan) Events() []Event { return p.events }
-
-// Reset rewinds the per-rank operation counters so the same Plan value can
-// replay an identical schedule.
-func (p *Plan) Reset() {
-	for i := range p.ops {
-		p.ops[i].Store(0)
-	}
-	for i := range p.httpOps {
-		p.httpOps[i].Store(0)
-	}
-}
-
 // String renders the schedule for logging.
 func (p *Plan) String() string {
 	if len(p.events) == 0 {
@@ -206,7 +192,7 @@ func (p *Plan) CommOp(worldRank int) (delay time.Duration, crash error) {
 // the attempt is committed) and a non-nil refuse error when the attempt
 // must fail as connection-refused without reaching the replica. Like
 // CommOp, the decision sequence is a pure function of the schedule, so a
-// Reset replays it bit-identically.
+// fresh Plan over the same events replays it bit-identically.
 func (p *Plan) HTTPOp(replica int) (kill bool, refuse error) {
 	if replica < 0 || replica >= len(p.httpOps) {
 		return false, nil

@@ -44,7 +44,8 @@ func TestCommOpSchedule(t *testing.T) {
 }
 
 func TestResetReplaysSchedule(t *testing.T) {
-	p := NewPlan(1, Event{Kind: Crash, Rank: 0, Op: 1})
+	newPlan := func() *Plan { return NewPlan(1, Event{Kind: Crash, Rank: 0, Op: 1}) }
+	p := newPlan()
 	seq := func() []bool {
 		var out []bool
 		for op := 0; op < 3; op++ {
@@ -54,7 +55,7 @@ func TestResetReplaysSchedule(t *testing.T) {
 		return out
 	}
 	a := seq()
-	p.Reset()
+	p = newPlan()
 	b := seq()
 	for i := range a {
 		if a[i] != b[i] {
@@ -137,7 +138,8 @@ func TestHTTPOpSchedule(t *testing.T) {
 }
 
 func TestHTTPOpResetReplays(t *testing.T) {
-	p := NewPlan(1, Event{Kind: ReplicaKill, Rank: 0, Op: 1})
+	newPlan := func() *Plan { return NewPlan(1, Event{Kind: ReplicaKill, Rank: 0, Op: 1}) }
+	p := newPlan()
 	seq := func() []bool {
 		var out []bool
 		for op := 0; op < 3; op++ {
@@ -147,7 +149,7 @@ func TestHTTPOpResetReplays(t *testing.T) {
 		return out
 	}
 	a := seq()
-	p.Reset()
+	p = newPlan()
 	b := seq()
 	for i := range a {
 		if a[i] != b[i] {
@@ -178,7 +180,7 @@ func TestGenerateHTTPKinds(t *testing.T) {
 		t.Fatalf("same seed diverged:\n  %s\n  %s", a, b)
 	}
 	var kills, refusals int
-	for _, e := range a.Events() {
+	for _, e := range a.events {
 		switch e.Kind {
 		case ReplicaKill:
 			kills++
@@ -215,7 +217,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateZeroProbabilitiesIsEmpty(t *testing.T) {
 	p := Generate(1, 4, GenOptions{})
-	if len(p.Events()) != 0 {
+	if len(p.events) != 0 {
 		t.Fatalf("zero probabilities produced %v", p)
 	}
 	if _, c := p.CommOp(0); c != nil {

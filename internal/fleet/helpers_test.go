@@ -20,3 +20,10 @@ func testCtx(t *testing.T) context.Context {
 func newTestRNG() *resample.RNG {
 	return resample.NewRNG(1)
 }
+
+// Alive reports whether the replica's server is currently up.
+func (r *Replica) Alive() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.alive
+}

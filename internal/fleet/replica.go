@@ -70,13 +70,6 @@ func (r *Replica) Addr() string {
 	return r.addr
 }
 
-// Alive reports whether the replica's server is currently up.
-func (r *Replica) Alive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.alive
-}
-
 // Start brings the replica up: listener first (so /healthz observably
 // fails during warm-up), then artifact loading. Idempotent while alive.
 func (r *Replica) Start() error {

@@ -98,35 +98,6 @@ func (r *Ring) Add(id int) {
 	})
 }
 
-// Remove deletes replica id's virtual nodes (idempotent).
-func (r *Ring) Remove(id int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[id] {
-		return
-	}
-	delete(r.members, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the current replica IDs, sorted.
-func (r *Ring) Members() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]int, 0, len(r.members))
-	for id := range r.members {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Len returns the number of member replicas.
 func (r *Ring) Len() int {
 	r.mu.RLock()

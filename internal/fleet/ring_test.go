@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -174,4 +175,33 @@ func TestRingEdgeCases(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("len %d after removing sole member", r.Len())
 	}
+}
+
+// Remove deletes replica id's virtual nodes (idempotent).
+func (r *Ring) Remove(id int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.members[id] {
+		return
+	}
+	delete(r.members, id)
+	kept := r.points[:0]
+	for _, p := range r.points {
+		if p.id != id {
+			kept = append(kept, p)
+		}
+	}
+	r.points = kept
+}
+
+// Members returns the current replica IDs, sorted.
+func (r *Ring) Members() []int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]int, 0, len(r.members))
+	for id := range r.members {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
 }

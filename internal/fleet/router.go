@@ -272,12 +272,6 @@ func (rt *Router) healthyCount() int {
 	return n
 }
 
-// Healthy reports the router's current view of replica id.
-func (rt *Router) Healthy(id int) bool {
-	st := rt.reps[id]
-	return st != nil && st.healthy.Load()
-}
-
 // State summarizes the fleet for a monitor snapshot.
 func (rt *Router) State() map[string]any {
 	healthy := []int{}

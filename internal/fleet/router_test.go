@@ -528,3 +528,9 @@ func TestBackoffDelayShape(t *testing.T) {
 		}
 	}
 }
+
+// Healthy reports the router's current view of replica id.
+func (rt *Router) Healthy(id int) bool {
+	st := rt.reps[id]
+	return st != nil && st.healthy.Load()
+}

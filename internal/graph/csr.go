@@ -242,23 +242,6 @@ func (g *CSR) Node(i int) NodeStats {
 	return s
 }
 
-// Influence returns the out-strength ("drives") and in-strength
-// ("driven") score vectors for all nodes. Each vector's total equals the
-// total |weight| over all edges (up to summation order).
-func (g *CSR) Influence() (outStrength, inStrength []float64) {
-	outStrength = make([]float64, g.N)
-	inStrength = make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		for e := g.outPtr[i]; e < g.outPtr[i+1]; e++ {
-			outStrength[i] += abs(g.outW[e])
-		}
-		for e := g.inPtr[i]; e < g.inPtr[i+1]; e++ {
-			inStrength[i] += abs(g.inW[e])
-		}
-	}
-	return outStrength, inStrength
-}
-
 // TopNodes ranks nodes by total strength (out + in), ties by index, and
 // returns the top k stats — the "hubs" a summary reports.
 func (g *CSR) TopNodes(k int) []NodeStats {

@@ -68,8 +68,8 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // TestInfluenceSumsConsistent is the satellite property test: total
-// out-strength, total in-strength, and the summed |weight| over the edge
-// list must agree on random graphs.
+// out-strength, total in-strength (per-node Node() stats), and the summed
+// |weight| over the edge list must agree on random graphs.
 func TestInfluenceSumsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -77,15 +77,11 @@ func TestInfluenceSumsConsistent(t *testing.T) {
 		edges := randomEdges(rng, n, 0.4)
 		g := mustBuild(t, n, edges, DupLast)
 
-		outS, inS := g.Influence()
 		var sumOut, sumIn, sumEdges float64
 		for i := 0; i < n; i++ {
-			sumOut += outS[i]
-			sumIn += inS[i]
 			st := g.Node(i)
-			if st.OutStrength != outS[i] || st.InStrength != inS[i] {
-				t.Fatalf("trial %d node %d: Node() and Influence() disagree", trial, i)
-			}
+			sumOut += st.OutStrength
+			sumIn += st.InStrength
 			if st.OutDegree != int(g.outPtr[i+1]-g.outPtr[i]) {
 				t.Fatalf("trial %d node %d: out-degree mismatch", trial, i)
 			}
@@ -223,26 +219,5 @@ func TestExportsByteIdentical(t *testing.T) {
 	}
 	if a.EdgeList() != b.EdgeList() {
 		t.Fatal("edge-list export depends on insertion order")
-	}
-	if a.AdjacencyCSV() != b.AdjacencyCSV() {
-		t.Fatal("adjacency CSV depends on insertion order")
-	}
-}
-
-func TestDirectedDedupe(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1.0)
-	g.AddEdge(0, 1, 2.0)
-	g.AddEdge(2, 1, 0.5)
-	sum := g.Dedupe(DupSum)
-	if sum.NumEdges() != 2 || sum.Edges[0] != (Edge{0, 1, 3.0}) {
-		t.Fatalf("DupSum dedupe: %+v", sum.Edges)
-	}
-	last := g.Dedupe(DupLast)
-	if last.Edges[0] != (Edge{0, 1, 2.0}) {
-		t.Fatalf("DupLast dedupe: %+v", last.Edges)
-	}
-	if g.NumEdges() != 3 {
-		t.Fatal("Dedupe must not mutate the receiver")
 	}
 }

@@ -40,7 +40,7 @@ type Directed struct {
 func New(n int) *Directed { return &Directed{N: n} }
 
 // AddEdge appends a directed edge. Duplicate (From, To) pairs are allowed
-// and counted separately until resolved — call Dedupe with an explicit
+// and counted separately until resolved — Build takes an explicit
 // DupPolicy to collapse them; exports render duplicates as separate lines
 // (in canonical order) rather than silently picking one.
 func (g *Directed) AddEdge(from, to int, w float64) {
@@ -48,41 +48,6 @@ func (g *Directed) AddEdge(from, to int, w float64) {
 		panic(fmt.Sprintf("graph: edge (%d→%d) outside %d nodes", from, to, g.N))
 	}
 	g.Edges = append(g.Edges, Edge{From: from, To: to, Weight: w})
-}
-
-// Dedupe returns a copy of the graph with duplicate (From, To) edges
-// resolved per policy and the edge list in canonical (From, To) order.
-// Labels are shared, not copied.
-func (g *Directed) Dedupe(policy DupPolicy) *Directed {
-	out := &Directed{N: g.N, Labels: g.Labels, Edges: make([]Edge, 0, len(g.Edges))}
-	seen := make(map[[2]int]int, len(g.Edges))
-	for _, e := range g.Edges {
-		key := [2]int{e.From, e.To}
-		if at, ok := seen[key]; ok {
-			switch policy {
-			case DupSum:
-				out.Edges[at].Weight += e.Weight
-			default: // DupLast
-				out.Edges[at].Weight = e.Weight
-			}
-			continue
-		}
-		seen[key] = len(out.Edges)
-		out.Edges = append(out.Edges, e)
-	}
-	sort.Slice(out.Edges, func(a, b int) bool {
-		if out.Edges[a].From != out.Edges[b].From {
-			return out.Edges[a].From < out.Edges[b].From
-		}
-		return out.Edges[a].To < out.Edges[b].To
-	})
-	return out
-}
-
-// CSR compacts the graph into the immutable query store, resolving
-// duplicates per policy.
-func (g *Directed) CSR(policy DupPolicy) (*CSR, error) {
-	return Build(g.N, g.Edges, policy)
 }
 
 // canonicalEdges returns a copy of the edge list sorted by (From, To,
@@ -290,32 +255,4 @@ func (g *Directed) Reciprocity() float64 {
 		}
 	}
 	return float64(recip) / float64(len(g.Edges))
-}
-
-// AdjacencyCSV renders the weighted adjacency matrix (rows = targets,
-// columns = sources, matching the paper's a_ij convention) as CSV with a
-// label header.
-func (g *Directed) AdjacencyCSV() string {
-	w := make([][]float64, g.N)
-	for i := range w {
-		w[i] = make([]float64, g.N)
-	}
-	for _, e := range g.Edges {
-		w[e.To][e.From] = e.Weight
-	}
-	var b strings.Builder
-	b.WriteString("target\\source")
-	for j := 0; j < g.N; j++ {
-		b.WriteByte(',')
-		b.WriteString(g.label(j))
-	}
-	b.WriteByte('\n')
-	for i := 0; i < g.N; i++ {
-		b.WriteString(g.label(i))
-		for j := 0; j < g.N; j++ {
-			fmt.Fprintf(&b, ",%.6g", w[i][j])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -136,19 +136,3 @@ func TestReciprocity(t *testing.T) {
 		t.Fatalf("reciprocity = %v", r)
 	}
 }
-
-func TestAdjacencyCSV(t *testing.T) {
-	g := buildSample()
-	csv := g.AdjacencyCSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "target\\source,GOOG,AAPL") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	// Edge 1→0 with weight 0.5 lands at row GOOG, column AAPL.
-	if !strings.HasPrefix(lines[1], "GOOG,0,0.5,") {
-		t.Fatalf("row = %q", lines[1])
-	}
-}

@@ -128,9 +128,6 @@ func TestOutOfRangeIsTyped(t *testing.T) {
 	if _, err := f.ReadRows(0, 4, make([]float64, 1)); !errors.Is(err, ErrRange) {
 		t.Fatalf("bad dst: %v, want ErrRange", err)
 	}
-	if _, err := f.ReadHyperslab(0, 2, 2, 99); !errors.Is(err, ErrRange) {
-		t.Fatalf("col range: %v, want ErrRange", err)
-	}
 }
 
 func TestTransientFaultIsRetried(t *testing.T) {
@@ -164,8 +161,8 @@ func TestPersistentFaultExhaustsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
-	f.SetFault(plan.IOFault)
+	f.retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}.defaults()
+	f.fault = plan.IOFault
 	_, err = f.ReadRows(0, 10, nil)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want fault.ErrInjected", err)
@@ -186,7 +183,7 @@ func TestCorruptionIsNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
+	f.retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond}.defaults()
 	if _, err := f.ReadRows(0, 10, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}

@@ -272,13 +272,6 @@ func OpenWithOptions(path string, retry RetryPolicy, faultFn func(chunk, attempt
 	return f, nil
 }
 
-// SetRetryPolicy replaces the retry policy for subsequent reads.
-func (f *File) SetRetryPolicy(p RetryPolicy) { f.retry = p.defaults() }
-
-// SetFault installs a read-fault injector (see OpenWithOptions); nil
-// removes it. internal/fault's Plan.IOFault matches this signature.
-func (f *File) SetFault(fn func(chunk, attempt int) error) { f.fault = fn }
-
 // Stats returns the read-path counters accumulated so far.
 func (f *File) Stats() ReadStats {
 	return ReadStats{
@@ -406,53 +399,9 @@ func (f *File) ReadRows(lo, hi int, dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// ReadHyperslab reads the rectangular region rows [rowLo,rowHi) × cols
-// [colLo,colHi) and returns it row-major. Column subsetting reads whole rows
-// and slices (HDF5 does the same under the covers for row-major layouts).
-func (f *File) ReadHyperslab(rowLo, rowHi, colLo, colHi int) ([]float64, error) {
-	m := f.Meta
-	if colLo < 0 || colHi > m.Cols || colLo > colHi {
-		return nil, fmt.Errorf("%w: col range [%d,%d) outside %d cols", ErrRange, colLo, colHi, m.Cols)
-	}
-	full, err := f.ReadRows(rowLo, rowHi, nil)
-	if err != nil {
-		return nil, err
-	}
-	if colLo == 0 && colHi == m.Cols {
-		return full, nil
-	}
-	w := colHi - colLo
-	out := make([]float64, (rowHi-rowLo)*w)
-	for r := 0; r < rowHi-rowLo; r++ {
-		copy(out[r*w:(r+1)*w], full[r*m.Cols+colLo:r*m.Cols+colHi])
-	}
-	return out, nil
-}
-
 // ReadAll reads the entire matrix.
 func (f *File) ReadAll() ([]float64, error) {
 	return f.ReadRows(0, f.Meta.Rows, nil)
-}
-
-// Remove deletes the header and all segment files for path.
-func Remove(path string) error {
-	hdr, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	stripes := 1
-	if len(hdr) >= headerSize && [8]byte(hdr[:8]) == magic {
-		stripes = int(binary.LittleEndian.Uint64(hdr[32:]))
-	}
-	if err := os.Remove(path); err != nil {
-		return err
-	}
-	for s := 0; s < stripes; s++ {
-		if err := os.Remove(segPath(path, s)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
 }
 
 // TempPath returns a usable HBF path inside dir with the given stem.

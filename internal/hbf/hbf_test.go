@@ -110,27 +110,6 @@ func TestReadRowsBounds(t *testing.T) {
 	}
 }
 
-func TestReadHyperslabColumns(t *testing.T) {
-	path, data, _ := writeRandom(t, 20, 6, CreateOptions{ChunkRows: 3, Stripes: 2})
-	f, _ := Open(path)
-	defer f.Close()
-	got, err := f.ReadHyperslab(4, 9, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 5; r++ {
-		for c := 0; c < 3; c++ {
-			want := data[(4+r)*6+2+c]
-			if got[r*3+c] != want {
-				t.Fatalf("hyperslab (%d,%d) mismatch", r, c)
-			}
-		}
-	}
-	if _, err := f.ReadHyperslab(0, 1, 4, 2); err == nil {
-		t.Fatal("inverted col range must fail")
-	}
-}
-
 func TestConcurrentParallelReads(t *testing.T) {
 	// Tier-1 pattern: many readers each pull a disjoint contiguous block.
 	path, data, _ := writeRandom(t, 128, 5, CreateOptions{ChunkRows: 8, Stripes: 4})
@@ -203,21 +182,6 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(dir, "missing.hbf")); err == nil {
 		t.Fatal("missing file must not open")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	path, _, meta := writeRandom(t, 12, 2, CreateOptions{ChunkRows: 3, Stripes: 2})
-	if err := Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("header not removed")
-	}
-	for s := 0; s < meta.Stripes; s++ {
-		if _, err := os.Stat(segPath(path, s)); !os.IsNotExist(err) {
-			t.Fatalf("segment %d not removed", s)
-		}
 	}
 }
 

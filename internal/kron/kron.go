@@ -52,9 +52,6 @@ type VecBlock struct {
 // Equation returns the equation index of local row r.
 func (b *VecBlock) Equation(r int) int { return (b.GLo + r) / b.M }
 
-// Sample returns the sample index of local row r.
-func (b *VecBlock) Sample(r int) int { return (b.GLo + r) % b.M }
-
 // GlobalRows returns the total rows of the vectorized problem (M·P).
 func (b *VecBlock) GlobalRows() int { return b.M * b.P }
 

@@ -9,7 +9,6 @@ import (
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
-	"uoivar/internal/sparse"
 	"uoivar/internal/varsim"
 )
 
@@ -19,6 +18,17 @@ func buildSeries(seed uint64, p, d, n int) (*mat.Dense, *varsim.Design) {
 	model := varsim.GenerateStable(rng, p, d, nil)
 	series := model.Simulate(rng.Derive(1), n, 20)
 	return series, varsim.NewDesign(series, d, false)
+}
+
+// kronI is the dense oracle for the vectorized design I_p ⊗ X (eq. 9).
+func kronI(x *mat.Dense, p int) *mat.Dense {
+	out := mat.NewDense(p*x.Rows, p*x.Cols)
+	for e := 0; e < p; e++ {
+		for i := 0; i < x.Rows; i++ {
+			copy(out.Row(e*x.Rows + i)[e*x.Cols:], x.Row(i))
+		}
+	}
+	return out
 }
 
 // readerSlice builds reader r's contiguous design block from the series.
@@ -48,7 +58,7 @@ func TestAssembleMatchesExplicitKron(t *testing.T) {
 	series, full := buildSeries(41, p, d, n)
 	m := full.X.Rows
 	q := full.X.Cols
-	explicit := sparse.NewBlockDiag(full.X, p).ToCSR().ToDense()
+	explicit := kronI(full.X, p)
 	vy := full.VecY()
 
 	for _, cfg := range []struct{ ranks, readers int }{{4, 2}, {6, 1}, {3, 3}, {8, 4}} {
@@ -189,7 +199,7 @@ func TestVecConsensusMatchesSerial(t *testing.T) {
 	p, d, n := 3, 1, 20
 	series, full := buildSeries(44, p, d, n)
 	m := full.X.Rows
-	explicit := sparse.NewBlockDiag(full.X, p).ToCSR().ToDense()
+	explicit := kronI(full.X, p)
 	vy := full.VecY()
 
 	for _, lambda := range []float64{0, 0.8, 3} {
@@ -234,8 +244,8 @@ func TestVecConsensusMatchesSerial(t *testing.T) {
 
 func TestVecBlockHelpers(t *testing.T) {
 	b := &VecBlock{GLo: 7, GHi: 12, M: 5, P: 4, Q: 3}
-	if b.Equation(0) != 1 || b.Sample(0) != 2 {
-		t.Fatalf("Equation/Sample wrong: %d %d", b.Equation(0), b.Sample(0))
+	if b.Equation(0) != 1 {
+		t.Fatalf("Equation wrong: %d", b.Equation(0))
 	}
 	if b.GlobalRows() != 20 || b.GlobalCols() != 12 {
 		t.Fatal("global dims wrong")
@@ -246,7 +256,7 @@ func TestLocalSquaredError(t *testing.T) {
 	p, d, n := 3, 1, 15
 	series, full := buildSeries(45, p, d, n)
 	m := full.X.Rows
-	explicit := sparse.NewBlockDiag(full.X, p).ToCSR().ToDense()
+	explicit := kronI(full.X, p)
 	vy := full.VecY()
 	beta := make([]float64, explicit.Cols)
 	rng := resample.NewRNG(9)
@@ -287,7 +297,7 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 	p, d, n := 3, 1, 18
 	series, full := buildSeries(46, p, d, n)
 	m := full.X.Rows
-	explicit := sparse.NewBlockDiag(full.X, p).ToCSR().ToDense()
+	explicit := kronI(full.X, p)
 	vy := full.VecY()
 	qTot := explicit.Cols
 	// A support spanning two equations.
@@ -296,7 +306,7 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 	for _, j := range support {
 		mask[j] = true
 	}
-	want := admm.OLSOnSupport(explicit, vy, support)
+	want := admm.OLSOnSupportWorkers(explicit, vy, support, 0)
 
 	const ranks, readers = 3, 1
 	var got []float64

@@ -165,7 +165,7 @@ func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(
 			if j >= f.eqLo && j < f.eqHi {
 				e := j - f.eqLo
 				for i := 0; i < q; i++ {
-					rhs[i] = f.aty[e][i] + f.rho*(zj[i]-uj[i])
+					rhs[i] = f.aty[e][i] + float64(f.rho*(zj[i]-uj[i]))
 				}
 				copy(xj, rhs)
 				f.chol[e].SolveInPlace(xj)
@@ -181,9 +181,9 @@ func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(
 		for i := 0; i < qTot; i++ {
 			buf[i] = x[i] + u[i]
 			d := x[i] - z[i]
-			localPrimal += d * d
-			localXSq += x[i] * x[i]
-			localUSq += u[i] * u[i]
+			localPrimal += float64(d * d)
+			localXSq += float64(x[i] * x[i])
+			localUSq += float64(u[i] * u[i])
 		}
 		buf[qTot] = localPrimal
 		buf[qTot+1] = localXSq
@@ -200,14 +200,14 @@ func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(
 		dual = 0
 		for i := range z {
 			d := z[i] - zOld[i]
-			dual += d * d
+			dual += float64(d * d)
 		}
 		dual = f.rho * math.Sqrt(nRanks) * math.Sqrt(dual)
 		normX := math.Sqrt(buf[qTot+1])
 		normZ := math.Sqrt(nRanks) * mat.Norm2(z)
 		normU := math.Sqrt(buf[qTot+2])
-		epsPrimal := sqrtN*o.AbsTol + o.RelTol*math.Max(normX, normZ)
-		epsDual := sqrtN*o.AbsTol + o.RelTol*f.rho*normU
+		epsPrimal := float64(sqrtN*o.AbsTol) + float64(o.RelTol*math.Max(normX, normZ))
+		epsDual := float64(sqrtN*o.AbsTol) + float64(o.RelTol*f.rho*normU)
 		if primal <= epsPrimal && dual <= epsDual {
 			converged = true
 			break
@@ -248,7 +248,7 @@ func (b *VecBlock) LocalSquaredError(beta []float64) float64 {
 		j := b.Equation(r)
 		pred := mat.Dot(b.X.Row(r), beta[j*q:(j+1)*q])
 		d := b.Y[r] - pred
-		s += d * d
+		s += float64(d * d)
 	}
 	return 0.5 * s
 }

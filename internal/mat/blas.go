@@ -122,18 +122,6 @@ func MulVecWorkers(a *Dense, x []float64, workers int) []float64 {
 	return y
 }
 
-// MulTVec computes y = Aᵀ·x without forming the transpose.
-func MulTVec(a *Dense, x []float64) []float64 { return MulTVecWorkers(a, x, 0) }
-
-// MulTVecWorkers is MulTVec under the signature of the budgeted kernels: the
-// all-rows case of GramVec, which explains why the budget is not used.
-func MulTVecWorkers(a *Dense, x []float64, _ int) []float64 {
-	return GramVec(a, x, Sample{})
-}
-
-// MulABt computes A·Bᵀ with the default worker budget.
-func MulABt(a, b *Dense) *Dense { return MulABtWorkers(a, b, 0) }
-
 // MulABtWorkers computes A·Bᵀ without materializing the transpose: both
 // operands are walked row-major (out[i][j] = ⟨a_i, b_j⟩), which is the
 // cache-friendly layout for the inference server's batched forecast GEMM
@@ -245,18 +233,6 @@ func Sub(x, y []float64) []float64 {
 	out := make([]float64, len(x))
 	for i := range x {
 		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
-// Add returns x + y as a new slice.
-func Add(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
 	}
 	return out
 }

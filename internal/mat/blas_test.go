@@ -48,7 +48,7 @@ func TestMulABtMatchesNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 4, 3}, {9, 5, 7}, {64, 33, 64}, {130, 128, 40}} {
 		a := randomDense(rng, dims[0], dims[1])
 		b := randomDense(rng, dims[2], dims[1])
-		got := MulABt(a, b)
+		got := MulABtWorkers(a, b, 0)
 		want := naiveMul(a, b.T())
 		if !got.Equal(want, 1e-10) {
 			t.Fatalf("MulABt mismatch for dims %v", dims)
@@ -80,7 +80,7 @@ func TestMulABtShapePanic(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	MulABt(NewDense(2, 3), NewDense(2, 4))
+	MulABtWorkers(NewDense(2, 3), NewDense(2, 4), 0)
 }
 
 func TestMulShapePanic(t *testing.T) {
@@ -128,11 +128,11 @@ func TestMulTVecMatchesTranspose(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got := MulTVec(a, x)
+	got := GramVec(a, x, Sample{})
 	want := MulVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MulTVec[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("Aᵀx[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -146,11 +146,11 @@ func TestMulTVecParallelPath(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got := MulTVec(a, x)
+	got := GramVec(a, x, Sample{})
 	want := MulVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("MulTVec[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("Aᵀx[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -207,11 +207,10 @@ func TestNorm2OverflowSafe(t *testing.T) {
 func TestAddSubAxpyScale(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
-	s := Add(x, y)
 	d := Sub(y, x)
 	for i := range x {
-		if s[i] != x[i]+y[i] || d[i] != y[i]-x[i] {
-			t.Fatal("Add/Sub wrong")
+		if d[i] != y[i]-x[i] {
+			t.Fatal("Sub wrong")
 		}
 	}
 	Axpy(y, 2, x)

@@ -71,9 +71,6 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	return newCholesky(n, l), nil
 }
 
-// Size returns the factored dimension.
-func (c *Cholesky) Size() int { return c.n }
-
 // Solve solves A·x = b (that is, L·Lᵀ·x = b) and returns x.
 func (c *Cholesky) Solve(b []float64) []float64 {
 	if len(b) != c.n {

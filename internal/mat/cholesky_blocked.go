@@ -8,12 +8,6 @@ import (
 // keeps the panel resident in L2 while the trailing update runs as GEMM.
 const cholBlock = 96
 
-// NewCholeskyBlocked factors a symmetric positive-definite matrix with the
-// right-looking blocked algorithm and the default worker budget.
-func NewCholeskyBlocked(a *Dense) (*Cholesky, error) {
-	return NewCholeskyBlockedWorkers(a, 0)
-}
-
 // NewCholeskyBlockedWorkers factors a symmetric positive-definite matrix
 // with the right-looking blocked algorithm: factor a diagonal panel,
 // triangular-solve the panel below it, then apply the (parallel)

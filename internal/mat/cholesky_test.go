@@ -123,7 +123,7 @@ func TestCholeskyBlockedMatchesUnblocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, n := range []int{1, 50, 200, 300} {
 		a := randomSPD(rng, n)
-		blocked, err := NewCholeskyBlocked(a)
+		blocked, err := NewCholeskyBlockedWorkers(a, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -158,10 +158,10 @@ func TestCholeskyBlockedRejectsNonPD(t *testing.T) {
 		a.Set(i, i, 1)
 	}
 	a.Set(n-1, n-1, -1) // indefinite in the last panel
-	if _, err := NewCholeskyBlocked(a); err != ErrNotPD {
+	if _, err := NewCholeskyBlockedWorkers(a, 0); err != ErrNotPD {
 		t.Fatalf("expected ErrNotPD, got %v", err)
 	}
-	if _, err := NewCholeskyBlocked(NewDense(3, 4)); err != ErrShape {
+	if _, err := NewCholeskyBlockedWorkers(NewDense(3, 4), 0); err != ErrShape {
 		t.Fatalf("expected ErrShape, got %v", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestCholeskyBlockedRejectsNonPD(t *testing.T) {
 func TestSolvePanelMatchesSolveInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{1, 2, 7, 61, 2*cholBlock + 5} {
-		ch, err := NewCholeskyBlocked(randomSPD(rng, n))
+		ch, err := NewCholeskyBlockedWorkers(randomSPD(rng, n), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

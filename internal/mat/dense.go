@@ -115,18 +115,6 @@ func (m *Dense) SelectCols(idx []int) *Dense {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
-}
-
 // Equal reports whether m and n have identical shape and elements within tol.
 func (m *Dense) Equal(n *Dense, tol float64) bool {
 	if m.Rows != n.Rows || m.Cols != n.Cols {
@@ -153,46 +141,9 @@ func (m *Dense) String() string {
 	return s
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Scale multiplies every element by a.
 func (m *Dense) Scale(a float64) {
 	for i := range m.Data {
 		m.Data[i] *= a
 	}
-}
-
-// AddScaled adds a*n to m in place.
-func (m *Dense) AddScaled(a float64, n *Dense) {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		panic(ErrShape)
-	}
-	for i, v := range n.Data {
-		m.Data[i] += float64(a * v)
-	}
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty).
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns sqrt(sum m_ij^2).
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += float64(v * v)
-	}
-	return math.Sqrt(s)
 }

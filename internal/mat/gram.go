@@ -269,12 +269,8 @@ func gramTile(c0, c1, w, x []float64, m int) {
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 }
 
-// AtVec computes Aᵀy — alias of MulTVec with a clearer name at call sites
-// building normal equations.
-func AtVec(a *Dense, y []float64) []float64 { return GramVec(a, y, Sample{}) }
-
-// AtVecWorkers is AtVec under the signature of the budgeted kernels; see
-// GramVec for why the budget is not used.
+// AtVecWorkers computes Aᵀy under the signature of the budgeted kernels: the
+// all-rows case of GramVec, which explains why the budget is not used.
 func AtVecWorkers(a *Dense, y []float64, _ int) []float64 { return GramVec(a, y, Sample{}) }
 
 // GramVec computes Σᵢ wᵢ·yᵢ·xᵢ over the rows, weights and columns s names —

@@ -93,7 +93,7 @@ func TestGramWeightsMatchGatheredIdentical(t *testing.T) {
 		s := Sample{Rows: rows, Weights: w}
 		want := AtAWorkers(x.SelectRows(idx), 1)
 		got := GramWorkers(x, s, 1)
-		scale := want.MaxAbs()
+		scale := NormInf(want.Data)
 		if d := maxAbsDiff(got.Data, want.Data); d > 1e-12*scale {
 			t.Fatalf("p=%d: weighted Gram off by %g (scale %g)", p, d, scale)
 		}
@@ -113,7 +113,7 @@ func TestGramWeightsMatchGatheredIdentical(t *testing.T) {
 		for i, r := range idx {
 			yb[i] = y[r]
 		}
-		wantV := AtVec(x.SelectRows(idx), yb)
+		wantV := GramVec(x.SelectRows(idx), yb, Sample{})
 		if d := maxAbsDiff(GramVec(x, y, s), wantV); d > 1e-12*NormInf(wantV) {
 			t.Fatalf("p=%d: weighted Xᵀy off by %g", p, d)
 		}
@@ -143,7 +143,7 @@ func TestGramRowCountsIdentical(t *testing.T) {
 			ScaleVec(scaled.Row(i), math.Sqrt(w[i]))
 		}
 		got := GramWorkers(x, Sample{Rows: rows, Weights: w[:n]}, 3)
-		if d := maxAbsDiff(got.Data, gramAxpy(scaled).Data); d > 1e-12*(1+got.MaxAbs()) {
+		if d := maxAbsDiff(got.Data, gramAxpy(scaled).Data); d > 1e-12*(1+NormInf(got.Data)) {
 			t.Fatalf("n=%d: weighted Gram off by %g", n, d)
 		}
 	}

@@ -1,12 +1,11 @@
 // Package metrics provides the statistical evaluation measures used to
 // assess UoI against its baselines: selection accuracy (false positives /
 // false negatives, the quantities UoI is designed to keep low), estimation
-// error (bias and variance), and prediction quality (R², RMSE).
+// error (bias and variance), and prediction quality (R²).
 package metrics
 
 import (
 	"math"
-	"sort"
 
 	"uoivar/internal/mat"
 )
@@ -68,16 +67,6 @@ func (s Selection) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// FalsePositiveRate returns FP / (FP + TN), or 0 when there are no true
-// negatives.
-func (s Selection) FalsePositiveRate() float64 {
-	d := s.FalsePositives + s.TrueNegatives
-	if d == 0 {
-		return 0
-	}
-	return float64(s.FalsePositives) / float64(d)
 }
 
 // EstimationError summarizes coefficient estimation quality.
@@ -143,98 +132,10 @@ func R2(y, yHat []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// RMSEPrediction returns sqrt(mean((y−yHat)²)).
-func RMSEPrediction(y, yHat []float64) float64 {
-	if len(y) != len(yHat) {
-		panic("metrics: length mismatch")
-	}
-	s := 0.0
-	for i := range y {
-		d := y[i] - yHat[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(y)))
-}
-
 // PredictionLoss is the squared-error loss L(β, E) = ½‖y − Xβ‖² that
 // Algorithm 1 (line 19) evaluates on held-out bootstrap data to pick the
 // best support per estimation bootstrap.
 func PredictionLoss(x *mat.Dense, y, beta []float64) float64 {
 	r := mat.Sub(mat.MulVec(x, beta), y)
 	return 0.5 * mat.Dot(r, r)
-}
-
-// CurvePoint is one operating point of a selection family: the
-// (false-positive rate, recall) achieved by one candidate support.
-type CurvePoint struct {
-	FPR, Recall float64
-	Size        int
-}
-
-// SupportCurve scores every candidate support of a UoI λ family against the
-// true coefficient vector, returning points sorted by FPR — the selection
-// analogue of an ROC curve over the regularization path.
-func SupportCurve(supports [][]int, trueBeta []float64, tol float64) []CurvePoint {
-	p := len(trueBeta)
-	truePos := 0
-	for _, v := range trueBeta {
-		if v > tol || v < -tol {
-			truePos++
-		}
-	}
-	out := make([]CurvePoint, 0, len(supports))
-	for _, s := range supports {
-		tp, fp := 0, 0
-		for _, j := range s {
-			if j < 0 || j >= p {
-				continue
-			}
-			if trueBeta[j] > tol || trueBeta[j] < -tol {
-				tp++
-			} else {
-				fp++
-			}
-		}
-		pt := CurvePoint{Size: len(s)}
-		if neg := p - truePos; neg > 0 {
-			pt.FPR = float64(fp) / float64(neg)
-		}
-		if truePos > 0 {
-			pt.Recall = float64(tp) / float64(truePos)
-		} else {
-			pt.Recall = 1
-		}
-		out = append(out, pt)
-	}
-	sortCurve(out)
-	return out
-}
-
-// AUC integrates a selection curve with the trapezoid rule, anchored at
-// (0,0) and (1,1). Values near 1 mean the path orders true features ahead
-// of false ones.
-func AUC(points []CurvePoint) float64 {
-	if len(points) == 0 {
-		return 0.5
-	}
-	pts := make([]CurvePoint, 0, len(points)+2)
-	pts = append(pts, CurvePoint{FPR: 0, Recall: 0})
-	pts = append(pts, points...)
-	pts = append(pts, CurvePoint{FPR: 1, Recall: 1})
-	sortCurve(pts)
-	area := 0.0
-	for i := 1; i < len(pts); i++ {
-		dx := pts[i].FPR - pts[i-1].FPR
-		area += dx * (pts[i].Recall + pts[i-1].Recall) / 2
-	}
-	return area
-}
-
-func sortCurve(pts []CurvePoint) {
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].FPR != pts[b].FPR {
-			return pts[a].FPR < pts[b].FPR
-		}
-		return pts[a].Recall < pts[b].Recall
-	})
 }

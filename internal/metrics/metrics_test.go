@@ -23,14 +23,11 @@ func TestCompareSupports(t *testing.T) {
 	if math.Abs(s.F1()-2.0/3.0) > 1e-12 {
 		t.Fatalf("F1 = %v", s.F1())
 	}
-	if math.Abs(s.FalsePositiveRate()-0.5) > 1e-12 {
-		t.Fatalf("FPR = %v", s.FalsePositiveRate())
-	}
 }
 
 func TestSelectionDegenerateCases(t *testing.T) {
 	s := CompareSupports([]float64{0, 0}, []float64{0, 0}, 1e-6)
-	if s.Precision() != 1 || s.Recall() != 1 || s.FalsePositiveRate() != 0 {
+	if s.Precision() != 1 || s.Recall() != 1 {
 		t.Fatalf("empty-support metrics: %+v", s)
 	}
 	if s.F1() != 1 {
@@ -72,12 +69,6 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestRMSEPrediction(t *testing.T) {
-	if v := RMSEPrediction([]float64{0, 0}, []float64{3, 4}); math.Abs(v-math.Sqrt(12.5)) > 1e-12 {
-		t.Fatalf("RMSE = %v", v)
-	}
-}
-
 func TestPredictionLoss(t *testing.T) {
 	x := mat.NewDenseData(2, 2, []float64{1, 0, 0, 1})
 	y := []float64{1, 2}
@@ -92,7 +83,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"CompareSupports":  func() { CompareSupports([]float64{1}, []float64{1, 2}, 0) },
 		"CompareEstimates": func() { CompareEstimates([]float64{1}, []float64{1, 2}, 0) },
 		"R2":               func() { R2([]float64{1}, []float64{1, 2}) },
-		"RMSE":             func() { RMSEPrediction([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -102,59 +92,5 @@ func TestLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSupportCurveAndAUC(t *testing.T) {
-	trueBeta := []float64{1, 0, -1, 0, 0, 2}
-	// Perfectly ordered family: true features enter first.
-	family := [][]int{
-		{},
-		{0},
-		{0, 2},
-		{0, 2, 5},
-		{0, 2, 5, 1},
-		{0, 2, 5, 1, 3, 4},
-	}
-	pts := SupportCurve(family, trueBeta, 1e-9)
-	if len(pts) != 6 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// The all-true support: FPR 0, recall 1.
-	found := false
-	for _, p := range pts {
-		if p.Size == 3 && p.FPR == 0 && p.Recall == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("perfect support missing: %+v", pts)
-	}
-	if auc := AUC(pts); auc != 1 {
-		t.Fatalf("perfect-path AUC = %v, want 1", auc)
-	}
-
-	// Adversarial family: false features first.
-	bad := [][]int{{1}, {1, 3}, {1, 3, 4}}
-	badPts := SupportCurve(bad, trueBeta, 1e-9)
-	if auc := AUC(badPts); auc >= 0.6 {
-		t.Fatalf("bad-path AUC = %v, want low", auc)
-	}
-	// Empty input: neutral.
-	if AUC(nil) != 0.5 {
-		t.Fatal("empty AUC must be 0.5")
-	}
-}
-
-func TestSupportCurveDegenerate(t *testing.T) {
-	// Empty true support: recall defined as 1.
-	pts := SupportCurve([][]int{{0, 1}}, []float64{0, 0}, 1e-9)
-	if pts[0].Recall != 1 || pts[0].FPR != 1 {
-		t.Fatalf("degenerate point %+v", pts[0])
-	}
-	// All-true support vector: FPR stays 0.
-	pts2 := SupportCurve([][]int{{0}}, []float64{1, 2}, 1e-9)
-	if pts2[0].FPR != 0 || pts2[0].Recall != 0.5 {
-		t.Fatalf("all-true point %+v", pts2[0])
 	}
 }

@@ -99,7 +99,7 @@ func TestGoldenVARRoundTrip(t *testing.T) {
 
 	// The predictor kernel must agree with the reference varsim forecast to
 	// numerical accuracy (different accumulation order, same math).
-	fRef := res.Model().Forecast(series, h)
+	fRef := varsim.ModelFromEstimate(res.A, res.Mu).Forecast(series, h)
 	for i := range fMem.Data {
 		if d := fMem.Data[i] - fRef.Data[i]; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("forecast element %d drifts from reference by %v", i, d)

@@ -19,8 +19,8 @@ var ErrKind = errors.New("model: operation not supported by this model kind")
 //
 // The forecast kernel is the batched one: Forecast(h) is ForecastBatch of a
 // single history, and ForecastBatch computes each step as one GEMM per lag
-// over the whole batch (mat.MulABt, whose output rows are bit-independent
-// of the batch composition). A forecast is therefore bit-identical whether
+// over the whole batch (mat.MulABtWorkers, whose output rows are
+// bit-independent of the batch composition). A forecast is therefore bit-identical whether
 // it was answered alone or coalesced into a batch of any size — the
 // guarantee the inference server's micro-batching relies on.
 type Predictor struct {
@@ -31,8 +31,6 @@ type Predictor struct {
 	// beta/intercept are the lasso coefficients.
 	beta      []float64
 	intercept float64
-	// workers bounds the kernel parallelism of each batched product.
-	workers int
 }
 
 // NewPredictor derives a predictor from an artifact. The artifact's
@@ -56,17 +54,6 @@ func NewPredictor(a *Artifact) (*Predictor, error) {
 	}
 	return p, nil
 }
-
-// SetKernelWorkers bounds the goroutine parallelism of each batched product
-// (0 = the mat default). Worker count never changes forecast bits; this is
-// purely a resource budget. Call before sharing the predictor.
-func (p *Predictor) SetKernelWorkers(w int) { p.workers = w }
-
-// Meta returns the artifact metadata the predictor was built from.
-func (p *Predictor) Meta() Meta { return p.meta }
-
-// Kind returns the model kind ("var" or "lasso").
-func (p *Predictor) Kind() string { return p.meta.Kind }
 
 // Order returns the VAR lag order d (0 for lasso).
 func (p *Predictor) Order() int { return p.meta.Order }
@@ -132,7 +119,7 @@ func (p *Predictor) ForecastBatch(histories []*mat.Dense, h int) ([]*mat.Dense, 
 			for b := 0; b < nb; b++ {
 				copy(lag.Row(b), bufs[b].Row(t-j-1))
 			}
-			prod := mat.MulABtWorkers(lag, p.a[j], p.workers)
+			prod := mat.MulABtWorkers(lag, p.a[j], 0)
 			for b := 0; b < nb; b++ {
 				mat.Axpy(bufs[b].Row(t), 1, prod.Row(b))
 			}
@@ -161,15 +148,6 @@ func (p *Predictor) Edges(tol float64, selfLoops bool) ([]varsim.GrangerEdge, er
 	return varsim.GrangerEdges(p.a, tol, selfLoops), nil
 }
 
-// VARModel packages the coefficients as a varsim.Model, for callers wanting
-// the impulse-response / FEVD / stability helpers.
-func (p *Predictor) VARModel() (*varsim.Model, error) {
-	if p.meta.Kind != KindVAR {
-		return nil, fmt.Errorf("%w: VAR helpers on a %q model", ErrKind, p.meta.Kind)
-	}
-	return varsim.ModelFromEstimate(p.a, p.mu), nil
-}
-
 // Predict evaluates the lasso model on new inputs: Xβ + intercept. The
 // product is the same row-batched kernel as the forecast path, so a stacked
 // request batch returns bit-identical rows to one-at-a-time evaluation.
@@ -181,7 +159,7 @@ func (p *Predictor) Predict(x *mat.Dense) ([]float64, error) {
 		return nil, fmt.Errorf("model: %d columns, model has %d features", x.Cols, p.meta.P)
 	}
 	bm := mat.NewDenseData(1, len(p.beta), p.beta)
-	prod := mat.MulABtWorkers(x, bm, p.workers)
+	prod := mat.MulABtWorkers(x, bm, 0)
 	out := make([]float64, x.Rows)
 	for i := range out {
 		out[i] = prod.At(i, 0) + p.intercept

@@ -22,9 +22,8 @@ import (
 	"time"
 )
 
-// collTagBase offsets the tag space used by the blocking tree/ring
-// collectives away from user tags and from the non-blocking IAllreduce tag
-// space (iarTagBase).
+// collTagBase offsets the tag space used by the tree/ring collectives away
+// from user tags.
 const collTagBase = 1 << 26
 
 // collSeq returns the per-rank tree/ring-collective sequence number. Each
@@ -159,40 +158,12 @@ func (c *Comm) TreeReduce(root int, op Op, data []float64) {
 	c.commEvent("tree-reduce", CatCollective, len(data), start, wait)
 }
 
-// TreeBcast copies root's data into every rank's data slice (lengths must
-// match across ranks) along the reverse binomial tree: each non-root rank
-// receives from its parent (virtual rank with the lowest set bit cleared),
-// then forwards to its children. Wire volume is (Size−1)·len(data) floats
-// total with O(log R) rounds on the critical path, versus the flat Bcast's
-// R·len(data) accounting.
-func (c *Comm) TreeBcast(root int, data []float64) {
-	start := time.Now()
-	c.faultPoint()
-	c.checkRank(root)
-	size := c.Size()
-	tag := c.collTag()
-	var wait time.Duration
-	vr := vrank(c.rank, root, size)
-	if vr != 0 {
-		parent := vr - vr&(-vr)
-		buf, w := c.wireRecv(rrank(parent, root, size), tag)
-		wait += w
-		if len(buf) != len(data) {
-			panic(fmt.Sprintf("mpi: TreeBcast length mismatch (%d vs %d)", len(buf), len(data)))
-		}
-		copy(data, buf)
-	}
-	for k := highestPow2Below(size); k >= 1; k >>= 1 {
-		if vr&(k-1) == 0 && vr&k == 0 && vr+k < size {
-			wait += c.wireSend(rrank(vr+k, root, size), tag, data)
-		}
-	}
-	c.commEvent("tree-bcast", CatCollective, len(data), start, wait)
-}
-
-// TreeBcastV is TreeBcast for payloads whose length only root knows: root
-// passes the payload (other ranks' data is ignored, conventionally nil) and
-// every rank returns it. The transport conveys slice lengths, so no count
+// TreeBcastV broadcasts root's payload along the reverse binomial tree:
+// each non-root rank receives from its parent (virtual rank with the lowest
+// set bit cleared), then forwards to its children, so the wire volume is
+// (Size−1)·len(data) floats at O(log R) depth. Only root needs to know the
+// length: root passes the payload (other ranks' data is ignored,
+// conventionally nil) and every rank returns it. The transport conveys slice lengths, so no count
 // pre-exchange is needed. On root the returned slice is data itself; on
 // other ranks it is freshly received.
 func (c *Comm) TreeBcastV(root int, data []float64) []float64 {
@@ -340,12 +311,11 @@ func (r *GatherRequest) Wait() []float64 {
 	return r.result
 }
 
-// Test reports whether the gather has completed without blocking.
-func (r *GatherRequest) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
+// highestPow2Below returns the largest power of two < n (≥1 for n≥2).
+func highestPow2Below(n int) int {
+	p := 1
+	for p*2 < n {
+		p *= 2
 	}
+	return p
 }

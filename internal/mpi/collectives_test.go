@@ -26,7 +26,7 @@ func TestTreeReduceMatchesFlat(t *testing.T) {
 					}
 					orig := append([]float64(nil), tree...)
 					c.TreeReduce(root, op, tree)
-					c.Reduce(root, op, flat)
+					c.Allreduce(op, flat)
 					if c.Rank() == root {
 						for i := range tree {
 							if tree[i] != flat[i] {
@@ -61,10 +61,10 @@ func TestTreeBcastMatchesFlat(t *testing.T) {
 						data[i] = float64(i) * 1.5
 					}
 				}
-				c.TreeBcast(root, data)
-				for i := range data {
-					if data[i] != float64(i)*1.5 {
-						return fmt.Errorf("size=%d root=%d rank=%d i=%d: got %v", size, root, c.Rank(), i, data[i])
+				got := c.TreeBcastV(root, data)
+				for i := range got {
+					if got[i] != float64(i)*1.5 {
+						return fmt.Errorf("size=%d root=%d rank=%d i=%d: got %v", size, root, c.Rank(), i, got[i])
 					}
 				}
 				return nil
@@ -189,27 +189,6 @@ func TestIRingAllgathervOverlapRounds(t *testing.T) {
 	}
 }
 
-func TestGatherRequestTest(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		req := c.IRingAllgatherv([]float64{float64(c.Rank())})
-		deadline := time.Now().Add(5 * time.Second)
-		for !req.Test() {
-			if time.Now().After(deadline) {
-				return errors.New("gather never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		got := req.Wait()
-		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-			return fmt.Errorf("got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Tree/ring collectives meter bytes as wire-truth: each hop charged once to
 // the sender. A tree reduce over R ranks must therefore record exactly
 // (R−1)·n floats globally, versus the flat path's R·n.
@@ -223,7 +202,7 @@ func TestTreeRingWireMetering(t *testing.T) {
 			data[i] = float64(c.Rank())
 		}
 		c.TreeReduce(0, OpSum, data)
-		c.TreeBcast(0, data)
+		c.TreeBcastV(0, data)
 		c.Barrier()
 		if c.Rank() == 0 {
 			mu.Lock()
@@ -279,7 +258,7 @@ func TestTreeRingCommMatrixConservation(t *testing.T) {
 	err := Run(size, func(c *Comm) error {
 		data := make([]float64, 5)
 		c.TreeReduce(2, OpMax, data)
-		c.TreeBcast(2, data)
+		c.TreeBcastV(2, data)
 		c.RingAllgatherv(make([]float64, c.Rank()%3+1))
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -313,7 +292,7 @@ func TestTreeRingRankKillTypedError(t *testing.T) {
 		body func(c *Comm) // the collective the survivors are stuck in
 	}{
 		{"tree-reduce", func(c *Comm) { c.TreeReduce(0, OpSum, make([]float64, 4)) }},
-		{"tree-bcast", func(c *Comm) { c.TreeBcast(0, make([]float64, 4)) }},
+		{"tree-bcast", func(c *Comm) { c.TreeBcastV(0, make([]float64, 4)) }},
 		{"ring-allgatherv", func(c *Comm) { c.RingAllgatherv(make([]float64, 2)) }},
 		{"iring-wait", func(c *Comm) { c.IRingAllgatherv(make([]float64, 2)).Wait() }},
 	}
@@ -399,5 +378,14 @@ func TestStatsWaitAccumulates(t *testing.T) {
 	}
 	if max < 10*time.Millisecond {
 		t.Fatalf("expected ≥10ms barrier wait on the early rank, got max %v", max)
+	}
+}
+
+func TestHighestPow2Below(t *testing.T) {
+	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 4, 8: 4, 9: 8, 16: 8, 17: 16}
+	for n, want := range cases {
+		if got := highestPow2Below(n); got != want {
+			t.Fatalf("highestPow2Below(%d) = %d, want %d", n, got, want)
+		}
 	}
 }

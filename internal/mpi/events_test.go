@@ -92,12 +92,12 @@ func TestFlowIDsMatchAcrossRanks(t *testing.T) {
 }
 
 // Two identical runs must produce identical per-rank signature sequences —
-// timestamps excluded — even with concurrent background (IAllreduce)
+// timestamps excluded — even with concurrent background (IRingAllgatherv)
 // traffic in flight.
 func TestEventSequenceDeterministic(t *testing.T) {
 	body := func(c *Comm) error {
 		data := []float64{float64(c.Rank() + 1), 2}
-		req := c.IAllreduce(OpSum, data)
+		req := c.IRingAllgatherv(data)
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{3})
 		} else if c.Rank() == 1 {
@@ -167,16 +167,11 @@ func sumMatrix(flows []PairFlow, cat Category) (sendCalls, sendBytes, recvCalls,
 func TestCommMatrixConservationP2P(t *testing.T) {
 	var flows []PairFlow
 	err := Run(3, func(c *Comm) error {
-		// Ring exchange with unequal payloads plus an Alltoallv.
+		// Ring exchange with unequal payloads.
 		next, prev := (c.Rank()+1)%3, (c.Rank()+2)%3
 		payload := make([]float64, 10*(c.Rank()+1))
 		c.Send(next, 1, payload)
 		c.Recv(prev, 1)
-		send := make([][]float64, 3)
-		for d := range send {
-			send[d] = make([]float64, c.Rank()+d+1)
-		}
-		c.Alltoallv(send)
 		c.Barrier()
 		if c.Rank() == 0 {
 			flows = c.CommMatrix()
@@ -214,7 +209,6 @@ func TestCommMatrixConservationOneSided(t *testing.T) {
 			win.Put(1, 0, []float64{1, 2, 3}) // 0 -> 1
 			buf := make([]float64, 2)
 			win.Get(1, 4, buf) // 1 -> 0
-			win.Accumulate(1, 0, []float64{1})
 		}
 		win.Fence()
 		win.Free()
@@ -238,8 +232,8 @@ func TestCommMatrixConservationOneSided(t *testing.T) {
 			get = f
 		}
 	}
-	// Put (3 floats) + Accumulate (1 float) flow 0->1; Get (2 floats) 1->0.
-	if put.SendCalls != 2 || put.SendBytes != 32 || put.RecvCalls != 2 || put.RecvBytes != 32 {
+	// Put (3 floats) flows 0->1; Get (2 floats) 1->0.
+	if put.SendCalls != 1 || put.SendBytes != 24 || put.RecvCalls != 1 || put.RecvBytes != 24 {
 		t.Fatalf("put cell = %+v", put)
 	}
 	if get.SendCalls != 1 || get.SendBytes != 16 || get.RecvBytes != 16 {

@@ -81,27 +81,6 @@ func TestCollectiveTimeout(t *testing.T) {
 	}
 }
 
-func TestAbortUnblocksBarrier(t *testing.T) {
-	cause := errors.New("fatal condition")
-	start := time.Now()
-	err := runDeadline(t, 30*time.Second, func() error {
-		return RunWithOptions(4, RunOptions{CollectiveTimeout: time.Minute}, func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.Abort(cause)
-				return nil
-			}
-			c.Barrier()
-			return nil
-		})
-	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("abort took %v to unwind waiters", elapsed)
-	}
-}
-
 func TestRecvFromFailedRankUnblocks(t *testing.T) {
 	sentinel := errors.New("dead sender")
 	err := runDeadline(t, 30*time.Second, func() error {
@@ -132,23 +111,6 @@ func TestStragglerCompletes(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("straggler run failed: %v", err)
-	}
-}
-
-func TestIAllreduceSurvivesPeerDeath(t *testing.T) {
-	sentinel := errors.New("peer death")
-	err := runDeadline(t, 30*time.Second, func() error {
-		return RunWithOptions(4, RunOptions{CollectiveTimeout: time.Minute}, func(c *Comm) error {
-			if c.Rank() == 3 {
-				return sentinel
-			}
-			req := c.IAllreduce(OpSum, []float64{1})
-			req.Wait()
-			return nil
-		})
-	})
-	if !errors.Is(err, sentinel) || !errors.Is(err, ErrRankFailed) {
-		t.Fatalf("err = %v, want sentinel and ErrRankFailed", err)
 	}
 }
 
@@ -193,26 +155,6 @@ func TestRunJoinsAllRankErrors(t *testing.T) {
 	})
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("err = %v, want both rank errors joined", err)
-	}
-}
-
-func TestAbortCauseJoinedWithRankError(t *testing.T) {
-	cause := errors.New("abort cause")
-	rankErr := errors.New("rank error")
-	err := runDeadline(t, 30*time.Second, func() error {
-		return Run(3, func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.Abort(cause)
-				return rankErr
-			}
-			return nil
-		})
-	})
-	if !errors.Is(err, ErrAborted) || !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want Abort cause surfaced", err)
-	}
-	if !errors.Is(err, rankErr) {
-		t.Fatalf("err = %v, want rank error surfaced alongside Abort", err)
 	}
 }
 

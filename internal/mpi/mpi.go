@@ -1,10 +1,10 @@
 // Package mpi is an in-process message-passing runtime that stands in for
 // MPI in the paper's implementation. Ranks are goroutines; the package
 // provides the primitives the UoI codes use: point-to-point Send/Recv,
-// Bcast, Allreduce, Reduce, Gather/Allgather, Scatter, Barrier, communicator
-// Split (for the P_B × P_λ process grids), and one-sided windows
-// (Put/Get/Accumulate between Fences) used by the randomized data
-// distribution and the distributed Kronecker product.
+// Bcast, Allreduce, Allgather, tree/ring collectives, Barrier, communicator
+// Split (for the P_B × P_λ process grids), and one-sided windows (Put/Get
+// between Fences) used by the randomized data distribution and the
+// distributed Kronecker product.
 //
 // The transport is shared memory, but the communication *structure* — who
 // sends what to whom, how many times, and how many bytes — is identical to
@@ -17,8 +17,8 @@
 // (RunOptions.CollectiveTimeout), a rank that fails — by returning an
 // error, panicking, or being crashed by an injected fault — breaks every
 // barrier so surviving ranks unwind promptly with ErrRankFailed instead of
-// deadlocking, and Abort tears the world down the same way. Deterministic
-// fault schedules plug in through RunOptions.Fault (see internal/fault).
+// deadlocking. Deterministic fault schedules plug in through
+// RunOptions.Fault (see internal/fault).
 package mpi
 
 import (
@@ -74,9 +74,10 @@ type Category int
 const (
 	// CatP2P covers Send/Recv.
 	CatP2P Category = iota
-	// CatCollective covers Bcast/Allreduce/Reduce/Gather/Scatter/Barrier.
+	// CatCollective covers Bcast/Allreduce/Allgather/Barrier and the
+	// tree/ring collectives.
 	CatCollective
-	// CatOneSided covers window Put/Get/Accumulate ("Distribution" in the paper).
+	// CatOneSided covers window Put/Get ("Distribution" in the paper).
 	CatOneSided
 	numCategories
 )
@@ -317,10 +318,8 @@ type World struct {
 	// labeled accumulates per-(rank, communicator-label) counters for comms
 	// tagged with WithLabel; guarded by statsMu. Lazily allocated so
 	// label-free runs pay one nil check per meter call.
-	labeled  map[labelKey]*Stats
-	statsMu  sync.Mutex
-	failOnce sync.Once
-	failErr  error
+	labeled map[labelKey]*Stats
+	statsMu sync.Mutex
 
 	// eventsOn is true when any rank has an event recorder; it gates the
 	// (tiny) bookkeeping for flow IDs so recorder-free runs pay nothing.
@@ -349,9 +348,6 @@ type chanKey struct {
 	tag      int
 }
 
-// ErrAborted is returned from Run when a rank calls Comm.Abort.
-var ErrAborted = errors.New("mpi: aborted")
-
 // ErrRankFailed is the typed error surviving ranks observe when another
 // rank dies (body error, panic, or injected crash): their blocking calls
 // unwind with an error wrapping ErrRankFailed instead of hanging forever.
@@ -376,7 +372,7 @@ func Run(size int, body func(c *Comm) error) error {
 
 // RunWithOptions launches size ranks with explicit fault-tolerance options
 // and waits for all of them. All rank errors are aggregated with
-// errors.Join, together with any Abort cause; a failing rank breaks every
+// errors.Join; a failing rank breaks every
 // barrier so surviving ranks fail fast with ErrRankFailed rather than
 // deadlock, and every blocking call is bounded by opts.CollectiveTimeout.
 func RunWithOptions(size int, opts RunOptions, body func(c *Comm) error) error {
@@ -425,16 +421,11 @@ func RunWithOptions(size int, opts RunOptions, body func(c *Comm) error) error {
 		}(r)
 	}
 	wg.Wait()
-	// Aggregate every failure: the Abort cause first (the root event), then
-	// rank errors in rank order, de-duplicated by message — when one rank
-	// dies, every survivor reports the same ErrRankFailed cause and joining
-	// N-1 copies would bury the interesting error.
+	// Aggregate rank errors in rank order, de-duplicated by message — when
+	// one rank dies, every survivor reports the same ErrRankFailed cause and
+	// joining N-1 copies would bury the interesting error.
 	var all []error
 	seen := map[string]bool{}
-	if w.failErr != nil {
-		all = append(all, w.failErr)
-		seen[w.failErr.Error()] = true
-	}
 	for _, err := range errs {
 		if err != nil && !seen[err.Error()] {
 			seen[err.Error()] = true
@@ -492,12 +483,8 @@ type group struct {
 	mu      sync.Mutex
 	slots   [][]float64 // deposit area for collectives, indexed by comm rank
 	result  []float64
-	// iarCounters sequence the non-blocking collectives per rank.
-	iarCounters []atomic.Int64
-	// collCounters sequence the blocking tree/ring collectives per rank.
+	// collCounters sequence the tree/ring collectives per rank.
 	collCounters []atomic.Int64
-	// a2aSlots is the deposit area for Alltoallv exchanges.
-	a2aSlots [][][]float64
 }
 
 func (w *World) newGroup(members []int) *group {
@@ -557,9 +544,6 @@ func (c *Comm) WithLabel(label string) *Comm {
 	return &cp
 }
 
-// Label returns the attribution label set by WithLabel ("" when unset).
-func (c *Comm) Label() string { return c.label }
-
 // LocalLabelStats returns this rank's per-communicator-label counters: a
 // copy of the Stats accumulated by every labeled Comm handle of this rank
 // (see WithLabel). Unlabeled traffic is not included; it remains visible in
@@ -583,16 +567,6 @@ func (c *Comm) evName(base string) string {
 		return base
 	}
 	return base + "@" + c.label
-}
-
-// Abort records err as the world's failure and breaks every barrier so all
-// blocked ranks unwind promptly; Run returns the cause joined with any rank
-// errors. Unlike MPI_Abort it does not kill other ranks mid-computation
-// (shared-memory goroutines cannot be killed), but any rank that reaches a
-// communication call after the Abort fails with ErrRankFailed.
-func (c *Comm) Abort(err error) {
-	c.world.failOnce.Do(func() { c.world.failErr = fmt.Errorf("%w: %w", ErrAborted, err) })
-	c.world.fail(c.world.failErr)
 }
 
 // Health returns a snapshot of every world rank's state.
@@ -927,10 +901,8 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	}
 }
 
-// sendRaw is Send without the fault point or event recording (used by
-// non-blocking collectives, whose background goroutines must not perturb
-// the deterministic per-rank operation count or event order); it returns
-// the time spent blocked on a full channel. The communication matrix is
+// sendRaw is the transport half of Send, without its fault point or event
+// recording; it returns the time spent blocked on a full channel. The communication matrix is
 // updated here so every message is accounted for, wrapped or not.
 func (c *Comm) sendRaw(dst, tag int, data []float64) (wait time.Duration) {
 	start := time.Now()
@@ -1102,53 +1074,6 @@ func (c *Comm) AllreduceScalar(op Op, v float64) float64 {
 	return buf[0]
 }
 
-// Reduce reduces onto root only; other ranks' data is unchanged.
-func (c *Comm) Reduce(root int, op Op, data []float64) {
-	start := time.Now()
-	c.faultPoint()
-	c.checkRank(root)
-	g := c.group
-	g.slots[c.rank] = data
-	var wait time.Duration
-	c.syncW(&wait)
-	if c.rank == root {
-		res := make([]float64, len(data))
-		copy(res, g.slots[0])
-		for r := 1; r < c.Size(); r++ {
-			op.apply(res, g.slots[r])
-		}
-		copy(data, res)
-	}
-	c.syncW(&wait)
-	c.meter(CatCollective, len(data), start)
-	c.commEvent("reduce", CatCollective, len(data), start, wait)
-}
-
-// Gather collects equal-length contributions onto root, concatenated in rank
-// order. Non-root ranks receive nil.
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	start := time.Now()
-	c.faultPoint()
-	c.checkRank(root)
-	g := c.group
-	g.slots[c.rank] = data
-	var wait time.Duration
-	c.syncW(&wait)
-	var out []float64
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if len(g.slots[r]) != len(data) {
-				panic("mpi: Gather length mismatch")
-			}
-			out = append(out, g.slots[r]...)
-		}
-	}
-	c.syncW(&wait)
-	c.meter(CatCollective, len(data), start)
-	c.commEvent("gather", CatCollective, len(data), start, wait)
-	return out
-}
-
 // Allgather concatenates equal-length contributions in rank order on every rank.
 func (c *Comm) Allgather(data []float64) []float64 {
 	start := time.Now()
@@ -1167,34 +1092,6 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	c.syncW(&wait)
 	c.meter(CatCollective, len(data)*c.Size(), start)
 	c.commEvent("allgather", CatCollective, len(data)*c.Size(), start, wait)
-	return out
-}
-
-// Scatter splits root's src (length = count·Size) into equal chunks and
-// returns this rank's chunk. src is ignored on non-root ranks.
-func (c *Comm) Scatter(root int, src []float64, count int) []float64 {
-	start := time.Now()
-	c.faultPoint()
-	c.checkRank(root)
-	g := c.group
-	if c.rank == root {
-		if len(src) != count*c.Size() {
-			panic("mpi: Scatter length mismatch")
-		}
-		g.mu.Lock()
-		g.result = src
-		g.mu.Unlock()
-	}
-	var wait time.Duration
-	c.syncW(&wait)
-	g.mu.Lock()
-	whole := g.result
-	g.mu.Unlock()
-	out := make([]float64, count)
-	copy(out, whole[c.rank*count:(c.rank+1)*count])
-	c.syncW(&wait)
-	c.meter(CatCollective, count, start)
-	c.commEvent("scatter", CatCollective, count, start, wait)
 	return out
 }
 
@@ -1260,8 +1157,8 @@ type groupKey struct {
 
 // cyclicBarrier is a reusable synchronization barrier that can be broken:
 // once brk is called every current and future waiter returns the breaking
-// error instead of blocking, which is how a dead rank or an Abort unwinds
-// the survivors.
+// error instead of blocking, which is how a dead rank unwinds the
+// survivors.
 type cyclicBarrier struct {
 	mu    sync.Mutex
 	size  int

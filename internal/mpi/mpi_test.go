@@ -199,48 +199,12 @@ func TestAllreduceRepeated(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		data := []float64{1}
-		c.Reduce(3, OpSum, data)
-		if c.Rank() == 3 && data[0] != 4 {
-			return fmt.Errorf("root got %v", data[0])
-		}
-		if c.Rank() != 3 && data[0] != 1 {
-			return fmt.Errorf("non-root modified: %v", data[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherAllgatherScatter(t *testing.T) {
+func TestAllgather(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
 		mine := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
-		g := c.Gather(0, mine)
-		if c.Rank() == 0 {
-			want := []float64{0, 0, 1, 10, 2, 20}
-			for i := range want {
-				if g[i] != want[i] {
-					return fmt.Errorf("Gather got %v", g)
-				}
-			}
-		} else if g != nil {
-			return fmt.Errorf("non-root Gather must return nil")
-		}
 		ag := c.Allgather(mine)
 		if len(ag) != 6 || ag[3] != 10 || ag[4] != 2 {
 			return fmt.Errorf("Allgather got %v", ag)
-		}
-		var src []float64
-		if c.Rank() == 1 {
-			src = []float64{0, 1, 2, 3, 4, 5}
-		}
-		chunk := c.Scatter(1, src, 2)
-		if chunk[0] != float64(2*c.Rank()) || chunk[1] != float64(2*c.Rank()+1) {
-			return fmt.Errorf("rank %d Scatter got %v", c.Rank(), chunk)
 		}
 		return nil
 	})
@@ -324,18 +288,6 @@ func TestStatsMetering(t *testing.T) {
 	}
 }
 
-func TestAbort(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 1 {
-			c.Abort(errors.New("fatal condition"))
-		}
-		return nil
-	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-}
-
 func TestCategoryString(t *testing.T) {
 	if CatP2P.String() != "p2p" || CatCollective.String() != "collective" ||
 		CatOneSided.String() != "one-sided" || Category(99).String() != "unknown" {
@@ -355,61 +307,6 @@ func TestAllreduceLargeVector(t *testing.T) {
 		for i := range data {
 			if math.Abs(data[i]-want) > 0 {
 				return fmt.Errorf("data[%d] = %v want %v", i, data[i], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallv(t *testing.T) {
-	const size = 4
-	err := Run(size, func(c *Comm) error {
-		// Rank r sends to rank d a block [r*10+d] repeated (d+1) times.
-		send := make([][]float64, size)
-		for d := 0; d < size; d++ {
-			block := make([]float64, d+1)
-			for i := range block {
-				block[i] = float64(c.Rank()*10 + d)
-			}
-			send[d] = block
-		}
-		recv := c.Alltoallv(send)
-		if len(recv) != size {
-			return fmt.Errorf("recv blocks %d", len(recv))
-		}
-		for s := 0; s < size; s++ {
-			if len(recv[s]) != c.Rank()+1 {
-				return fmt.Errorf("rank %d: block from %d has %d values, want %d", c.Rank(), s, len(recv[s]), c.Rank()+1)
-			}
-			for _, v := range recv[s] {
-				if v != float64(s*10+c.Rank()) {
-					return fmt.Errorf("rank %d: wrong value from %d: %v", c.Rank(), s, v)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoallvRepeated(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		for round := 0; round < 10; round++ {
-			send := make([][]float64, 3)
-			for d := range send {
-				send[d] = []float64{float64(round*100 + c.Rank()*10 + d)}
-			}
-			recv := c.Alltoallv(send)
-			for s := range recv {
-				want := float64(round*100 + s*10 + c.Rank())
-				if recv[s][0] != want {
-					return fmt.Errorf("round %d from %d: %v want %v", round, s, recv[s][0], want)
-				}
 			}
 		}
 		return nil

@@ -7,7 +7,7 @@ import (
 
 // Win is a one-sided communication window, the analogue of an MPI RMA
 // window. Every rank contributes a local buffer at creation; between Fence
-// calls any rank may Get from, Put to, or Accumulate into any rank's buffer.
+// calls any rank may Get from or Put to any rank's buffer.
 //
 // The paper uses one-sided windows twice: Tier-2 of the randomized data
 // distribution (§III-B1) and the distributed Kronecker product/vectorization
@@ -75,31 +75,6 @@ func (w *Win) Put(target, offset int, src []float64) {
 	w.comm.meterFlow(CatOneSided, w.comm.worldRank, w.comm.group.members[target], len(src), start)
 	w.rmaEvent("win/put", target, len(src), start)
 }
-
-// Accumulate adds src into target's buffer at offset under a window-wide
-// lock (MPI_Accumulate is atomic per element; a single lock is a faithful
-// over-approximation for correctness).
-func (w *Win) Accumulate(target, offset int, src []float64) {
-	start := time.Now()
-	buf := w.target(target)
-	if offset < 0 || offset+len(src) > len(buf) {
-		panic(fmt.Sprintf("mpi: Accumulate [%d,%d) outside window of %d on rank %d",
-			offset, offset+len(src), len(buf), target))
-	}
-	// Serialize on the communicator's shared lock: each rank holds its own
-	// Win value, so a per-Win mutex would not be shared. Accumulates never
-	// overlap group collectives under correct fence discipline.
-	w.comm.group.mu.Lock()
-	for i, v := range src {
-		buf[offset+i] += v
-	}
-	w.comm.group.mu.Unlock()
-	w.comm.meterFlow(CatOneSided, w.comm.worldRank, w.comm.group.members[target], len(src), start)
-	w.rmaEvent("win/acc", target, len(src), start)
-}
-
-// LocalLen returns the length of target's exposed buffer.
-func (w *Win) LocalLen(target int) int { return len(w.target(target)) }
 
 // rmaEvent records one RMA operation on the origin rank's event timeline
 // (no flow arrow: the target rank makes no matching call to anchor one).

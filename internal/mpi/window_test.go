@@ -59,33 +59,6 @@ func TestWinPutDisjoint(t *testing.T) {
 	}
 }
 
-func TestWinAccumulate(t *testing.T) {
-	const n = 8
-	err := Run(n, func(c *Comm) error {
-		var local []float64
-		if c.Rank() == 0 {
-			local = make([]float64, 2)
-		}
-		win := c.CreateWin(local)
-		win.Fence()
-		// All ranks accumulate into the same overlapping range — must sum.
-		win.Accumulate(0, 0, []float64{1, float64(c.Rank())})
-		win.Fence()
-		if c.Rank() == 0 {
-			if local[0] != n {
-				return fmt.Errorf("acc[0] = %v, want %d", local[0], n)
-			}
-			if local[1] != float64(n*(n-1))/2 {
-				return fmt.Errorf("acc[1] = %v", local[1])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWinHeterogeneousSizes(t *testing.T) {
 	// Reader/consumer pattern from the distributed Kronecker strategy:
 	// only low ranks expose data.
@@ -96,9 +69,6 @@ func TestWinHeterogeneousSizes(t *testing.T) {
 		}
 		win := c.CreateWin(local)
 		win.Fence()
-		if win.LocalLen(0) != 1 || win.LocalLen(2) != 0 {
-			return fmt.Errorf("LocalLen wrong: %d %d", win.LocalLen(0), win.LocalLen(2))
-		}
 		dst := make([]float64, 1)
 		win.Get(1, 0, dst)
 		win.Fence()
@@ -116,17 +86,17 @@ func TestWinBoundsPanic(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		win := c.CreateWin(make([]float64, 2))
 		win.Fence()
+		panicked := true
 		if c.Rank() == 0 {
 			func() {
-				defer func() {
-					if recover() == nil {
-						c.Abort(fmt.Errorf("expected bounds panic"))
-					}
-				}()
+				defer func() { panicked = recover() != nil }()
 				win.Get(1, 1, make([]float64, 5))
 			}()
 		}
 		win.Fence()
+		if !panicked {
+			return fmt.Errorf("expected bounds panic")
+		}
 		return nil
 	})
 	if err != nil {

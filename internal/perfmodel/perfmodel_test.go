@@ -319,10 +319,7 @@ func TestProblemSizeFormulas(t *testing.T) {
 	}
 	// LASSO data bytes round trip.
 	n := 100000
-	if got := LassoProblemBytes(n, 20101); math.Abs(got-float64(n)*20102*8) > 1 {
-		t.Fatalf("LassoProblemBytes wrong")
-	}
-	s := LassoScale{DataBytes: LassoProblemBytes(n, 20101), Features: 20101}
+	s := LassoScale{DataBytes: float64(n) * 20102 * 8, Features: 20101}
 	if math.Abs(s.Rows()-float64(n)) > 0.5 {
 		t.Fatalf("Rows() = %v, want %d", s.Rows(), n)
 	}

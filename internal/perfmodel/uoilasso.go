@@ -50,12 +50,6 @@ func (s LassoScale) Rows() float64 {
 	return s.DataBytes / (8 * float64(s.Features+1))
 }
 
-// LassoProblemBytes returns the dataset bytes for an n×p problem (the [X|y]
-// matrix), the quantity Table I calls "Data Size".
-func LassoProblemBytes(n, p int) float64 {
-	return float64(n) * float64(p+1) * 8
-}
-
 // UoILasso predicts the phase breakdown of a distributed UoI_LASSO run.
 //
 // Phase structure mirrors the functional implementation:

@@ -106,12 +106,3 @@ func (s *Scaler) InverseBeta(betaStd []float64) (beta []float64, intercept float
 	}
 	return beta, intercept
 }
-
-// Predict evaluates the original-units model on raw inputs.
-func Predict(x *mat.Dense, beta []float64, intercept float64) []float64 {
-	out := mat.MulVec(x, beta)
-	for i := range out {
-		out[i] += intercept
-	}
-	return out
-}

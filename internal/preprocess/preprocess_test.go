@@ -75,12 +75,15 @@ func TestInverseBetaRoundTrip(t *testing.T) {
 	ys := s.TransformY(y)
 
 	// Fit OLS in standardized space.
-	res, err := admm.OLS(xs, ys, &admm.Options{MaxIter: 5000, AbsTol: 1e-10, RelTol: 1e-8})
+	res, err := admm.Lasso(xs, ys, 0, &admm.Options{MaxIter: 5000, AbsTol: 1e-10, RelTol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	beta, intercept := s.InverseBeta(res.Beta)
-	pred := Predict(x, beta, intercept)
+	pred := mat.MulVec(x, beta)
+	for i := range pred {
+		pred[i] += intercept
+	}
 	// Predictions in original units must match the standardized model's.
 	predStd := mat.MulVec(xs, res.Beta)
 	for i := range pred {

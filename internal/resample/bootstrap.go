@@ -88,29 +88,6 @@ func MovingBlockBootstrap(rng *RNG, n, blockLen int) []int {
 	return idx
 }
 
-// CircularBlockBootstrap is the circular variant: block starts are uniform
-// over [0, n) and wrap around, giving every observation equal inclusion
-// probability.
-func CircularBlockBootstrap(rng *RNG, n, blockLen int) []int {
-	if n <= 0 {
-		panic("resample: CircularBlockBootstrap with non-positive n")
-	}
-	if blockLen <= 0 {
-		panic("resample: non-positive block length")
-	}
-	if blockLen > n {
-		blockLen = n
-	}
-	idx := make([]int, 0, n+blockLen)
-	for len(idx) < n {
-		start := rng.Intn(n)
-		for j := 0; j < blockLen && len(idx) < n; j++ {
-			idx = append(idx, (start+j)%n)
-		}
-	}
-	return idx
-}
-
 // AnchoredBlockBootstrap draws a block bootstrap sample whose identity
 // depends only on ABSOLUTE stream coordinates, not on where the window
 // currently sits. Observations live at absolute positions

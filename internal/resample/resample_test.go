@@ -216,22 +216,6 @@ func TestMovingBlockBootstrapContiguity(t *testing.T) {
 	}
 }
 
-func TestCircularBlockBootstrapWraps(t *testing.T) {
-	r := NewRNG(9)
-	n, bl := 50, 7
-	idx := CircularBlockBootstrap(r, n, bl)
-	if len(idx) != n {
-		t.Fatalf("len = %d", len(idx))
-	}
-	for b := 0; b+bl <= n; b += bl {
-		for j := 1; j < bl; j++ {
-			if idx[b+j] != (idx[b]+j)%n {
-				t.Fatalf("circular block at %d broken: %v", b, idx[b:b+bl])
-			}
-		}
-	}
-}
-
 func TestBlockLongerThanSeriesClamps(t *testing.T) {
 	r := NewRNG(10)
 	idx := MovingBlockBootstrap(r, 5, 50)
@@ -288,39 +272,11 @@ func TestBootstrapReproducibilityProperty(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(12)
-	xs := []int{10, 20, 30, 40, 50, 60}
-	orig := append([]int{}, xs...)
-	r.Shuffle(xs)
-	counts := map[int]int{}
-	for _, v := range xs {
-		counts[v]++
-	}
-	for _, v := range orig {
-		if counts[v] != 1 {
-			t.Fatalf("Shuffle lost/duplicated %d: %v", v, xs)
-		}
-	}
-	// Over many shuffles the first element varies.
-	seen := map[int]bool{}
-	for i := 0; i < 50; i++ {
-		ys := append([]int{}, orig...)
-		r.Shuffle(ys)
-		seen[ys[0]] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("Shuffle not randomizing: %v", seen)
-	}
-}
-
 func TestBlockBootstrapPanics(t *testing.T) {
 	r := NewRNG(13)
 	for name, f := range map[string]func(){
 		"moving-n":       func() { MovingBlockBootstrap(r, 0, 3) },
 		"moving-block":   func() { MovingBlockBootstrap(r, 10, 0) },
-		"circular-n":     func() { CircularBlockBootstrap(r, 0, 3) },
-		"circular-block": func() { CircularBlockBootstrap(r, 10, -1) },
 		"split-block":    func() { BlockTrainEvalSplit(r, 10, 0, 0.8) },
 		"split-frac":     func() { BlockTrainEvalSplit(r, 10, 2, 1.5) },
 		"split-oneblock": func() { BlockTrainEvalSplit(r, 4, 4, 0.5) },
@@ -334,18 +290,5 @@ func TestBlockBootstrapPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestCircularBlockClamp(t *testing.T) {
-	r := NewRNG(14)
-	idx := CircularBlockBootstrap(r, 5, 99)
-	if len(idx) != 5 {
-		t.Fatalf("len = %d", len(idx))
-	}
-	for j := 1; j < 5; j++ {
-		if idx[j] != (idx[j-1]+1)%5 {
-			t.Fatalf("clamped circular block not contiguous: %v", idx)
-		}
 	}
 }

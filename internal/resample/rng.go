@@ -90,11 +90,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes xs in place.
-func (r *RNG) Shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}

@@ -61,10 +61,3 @@ func (c *lruCache) Put(key string, body []byte) {
 		delete(c.m, el.Value.(*cacheEntry).key)
 	}
 }
-
-// Len returns the number of cached responses.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -97,13 +97,6 @@ func (gp *GraphProvider) Get(entry *Entry, tol float64, selfLoops bool) (*graph.
 	return g, false, nil
 }
 
-// Len reports the number of cached stores (tests).
-func (gp *GraphProvider) Len() int {
-	gp.mu.Lock()
-	defer gp.mu.Unlock()
-	return len(gp.stores)
-}
-
 // ---- Wire types ----
 
 // GraphTopKRequest is the /v1/graph/topk body.

@@ -239,3 +239,10 @@ func TestGraphProviderSharing(t *testing.T) {
 		t.Fatalf("builds %d+%d, store hits %d+%d; want one build total", b1, b2, h1, h2)
 	}
 }
+
+// Len reports the number of cached stores (tests).
+func (gp *GraphProvider) Len() int {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	return len(gp.stores)
+}

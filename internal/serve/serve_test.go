@@ -583,3 +583,10 @@ func TestLRUCacheEviction(t *testing.T) {
 		t.Fatal("disabled cache cached")
 	}
 }
+
+// Len returns the number of cached responses.
+func (c *lruCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}

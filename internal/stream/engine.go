@@ -42,7 +42,7 @@ type Config struct {
 	// WeightFloor is Forget's weight cutoff (default 0.01).
 	WeightFloor float64
 	// RefitEvery triggers a background refit each time this many rows have
-	// been ingested since the last refit started (0 = manual RefitNow only).
+	// been ingested since the last refit started (0 = no background refits).
 	RefitEvery int
 	// MinRows is the minimum buffered rows before any refit (default
 	// max(32, 4·(Order+1))).
@@ -80,7 +80,7 @@ type Engine struct {
 	tr      *trace.Tracer
 	metrics *streamMetrics
 
-	// fitMu serializes refits (the background loop and RefitNow).
+	// fitMu serializes refits.
 	fitMu sync.Mutex
 
 	mu          sync.Mutex
@@ -206,13 +206,6 @@ func (e *Engine) refitAsync() {
 			e.mu.Unlock()
 		}
 	}()
-}
-
-// RefitNow refits synchronously on the current window and publishes the
-// result, regardless of cadence. Used by tests, benches, and operators.
-func (e *Engine) RefitNow() (serve.StreamStatus, error) {
-	err := e.refit()
-	return e.Status(), err
 }
 
 // refit snapshots the window, fits, and publishes. Serialized by fitMu.
@@ -358,15 +351,6 @@ func (e *Engine) Status() serve.StreamStatus {
 		st.Version = entry.Version
 	}
 	return st
-}
-
-// LastFit returns the window snapshot and exact fit configuration of the
-// last completed refit (nil before any) — the inputs a cold uoi.VAR must be
-// given to reproduce the published artifact bit for bit.
-func (e *Engine) LastFit() (*mat.Dense, uoi.VARConfig) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastSeries, e.lastCfg
 }
 
 // Refit-health thresholds for Manager.Degraded: a running refit is "slow"

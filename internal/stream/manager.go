@@ -141,14 +141,6 @@ func (m *Manager) StatusAll() []serve.StreamStatus {
 	return out
 }
 
-// Engine returns the named model's engine if one has been created.
-func (m *Manager) Engine(name string) (*Engine, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.engines[name]
-	return e, ok
-}
-
 // Degraded lists unhealthy streams for monitor readiness (empty while every
 // stream is healthy). A stream is degraded when its last refit failed, or
 // when its in-flight refit is slow (running well past the last completed

@@ -342,3 +342,27 @@ func TestManagerRoutes(t *testing.T) {
 		}
 	}
 }
+
+// RefitNow refits synchronously on the current window and publishes the
+// result, regardless of cadence.
+func (e *Engine) RefitNow() (serve.StreamStatus, error) {
+	err := e.refit()
+	return e.Status(), err
+}
+
+// LastFit returns the window snapshot and exact fit configuration of the
+// last completed refit (nil before any) — the inputs a cold uoi.VAR must be
+// given to reproduce the published artifact bit for bit.
+func (e *Engine) LastFit() (*mat.Dense, uoi.VARConfig) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lastSeries, e.lastCfg
+}
+
+// Engine returns the named model's engine if one has been created.
+func (m *Manager) Engine(name string) (*Engine, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.engines[name]
+	return e, ok
+}

@@ -323,24 +323,6 @@ func (c Counter) Add(delta float64) {
 // Inc adds one.
 func (c Counter) Inc() { c.Add(1) }
 
-// Set forces the counter to v. It exists for mirrors of externally-owned
-// monotone values (the trace-counter bridge); regular instrumentation
-// should only ever Add.
-func (c Counter) Set(v float64) {
-	if c.s == nil {
-		return
-	}
-	c.s.valBits.Store(math.Float64bits(v))
-}
-
-// Value returns the counter's current value (0 for a nil handle).
-func (c Counter) Value() float64 {
-	if c.s == nil {
-		return 0
-	}
-	return math.Float64frombits(c.s.valBits.Load())
-}
-
 // Set stores v.
 func (g Gauge) Set(v float64) {
 	if g.s == nil {
@@ -355,14 +337,6 @@ func (g Gauge) Add(delta float64) {
 		return
 	}
 	g.s.addFloat(&g.s.valBits, delta)
-}
-
-// Value returns the gauge's current value (0 for a nil handle).
-func (g Gauge) Value() float64 {
-	if g.s == nil {
-		return 0
-	}
-	return math.Float64frombits(g.s.valBits.Load())
 }
 
 // Observe records one sample.
@@ -385,42 +359,6 @@ func (h Histogram) Observe(v float64) {
 	}
 	h.s.n.Add(1)
 	h.s.addFloat(&h.s.sumBits, v)
-}
-
-// Count returns the histogram's total observation count.
-func (h Histogram) Count() uint64 {
-	if h.s == nil {
-		return 0
-	}
-	return h.s.n.Load()
-}
-
-// Sum returns the histogram's observation sum.
-func (h Histogram) Sum() float64 {
-	if h.s == nil {
-		return 0
-	}
-	return math.Float64frombits(h.s.sumBits.Load())
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// linear interpolation inside the target bucket — the same estimate
-// Prometheus's histogram_quantile gives for this layout. Observations in
-// the +Inf bucket clamp to the largest finite bound; an empty histogram
-// returns NaN.
-func (h Histogram) Quantile(q float64) float64 {
-	if h.s == nil {
-		return math.NaN()
-	}
-	cum := make([]uint64, len(h.bounds)+1)
-	var total uint64
-	for i := range h.bounds {
-		total += h.s.counts[i].Load()
-		cum[i] = total
-	}
-	total += h.s.infN.Load()
-	cum[len(h.bounds)] = total
-	return bucketQuantile(q, h.bounds, cum)
 }
 
 // bucketQuantile interpolates the q-quantile from cumulative bucket counts

@@ -178,14 +178,6 @@ func (r *Recorder) Rank() int {
 	return r.rank
 }
 
-// Epoch returns the time origin of the recorder's timestamps.
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // push appends an event, evicting the oldest when full. Caller holds r.mu.
 func (r *Recorder) push(e Event) {
 	if r.n < len(r.buf) {

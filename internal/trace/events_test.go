@@ -133,7 +133,7 @@ func TestRecorderSetSharedEpoch(t *testing.T) {
 		if rec.Rank() != r {
 			t.Fatalf("recorder %d has rank %d", r, rec.Rank())
 		}
-		if !rec.Epoch().Equal(recs[0].Epoch()) {
+		if !rec.epoch.Equal(recs[0].epoch) {
 			t.Fatal("epochs differ within a set")
 		}
 	}

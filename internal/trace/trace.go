@@ -49,9 +49,6 @@ func New() *Tracer {
 	}
 }
 
-// Enabled reports whether spans and counters are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // WithRecorder attaches a per-rank event recorder: every span Start/End and
 // Instant is mirrored onto rec's timeline. Returns t for chaining; a nil
 // tracer ignores the attachment.

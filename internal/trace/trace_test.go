@@ -27,9 +27,6 @@ func TestDisabledTracerAllocatesNothing(t *testing.T) {
 
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports Enabled")
-	}
 	sp := tr.Start("x")
 	sp.Child("y").End()
 	sp.End()

@@ -48,7 +48,7 @@ func LassoCV(x *mat.Dense, y []float64, folds, q int, seed uint64) (*BaselineRes
 		}
 		xt, yt := x.SelectRows(trainIdx), selectVec(y, trainIdx)
 		xe, ye := x.SelectRows(evalIdx), selectVec(y, evalIdx)
-		fac, err := admm.NewFactorization(xt, yt, 0)
+		fac, err := admm.NewFactorizationWorkers(xt, yt, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func LassoBIC(x *mat.Dense, y []float64, q int) (*BaselineResult, error) {
 	}
 	n := float64(x.Rows)
 	lambdas := admm.LogSpaceLambdas(admm.LambdaMax(x, y), 1e-3, q)
-	fac, err := admm.NewFactorization(x, y, 0)
+	fac, err := admm.NewFactorizationWorkers(x, y, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		}
 		trainDes := varsim.NewDesignFromRows(series, order, intercept, toTargets(trainIdx))
 		evalDes := varsim.NewDesignFromRows(series, order, intercept, toTargets(evalIdx))
-		fac, err := admm.NewFactorizationGram(mat.AtA(trainDes.X), 0)
+		fac, err := admm.NewFactorizationGramWorkers(mat.AtA(trainDes.X), 0, 0)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -161,7 +161,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		}
 	}
 	// Refit on all data at the winning λ.
-	fac, err := admm.NewFactorizationGram(mat.AtA(full.X), 0)
+	fac, err := admm.NewFactorizationGramWorkers(mat.AtA(full.X), 0, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}

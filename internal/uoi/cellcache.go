@@ -123,13 +123,6 @@ func (c *MapCellCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Len reports the number of live entries across both generations.
-func (c *MapCellCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.selCur) + len(c.selPrev) + len(c.estCur) + len(c.estPrev)
-}
-
 // hashTargetRows folds into h the CONTENT SEQUENCE a cell's design
 // construction reads: for each bootstrap target t, in target order, the
 // bytes of series rows t−d .. t (the lag stack plus the response row).

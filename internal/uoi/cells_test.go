@@ -263,9 +263,23 @@ func newVarCellFixture(series *mat.Dense, cfg *VARConfig) varCellFixture {
 	full := varsim.NewDesign(series, c.Order, !c.NoIntercept)
 	return varCellFixture{
 		series: series, c: c, m: m, blockLen: int(math.Ceil(math.Sqrt(float64(m)))),
-		rowsB: full.X.Cols, betaLen: full.BetaLen(),
+		rowsB: full.X.Cols, betaLen: full.X.Cols * full.P,
 		lambdas: admm.LogSpaceLambdas(vecLambdaMax(full, 1), c.LambdaRatio, c.Q),
 	}
+}
+
+// vecResidual computes vec(Y) − (I⊗X)·beta equation by equation, stacked
+// column-major.
+func vecResidual(d *varsim.Design, beta []float64) []float64 {
+	m, rowsB := d.Y.Rows, d.X.Cols
+	out := make([]float64, m*d.P)
+	for j := 0; j < d.P; j++ {
+		pred := mat.MulVec(d.X, beta[j*rowsB:(j+1)*rowsB])
+		for i := 0; i < m; i++ {
+			out[j*m+i] = d.Y.At(i, j) - pred[i]
+		}
+	}
+	return out
 }
 
 // perSupportVarEstCell is the estimation cell as it was before the
@@ -297,7 +311,7 @@ func perSupportVarEstCell(fx varCellFixture, root *resample.RNG, k int, distinct
 				copy(b[eq*fx.rowsB:(eq+1)*fx.rowsB], admm.OLSOnSupportWorkers(trainDes.X, yCol, cols, 1))
 			}
 		}
-		r := evalDes.Residual(b)
+		r := vecResidual(evalDes, b)
 		loss := 0.5 * mat.Dot(r, r)
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
 			continue

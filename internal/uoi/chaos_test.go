@@ -34,7 +34,7 @@ func runBounded(t *testing.T, f func() error) error {
 // taxonomy — every chaos failure must be attributable.
 func typedOutcome(err error) bool {
 	for _, sentinel := range []error{
-		mpi.ErrRankFailed, mpi.ErrTimeout, mpi.ErrAborted, ErrQuorum, fault.ErrInjected,
+		mpi.ErrRankFailed, mpi.ErrTimeout, ErrQuorum, fault.ErrInjected,
 	} {
 		if errors.Is(err, sentinel) {
 			return true
@@ -207,12 +207,14 @@ func TestChaosSeededSchedules(t *testing.T) {
 		nSeeds = 4
 	}
 	for seed := uint64(1); seed <= uint64(nSeeds); seed++ {
-		plan := fault.Generate(seed, ranks, fault.GenOptions{
-			PCrash: 0.4, PStraggle: 0.5, PDelay: 0.5, PBootstrap: 0.6,
-			MaxOp: 80, MaxDelay: 2 * time.Millisecond, MaxBootstraps: 3,
-		})
+		newPlan := func() *fault.Plan {
+			return fault.Generate(seed, ranks, fault.GenOptions{
+				PCrash: 0.4, PStraggle: 0.5, PDelay: 0.5, PBootstrap: 0.6,
+				MaxOp: 80, MaxDelay: 2 * time.Millisecond, MaxBootstraps: 3,
+			})
+		}
 		run := func() string {
-			plan.Reset()
+			plan := newPlan()
 			var fingerprint string
 			err := runBounded(t, func() error {
 				return mpi.RunWithOptions(ranks, mpi.RunOptions{
@@ -242,7 +244,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 		}
 		first := run()
 		if replay := run(); replay != first {
-			t.Fatalf("seed %d (%v): outcome not reproducible:\n  first:  %s\n  replay: %s", seed, plan, first, replay)
+			t.Fatalf("seed %d (%v): outcome not reproducible:\n  first:  %s\n  replay: %s", seed, newPlan(), first, replay)
 		}
 	}
 }
@@ -253,9 +255,8 @@ func TestChaosSeededSchedules(t *testing.T) {
 func TestChaosVARCrash(t *testing.T) {
 	_, series := makeVARData(53, 4, 1, 160)
 	const ranks = 4
-	plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 2, Op: 25})
 	run := func() string {
-		plan.Reset()
+		plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 2, Op: 25})
 		err := runBounded(t, func() error {
 			return mpi.RunWithOptions(ranks, mpi.RunOptions{
 				CollectiveTimeout: 20 * time.Second,

@@ -238,12 +238,11 @@ func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *
 
 // LassoDistributedPhases is LassoDistributed with distinct local blocks for
 // the selection and estimation phases — the paper's Fig. 1c pipeline, where
-// a Tier-2 reshuffle re-randomizes row ownership between model selection
-// and model estimation so the two phases resample independent
-// randomizations:
+// row ownership is re-randomized between model selection and model
+// estimation so the two phases resample independent randomizations:
 //
 //	selBlock, _ := distio.RandomizedDistribute(comm, path, seed)
-//	estBlock, _ := distio.Reshuffle(comm, selBlock, seed+1)
+//	estBlock, _ := distio.RandomizedDistribute(comm, path, seed+1)
 //	res, _ := uoi.LassoDistributedPhases(comm, xSel, ySel, xEst, yEst, cfg, grid)
 func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
 	c := cfg.defaults()

@@ -261,7 +261,7 @@ func TestGridRankKillTypedError(t *testing.T) {
 					t.Fatal("rank kill produced no error")
 				}
 				if !errors.Is(err, mpi.ErrRankFailed) && !errors.Is(err, fault.ErrInjected) &&
-					!errors.Is(err, mpi.ErrTimeout) && !errors.Is(err, mpi.ErrAborted) {
+					!errors.Is(err, mpi.ErrTimeout) {
 					t.Fatalf("untyped failure: %v", err)
 				}
 			case <-time.After(60 * time.Second):

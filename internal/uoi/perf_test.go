@@ -352,7 +352,7 @@ func TestLassoFitAllocatesNoBootstrapCopies(t *testing.T) {
 func BenchmarkLassoSelCell(b *testing.B) {
 	x, y, _ := makeRegression(67, 8192, 256, 12, 0.5)
 	c := (&LassoConfig{Q: 12, Seed: 7}).defaults()
-	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.AtVec(x, y)), c.LambdaRatio, c.Q)
+	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.GramVec(x, y, mat.Sample{})), c.LambdaRatio, c.Q)
 	root := resample.NewRNG(c.Seed)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -27,13 +27,11 @@ func TestTimelineReplayDeterministic(t *testing.T) {
 	}
 	const ranks = 4
 	xs, ys := shuffledBlocks(17, rows, y, x.Cols, ranks)
-	plan := fault.Generate(3, ranks, fault.GenOptions{
-		PStraggle: 0.5, PDelay: 0.7, PBootstrap: 0.8,
-		MaxOp: 60, MaxDelay: time.Millisecond, MaxBootstraps: 2,
-	})
-
 	run := func() []*trace.Recorder {
-		plan.Reset()
+		plan := fault.Generate(3, ranks, fault.GenOptions{
+			PStraggle: 0.5, PDelay: 0.7, PBootstrap: 0.8,
+			MaxOp: 60, MaxDelay: time.Millisecond, MaxBootstraps: 2,
+		})
 		recs := trace.NewRecorderSet(ranks, 1<<14)
 		err := runBounded(t, func() error {
 			return mpi.RunWithOptions(ranks, mpi.RunOptions{

@@ -379,14 +379,3 @@ func appendSupportKey(b []byte, s []int) []byte {
 	}
 	return b
 }
-
-// Predict evaluates the fitted model on new inputs: Xβ + intercept.
-func (r *Result) Predict(x *mat.Dense) []float64 {
-	out := mat.MulVec(x, r.Beta)
-	if r.Intercept != 0 {
-		for i := range out {
-			out[i] += r.Intercept
-		}
-	}
-	return out
-}

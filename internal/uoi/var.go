@@ -271,11 +271,3 @@ func vecLoss(des *varsim.Design, beta []float64) float64 {
 	}
 	return 0.5 * sum
 }
-
-// Model packages the fitted coefficients as a varsim.Model so the
-// forecasting, impulse-response and FEVD helpers apply directly:
-//
-//	fc := res.Model().Forecast(series, 10)
-func (r *VARResult) Model() *varsim.Model {
-	return varsim.ModelFromEstimate(r.A, r.Mu)
-}

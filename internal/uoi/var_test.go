@@ -32,8 +32,8 @@ func TestVARRecoversNetwork(t *testing.T) {
 	if sel.Recall() < 0.9 {
 		t.Fatalf("VAR selection recall %v too low: %+v", sel.Recall(), sel)
 	}
-	if sel.FalsePositiveRate() > 0.25 {
-		t.Fatalf("VAR false positive rate %v too high: %+v", sel.FalsePositiveRate(), sel)
+	if fpr := float64(sel.FalsePositives) / float64(sel.FalsePositives+sel.TrueNegatives); fpr > 0.25 {
+		t.Fatalf("VAR false positive rate %v too high: %+v", fpr, sel)
 	}
 	est := metrics.CompareEstimates(trueBeta, res.Beta, 1e-6)
 	if est.SupportRMSE > 0.15 {
@@ -152,7 +152,7 @@ func TestVARResultModelForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Model()
+	m := varsim.ModelFromEstimate(res.A, res.Mu)
 	fc := m.Forecast(series, 4)
 	if fc.Rows != 4 || fc.Cols != 5 {
 		t.Fatalf("forecast shape %dx%d", fc.Rows, fc.Cols)

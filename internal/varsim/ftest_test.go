@@ -63,7 +63,7 @@ func TestPairwiseGrangerFRecoversEdges(t *testing.T) {
 	a.Set(0, 1, 0.6) // 1 → 0
 	a.Set(1, 2, 0.6) // 2 → 1
 	model := &Model{A: []*mat.Dense{a}, Mu: make([]float64, p), NoiseStd: []float64{1, 1, 1}}
-	if !model.IsStable() {
+	if model.SpectralRadius() >= 1 {
 		t.Fatal("test model unstable")
 	}
 	series := model.Simulate(resample.NewRNG(11), 800, 100)

@@ -71,7 +71,7 @@ func ADFTest(series *mat.Dense, lags int, level float64) ([]DFResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		beta := ch.Solve(mat.AtVec(design, dy))
+		beta := ch.Solve(mat.GramVec(design, dy, mat.Sample{}))
 		// Residual variance and the standard error of γ (coefficient 1).
 		r := mat.Sub(mat.MulVec(design, beta), dy)
 		sigma2 := mat.Dot(r, r) / float64(m-k)
@@ -87,16 +87,6 @@ func ADFTest(series *mat.Dense, lags int, level float64) ([]DFResult, error) {
 		out[s] = DFResult{Series: s, Tau: tau, Stationary: tau < crit}
 	}
 	return out, nil
-}
-
-// AllStationary reports whether every series rejects the unit root.
-func AllStationary(results []DFResult) bool {
-	for _, r := range results {
-		if !r.Stationary {
-			return false
-		}
-	}
-	return true
 }
 
 func sqrtPos(v float64) float64 {

@@ -39,7 +39,7 @@ func TestADFRejectsStationaryAR(t *testing.T) {
 			t.Fatalf("tau should be strongly negative: %+v", r)
 		}
 	}
-	if !AllStationary(res) {
+	if !allStationary(res) {
 		t.Fatal("AllStationary must be true")
 	}
 }
@@ -62,7 +62,7 @@ func TestADFAcceptsUnitRoot(t *testing.T) {
 	if rejected == len(res) {
 		t.Fatal("all unit-root series rejected — test has no size control")
 	}
-	if AllStationary(res) {
+	if allStationary(res) {
 		t.Fatal("AllStationary must be false for random walks")
 	}
 }
@@ -80,10 +80,10 @@ func TestADFDifferencingFixesUnitRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AllStationary(before) {
+	if allStationary(before) {
 		t.Fatal("raw walks should not all be stationary")
 	}
-	if !AllStationary(after) {
+	if !allStationary(after) {
 		t.Fatalf("first differences must be stationary: %+v", after)
 	}
 }
@@ -99,4 +99,14 @@ func TestADFValidation(t *testing.T) {
 	if _, err := ADFTest(s, 8, 0.05); err == nil {
 		t.Fatal("insufficient samples must fail")
 	}
+}
+
+// allStationary reports whether every series rejects the unit root.
+func allStationary(results []DFResult) bool {
+	for _, r := range results {
+		if !r.Stationary {
+			return false
+		}
+	}
+	return true
 }

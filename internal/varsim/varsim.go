@@ -160,9 +160,6 @@ func (m *Model) SpectralRadius() float64 {
 	return lastNorm
 }
 
-// IsStable reports whether the companion spectral radius is below 1.
-func (m *Model) IsStable() bool { return m.SpectralRadius() < 1 }
-
 // Simulate draws a length-n series from the model after discarding burnIn
 // initial steps. The result is n×p, row t = X_t.
 func (m *Model) Simulate(rng *resample.RNG, n, burnIn int) *mat.Dense {
@@ -271,9 +268,6 @@ func (d *Design) VecY() []float64 {
 	return out
 }
 
-// BetaLen returns the length of vec(B) for this design.
-func (d *Design) BetaLen() int { return d.X.Cols * d.P }
-
 // PartitionBeta rearranges the vectorized coefficient estimate vec(B) into
 // lag matrices (A_1..A_d) and the intercept μ (Algorithm 2, line 31).
 // beta must have length X.Cols · p.
@@ -332,20 +326,4 @@ func FlattenModel(a []*mat.Dense, mu []float64, intercept bool) []float64 {
 		}
 	}
 	return beta
-}
-
-// Residual computes vec(Y) − (I⊗X)·beta without materializing the Kronecker
-// product, returning the per-equation residual stacked column-major.
-func (d *Design) Residual(beta []float64) []float64 {
-	m, p := d.Y.Rows, d.P
-	rowsB := d.X.Cols
-	out := make([]float64, m*p)
-	for j := 0; j < p; j++ {
-		bj := beta[j*rowsB : (j+1)*rowsB]
-		pred := mat.MulVec(d.X, bj)
-		for i := 0; i < m; i++ {
-			out[j*m+i] = d.Y.At(i, j) - pred[i]
-		}
-	}
-	return out
 }

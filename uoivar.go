@@ -468,11 +468,6 @@ func ElasticNet(x *Dense, y []float64, lambda1, lambda2 float64, opts *ADMMOptio
 	return admm.ElasticNet(x, y, lambda1, lambda2, opts)
 }
 
-// LassoAdaptive solves the LASSO with over-relaxed, residual-balanced ADMM.
-func LassoAdaptive(x *Dense, y []float64, lambda float64, opts *admm.AdaptiveOptions) (*admm.Result, error) {
-	return admm.LassoAdaptive(x, y, lambda, opts)
-}
-
 // ---- Preprocessing ----
 
 // Scaler standardizes designs and maps coefficients back to raw units.
