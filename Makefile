@@ -48,7 +48,7 @@ test-race:
 # at several GOMAXPROCS, uncached. A GOARCH=386 pass (portable kernels, runs
 # natively on amd64) checks a second host's bits against the same golden
 # tables.
-DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/uoi
+DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi
 DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|Deterministic'
 determinism:
 	@for tags in "" purego; do \
@@ -67,7 +67,7 @@ determinism:
 # twice. The kernels and solvers write every such product as float64(a*b) so
 # their bits do not depend on the host (DESIGN.md §6); this compiles the
 # packages for both targets and fails on any fused instruction in the listing.
-FMACHECK_PKGS = ./internal/mat ./internal/admm ./internal/kron
+FMACHECK_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi ./internal/varsim ./internal/stream ./internal/preprocess
 fmacheck:
 	@for target in "GOARCH=arm64" "GOARCH=amd64 GOAMD64=v3"; do \
 		out="$$(env $$target $(GO) build -gcflags=-S $(FMACHECK_PKGS) 2>&1)" || { echo "$$out"; exit 1; }; \

@@ -10,10 +10,10 @@ import (
 // the row-major p×E panel aty is the Xᵀy of response e, and out[e] is what
 // SolveRHS(column e, λ, warm pair e) returns — Beta, U, Iters, Converged and
 // the residuals bit for bit — while the E iterations run in lock-step so
-// every x-update is one multi-RHS triangular solve (mat.SolvePanelInPlace)
-// instead of E dependent substitution chains. UoI_VAR's p equations share
-// one design and one factorization, which makes a whole bootstrap × λ cell a
-// single call.
+// every x-update is one product of the cached inverse with a p×E panel
+// (mat.Inverse.MulPanel) instead of E products with a vector. UoI_VAR's p
+// equations share one design and one factorization, which makes a whole
+// bootstrap × λ cell a single call.
 //
 // warmZ[e] / warmU[e] seed column e (a nil slice, or a nil entry, is a cold
 // start); opts.WarmZ and opts.WarmU are ignored. The columns are split into
@@ -41,17 +41,21 @@ func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, war
 // (slot order is immaterial), so late iterations sweep only the stragglers.
 func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64, warmZ, warmU [][]float64, o *Options, out []Result) {
 	p, w := f.p, hi-lo
-	stride := padToTile(w)
-	panels := make([]float64, 4*p*stride)
-	a, z, u, x := panels[:p*stride], panels[p*stride:2*p*stride], panels[2*p*stride:3*p*stride], panels[3*p*stride:]
-	for i := 0; i < p; i++ {
-		copy(a[i*stride:i*stride+w], aty.Data[i*aty.Cols+lo:i*aty.Cols+hi])
-	}
+	stride := padTo8(w)
+	// z, u, the x-update's right-hand side r = Xᵀy + ρ(z − u), and x (the
+	// product's panel, p rounded up to 4 rows).
+	panels := make([]float64, (3*p+((p+3)&^3))*stride)
+	z, u, r, x := panels[:p*stride], panels[p*stride:2*p*stride], panels[2*p*stride:3*p*stride], panels[3*p*stride:]
 	slot := make([]int, w) // slot → panel column
 	for c := range slot {
 		slot[c] = lo + c
 		scatterCol(z, stride, c, warmAt(warmZ, lo+c), p)
 		scatterCol(u, stride, c, warmAt(warmU, lo+c), p)
+	}
+	for i := 0; i < p; i++ {
+		for c, av := range aty.Data[i*aty.Cols+lo : i*aty.Cols+hi] {
+			r[i*stride+c] = av + float64(f.rho*(z[i*stride+c]-u[i*stride+c]))
+		}
 	}
 	// Per-slot reductions of one iteration: the squared residual sums and
 	// the plain sums of squares of x, z and u that screen the stopping test.
@@ -62,10 +66,10 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 
 	totalIters := 0
 	finish := func(c, iters int, converged bool) {
-		r := Result{Beta: make([]float64, p), U: make([]float64, p), Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
-		gatherCol(r.Beta, z, stride, c)
-		gatherCol(r.U, u, stride, c)
-		out[slot[c]] = r
+		res := Result{Beta: make([]float64, p), U: make([]float64, p), Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
+		gatherCol(res.Beta, z, stride, c)
+		gatherCol(res.U, u, stride, c)
+		out[slot[c]] = res
 		totalIters += iters
 	}
 
@@ -87,27 +91,17 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	}
 	active := w
 	for iter := 1; iter <= o.MaxIter && active > 0; iter++ {
-		// x-update: x = (XᵀX + ρI)⁻¹ (Xᵀy + ρ(z − u)), whole tiles only —
-		// the slots between active and the tile boundary solve zeros.
-		live := padToTile(active)
-		for i := 0; i < p; i++ {
-			ar, zr, ur, xr := a[i*stride:i*stride+active], z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+live]
-			for c, av := range ar {
-				xr[c] = av + float64(f.rho*(zr[c]-ur[c]))
-			}
-			for c := active; c < live; c++ {
-				xr[c] = 0
-			}
-		}
-		f.chol.SolvePanelInPlace(x, stride, live)
+		// x-update: x = (XᵀX + ρI)⁻¹ r over whole 8-column tiles — the
+		// slots between active and the tile boundary multiply stale
+		// columns nobody reads.
+		f.inv.MulPanel(x, r, stride, padTo8(active))
 
-		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, and the
-		// residual sums, each column accumulating in row order as the
-		// single-RHS loop does.
-		for c := range acc {
-			acc[c] = 0
-		}
+		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, the residual
+		// sums, each column accumulating in row order as the single-RHS
+		// loop does, and the next iteration's right-hand side.
+		clear(acc)
 		for i := 0; i < p; i++ {
+			ar, rr := aty.Data[i*aty.Cols:(i+1)*aty.Cols], r[i*stride:i*stride+active]
 			zr, ur, xr := z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+active]
 			for c, xv := range xr {
 				uv, zOld := ur[c], zr[c]
@@ -117,6 +111,7 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 				}
 				uv += xv - zv
 				zr[c], ur[c] = zv, uv
+				rr[c] = ar[slot[c]] + float64(f.rho*(zv-uv))
 				d := xv - zv
 				primal[c] += float64(d * d)
 				d = f.rho * (zv - zOld)
@@ -154,7 +149,8 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 				continue
 			}
 			for i := 0; i < p; i++ {
-				a[i*stride+c], z[i*stride+c], u[i*stride+c] = a[i*stride+active], z[i*stride+active], u[i*stride+active]
+				d, s := i*stride+c, i*stride+active
+				z[d], u[d], r[d] = z[s], u[s], r[s]
 			}
 			primal[c], dual[c], slot[c] = primal[active], dual[active], slot[active]
 		}
@@ -165,10 +161,8 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	countSolves(o.Trace, w, totalIters)
 }
 
-// padToTile rounds a column count up to whole triangular-solve tiles.
-func padToTile(n int) int {
-	return (n + mat.PanelTile - 1) / mat.PanelTile * mat.PanelTile
-}
+// padTo8 rounds a column count up to whole 8-column product tiles.
+func padTo8(n int) int { return (n + 7) &^ 7 }
 
 // warmAt returns warm start e of a per-column list (nil: cold).
 func warmAt(warm [][]float64, e int) []float64 {

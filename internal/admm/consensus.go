@@ -139,8 +139,7 @@ func (s *ConsensusSolver) run(opts *Options, zUpdate func(z, sumXU []float64, nR
 		for i := range rhs {
 			rhs[i] = s.f.aty[i] + float64(s.f.rho*(z[i]-u[i]))
 		}
-		copy(x, rhs)
-		s.f.chol.SolveInPlace(x)
+		s.f.XUpdate(x, rhs)
 
 		// Global z-update.
 		var lp, lx, lu float64

@@ -19,28 +19,23 @@ func ElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 float64, opts *Optio
 		lambda2 = 0
 	}
 	o := opts.defaults()
-	gram := mat.AtA(x)
-	rho := o.Rho
-	if rho <= 0 {
-		rho = MeanDiag(gram)
-	}
 	// Fold λ₂ into the quadratic term: f(β) = ½‖Xβ−y‖² + ½λ₂‖β‖².
-	ch, err := mat.NewCholeskyBlockedWorkers(mat.AddRidge(gram, rho+lambda2), 0)
+	f, err := NewFactorizationElasticWorkers(mat.AtA(x), o.Rho, lambda2, 0)
 	if err != nil {
 		return nil, err
 	}
-	f := &Factorization{chol: ch, aty: mat.GramVec(x, y, mat.Sample{}), rho: rho, p: x.Cols}
-	o.Rho = rho
+	f.SetRHS(mat.GramVec(x, y, mat.Sample{}))
+	o.Rho = f.rho
 	res := f.Solve(lambda1, &o)
 	res.Objective = ElasticNetObjective(x, y, res.Beta, lambda1, lambda2)
 	return res, nil
 }
 
-// NewFactorizationElasticWorkers factors (XᵀX + (ρ+λ₂)I) for the
+// NewFactorizationElasticWorkers inverts (XᵀX + (ρ+λ₂)I) for the
 // elastic-net x-update while keeping the soft-threshold scale at ρ, with a
 // kernel worker budget for the blocked Cholesky; it is the Factorization
 // used when UoI's selection solves carry an ℓ2 term (rho ≤ 0 auto-scales as
-// usual).
+// usual), and with λ₂ = 0 the LASSO's.
 func NewFactorizationElasticWorkers(gram *mat.Dense, rho, lambda2 float64, workers int) (*Factorization, error) {
 	if lambda2 < 0 {
 		lambda2 = 0
@@ -48,11 +43,11 @@ func NewFactorizationElasticWorkers(gram *mat.Dense, rho, lambda2 float64, worke
 	if rho <= 0 {
 		rho = MeanDiag(gram)
 	}
-	ch, err := mat.NewCholeskyBlockedWorkers(mat.AddRidge(gram, rho+lambda2), workers)
+	inv, err := mat.NewInverse(gram, rho+lambda2, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Factorization{chol: ch, rho: rho, p: gram.Cols}, nil
+	return &Factorization{inv: inv, rho: rho, p: gram.Cols}, nil
 }
 
 // SetRHS attaches (or replaces) the Xᵀy right-hand side on a factorization

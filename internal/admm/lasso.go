@@ -79,7 +79,7 @@ func countSolves(tr *trace.Tracer, solves, iters int) {
 	}
 	tr.Add("admm/solves", int64(solves))
 	tr.Add("admm/iters", int64(iters))
-	// One Cholesky back-substitution per x-update, i.e. per iteration.
+	// One x-update per iteration; the name predates the explicit inverse.
 	tr.Add("admm/chol_solves", int64(iters))
 }
 
@@ -120,14 +120,15 @@ func Objective(x *mat.Dense, y, beta []float64, lambda float64) float64 {
 	return float64(0.5*mat.Dot(r, r)) + float64(lambda*mat.Norm1(beta))
 }
 
-// Factorization caches the Cholesky factor of (XᵀX + ρI) together with Xᵀy,
-// so a λ path over the same bootstrap sample re-uses one factorization —
-// the optimization that makes the per-bootstrap λ sweep cheap.
+// Factorization caches M = (XᵀX + ρI)⁻¹ together with Xᵀy, so a λ path
+// over the same bootstrap sample re-uses one factorization — the
+// optimization that makes the per-bootstrap λ sweep cheap — and every
+// x-update is one product with M (XUpdate).
 type Factorization struct {
-	chol *mat.Cholesky
-	aty  []float64
-	rho  float64
-	p    int
+	inv *mat.Inverse
+	aty []float64
+	rho float64
+	p   int
 }
 
 // NewFactorizationWorkers precomputes the factors for design x and response
@@ -142,24 +143,22 @@ func NewFactorizationWorkers(x *mat.Dense, y []float64, rho float64, workers int
 	return f, nil
 }
 
-// NewFactorizationGramWorkers factors a precomputed Gram matrix XᵀX,
-// running the blocked Cholesky across at most workers goroutines. The
-// returned factorization has no response attached; use SolveRHS with
-// explicit Xᵀy vectors. UoI_VAR uses this to share one factorization across
-// all p equations of a bootstrap (the design block X is identical; only the
-// response column differs).
+// NewFactorizationGramWorkers inverts XᵀX + ρI from a precomputed Gram
+// matrix, running the blocked Cholesky under the inverse across at most
+// workers goroutines. The returned factorization has no response attached;
+// use SolveRHS with explicit Xᵀy vectors. UoI_VAR uses this to share one
+// factorization across all p equations of a bootstrap (the design block X
+// is identical; only the response column differs).
 //
 // rho ≤ 0 auto-scales the penalty to the mean Gram diagonal.
 func NewFactorizationGramWorkers(gram *mat.Dense, rho float64, workers int) (*Factorization, error) {
-	if rho <= 0 {
-		rho = MeanDiag(gram)
-	}
-	ch, err := mat.NewCholeskyBlockedWorkers(mat.AddRidge(gram, rho), workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Factorization{chol: ch, rho: rho, p: gram.Cols}, nil
+	return NewFactorizationElasticWorkers(gram, rho, 0, workers)
 }
+
+// XUpdate sets x = (XᵀX + ρI)⁻¹·rhs, the x-update of every ADMM loop over
+// this factorization (serial, consensus and Kronecker), as one product with
+// the cached inverse.
+func (f *Factorization) XUpdate(x, rhs []float64) { f.inv.MulVec(x, rhs) }
 
 // MeanDiag returns the mean diagonal entry of a square matrix (1 when the
 // mean is nonpositive), the auto-scaling value for ρ.
@@ -222,8 +221,7 @@ func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *
 		for i := range rhs {
 			rhs[i] = aty[i] + float64(f.rho*(z[i]-u[i]))
 		}
-		copy(x, rhs)
-		f.chol.SolveInPlace(x)
+		f.XUpdate(x, rhs)
 
 		// z-update with relaxation-free splitting: z = S_{λ/ρ}(x + u)
 		copy(zOld, z)

@@ -8,19 +8,19 @@ import (
 	"uoivar/internal/mpi"
 )
 
-// VecFactorization caches the per-equation Cholesky factors a rank needs to
+// VecFactorization caches the per-equation factorizations a rank needs to
 // run consensus LASSO-ADMM on its VecBlock. Because (I ⊗ X) is block
 // diagonal, a rank's local Gram matrix is block diagonal too, with one q×q
 // block per equation that has local rows — so the factorization cost is
-// q³ per equation, never (Q·P)³. The factors are reused across the whole λ
-// path of a bootstrap, as in the serial solver.
+// q³ per equation, never (Q·P)³. The factorizations are reused across the
+// whole λ path of a bootstrap, as in the serial solver.
 type VecFactorization struct {
 	block *VecBlock
 	rho   float64
 	// eqLo/eqHi bound the equations with local rows; per-equation data is
 	// indexed by eq − eqLo.
 	eqLo, eqHi int
-	chol       []*mat.Cholesky
+	fac        []*admm.Factorization
 	aty        [][]float64
 	rowsOfEq   [][2]int // local row range [lo,hi) per equation
 }
@@ -60,7 +60,7 @@ func NewVecFactorizationWorkers(b *VecBlock, rho float64, workers int) (*VecFact
 	f.eqLo = b.Equation(0)
 	f.eqHi = b.Equation(b.X.Rows-1) + 1
 	nEq := f.eqHi - f.eqLo
-	f.chol = make([]*mat.Cholesky, nEq)
+	f.fac = make([]*admm.Factorization, nEq)
 	f.aty = make([][]float64, nEq)
 	f.rowsOfEq = make([][2]int, nEq)
 	// Local rows are ordered by global index, so rows of one equation are
@@ -74,11 +74,11 @@ func NewVecFactorizationWorkers(b *VecBlock, rho float64, workers int) (*VecFact
 		f.rowsOfEq[e] = [2]int{lo, r}
 		sub := b.X.SubRows(lo, r)
 		ySub := b.Y[lo:r]
-		ch, err := mat.NewCholesky(mat.AddRidge(mat.AtAWorkers(sub, workers), rho))
+		fac, err := admm.NewFactorizationGramWorkers(mat.AtAWorkers(sub, workers), rho, workers)
 		if err != nil {
 			return nil, err
 		}
-		f.chol[e] = ch
+		f.fac[e] = fac
 		f.aty[e] = mat.AtVecWorkers(sub, ySub, workers)
 	}
 	return f, nil
@@ -167,8 +167,7 @@ func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(
 				for i := 0; i < q; i++ {
 					rhs[i] = f.aty[e][i] + float64(f.rho*(zj[i]-uj[i]))
 				}
-				copy(xj, rhs)
-				f.chol[e].SolveInPlace(xj)
+				f.fac[e].XUpdate(xj, rhs)
 			} else {
 				for i := 0; i < q; i++ {
 					xj[i] = zj[i] - uj[i]
@@ -226,8 +225,8 @@ func (f *VecFactorization) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(
 }
 
 // countSolve folds one vectorized solve's work into opts.Trace (nil-safe):
-// the x-update runs one Cholesky back-substitution per locally-held equation
-// per iteration.
+// the x-update runs one inverse product per locally-held equation per
+// iteration.
 func (f *VecFactorization) countSolve(o *admm.Options, iters int) {
 	tr := o.Trace
 	if tr == nil {
@@ -235,7 +234,7 @@ func (f *VecFactorization) countSolve(o *admm.Options, iters int) {
 	}
 	tr.Add("admm/solves", 1)
 	tr.Add("admm/iters", int64(iters))
-	tr.Add("admm/chol_solves", int64(iters)*int64(len(f.chol)))
+	tr.Add("admm/chol_solves", int64(iters)*int64(len(f.fac)))
 }
 
 // LocalSquaredError returns ½ Σ_local (y_g − a_g·β)² for the block's rows at

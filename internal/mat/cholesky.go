@@ -9,11 +9,9 @@ import (
 // positive definite.
 var ErrNotPD = errors.New("mat: matrix not positive definite")
 
-// Cholesky holds a lower-triangular Cholesky factor L with A = L·Lᵀ.
-//
-// LASSO-ADMM factors (AᵀA + ρI) once per (bootstrap, λ-group) and reuses the
-// factor across all ADMM iterations; the paper identifies this triangular
-// solve as one of the three hot kernels (§IV-A1).
+// Cholesky holds a lower-triangular Cholesky factor L with A = L·Lᵀ. It
+// solves the normal equations of the estimation step's OLS fits; the ADMM
+// x-updates multiply by an explicit Inverse built from the same factor.
 type Cholesky struct {
 	n  int
 	l  []float64 // row-major lower triangle (full storage)
@@ -43,9 +41,16 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
-	n := a.Rows
-	l := make([]float64, n*n)
-	copy(l, a.Data)
+	l := append([]float64(nil), a.Data...)
+	if err := factorUnblocked(l, a.Rows); err != nil {
+		return nil, err
+	}
+	return newCholesky(a.Rows, l), nil
+}
+
+// factorUnblocked overwrites the lower triangle of the n×n matrix in l with
+// its Cholesky factor.
+func factorUnblocked(l []float64, n int) error {
 	for j := 0; j < n; j++ {
 		d := l[j*n+j]
 		for k := 0; k < j; k++ {
@@ -53,7 +58,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPD
+			return ErrNotPD
 		}
 		d = math.Sqrt(d)
 		l[j*n+j] = d
@@ -68,58 +73,32 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			l[i*n+j] = s * inv
 		}
 	}
-	return newCholesky(n, l), nil
+	return nil
 }
 
 // Solve solves A·x = b (that is, L·Lᵀ·x = b) and returns x.
 func (c *Cholesky) Solve(b []float64) []float64 {
-	if len(b) != c.n {
+	n := c.n
+	if len(b) != n {
 		panic(ErrShape)
 	}
-	y := make([]float64, c.n)
+	y := make([]float64, n)
 	copy(y, b)
-	c.forwardCol(y, 1, 0)
-	c.backwardCol(y, 1, 0)
-	return y
-}
-
-// SolveInPlace is Solve reusing b as the output buffer.
-func (c *Cholesky) SolveInPlace(b []float64) {
-	if len(b) != c.n {
-		panic(ErrShape)
-	}
-	c.forwardCol(b, 1, 0)
-	c.backwardCol(b, 1, 0)
-}
-
-// forwardCol solves L·y = b in place on the strided column b[e], b[stride+e],
-// … — a plain vector is stride 1, e 0; a panel's remainder column uses the
-// panel's stride.
-func (c *Cholesky) forwardCol(b []float64, stride, e int) {
-	n := c.n
 	for i := 0; i < n; i++ {
-		s := b[i*stride+e]
-		off := e
-		for _, v := range c.l[i*n : i*n+i] {
-			s -= float64(v * b[off])
-			off += stride
+		s := y[i]
+		for k, v := range c.l[i*n : i*n+i] {
+			s -= float64(v * y[k])
 		}
-		b[i*stride+e] = s / c.l[i*n+i]
+		y[i] = s / c.l[i*n+i]
 	}
-}
-
-// backwardCol solves Lᵀ·x = y in place on the strided column e.
-func (c *Cholesky) backwardCol(b []float64, stride, e int) {
-	n := c.n
 	for i := n - 1; i >= 0; i-- {
-		s := b[i*stride+e]
-		off := (i+1)*stride + e
-		for _, v := range c.lt[i*n+i+1 : (i+1)*n] {
-			s -= float64(v * b[off])
-			off += stride
+		s := y[i]
+		for k, v := range c.lt[i*n+i+1 : (i+1)*n] {
+			s -= float64(v * y[i+1+k])
 		}
-		b[i*stride+e] = s / c.l[i*n+i]
+		y[i] = s / c.l[i*n+i]
 	}
+	return y
 }
 
 // AddRidge returns a + rho*I as a new matrix (a must be square).

@@ -23,17 +23,24 @@ func NewCholeskyBlockedWorkers(a *Dense, workers int) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
-	n := a.Rows
+	l := append([]float64(nil), a.Data...)
+	if err := factorBlocked(l, a.Rows, workers); err != nil {
+		return nil, err
+	}
+	return newCholesky(a.Rows, l), nil
+}
+
+// factorBlocked overwrites the lower triangle of the n×n matrix in l with
+// NewCholeskyBlockedWorkers's factor: unblocked up to 2·cholBlock, blocked
+// above.
+func factorBlocked(l []float64, n, workers int) error {
 	if n <= cholBlock*2 {
-		return NewCholesky(a)
+		return factorUnblocked(l, n)
 	}
 	tr := tracer()
 	sp := tr.Start("mat/chol")
 	defer sp.End()
 	w := clampWorkers(workers)
-	l := make([]float64, n*n)
-	copy(l, a.Data)
-
 	for k := 0; k < n; k += cholBlock {
 		kb := cholBlock
 		if k+kb > n {
@@ -42,7 +49,7 @@ func NewCholeskyBlockedWorkers(a *Dense, workers int) (*Cholesky, error) {
 		// 1. Factor the diagonal panel A[k:k+kb, k:k+kb] in place
 		//    (unblocked, small).
 		if err := cholPanel(l, n, k, kb); err != nil {
-			return nil, err
+			return err
 		}
 		if k+kb == n {
 			break
@@ -52,7 +59,7 @@ func NewCholeskyBlockedWorkers(a *Dense, workers int) (*Cholesky, error) {
 		// 3. Trailing update: A22 −= L21 · L21ᵀ (parallel over row blocks).
 		trailingUpdate(l, n, k, kb, w)
 	}
-	return newCholesky(n, l), nil
+	return nil
 }
 
 // cholPanel factors the kb×kb diagonal block at (k, k), unblocked.

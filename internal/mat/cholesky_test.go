@@ -57,24 +57,6 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 10
-	a := randomSPD(rng, n)
-	ch, _ := NewCholesky(a)
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = float64(i) - 4.5
-	}
-	b := MulVec(a, xTrue)
-	ch.SolveInPlace(b)
-	for i := range b {
-		if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("SolveInPlace[%d] = %v, want %v", i, b[i], xTrue[i])
-		}
-	}
-}
-
 func TestCholeskyRejectsNonPD(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); err != ErrNotPD {
@@ -163,63 +145,5 @@ func TestCholeskyBlockedRejectsNonPD(t *testing.T) {
 	}
 	if _, err := NewCholeskyBlockedWorkers(NewDense(3, 4), 0); err != ErrShape {
 		t.Fatalf("expected ErrShape, got %v", err)
-	}
-}
-
-// TestSolvePanelMatchesSolveInPlace: every column of the multi-RHS solve
-// must equal SolveInPlace on that column bit for bit — across whole tiles,
-// the one-at-a-time remainder, a stride wider than the solved columns, and
-// both factorization routes — and columns past cols must be left alone.
-func TestSolvePanelMatchesSolveInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{1, 2, 7, 61, 2*cholBlock + 5} {
-		ch, err := NewCholeskyBlockedWorkers(randomSPD(rng, n), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cols := range []int{0, 1, 3, 4, PanelTile, PanelTile + 1, 57, 60} {
-			stride := cols + 2
-			b := make([]float64, n*stride)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			want := append([]float64(nil), b...)
-			col := make([]float64, n)
-			for e := 0; e < cols; e++ {
-				for i := range col {
-					col[i] = want[i*stride+e]
-				}
-				ch.SolveInPlace(col)
-				for i := range col {
-					want[i*stride+e] = col[i]
-				}
-			}
-			ch.SolvePanelInPlace(b, stride, cols)
-			for i := range b {
-				if math.Float64bits(b[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d cols=%d: entry (%d,%d) = %v, want %v", n, cols, i/stride, i%stride, b[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSolvePanelShapePanics(t *testing.T) {
-	ch, err := NewCholesky(randomSPD(rand.New(rand.NewSource(3)), 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, call := range map[string]func(){
-		"cols>stride": func() { ch.SolvePanelInPlace(make([]float64, 16), 4, 5) },
-		"short panel": func() { ch.SolvePanelInPlace(make([]float64, 14), 4, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected a shape panic", name)
-				}
-			}()
-			call()
-		}()
 	}
 }

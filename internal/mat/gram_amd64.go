@@ -37,14 +37,21 @@ func cpuHasAVX2() bool {
 // YMM accumulators per row.
 const avxTileJ, avxTileK = 4, 8
 
-// gramTile4x8 adds Σᵣ w[r·ld+jj]·x[r·ld+kk] over r < m, in that order, to
+// gramTile4x8 adds Σᵣ w[r·ldw+jj]·x[r·ldx+kk] over r < m, in that order, to
 // c[jj·ldc+kk] for jj < 4 and kk < 8 (gram_amd64.s). Each output is one
 // vector lane that takes a rounded product (VMULPD) and then a rounded sum
-// (VADDPD) per row, never a fused multiply-add: the portable kernel's
-// acc += float64(w·x), bit for bit.
+// (VADDPD) per row, never a fused multiply-add: the portable kernels'
+// acc += float64(w·x), bit for bit. Callers go through tile, which checks
+// the bounds.
 //
 //go:noescape
-func gramTile4x8(c *float64, ldc int, w, x *float64, ld, m int)
+func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int)
+
+// gemvTile1x32 adds Σᵣ v[r]·a[r·lda+kk] over r < m, in that order, to y[kk]
+// for kk < 32 (gram_amd64.s), with gramTile4x8's rounding.
+//
+//go:noescape
+func gemvTile1x32(y, a *float64, lda int, v *float64, m int)
 
 // gramWorkerAVX2 is gramWorker over a row-major panel: packed row r holds
 // columns first, …, p−1 of input row r0+r, so a tile's 8 columns are one
@@ -101,7 +108,7 @@ func gramBandChunkAVX2(c []float64, p int, ws, xs []float64, width, first, m, lo
 		for j := lo; j < hi && j < k+kn; j += avxTileJ {
 			jn := min(hi-j, avxTileJ)
 			if jn == avxTileJ && kn == avxTileK {
-				gramTile4x8(&c[j*p+k], p, &ws[j-first], &xs[k-first], width, m)
+				gramTile4x8(&c[j*p+k], p, &ws[j-first], width, &xs[k-first], width, m)
 				continue
 			}
 			for r := 0; r < m; r++ {

@@ -20,21 +20,24 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
-// func gramTile4x8(c *float64, ldc int, w *float64, x *float64, ld int, m int)
+// func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx int, m int)
 //
 // Y0..Y7 hold the 4×8 block of c, two registers per row. For each of the m
-// panel rows: load x[k:k+8] into Y8, Y9; for each block row j broadcast
-// w[j], multiply (VMULPD rounds the product) and add (VADDPD rounds the
-// sum) into that row's two accumulators. No fused multiply-add anywhere.
-TEXT ·gramTile4x8(SB), NOSPLIT, $0-48
+// rows r: load x[r·ldx : r·ldx+8] into Y8, Y9; for each block row j
+// broadcast w[r·ldw+j], multiply (VMULPD rounds the product) and add
+// (VADDPD rounds the sum) into that row's two accumulators. No fused
+// multiply-add anywhere.
+TEXT ·gramTile4x8(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	MOVQ w+16(FP), SI
-	MOVQ x+24(FP), DX
-	MOVQ ld+32(FP), R9
-	MOVQ m+40(FP), CX
+	MOVQ ldw+24(FP), R9
+	MOVQ x+32(FP), DX
+	MOVQ ldx+40(FP), R13
+	MOVQ m+48(FP), CX
 	SHLQ $3, R8
 	SHLQ $3, R9
+	SHLQ $3, R13
 	LEAQ (DI)(R8*1), R10
 	LEAQ (R10)(R8*1), R11
 	LEAQ (R11)(R8*1), R12
@@ -73,7 +76,7 @@ loop:
 	VADDPD       Y12, Y6, Y6
 	VADDPD       Y13, Y7, Y7
 	ADDQ         R9, SI
-	ADDQ         R9, DX
+	ADDQ         R13, DX
 	DECQ         CX
 	JNZ          loop
 
@@ -86,5 +89,64 @@ store:
 	VMOVUPD Y5, 32(R11)
 	VMOVUPD Y6, (R12)
 	VMOVUPD Y7, 32(R12)
+	VZEROUPPER
+	RET
+
+// func gemvTile1x32(y *float64, a *float64, lda int, v *float64, m int)
+//
+// Y0..Y7 hold y[0:32], one output per lane. For each of the m rows r:
+// broadcast v[r], multiply a[r·lda : r·lda+32] by it (VMULPD) and add the
+// products (VADDPD) into the accumulators: the 4×8 tile's rounding with a
+// single output row.
+TEXT ·gemvTile1x32(SB), NOSPLIT, $0-40
+	MOVQ    y+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    lda+16(FP), R8
+	MOVQ    v+24(FP), DX
+	MOVQ    m+32(FP), CX
+	SHLQ    $3, R8
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	TESTQ   CX, CX
+	JEQ     gemvstore
+
+gemvloop:
+	VBROADCASTSD (DX), Y8
+	VMULPD       (SI), Y8, Y9
+	VMULPD       32(SI), Y8, Y10
+	VMULPD       64(SI), Y8, Y11
+	VMULPD       96(SI), Y8, Y12
+	VADDPD       Y9, Y0, Y0
+	VADDPD       Y10, Y1, Y1
+	VADDPD       Y11, Y2, Y2
+	VADDPD       Y12, Y3, Y3
+	VMULPD       128(SI), Y8, Y9
+	VMULPD       160(SI), Y8, Y10
+	VMULPD       192(SI), Y8, Y11
+	VMULPD       224(SI), Y8, Y12
+	VADDPD       Y9, Y4, Y4
+	VADDPD       Y10, Y5, Y5
+	VADDPD       Y11, Y6, Y6
+	VADDPD       Y12, Y7, Y7
+	ADDQ         $8, DX
+	ADDQ         R8, SI
+	DECQ         CX
+	JNZ          gemvloop
+
+gemvstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET

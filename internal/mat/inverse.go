@@ -1,0 +1,198 @@
+package mat
+
+import "sync"
+
+// Inverse is the explicit inverse M = (A + σI)⁻¹ of a shifted symmetric
+// positive-definite matrix, the operator of every ADMM x-update: a
+// product's outputs are independent, so its lanes can be outputs, where a
+// substitution vectorises only across right-hand sides (DESIGN.md §6). M is
+// row-major with leading dimension ld (n rounded up to 8) and zero outside
+// its leading n×n block, so every tile of both products is whole.
+type Inverse struct {
+	n, ld int
+	m     []float64 // ld×ld
+}
+
+// inverseScratch recycles NewInverse's L⁻¹ buffer: a fit builds one inverse
+// per bootstrap, and only M outlives it.
+var inverseScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// NewInverse returns M = (a + shift·I)⁻¹ for a symmetric a, as L⁻ᵀL⁻¹ from
+// the Cholesky factor L of a + shift·I that NewCholeskyBlockedWorkers
+// computes (across at most workers goroutines). L⁻¹ is a forward
+// substitution on the identity, four rows at a time, whose update from the
+// rows above a block is the 4×8 tile; M is then the Gram of L⁻¹ by the same
+// tile, each entry summed over rows from its own index down. The factor
+// lives in M's buffer until M overwrites it, so only M is allocated. a is
+// not modified.
+func NewInverse(a *Dense, shift float64, workers int) (*Inverse, error) {
+	return newInverse(a, shift, workers, hasAVX2)
+}
+
+// newInverse is NewInverse with the tile kernel named by the caller, as gram.
+func newInverse(a *Dense, shift float64, workers int, avx2 bool) (*Inverse, error) {
+	if a.Rows != a.Cols {
+		return nil, ErrShape
+	}
+	n := a.Rows
+	ld := (n + 7) &^ 7
+	inv := &Inverse{n: n, ld: ld, m: make([]float64, ld*ld)}
+	l := inv.m[:n*n]
+	copy(l, a.Data)
+	for i := 0; i < n; i++ {
+		l[i*n+i] += shift
+	}
+	if err := factorBlocked(l, n, workers); err != nil {
+		return nil, err
+	}
+	buf := inverseScratch.Get().(*[]float64)
+	defer inverseScratch.Put(buf)
+	if cap(*buf) < ld*ld {
+		*buf = make([]float64, ld*ld)
+	}
+	// −Lᵀ goes above l's diagonal (L stays on and below it); w starts as I.
+	w := (*buf)[:ld*ld]
+	clear(w)
+	for i := 0; i < n; i++ {
+		for r := 0; r < i; r++ {
+			l[r*n+i] = -l[i*n+r]
+		}
+		w[i*ld+i] = 1
+	}
+	lowerInverse(w, l, n, ld, avx2)
+	clear(inv.m)
+	inv.gramOf(w, avx2)
+	return inv, nil
+}
+
+// lowerInverse overwrites w = I with L⁻¹ given t, the n×n factor with −Lᵀ
+// above its diagonal: row i is (eᵢ − Σᵣ L[i][r]·row r) / L[i][i] over r < i
+// in order. A block of four rows takes its terms from every row above it as
+// 4×8 tiles (column block k needs rows k … i0−1 only: row r of L⁻¹ is zero
+// past column r), then its own earlier rows and the division row by row.
+// The last block's rows past n read t past its row ends; nothing reads them.
+func lowerInverse(w, t []float64, n, ld int, avx2 bool) {
+	for i0 := 0; i0 < n; i0 += 4 {
+		for k := 0; k < i0; k += 8 {
+			tile(w[i0*ld+k:], ld, t[k*n+i0:], n, w[k*ld+k:], ld, i0-k, avx2)
+		}
+		for i := i0; i < min(i0+4, n); i++ {
+			row := w[i*ld : i*ld+i+1]
+			for r := i0; r < i; r++ {
+				a := t[r*n+i]
+				for k, b := range w[r*ld : r*ld+r+1] {
+					row[k] += float64(a * b)
+				}
+			}
+			for k := range row {
+				row[k] /= t[i*n+i]
+			}
+		}
+	}
+}
+
+// gramOf sets M = WᵀW for the lower-triangular W = L⁻¹: 4×8 tiles over the
+// upper triangle, each summed over rows r ≥ max(j, k) of its corner (the
+// terms above an entry's own index are exact zeros), then mirrored.
+func (v *Inverse) gramOf(w []float64, avx2 bool) {
+	n, ld, m := v.n, v.ld, v.m
+	for j := 0; j < n; j += 4 {
+		for k := j &^ 7; k < n; k += 8 {
+			r := max(j, k)
+			tile(m[j*ld+k:], ld, w[r*ld+j:], ld, w[r*ld+k:], ld, n-r, avx2)
+		}
+	}
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			m[k*ld+j] = m[j*ld+k]
+		}
+	}
+}
+
+// MulVec sets dst = M·src (n entries each). Output k is Σᵣ src[r]·M[r][k]
+// summed from zero over r in order; 32 outputs at a time are the lanes of
+// one accumulator row.
+func (v *Inverse) MulVec(dst, src []float64) { v.mulVec(dst, src, hasAVX2) }
+
+func (v *Inverse) mulVec(dst, src []float64, avx2 bool) {
+	n, ld := v.n, v.ld
+	if len(dst) < n || len(src) < n {
+		panic(ErrShape)
+	}
+	var acc [32]float64
+	for k := 0; k < n; k += len(acc) {
+		// On the AVX2 path a short last block starts early enough to be 32
+		// lanes wide: the outputs it repeats are the same sums, same bits.
+		k0 := k
+		if avx2 && ld >= len(acc) {
+			k0 = min(k, ld-len(acc))
+		}
+		lanes := acc[:min(len(acc), ld-k0)]
+		clear(lanes)
+		if avx2 && len(lanes) == len(acc) {
+			gemvTile1x32(&lanes[0], &v.m[k0], ld, &src[0], n)
+		} else {
+			for g := 0; g < len(lanes); g += 8 {
+				dot8(lanes[g:], src, 1, v.m[k0+g:], ld, n)
+			}
+		}
+		copy(dst[k:min(k+len(acc), n)], lanes[k-k0:])
+	}
+}
+
+// MulPanel sets dst = M·src on the leading cols columns (a multiple of 8) of
+// two row-major panels with row stride stride: src has n rows, dst n rounded
+// up to 4. Column e of dst is bit for bit MulVec of column e of src — the
+// same products (M is symmetric) summed in the same order from zero.
+func (v *Inverse) MulPanel(dst, src []float64, stride, cols int) {
+	v.mulPanel(dst, src, stride, cols, hasAVX2)
+}
+
+func (v *Inverse) mulPanel(dst, src []float64, stride, cols int, avx2 bool) {
+	if cols%8 != 0 || cols > stride {
+		panic(ErrShape)
+	}
+	clear(dst[:((v.n+3)&^3)*stride])
+	for k := 0; k < v.n; k += 4 {
+		for e := 0; e < cols; e += 8 {
+			tile(dst[k*stride+e:], stride, v.m[k:], v.ld, src[e:], stride, v.n, avx2)
+		}
+	}
+}
+
+// tile adds Σᵣ w[r·ldw+jj]·x[r·ldx+kk] over r < m, in that order, to
+// c[jj·ldc+kk] for jj < 4 and kk < 8: gramTile4x8 when avx2 is set (valid
+// only where hasAVX2 is), four portable dot8 rows otherwise. The two round
+// alike, so a result's bits do not depend on the kernel.
+func tile(c []float64, ldc int, w []float64, ldw int, x []float64, ldx, m int, avx2 bool) {
+	if m == 0 {
+		return
+	}
+	_, _, _ = c[3*ldc+7], w[(m-1)*ldw+3], x[(m-1)*ldx+7] // keep the assembly in bounds
+	if avx2 {
+		gramTile4x8(&c[0], ldc, &w[0], ldw, &x[0], ldx, m)
+		return
+	}
+	for jj := 0; jj < 4; jj++ {
+		dot8(c[jj*ldc:], w[jj:], ldw, x, ldx, m)
+	}
+}
+
+// dot8 adds Σᵣ w[r·ldw]·x[r·ldx+kk] over r < m, in that order, to c[kk] for
+// kk < 8, one rounded product and one rounded sum per term: the portable
+// tile row and the oracle of both AVX2 tiles.
+func dot8(c, w []float64, ldw int, x []float64, ldx, m int) {
+	c0, c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	for r := 0; r < m; r++ {
+		a, xr := w[r*ldw], x[r*ldx:r*ldx+8:r*ldx+8]
+		c0 += float64(a * xr[0])
+		c1 += float64(a * xr[1])
+		c2 += float64(a * xr[2])
+		c3 += float64(a * xr[3])
+		c4 += float64(a * xr[4])
+		c5 += float64(a * xr[5])
+		c6 += float64(a * xr[6])
+		c7 += float64(a * xr[7])
+	}
+	c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = c0, c1, c2, c3, c4, c5, c6, c7
+}

@@ -42,7 +42,7 @@ func FitDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64) *Scaler
 		row := xLocal.Row(i)
 		for j, v := range row {
 			d := v - s.Mean[j]
-			sq[j] += d * d
+			sq[j] += float64(d * d)
 		}
 	}
 	comm.Allreduce(mpi.OpSum, sq)

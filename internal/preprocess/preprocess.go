@@ -41,7 +41,7 @@ func Fit(x *mat.Dense) *Scaler {
 		row := x.Row(i)
 		for j, v := range row {
 			d := v - s.Mean[j]
-			s.Scale[j] += d * d
+			s.Scale[j] += float64(d * d)
 		}
 	}
 	for j := range s.Scale {
@@ -102,7 +102,7 @@ func (s *Scaler) InverseBeta(betaStd []float64) (beta []float64, intercept float
 	intercept = s.YMean
 	for j, b := range betaStd {
 		beta[j] = b / s.Scale[j]
-		intercept -= beta[j] * s.Mean[j]
+		intercept -= float64(beta[j] * s.Mean[j])
 	}
 	return beta, intercept
 }

@@ -165,7 +165,7 @@ func (e *Engine) Ingest(rows [][]float64) (serve.StreamStatus, error) {
 			if e.rowsPerMs == 0 {
 				e.rowsPerMs = sample
 			} else {
-				e.rowsPerMs += ingestRateAlpha * (sample - e.rowsPerMs)
+				e.rowsPerMs += float64(ingestRateAlpha * (sample - e.rowsPerMs))
 			}
 		}
 	}

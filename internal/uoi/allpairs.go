@@ -363,14 +363,14 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 			r := yc[t]
 			row := xs.Row(t)
 			for _, k := range sup {
-				r -= row[k] * beta[k]
+				r -= float64(row[k] * beta[k])
 			}
-			rss += r * r
+			rss += float64(r * r)
 		}
 		if rss <= 0 {
 			rss = math.SmallestNonzeroFloat64
 		}
-		bic := float64(m)*math.Log(rss/float64(m)) + float64(len(sup))*math.Log(float64(m))
+		bic := float64(float64(m)*math.Log(rss/float64(m))) + float64(float64(len(sup))*math.Log(float64(m)))
 		best.offer(bic, beta)
 	}
 	if best.beta != nil {
@@ -382,7 +382,7 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 			g := cols[k]
 			fit.cols = append(fit.cols, g)
 			fit.vals = append(fit.vals, v)
-			mu -= v * xbar[g]
+			mu -= float64(v * xbar[g])
 		}
 		fit.mu = mu
 	}

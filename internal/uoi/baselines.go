@@ -96,7 +96,7 @@ func LassoBIC(x *mat.Dense, y []float64, q int) (*BaselineResult, error) {
 			rss = 1e-300
 		}
 		k := float64(len(admm.Support(r.Beta, 1e-7)))
-		bic := n*math.Log(rss/n) + k*math.Log(n)
+		bic := float64(n*math.Log(rss/n)) + float64(k*math.Log(n))
 		if bic < bestBIC {
 			bestBIC = bic
 			cp := make([]float64, len(r.Beta))

@@ -187,9 +187,9 @@ func heldOutLoss(x *mat.Dense, y []float64, rows, support []int, beta []float64)
 		xr := x.Row(i)
 		r := -y[i]
 		for _, j := range support {
-			r += xr[j] * beta[j]
+			r += float64(xr[j] * beta[j])
 		}
-		sum += r * r
+		sum += float64(r * r)
 	}
 	return 0.5 * sum
 }

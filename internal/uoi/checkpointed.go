@@ -323,8 +323,13 @@ func floatsToBools(fs []float64) []bool {
 // refused instead of being resumed into a fit that mixes cells from two
 // kernels. Revision 1: selection cells sum a multiplicity-weighted Gram over
 // the distinct bootstrap rows (the build before it summed a gathered copy
-// and hashed no revision).
-const lassoCellRevision = 1
+// and hashed no revision). Revision 2: every ADMM x-update multiplies by an
+// explicit (XᵀX + ρI)⁻¹ instead of solving with its Cholesky factor.
+const lassoCellRevision = 2
+
+// varCellRevision is lassoCellRevision's UoI_VAR counterpart. Revision 1:
+// the explicit-inverse x-update; the builds before it hashed no revision.
+const varCellRevision = 1
 
 // lassoFingerprint hashes everything that determines a UoI_LASSO fit's
 // cells: the cell-numerics revision, data dimensions and bits, the root
@@ -362,7 +367,16 @@ func lassoFingerprintAt(rev uint64, x *mat.Dense, y []float64, c *LassoConfig) u
 // resolved block-bootstrap length (the ⌈√m⌉ default must fingerprint the
 // same as passing it explicitly).
 func varFingerprint(series *mat.Dense, blockLen int, c *VARConfig) uint64 {
+	return varFingerprintAt(varCellRevision, series, blockLen, c)
+}
+
+// varFingerprintAt is varFingerprint as a build at cell-numerics revision rev
+// computes it; revision 0 is the builds that hashed none.
+func varFingerprintAt(rev uint64, series *mat.Dense, blockLen int, c *VARConfig) uint64 {
 	h := checkpoint.NewHasher()
+	if rev > 0 {
+		h.AddUint64(rev)
+	}
 	h.AddUint64(uint64(series.Rows))
 	h.AddUint64(uint64(series.Cols))
 	h.AddUint64(uint64(c.Order))

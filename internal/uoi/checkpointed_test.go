@@ -216,6 +216,45 @@ func TestCheckpointedResumeRejectsForeignOrBrokenFiles(t *testing.T) {
 	}
 }
 
+// TestCheckpointedVARResumeRejectsStaleRevision is the VAR twin of the
+// stale-revision case above: a journal of this very fit whose fingerprint a
+// build at the previous cell-numerics revision (triangular-solve x-updates,
+// no revision word) would have written is refused, not resumed.
+func TestCheckpointedVARResumeRejectsStaleRevision(t *testing.T) {
+	_, series := makeVARData(31, 5, 1, 300)
+	path := filepath.Join(t.TempDir(), "var.uoickpt")
+	cfg := VARConfig{Order: 1, B1: 4, B2: 3, Q: 5, Seed: 9, Checkpoint: &CheckpointConfig{Path: path}}
+	if _, err := VAR(series, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	own, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg.defaults()
+	_, blockLen, err := varWindow(series.Rows, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := own.Meta()
+	if meta.Fingerprint != varFingerprint(series, blockLen, &c) {
+		t.Fatal("fixture: the checkpoint does not carry this fit's fingerprint")
+	}
+	meta.Fingerprint = varFingerprintAt(varCellRevision-1, series, blockLen, &c)
+	stale := checkpoint.New(meta, own.Lambdas())
+	for k := 0; k < meta.B1; k++ {
+		sup, _, _ := own.Selection(k)
+		stale.AddSelection(k, sup)
+	}
+	if err := checkpoint.Save(path, stale); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
+	if _, err := VAR(series, &cfg); !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("stale cell revision: err = %v, want ErrMismatch", err)
+	}
+}
+
 func TestCheckpointedLassoDistributedMatchesSerial(t *testing.T) {
 	x, y, _ := makeRegression(7, 80, 12, 4, 0.3)
 	plain, err := Lasso(x, y, &LassoConfig{B1: 6, B2: 4, Q: 5, Seed: 11})

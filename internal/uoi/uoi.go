@@ -201,7 +201,7 @@ type BootstrapStats struct {
 // 7.000000000000001) and Ceil would then overshoot by one, silently
 // tightening every threshold derived from a user-facing fraction.
 func ceilFrac(frac float64, b int) int {
-	return int(math.Ceil(frac*float64(b) - 1e-9))
+	return int(math.Ceil(float64(frac*float64(b)) - 1e-9))
 }
 
 // quorumCount is the minimum completed-bootstrap count ceil(frac·b),

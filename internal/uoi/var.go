@@ -264,9 +264,9 @@ func vecLoss(des *varsim.Design, beta []float64) float64 {
 			xr := des.X.Row(i)
 			r := des.Y.At(i, eq)
 			for _, j := range nz {
-				r -= xr[j] * b[j]
+				r -= float64(xr[j] * b[j])
 			}
-			sum += r * r
+			sum += float64(r * r)
 		}
 	}
 	return 0.5 * sum

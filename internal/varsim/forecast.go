@@ -73,7 +73,7 @@ func (m *Model) PredictionScore(series *mat.Dense) (r2 []float64, rmse float64) 
 			yCol[t] = series.At(d+t, j)
 			pCol[t] = pred.At(t, j)
 			dlt := yCol[t] - pCol[t]
-			sumSq += dlt * dlt
+			sumSq += float64(dlt * dlt)
 			count++
 		}
 		r2[j] = metrics.R2(yCol, pCol)

@@ -139,7 +139,7 @@ func FSurvival(x, d1, d2 float64) float64 {
 		return 1
 	}
 	// P(F > x) = I_{d2/(d2 + d1 x)}(d2/2, d1/2)
-	return RegIncBeta(d2/2, d1/2, d2/(d2+d1*x))
+	return RegIncBeta(d2/2, d1/2, d2/(d2+float64(d1*x)))
 }
 
 // RegIncBeta computes the regularized incomplete beta function I_x(a, b)
@@ -151,7 +151,7 @@ func RegIncBeta(a, b, x float64) float64 {
 	case x >= 1:
 		return 1
 	}
-	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x)
+	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b) + float64(a*math.Log(x)) + float64(b*math.Log(1-x))
 	front := math.Exp(lbeta)
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
@@ -179,7 +179,7 @@ func betaCF(a, b, x float64) float64 {
 	for m := 1; m <= maxIter; m++ {
 		m2 := 2 * m
 		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -190,7 +190,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -199,7 +199,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break

@@ -75,9 +75,9 @@ func SelectOrder(series *mat.Dense, maxOrder int, criterion OrderCriterion) (int
 		var score float64
 		switch criterion {
 		case AIC:
-			score = mp*math.Log(rssTotal/mp) + 2*k
+			score = float64(mp*math.Log(rssTotal/mp)) + float64(2*k)
 		default:
-			score = mp*math.Log(rssTotal/mp) + k*math.Log(float64(m))
+			score = float64(mp*math.Log(rssTotal/mp)) + float64(k*math.Log(float64(m)))
 		}
 		scores = append(scores, OrderScore{Order: d, Score: score, RSS: rssTotal})
 		if score < bestScore {

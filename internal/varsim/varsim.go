@@ -90,7 +90,7 @@ func GenerateStable(rng *resample.RNG, p, d int, opts *GenOptions) *Model {
 		for i := 0; i < p; i++ {
 			for k := 0; k < p; k++ {
 				if rng.Float64() < o.Density {
-					v := o.CoefScale * (0.5 + rng.Float64())
+					v := o.CoefScale * (0.5 + float64(rng.Float64()))
 					if rng.Float64() < 0.5 {
 						v = -v
 					}
@@ -170,7 +170,7 @@ func (m *Model) Simulate(rng *resample.RNG, n, burnIn int) *mat.Dense {
 	for t := 0; t < d; t++ {
 		row := buf.Row(t)
 		for i := range row {
-			row[i] = m.Mu[i] + m.NoiseStd[i]*rng.NormFloat64()
+			row[i] = m.Mu[i] + float64(m.NoiseStd[i]*rng.NormFloat64())
 		}
 	}
 	for t := d; t < total; t++ {
@@ -182,7 +182,7 @@ func (m *Model) Simulate(rng *resample.RNG, n, burnIn int) *mat.Dense {
 			mat.Axpy(row, 1, contrib)
 		}
 		for i := range row {
-			row[i] += m.NoiseStd[i] * rng.NormFloat64()
+			row[i] += float64(m.NoiseStd[i] * rng.NormFloat64())
 		}
 	}
 	return buf.SubRows(burnIn+d, total)
