@@ -39,8 +39,9 @@
 //	                         last error
 //
 // Concurrent forecasts against one model coalesce into batched GEMMs
-// (-batch-window, -batch-max); responses are bit-identical to unbatched
-// evaluation. Repeated requests are answered from an LRU cache
+// (-batch-max): a batch takes what is already queued and runs at once,
+// holding open for -batch-window only while a streaming refit runs;
+// responses are bit-identical to unbatched evaluation. Repeated requests are answered from an LRU cache
 // (-cache-entries, X-Cache header). Per-endpoint concurrency is capped at
 // -max-inflight (429 beyond it) and every request gets a -timeout deadline
 // (504 past it). SIGINT/SIGTERM drain gracefully: health goes 503, in-flight
@@ -120,7 +121,7 @@ func main() {
 	o := &options{}
 	flag.StringVar(&o.Models, "models", "", "directory of *.uoim artifacts to serve (required)")
 	flag.StringVar(&o.Addr, "addr", "localhost:8080", "listen address")
-	flag.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "how long the first request of a batch waits for companions")
+	flag.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "how long a forecast batch collects companions while a streaming refit runs (no refit: dispatch at once)")
 	flag.IntVar(&o.BatchMax, "batch-max", 64, "max coalesced forecast batch size")
 	flag.IntVar(&o.CacheEntries, "cache-entries", 256, "LRU response-cache capacity (negative disables)")
 	flag.IntVar(&o.MaxInflight, "max-inflight", 256, "per-endpoint concurrency limit (429 beyond it)")

@@ -130,13 +130,21 @@ func MulVecWorkers(a *Dense, x []float64, workers int) []float64 {
 // rows share the call — so a batch-of-N product is bit-identical, row for
 // row, to N batch-of-1 products.
 func MulABtWorkers(a, b *Dense, workers int) *Dense {
-	if a.Cols != b.Cols {
+	c := NewDense(a.Rows, b.Rows)
+	MulABtTo(c, a, b, workers)
+	return c
+}
+
+// MulABtTo is MulABtWorkers writing into c (a.Rows×b.Rows, overwritten), so
+// a caller that repeats the product can reuse one output buffer. Panics on
+// shape mismatch.
+func MulABtTo(c, a, b *Dense, workers int) {
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(ErrShape)
 	}
 	tr := tracer()
 	sp := tr.Start("mat/gemm_abt")
 	w := clampWorkers(workers)
-	c := NewDense(a.Rows, b.Rows)
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
@@ -153,7 +161,6 @@ func MulABtWorkers(a, b *Dense, workers int) *Dense {
 		body(0, a.Rows)
 	}
 	sp.End()
-	return c
 }
 
 // Dot returns xᵀy.

@@ -101,17 +101,20 @@ func (p *Predictor) ForecastBatch(histories []*mat.Dense, h int) ([]*mat.Dense, 
 		return out, nil
 	}
 	// Per-history working buffer: the last d observations, then the
-	// forecasts, exactly as varsim.Model.Forecast lays them out.
+	// forecasts, exactly as varsim.Model.Forecast lays them out. All nb
+	// buffers share one allocation, and each returned forecast is a row
+	// view of its buffer's last h rows, not a copy.
+	rows := d + h
+	slab := make([]float64, nb*rows*pp)
 	bufs := make([]*mat.Dense, nb)
 	for b, hist := range histories {
-		buf := mat.NewDense(d+h, pp)
-		for j := 0; j < d; j++ {
-			copy(buf.Row(j), hist.Row(hist.Rows-d+j))
-		}
+		buf := mat.NewDenseData(rows, pp, slab[b*rows*pp:(b+1)*rows*pp])
+		copy(buf.Data[:d*pp], hist.Data[(hist.Rows-d)*pp:hist.Rows*pp])
 		bufs[b] = buf
 	}
 	lag := mat.NewDense(nb, pp)
-	for t := d; t < d+h; t++ {
+	prod := mat.NewDense(nb, pp)
+	for t := d; t < rows; t++ {
 		for b := 0; b < nb; b++ {
 			copy(bufs[b].Row(t), p.mu)
 		}
@@ -119,15 +122,15 @@ func (p *Predictor) ForecastBatch(histories []*mat.Dense, h int) ([]*mat.Dense, 
 			for b := 0; b < nb; b++ {
 				copy(lag.Row(b), bufs[b].Row(t-j-1))
 			}
-			prod := mat.MulABtWorkers(lag, p.a[j], 0)
+			mat.MulABtTo(prod, lag, p.a[j], 0)
 			for b := 0; b < nb; b++ {
 				mat.Axpy(bufs[b].Row(t), 1, prod.Row(b))
 			}
 		}
 	}
 	out := make([]*mat.Dense, nb)
-	for b := range out {
-		out[b] = bufs[b].SubRows(d, d+h)
+	for b, buf := range bufs {
+		out[b] = mat.NewDenseData(h, pp, buf.Data[d*pp:])
 	}
 	return out, nil
 }

@@ -22,25 +22,34 @@ type forecastReq struct {
 	ctx     context.Context
 	history *mat.Dense
 	horizon int
+	enq     time.Time // when submit queued it; batch_wait runs from here
 	resp    chan forecastResp
 }
 
 type forecastResp struct {
 	entry    *Entry
 	forecast *mat.Dense
-	err      error
+	// wait is the request's batch wait: from enqueue to the dispatch of
+	// its batch (0 when it never reached a batch).
+	wait time.Duration
+	err  error
 }
 
 // batcher coalesces forecast requests against one model name. A single
-// goroutine drains the bounded queue: the first arrival opens a collection
-// window; everything that lands within the window (up to maxBatch) runs as
-// one Predictor.ForecastBatch call at the batch's common max horizon, and
-// each member is answered with its own prefix. Correctness does not depend
-// on the window — the batched kernel's rows are bit-identical to solo
-// evaluation — so the window trades only latency against GEMM efficiency.
+// goroutine drains the bounded queue and is work-conserving: it blocks for
+// the first request, takes whatever else is already queued (up to
+// maxBatch), and dispatches at once — a lone forecast never waits. Only
+// while a streaming refit is in flight (streams.Refitting) does it hold the
+// batch open for the window, so a closed-loop poller waits on a timer
+// instead of taking a core from the refit. Each batch runs as one
+// Predictor.ForecastBatch call at the batch's common max horizon, and each
+// member is answered with its own prefix. Correctness does not depend on
+// batch composition — the batched kernel's rows are bit-identical to solo
+// evaluation — so the window trades only latency against CPU.
 type batcher struct {
 	name     string
 	registry *Registry
+	streams  Streamer // nil: never contended
 	window   time.Duration
 	maxBatch int
 	tracer   *trace.Tracer
@@ -55,7 +64,7 @@ type batcher struct {
 	done     chan struct{}
 }
 
-func newBatcher(name string, reg *Registry, window time.Duration, maxBatch, queueDepth int, tr *trace.Tracer, m *serveMetrics) *batcher {
+func newBatcher(name string, reg *Registry, streams Streamer, window time.Duration, maxBatch, queueDepth int, tr *trace.Tracer, m *serveMetrics) *batcher {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
@@ -63,7 +72,7 @@ func newBatcher(name string, reg *Registry, window time.Duration, maxBatch, queu
 		queueDepth = maxBatch
 	}
 	b := &batcher{
-		name: name, registry: reg, window: window, maxBatch: maxBatch,
+		name: name, registry: reg, streams: streams, window: window, maxBatch: maxBatch,
 		tracer: tr, metrics: m, ch: make(chan *forecastReq, queueDepth),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
@@ -73,22 +82,22 @@ func newBatcher(name string, reg *Registry, window time.Duration, maxBatch, queu
 
 // submit enqueues a request and waits for its response, the context
 // deadline, or shutdown — whichever comes first.
-func (b *batcher) submit(ctx context.Context, history *mat.Dense, horizon int) (*Entry, *mat.Dense, error) {
-	req := &forecastReq{ctx: ctx, history: history, horizon: horizon, resp: make(chan forecastResp, 1)}
+func (b *batcher) submit(ctx context.Context, history *mat.Dense, horizon int) forecastResp {
+	req := &forecastReq{ctx: ctx, history: history, horizon: horizon, enq: time.Now(), resp: make(chan forecastResp, 1)}
 	select {
 	case b.ch <- req:
 	case <-ctx.Done():
-		return nil, nil, ctx.Err()
+		return forecastResp{err: ctx.Err()}
 	case <-b.stop:
-		return nil, nil, errBatcherClosed
+		return forecastResp{err: errBatcherClosed}
 	}
 	select {
 	case r := <-req.resp:
-		return r.entry, r.forecast, r.err
+		return r
 	case <-ctx.Done():
 		// The batcher will still compute and drop the answer into the
 		// buffered channel; nobody reads it.
-		return nil, nil, ctx.Err()
+		return forecastResp{err: ctx.Err()}
 	}
 }
 
@@ -100,45 +109,75 @@ func (b *batcher) close() {
 	<-b.done
 }
 
+// loop is the batcher goroutine. The idle path is a blocking channel
+// receive: no timer, ticker or poll runs unless a refit is in flight.
 func (b *batcher) loop() {
 	defer close(b.done)
-	for {
-		var req *forecastReq
-		select {
-		case req = <-b.ch:
-		case <-b.stop:
-			b.drainQueue()
-			return
-		}
-		batch := []*forecastReq{req}
-		timer := time.NewTimer(b.window)
-	collect:
-		for len(batch) < b.maxBatch {
-			select {
-			case r := <-b.ch:
-				batch = append(batch, r)
-			case <-timer.C:
-				break collect
-			case <-b.stop:
-				// Shutting down: run what we have without waiting out
-				// the window; drainQueue picks up anything later.
-				break collect
-			}
-		}
-		timer.Stop()
-		b.run(batch)
-	}
-}
-
-// drainQueue answers everything that made it into the queue before stop.
-func (b *batcher) drainQueue() {
+	batch := make([]*forecastReq, 0, b.maxBatch)
 	for {
 		select {
 		case req := <-b.ch:
-			b.run([]*forecastReq{req})
-		default:
+			batch = append(batch[:0], req)
+		case <-b.stop:
+			b.drainQueue(batch)
 			return
 		}
+		batch = b.takeQueued(batch)
+		if len(batch) < b.maxBatch && b.contended() {
+			batch = b.collect(batch)
+		}
+		b.run(batch)
+		clear(batch) // let the answered requests be garbage-collected
+	}
+}
+
+// contended reports whether a batch should wait out the window: a refit is
+// running and the window is positive.
+func (b *batcher) contended() bool {
+	return b.window > 0 && b.streams != nil && b.streams.Refitting()
+}
+
+// takeQueued appends every already-queued request, up to maxBatch, without
+// blocking.
+func (b *batcher) takeQueued(batch []*forecastReq) []*forecastReq {
+	for len(batch) < b.maxBatch {
+		select {
+		case r := <-b.ch:
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// collect holds the batch open for the window, until maxBatch fills, or
+// until shutdown — which runs what is there at once; drainQueue picks up
+// anything later.
+func (b *batcher) collect(batch []*forecastReq) []*forecastReq {
+	timer := time.NewTimer(b.window)
+	defer timer.Stop()
+	for len(batch) < b.maxBatch {
+		select {
+		case r := <-b.ch:
+			batch = append(batch, r)
+		case <-timer.C:
+			return batch
+		case <-b.stop:
+			return batch
+		}
+	}
+	return batch
+}
+
+// drainQueue answers everything that made it into the queue before stop.
+func (b *batcher) drainQueue(batch []*forecastReq) {
+	for {
+		batch = b.takeQueued(batch[:0])
+		if len(batch) == 0 {
+			return
+		}
+		b.run(batch)
 	}
 }
 
@@ -147,6 +186,7 @@ func (b *batcher) drainQueue() {
 // hot-swap; requests whose context already expired or whose history does not
 // fit the snapshot are answered individually without poisoning the batch.
 func (b *batcher) run(batch []*forecastReq) {
+	dispatch := time.Now()
 	sp := b.tracer.Start("serve/batch")
 	defer sp.End()
 	b.tracer.Add("serve/forecast_batches", 1)
@@ -157,16 +197,18 @@ func (b *batcher) run(batch []*forecastReq) {
 	entry := b.registry.Get(b.name)
 	live := batch[:0]
 	for _, r := range batch {
+		wait := dispatch.Sub(r.enq)
+		b.metrics.observeStage(stageBatchWait, wait)
 		if r.ctx.Err() != nil {
-			r.resp <- forecastResp{err: r.ctx.Err()}
+			r.resp <- forecastResp{wait: wait, err: r.ctx.Err()}
 			continue
 		}
 		if entry == nil {
-			r.resp <- forecastResp{err: fmt.Errorf("serve: model %q not found", b.name)}
+			r.resp <- forecastResp{wait: wait, err: fmt.Errorf("serve: model %q not found", b.name)}
 			continue
 		}
 		if err := checkHistory(entry.Pred, r.history); err != nil {
-			r.resp <- forecastResp{entry: entry, err: err}
+			r.resp <- forecastResp{entry: entry, wait: wait, err: err}
 			continue
 		}
 		live = append(live, r)
@@ -182,18 +224,20 @@ func (b *batcher) run(batch []*forecastReq) {
 			maxH = r.horizon
 		}
 	}
+	t0 := time.Now()
 	out, err := entry.Pred.ForecastBatch(histories, maxH)
-	if err != nil {
-		for _, r := range live {
-			r.resp <- forecastResp{entry: entry, err: err}
-		}
-		return
-	}
+	b.metrics.observeStage(stageForecast, time.Since(t0))
 	for i, r := range live {
-		// A forecast at horizon h is the h-row prefix of the horizon-maxH
-		// forecast (row t depends only on rows before it), so truncation
-		// preserves the bit-identity guarantee.
-		r.resp <- forecastResp{entry: entry, forecast: out[i].SubRows(0, r.horizon)}
+		resp := forecastResp{entry: entry, wait: dispatch.Sub(r.enq), err: err}
+		if err == nil {
+			// A forecast at horizon h is the h-row prefix of the
+			// horizon-maxH forecast (row t depends only on rows before
+			// it), so a row view of that prefix keeps the bit-identity
+			// guarantee without copying.
+			f := out[i]
+			resp.forecast = mat.NewDenseData(r.horizon, f.Cols, f.Data[:r.horizon*f.Cols])
+		}
+		r.resp <- resp
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"time"
 
 	"uoivar/internal/telemetry"
 )
@@ -20,6 +21,7 @@ import (
 //	uoivar_serve_inflight{endpoint,replica}              — in-flight gauge
 //	uoivar_serve_batch_size{model,replica}               — coalesced batch depth
 //	uoivar_serve_service_seconds{replica}                — service-time EWMA
+//	uoivar_serve_stage_seconds{stage,replica}            — forecast stage times
 //
 // Label cardinality is bounded by construction: endpoints and codes are
 // fixed sets, model and replica are operator-chosen.
@@ -31,13 +33,26 @@ type serveMetrics struct {
 	inflight  *telemetry.GaugeVec
 	batchSize *telemetry.HistogramVec
 	ewma      *telemetry.GaugeVec
+	// stages holds one resolved series per forecast stage, so an
+	// observation is a bucket scan with no label lookup.
+	stages [numStages]telemetry.Histogram
 }
+
+// stage is one layer of a forecast's server-side time.
+type stage int
+
+const (
+	stageBatchWait stage = iota // enqueue → dispatch of the request's batch
+	stageForecast               // Predictor.ForecastBatch, once per batch
+	stageEncode                 // JSON encoding of one response
+	numStages
+)
 
 func newServeMetrics(reg *telemetry.Registry, replica string) *serveMetrics {
 	if !reg.Enabled() {
 		return nil
 	}
-	return &serveMetrics{
+	m := &serveMetrics{
 		replica: replica,
 		requests: reg.Counter("uoivar_serve_requests_total",
 			"Completed requests by endpoint and HTTP status code.",
@@ -58,6 +73,23 @@ func newServeMetrics(reg *telemetry.Registry, replica string) *serveMetrics {
 			"EWMA of per-request service time (the Retry-After estimator).",
 			"replica"),
 	}
+	// 1 µs to ~33 s: a forecast stage is microseconds, a batch wait up to
+	// the batch window, both well below DefLatencyBuckets' 100 µs floor.
+	stages := reg.Histogram("uoivar_serve_stage_seconds",
+		"Forecast time by stage: batch_wait (enqueue to dispatch), forecast (ForecastBatch), encode (JSON).",
+		telemetry.LogBuckets(1e-6, 2, 26), "stage", "replica")
+	for s, name := range [numStages]string{"batch_wait", "forecast", "encode"} {
+		m.stages[s] = stages.With(name, replica)
+	}
+	return m
+}
+
+// observeStage records one stage duration. Nil-safe like observeBatch.
+func (m *serveMetrics) observeStage(s stage, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stages[s].Observe(d.Seconds())
 }
 
 // observeBatch records one coalesced batch flush. Nil-safe: a batcher on a
@@ -70,12 +102,15 @@ func (m *serveMetrics) observeBatch(model string, n int) {
 }
 
 // statusRecorder captures the status code and body size a handler wrote, so
-// the telemetry skin can label its counters and log lines. It wraps the
+// the telemetry skin can label its counters and log lines (and carries the
+// forecast's batch wait to the access log). It wraps the
 // ResponseWriter only on instrumented servers.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	// batchWait is the forecast handler's batch wait, for the access log.
+	batchWait time.Duration
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"uoivar/internal/resample"
 	"uoivar/internal/telemetry"
@@ -70,6 +73,61 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(logBuf.String(), `"layer":"serve"`) || !strings.Contains(logBuf.String(), `"replica":"7"`) {
 		t.Fatalf("access log missing layer/replica:\n%s", logBuf.String())
+	}
+}
+
+// TestStageTimers: the stage histogram splits a forecast into batch_wait,
+// forecast and encode, and the access log carries batch_wait_ms. With a
+// refit in flight a lone forecast's batch wait covers the window; with
+// none it is far below it.
+func TestStageTimers(t *testing.T) {
+	const window = 50 * time.Millisecond
+	for _, mode := range []struct {
+		name      string
+		refitting bool
+	}{{"contended", true}, {"idle", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			var logBuf bytes.Buffer
+			fs := &fakeStreamer{}
+			fs.refitting.Store(mode.refitting)
+			_, _, ts := newTestServer(t, func(c *Config) {
+				c.Metrics = reg
+				c.AccessLog = telemetry.NewAccessLogger(&logBuf, 1)
+				c.BatchWindow = window
+				c.Streams = fs
+			})
+			req := ForecastRequest{Model: "mkt", History: randHistory(resample.NewRNG(2), 4, 8), Horizon: 2}
+			if status, _, body := post(t, ts.URL+"/v1/forecast", req); status != http.StatusOK {
+				t.Fatalf("forecast: %d %s", status, body)
+			}
+			exp, err := telemetry.ParseExposition(strings.NewReader(reg.Expose()))
+			if err != nil {
+				t.Fatalf("exposition invalid: %v", err)
+			}
+			for _, st := range []string{"batch_wait", "forecast", "encode"} {
+				if n, ok := exp.Value("uoivar_serve_stage_seconds_count", map[string]string{"stage": st}); !ok || n != 1 {
+					t.Fatalf("stage %s count = %g %v, want 1", st, n, ok)
+				}
+			}
+			// One observation, so the histogram sum is the request's wait.
+			wait, _ := exp.Value("uoivar_serve_stage_seconds_sum", map[string]string{"stage": "batch_wait"})
+			if mode.refitting && wait < window.Seconds() {
+				t.Fatalf("contended batch_wait %gs, want >= the %v window", wait, window)
+			}
+			if !mode.refitting && wait >= window.Seconds() {
+				t.Fatalf("idle batch_wait %gs, want < the %v window", wait, window)
+			}
+			var line struct {
+				BatchWaitMs float64 `json:"batch_wait_ms"`
+			}
+			if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
+				t.Fatalf("access log line: %v\n%s", err, logBuf.String())
+			}
+			if line.BatchWaitMs <= 0 || math.Abs(line.BatchWaitMs-1e3*wait) > 1e-6 {
+				t.Fatalf("access log batch_wait_ms = %g, histogram says %g ms", line.BatchWaitMs, 1e3*wait)
+			}
+		})
 	}
 }
 

@@ -10,9 +10,12 @@
 //     that computed it and a reload never tears a batch.
 //   - Micro-batching: concurrent forecast requests against the same model
 //     coalesce in a bounded queue and run as one batched GEMM per lag
-//     (Predictor.ForecastBatch). Because the batched kernel's output rows
-//     are bit-independent of batch composition, coalescing is invisible in
-//     the response bytes — only in the throughput.
+//     (Predictor.ForecastBatch). The batcher is work-conserving: a batch is
+//     whatever is already queued, dispatched at once; it collects for
+//     BatchWindow only while a streaming refit shares the CPU. Because the
+//     batched kernel's output rows are bit-independent of batch
+//     composition, coalescing is invisible in the response bytes — only in
+//     the throughput.
 //   - Bounded everything: per-endpoint concurrency limits (429 when
 //     exceeded), per-request deadlines (504), an LRU response cache, and
 //     drain-on-shutdown that completes in-flight requests before the

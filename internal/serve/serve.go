@@ -27,9 +27,10 @@ import (
 type Config struct {
 	// Registry holds the served models.
 	Registry *Registry
-	// BatchWindow is how long the first request of a batch waits for
-	// companions (default 2ms; 0 keeps coalescing of already-queued
-	// requests without adding latency).
+	// BatchWindow is how long a forecast batch collects companions while a
+	// streaming refit is in flight (Streams.Refitting; default 2ms). With no
+	// refit running a batch takes what is already queued and dispatches at
+	// once, so a lone forecast never waits; 0 never waits at all.
 	BatchWindow time.Duration
 	// BatchMax caps the coalesced batch size (default 64).
 	BatchMax int
@@ -330,7 +331,7 @@ func (s *Server) batcherFor(name string) *batcher {
 	defer s.mu.Unlock()
 	b := s.batchers[name]
 	if b == nil {
-		b = newBatcher(name, s.reg, s.cfg.BatchWindow, s.cfg.BatchMax, s.cfg.QueueDepth, s.tracer, s.metrics)
+		b = newBatcher(name, s.reg, s.cfg.Streams, s.cfg.BatchWindow, s.cfg.BatchMax, s.cfg.QueueDepth, s.tracer, s.metrics)
 		s.batchers[name] = b
 	}
 	return b
@@ -387,8 +388,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 // retryAfterSeconds derives an honest Retry-After for a saturated
-// endpoint: one batch window (the floor any queued forecast waits) plus
-// the observed service-time EWMA, rounded up to whole header seconds.
+// endpoint: one batch window (the most a queued forecast waits before its
+// batch runs, reached only while a refit is in flight) plus the observed
+// service-time EWMA, rounded up to whole header seconds.
 // Before any request completes the EWMA is zero and the answer degrades
 // to the old constant 1.
 func (s *Server) retryAfterSeconds() int {
@@ -481,9 +483,10 @@ func (s *Server) instrument(endpoint string, inner http.HandlerFunc) http.Handle
 			Layer: "serve", Replica: s.replica, RequestID: reqID,
 			Method: r.Method, Path: endpoint, Status: status,
 			Bytes: rec.bytes, DurMs: float64(dur) / 1e6,
-			Tenant:  r.Header.Get("X-Tenant"),
-			Attempt: attempt,
-			Cache:   rec.Header().Get("X-Cache"),
+			Tenant:      r.Header.Get("X-Tenant"),
+			Attempt:     attempt,
+			Cache:       rec.Header().Get("X-Cache"),
+			BatchWaitMs: float64(rec.batchWait) / 1e6,
 		})
 	}
 }
@@ -566,8 +569,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "history: %v", err)
 			return
 		}
-		answered, fc, err := s.batcherFor(req.Model).submit(ctx, history, req.Horizon)
-		if err != nil {
+		res := s.batcherFor(req.Model).submit(ctx, history, req.Horizon)
+		if rec, ok := w.(*statusRecorder); ok {
+			rec.batchWait = res.wait
+		}
+		if err := res.err; err != nil {
 			switch {
 			case errors.Is(err, context.DeadlineExceeded):
 				s.writeError(w, http.StatusGatewayTimeout, "forecast deadline (%s) exceeded", s.cfg.Timeout)
@@ -583,17 +589,19 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp := ForecastResponse{
-			Model: answered.Name, Version: answered.Version,
-			Horizon: req.Horizon, Forecast: rowsFromDense(fc),
+			Model: res.entry.Name, Version: res.entry.Version,
+			Horizon: req.Horizon, Forecast: rowsFromDense(res.forecast),
 		}
+		t0 := time.Now()
 		out, err := json.Marshal(resp)
+		s.metrics.observeStage(stageEncode, time.Since(t0))
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, "encode: %v", err)
 			return
 		}
 		// Key the stored bytes under the version that actually answered, so
 		// a hit never serves bytes across a hot-swap boundary.
-		s.cache.Put(cacheKey("forecast", answered, body), out)
+		s.cache.Put(cacheKey("forecast", res.entry, body), out)
 		w.Header().Set("X-Cache", "miss")
 		s.writeBody(w, http.StatusOK, out)
 	})(w, r)

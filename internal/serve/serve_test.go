@@ -115,12 +115,41 @@ func toDense(rows [][]float64) *mat.Dense {
 // test: many concurrent clients with different histories and horizons must
 // each get back exactly the floats the in-memory Predictor computes —
 // bit-identical, despite micro-batch coalescing (Go's JSON float64
-// round-trip is exact, so equality after decoding is bit equality).
+// round-trip is exact, so equality after decoding is bit equality). It runs
+// with no refit (batches dispatch at once) and with a refit in flight
+// (batches wait out the window and must coalesce).
 func TestForecastBitIdenticalUnderConcurrency(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		streams Streamer
+	}{{"idle", nil}, {"refitting", refitInFlight()}} {
+		t.Run(mode.name, func(t *testing.T) {
+			tr := forecastConcurrently(t, mode.streams)
+			if mode.streams == nil {
+				return
+			}
+			// With 24 concurrent clients and a 10ms window held open by
+			// the refit, at least some requests must have coalesced.
+			batches := tr.Counter("serve/forecast_batches")
+			reqs := tr.Counter("serve/forecast_requests_batched")
+			if batches >= reqs {
+				t.Errorf("no coalescing: %d batches for %d requests", batches, reqs)
+			}
+			t.Logf("coalescing factor: %.2f (%d requests in %d batches, max batch %d)",
+				float64(reqs)/float64(batches), reqs, batches, tr.Max("serve/max_batch"))
+		})
+	}
+}
+
+// forecastConcurrently sends 24 concurrent forecasts through a server with
+// a 10ms window and the given Streamer, checks every answer bit for bit
+// against the in-memory Predictor, and returns the server's tracer.
+func forecastConcurrently(t *testing.T, streams Streamer) *trace.Tracer {
 	_, _, pred := fitVAR(t)
 	_, tr, ts := newTestServer(t, func(c *Config) {
 		c.BatchWindow = 10 * time.Millisecond
 		c.CacheEntries = -1 // every request must hit the batcher
+		c.Streams = streams
 	})
 	const clients = 24
 	var wg sync.WaitGroup
@@ -171,22 +200,15 @@ func TestForecastBitIdenticalUnderConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// With 24 concurrent clients and a 10ms window, at least some requests
-	// must have coalesced.
-	batches := tr.Counter("serve/forecast_batches")
-	reqs := tr.Counter("serve/forecast_requests_batched")
-	if reqs != clients {
+	if reqs := tr.Counter("serve/forecast_requests_batched"); reqs != clients {
 		t.Fatalf("batched requests %d, want %d", reqs, clients)
 	}
-	if batches >= reqs {
-		t.Errorf("no coalescing: %d batches for %d requests", batches, reqs)
-	}
-	t.Logf("coalescing factor: %.2f (%d requests in %d batches, max batch %d)",
-		float64(reqs)/float64(batches), reqs, batches, tr.Max("serve/max_batch"))
+	return tr
 }
 
 // TestBatcherCoalesces drives the batcher directly: requests submitted
-// while a batch window is open must share one ForecastBatch call.
+// while a refit holds the batch window open must share one ForecastBatch
+// call.
 func TestBatcherCoalesces(t *testing.T) {
 	_, art, pred := fitVAR(t)
 	reg := NewRegistry()
@@ -194,7 +216,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	b := newBatcher("m", reg, 50*time.Millisecond, 64, 64, tr, nil)
+	b := newBatcher("m", reg, refitInFlight(), 50*time.Millisecond, 64, 64, tr, nil)
 	defer b.close()
 	const n = 8
 	var wg sync.WaitGroup
@@ -207,8 +229,8 @@ func TestBatcherCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := b.submit(context.Background(), hists[i], 2); err != nil {
-				t.Error(err)
+			if r := b.submit(context.Background(), hists[i], 2); r.err != nil {
+				t.Error(r.err)
 			}
 		}(i)
 	}
@@ -218,6 +240,53 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 	if got := tr.Counter("serve/forecast_requests_batched"); got != n {
 		t.Errorf("batched requests %d, want %d", got, n)
+	}
+}
+
+// TestLoneForecastSkipsWindow: with no refit in flight a lone forecast is
+// dispatched at once, however long the window — both with streaming off
+// and with an idle Streamer.
+func TestLoneForecastSkipsWindow(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		streams Streamer
+	}{{"no-streams", nil}, {"idle-streams", &fakeStreamer{}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			_, _, ts := newTestServer(t, func(c *Config) {
+				c.BatchWindow = time.Second
+				c.Streams = mode.streams
+			})
+			req := ForecastRequest{Model: "mkt", History: randHistory(resample.NewRNG(4), 4, 8), Horizon: 2}
+			start := time.Now()
+			status, _, body := post(t, ts.URL+"/v1/forecast", req)
+			took := time.Since(start)
+			if status != http.StatusOK {
+				t.Fatalf("forecast: %d %s", status, body)
+			}
+			if took >= 250*time.Millisecond {
+				t.Fatalf("lone forecast took %v under a 1s window: it waited for companions", took)
+			}
+		})
+	}
+}
+
+// TestWindowHeldWhileRefitting: while a refit is in flight a lone forecast
+// waits out the batch window.
+func TestWindowHeldWhileRefitting(t *testing.T) {
+	const window = 100 * time.Millisecond
+	_, _, ts := newTestServer(t, func(c *Config) {
+		c.BatchWindow = window
+		c.Streams = refitInFlight()
+	})
+	req := ForecastRequest{Model: "mkt", History: randHistory(resample.NewRNG(4), 4, 8), Horizon: 2}
+	start := time.Now()
+	status, _, body := post(t, ts.URL+"/v1/forecast", req)
+	took := time.Since(start)
+	if status != http.StatusOK {
+		t.Fatalf("forecast: %d %s", status, body)
+	}
+	if took < window {
+		t.Fatalf("forecast took %v during a refit, want at least the %v window", took, window)
 	}
 }
 
@@ -349,12 +418,13 @@ func TestInflightLimit(t *testing.T) {
 	}
 }
 
-// TestDeadline: a batch window longer than the request timeout forces the
-// deadline to fire first → 504.
+// TestDeadline: a batch window longer than the request timeout, held open
+// by a refit in flight, forces the deadline to fire first → 504.
 func TestDeadline(t *testing.T) {
 	_, _, ts := newTestServer(t, func(c *Config) {
 		c.BatchWindow = 2 * time.Second
 		c.Timeout = 30 * time.Millisecond
+		c.Streams = refitInFlight()
 	})
 	status, _, body := post(t, ts.URL+"/v1/forecast", ForecastRequest{
 		Model: "mkt", History: randHistory(resample.NewRNG(1), 4, 8), Horizon: 1,
@@ -465,6 +535,7 @@ func TestGracefulDrain(t *testing.T) {
 	s := New(Config{
 		Registry:     reg,
 		BatchWindow:  100 * time.Millisecond, // requests linger in the window during drain
+		Streams:      refitInFlight(),        // which a refit in flight holds open
 		Monitor:      mon,
 		CacheEntries: -1,
 	})

@@ -24,6 +24,10 @@ type Streamer interface {
 	Status(model string) (StreamStatus, bool)
 	// StatusAll reports every streamable model's state, sorted by name.
 	StatusAll() []StreamStatus
+	// Refitting reports whether a background refit is in flight on any
+	// stream. The forecast batchers ask it once per batch: only while a
+	// refit shares the CPU do they hold a batch open for BatchWindow.
+	Refitting() bool
 }
 
 // IngestRequest is the /v1/ingest body.

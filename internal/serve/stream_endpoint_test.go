@@ -6,16 +6,28 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 )
 
 // fakeStreamer records ingests and serves canned statuses — the endpoint
 // tests exercise the wire protocol, not refit mechanics (internal/stream
-// owns those).
+// owns those). refitting is what Refitting reports, so batcher tests can
+// put a server in the contended mode, where batches wait out the window.
 type fakeStreamer struct {
-	rows    map[string]int
-	failNew bool
+	rows      map[string]int
+	failNew   bool
+	refitting atomic.Bool
 }
+
+// refitInFlight returns a streamer that reports a refit running.
+func refitInFlight() *fakeStreamer {
+	f := &fakeStreamer{}
+	f.refitting.Store(true)
+	return f
+}
+
+func (f *fakeStreamer) Refitting() bool { return f.refitting.Load() }
 
 func (f *fakeStreamer) Ingest(model string, rows [][]float64) (StreamStatus, error) {
 	if f.failNew || model == "ghost" {

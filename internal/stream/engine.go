@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uoivar/internal/mat"
@@ -82,6 +83,9 @@ type Engine struct {
 
 	// fitMu serializes refits.
 	fitMu sync.Mutex
+	// refitting, when non-nil, is the owning Manager's count of running
+	// refit loops; it moves with running, under mu.
+	refitting *atomic.Int64
 
 	mu          sync.Mutex
 	prevBeta    []float64
@@ -192,6 +196,7 @@ func (e *Engine) refitAsync() {
 		return
 	}
 	e.running = true
+	e.countRefitting(1)
 	e.mu.Unlock()
 	go func() {
 		for {
@@ -199,6 +204,7 @@ func (e *Engine) refitAsync() {
 			e.mu.Lock()
 			if !e.pending {
 				e.running = false
+				e.countRefitting(-1)
 				e.mu.Unlock()
 				return
 			}
@@ -206,6 +212,15 @@ func (e *Engine) refitAsync() {
 			e.mu.Unlock()
 		}
 	}()
+}
+
+// countRefitting moves the owning Manager's running-loop count with
+// e.running. Called with e.mu held, so the count changes under the same
+// transitions Quiesce waits on.
+func (e *Engine) countRefitting(delta int64) {
+	if e.refitting != nil {
+		e.refitting.Add(delta)
+	}
 }
 
 // refit snapshots the window, fits, and publishes. Serialized by fitMu.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"uoivar/internal/model"
 	"uoivar/internal/serve"
@@ -48,6 +49,9 @@ type Manager struct {
 
 	mu      sync.Mutex
 	engines map[string]*Engine
+	// refitting counts the engines whose background refit loop is running
+	// (see Refitting).
+	refitting atomic.Int64
 }
 
 // NewManager returns a manager serving streams for reg's VAR models.
@@ -85,6 +89,7 @@ func (m *Manager) engineFor(name string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.refitting = &m.refitting
 	m.engines[name] = e
 	return e, nil
 }
@@ -140,6 +145,12 @@ func (m *Manager) StatusAll() []serve.StreamStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out
 }
+
+// Refitting implements serve.Streamer: true while any engine's background
+// refit loop runs — from the cadence-crossing Ingest that starts it until
+// the loop exits, which is the transition Quiesce waits for. One atomic
+// load, so the batcher can ask once per batch.
+func (m *Manager) Refitting() bool { return m.refitting.Load() > 0 }
 
 // Degraded lists unhealthy streams for monitor readiness (empty while every
 // stream is healthy). A stream is degraded when its last refit failed, or

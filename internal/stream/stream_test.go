@@ -343,6 +343,44 @@ func TestManagerRoutes(t *testing.T) {
 	}
 }
 
+// TestManagerRefitting: Refitting is true as soon as a cadence-crossing
+// Ingest returns and false once Quiesce returns; the count is the
+// manager's own, so a second manager stays idle throughout.
+func TestManagerRefitting(t *testing.T) {
+	reg, long, _ := seedModel(t, "net", 300, 150)
+	m := NewManager(reg, Options{Window: 150, MinRows: 40, RefitEvery: 50})
+	other := NewManager(reg, Options{Window: 150, MinRows: 40, RefitEvery: 50})
+	if m.Refitting() {
+		t.Fatal("fresh manager reports a refit")
+	}
+	if _, err := m.Ingest("net", rowsOf(long, 0, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if m.Refitting() {
+		t.Fatal("refit reported before the cadence was crossed")
+	}
+	if _, err := m.Ingest("net", rowsOf(long, 40, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Refitting() {
+		t.Fatal("no refit reported right after a cadence-crossing ingest")
+	}
+	if other.Refitting() {
+		t.Fatal("a second manager sees the first one's refit")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if m.Refitting() {
+		t.Fatal("refit still reported after Quiesce returned")
+	}
+	if st, _ := m.Status("net"); st.Refits != 1 || st.LastError != "" {
+		t.Fatalf("status after quiesce = %+v, want one healthy refit", st)
+	}
+}
+
 // RefitNow refits synchronously on the current window and publishes the
 // result, regardless of cadence.
 func (e *Engine) RefitNow() (serve.StreamStatus, error) {

@@ -48,6 +48,9 @@ type AccessEntry struct {
 	Hedge string `json:"hedge,omitempty"`
 	// Cache is the X-Cache header of the response ("hit"/"miss"/"").
 	Cache string `json:"cache,omitempty"`
+	// BatchWaitMs is a forecast's wait from enqueue to the dispatch of its
+	// batch (serve lines of batched forecasts only).
+	BatchWaitMs float64 `json:"batch_wait_ms,omitempty"`
 	// Err carries the synthesized failure reason when no backend answered.
 	Err string `json:"err,omitempty"`
 }
