@@ -45,11 +45,12 @@ test-race:
 # Determinism gate: a fit's bits may not depend on how many cores the host
 # has, so the bit-identity tests of the dense kernels, the solver and the UoI
 # engine (kernel budgets, worker counts, placements — DESIGN.md §6, §17) run
-# at several GOMAXPROCS, uncached. A GOARCH=386 pass (portable kernels, runs
-# natively on amd64) checks a second host's bits against the same golden
-# tables.
+# at several GOMAXPROCS, uncached. Two more hosts check their bits against
+# the same golden tables: a GOARCH=386 pass (portable kernels, runs natively
+# on amd64) and a GOAMD64=v3 pass (where gc may fuse multiply-adds, which the
+# pinned float64(a*b) sites forbid; needs a v3-capable CPU).
 DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi
-DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|Deterministic'
+DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|MatchesPerEquation|Deterministic'
 determinism:
 	@for tags in "" purego; do \
 		for procs in 1 2 4 8; do \
@@ -57,9 +58,11 @@ determinism:
 			GOMAXPROCS=$$procs $(GO) test -count=1 -tags "$$tags" -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
 		done; \
 	done; \
-	for procs in 1 4; do \
-		echo "GOMAXPROCS=$$procs GOARCH=386"; \
-		GOARCH=386 GOMAXPROCS=$$procs $(GO) test -count=1 -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
+	for target in "GOARCH=386" "GOAMD64=v3"; do \
+		for procs in 1 4; do \
+			echo "GOMAXPROCS=$$procs $$target"; \
+			env $$target GOMAXPROCS=$$procs $(GO) test -count=1 -run $(DETERMINISM_RUN) $(DETERMINISM_PKGS) || exit 1; \
+		done; \
 	done
 
 # FMA gate: Go may fuse c + a*b into one fused multiply-add that rounds once

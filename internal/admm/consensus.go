@@ -216,10 +216,3 @@ func RowBlock(n, size, r int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

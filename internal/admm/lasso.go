@@ -160,6 +160,14 @@ func NewFactorizationGramWorkers(gram *mat.Dense, rho float64, workers int) (*Fa
 // the cached inverse.
 func (f *Factorization) XUpdate(x, rhs []float64) { f.inv.MulVec(x, rhs) }
 
+// XUpdatePanel is XUpdate for many right-hand sides: it sets x = M·rhs on
+// the leading cols columns (a multiple of 8) of two row-major panels with
+// row stride stride, rhs with p rows and x with p rounded up to 4. Column e
+// of x is bit for bit XUpdate of column e of rhs (mat.Inverse.MulPanel).
+func (f *Factorization) XUpdatePanel(x, rhs []float64, stride, cols int) {
+	f.inv.MulPanel(x, rhs, stride, cols)
+}
+
 // MeanDiag returns the mean diagonal entry of a square matrix (1 when the
 // mean is nonpositive), the auto-scaling value for ρ.
 func MeanDiag(gram *mat.Dense) float64 {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/varsim"
@@ -36,8 +37,10 @@ type VecBlock struct {
 	// vectorized problem; global row g = j·M + i is equation j, sample i.
 	GLo, GHi int
 	// X holds the compact local rows: row r corresponds to global row
-	// GLo+r and stores the length-Q design row (the only nonzeros of that
-	// row of I ⊗ X).
+	// GLo+r and stores the length-Q design row of sample (GLo+r) mod M
+	// (the only nonzeros of that row of I ⊗ X). VecFactorization relies
+	// on this contract: two equations' rows over the same samples are the
+	// same rows, so their Gram blocks are the same bits.
 	X *mat.Dense
 	// Y holds the local responses vec(Y)[GLo:GHi].
 	Y []float64
@@ -57,11 +60,6 @@ func (b *VecBlock) GlobalRows() int { return b.M * b.P }
 
 // GlobalCols returns the total columns (Q·P), the length of vec(B).
 func (b *VecBlock) GlobalCols() int { return b.Q * b.P }
-
-// shapeTag is the mpi tag space for the assembly metadata exchange.
-const (
-	winRowsPerReaderPad = 0 // readers pad their windows to a common layout
-)
 
 // Assemble builds each rank's VecBlock with one Get per local row. local is
 // this rank's design block when it is one of the nReaders reader ranks
@@ -117,7 +115,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 		sizeOK = 0
 	}
 	if isReader {
-		lo, hi := readerBlock(m, nReaders, rank)
+		lo, hi := admm.RowBlock(m, nReaders, rank)
 		if local.X.Rows != hi-lo || local.X.Cols != q || local.P != p {
 			sizeOK = 0
 		}
@@ -142,7 +140,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 	win.Fence()
 
 	// This rank's slice of the vectorized problem.
-	gLo, gHi := vecRowBlock(m*p, size, rank)
+	gLo, gHi := admm.RowBlock(m*p, size, rank)
 	nLocal := gHi - gLo
 	xLocal := mat.NewDense(nLocal, q)
 	yLocal := make([]float64, nLocal)
@@ -159,7 +157,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 			row, ok := cache[i]
 			if !ok {
 				reader := readerOfSample(m, nReaders, i)
-				rdLo, _ := readerBlock(m, nReaders, reader)
+				rdLo, _ := admm.RowBlock(m, nReaders, reader)
 				win.Get(reader, (i-rdLo)*stride, fetch)
 				row = make([]float64, stride)
 				copy(row, fetch)
@@ -174,7 +172,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 			i := g % m
 			j := g / m
 			reader := readerOfSample(m, nReaders, i)
-			rdLo, _ := readerBlock(m, nReaders, reader)
+			rdLo, _ := admm.RowBlock(m, nReaders, reader)
 			win.Get(reader, (i-rdLo)*stride, fetch)
 			copy(xLocal.Row(r), fetch[:q])
 			yLocal[r] = fetch[q+j]
@@ -191,18 +189,6 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 	}, nil
 }
 
-// readerBlock block-stripes m samples over nReaders.
-func readerBlock(m, nReaders, r int) (lo, hi int) {
-	base := m / nReaders
-	rem := m % nReaders
-	lo = r*base + minInt(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return
-}
-
 // readerOfSample locates the reader holding sample i.
 func readerOfSample(m, nReaders, i int) int {
 	base := m / nReaders
@@ -215,23 +201,4 @@ func readerOfSample(m, nReaders, i int) int {
 		return nReaders - 1
 	}
 	return rem + (i-boundary)/base
-}
-
-// vecRowBlock block-stripes the M·P vec-problem rows over all ranks.
-func vecRowBlock(n, size, r int) (lo, hi int) {
-	base := n / size
-	rem := n % size
-	lo = r*base + minInt(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,8 @@ package kron
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"uoivar/internal/admm"
@@ -33,7 +35,7 @@ func kronI(x *mat.Dense, p int) *mat.Dense {
 
 // readerSlice builds reader r's contiguous design block from the series.
 func readerSlice(series *mat.Dense, d int, m, nReaders, r int) *varsim.Design {
-	lo, hi := readerBlock(m, nReaders, r)
+	lo, hi := admm.RowBlock(m, nReaders, r)
 	targets := make([]int, hi-lo)
 	for i := range targets {
 		targets[i] = d + lo + i
@@ -41,11 +43,13 @@ func readerSlice(series *mat.Dense, d int, m, nReaders, r int) *varsim.Design {
 	return varsim.NewDesignFromRows(series, d, false, targets)
 }
 
+// readerOfSample must agree with the block-striping of admm.RowBlock that
+// the readers' windows follow.
 func TestReaderBlockHelpers(t *testing.T) {
 	for _, c := range []struct{ m, readers int }{{10, 3}, {7, 2}, {9, 9}, {4, 1}} {
 		for i := 0; i < c.m; i++ {
 			r := readerOfSample(c.m, c.readers, i)
-			lo, hi := readerBlock(c.m, c.readers, r)
+			lo, hi := admm.RowBlock(c.m, c.readers, r)
 			if i < lo || i >= hi {
 				t.Fatalf("m=%d readers=%d: sample %d → reader %d [%d,%d)", c.m, c.readers, i, r, lo, hi)
 			}
@@ -341,6 +345,356 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 	for i, v := range got {
 		if !mask[i] && v != 0 {
 			t.Fatalf("off-support coordinate %d = %v", i, v)
+		}
+	}
+}
+
+// perEquationVec is the per-equation consensus solver VecFactorization
+// replaced, kept as the oracle of its bits: every equation with local rows
+// gets its own copied rows, Gram and factorization, and one x-update of its
+// own per iteration.
+type perEquationVec struct {
+	block      *VecBlock
+	rho        float64
+	eqLo, eqHi int
+	fac        []*admm.Factorization
+	aty        [][]float64
+}
+
+func newPerEquationVec(b *VecBlock, rho float64, workers int) (*perEquationVec, error) {
+	f := &perEquationVec{block: b, rho: rho}
+	if b.X.Rows == 0 {
+		return f, nil
+	}
+	f.eqLo = b.Equation(0)
+	f.eqHi = b.Equation(b.X.Rows-1) + 1
+	r := 0
+	for e := 0; e < f.eqHi-f.eqLo; e++ {
+		lo := r
+		for r < b.X.Rows && b.Equation(r) == f.eqLo+e {
+			r++
+		}
+		sub := b.X.SubRows(lo, r)
+		fac, err := admm.NewFactorizationGramWorkers(mat.AtAWorkers(sub, workers), rho, workers)
+		if err != nil {
+			return nil, err
+		}
+		f.fac = append(f.fac, fac)
+		f.aty = append(f.aty, mat.AtVecWorkers(sub, b.Y[lo:r], workers))
+	}
+	return f, nil
+}
+
+func (f *perEquationVec) solve(comm *mpi.Comm, lambda float64, opts *admm.Options) *admm.Result {
+	nRanks := float64(comm.Size())
+	return f.run(comm, opts, func(z, sum []float64) {
+		if lambda > 0 {
+			k := lambda / (f.rho * nRanks)
+			for i := range z {
+				z[i] = admm.SoftThreshold(sum[i]/nRanks, k)
+			}
+			return
+		}
+		for i := range z {
+			z[i] = sum[i] / nRanks
+		}
+	})
+}
+
+func (f *perEquationVec) solveProjected(comm *mpi.Comm, support []bool, opts *admm.Options) *admm.Result {
+	nRanks := float64(comm.Size())
+	return f.run(comm, opts, func(z, sum []float64) {
+		for i := range z {
+			if support[i] {
+				z[i] = sum[i] / nRanks
+			} else {
+				z[i] = 0
+			}
+		}
+	})
+}
+
+func (f *perEquationVec) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(z, sum []float64)) *admm.Result {
+	o := optsWithDefaults(opts)
+	b := f.block
+	qTot := b.GlobalCols()
+	nRanks := float64(comm.Size())
+	q := b.Q
+
+	z := make([]float64, qTot)
+	u := make([]float64, qTot)
+	if o.WarmZ != nil {
+		copy(z, o.WarmZ)
+	}
+	if o.WarmU != nil {
+		copy(u, o.WarmU)
+	}
+	x := make([]float64, qTot)
+	rhs := make([]float64, q)
+	zOld := make([]float64, qTot)
+	buf := make([]float64, qTot+3)
+	sqrtN := math.Sqrt(float64(qTot) * nRanks)
+
+	var primal, dual float64
+	iters := 0
+	converged := false
+	for iter := 1; iter <= o.MaxIter; iter++ {
+		iters = iter
+		for j := 0; j < b.P; j++ {
+			zj := z[j*q : (j+1)*q]
+			uj := u[j*q : (j+1)*q]
+			xj := x[j*q : (j+1)*q]
+			if j >= f.eqLo && j < f.eqHi {
+				e := j - f.eqLo
+				for i := 0; i < q; i++ {
+					rhs[i] = f.aty[e][i] + float64(f.rho*(zj[i]-uj[i]))
+				}
+				f.fac[e].XUpdate(xj, rhs)
+			} else {
+				for i := 0; i < q; i++ {
+					xj[i] = zj[i] - uj[i]
+				}
+			}
+		}
+		var localPrimal, localXSq, localUSq float64
+		for i := 0; i < qTot; i++ {
+			buf[i] = x[i] + u[i]
+			d := x[i] - z[i]
+			localPrimal += float64(d * d)
+			localXSq += float64(x[i] * x[i])
+			localUSq += float64(u[i] * u[i])
+		}
+		buf[qTot] = localPrimal
+		buf[qTot+1] = localXSq
+		buf[qTot+2] = localUSq
+		comm.Allreduce(mpi.OpSum, buf)
+
+		copy(zOld, z)
+		zUpdate(z, buf[:qTot])
+		for i := range u {
+			u[i] += x[i] - z[i]
+		}
+
+		primal = math.Sqrt(buf[qTot])
+		dual = 0
+		for i := range z {
+			d := z[i] - zOld[i]
+			dual += float64(d * d)
+		}
+		dual = f.rho * math.Sqrt(nRanks) * math.Sqrt(dual)
+		normX := math.Sqrt(buf[qTot+1])
+		normZ := math.Sqrt(nRanks) * mat.Norm2(z)
+		normU := math.Sqrt(buf[qTot+2])
+		epsPrimal := float64(sqrtN*o.AbsTol) + float64(o.RelTol*math.Max(normX, normZ))
+		epsDual := float64(sqrtN*o.AbsTol) + float64(o.RelTol*f.rho*normU)
+		if primal <= epsPrimal && dual <= epsDual {
+			converged = true
+			break
+		}
+	}
+	return &admm.Result{
+		Beta:       z,
+		U:          u,
+		Iters:      iters,
+		Converged:  converged,
+		PrimalRes:  primal,
+		DualRes:    dual,
+		AllreduceN: iters,
+	}
+}
+
+// sameResult reports the first field in which two solve results differ by
+// Float64bits, or "".
+func sameResult(got, want *admm.Result) string {
+	switch {
+	case got.Iters != want.Iters:
+		return fmt.Sprintf("Iters %d, want %d", got.Iters, want.Iters)
+	case got.Converged != want.Converged:
+		return fmt.Sprintf("Converged %v, want %v", got.Converged, want.Converged)
+	case math.Float64bits(got.PrimalRes) != math.Float64bits(want.PrimalRes):
+		return fmt.Sprintf("PrimalRes %v, want %v", got.PrimalRes, want.PrimalRes)
+	case math.Float64bits(got.DualRes) != math.Float64bits(want.DualRes):
+		return fmt.Sprintf("DualRes %v, want %v", got.DualRes, want.DualRes)
+	}
+	for i := range want.Beta {
+		if math.Float64bits(got.Beta[i]) != math.Float64bits(want.Beta[i]) {
+			return fmt.Sprintf("Beta[%d] %v, want %v", i, got.Beta[i], want.Beta[i])
+		}
+		if math.Float64bits(got.U[i]) != math.Float64bits(want.U[i]) {
+			return fmt.Sprintf("U[%d] %v, want %v", i, got.U[i], want.U[i])
+		}
+	}
+	return ""
+}
+
+// vecLambdaMax is ‖(I⊗X)ᵀ vec(Y)‖∞ of a full design, the smallest λ at
+// which the LASSO estimate is zero.
+func vecLambdaMax(full *varsim.Design) float64 {
+	lmax := 0.0
+	for j := 0; j < full.P; j++ {
+		aty := mat.AtVecWorkers(full.X, full.Y.Col(j, nil), 1)
+		lmax = max(lmax, mat.NormInf(aty))
+	}
+	return lmax
+}
+
+// TestVecSolveMatchesPerEquationLoop holds VecFactorization — one shared
+// factorization per local sample range, one panel x-update per group, the
+// fused passes and the screened stopping test — to the per-equation loop
+// bit for bit: Beta, U, Iters, Converged and both residuals of Solve at
+// λ = 0, mid-path and ≥ λ_max, of warm-started and iteration-capped solves
+// and of SolveProjected, at every rank count from 1 to 5 (M = 30 samples
+// over P = 10 equations leaves ranks with partial equations, with two and
+// three groups, and with partial first and last equations of equal length
+// over different samples) and kernel budgets 1 and 3. At P = 40 on 2 ranks
+// each rank holds 20 whole equations: one group.
+func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
+	type shape struct{ p, n, ranks, readers, workers int }
+	var shapes []shape
+	for ranks := 1; ranks <= 5; ranks++ {
+		for readers := 1; readers <= min(2, ranks); readers++ {
+			for _, workers := range []int{1, 3} {
+				shapes = append(shapes, shape{10, 31, ranks, readers, workers})
+			}
+		}
+	}
+	shapes = append(shapes, shape{40, 61, 2, 1, 1})
+	// What the cases covered: the most groups on one rank, converged solves.
+	maxGroups, converged := 0, atomic.Int64{}
+	for _, sh := range shapes {
+		const d = 1
+		series, _ := buildSeries(uint64(47+sh.p), sh.p, d, sh.n)
+		full := varsim.NewDesign(series, d, true)
+		m := full.X.Rows
+		lmax := vecLambdaMax(full)
+		groups := make([]int, sh.ranks)
+		err := mpi.Run(sh.ranks, func(c *mpi.Comm) error {
+			var local *varsim.Design
+			if c.Rank() < sh.readers {
+				lo, hi := admm.RowBlock(m, sh.readers, c.Rank())
+				targets := make([]int, hi-lo)
+				for i := range targets {
+					targets[i] = d + lo + i
+				}
+				local = varsim.NewDesignFromRows(series, d, true, targets)
+			}
+			b, err := Assemble(c, local, sh.readers)
+			if err != nil {
+				return err
+			}
+			rho := GlobalRho(c, b)
+			f, err := NewVecFactorizationWorkers(b, rho, sh.workers)
+			if err != nil {
+				return err
+			}
+			g, err := newPerEquationVec(b, rho, sh.workers)
+			if err != nil {
+				return err
+			}
+			groups[c.Rank()] = len(f.groups)
+			if sh.p == 40 && len(f.groups) != 1 {
+				return fmt.Errorf("rank %d: %d groups over 20 whole equations, want 1", c.Rank(), len(f.groups))
+			}
+			check := func(what string, got, want *admm.Result) error {
+				if diff := sameResult(got, want); diff != "" {
+					return fmt.Errorf("rank %d, %s: %s", c.Rank(), what, diff)
+				}
+				return nil
+			}
+			opts := admm.Options{MaxIter: 400}
+			var warm *admm.Result
+			for _, lambda := range []float64{0, 1.1 * lmax, 0.3 * lmax, 0.02 * lmax} {
+				o := opts
+				if warm != nil {
+					o.WarmZ, o.WarmU = warm.Beta, warm.U
+				}
+				got, want := f.Solve(c, lambda, &o), g.solve(c, lambda, &o)
+				if err := check(fmt.Sprintf("Solve λ=%.3g·λmax", lambda/lmax), got, want); err != nil {
+					return err
+				}
+				if got.Converged {
+					converged.Add(1)
+				}
+				warm = got
+			}
+			capped := admm.Options{MaxIter: 3, WarmZ: warm.Beta, WarmU: warm.U}
+			got, want := f.Solve(c, 0.1*lmax, &capped), g.solve(c, 0.1*lmax, &capped)
+			if err := check("Solve capped at 3 iterations", got, want); err != nil {
+				return err
+			}
+			if got.Converged {
+				return fmt.Errorf("rank %d: a 3-iteration cap converged; the case tests nothing", c.Rank())
+			}
+			support := make([]bool, b.GlobalCols())
+			for i, v := range warm.Beta {
+				support[i] = v != 0 || i%7 == 0
+			}
+			for _, o := range []admm.Options{opts, {MaxIter: 400, WarmZ: warm.Beta, WarmU: warm.U}} {
+				got, want := f.SolveProjected(c, support, &o), g.solveProjected(c, support, &o)
+				if err := check("SolveProjected", got, want); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", sh, err)
+		}
+		maxGroups = max(maxGroups, slices.Max(groups))
+	}
+	if maxGroups != 3 || converged.Load() == 0 {
+		t.Fatalf("cases reached %d groups on a rank and %d converged solves; want 3 and some", maxGroups, converged.Load())
+	}
+}
+
+// BenchmarkVecSolve is one bootstrap of dist_mix's VAR job on the
+// Kronecker path: 2 ranks, 1 reader, p = 40, n = 600, order 1 with an
+// intercept. Per op each rank builds its factorizations, sweeps an 8-λ warm
+// path with Solve and runs one SolveProjected; the assembly is set-up.
+func BenchmarkVecSolve(b *testing.B) {
+	const p, n, d, ranks, readers = 40, 600, 1, 2, 1
+	series, _ := buildSeries(48, p, d, n+d)
+	full := varsim.NewDesign(series, d, true)
+	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full), 1e-3, 8)
+	blocks := make([]*VecBlock, ranks)
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		var local *varsim.Design
+		if c.Rank() < readers {
+			local = full
+		}
+		var err error
+		blocks[c.Rank()], err = Assemble(c, local, readers)
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		err := mpi.Run(ranks, func(c *mpi.Comm) error {
+			blk := blocks[c.Rank()]
+			f, err := NewVecFactorizationWorkers(blk, GlobalRho(c, blk), 1)
+			if err != nil {
+				return err
+			}
+			var r *admm.Result
+			for _, lambda := range lambdas {
+				o := admm.Options{}
+				if r != nil {
+					o.WarmZ, o.WarmU = r.Beta, r.U
+				}
+				r = f.Solve(c, lambda, &o)
+			}
+			support := make([]bool, len(r.Beta))
+			for i, v := range r.Beta {
+				support[i] = v != 0
+			}
+			f.SolveProjected(c, support, &admm.Options{})
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
