@@ -44,10 +44,11 @@ func main() {
 		var iters int
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
 			lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
-			res, err := admm.ConsensusLasso(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi], lambda, &admm.Options{MaxIter: 2000})
+			s, err := admm.NewConsensusSolverWorkers(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi], 0, 0)
 			if err != nil {
 				return err
 			}
+			res := s.Solve(lambda, &admm.Options{MaxIter: 2000})
 			if c.Rank() == 0 {
 				iters = res.Iters
 			}

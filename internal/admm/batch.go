@@ -34,14 +34,15 @@ func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, war
 	return out
 }
 
-// solveColumns runs the lock-step iteration for panel columns [lo, hi) and
-// writes out[lo:hi]. State lives in row-major p×stride panels whose leading
-// `active` slots hold the columns still iterating: a column that meets its
-// stopping test is copied out and its slot refilled from the last active one
-// (slot order is immaterial), so late iterations sweep only the stragglers.
+// solveColumns is the serial ADMM loop: it runs the lock-step iteration
+// for panel columns [lo, hi) and writes out[lo:hi]. State lives in
+// row-major p×stride panels (panelStride) whose leading `active` slots hold
+// the columns still iterating: a column that meets its stopping test is
+// copied out and its slot refilled from the last active one (slot order is
+// immaterial), so late iterations sweep only the stragglers.
 func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64, warmZ, warmU [][]float64, o *Options, out []Result) {
 	p, w := f.p, hi-lo
-	stride := padTo8(w)
+	stride := panelStride(w)
 	// z, u, the x-update's right-hand side r = Xᵀy + ρ(z − u), and x (the
 	// product's panel, p rounded up to 4 rows).
 	panels := make([]float64, (3*p+((p+3)&^3))*stride)
@@ -62,82 +63,83 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	acc := make([]float64, 5*stride)
 	primal, dual := acc[:stride], acc[stride:2*stride]
 	sqX, sqZ, sqU := acc[2*stride:3*stride], acc[3*stride:4*stride], acc[4*stride:]
-	xc, zc, uc := make([]float64, p), make([]float64, p), make([]float64, p) // one column, for the exact test
+	// One column of x, z and u for the exact test: a one-column panel is
+	// its own column (and its z and u become the result), a wider one is
+	// gathered.
+	var xc, zc, uc []float64
+	if stride == 1 {
+		xc, zc, uc = x[:p], z[:p:p], u[:p:p]
+	} else {
+		cols := make([]float64, 3*p)
+		xc, zc, uc = cols[:p], cols[p:2*p], cols[2*p:]
+	}
 
 	totalIters := 0
 	finish := func(c, iters int, converged bool) {
-		res := Result{Beta: make([]float64, p), U: make([]float64, p), Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
-		gatherCol(res.Beta, z, stride, c)
-		gatherCol(res.U, u, stride, c)
+		res := Result{Beta: zc, U: uc, Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
+		if stride > 1 {
+			bu := make([]float64, 2*p)
+			res.Beta, res.U = bu[:p:p], bu[p:]
+			gatherCol(res.Beta, z, stride, c)
+			gatherCol(res.U, u, stride, c)
+		}
 		out[slot[c]] = res
 		totalIters += iters
 	}
 
 	sqrtP := math.Sqrt(float64(p))
 	kappa := lambda / f.rho
-	// above reports that res certainly exceeds the stopping tolerance
-	// sqrtP·AbsTol + scale·‖v‖ given sq, the plain float sum of squares of
-	// v (for the primal test, the larger of x's and z's). Inside
-	// [1e-180, 1e300] sq is clear of overflow and of underflow in its
-	// terms, so √sq and mat.Norm2(v) agree to a relative (p+5)·2⁻⁵³ and the
-	// two tolerances differ by far less than the slack factor; the
-	// smaller of two screened vectors cannot matter, since a sum the range
-	// check would reject is below 1e-180 in truth as well. Outside the
-	// range, or with a NaN anywhere, above is false and the exact test
-	// decides.
-	slack := 1 + float64(4*float64(p+8)*0x1p-52)
-	above := func(res, sq, scale float64) bool {
-		return sq >= 1e-180 && sq <= 1e300 && res > (float64(sqrtP*o.AbsTol)+float64(scale*math.Sqrt(sq)))*slack
-	}
+	screen := newStopScreen(p, float64(sqrtP*o.AbsTol))
 	active := w
 	for iter := 1; iter <= o.MaxIter && active > 0; iter++ {
-		// x-update: x = (XᵀX + ρI)⁻¹ r over whole 8-column tiles — the
-		// slots between active and the tile boundary multiply stale
-		// columns nobody reads.
-		f.inv.MulPanel(x, r, stride, padTo8(active))
+		// x-update: x = (XᵀX + ρI)⁻¹ r, on a wider panel over whole
+		// 8-column tiles — the slots between active and the tile boundary
+		// multiply stale columns nobody reads.
+		f.XUpdatePanel(x, r, stride, padTo8(active))
 
 		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, the residual
-		// sums, each column accumulating in row order as the single-RHS
-		// loop does, and the next iteration's right-hand side.
-		clear(acc)
-		for i := 0; i < p; i++ {
-			ar, rr := aty.Data[i*aty.Cols:(i+1)*aty.Cols], r[i*stride:i*stride+active]
-			zr, ur, xr := z[i*stride:i*stride+active], u[i*stride:i*stride+active], x[i*stride:i*stride+active]
-			for c, xv := range xr {
-				uv, zOld := ur[c], zr[c]
+		// sums and the next iteration's right-hand side, column by column
+		// so each column's five sums accumulate in registers, over its rows
+		// in order.
+		for c := 0; c < active; c++ {
+			var pr, du, sx, sz, su float64
+			a, k := aty.Data[slot[c]:], c
+			for i := 0; i < p; i, k = i+1, k+stride {
+				xv, uv, zOld := x[k], u[k], z[k]
 				zv := xv + uv
 				if lambda > 0 {
 					zv = SoftThreshold(zv, kappa)
 				}
 				uv += xv - zv
-				zr[c], ur[c] = zv, uv
-				rr[c] = ar[slot[c]] + float64(f.rho*(zv-uv))
+				z[k], u[k] = zv, uv
+				r[k] = a[i*aty.Cols] + float64(f.rho*(zv-uv))
 				d := xv - zv
-				primal[c] += float64(d * d)
+				pr += float64(d * d)
 				d = f.rho * (zv - zOld)
-				dual[c] += float64(d * d)
-				sqX[c] += float64(xv * xv)
-				sqZ[c] += float64(zv * zv)
-				sqU[c] += float64(uv * uv)
+				du += float64(d * d)
+				sx += float64(xv * xv)
+				sz += float64(zv * zv)
+				su += float64(uv * uv)
 			}
+			primal[c], dual[c], sqX[c], sqZ[c], sqU[c] = pr, du, sx, sz, su
 		}
 
 		// Stopping test per column, last slot first so a refill only ever
-		// moves a slot that has already been tested this iteration. The
-		// test's tolerances use mat.Norm2 (scaled: a max pass, then a
-		// division per entry); a column far from convergence — almost every
-		// column on almost every iteration — is screened out by the plain
-		// sums of squares instead, and only a column the screen cannot rule
-		// out pays for the exact norms. The verdict is always the exact
-		// test's: the screen only ever answers "certainly not yet".
+		// moves a slot that has already been tested this iteration. A
+		// column far from convergence — almost every column on almost
+		// every iteration — is screened out by its plain sums of squares;
+		// only a column the screen cannot rule out gathers its x, z and u
+		// for the exact test, whose verdict it always is.
 		for c := active - 1; c >= 0; c-- {
 			primal[c], dual[c] = math.Sqrt(primal[c]), math.Sqrt(dual[c])
-			if above(primal[c], math.Max(sqX[c], sqZ[c]), o.RelTol) || above(dual[c], sqU[c], o.RelTol*f.rho) {
+			if screen.above(primal[c], o.RelTol, 0, 1, math.Max(sqX[c], sqZ[c])) || screen.above(dual[c], o.RelTol*f.rho, 0, 1, sqU[c]) {
 				continue
 			}
-			gatherCol(xc, x, stride, c)
-			gatherCol(zc, z, stride, c)
-			gatherCol(uc, u, stride, c)
+			if stride > 1 {
+				gatherCol(xc, x, stride, c)
+				gatherCol(zc, z, stride, c)
+				gatherCol(uc, u, stride, c)
+			}
 			epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(mat.Norm2(xc), mat.Norm2(zc)))
 			epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*f.rho*mat.Norm2(uc))
 			if !(primal[c] <= epsPrimal && dual[c] <= epsDual) {
@@ -158,7 +160,38 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	for c := 0; c < active; c++ {
 		finish(c, o.MaxIter, false)
 	}
-	countSolves(o.Trace, w, totalIters)
+	countSolves(o.Trace, w, totalIters, totalIters)
+}
+
+// stopScreen is the cheap half of an ADMM stopping test over vectors of n
+// entries, whose tolerances abs + rel·max(norm, scale·‖v‖) take ‖v‖ from
+// mat.Norm2 (scaled: a max pass, then a division per entry). above reports
+// that res certainly exceeds such a tolerance given sq, the plain float sum
+// of squares of v: inside [1e-180, 1e300] sq is clear of overflow and of
+// underflow in its terms, so √sq and mat.Norm2(v) agree to a relative
+// (n+5)·2⁻⁵³ and the two tolerances differ by far less than the slack
+// factor; the smaller of two screened vectors cannot matter, since a sum the
+// range check would reject is below 1e-180 in truth as well. Outside the
+// range, or with a NaN anywhere, above is false and the exact test decides:
+// the screen only ever answers "certainly not yet".
+type stopScreen struct{ abs, slack float64 }
+
+func newStopScreen(n int, abs float64) stopScreen {
+	return stopScreen{abs: abs, slack: 1 + float64(4*float64(n+8)*0x1p-52)}
+}
+
+func (s stopScreen) above(res, rel, norm, scale, sq float64) bool {
+	return sq >= 1e-180 && sq <= 1e300 && res > (s.abs+float64(rel*math.Max(norm, scale*math.Sqrt(sq))))*s.slack
+}
+
+// panelStride is the row stride of a panel of cols columns: one column is a
+// contiguous vector (XUpdatePanel's GEMV case), more are padded to whole
+// 8-column product tiles.
+func panelStride(cols int) int {
+	if cols == 1 {
+		return 1
+	}
+	return padTo8(cols)
 }
 
 // padTo8 rounds a column count up to whole 8-column product tiles.

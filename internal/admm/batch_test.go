@@ -62,10 +62,73 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestSolveRHSBatchMatchesLoop is the differential test of the batched
-// solve: along a warm-chained λ path (cold first step, λ = 0 last), every
-// column of every batch must equal the single-RHS solve of that column bit
-// for bit, at every column-group budget, and book the same counters.
+// loopSolveRHS is the single-right-hand-side ADMM loop as it was before
+// SolveRHS became the one-column case of the panel loop, kept as the oracle
+// of both: one XUpdate per iteration and the exact stopping test on every
+// iteration.
+func loopSolveRHS(f *Factorization, aty []float64, lambda float64, opts *Options) *Result {
+	o := opts.defaults()
+	p := f.p
+	z := make([]float64, p)
+	u := make([]float64, p)
+	if o.WarmZ != nil {
+		copy(z, o.WarmZ)
+	}
+	if o.WarmU != nil {
+		copy(u, o.WarmU)
+	}
+	x := make([]float64, p)
+	rhs := make([]float64, p)
+	zOld := make([]float64, p)
+	sqrtP := math.Sqrt(float64(p))
+
+	var primal, dual float64
+	for iter := 1; iter <= o.MaxIter; iter++ {
+		for i := range rhs {
+			rhs[i] = aty[i] + float64(f.rho*(z[i]-u[i]))
+		}
+		f.XUpdate(x, rhs)
+
+		copy(zOld, z)
+		for i := range z {
+			z[i] = x[i] + u[i]
+			if lambda > 0 {
+				z[i] = SoftThreshold(z[i], lambda/f.rho)
+			}
+		}
+		for i := range u {
+			u[i] += x[i] - z[i]
+		}
+
+		primal = 0
+		for i := range x {
+			d := x[i] - z[i]
+			primal += float64(d * d)
+		}
+		primal = math.Sqrt(primal)
+		dual = 0
+		for i := range z {
+			d := f.rho * (z[i] - zOld[i])
+			dual += float64(d * d)
+		}
+		dual = math.Sqrt(dual)
+
+		epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(mat.Norm2(x), mat.Norm2(z)))
+		epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*f.rho*mat.Norm2(u))
+		if primal <= epsPrimal && dual <= epsDual {
+			countSolves(o.Trace, 1, iter, iter)
+			return &Result{Beta: z, U: u, Iters: iter, Converged: true, PrimalRes: primal, DualRes: dual}
+		}
+	}
+	countSolves(o.Trace, 1, o.MaxIter, o.MaxIter)
+	return &Result{Beta: z, U: u, Iters: o.MaxIter, Converged: false, PrimalRes: primal, DualRes: dual}
+}
+
+// TestSolveRHSBatchMatchesLoop is the differential test of the serial loop:
+// along a warm-chained λ path (cold first step, λ = 0 last), every column of
+// every batch, and SolveRHS of that column, must equal the oracle loop's
+// solve of it bit for bit, at every column-group budget, and the three must
+// book the same counters.
 func TestSolveRHSBatchMatchesLoop(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -88,9 +151,9 @@ func TestSolveRHSBatchMatchesLoop(t *testing.T) {
 		lambdas := []float64{0.6 * bp.lmax, 0.1 * bp.lmax, 0.01 * bp.lmax, 0}
 		for _, workers := range []int{1, 2, 3, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
-				loopTr, batchTr := trace.New(), trace.New()
-				loopOpts, batchOpts := c.opts, c.opts
-				loopOpts.Trace, batchOpts.Trace = loopTr, batchTr
+				loopTr, batchTr, rhsTr := trace.New(), trace.New(), trace.New()
+				loopOpts, batchOpts, rhsOpts := c.opts, c.opts, c.opts
+				loopOpts.Trace, batchOpts.Trace, rhsOpts.Trace = loopTr, batchTr, rhsTr
 				warmZ, warmU := make([][]float64, c.e), make([][]float64, c.e)
 				// Half the columns also start the path from a non-nil z
 				// with a nil u, the shape of a WarmBeta-seeded sweep.
@@ -105,18 +168,16 @@ func TestSolveRHSBatchMatchesLoop(t *testing.T) {
 						t.Fatalf("λ=%v: %d results, want %d", lam, len(got), c.e)
 					}
 					for e := range got {
-						o := loopOpts
+						o, ro := loopOpts, rhsOpts
 						o.WarmZ, o.WarmU = warmZ[e], warmU[e]
-						want := bp.f.SolveRHS(bp.cols[e], lam, &o)
+						ro.WarmZ, ro.WarmU = warmZ[e], warmU[e]
+						want := loopSolveRHS(bp.f, bp.cols[e], lam, &o)
 						g := got[e]
-						if g.Iters != want.Iters || g.Converged != want.Converged {
-							t.Fatalf("λ=%v col %d: iters/converged %d/%v, want %d/%v", lam, e, g.Iters, g.Converged, want.Iters, want.Converged)
+						if diff := diffResult(&g, want); diff != "" {
+							t.Fatalf("λ=%v col %d: SolveRHSBatch %s", lam, e, diff)
 						}
-						if !sameBits(g.Beta, want.Beta) || !sameBits(g.U, want.U) {
-							t.Fatalf("λ=%v col %d: Beta/U differ from SolveRHS", lam, e)
-						}
-						if !sameBits([]float64{g.PrimalRes, g.DualRes}, []float64{want.PrimalRes, want.DualRes}) {
-							t.Fatalf("λ=%v col %d: residuals (%v, %v), want (%v, %v)", lam, e, g.PrimalRes, g.DualRes, want.PrimalRes, want.DualRes)
+						if diff := diffResult(bp.f.SolveRHS(bp.cols[e], lam, &ro), want); diff != "" {
+							t.Fatalf("λ=%v col %d: SolveRHS %s", lam, e, diff)
 						}
 						if g.Converged {
 							converged++
@@ -132,8 +193,8 @@ func TestSolveRHSBatchMatchesLoop(t *testing.T) {
 					t.Fatalf("cap case must mix outcomes: %d converged, %d capped", converged, capped)
 				}
 				for _, name := range []string{"admm/solves", "admm/iters", "admm/chol_solves"} {
-					if batchTr.Counter(name) != loopTr.Counter(name) {
-						t.Errorf("%s: batch booked %d, loop %d", name, batchTr.Counter(name), loopTr.Counter(name))
+					if batchTr.Counter(name) != loopTr.Counter(name) || rhsTr.Counter(name) != loopTr.Counter(name) {
+						t.Errorf("%s: batch booked %d, SolveRHS %d, loop %d", name, batchTr.Counter(name), rhsTr.Counter(name), loopTr.Counter(name))
 					}
 				}
 			})

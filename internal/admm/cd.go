@@ -66,7 +66,7 @@ func CoordinateDescentLasso(x *mat.Dense, y []float64, lambda float64, maxIter i
 		Beta:      beta,
 		Iters:     iters,
 		Converged: converged,
-		Objective: Objective(x, y, beta, lambda),
+		Objective: Objective(x, y, beta, lambda, 0),
 	}
 }
 

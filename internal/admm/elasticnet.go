@@ -20,14 +20,11 @@ func ElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 float64, opts *Optio
 	}
 	o := opts.defaults()
 	// Fold λ₂ into the quadratic term: f(β) = ½‖Xβ−y‖² + ½λ₂‖β‖².
-	f, err := NewFactorizationElasticWorkers(mat.AtA(x), o.Rho, lambda2, 0)
+	res, err := solveDense(x, y, lambda1, lambda2, &o)
 	if err != nil {
 		return nil, err
 	}
-	f.SetRHS(mat.GramVec(x, y, mat.Sample{}))
-	o.Rho = f.rho
-	res := f.Solve(lambda1, &o)
-	res.Objective = ElasticNetObjective(x, y, res.Beta, lambda1, lambda2)
+	res.Objective = ElasticNetObjective(x, y, res.Beta, lambda1, lambda2, o.KernelWorkers)
 	return res, nil
 }
 
@@ -54,9 +51,11 @@ func NewFactorizationElasticWorkers(gram *mat.Dense, rho, lambda2 float64, worke
 // built from a Gram matrix.
 func (f *Factorization) SetRHS(aty []float64) { f.aty = aty }
 
-// ElasticNetObjective evaluates ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖².
-func ElasticNetObjective(x *mat.Dense, y, beta []float64, lambda1, lambda2 float64) float64 {
-	r := mat.Sub(mat.MulVec(x, beta), y)
+// ElasticNetObjective evaluates ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖², running the
+// product Xβ across at most workers goroutines (≤0 selects
+// mat.DefaultWorkers).
+func ElasticNetObjective(x *mat.Dense, y, beta []float64, lambda1, lambda2 float64, workers int) float64 {
+	r := mat.Sub(mat.MulVecWorkers(x, beta, workers), y)
 	sq := 0.0
 	for _, v := range beta {
 		sq += float64(v * v)

@@ -2,9 +2,11 @@ package admm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"uoivar/internal/mat"
+	"uoivar/internal/trace"
 )
 
 func TestElasticNetMatchesCD(t *testing.T) {
@@ -22,6 +24,34 @@ func TestElasticNetMatchesCD(t *testing.T) {
 			if math.Abs(a.Beta[i]-cd.Beta[i]) > 2e-3 {
 				t.Fatalf("λ1=%v λ2=%v: beta[%d] %v vs %v", c.l1, c.l2, i, a.Beta[i], cd.Beta[i])
 			}
+		}
+	}
+}
+
+// TestElasticNetKernelWorkers: ElasticNet runs its Gram product and its
+// factorization under Options.KernelWorkers and books the factorization, as
+// Lasso does. The shape crosses the kernels' parallel gate, so a default
+// budget would run GOMAXPROCS streams.
+func TestElasticNetKernelWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	x, y, _ := makeRegression(84, 600, 64, 5, 0.3)
+	for _, solve := range []struct {
+		name string
+		fit  func(*Options) (*Result, error)
+	}{
+		{"ElasticNet", func(o *Options) (*Result, error) { return ElasticNet(x, y, 1, 0.5, o) }},
+		{"Lasso", func(o *Options) (*Result, error) { return Lasso(x, y, 1, o) }},
+	} {
+		tr := trace.New()
+		mat.ResetPeakWorkers()
+		if _, err := solve.fit(&Options{KernelWorkers: 1, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > 1 {
+			t.Errorf("%s with KernelWorkers 1: peak kernel workers %d", solve.name, peak)
+		}
+		if n := tr.Counter("admm/factorizations"); n != 1 {
+			t.Errorf("%s booked %d factorizations, want 1", solve.name, n)
 		}
 	}
 }
@@ -138,6 +168,6 @@ func CoordinateDescentElasticNet(x *mat.Dense, y []float64, lambda1, lambda2 flo
 		Beta:      beta,
 		Iters:     iters,
 		Converged: converged,
-		Objective: ElasticNetObjective(x, y, beta, lambda1, lambda2),
+		Objective: ElasticNetObjective(x, y, beta, lambda1, lambda2, 0),
 	}
 }

@@ -6,6 +6,22 @@
 // ("the ordinary least squares (OLS) is implemented using LASSO-ADMM ...
 // by setting regularization parameter λ to 0").
 //
+// The iteration is written twice, once per contract (DESIGN.md §6):
+//
+//   - the serial loop, Factorization.solveColumns, iterates a panel of
+//     independent right-hand sides in lock-step and stops and retires each
+//     column on its own test; Solve and SolveRHS are its one-column case,
+//     SolveRHSBatch its many-column case;
+//   - the consensus loop, ConsensusSolver.run, iterates one consensus
+//     vector of block-diagonal equations across ranks with one Allreduce per
+//     iteration and one joint stopping test over the whole vector; the
+//     LASSO is its one-equation case, the Kronecker VAR problem
+//     (internal/kron) its many-equation case.
+//
+// Both run every x-update through Factorization.XUpdatePanel: a one-column
+// panel goes through the GEMV tile, a wider one through the panel product,
+// and the two give the same bits per column.
+//
 // A cyclic coordinate-descent LASSO is included as an independent reference
 // solver for validation and the solver-choice ablation bench.
 package admm
@@ -72,15 +88,15 @@ func (o *Options) defaults() Options {
 }
 
 // countSolves folds the work of `solves` solves totalling iters iterations
-// into the tracer (nil-safe).
-func countSolves(tr *trace.Tracer, solves, iters int) {
+// and xUpdates single-vector x-updates into the tracer (nil-safe). The
+// x-update counter's name predates the explicit inverse.
+func countSolves(tr *trace.Tracer, solves, iters, xUpdates int) {
 	if tr == nil {
 		return
 	}
 	tr.Add("admm/solves", int64(solves))
 	tr.Add("admm/iters", int64(iters))
-	// One x-update per iteration; the name predates the explicit inverse.
-	tr.Add("admm/chol_solves", int64(iters))
+	tr.Add("admm/chol_solves", int64(xUpdates))
 }
 
 // Result reports a solve outcome.
@@ -107,16 +123,10 @@ func SoftThreshold(a, k float64) float64 {
 	}
 }
 
-// softThresholdVec applies S_k elementwise: dst = S_k(src).
-func softThresholdVec(dst, src []float64, k float64) {
-	for i, v := range src {
-		dst[i] = SoftThreshold(v, k)
-	}
-}
-
-// Objective evaluates ½‖Xβ−y‖² + λ‖β‖₁.
-func Objective(x *mat.Dense, y, beta []float64, lambda float64) float64 {
-	r := mat.Sub(mat.MulVec(x, beta), y)
+// Objective evaluates ½‖Xβ−y‖² + λ‖β‖₁, running the product Xβ across at
+// most workers goroutines (≤0 selects mat.DefaultWorkers).
+func Objective(x *mat.Dense, y, beta []float64, lambda float64, workers int) float64 {
+	r := mat.Sub(mat.MulVecWorkers(x, beta, workers), y)
 	return float64(0.5*mat.Dot(r, r)) + float64(lambda*mat.Norm1(beta))
 }
 
@@ -155,16 +165,22 @@ func NewFactorizationGramWorkers(gram *mat.Dense, rho float64, workers int) (*Fa
 	return NewFactorizationElasticWorkers(gram, rho, 0, workers)
 }
 
-// XUpdate sets x = (XᵀX + ρI)⁻¹·rhs, the x-update of every ADMM loop over
-// this factorization (serial, consensus and Kronecker), as one product with
-// the cached inverse.
+// XUpdate sets x = (XᵀX + ρI)⁻¹·rhs as one product of the cached inverse
+// with a vector (mat.Inverse.MulVec, the GEMV tile).
 func (f *Factorization) XUpdate(x, rhs []float64) { f.inv.MulVec(x, rhs) }
 
-// XUpdatePanel is XUpdate for many right-hand sides: it sets x = M·rhs on
-// the leading cols columns (a multiple of 8) of two row-major panels with
-// row stride stride, rhs with p rows and x with p rounded up to 4. Column e
-// of x is bit for bit XUpdate of column e of rhs (mat.Inverse.MulPanel).
+// XUpdatePanel is the x-update of both ADMM loops: it sets x = M·rhs on the
+// leading cols columns (a multiple of 8) of two row-major panels with row
+// stride stride, rhs with p rows and x with p rounded up to 4
+// (mat.Inverse.MulPanel). A one-column panel (stride 1, see panelStride) is
+// a contiguous vector and goes through XUpdate instead; cols is then
+// ignored. Column e of a panel product is bit for bit XUpdate of column e of
+// rhs, so the shape-based choice never shows in the bits.
 func (f *Factorization) XUpdatePanel(x, rhs []float64, stride, cols int) {
+	if stride == 1 {
+		f.XUpdate(x, rhs)
+		return
+	}
 	f.inv.MulPanel(x, rhs, stride, cols)
 }
 
@@ -188,14 +204,25 @@ func MeanDiag(gram *mat.Dense) float64 {
 // Lasso solves min ½‖Xβ−y‖² + λ‖β‖₁ with serial ADMM.
 func Lasso(x *mat.Dense, y []float64, lambda float64, opts *Options) (*Result, error) {
 	o := opts.defaults()
-	f, err := NewFactorizationWorkers(x, y, o.Rho, o.KernelWorkers)
+	res, err := solveDense(x, y, lambda, 0, &o)
 	if err != nil {
 		return nil, err
 	}
-	o.Trace.Add("admm/factorizations", 1)
-	res := f.Solve(lambda, &o)
-	res.Objective = Objective(x, y, res.Beta, lambda)
+	res.Objective = Objective(x, y, res.Beta, lambda, o.KernelWorkers)
 	return res, nil
+}
+
+// solveDense factors (XᵀX + (ρ+λ₂)I) of a dense design under
+// o.KernelWorkers, books the factorization, and solves at lambda1: the body
+// of the convenience solvers Lasso and ElasticNet. o has its defaults.
+func solveDense(x *mat.Dense, y []float64, lambda1, lambda2 float64, o *Options) (*Result, error) {
+	f, err := NewFactorizationElasticWorkers(mat.AtAWorkers(x, o.KernelWorkers), o.Rho, lambda2, o.KernelWorkers)
+	if err != nil {
+		return nil, err
+	}
+	f.aty = mat.AtVecWorkers(x, y, o.KernelWorkers)
+	o.Trace.Add("admm/factorizations", 1)
+	return f.Solve(lambda1, o), nil
 }
 
 // Solve runs the ADMM iteration against the cached factorization.
@@ -205,71 +232,13 @@ func (f *Factorization) Solve(lambda float64, opts *Options) *Result {
 }
 
 // SolveRHS is Solve with an explicit right-hand side Xᵀy, for
-// factorizations shared across responses.
+// factorizations shared across responses: the serial loop on a one-column
+// panel, warm-started from opts.WarmZ and opts.WarmU.
 func (f *Factorization) SolveRHS(aty []float64, lambda float64, opts *Options) *Result {
 	o := opts.defaults()
-	p := f.p
-	z := make([]float64, p)
-	u := make([]float64, p)
-	if o.WarmZ != nil {
-		copy(z, o.WarmZ)
-	}
-	if o.WarmU != nil {
-		copy(u, o.WarmU)
-	}
-	x := make([]float64, p)
-	rhs := make([]float64, p)
-	zOld := make([]float64, p)
-	xhat := make([]float64, p)
-	sqrtP := math.Sqrt(float64(p))
-
-	var primal, dual float64
-	for iter := 1; iter <= o.MaxIter; iter++ {
-		// x-update: x = (XᵀX + ρI)⁻¹ (Xᵀy + ρ(z − u))
-		for i := range rhs {
-			rhs[i] = aty[i] + float64(f.rho*(z[i]-u[i]))
-		}
-		f.XUpdate(x, rhs)
-
-		// z-update with relaxation-free splitting: z = S_{λ/ρ}(x + u)
-		copy(zOld, z)
-		for i := range xhat {
-			xhat[i] = x[i] + u[i]
-		}
-		if lambda > 0 {
-			softThresholdVec(z, xhat, lambda/f.rho)
-		} else {
-			copy(z, xhat)
-		}
-
-		// u-update: u += x − z
-		for i := range u {
-			u[i] += x[i] - z[i]
-		}
-
-		// Residuals.
-		primal = 0
-		for i := range x {
-			d := x[i] - z[i]
-			primal += float64(d * d)
-		}
-		primal = math.Sqrt(primal)
-		dual = 0
-		for i := range z {
-			d := f.rho * (z[i] - zOld[i])
-			dual += float64(d * d)
-		}
-		dual = math.Sqrt(dual)
-
-		epsPrimal := float64(sqrtP*o.AbsTol) + float64(o.RelTol*math.Max(mat.Norm2(x), mat.Norm2(z)))
-		epsDual := float64(sqrtP*o.AbsTol) + float64(o.RelTol*f.rho*mat.Norm2(u))
-		if primal <= epsPrimal && dual <= epsDual {
-			countSolves(o.Trace, 1, iter)
-			return &Result{Beta: z, U: u, Iters: iter, Converged: true, PrimalRes: primal, DualRes: dual}
-		}
-	}
-	countSolves(o.Trace, 1, o.MaxIter)
-	return &Result{Beta: z, U: u, Iters: o.MaxIter, Converged: false, PrimalRes: primal, DualRes: dual}
+	out := make([]Result, 1)
+	f.solveColumns(mat.NewDenseData(f.p, 1, aty[:f.p]), 0, 1, lambda, [][]float64{o.WarmZ}, [][]float64{o.WarmU}, &o, out)
+	return &out[0]
 }
 
 // Support returns the indices with |beta_i| > tol, the support-extraction

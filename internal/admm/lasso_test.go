@@ -214,7 +214,7 @@ func TestRhoAutoScaling(t *testing.T) {
 	cd := CoordinateDescentLasso(x, y, lmax/50, 5000, 1e-10)
 	if math.Abs(r.Objective-cd.Objective) > 1e-3*(1+cd.Objective) {
 		// Objective field is unset by Solve; compute it.
-		obj := Objective(x, y, r.Beta, lmax/50)
+		obj := Objective(x, y, r.Beta, lmax/50, 0)
 		if math.Abs(obj-cd.Objective) > 1e-3*(1+cd.Objective) {
 			t.Fatalf("objective %v vs CD %v", obj, cd.Objective)
 		}

@@ -105,7 +105,7 @@ func TestLassoMatchesTriangularOracle(t *testing.T) {
 				if gs, ws := fmt.Sprint(Support(got.Beta, 1e-6)), fmt.Sprint(Support(want.Beta, 1e-6)); gs != ws {
 					t.Fatalf("support %s, triangular oracle %s", gs, ws)
 				}
-				if wo := Objective(x, y, want.Beta, frac*lmax); math.Abs(got.Objective-wo) > 1e-9*(1+wo) {
+				if wo := Objective(x, y, want.Beta, frac*lmax, 0); math.Abs(got.Objective-wo) > 1e-9*(1+wo) {
 					t.Fatalf("objective %.17g, triangular oracle %.17g", got.Objective, wo)
 				}
 			})

@@ -60,10 +60,11 @@ func timeConsensus(x *mat.Dense, y []float64, lambda float64, ranks int) (time.D
 	iters := 0
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		lo, hi := admm.RowBlock(x.Rows, c.Size(), c.Rank())
-		res, err := admm.ConsensusLasso(c, x.SubRows(lo, hi), y[lo:hi], lambda, &admm.Options{MaxIter: 3000})
+		s, err := admm.NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
 		}
+		res := s.Solve(lambda, &admm.Options{MaxIter: 3000})
 		if c.Rank() == 0 {
 			iters = res.Iters
 		}

@@ -38,9 +38,9 @@ type VecBlock struct {
 	GLo, GHi int
 	// X holds the compact local rows: row r corresponds to global row
 	// GLo+r and stores the length-Q design row of sample (GLo+r) mod M
-	// (the only nonzeros of that row of I ⊗ X). VecFactorization relies
-	// on this contract: two equations' rows over the same samples are the
-	// same rows, so their Gram blocks are the same bits.
+	// (the only nonzeros of that row of I ⊗ X). NewVecFactorizationWorkers
+	// relies on this contract: two equations' rows over the same samples
+	// are the same rows, so their Gram blocks are the same bits.
 	X *mat.Dense
 	// Y holds the local responses vec(Y)[GLo:GHi].
 	Y []float64
@@ -57,9 +57,6 @@ func (b *VecBlock) Equation(r int) int { return (b.GLo + r) / b.M }
 
 // GlobalRows returns the total rows of the vectorized problem (M·P).
 func (b *VecBlock) GlobalRows() int { return b.M * b.P }
-
-// GlobalCols returns the total columns (Q·P), the length of vec(B).
-func (b *VecBlock) GlobalCols() int { return b.Q * b.P }
 
 // Assemble builds each rank's VecBlock with one Get per local row. local is
 // this rank's design block when it is one of the nReaders reader ranks

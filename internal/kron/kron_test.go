@@ -22,6 +22,9 @@ func buildSeries(seed uint64, p, d, n int) (*mat.Dense, *varsim.Design) {
 	return series, varsim.NewDesign(series, d, false)
 }
 
+// GlobalCols returns the total columns (Q·P), the length of vec(B).
+func (b *VecBlock) GlobalCols() int { return b.Q * b.P }
+
 // kronI is the dense oracle for the vectorized design I_p ⊗ X (eq. 9).
 func kronI(x *mat.Dense, p int) *mat.Dense {
 	out := mat.NewDense(p*x.Rows, p*x.Cols)
@@ -219,11 +222,11 @@ func TestVecConsensusMatchesSerial(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			f, err := NewVecFactorizationWorkers(b, 1, 0)
+			f, err := NewVecFactorizationWorkers(c, b, 1, 0)
 			if err != nil {
 				return err
 			}
-			res := f.Solve(c, lambda, &admm.Options{MaxIter: 6000, AbsTol: 1e-9, RelTol: 1e-7})
+			res := f.Solve(lambda, &admm.Options{MaxIter: 6000, AbsTol: 1e-9, RelTol: 1e-7})
 			betas[c.Rank()] = res.Beta
 			return nil
 		})
@@ -323,11 +326,11 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		f, err := NewVecFactorizationWorkers(b, GlobalRho(c, b), 0)
+		f, err := NewVecFactorizationWorkers(c, b, GlobalRho(c, b), 0)
 		if err != nil {
 			return err
 		}
-		r := f.SolveProjected(c, mask, &admm.Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
+		r := f.SolveProjected(mask, &admm.Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
 		if c.Rank() == 0 {
 			got = r.Beta
 		}
@@ -349,7 +352,7 @@ func TestVecSolveProjectedMatchesSerialOLS(t *testing.T) {
 	}
 }
 
-// perEquationVec is the per-equation consensus solver VecFactorization
+// perEquationVec is the per-equation consensus solver the grouped one
 // replaced, kept as the oracle of its bits: every equation with local rows
 // gets its own copied rows, Gram and factorization, and one x-update of its
 // own per iteration.
@@ -415,7 +418,14 @@ func (f *perEquationVec) solveProjected(comm *mpi.Comm, support []bool, opts *ad
 }
 
 func (f *perEquationVec) run(comm *mpi.Comm, opts *admm.Options, zUpdate func(z, sum []float64)) *admm.Result {
-	o := optsWithDefaults(opts)
+	// The solver's defaults; the cases set only MaxIter and the warm pair.
+	o := admm.Options{MaxIter: 500, AbsTol: 1e-6, RelTol: 1e-4}
+	if opts != nil {
+		o.WarmZ, o.WarmU = opts.WarmZ, opts.WarmU
+		if opts.MaxIter > 0 {
+			o.MaxIter = opts.MaxIter
+		}
+	}
 	b := f.block
 	qTot := b.GlobalCols()
 	nRanks := float64(comm.Size())
@@ -538,9 +548,9 @@ func vecLambdaMax(full *varsim.Design) float64 {
 	return lmax
 }
 
-// TestVecSolveMatchesPerEquationLoop holds VecFactorization — one shared
-// factorization per local sample range, one panel x-update per group, the
-// fused passes and the screened stopping test — to the per-equation loop
+// TestVecSolveMatchesPerEquationLoop holds the Kronecker consensus solver —
+// one shared factorization per local sample range, one x-update per group,
+// the fused passes and the screened stopping test — to the per-equation loop
 // bit for bit: Beta, U, Iters, Converged and both residuals of Solve at
 // λ = 0, mid-path and ≥ λ_max, of warm-started and iteration-capped solves
 // and of SolveProjected, at every rank count from 1 to 5 (M = 30 samples
@@ -583,7 +593,7 @@ func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
 				return err
 			}
 			rho := GlobalRho(c, b)
-			f, err := NewVecFactorizationWorkers(b, rho, sh.workers)
+			f, err := NewVecFactorizationWorkers(c, b, rho, sh.workers)
 			if err != nil {
 				return err
 			}
@@ -591,9 +601,17 @@ func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			groups[c.Rank()] = len(f.groups)
-			if sh.p == 40 && len(f.groups) != 1 {
-				return fmt.Errorf("rank %d: %d groups over 20 whole equations, want 1", c.Rank(), len(f.groups))
+			_, facs, _, err := vecGroups(b, rho, sh.workers)
+			if err != nil {
+				return err
+			}
+			distinct := map[*admm.Factorization]bool{}
+			for _, fac := range facs {
+				distinct[fac] = true
+			}
+			groups[c.Rank()] = len(distinct)
+			if sh.p == 40 && groups[c.Rank()] != 1 {
+				return fmt.Errorf("rank %d: %d groups over 20 whole equations, want 1", c.Rank(), groups[c.Rank()])
 			}
 			check := func(what string, got, want *admm.Result) error {
 				if diff := sameResult(got, want); diff != "" {
@@ -608,7 +626,7 @@ func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
 				if warm != nil {
 					o.WarmZ, o.WarmU = warm.Beta, warm.U
 				}
-				got, want := f.Solve(c, lambda, &o), g.solve(c, lambda, &o)
+				got, want := f.Solve(lambda, &o), g.solve(c, lambda, &o)
 				if err := check(fmt.Sprintf("Solve λ=%.3g·λmax", lambda/lmax), got, want); err != nil {
 					return err
 				}
@@ -618,7 +636,7 @@ func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
 				warm = got
 			}
 			capped := admm.Options{MaxIter: 3, WarmZ: warm.Beta, WarmU: warm.U}
-			got, want := f.Solve(c, 0.1*lmax, &capped), g.solve(c, 0.1*lmax, &capped)
+			got, want := f.Solve(0.1*lmax, &capped), g.solve(c, 0.1*lmax, &capped)
 			if err := check("Solve capped at 3 iterations", got, want); err != nil {
 				return err
 			}
@@ -630,7 +648,7 @@ func TestVecSolveMatchesPerEquationLoop(t *testing.T) {
 				support[i] = v != 0 || i%7 == 0
 			}
 			for _, o := range []admm.Options{opts, {MaxIter: 400, WarmZ: warm.Beta, WarmU: warm.U}} {
-				got, want := f.SolveProjected(c, support, &o), g.solveProjected(c, support, &o)
+				got, want := f.SolveProjected(support, &o), g.solveProjected(c, support, &o)
 				if err := check("SolveProjected", got, want); err != nil {
 					return err
 				}
@@ -674,7 +692,7 @@ func BenchmarkVecSolve(b *testing.B) {
 	for range b.N {
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
 			blk := blocks[c.Rank()]
-			f, err := NewVecFactorizationWorkers(blk, GlobalRho(c, blk), 1)
+			f, err := NewVecFactorizationWorkers(c, blk, GlobalRho(c, blk), 1)
 			if err != nil {
 				return err
 			}
@@ -684,13 +702,13 @@ func BenchmarkVecSolve(b *testing.B) {
 				if r != nil {
 					o.WarmZ, o.WarmU = r.Beta, r.U
 				}
-				r = f.Solve(c, lambda, &o)
+				r = f.Solve(lambda, &o)
 			}
 			support := make([]bool, len(r.Beta))
 			for i, v := range r.Beta {
 				support[i] = v != 0
 			}
-			f.SolveProjected(c, support, &admm.Options{})
+			f.SolveProjected(support, &admm.Options{})
 			return nil
 		})
 		if err != nil {

@@ -464,12 +464,11 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, opts
 			r = rho(b)
 		}
 		block0 = nil
-		f, err := kron.NewVecFactorizationWorkers(b, r, kw)
+		f, err := kron.NewVecFactorizationWorkers(group, b, r, kw)
 		if err = pb.ready("selection", k, err); err != nil {
 			return nil, err
 		}
-		solve := func(lambda float64, o *admm.Options) *admm.Result { return f.Solve(group, lambda, o) }
-		sup, fits, iters := lassoPath(solve, pb.p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
+		sup, fits, iters := lassoPath(f.Solve, pb.p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
 		pb.addWork(fits, 0, iters, 0)
 		return sup, nil
 	}
@@ -483,12 +482,12 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, opts
 		if err != nil {
 			return nil, fmt.Errorf("uoi: estimation bootstrap %d: assembly: %w", k, err)
 		}
-		f, err := kron.NewVecFactorizationWorkers(train, rho(train), kw)
+		f, err := kron.NewVecFactorizationWorkers(group, train, rho(train), kw)
 		if err = pb.ready("estimation", k, err); err != nil {
 			return nil, err
 		}
 		beta, fits, iters := consensusWinner(group, pb.p, distinct,
-			func(mask []bool) *admm.Result { return f.SolveProjected(group, mask, &c.ADMM) },
+			func(mask []bool) *admm.Result { return f.SolveProjected(mask, &c.ADMM) },
 			func(_ []int, beta []float64) float64 { return eval.LocalSquaredError(beta) })
 		pb.addWork(0, fits, iters, 0)
 		return beta, nil
