@@ -179,14 +179,14 @@ func BenchmarkAblationDistribution(b *testing.B) {
 func BenchmarkAblationGrid(b *testing.B) {
 	reg := datagen.MakeRegression(5, 4096, 48, &datagen.RegressionOptions{NNZ: 6})
 	const ranks = 8
-	for _, grid := range []uoi.Grid{{PB: 1, PLambda: 1}, {PB: 4, PLambda: 2}, {PB: 2, PLambda: 4}} {
-		b.Run(fmt.Sprintf("pb%d-pl%d", grid.PB, grid.PLambda), func(b *testing.B) {
+	for _, grid := range []uoi.GridShape{{PB: 1, PL: 1}, {PB: 4, PL: 2}, {PB: 2, PL: 4}} {
+		b.Run(fmt.Sprintf("pb%d-pl%d", grid.PB, grid.PL), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(ranks, func(c *mpi.Comm) error {
 					lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
-					_, err := uoi.LassoDistributed(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi],
-						&uoi.LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 1}, grid)
+					_, err := uoi.Lasso(reg.X.SubRows(lo, hi), reg.Y[lo:hi], &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 1,
+						Placement: &uoi.Placement{Comm: c, Shape: grid, Partitioned: true}})
 					return err
 				})
 				if err != nil {

@@ -38,8 +38,9 @@ func benchGraph(report *Report, short bool) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(ranks, func(c *mpi.Comm) error {
-					_, err := uoi.AllPairsDistributed(c, sv.Series, &uoi.AllPairsConfig{
+					_, err := uoi.AllPairs(sv.Series, &uoi.AllPairsConfig{
 						NB: nb, Q: q, Screen: screen, Seed: 11, Workers: 1,
+						Placement: &uoi.Placement{Comm: c},
 					})
 					return err
 				})

@@ -37,9 +37,9 @@ func benchGrid(r *Report, short bool) error {
 			var stats mpi.Stats
 			start := time.Now()
 			err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-				if _, err := uoi.LassoGrid(c, reg.X, reg.Y, cfg, uoi.GridOptions{
-					Shape: shape, FlatCollectives: flat,
-				}); err != nil {
+				at := *cfg
+				at.Placement = &uoi.Placement{Comm: c, Shape: shape, FlatCollectives: flat}
+				if _, err := uoi.Lasso(reg.X, reg.Y, &at); err != nil {
 					return err
 				}
 				c.Barrier()
@@ -72,7 +72,9 @@ func benchGrid(r *Report, short bool) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-					_, err := uoi.LassoGrid(c, reg.X, reg.Y, cfg, uoi.GridOptions{Shape: shape})
+					at := *cfg
+					at.Placement = &uoi.Placement{Comm: c, Shape: shape}
+					_, err := uoi.Lasso(reg.X, reg.Y, &at)
 					return err
 				})
 				if err != nil {

@@ -189,8 +189,9 @@ func main() {
 		for i := 0; i < b.N; i++ {
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
 				lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
-				_, err := uoi.LassoDistributed(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi],
-					cfg(nil), uoi.Grid{PB: 1, PLambda: 1})
+				at := cfg(nil)
+				at.Placement = &uoi.Placement{Comm: c, Partitioned: true}
+				_, err := uoi.Lasso(reg.X.SubRows(lo, hi), reg.Y[lo:hi], at)
 				return err
 			})
 			if err != nil {
@@ -215,7 +216,8 @@ func main() {
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
 				ccfg := cfg(nil)
 				ccfg.Checkpoint = &uoi.CheckpointConfig{Path: path}
-				_, err := uoi.LassoCheckpointedDistributed(c, reg.X, reg.Y, ccfg)
+				ccfg.Placement = &uoi.Placement{Comm: c}
+				_, err := uoi.Lasso(reg.X, reg.Y, ccfg)
 				return err
 			})
 			if err != nil {

@@ -61,6 +61,14 @@ func TestExitCodeUsageErrors(t *testing.T) {
 			t.Fatalf("%v: exit %d, want 2\n%s", args, code, out)
 		}
 	}
+	// A placement the library cannot run is a usage error too, caught
+	// before the data is read: a grid's cells are never journalled.
+	for _, algo := range []string{"lasso", "var"} {
+		code, out := uoifit(t, "-data", "x.hbf", "-algo", algo, "-grid", "2x1", "-checkpoint", "c.uoickpt")
+		if code != 2 || !strings.Contains(out, "unsupported placement") {
+			t.Fatalf("-algo %s -grid with -checkpoint: exit %d, want 2\n%s", algo, code, out)
+		}
+	}
 }
 
 // TestExitCodeFailedFitLeavesNoArtifact pins the contract the issue calls

@@ -17,6 +17,14 @@
 //
 // Baselines: -algo lasso-cv | lasso-bic | var-cv.
 //
+// Where a fit runs is one uoi.Placement built from the flags. By default
+// every rank reads its own row block (-dist) and cells run as consensus
+// ADMM in -pb × -pl groups of ranks (-readers VAR reader ranks each).
+// -grid RxC replicates the data on R·C ranks and shards the cells over the
+// bootstrap × λ grid, and -checkpoint replicates it and journals the cells;
+// both are bit-identical to a serial fit. A combination the library cannot
+// run, such as -grid with -checkpoint, exits 2 like any usage error.
+//
 // Saving fitted models:
 //
 //	uoifit -algo var -data series.hbf -ranks 4 -model-out market.uoim
@@ -67,6 +75,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -159,26 +168,38 @@ type options struct {
 	GridCollectives string
 }
 
-// gridShape parses -grid (empty shape when the flag is unset) and validates
-// -grid-collectives.
-func (o *options) gridShape() (uoi.GridShape, bool, error) {
-	if o.Grid == "" {
-		return uoi.GridShape{}, false, nil
-	}
-	shape, err := uoi.ParseGridShape(o.Grid)
-	if err != nil {
-		return shape, false, err
-	}
-	switch o.GridCollectives {
-	case "", "tree", "flat":
-	default:
-		return shape, false, fmt.Errorf("unknown -grid-collectives %q (tree | flat)", o.GridCollectives)
+// placement builds the fit's placement from the flags, leaving each rank to
+// set its communicator: -grid is the replicated-data grid of R·C ranks (it
+// sets -ranks), -checkpoint the journal over replicated data, and otherwise
+// every rank holds a row block and cells run in -pb × -pl ADMM groups, each
+// with -readers VAR reader ranks. uoi rejects what it cannot run with
+// ErrPlacement.
+func (o *options) placement() (uoi.Placement, error) {
+	if o.Grid != "" {
+		shape, err := uoi.ParseGridShape(o.Grid)
+		if err != nil {
+			return uoi.Placement{}, err
+		}
+		switch o.GridCollectives {
+		case "", "tree", "flat":
+		default:
+			return uoi.Placement{}, fmt.Errorf("unknown -grid-collectives %q (tree | flat)", o.GridCollectives)
+		}
+		o.Ranks = shape.Ranks()
+		return uoi.Placement{Shape: shape, FlatCollectives: o.GridCollectives == "flat"}, nil
 	}
 	if o.Checkpoint != "" {
-		return shape, false, fmt.Errorf("-grid and -checkpoint are mutually exclusive (grid fits do not checkpoint)")
+		return uoi.Placement{}, nil
 	}
-	return shape, true, nil
+	at := uoi.Placement{Shape: uoi.GridShape{PB: o.PB, PL: o.PL}, Partitioned: true}
+	if o.Algo == "var" {
+		at.NReaders = min(o.Readers, o.groupSize())
+	}
+	return at, nil
 }
+
+// groupSize is the rank count of one -pb × -pl ADMM group.
+func (o *options) groupSize() int { return max(o.Ranks/max(o.PB*o.PL, 1), 1) }
 
 // ckpt builds the uoi checkpoint config from the flags (nil when
 // checkpointing is off).
@@ -262,19 +283,16 @@ func main() {
 	}
 	if err := run(&o); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
+		if errors.Is(err, uoi.ErrPlacement) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(o *options) error {
-	if shape, on, err := o.gridShape(); err != nil {
-		return err
-	} else if on {
-		if o.Algo != "lasso" && o.Algo != "var" {
-			return fmt.Errorf("-grid applies to -algo lasso | var, not %q", o.Algo)
-		}
-		// The grid shape defines the world: R·C ranks, one per grid cell.
-		o.Ranks = shape.Ranks()
+	if o.Grid != "" && o.Algo != "lasso" && o.Algo != "var" {
+		return fmt.Errorf("-grid applies to -algo lasso | var, not %q", o.Algo)
 	}
 	if o.Order <= 0 && (o.Algo == "var" || o.Algo == "var-cv") {
 		series, err := readSeries(o.Data)
@@ -475,74 +493,53 @@ func (p *perfCollector) writeTrace() error {
 }
 
 func runLasso(o *options) error {
-	var result *uoi.Result
-	perf := newPerfCollector(o, "uoi_lasso")
-	if err := perf.serve(); err != nil {
-		return err
-	}
-	// Checkpointed and grid fits replicate the full dataset on every rank
-	// (the P_B bootstrap-sharding axis) so every cell is rank-independent;
-	// the usual path shards rows with distio and runs consensus ADMM.
-	shape, gridOn, err := o.gridShape()
+	at, err := o.placement()
 	if err != nil {
 		return err
 	}
+	base := uoi.LassoConfig{B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
+		KernelWorkers: o.KernelWorkers, Checkpoint: o.ckpt(), Placement: &at}
+	if err := base.CheckPlacement(); err != nil {
+		return err
+	}
+	// Replicated placements hold the full dataset on every rank (the P_B
+	// bootstrap-sharding axis), so every cell is rank-independent; a
+	// partitioned one shards rows with distio and runs consensus ADMM.
 	var xFull *mat.Dense
 	var yFull []float64
-	if o.Checkpoint != "" || gridOn {
-		var err error
-		xFull, yFull, err = readRegression(o.Data)
-		if err != nil {
+	if !at.Partitioned {
+		if xFull, yFull, err = readRegression(o.Data); err != nil {
 			return err
 		}
 	}
-	err = mpi.RunWithOptions(o.Ranks, perf.runOpts(), func(c *mpi.Comm) error {
-		perf.register(c)
-		tr := perf.tracer(c.Rank())
-		var res *uoi.Result
+	perf := newPerfCollector(o, "uoi_lasso")
+	result, err := onRanks(perf, func(c *mpi.Comm, tr *trace.Tracer) (*uoi.Result, error) {
+		cfg, at := base, at
+		at.Comm = c
+		cfg.Trace, cfg.Placement = tr, &at
+		if !at.Partitioned {
+			return uoi.Lasso(xFull, yFull, &cfg)
+		}
+		var block *distio.Block
 		var err error
-		if gridOn {
-			res, err = uoi.LassoGrid(c, xFull, yFull, &uoi.LassoConfig{
-				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
-		} else if o.Checkpoint != "" {
-			res, err = uoi.LassoCheckpointedDistributed(c, xFull, yFull, &uoi.LassoConfig{
-				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr, Checkpoint: o.ckpt(),
-			})
-		} else {
-			var block *distio.Block
-			switch o.Dist {
-			case "", "randomized":
-				block, err = distio.RandomizedDistribute(c, o.Data, o.Seed)
-			case "conventional":
-				block, err = distio.ConventionalDistribute(c, o.Data)
-			default:
-				return fmt.Errorf("unknown -dist %q (randomized | conventional)", o.Dist)
-			}
-			if err != nil {
-				return err
-			}
-			x, y := block.XY()
-			res, err = uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{
-				B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.Grid{PB: o.PB, PLambda: o.PL})
+		switch o.Dist {
+		case "", "randomized":
+			block, err = distio.RandomizedDistribute(c, o.Data, o.Seed)
+		case "conventional":
+			block, err = distio.ConventionalDistribute(c, o.Data)
+		default:
+			return nil, fmt.Errorf("unknown -dist %q (randomized | conventional)", o.Dist)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		perf.collect(c, tr)
-		if c.Rank() == 0 {
-			result = res
-			perf.setState("bootstrap", res.Bootstrap)
-		}
-		return nil
+		x, y := block.XY()
+		return uoi.Lasso(x, y, &cfg)
 	})
 	if err != nil {
 		return err
 	}
+	perf.setState("bootstrap", result.Bootstrap)
 	if o.Checkpoint != "" {
 		fmt.Println("checkpoint at", o.Checkpoint)
 	}
@@ -559,6 +556,30 @@ func runLasso(o *options) error {
 		return err
 	}
 	return perf.write()
+}
+
+// onRanks serves the live endpoint, runs fit on every rank of the world
+// under the observability flags' tracers and collectors, and returns rank
+// 0's result.
+func onRanks[R any](perf *perfCollector, fit func(c *mpi.Comm, tr *trace.Tracer) (R, error)) (R, error) {
+	var out R
+	if err := perf.serve(); err != nil {
+		return out, err
+	}
+	err := mpi.RunWithOptions(perf.o.Ranks, perf.runOpts(), func(c *mpi.Comm) error {
+		perf.register(c)
+		tr := perf.tracer(c.Rank())
+		res, err := fit(c, tr)
+		if err != nil {
+			return err
+		}
+		perf.collect(c, tr)
+		if c.Rank() == 0 {
+			out = res
+		}
+		return nil
+	})
+	return out, err
 }
 
 // saveModel writes rank 0's fitted model as a servable artifact when
@@ -578,16 +599,10 @@ func saveModel(path string, art *model.Artifact) error {
 // memory — the replicated-data path used by checkpointed fits and the
 // serial baselines.
 func readRegression(data string) (*mat.Dense, []float64, error) {
-	f, err := hbf.Open(data)
+	full, err := readSeries(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	all, err := f.ReadAll()
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	full := mat.NewDenseData(f.Meta.Rows, f.Meta.Cols, all)
 	p := full.Cols - 1
 	idx := make([]int, p)
 	for i := range idx {
@@ -610,61 +625,31 @@ func readSeries(data string) (*mat.Dense, error) {
 }
 
 func runVAR(o *options) error {
+	at, err := o.placement()
+	if err != nil {
+		return err
+	}
+	base := uoi.VARConfig{Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
+		KernelWorkers: o.KernelWorkers, Checkpoint: o.ckpt(), Placement: &at}
+	if err := base.CheckPlacement(); err != nil {
+		return err
+	}
 	series, err := readSeries(o.Data)
 	if err != nil {
 		return err
 	}
-	// Every ADMM group of the consensus fit has its own reader ranks: the
-	// leading ranks of the group.
-	grid := uoi.Grid{PB: o.PB, PLambda: o.PL}
-	groupSize := max(o.Ranks/max(grid.Groups(), 1), 1)
-	readers := min(o.Readers, groupSize)
-	var result *uoi.VARResult
 	perf := newPerfCollector(o, "uoi_var")
-	if err := perf.serve(); err != nil {
-		return err
-	}
-	shape, gridOn, err := o.gridShape()
-	if err != nil {
-		return err
-	}
-	err = mpi.RunWithOptions(o.Ranks, perf.runOpts(), func(c *mpi.Comm) error {
-		perf.register(c)
-		tr := perf.tracer(c.Rank())
-		var res *uoi.VARResult
-		var err error
-		if gridOn {
-			// Grid VAR replicates the series on every rank (like the
-			// checkpointed path) and shards cells over the 2-D grid.
-			res, err = uoi.VARGrid(c, series, &uoi.VARConfig{
-				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, uoi.GridOptions{Shape: shape, FlatCollectives: o.GridCollectives == "flat"})
-		} else if o.Checkpoint != "" {
-			// Checkpointed VAR replicates the series on every rank and shards
-			// bootstraps (bit-identical to the serial fit at any rank count).
-			res, err = uoi.VARCheckpointedDistributed(c, series, &uoi.VARConfig{
-				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr, Checkpoint: o.ckpt(),
-			})
-		} else {
-			var s *mat.Dense
-			if c.Rank()%groupSize < readers {
-				s = series
-			}
-			res, err = uoi.VARDistributed(c, s, &uoi.VARConfig{
-				Order: o.Order, B1: o.B1, B2: o.B2, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-				KernelWorkers: o.KernelWorkers, Trace: tr,
-			}, &uoi.VARDistOptions{NReaders: readers, Grid: grid})
+	result, err := onRanks(perf, func(c *mpi.Comm, tr *trace.Tracer) (*uoi.VARResult, error) {
+		cfg, at := base, at
+		at.Comm = c
+		cfg.Trace, cfg.Placement = tr, &at
+		// A partitioned fit's series sits on the leading reader ranks of
+		// every ADMM group; replicated placements hold it on every rank.
+		s := series
+		if at.Partitioned && c.Rank()%o.groupSize() >= at.NReaders {
+			s = nil
 		}
-		if err != nil {
-			return err
-		}
-		perf.collect(c, tr)
-		if c.Rank() == 0 {
-			result = res
-		}
-		return nil
+		return uoi.VAR(s, &cfg)
 	})
 	if err != nil {
 		return err
@@ -695,31 +680,17 @@ func runAllPairs(o *options) error {
 	if err != nil {
 		return err
 	}
-	var result *uoi.AllPairsResult
 	perf := newPerfCollector(o, "uoi_allpairs")
-	if err := perf.serve(); err != nil {
-		return err
-	}
-	err = mpi.RunWithOptions(o.Ranks, perf.runOpts(), func(c *mpi.Comm) error {
-		perf.register(c)
-		tr := perf.tracer(c.Rank())
-		res, err := uoi.AllPairsDistributed(c, series, &uoi.AllPairsConfig{
+	result, err := onRanks(perf, func(c *mpi.Comm, tr *trace.Tracer) (*uoi.AllPairsResult, error) {
+		return uoi.AllPairs(series, &uoi.AllPairsConfig{
 			Order: o.Order, NB: o.B1, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-			Screen: o.Screen, Workers: o.KernelWorkers, Trace: tr,
+			Screen: o.Screen, Workers: o.KernelWorkers, Trace: tr, Placement: &uoi.Placement{Comm: c},
 		})
-		if err != nil {
-			return err
-		}
-		perf.collect(c, tr)
-		if c.Rank() == 0 {
-			result = res
-			perf.setState("edges", res.Edges)
-		}
-		return nil
 	})
 	if err != nil {
 		return err
 	}
+	perf.setState("edges", result.Edges)
 	if err := reportVAR(result.A, result.Mu, series.Cols, o.Edges, o.Dot,
 		fmt.Sprintf("all-pairs: p=%d order=%d ranks=%d, rank 0 fitted %d/%d targets (%d lasso fits)",
 			series.Cols, o.Order, o.Ranks, result.Diag.Targets, series.Cols, result.Diag.LassoFits)); err != nil {

@@ -37,9 +37,10 @@ func main() {
 		if c.Rank() < readers {
 			s = neu.Series
 		}
-		r, err := uoi.VARDistributed(c, s, &uoi.VARConfig{
+		r, err := uoi.VAR(s, &uoi.VARConfig{
 			Order: 1, B1: 12, B2: 5, Q: 10, LambdaRatio: 1e-2, Seed: 3,
-		}, &uoi.VARDistOptions{NReaders: readers})
+			Placement: &uoi.Placement{Comm: c, Partitioned: true, NReaders: readers},
+		})
 		if err != nil {
 			return err
 		}

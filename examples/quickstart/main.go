@@ -56,7 +56,8 @@ func main() {
 			return err
 		}
 		x, y := block.XY()
-		r, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 20, B2: 10, Q: 12, Seed: 1}, uoi.Grid{})
+		r, err := uoi.Lasso(x, y, &uoi.LassoConfig{B1: 20, B2: 10, Q: 12, Seed: 1,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true}})
 		if err != nil {
 			return err
 		}

@@ -35,7 +35,8 @@ func TestPipelineLassoFromFile(t *testing.T) {
 			return err
 		}
 		x, y := block.XY()
-		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 10, B2: 5, Q: 10, LambdaRatio: 1e-2, Seed: 9}, uoi.Grid{})
+		res, err := uoi.Lasso(x, y, &uoi.LassoConfig{B1: 10, B2: 5, Q: 10, LambdaRatio: 1e-2, Seed: 9,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true}})
 		if err != nil {
 			return err
 		}
@@ -80,7 +81,8 @@ func TestPipelineLassoRankInvariance(t *testing.T) {
 				return err
 			}
 			x, y := block.XY()
-			res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3}, uoi.Grid{})
+			res, err := uoi.Lasso(x, y, &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3,
+				Placement: &uoi.Placement{Comm: c, Partitioned: true}})
 			if err != nil {
 				return err
 			}
@@ -132,9 +134,10 @@ func TestPipelineVARFromFile(t *testing.T) {
 			}
 			series = mat.NewDenseData(f.Meta.Rows, f.Meta.Cols, data)
 		}
-		r, err := uoi.VARDistributed(c, series, &uoi.VARConfig{
+		r, err := uoi.VAR(series, &uoi.VARConfig{
 			Order: 1, B1: 10, B2: 4, Q: 10, LambdaRatio: 3e-3, Seed: 4,
-		}, &uoi.VARDistOptions{NReaders: readers})
+			Placement: &uoi.Placement{Comm: c, Partitioned: true, NReaders: readers},
+		})
 		if err != nil {
 			return err
 		}
@@ -210,8 +213,8 @@ func TestPipelineTwoPhaseReshuffle(t *testing.T) {
 		}
 		xs, ys := selBlock.XY()
 		xe, ye := estBlock.XY()
-		res, err := uoi.LassoDistributedPhases(c, xs, ys, xe, ye,
-			&uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 12}, uoi.Grid{})
+		res, err := uoi.Lasso(xs, ys, &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 12,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true, EstX: xe, EstY: ye}})
 		if err != nil {
 			return err
 		}

@@ -182,7 +182,8 @@ func fig2Mini(w io.Writer) error {
 			return err
 		}
 		x, y := block.XY()
-		res, err := uoi.LassoDistributed(c, x, y, &uoi.LassoConfig{B1: 5, B2: 5, Q: 8, Seed: 1}, uoi.Grid{})
+		res, err := uoi.Lasso(x, y, &uoi.LassoConfig{B1: 5, B2: 5, Q: 8, Seed: 1,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true}})
 		if err != nil {
 			return err
 		}
@@ -221,9 +222,10 @@ func fig7Mini(w io.Writer) error {
 		if c.Rank() < 2 {
 			s = series
 		}
-		res, err := uoi.VARDistributed(c, s, &uoi.VARConfig{
+		res, err := uoi.VAR(s, &uoi.VARConfig{
 			Order: 1, B1: 5, B2: 3, Q: 8, Seed: 2,
-		}, &uoi.VARDistOptions{NReaders: 2})
+			Placement: &uoi.Placement{Comm: c, Partitioned: true, NReaders: 2},
+		})
 		if err != nil {
 			return err
 		}

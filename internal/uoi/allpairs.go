@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"uoivar/internal/admm"
@@ -21,8 +20,8 @@ import (
 // target channel's equation separately. Unlike the joint vec(B) problem
 // of UoI_VAR (var.go), the per-target formulation is embarrassingly
 // parallel over targets: each target's fit is a pure function of
-// (series, config, target index), so the rank-sharded driver
-// (AllPairsDistributed) partitions targets across ranks and merges
+// (series, config, target index), so the rank-sharded driver (AllPairs
+// at a Placement) partitions targets across ranks and merges
 // per-target coefficient rows by pure concatenation — no floating-point
 // reductions — making the sharded result bit-identical to the serial
 // loop at any rank count.
@@ -66,37 +65,25 @@ type AllPairsConfig struct {
 	// Trace, when non-nil, records phase spans (allpairs/fit,
 	// allpairs/allgather) and solver counters.
 	Trace *trace.Tracer
+	// Placement, when non-nil, shards the targets over the ranks of its
+	// communicator; it takes nothing else (see Placement).
+	Placement *Placement
 	// ADMM carries the solver options for the selection λ sweeps.
 	ADMM admm.Options
 }
 
 func (c *AllPairsConfig) defaults() AllPairsConfig {
-	out := AllPairsConfig{Order: 1, NB: 5, Q: 8, LambdaRatio: 1e-2, Screen: 64, SelectionFrac: 1, SupportTol: 1e-7}
-	if c == nil {
-		return out
+	var o AllPairsConfig
+	if c != nil {
+		o = *c
 	}
-	o := *c
-	if o.Order <= 0 {
-		o.Order = out.Order
-	}
-	if o.NB <= 0 {
-		o.NB = out.NB
-	}
-	if o.Q <= 0 {
-		o.Q = out.Q
-	}
-	if o.LambdaRatio <= 0 || o.LambdaRatio >= 1 {
-		o.LambdaRatio = out.LambdaRatio
-	}
-	if o.Screen <= 0 {
-		o.Screen = out.Screen
-	}
-	if o.SelectionFrac <= 0 || o.SelectionFrac > 1 {
-		o.SelectionFrac = out.SelectionFrac
-	}
-	if o.SupportTol <= 0 {
-		o.SupportTol = out.SupportTol
-	}
+	positive(&o.Order, 1)
+	positive(&o.NB, 5)
+	positive(&o.Q, 8)
+	fraction(&o.LambdaRatio, 1e-2)
+	positive(&o.Screen, 64)
+	fraction(&o.SelectionFrac, 1)
+	positive(&o.SupportTol, 1e-7)
 	if o.ADMM.Trace == nil {
 		o.ADMM.Trace = o.Trace
 	}
@@ -116,8 +103,8 @@ type AllPairsResult struct {
 	// Edges counts nonzero off-diagonal coefficients across lags — the
 	// directed causal edges inferred.
 	Edges int
-	// Diag carries aggregate phase timings and solver counts. Under
-	// AllPairsDistributed it covers only the local rank's targets.
+	// Diag carries aggregate phase timings and solver counts. At a
+	// Placement it covers only the local rank's targets.
 	Diag AllPairsDiag
 }
 
@@ -140,13 +127,6 @@ func (r *AllPairsResult) VARResult() *VARResult {
 	return &VARResult{A: r.A, Mu: r.Mu}
 }
 
-// AllPairs runs the serial (optionally worker-parallel) all-pairs driver
-// over an n×p series: one screened mini-UoI fit per target channel.
-func AllPairs(series *mat.Dense, cfg *AllPairsConfig) (*AllPairsResult, error) {
-	c := cfg.defaults()
-	return allPairs(series, &c, 0, 1)
-}
-
 // targetFit is one target's finished equation: the global design-column
 // indices (lag·p + source) with nonzero coefficients, their values, and
 // the recovered intercept.
@@ -159,7 +139,7 @@ type targetFit struct {
 
 // allPairs fits targets i with i mod stride == offset (the rank-sharding
 // decomposition) into a full-size result whose non-owned rows stay zero;
-// AllPairsDistributed merges the owned rows across ranks.
+// AllPairs at a Placement merges the owned rows across ranks.
 func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPairsResult, error) {
 	nTotal, p := series.Rows, series.Cols
 	d := c.Order
@@ -217,43 +197,12 @@ func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPai
 		own = append(own, i)
 	}
 	fits := make([]*targetFit, p)
-	var firstErr error
-	var errMu sync.Mutex
-	workers := c.Workers
-	if workers <= 1 {
-		workers = 1
-	}
-	if workers > len(own) && len(own) > 0 {
-		workers = len(own)
-	}
-	next := make(chan int, len(own))
-	for _, i := range own {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			col := make([]float64, m)
-			for i := range next {
-				fit, err := fitTarget(xc, des.Y, col, xbar, ybar, i, blockLen, screen, c)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				fits[i] = fit
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEachBootstrap(c.Workers, len(own), func(k int) (err error) {
+		fits[own[k]], err = fitTarget(xc, des.Y, xbar, ybar, own[k], blockLen, screen, c)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AllPairsResult{Mu: make([]float64, p), Diag: AllPairsDiag{Targets: len(own)}}
@@ -286,13 +235,12 @@ func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPai
 // pure function of (xc, y, x̄, ȳ, i, geometry, cfg) with no shared
 // mutable state, which is what makes both worker- and rank-parallel
 // execution bit-identical to the serial loop.
-func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen int, c *AllPairsConfig) (*targetFit, error) {
+func fitTarget(xc, y *mat.Dense, xbar, ybar []float64, i, blockLen, screen int, c *AllPairsConfig) (*targetFit, error) {
 	m, q := xc.Rows, xc.Cols
 	// Centered response.
-	y.Col(i, col)
-	yc := make([]float64, m)
-	for t := 0; t < m; t++ {
-		yc[t] = col[t] - ybar[i]
+	yc := y.Col(i, nil)
+	for t := range yc {
+		yc[t] -= ybar[i]
 	}
 
 	// Screening: keep the `screen` columns with the largest |x_jᵀy|
@@ -391,14 +339,25 @@ func fitTarget(xc, y *mat.Dense, col, xbar, ybar []float64, i, blockLen, screen 
 	return fit, nil
 }
 
-// AllPairsDistributed runs the all-pairs driver sharded over comm's
-// ranks: rank r fits targets i with i mod size == r, then every rank
-// Allgathers the per-target coefficient rows. The merge is pure
-// concatenation of fixed-size encoded slots — no floating-point
-// reductions — so the result is bit-identical to AllPairs at any rank
+// AllPairs runs the all-pairs driver over an n×p series: one screened
+// mini-UoI fit per target channel. At a nil cfg.Placement the targets run
+// on cfg.Workers goroutines. At a placement rank r fits targets i with
+// i mod size == r, then every rank Allgathers the per-target coefficient
+// rows. The merge is pure concatenation of fixed-size encoded slots — no
+// floating-point reductions — so the result is bit-identical at any rank
 // count. Collective-safe: every rank returns an error or none do.
-func AllPairsDistributed(comm *mpi.Comm, series *mat.Dense, cfg *AllPairsConfig) (*AllPairsResult, error) {
+func AllPairs(series *mat.Dense, cfg *AllPairsConfig) (*AllPairsResult, error) {
 	c := cfg.defaults()
+	if c.Placement == nil {
+		return allPairs(series, &c, 0, 1)
+	}
+	if c.Placement.Comm == nil {
+		return nil, errNoComm
+	}
+	if err := c.Placement.check(fitAsk{fit: "AllPairs"}); err != nil {
+		return nil, err
+	}
+	comm := c.Placement.Comm
 	nTotal, p := series.Rows, series.Cols
 	d := c.Order
 	// Collective validation: all ranks agree before any data collective.

@@ -77,7 +77,7 @@ func TestAllPairsDistributedBitIdentical(t *testing.T) {
 	for _, ranks := range []int{1, 3, 4} {
 		results := make([]*AllPairsResult, ranks)
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
-			r, err := AllPairsDistributed(c, series, cfg)
+			r, err := AllPairs(series, allPairsOn(cfg, c))
 			if err != nil {
 				return err
 			}
@@ -151,7 +151,7 @@ func TestAllPairsShortSeriesError(t *testing.T) {
 		t.Fatal("short series must fail")
 	}
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := AllPairsDistributed(c, series, nil)
+		_, err := AllPairs(series, allPairsOn(nil, c))
 		if err == nil {
 			return nil
 		}

@@ -272,8 +272,8 @@ func designTargets(d int, idx []int) []int {
 // the serial sweep would carry into λ index jLo of equation eq, emit(eq)
 // receives the chain state after jHi−1. Callers that pass hooks must not
 // set c.WarmBeta (the seeded sweep reverses the λ order, which would
-// reverse the pipeline direction); VARGrid rejects that combination up
-// front. sup is the block-local flattening
+// reverse the pipeline direction); the grid rejects that combination with
+// ErrPlacement. sup is the block-local flattening
 // sup[(j−jLo)·betaLen + eq·rowsB + i].
 func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
 	d := c.Order

@@ -79,7 +79,7 @@ func consensusLassoSkipsNaNLoss(t *testing.T) {
 	fit := func(xEst *mat.Dense, yEst []float64) *Result {
 		var res *Result
 		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
-			res, err = LassoDistributedPhases(comm, x, y, xEst, yEst, cfg, Grid{})
+			res, err = Lasso(x, y, lassoOn(cfg, Placement{Comm: comm, Partitioned: true, EstX: xEst, EstY: yEst}))
 			return err
 		})
 		if err != nil {
@@ -151,7 +151,7 @@ func consensusVARSkipsNaNLoss(t *testing.T) {
 	fit := func(series *mat.Dense) *VARResult {
 		var res *VARResult
 		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
-			res, err = VARDistributed(comm, series, cfg, nil)
+			res, err = VAR(series, varOn(cfg, Placement{Comm: comm, Partitioned: true}))
 			return err
 		})
 		if err != nil {

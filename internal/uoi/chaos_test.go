@@ -122,15 +122,15 @@ func TestDistributedQuorumDegradedFit(t *testing.T) {
 		fault.Event{Kind: fault.Bootstrap, Phase: "selection", K: 1},
 		fault.Event{Kind: fault.Bootstrap, Phase: "estimation", K: 0},
 	)
-	for _, grid := range []Grid{{1, 1}, {2, 1}, {2, 2}} {
+	for _, grid := range []GridShape{{1, 1}, {2, 1}, {2, 2}} {
 		results := make([]*Result, ranks)
 		err := runBounded(t, func() error {
 			return mpi.Run(ranks, func(c *mpi.Comm) error {
 				xl := denseFromRows(xs[c.Rank()], x.Cols)
-				res, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{
+				res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{
 					B1: 6, B2: 3, Q: 5, Seed: 11,
 					MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-				}, grid)
+				}, Placement{Comm: c, Shape: grid, Partitioned: true}))
 				if err != nil {
 					return err
 				}
@@ -173,10 +173,10 @@ func TestDistributedQuorumNotMetIsCollectiveSafe(t *testing.T) {
 	err := runBounded(t, func() error {
 		return mpi.Run(ranks, func(c *mpi.Comm) error {
 			xl := denseFromRows(xs[c.Rank()], x.Cols)
-			_, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{
+			_, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{
 				B1: 4, B2: 3, Q: 4, Seed: 5,
 				MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-			}, Grid{2, 1})
+			}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
 			if !errors.Is(err, ErrQuorum) {
 				return fmt.Errorf("rank %d: err = %v, want ErrQuorum", c.Rank(), err)
 			}
@@ -221,10 +221,10 @@ func TestChaosSeededSchedules(t *testing.T) {
 					CollectiveTimeout: 20 * time.Second,
 					Fault:             plan,
 				}, func(c *mpi.Comm) error {
-					res, err := LassoDistributed(c, denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], &LassoConfig{
+					res, err := Lasso(denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], lassoOn(&LassoConfig{
 						B1: 4, B2: 3, Q: 4, Seed: 9,
 						MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-					}, Grid{2, 1})
+					}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
 					if err != nil {
 						return err
 					}
@@ -262,7 +262,7 @@ func TestChaosVARCrash(t *testing.T) {
 				CollectiveTimeout: 20 * time.Second,
 				Fault:             plan,
 			}, func(c *mpi.Comm) error {
-				_, err := VARDistributed(c, series, &VARConfig{Order: 1, B1: 3, B2: 2, Q: 3, Seed: 5}, nil)
+				_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 3, B2: 2, Q: 3, Seed: 5}, Placement{Comm: c, Partitioned: true}))
 				return err
 			})
 		})

@@ -22,10 +22,9 @@ import (
 // exactly order-independent operations, the result is bit-identical to the
 // serial fit at any worker count, at any rank count, and across any
 // crash/resume boundary — including resuming on fewer ranks than the fit
-// started with. (The consensus-ADMM distributed paths, LassoDistributed and
-// VARDistributed, shard *rows* rather than bootstraps; their iterates
-// depend on the rank count, so they reject a CheckpointConfig — see
-// DESIGN.md §11.)
+// started with. (A Partitioned placement shards *rows* rather than
+// bootstraps; its iterates depend on the rank count, so it rejects a
+// CheckpointConfig with ErrPlacement — see DESIGN.md §11.)
 type CheckpointConfig struct {
 	// Path is the checkpoint file location. In distributed runs every rank
 	// reads it on resume but only rank 0 writes, atomically
@@ -410,30 +409,4 @@ func varFingerprintAt(rev uint64, series *mat.Dense, blockLen int, c *VARConfig)
 	}
 	h.AddFloats(series.Data)
 	return h.Sum()
-}
-
-// LassoCheckpointedDistributed runs checkpointed UoI_LASSO across the
-// communicator with replicated data: every rank passes the FULL design and
-// response (unlike LassoDistributed's row blocks), cells are sharded
-// round-robin over ranks, and rank 0 checkpoints at the configured cadence.
-// The result is bit-identical to the serial Lasso fit with the same config
-// on every rank, at any rank count, and across crash/resume — cfg.Checkpoint
-// must be set.
-func LassoCheckpointedDistributed(comm *mpi.Comm, x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
-	c := cfg.defaults()
-	if c.Checkpoint == nil {
-		return nil, errors.New("uoi: LassoCheckpointedDistributed requires cfg.Checkpoint")
-	}
-	return fitLasso(x, y, &c, &journal{comm: comm, cfg: c.Checkpoint})
-}
-
-// VARCheckpointedDistributed is LassoCheckpointedDistributed for UoI_VAR:
-// replicated series, bootstrap-sharded cells, rank-0 checkpoint writes,
-// bit-identical to the serial VAR fit. cfg.Checkpoint must be set.
-func VARCheckpointedDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
-	c := cfg.defaults()
-	if c.Checkpoint == nil {
-		return nil, errors.New("uoi: VARCheckpointedDistributed requires cfg.Checkpoint")
-	}
-	return fitVAR(series, &c, &journal{comm: comm, cfg: c.Checkpoint})
 }

@@ -267,7 +267,7 @@ func TestCheckpointedLassoDistributedMatchesSerial(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "fit.uoickpt")
 			betas := make([][]float64, ranks)
 			err := mpi.Run(ranks, func(c *mpi.Comm) error {
-				res, err := LassoCheckpointedDistributed(c, x, y, ckptLassoConfig(path))
+				res, err := Lasso(x, y, lassoOn(ckptLassoConfig(path), Placement{Comm: c}))
 				if err != nil {
 					return err
 				}
@@ -305,7 +305,7 @@ func TestCheckpointedVARMatchesSerialAndResumes(t *testing.T) {
 	cfg2 := *base
 	cfg2.Checkpoint = &CheckpointConfig{Path: path, Resume: true}
 	err = mpi.Run(2, func(c *mpi.Comm) error {
-		res, err := VARCheckpointedDistributed(c, series, &cfg2)
+		res, err := VAR(series, varOn(&cfg2, Placement{Comm: c}))
 		if err != nil {
 			return err
 		}

@@ -89,7 +89,7 @@ func TestCkptChaosCrashResumeFewerRanksLasso(t *testing.T) {
 				func(c *mpi.Comm, ck *CheckpointConfig) ([]float64, error) {
 					cfg := *base
 					cfg.Checkpoint = ck
-					res, err := LassoCheckpointedDistributed(c, x, y, &cfg)
+					res, err := Lasso(x, y, lassoOn(&cfg, Placement{Comm: c}))
 					if err != nil {
 						return nil, err
 					}
@@ -117,7 +117,7 @@ func TestCkptChaosCrashResumeFewerRanksVAR(t *testing.T) {
 				func(c *mpi.Comm, ck *CheckpointConfig) ([]float64, error) {
 					cfg := *base
 					cfg.Checkpoint = ck
-					res, err := VARCheckpointedDistributed(c, series, &cfg)
+					res, err := VAR(series, varOn(&cfg, Placement{Comm: c}))
 					if err != nil {
 						return nil, err
 					}
@@ -154,7 +154,7 @@ func TestCkptChaosSweepAllBoundaries(t *testing.T) {
 				return mpi.RunWithOptions(2, mpi.RunOptions{Fault: plan}, func(c *mpi.Comm) error {
 					cfg := *base
 					cfg.Checkpoint = &CheckpointConfig{Path: path}
-					_, err := LassoCheckpointedDistributed(c, x, y, &cfg)
+					_, err := Lasso(x, y, lassoOn(&cfg, Placement{Comm: c}))
 					return err
 				})
 			}) != nil

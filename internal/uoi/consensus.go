@@ -6,7 +6,6 @@ package uoi
 // meet through their leaders alone and every reassembled value is exact.
 
 import (
-	"errors"
 	"fmt"
 
 	"uoivar/internal/admm"
@@ -19,56 +18,38 @@ import (
 	"uoivar/internal/varsim"
 )
 
-// Grid is the P_B × P_λ × ADMM_cores decomposition of §III for data
-// distributed by rows: the world is split into PB·PLambda groups of
-// size/(PB·PLambda) ranks, each of which runs consensus ADMM over its ranks'
-// row blocks. Group (b, l), of index b·PLambda + l in world-rank order, runs
-// the selection bootstraps k ≡ b (mod PB) over the contiguous λ block
-// admm.RowBlock(q, PLambda, l), and estimation bootstraps are dealt
-// round-robin over all groups. The paper's Figure 3 sweeps 16×2, 8×4, 4×8
-// and 2×16 at fixed total cores; its multi-node scaling runs use 1×1 (all
-// cores in one ADMM group).
-type Grid struct {
-	PB      int // bootstrap-level parallelism (1 = none)
-	PLambda int // λ-level parallelism (1 = none)
-}
-
-func (g Grid) normalize() Grid {
-	g.PB, g.PLambda = max(g.PB, 1), max(g.PLambda, 1)
-	return g
-}
-
-// Groups returns PB·PLambda.
-func (g Grid) Groups() int { return g.PB * g.PLambda }
-
 // consensus is the placement for data distributed by rows, at one rank's
-// position in the grid of ADMM groups.
+// position in the grid of ADMM groups: the P_B × P_λ × ADMM_cores
+// decomposition of §III. The world splits into PB·PL groups of
+// size/(PB·PL) ranks, each running consensus ADMM over its ranks' row
+// blocks. Group (b, l) runs the selection bootstraps k ≡ b (mod PB) over the
+// contiguous λ block admm.RowBlock(q, PL, l), and estimation bootstraps are
+// dealt round-robin over all groups. The paper's multi-node scaling runs
+// use 1×1 (all cores in one ADMM group).
 type consensus struct {
-	world *mpi.Comm
-	grid  Grid
-	group *mpi.Comm // this rank's ADMM group: the communicator of its cells' solves
-	row   *mpi.Comm // under quorum: the ranks of this group's bootstrap row
-	gIx   int       // this group's index, b·PLambda + l
-	b, l  int       // this group's grid row (bootstrap shard) and column (λ block)
+	world  *mpi.Comm
+	shape  GridShape
+	groups int       // PB·PL
+	group  *mpi.Comm // this rank's ADMM group: the communicator of its cells' solves
+	row    *mpi.Comm // under quorum: the ranks of this group's bootstrap row
+	gIx    int       // this group's index, b·PL + l
+	b, l   int       // this group's grid row (bootstrap shard) and column (λ block)
 
 	q, p, jLo, jHi int
 	counts         []float64 // per-(λ, coefficient) tally of this group's selection cells
 }
 
-// newConsensus validates grid against the world and splits off this rank's
-// ADMM group.
-func newConsensus(comm *mpi.Comm, grid Grid) (*consensus, error) {
-	grid = grid.normalize()
-	size, groups := comm.Size(), grid.Groups()
-	if size%groups != 0 {
-		return nil, fmt.Errorf("uoi: world size %d not divisible by grid %dx%d", size, grid.PB, grid.PLambda)
-	}
-	g := comm.Rank() / (size / groups)
-	pl := &consensus{world: comm, grid: grid, group: comm, gIx: g, b: g / grid.PLambda, l: g % grid.PLambda}
+// newConsensus places this rank in its ADMM group of shape, whose group
+// count check has found to divide the world size.
+func newConsensus(comm *mpi.Comm, shape GridShape) *consensus {
+	shape = shape.normalize()
+	groups := shape.Ranks()
+	g := comm.Rank() / (comm.Size() / groups)
+	pl := &consensus{world: comm, shape: shape, groups: groups, group: comm, gIx: g, b: g / shape.PL, l: g % shape.PL}
 	if groups > 1 {
 		pl.group = comm.Split(g, comm.Rank())
 	}
-	return pl, nil
+	return pl
 }
 
 func (pl *consensus) streams() int { return pl.world.Size() }
@@ -78,13 +59,13 @@ func (pl *consensus) begin(pb *problem) error {
 		// A selection cell runs on every rank of its bootstrap row, an
 		// estimation cell on one group: those ranks agree on dropping it.
 		pl.row = pl.world
-		if pl.grid.PB > 1 {
+		if pl.shape.PB > 1 {
 			pl.row = pl.world.Split(pl.b, pl.world.Rank())
 		}
 		pb.agree = pl.agree
 	}
 	pl.q, pl.p = len(pb.lambdas), pb.p
-	pl.jLo, pl.jHi = admm.RowBlock(pl.q, pl.grid.PLambda, pl.l)
+	pl.jLo, pl.jHi = admm.RowBlock(pl.q, pl.shape.PL, pl.l)
 	pl.counts = make([]float64, pl.q*pl.p)
 	return nil
 }
@@ -122,7 +103,7 @@ func (pb *problem) ready(phase string, k int, err error) error {
 // its ranks, so only the group leaders contribute and the sum is exact; with
 // one group v is already whole.
 func (pl *consensus) leaderSum(v []float64) {
-	if pl.grid.Groups() == 1 {
+	if pl.groups == 1 {
 		return
 	}
 	if pl.group.Rank() != 0 {
@@ -136,7 +117,7 @@ func (pl *consensus) leaderSum(v []float64) {
 // under quorum a world Max agrees on the completed set.
 func (pl *consensus) selection(ph phase) (int, error) {
 	done := make([]float64, ph.total)
-	for k := pl.b; k < ph.total; k += pl.grid.PB {
+	for k := pl.b; k < ph.total; k += pl.shape.PB {
 		switch sup, err := ph.sel(k, pl.jLo, pl.jHi, nil, nil); {
 		case err == nil:
 			done[k] = 1
@@ -148,7 +129,7 @@ func (pl *consensus) selection(ph phase) (int, error) {
 	if !ph.quorum {
 		return ph.total, nil
 	}
-	if pl.grid.Groups() > 1 {
+	if pl.groups > 1 {
 		pl.world.Allreduce(mpi.OpMax, done)
 	}
 	return countSet(done), nil
@@ -164,7 +145,7 @@ func (pl *consensus) supports(threshold int) ([][]int, error) {
 // quorum the completion flags with a world Max).
 func (pl *consensus) estimation(ph phase) ([][]float64, error) {
 	winners := make([][]float64, ph.total)
-	for k := pl.gIx; k < ph.total; k += pl.grid.Groups() {
+	for k := pl.gIx; k < ph.total; k += pl.groups {
 		switch beta, err := ph.est(k); {
 		case err == nil:
 			winners[k] = beta
@@ -172,7 +153,7 @@ func (pl *consensus) estimation(ph phase) ([][]float64, error) {
 			return nil, err
 		}
 	}
-	if pl.grid.Groups() == 1 {
+	if pl.groups == 1 {
 		return winners, nil
 	}
 	flat := make([]float64, ph.total*pl.p)
@@ -221,43 +202,6 @@ func consensusWinner(group *mpi.Comm, p int, distinct [][]int, solve func(mask [
 		best.offer(group.AllreduceScalar(mpi.OpSum, loss(s, r.Beta)), r.Beta)
 	}
 	return best.estimate(p), fits, iters
-}
-
-// LassoDistributed runs UoI_LASSO across the ranks of comm. Each rank holds
-// a row block (xLocal, yLocal) of the global data — typically produced by
-// distio.RandomizedDistribute, whose Tier-2 randomization is what makes
-// per-rank local resampling a faithful bootstrap of the global data. Every
-// (bootstrap, λ) solve is a consensus ADMM run over one ADMM group of grid;
-// see Grid for how the cells are sharded. Checkpointing is not supported
-// (the iterates depend on the rank count; DESIGN.md §11).
-//
-// Every rank returns the identical Result.
-func LassoDistributed(comm *mpi.Comm, xLocal *mat.Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
-	return LassoDistributedPhases(comm, xLocal, yLocal, xLocal, yLocal, cfg, grid)
-}
-
-// LassoDistributedPhases is LassoDistributed with distinct local blocks for
-// the selection and estimation phases — the paper's Fig. 1c pipeline, where
-// row ownership is re-randomized between model selection and model
-// estimation so the two phases resample independent randomizations:
-//
-//	selBlock, _ := distio.RandomizedDistribute(comm, path, seed)
-//	estBlock, _ := distio.RandomizedDistribute(comm, path, seed+1)
-//	res, _ := uoi.LassoDistributedPhases(comm, xSel, ySel, xEst, yEst, cfg, grid)
-func LassoDistributedPhases(comm *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, cfg *LassoConfig, grid Grid) (*Result, error) {
-	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return nil, errors.New("uoi: LassoDistributed does not support checkpointing")
-	}
-	pl, err := newConsensus(comm, grid)
-	if err != nil {
-		return nil, err
-	}
-	pb, scaler, err := newLassoConsensusProblem(pl, xSel, ySel, xEst, yEst, &c)
-	if err != nil {
-		return nil, err
-	}
-	return runLasso(pb, scaler, pl, c.SupportTol)
 }
 
 // newLassoConsensusProblem binds UoI_LASSO to row blocks distributed over
@@ -314,69 +258,17 @@ func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xE
 	return pb, scaler, nil
 }
 
-// VARDistOptions extends VARConfig for distributed runs.
-type VARDistOptions struct {
-	// NReaders is the number of reader ranks holding the series and design
-	// blocks ("a small number of processes ... read the data file in
-	// parallel and create windows", §III-B2). With a process grid, each
-	// ADMM group has its own NReaders reader ranks (the leading ranks of
-	// the group), all of which must hold the series. 0 selects
-	// min(groupSize, 8).
-	NReaders int
-	// CommAvoiding selects the de-duplicated assembly (the Discussion's
-	// proposed communication-avoiding strategy) instead of the paper's
-	// measured per-row Gets.
-	CommAvoiding bool
-	// Grid enables the P_B × P_λ process-grid parallelism of Fig. 8:
-	// bootstraps shard across P_B group rows and contiguous λ blocks across
-	// P_λ group columns (see Grid).
-	Grid Grid
-}
-
-// VARDistributed runs UoI_VAR across the ranks of comm, exercising the full
-// paper pipeline: per-bootstrap distributed Kronecker/vectorization
-// assembly from reader windows, consensus LASSO-ADMM over the vectorized
-// problem, support intersection, and projected-OLS estimation.
-//
-// series must be provided on reader ranks (the leading NReaders ranks of
-// every ADMM group) and may be nil elsewhere; every rank derives identical
-// bootstrap indices from cfg.Seed, so no coordination traffic is needed
-// beyond the assembly Gets and solver Allreduces. Every rank returns the
-// identical result. Checkpointing, the cell cache and WarmBeta are not
-// supported.
-func VARDistributed(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, dopts *VARDistOptions) (*VARResult, error) {
-	c := cfg.defaults()
-	switch {
-	case c.Checkpoint != nil:
-		return nil, errors.New("uoi: VARDistributed does not support checkpointing")
-	case c.Cells != nil:
-		return nil, errors.New("uoi: VARDistributed does not support the cell cache")
-	case c.WarmBeta != nil:
-		return nil, errors.New("uoi: VARDistributed does not support WarmBeta")
-	}
-	var opts VARDistOptions
-	if dopts != nil {
-		opts = *dopts
-	}
-	pl, err := newConsensus(comm, opts.Grid)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := newVARConsensusProblem(pl, series, &c, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runVAR(pb, pl, &c)
-}
-
 // newVARConsensusProblem binds UoI_VAR to a series held by the leading
-// NReaders ranks of every group of pl. Each bootstrap's vectorized design is
+// at.NReaders ranks of every group of pl, each passing the series and the
+// rest nil: every rank derives identical bootstrap indices from c.Seed, so
+// no coordination traffic is needed beyond the assembly Gets and the
+// solver Allreduces. Each bootstrap's vectorized design is
 // assembled across its group from the readers' rows, and its cells run
 // consensus ADMM on it. When the λ grid is derived, bootstrap 0's design is
 // assembled here, for λ_max, and handed to selection cell 0.
-func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, opts VARDistOptions) (*problem, error) {
+func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *Placement) (*problem, error) {
 	world, group := pl.world, pl.group
-	nReaders := opts.NReaders
+	nReaders := at.NReaders
 	if nReaders <= 0 {
 		nReaders = min(group.Size(), 8)
 	}
@@ -404,7 +296,7 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, opts
 	}
 	pb, kw := varBase(c, int(shape[1]), pl.streams())
 	assemble := kron.Assemble
-	if opts.CommAvoiding {
+	if at.CommAvoiding {
 		assemble = kron.AssembleCommAvoiding
 	}
 	// design assembles, under the kron_assembly span sp, the vectorized

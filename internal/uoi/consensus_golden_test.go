@@ -72,22 +72,22 @@ func consensusCases() []consensusCase {
 	for _, lc := range lassoTableCases() {
 		lasso[lc.name] = lc
 	}
-	lassoRow := func(problem string, ranks int, grid Grid) {
+	lassoRow := func(problem string, ranks int, grid GridShape) {
 		lc := lasso[problem]
 		xs, ys := rowShards(7, lc.x, lc.y, ranks)
 		cases = append(cases, consensusCase{
-			name: fmt.Sprintf("%s/r%d-%dx%d", problem, ranks, grid.PB, grid.PLambda), ranks: ranks,
+			name: fmt.Sprintf("%s/r%d-%dx%d", problem, ranks, grid.PB, grid.PL), ranks: ranks,
 			fit: func(c *mpi.Comm) (placedFit, error) {
-				return lassoFit(LassoDistributed(c, xs[c.Rank()], ys[c.Rank()], &lc.cfg, grid))
+				return lassoFit(Lasso(xs[c.Rank()], ys[c.Rank()], lassoOn(&lc.cfg, Placement{Comm: c, Shape: grid, Partitioned: true})))
 			}})
 	}
-	lassoRow("lasso", 1, Grid{1, 1})
-	lassoRow("lasso", 2, Grid{1, 1})
-	lassoRow("lasso", 4, Grid{2, 1})
-	lassoRow("lasso-std", 2, Grid{1, 1})
-	lassoRow("lasso-quorum", 4, Grid{2, 1})
-	lassoRow("lasso", 3, Grid{1, 1}) // group size 3
-	lassoRow("lasso", 4, Grid{1, 2}) // two λ groups
+	lassoRow("lasso", 1, GridShape{1, 1})
+	lassoRow("lasso", 2, GridShape{1, 1})
+	lassoRow("lasso", 4, GridShape{2, 1})
+	lassoRow("lasso-std", 2, GridShape{1, 1})
+	lassoRow("lasso-quorum", 4, GridShape{2, 1})
+	lassoRow("lasso", 3, GridShape{1, 1}) // group size 3
+	lassoRow("lasso", 4, GridShape{1, 2}) // two λ groups
 	{
 		lc := lasso["lasso"]
 		xs, ys := rowShards(7, lc.x, lc.y, 2)
@@ -95,32 +95,34 @@ func consensusCases() []consensusCase {
 		cases = append(cases, consensusCase{name: "lasso-phases/r2-1x1", ranks: 2,
 			fit: func(c *mpi.Comm) (placedFit, error) {
 				r := c.Rank()
-				return lassoFit(LassoDistributedPhases(c, xs[r], ys[r], xe[r], ye[r], &lc.cfg, Grid{}))
+				return lassoFit(Lasso(xs[r], ys[r], lassoOn(&lc.cfg, Placement{Comm: c, Partitioned: true, EstX: xe[r], EstY: ye[r]})))
 			}})
 	}
 
 	_, series := makeVARData(57, 4, 1, 300)
 	v := VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5}
-	varRow := func(problem string, ranks, readers int, opts VARDistOptions) {
-		opts.NReaders = readers
-		groupSize := ranks / opts.Grid.normalize().Groups()
+	varRow := func(problem string, ranks, readers int, at Placement) {
+		at.NReaders, at.Partitioned = readers, true
+		groupSize := ranks / at.Shape.normalize().Ranks()
 		cases = append(cases, consensusCase{
-			name:  fmt.Sprintf("%s/r%d-%dx%d-readers%d", problem, ranks, opts.Grid.normalize().PB, opts.Grid.normalize().PLambda, readers),
+			name:  fmt.Sprintf("%s/r%d-%dx%d-readers%d", problem, ranks, at.Shape.normalize().PB, at.Shape.normalize().PL, readers),
 			ranks: ranks,
 			fit: func(c *mpi.Comm) (placedFit, error) {
 				var s *mat.Dense
 				if c.Rank()%groupSize < readers {
 					s = series
 				}
-				return varFit(VARDistributed(c, s, &v, &opts))
+				mine := at
+				mine.Comm = c
+				return varFit(VAR(s, varOn(&v, mine)))
 			}})
 	}
-	varRow("var", 2, 1, VARDistOptions{})
-	varRow("var", 4, 2, VARDistOptions{})
-	varRow("var-ca", 2, 1, VARDistOptions{CommAvoiding: true})
-	varRow("var", 4, 1, VARDistOptions{Grid: Grid{2, 1}})
-	varRow("var", 6, 1, VARDistOptions{Grid: Grid{2, 1}}) // group size 3
-	varRow("var", 4, 1, VARDistOptions{Grid: Grid{1, 2}}) // two λ groups
+	varRow("var", 2, 1, Placement{})
+	varRow("var", 4, 2, Placement{})
+	varRow("var-ca", 2, 1, Placement{CommAvoiding: true})
+	varRow("var", 4, 1, Placement{Shape: GridShape{2, 1}})
+	varRow("var", 6, 1, Placement{Shape: GridShape{2, 1}}) // group size 3
+	varRow("var", 4, 1, Placement{Shape: GridShape{1, 2}}) // two λ groups
 	return cases
 }
 
@@ -129,7 +131,7 @@ func TestConsensusGoldenIdentical(t *testing.T) {
 	var printed []string
 	for _, cc := range consensusCases() {
 		cc := cc
-		pb := tableProblem{name: cc.name, fit: func(e execution) (placedFit, error) { return cc.fit(e.comm) }}
+		pb := tableProblem{name: cc.name, fit: func(e execution) (placedFit, error) { return cc.fit(e.at.Comm) }}
 		run, err := runRanks(cc.ranks, mpi.RunOptions{}, pb, execution{})
 		if err != nil {
 			t.Errorf("%s: %v", cc.name, err)

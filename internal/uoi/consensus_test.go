@@ -54,13 +54,10 @@ func TestConsensusReassemblyExact(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		ranks int
-		grid  Grid
-	}{{3, Grid{1, 1}}, {6, Grid{2, 1}}} {
+		grid  GridShape
+	}{{3, GridShape{1, 1}}, {6, GridShape{2, 1}}} {
 		err := mpi.Run(tc.ranks, func(c *mpi.Comm) error {
-			pl, err := newConsensus(c, tc.grid)
-			if err != nil {
-				return err
-			}
+			pl := newConsensus(c, tc.grid)
 			pb := &problem{b1: b1, b2: b2, p: p, lambdas: make([]float64, q), selFrac: 1}
 			pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, _ trace.Span) ([]bool, error) {
 				sup := make([]bool, (jHi-jLo)*p)
@@ -76,7 +73,7 @@ func TestConsensusReassemblyExact(t *testing.T) {
 			if _, err := run(pb, log); err != nil {
 				return err
 			}
-			where := fmt.Sprintf("%d ranks %dx%d rank %d", tc.ranks, tc.grid.PB, tc.grid.PLambda, c.Rank())
+			where := fmt.Sprintf("%d ranks %dx%d rank %d", tc.ranks, tc.grid.PB, tc.grid.PL, c.Rank())
 			assertBitsEqual(t, where+" counts", pl.counts, wantCounts)
 			for k, w := range log.winners {
 				assertBitsEqual(t, fmt.Sprintf("%s winner %d", where, k), w, wantWinners[k])
@@ -104,23 +101,23 @@ func TestConsensusRejectsUnsupportedConfig(t *testing.T) {
 		fit  func(c *mpi.Comm) error
 	}{
 		{"LassoDistributed checkpoint", func(c *mpi.Comm) error {
-			_, err := LassoDistributed(c, x, y, &lasso, Grid{})
+			_, err := Lasso(x, y, lassoOn(&lasso, Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 		{"LassoDistributedPhases checkpoint", func(c *mpi.Comm) error {
-			_, err := LassoDistributedPhases(c, x, y, x, y, &lasso, Grid{})
+			_, err := Lasso(x, y, lassoOn(&lasso, Placement{Comm: c, Partitioned: true, EstX: x, EstY: y}))
 			return err
 		}},
 		{"VARDistributed checkpoint", func(c *mpi.Comm) error {
-			_, err := VARDistributed(c, series, withV(func(v *VARConfig) { v.Checkpoint = ck }), nil)
+			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Checkpoint = ck }), Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 		{"VARDistributed cell cache", func(c *mpi.Comm) error {
-			_, err := VARDistributed(c, series, withV(func(v *VARConfig) { v.Cells = NewMapCellCache() }), nil)
+			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Cells = NewMapCellCache() }), Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 		{"VARDistributed WarmBeta", func(c *mpi.Comm) error {
-			_, err := VARDistributed(c, series, withV(func(v *VARConfig) { v.WarmBeta = make([]float64, 4*3) }), nil)
+			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.WarmBeta = make([]float64, 4*3) }), Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 	}

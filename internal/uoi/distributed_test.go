@@ -35,13 +35,13 @@ func TestLassoDistributedRecoversModel(t *testing.T) {
 	for i := range rows {
 		rows[i] = x.Row(i)
 	}
-	for _, grid := range []Grid{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
+	for _, grid := range []GridShape{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
 		const ranks = 4
 		xs, ys := shuffledBlocks(7, rows, y, x.Cols, ranks)
 		results := make([]*Result, ranks)
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
 			xl := denseFromRows(xs[c.Rank()], x.Cols)
-			res, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3}, grid)
+			res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 3}, Placement{Comm: c, Shape: grid, Partitioned: true}))
 			if err != nil {
 				return err
 			}
@@ -73,7 +73,7 @@ func TestLassoDistributedRecoversModel(t *testing.T) {
 func TestLassoDistributedGridValidation(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		xl := denseFromRows(make([]float64, 5*4), 4)
-		_, err := LassoDistributed(c, xl, make([]float64, 5), &LassoConfig{B1: 2, B2: 2, Q: 3}, Grid{2, 1})
+		_, err := Lasso(xl, make([]float64, 5), lassoOn(&LassoConfig{B1: 2, B2: 2, Q: 3}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
 		if err == nil {
 			return fmt.Errorf("indivisible grid must fail")
 		}
@@ -95,7 +95,7 @@ func TestLassoDistributedDeterministic(t *testing.T) {
 		var out []float64
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			xl := denseFromRows(xs[c.Rank()], x.Cols)
-			res, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 9}, Grid{})
+			res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 9}, Placement{Comm: c, Partitioned: true}))
 			if err != nil {
 				return err
 			}
@@ -133,7 +133,7 @@ func TestLassoDistributedMatchesSerialQuality(t *testing.T) {
 	var dist []float64
 	err = mpi.Run(4, func(c *mpi.Comm) error {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
-		res, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 5}, Grid{})
+		res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 5}, Placement{Comm: c, Partitioned: true}))
 		if err != nil {
 			return err
 		}
@@ -165,7 +165,7 @@ func TestLassoDistributedCommunicationDominatedByAllreduce(t *testing.T) {
 	xs, ys := shuffledBlocks(3, rows, y, x.Cols, 2)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
-		if _, err := LassoDistributed(c, xl, ys[c.Rank()], &LassoConfig{B1: 3, B2: 2, Q: 4, Seed: 2}, Grid{}); err != nil {
+		if _, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 3, B2: 2, Q: 4, Seed: 2}, Placement{Comm: c, Partitioned: true})); err != nil {
 			return err
 		}
 		c.Barrier()

@@ -35,9 +35,8 @@ import (
 // Every result a placement moves between cells is an exact integer count or
 // an untouched copy of a cell's output, and every replicated-data cell is a
 // pure function of (data, seed, index), so those fits' bits do not depend on
-// the placement (DESIGN.md §17). Lasso, VAR, Lasso/VARCheckpointedDistributed,
-// Lasso/VARGrid, LassoDistributed[Phases] and VARDistributed are run at a
-// choice of (problem, placement).
+// the placement (DESIGN.md §17). Lasso and VAR are run at the (problem,
+// placement) their config's Placement value names (placement.go).
 
 // problem is a UoI fit with its data bound: everything run and a placement
 // need to know about the algorithm being fitted.

@@ -35,13 +35,13 @@ func lassoAt(t *testing.T, place string, x *mat.Dense, y []float64, base LassoCo
 		return []error{err}, []*trace.Tracer{cfg.Trace}
 	}
 	ranks := 2
-	var opt GridOptions
-	if shape, ok := strings.CutPrefix(place, "grid-"); ok {
+	var shape GridShape
+	if spec, ok := strings.CutPrefix(place, "grid-"); ok {
 		var err error
-		if opt.Shape, err = ParseGridShape(shape); err != nil {
+		if shape, err = ParseGridShape(spec); err != nil {
 			t.Fatal(err)
 		}
-		ranks = opt.Shape.Ranks()
+		ranks = shape.Ranks()
 	}
 	errs := make([]error, ranks)
 	tracers := make([]*trace.Tracer, ranks)
@@ -53,10 +53,8 @@ func lassoAt(t *testing.T, place string, x *mat.Dense, y []float64, base LassoCo
 		tracers[c.Rank()] = cfg.Trace
 		if place == "journal-r2" {
 			cfg.Checkpoint = ck
-			_, errs[c.Rank()] = LassoCheckpointedDistributed(c, x, y, &cfg)
-		} else {
-			_, errs[c.Rank()] = LassoGrid(c, x, y, &cfg, opt)
 		}
+		_, errs[c.Rank()] = Lasso(x, y, lassoOn(&cfg, Placement{Comm: c, Shape: shape}))
 		return nil
 	}); err != nil {
 		t.Fatalf("%s: %v", place, err)
@@ -216,7 +214,7 @@ func TestCheckpointedVARHonoursCellCache(t *testing.T) {
 	err = mpi.Run(len(ranked), func(c *mpi.Comm) (err error) {
 		cfg := base
 		cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "var.uoickpt")}
-		ranked[c.Rank()], err = VARCheckpointedDistributed(c, series, &cfg)
+		ranked[c.Rank()], err = VAR(series, varOn(&cfg, Placement{Comm: c}))
 		return err
 	})
 	if err != nil {
@@ -241,7 +239,7 @@ func TestGridDroppedEstimationOddWidth(t *testing.T) {
 	for _, flat := range []bool{false, true} {
 		var got *Result
 		err := mpi.Run(2, func(c *mpi.Comm) error {
-			res, err := LassoGrid(c, x, y, &cfg, GridOptions{Shape: GridShape{PB: 2, PL: 1}, FlatCollectives: flat})
+			res, err := Lasso(x, y, lassoOn(&cfg, Placement{Comm: c, Shape: GridShape{PB: 2, PL: 1}, FlatCollectives: flat}))
 			if c.Rank() == 0 {
 				got = res
 			}

@@ -173,8 +173,7 @@ func TestDistributedSoftIntersectionMatchesSerialSemantics(t *testing.T) {
 		results := make([]*Result, 4)
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			xl := denseFromRows(xs[c.Rank()], x.Cols)
-			res, err := LassoDistributed(c, xl, ys[c.Rank()],
-				&LassoConfig{B1: 6, B2: 3, Q: 6, Seed: 6, SelectionFrac: frac, MedianUnion: frac < 1}, Grid{})
+			res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 6, B2: 3, Q: 6, Seed: 6, SelectionFrac: frac, MedianUnion: frac < 1}, Placement{Comm: c, Partitioned: true}))
 			if err != nil {
 				return err
 			}
@@ -316,8 +315,7 @@ func TestLassoDistributedStandardizeAndL2(t *testing.T) {
 	var res *Result
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
-		r, err := LassoDistributed(c, xl, ys[c.Rank()],
-			&LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 8, Standardize: true, L2: 5}, Grid{})
+		r, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 8, Standardize: true, L2: 5}, Placement{Comm: c, Partitioned: true}))
 		if err != nil {
 			return err
 		}

@@ -21,13 +21,14 @@ import (
 	"fmt"
 
 	"uoivar/internal/admm"
-	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 )
 
-// GridShape is a P_B × P_λ process-grid layout: PB bootstrap rows times PL
-// λ columns, requiring exactly PB·PL ranks. Rank r sits at grid position
-// (row r/PL, column r%PL).
+// GridShape is a P_B × P_λ layout: PB bootstrap groups (grid rows) times PL
+// λ groups (grid columns), each of size/(PB·PL) ranks; group g, in
+// world-rank order, sits at grid position (row g/PL, column g%PL). Over
+// replicated data a group is one rank, so the shape needs exactly PB·PL
+// ranks.
 type GridShape struct {
 	// PB is the number of bootstrap groups (grid rows); selection bootstrap
 	// k is processed by row k mod PB.
@@ -56,17 +57,11 @@ func (g GridShape) Ranks() int { return g.PB * g.PL }
 // String renders the shape as "RxC".
 func (g GridShape) String() string { return fmt.Sprintf("%dx%d", g.PB, g.PL) }
 
-// GridOptions configures a grid fit.
-type GridOptions struct {
-	// Shape is the process-grid layout; Shape.Ranks() must equal the
-	// communicator size.
-	Shape GridShape
-	// FlatCollectives replaces the tree/ring reassembly with the flat
-	// barrier collectives (full-width Allreduce/Allgather) — the
-	// measurement baseline the bench artifact compares the
-	// communication-avoiding path against. Results are bit-identical in
-	// both modes; only bytes-on-wire and wait time differ.
-	FlatCollectives bool
+// normalize lifts unset (or negative) factors to 1: a partitioned fit's
+// unset shape is one ADMM group of every rank.
+func (g GridShape) normalize() GridShape {
+	g.PB, g.PL = max(g.PB, 1), max(g.PL, 1)
+	return g
 }
 
 // grid is the P_B × P_λ placement at one rank's position: the derived
@@ -89,29 +84,21 @@ type grid struct {
 	k, chains, chainLen int
 }
 
-// newGrid validates the shape against the communicator and derives the
-// row/column sub-communicators. Within a row the sub-comm rank equals the
-// grid column (Split orders by key = parent rank), and within a column it
-// equals the grid row, so column roots (col.Rank() == 0) are exactly the
-// grid's row 0.
-func newGrid(comm *mpi.Comm, opt GridOptions) (*grid, error) {
-	shape := opt.Shape
-	if shape.PB < 1 || shape.PL < 1 {
-		return nil, fmt.Errorf("uoi: invalid grid shape %s", shape)
-	}
-	if comm.Size() != shape.Ranks() {
-		return nil, fmt.Errorf("uoi: grid %s needs %d ranks, have %d", shape, shape.Ranks(), comm.Size())
-	}
+// newGrid derives the row/column sub-communicators of a validated shape.
+// Within a row the sub-comm rank equals the grid column (Split orders by
+// key = parent rank), and within a column it equals the grid row, so column
+// roots (col.Rank() == 0) are exactly the grid's row 0.
+func newGrid(comm *mpi.Comm, shape GridShape, flat bool) *grid {
 	g := &grid{
 		world: comm.WithLabel("world"),
 		rowIx: comm.Rank() / shape.PL,
 		colIx: comm.Rank() % shape.PL,
 		shape: shape,
-		flat:  opt.FlatCollectives,
+		flat:  flat,
 	}
 	g.row = comm.Split(g.rowIx, comm.Rank()).WithLabel("row")
 	g.col = comm.Split(g.colIx, comm.Rank()).WithLabel("col")
-	return g, nil
+	return g
 }
 
 // encodeSupports packs per-λ supports as [count, idx…]… — the
@@ -184,7 +171,9 @@ func (g *grid) streams() int { return g.world.Size() }
 
 func (g *grid) begin(pb *problem) error {
 	if pb.reversed && g.shape.PL > 1 {
-		return fmt.Errorf("uoi: VARGrid does not support WarmBeta with PL > 1 (grid %s)", g.shape)
+		// The seeded sweep runs smallest-λ first, so the chain would have
+		// to be handed leftwards across the grid's columns.
+		return fmt.Errorf("%w: a WarmBeta seed on grid %s, whose PL > 1 splits the λ path", ErrPlacement, g.shape)
 	}
 	g.q, g.p = len(pb.lambdas), pb.p
 	g.chains, g.chainLen = pb.chains, pb.chainLen
@@ -391,48 +380,4 @@ func (g *grid) totals(d *Diagnostics) {
 	work := []float64{float64(d.LassoFits), float64(d.OLSFits), float64(d.ADMMIters)}
 	g.world.Allreduce(mpi.OpSum, work)
 	d.LassoFits, d.OLSFits, d.ADMMIters = int(work[0]), int(work[1]), int(work[2])
-}
-
-// LassoGrid runs UoI_LASSO over a PB × PL process grid with
-// communication-avoiding collectives. Every rank passes the identical
-// (replicated) design and response — the checkpointed engine's data model —
-// and every rank returns the identical Result, bit-for-bit equal to the
-// serial Lasso at any grid shape (see the comment at the top of this file
-// for the argument). Selection cells shard over the full grid (bootstraps
-// over rows, λ blocks over columns, warm starts pipelined across columns);
-// estimation bootstraps shard over all PB·PL ranks. Checkpointed mode is
-// not supported here (use LassoCheckpointedDistributed).
-func LassoGrid(comm *mpi.Comm, x *mat.Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*Result, error) {
-	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return nil, fmt.Errorf("uoi: LassoGrid does not support checkpointing")
-	}
-	g, err := newGrid(comm, opt)
-	if err != nil {
-		return nil, err
-	}
-	return fitLasso(x, y, &c, g)
-}
-
-// VARGrid runs UoI_VAR over a PB × PL process grid with
-// communication-avoiding collectives — the VAR analogue of LassoGrid, with
-// a per-equation (z, u) pipeline handoff across columns (the VAR warm-start
-// chain is per equation). Every rank passes the identical replicated series
-// and returns the identical VARResult, bit-for-bit equal to serial VAR at
-// any grid shape. Checkpointing and the cell cache are not supported, and a
-// WarmBeta seed is rejected when PL > 1 (the seeded sweep reverses the λ
-// order, which would reverse the pipeline).
-func VARGrid(comm *mpi.Comm, series *mat.Dense, cfg *VARConfig, opt GridOptions) (*VARResult, error) {
-	c := cfg.defaults()
-	if c.Checkpoint != nil {
-		return nil, fmt.Errorf("uoi: VARGrid does not support checkpointing")
-	}
-	if c.Cells != nil {
-		return nil, fmt.Errorf("uoi: VARGrid does not support the cell cache")
-	}
-	g, err := newGrid(comm, opt)
-	if err != nil {
-		return nil, err
-	}
-	return fitVAR(series, &c, g)
 }

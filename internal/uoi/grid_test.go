@@ -23,7 +23,7 @@ func runGridLasso(t *testing.T, shape GridShape, flat bool, cfg *LassoConfig) *R
 	var mu sync.Mutex
 	perRank := make([]*Result, shape.Ranks())
 	err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-		res, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: shape, FlatCollectives: flat})
+		res, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat}))
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func TestLassoGridStandardized(t *testing.T) {
 	var mu sync.Mutex
 	var got *Result
 	err = mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-		res, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: shape})
+		res, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape}))
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func TestVARGridMatchesSerialAllShapes(t *testing.T) {
 			var mu sync.Mutex
 			perRank := make([]*VARResult, shape.Ranks())
 			err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-				res, err := VARGrid(c, series, cfg, GridOptions{Shape: shape, FlatCollectives: flat})
+				res, err := VAR(series, varOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat}))
 				if err != nil {
 					return err
 				}
@@ -183,7 +183,7 @@ func TestLassoGridTreeBytesBelowFlat(t *testing.T) {
 		var mu sync.Mutex
 		var bytes int64
 		err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-			if _, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: shape, FlatCollectives: flat}); err != nil {
+			if _, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat})); err != nil {
 				return err
 			}
 			c.Barrier()
@@ -225,7 +225,7 @@ func TestGridShapeValidation(t *testing.T) {
 		t.Fatalf("ParseGridShape round trip wrong: %+v", g)
 	}
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		_, err := LassoGrid(c, nil, nil, &LassoConfig{}, GridOptions{Shape: GridShape{2, 2}})
+		_, err := Lasso(nil, nil, lassoOn(&LassoConfig{}, Placement{Comm: c, Shape: GridShape{2, 2}}))
 		if err == nil {
 			return errors.New("mismatched shape accepted")
 		}
@@ -251,7 +251,7 @@ func TestGridRankKillTypedError(t *testing.T) {
 					CollectiveTimeout: 10 * time.Second,
 					Fault:             plan,
 				}, func(c *mpi.Comm) error {
-					_, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: shape})
+					_, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape}))
 					return err
 				})
 			}()
@@ -278,11 +278,11 @@ func TestVARGridRejectsUnsupportedConfig(t *testing.T) {
 		// WarmBeta of the correct length reverses the sweep: rejected at PL>1.
 		full := make([]float64, (4*1+1)*4)
 		cfg := &VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, WarmBeta: full}
-		if _, err := VARGrid(c, series, cfg, GridOptions{Shape: GridShape{1, 2}}); err == nil {
+		if _, err := VAR(series, varOn(cfg, Placement{Comm: c, Shape: GridShape{1, 2}})); err == nil {
 			return errors.New("WarmBeta at PL>1 accepted")
 		}
 		cfg2 := &VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, Cells: NewMapCellCache()}
-		if _, err := VARGrid(c, series, cfg2, GridOptions{Shape: GridShape{2, 1}}); err == nil {
+		if _, err := VAR(series, varOn(cfg2, Placement{Comm: c, Shape: GridShape{2, 1}})); err == nil {
 			return errors.New("cell cache accepted")
 		}
 		return nil

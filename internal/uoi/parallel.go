@@ -8,51 +8,13 @@ import (
 // forEachBootstrap runs fn(k) for k in [0, n) across at most `workers`
 // goroutines (1 = sequential). Bootstraps are embarrassingly parallel — the
 // paper's P_B parallelism — and every k derives its own RNG stream, so the
-// result is identical at any worker count. The first error wins.
+// result is identical at any worker count. No bootstrap starts once one has
+// failed, and the failure of the lowest k wins.
 func forEachBootstrap(workers, n int, fn func(k int) error) error {
-	if workers <= 1 || n <= 1 {
-		for k := 0; k < n; k++ {
-			if err := fn(k); err != nil {
-				return err
-			}
-		}
-		return nil
+	if errs := compactErrs(runBootstraps(workers, n, true, fn)); len(errs) > 0 {
+		return errs[0]
 	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if firstErr != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				k := next
-				next++
-				mu.Unlock()
-				if err := fn(k); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // forEachBootstrapCollect runs fn(k) for every k in [0, n) across at most
@@ -61,33 +23,33 @@ func forEachBootstrap(workers, n int, fn func(k int) error) error {
 // quorum mode needs to know exactly which bootstraps completed, so every k
 // is attempted even after failures.
 func forEachBootstrapCollect(workers, n int, fn func(k int) error) []error {
+	return runBootstraps(workers, n, false, fn)
+}
+
+// runBootstraps is the worker pool of both: workers claim bootstraps in
+// ascending order, the calling goroutine among them, and with stop set none
+// claims another once one has failed.
+func runBootstraps(workers, n int, stop bool, fn func(k int) error) []error {
 	errs := make([]error, n)
-	if workers <= 1 || n <= 1 {
-		for k := 0; k < n; k++ {
-			errs[k] = fn(k)
-		}
-		return errs
-	}
-	if workers > n {
-		workers = n
-	}
 	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Bool
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				errs[k] = fn(k)
+	work := func() {
+		defer wg.Done()
+		for k := int(next.Add(1)) - 1; k < n && !(stop && failed.Load()); k = int(next.Add(1)) - 1 {
+			if errs[k] = fn(k); errs[k] != nil {
+				failed.Store(true)
 			}
-		}()
+		}
 	}
+	workers = max(min(workers, n), 1)
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 	return errs
 }

@@ -169,8 +169,7 @@ func TestDistributedPerfReport(t *testing.T) {
 		tr := trace.New()
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
 		start := time.Now()
-		_, err := LassoDistributed(c, xl, ys[c.Rank()],
-			&LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 13, Trace: tr}, Grid{})
+		_, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 13, Trace: tr}, Placement{Comm: c, Partitioned: true}))
 		walls[c.Rank()] = time.Since(start).Seconds()
 		if err != nil {
 			return err
@@ -235,8 +234,7 @@ func TestDistributedKernelWorkerBudget(t *testing.T) {
 	mat.ResetPeakWorkers()
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		xl := denseFromRows(xs[c.Rank()], x.Cols)
-		_, err := LassoDistributed(c, xl, ys[c.Rank()],
-			&LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 23, KernelWorkers: budget}, Grid{})
+		_, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 23, KernelWorkers: budget}, Placement{Comm: c, Partitioned: true}))
 		return err
 	})
 	if err != nil {
@@ -271,7 +269,7 @@ func TestVARKernelWorkerBudget(t *testing.T) {
 	const ranks = 2
 	mat.ResetPeakWorkers()
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		_, err := VARGrid(c, series, cfg(0), GridOptions{Shape: GridShape{PB: ranks, PL: 1}})
+		_, err := VAR(series, varOn(cfg(0), Placement{Comm: c, Shape: GridShape{PB: ranks, PL: 1}}))
 		return err
 	})
 	if err != nil {
@@ -307,11 +305,11 @@ func TestLassoKernelWorkerBudget(t *testing.T) {
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
 			cfg := cfg(0)
 			if place == "grid" {
-				_, err := LassoGrid(c, x, y, cfg, GridOptions{Shape: GridShape{PB: ranks, PL: 1}})
+				_, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: GridShape{PB: ranks, PL: 1}}))
 				return err
 			}
 			cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "fit.uoickpt")}
-			_, err := LassoCheckpointedDistributed(c, x, y, cfg)
+			_, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c}))
 			return err
 		})
 		if err != nil {
@@ -413,8 +411,7 @@ func TestVARDistributedTraced(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		tracers[c.Rank()] = trace.New()
 		start := time.Now()
-		_, err := VARDistributed(c, series,
-			&VARConfig{Order: 1, B1: 4, B2: 2, Q: 4, Seed: 3, Trace: tracers[c.Rank()]}, nil)
+		_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 4, B2: 2, Q: 4, Seed: 3, Trace: tracers[c.Rank()]}, Placement{Comm: c, Partitioned: true}))
 		walls[c.Rank()] = time.Since(start)
 		return err
 	})

@@ -62,14 +62,13 @@ func varFit(r *VARResult, err error) (placedFit, error) {
 }
 
 // execution is the placement half of one table cell, as the entry points
-// take it: bootstrap workers, kernel budget, tracer and checkpoint go into
-// the config, the communicator and grid options are arguments.
+// take it in the config: bootstrap workers, kernel budget, tracer,
+// checkpoint and the placement value.
 type execution struct {
 	workers, kw int
 	tr          *trace.Tracer
 	ck          *CheckpointConfig
-	comm        *mpi.Comm    // nil: in-process entry point
-	grid        *GridOptions // non-nil: the grid entry point
+	at          *Placement // nil: in-process
 }
 
 // tableProblem is the problem half: fit runs it under an execution.
@@ -83,13 +82,7 @@ func lassoTableProblem(name string, x *mat.Dense, y []float64, base LassoConfig)
 	return tableProblem{name: name, gridOK: func(GridShape) bool { return true },
 		fit: func(e execution) (placedFit, error) {
 			cfg := base
-			cfg.Workers, cfg.KernelWorkers, cfg.Trace, cfg.Checkpoint = e.workers, e.kw, e.tr, e.ck
-			switch {
-			case e.grid != nil:
-				return lassoFit(LassoGrid(e.comm, x, y, &cfg, *e.grid))
-			case e.comm != nil:
-				return lassoFit(LassoCheckpointedDistributed(e.comm, x, y, &cfg))
-			}
+			cfg.Workers, cfg.KernelWorkers, cfg.Trace, cfg.Checkpoint, cfg.Placement = e.workers, e.kw, e.tr, e.ck, e.at
 			return lassoFit(Lasso(x, y, &cfg))
 		}}
 }
@@ -101,13 +94,7 @@ func varTableProblem(name string, series *mat.Dense, base VARConfig) tableProble
 		gridOK: func(s GridShape) bool { return base.WarmBeta == nil || s.PL == 1 },
 		fit: func(e execution) (placedFit, error) {
 			cfg := base
-			cfg.Workers, cfg.KernelWorkers, cfg.Trace, cfg.Checkpoint = e.workers, e.kw, e.tr, e.ck
-			switch {
-			case e.grid != nil:
-				return varFit(VARGrid(e.comm, series, &cfg, *e.grid))
-			case e.comm != nil:
-				return varFit(VARCheckpointedDistributed(e.comm, series, &cfg))
-			}
+			cfg.Workers, cfg.KernelWorkers, cfg.Trace, cfg.Checkpoint, cfg.Placement = e.workers, e.kw, e.tr, e.ck, e.at
 			return varFit(VAR(series, &cfg))
 		}}
 }
@@ -214,14 +201,15 @@ func allSameWork(fits []placedFit) bool {
 	return true
 }
 
-// runRanks runs pb under e on every rank of a world and gathers what the
-// table needs; opts carries an optional fault plan.
+// runRanks runs pb under e, at e.at (nil: replicated data, no shape) with
+// each rank's communicator set, on every rank of a world and gathers what
+// the table needs; opts carries an optional fault plan.
 func runRanks(ranks int, opts mpi.RunOptions, pb tableProblem, e execution) (*placedRun, error) {
 	run := &placedRun{fits: make([]placedFit, ranks), mpi: map[string][2]int64{}}
 	var mu sync.Mutex
 	err := mpi.RunWithOptions(ranks, opts, func(c *mpi.Comm) error {
 		mine := e
-		mine.comm, mine.tr = c, trace.New()
+		mine.at, mine.tr = placedAt(e.at, c), trace.New()
 		fit, err := pb.fit(mine)
 		if err != nil {
 			return err
@@ -248,6 +236,47 @@ func runRanks(ranks int, opts mpi.RunOptions, pb tableProblem, e execution) (*pl
 		return nil
 	})
 	return run, err
+}
+
+// lassoOn, varOn and allPairsOn copy cfg (nil: the defaults) at placement
+// at: each rank passes its own config, whose Placement carries its
+// communicator.
+func lassoOn(cfg *LassoConfig, at Placement) *LassoConfig {
+	var c LassoConfig
+	if cfg != nil {
+		c = *cfg
+	}
+	c.Placement = &at
+	return &c
+}
+
+func varOn(cfg *VARConfig, at Placement) *VARConfig {
+	var c VARConfig
+	if cfg != nil {
+		c = *cfg
+	}
+	c.Placement = &at
+	return &c
+}
+
+func allPairsOn(cfg *AllPairsConfig, comm *mpi.Comm) *AllPairsConfig {
+	var c AllPairsConfig
+	if cfg != nil {
+		c = *cfg
+	}
+	c.Placement = &Placement{Comm: comm}
+	return &c
+}
+
+// placedAt copies at (nil: the zero placement) with comm set: each rank
+// passes its own Placement.
+func placedAt(at *Placement, comm *mpi.Comm) *Placement {
+	var mine Placement
+	if at != nil {
+		mine = *at
+	}
+	mine.Comm = comm
+	return &mine
 }
 
 func (r *placedRun) addTrace(tr *trace.Tracer) {
@@ -312,14 +341,14 @@ func tablePlacements() []tablePlacement {
 	}
 	for _, shape := range gridShapes {
 		for _, flat := range []bool{false, true} {
-			opt := &GridOptions{Shape: shape, FlatCollectives: flat}
+			at := &Placement{Shape: shape, FlatCollectives: flat}
 			name := "grid-" + shape.String()
 			if flat {
 				name += "-flat"
 			}
 			pls = append(pls, tablePlacement{name: name,
 				run: func(t *testing.T, pb tableProblem, kw int) (*placedRun, error) {
-					run, err := runRanks(shape.Ranks(), mpi.RunOptions{}, pb, execution{kw: kw, grid: opt})
+					run, err := runRanks(shape.Ranks(), mpi.RunOptions{}, pb, execution{kw: kw, at: at})
 					if err != nil && !pb.gridOK(shape) {
 						return &placedRun{rejected: true}, nil
 					}

@@ -40,11 +40,11 @@ func TestTimelineReplayDeterministic(t *testing.T) {
 				Recorders:         recs,
 			}, func(c *mpi.Comm) error {
 				tr := trace.New().WithRecorder(recs[c.Rank()])
-				_, err := LassoDistributed(c, denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], &LassoConfig{
+				_, err := Lasso(denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], lassoOn(&LassoConfig{
 					B1: 4, B2: 3, Q: 4, Seed: 9,
 					MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
 					Trace: tr,
-				}, Grid{2, 1})
+				}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
 				return err
 			})
 		})
@@ -156,7 +156,7 @@ func TestCommMatrixConservationLasso(t *testing.T) {
 			return err
 		}
 		xl, yl := block.XY()
-		_, err = LassoDistributed(c, xl, yl, &LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, Grid{2, 2})
+		_, err = Lasso(xl, yl, lassoOn(&LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, Placement{Comm: c, Shape: GridShape{2, 2}, Partitioned: true}))
 		if err != nil {
 			return err
 		}
@@ -186,8 +186,7 @@ func TestCommMatrixConservationVAR(t *testing.T) {
 		if c.Rank() < 2 {
 			s = series
 		}
-		_, err := VARDistributed(c, s, &VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5},
-			&VARDistOptions{NReaders: 2})
+		_, err := VAR(s, varOn(&VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5}, Placement{Comm: c, Partitioned: true, NReaders: 2}))
 		if err != nil {
 			return err
 		}

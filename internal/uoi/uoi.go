@@ -17,12 +17,13 @@
 // problem (UoI_LASSO or UoI_VAR, over replicated data or over data
 // distributed by rows) owns validation, the λ grid and the cell bodies; a
 // placement says where cells run and how their results meet — the bootstrap
-// worker pool (Lasso, VAR), the checkpoint journal (Checkpoint set;
-// Lasso/VARCheckpointedDistributed over a communicator), the P_B × P_λ
-// process grid (LassoGrid, VARGrid) or the P_B × P_λ grid of consensus-ADMM
-// groups (LassoDistributed, VARDistributed). A replicated-data fit's bits do
-// not depend on the placement (DESIGN.md §17). Whole-network all-pairs
-// inference (AllPairs) has its own loop over the same helpers.
+// worker pool, the checkpoint journal (Checkpoint set), the P_B × P_λ
+// process grid or the P_B × P_λ grid of consensus-ADMM groups. There is one
+// entry point per problem — Lasso, VAR and AllPairs — and one Placement
+// value on its config picks where it runs; a combination no placement runs
+// is an ErrPlacement. A replicated-data fit's bits do not depend on the
+// placement (DESIGN.md §17). Whole-network all-pairs inference (AllPairs)
+// has its own loop over the same helpers.
 package uoi
 
 import (
@@ -115,49 +116,46 @@ type LassoConfig struct {
 	// bootstrap cells are written durably to Checkpoint.Path and a crashed
 	// fit resumes bit-identically, skipping them (see CheckpointConfig).
 	Checkpoint *CheckpointConfig
+	// Placement, when non-nil, runs the fit across the ranks of its
+	// communicator, each rank passing its own Placement (see Placement).
+	Placement *Placement
 	// ADMM carries solver options.
 	ADMM admm.Options
 }
 
 func (c *LassoConfig) defaults() LassoConfig {
-	out := LassoConfig{B1: 20, B2: 10, Q: 8, LambdaRatio: 1e-3, TrainFrac: 0.8, SupportTol: 1e-7}
-	if c == nil {
-		return out
+	var o LassoConfig
+	if c != nil {
+		o = *c
 	}
-	o := *c
-	if o.B1 <= 0 {
-		o.B1 = out.B1
-	}
-	if o.B2 <= 0 {
-		o.B2 = out.B2
-	}
-	if o.Q <= 0 {
-		o.Q = out.Q
-	}
-	if o.LambdaRatio <= 0 || o.LambdaRatio >= 1 {
-		o.LambdaRatio = out.LambdaRatio
-	}
-	if o.TrainFrac <= 0 || o.TrainFrac >= 1 {
-		o.TrainFrac = out.TrainFrac
-	}
-	if o.SupportTol <= 0 {
-		o.SupportTol = out.SupportTol
-	}
-	if o.SelectionFrac <= 0 || o.SelectionFrac > 1 {
-		o.SelectionFrac = 1
-	}
-	if o.MinBootstrapFrac < 0 {
-		o.MinBootstrapFrac = 0
-	}
-	if o.MinBootstrapFrac > 1 {
-		o.MinBootstrapFrac = 1
-	}
+	positive(&o.B1, 20)
+	positive(&o.B2, 10)
+	positive(&o.Q, 8)
+	fraction(&o.LambdaRatio, 1e-3)
+	fraction(&o.TrainFrac, 0.8)
+	positive(&o.SupportTol, 1e-7)
+	fraction(&o.SelectionFrac, 1)
+	o.MinBootstrapFrac = min(max(o.MinBootstrapFrac, 0), 1)
 	if o.ADMM.Trace == nil {
 		// Route the solver counters into the fit's tracer unless the caller
 		// wired a dedicated one.
 		o.ADMM.Trace = o.Trace
 	}
 	return o
+}
+
+// positive replaces a non-positive *v with the default def.
+func positive[T int | float64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
+// fraction replaces a *v outside (0, 1) with the default def.
+func fraction(v *float64, def float64) {
+	if *v <= 0 || *v >= 1 {
+		*v = def
+	}
 }
 
 // kernelBudget resolves the per-kernel-call worker budget: an explicit
@@ -298,46 +296,53 @@ type Result struct {
 	Diag Diagnostics
 }
 
-// Lasso runs UoI_LASSO on design x and response y in this process:
-// bootstraps on cfg.Workers goroutines, journalled when cfg.Checkpoint is
-// set.
+// Lasso runs UoI_LASSO on design x and response y at cfg.Placement: in
+// this process when it is nil — bootstraps on cfg.Workers goroutines,
+// journalled when cfg.Checkpoint is set — and otherwise across its ranks,
+// each passing the full data or, Partitioned, its own row block. Every rank
+// returns the identical Result.
 func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	c := cfg.defaults()
-	return fitLasso(x, y, &c, local(c.Workers, c.Checkpoint))
-}
-
-// local is the in-process placement: the bootstrap worker pool, journalled
-// when the fit is checkpointed.
-func local(workers int, ck *CheckpointConfig) placement {
-	if ck != nil {
-		return &journal{pool: pool{workers: workers}, cfg: ck}
-	}
-	return &pool{workers: workers}
-}
-
-// fitLasso runs UoI_LASSO at a placement. c is already defaulted.
-func fitLasso(x *mat.Dense, y []float64, c *LassoConfig, pl placement) (*Result, error) {
-	pb, scaler, err := newLassoProblem(x, y, c, pl.streams())
+	pl, err := c.Placement.place(c.ask())
 	if err != nil {
 		return nil, err
 	}
-	return runLasso(pb, scaler, pl, c.SupportTol)
-}
-
-// runLasso runs a UoI_LASSO problem at pl, maps the estimate back to
-// original units when the problem was posed in standardized space, and
-// fills the selected support (|β| > tol).
-func runLasso(pb *problem, scaler *preprocess.Scaler, pl placement, tol float64) (*Result, error) {
+	var pb *problem
+	var scaler *preprocess.Scaler
+	if cons, ok := pl.(*consensus); ok {
+		xEst, yEst := x, y
+		if c.Placement.EstX != nil {
+			xEst, yEst = c.Placement.EstX, c.Placement.EstY
+		}
+		pb, scaler, err = newLassoConsensusProblem(cons, x, y, xEst, yEst, &c)
+	} else {
+		pb, scaler, err = newLassoProblem(x, y, &c, pl.streams())
+	}
+	if err != nil {
+		return nil, err
+	}
 	res, err := run(pb, pl)
 	if err != nil {
 		return nil, err
 	}
+	// A problem posed in standardized space maps its estimate back to
+	// original units.
 	if scaler != nil {
 		res.Beta, res.Intercept = scaler.InverseBeta(res.Beta)
 	}
-	res.SelectedSupport = admm.Support(res.Beta, tol)
+	res.SelectedSupport = admm.Support(res.Beta, c.SupportTol)
 	return res, nil
 }
+
+// ask is what the fit asks of its placement.
+func (c *LassoConfig) ask() fitAsk {
+	return fitAsk{fit: "Lasso", ckpt: c.Checkpoint, workers: c.Workers}
+}
+
+// CheckPlacement returns the ErrPlacement a fit of c would, from the config
+// alone and before any data is read. With a nil c.Placement.Comm the checks
+// against the rank count wait for the fit.
+func (c *LassoConfig) CheckPlacement() error { return c.Placement.check(c.ask()) }
 
 // selectVec gathers y[idx].
 func selectVec(y []float64, idx []int) []float64 {

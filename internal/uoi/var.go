@@ -80,40 +80,27 @@ type VARConfig struct {
 	// CheckpointConfig): completed cells are durable and a crashed fit
 	// resumes bit-identically.
 	Checkpoint *CheckpointConfig
+	// Placement, when non-nil, runs the fit across the ranks of its
+	// communicator (see Placement). Partitioned, the leading NReaders ranks
+	// of every ADMM group pass the series and the rest may pass nil.
+	Placement *Placement
 	// ADMM tunes the inner solver, as in LassoConfig.
 	ADMM admm.Options
 }
 
 func (c *VARConfig) defaults() VARConfig {
-	out := VARConfig{Order: 1, B1: 20, B2: 10, Q: 8, LambdaRatio: 1e-3, TrainFrac: 0.8, SupportTol: 1e-7}
-	if c == nil {
-		return out
+	var o VARConfig
+	if c != nil {
+		o = *c
 	}
-	o := *c
-	if o.Order <= 0 {
-		o.Order = out.Order
-	}
-	if o.B1 <= 0 {
-		o.B1 = out.B1
-	}
-	if o.B2 <= 0 {
-		o.B2 = out.B2
-	}
-	if o.Q <= 0 {
-		o.Q = out.Q
-	}
-	if o.LambdaRatio <= 0 || o.LambdaRatio >= 1 {
-		o.LambdaRatio = out.LambdaRatio
-	}
-	if o.TrainFrac <= 0 || o.TrainFrac >= 1 {
-		o.TrainFrac = out.TrainFrac
-	}
-	if o.SupportTol <= 0 {
-		o.SupportTol = out.SupportTol
-	}
-	if o.SelectionFrac <= 0 || o.SelectionFrac > 1 {
-		o.SelectionFrac = 1
-	}
+	positive(&o.Order, 1)
+	positive(&o.B1, 20)
+	positive(&o.B2, 10)
+	positive(&o.Q, 8)
+	fraction(&o.LambdaRatio, 1e-3)
+	fraction(&o.TrainFrac, 0.8)
+	positive(&o.SupportTol, 1e-7)
+	fraction(&o.SelectionFrac, 1)
 	if o.ADMM.Trace == nil {
 		o.ADMM.Trace = o.Trace
 	}
@@ -139,21 +126,46 @@ type VARResult struct {
 	KronTime time.Duration // total design-assembly time (see Diag comment)
 }
 
-// VAR runs UoI_VAR on an N×p series in this process: bootstraps on
-// cfg.Workers goroutines, journalled when cfg.Checkpoint is set.
+// VAR runs UoI_VAR on an N×p series at cfg.Placement, as Lasso does. A
+// Partitioned placement runs the paper's full pipeline: per-bootstrap
+// distributed Kronecker/vectorization assembly from reader windows,
+// consensus LASSO-ADMM over the vectorized problem, and projected-OLS
+// estimation.
 func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	c := cfg.defaults()
-	return fitVAR(series, &c, local(c.Workers, c.Checkpoint))
-}
-
-// fitVAR runs UoI_VAR at a placement. c is already defaulted.
-func fitVAR(series *mat.Dense, c *VARConfig, pl placement) (*VARResult, error) {
-	pb, err := newVARProblem(series, c, pl.streams())
+	pl, err := c.Placement.place(c.ask())
 	if err != nil {
 		return nil, err
 	}
-	return runVAR(pb, pl, c)
+	var pb *problem
+	if cons, ok := pl.(*consensus); ok {
+		pb, err = newVARConsensusProblem(cons, series, &c, c.Placement)
+	} else {
+		pb, err = newVARProblem(series, &c, pl.streams())
+	}
+	if err != nil {
+		return nil, err
+	}
+	fit, err := run(pb, pl)
+	if err != nil {
+		return nil, err
+	}
+	// Partition vec(B) into the lag matrices and intercept (pb.chains is
+	// the channel count p).
+	res := &VARResult{Beta: fit.Beta, Lambdas: fit.Lambdas, Supports: fit.Supports, Diag: fit.Diag, KronTime: pb.kron}
+	res.A, res.Mu = varsim.PartitionVec(res.Beta, pb.chains, c.Order, !c.NoIntercept)
+	return res, nil
 }
+
+// ask is what the fit asks of its placement.
+func (c *VARConfig) ask() fitAsk {
+	return fitAsk{fit: "VAR", ckpt: c.Checkpoint, workers: c.Workers,
+		cells: c.Cells != nil, warm: c.WarmBeta != nil, l2: c.L2 > 0}
+}
+
+// CheckPlacement returns the ErrPlacement a fit of c would, as
+// LassoConfig.CheckPlacement does.
+func (c *VARConfig) CheckPlacement() error { return c.Placement.check(c.ask()) }
 
 // varWindow resolves the design-row count m of an order-c.Order fit to an
 // nTotal-sample series and its block-bootstrap length (⌈√m⌉ by default).
@@ -166,18 +178,6 @@ func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
 		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
 	}
 	return m, blockLen, nil
-}
-
-// runVAR runs a UoI_VAR problem at pl and partitions vec(B) into the lag
-// matrices and intercept (pb.chains is the channel count p).
-func runVAR(pb *problem, pl placement, c *VARConfig) (*VARResult, error) {
-	fit, err := run(pb, pl)
-	if err != nil {
-		return nil, err
-	}
-	res := &VARResult{Beta: fit.Beta, Lambdas: fit.Lambdas, Supports: fit.Supports, Diag: fit.Diag, KronTime: pb.kron}
-	res.A, res.Mu = varsim.PartitionVec(res.Beta, pb.chains, c.Order, !c.NoIntercept)
-	return res, nil
 }
 
 // designXtY returns the q×p panel XᵀY of a design (q = X columns): column

@@ -19,7 +19,7 @@ func TestVARDistributedRecoversNetwork(t *testing.T) {
 		if c.Rank() < 2 {
 			s = series
 		}
-		res, err := VARDistributed(c, s, &VARConfig{Order: 1, B1: 10, B2: 4, Q: 10, LambdaRatio: 1e-2, Seed: 5}, &VARDistOptions{NReaders: 2})
+		res, err := VAR(s, varOn(&VARConfig{Order: 1, B1: 10, B2: 4, Q: 10, LambdaRatio: 1e-2, Seed: 5}, Placement{Comm: c, Partitioned: true, NReaders: 2}))
 		if err != nil {
 			return err
 		}
@@ -63,7 +63,7 @@ func TestVARDistributedMatchesSerialQuality(t *testing.T) {
 		if c.Rank() < 1 {
 			s = series
 		}
-		res, err := VARDistributed(c, s, cfg, &VARDistOptions{NReaders: 1})
+		res, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: 1}))
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 			if c.Rank() < 1 {
 				s = series
 			}
-			res, err := VARDistributed(c, s, cfg, &VARDistOptions{NReaders: 1, CommAvoiding: ca})
+			res, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: 1, CommAvoiding: ca}))
 			if err != nil {
 				return err
 			}
@@ -133,7 +133,7 @@ func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 func TestVARDistributedValidation(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		// Reader without series must fail.
-		if _, err := VARDistributed(c, nil, &VARConfig{B1: 2, B2: 2}, &VARDistOptions{NReaders: 1}); err == nil {
+		if _, err := VAR(nil, varOn(&VARConfig{B1: 2, B2: 2}, Placement{Comm: c, Partitioned: true, NReaders: 1})); err == nil {
 			return fmt.Errorf("nil series on reader must fail")
 		}
 		return nil
@@ -146,17 +146,17 @@ func TestVARDistributedValidation(t *testing.T) {
 func TestVARDistributedGrid(t *testing.T) {
 	model, series := makeVARData(55, 5, 1, 400)
 	cfg := &VARConfig{Order: 1, B1: 8, B2: 4, Q: 8, LambdaRatio: 1e-2, Seed: 13}
-	run := func(grid Grid, ranks, readers int) *VARResult {
+	run := func(grid GridShape, ranks, readers int) *VARResult {
 		t.Helper()
 		var out *VARResult
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
-			groupSize := ranks / grid.normalize().Groups()
+			groupSize := ranks / grid.normalize().Ranks()
 			var s *mat.Dense
 			// Leading `readers` ranks of every group hold the series.
 			if c.Rank()%groupSize < readers {
 				s = series
 			}
-			res, err := VARDistributed(c, s, cfg, &VARDistOptions{NReaders: readers, Grid: grid})
+			res, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: readers, Shape: grid}))
 			if err != nil {
 				return err
 			}
@@ -170,9 +170,9 @@ func TestVARDistributedGrid(t *testing.T) {
 		}
 		return out
 	}
-	flat := run(Grid{}, 4, 2)
-	grid22 := run(Grid{PB: 2, PLambda: 2}, 4, 1)
-	grid21 := run(Grid{PB: 2, PLambda: 1}, 4, 2)
+	flat := run(GridShape{}, 4, 2)
+	grid22 := run(GridShape{PB: 2, PL: 2}, 4, 1)
+	grid21 := run(GridShape{PB: 2, PL: 1}, 4, 2)
 
 	trueBeta := varsim.FlattenModel(model.A, model.Mu, true)
 	for name, r := range map[string]*VARResult{"1x1": flat, "2x2": grid22, "2x1": grid21} {
@@ -198,7 +198,7 @@ func TestVARDistributedGrid(t *testing.T) {
 func TestVARDistributedGridValidation(t *testing.T) {
 	_, series := makeVARData(56, 4, 1, 120)
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		_, err := VARDistributed(c, series, &VARConfig{B1: 2, B2: 2, Q: 3}, &VARDistOptions{Grid: Grid{PB: 2, PLambda: 1}})
+		_, err := VAR(series, varOn(&VARConfig{B1: 2, B2: 2, Q: 3}, Placement{Comm: c, Partitioned: true, Shape: GridShape{PB: 2, PL: 1}}))
 		if err == nil {
 			return fmt.Errorf("indivisible grid must fail")
 		}

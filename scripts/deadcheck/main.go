@@ -52,7 +52,6 @@ var allowList = map[string]string{
 	"trace.Event.Signature":       "test helper: timestamp-free event identity for the replay-determinism tests",
 	"trace.Tracer.Max":            "test helper: kernel and serving tests read a gauge",
 	"trace.Tracer.PhaseSeconds":   "test helper: kernel and engine tests read a phase's accumulated time",
-	"uoi.AllPairs":                "reference oracle: the serial all-pairs fit AllPairsDistributed must match bit for bit",
 	"varsim.Design.VecY":          "reference oracle: vec(Y) of eq. 9, the response kron's assembled blocks are checked against",
 	"varsim.Model.Forecast":       "reference oracle: the predictor's batched forecasts are checked against the model recursion",
 }

@@ -3,9 +3,12 @@
 # dataset, fit it at two different grid shapes (and the flat-collectives
 # baseline), and verify
 #   1. the fitted models are byte-for-byte identical across shapes and
-#      collective modes (the bit-identity invariant), and
+#      collective modes (the bit-identity invariant),
 #   2. each fit's PerfReport parses through trace.ParsePerfReport and
-#      carries per-communicator ("collective[row]"/"[col]") attribution.
+#      carries per-communicator ("collective[row]"/"[col]") attribution, and
+#   3. the CLI dispatches its flags to the right placement: a checkpointed
+#      -ranks 3 fit, which the journal runs, writes the same model as a grid
+#      fit, for UoI_LASSO and for UoI_VAR.
 # Exits nonzero if any step fails or any artifact differs.
 set -euo pipefail
 
@@ -49,5 +52,21 @@ echo "== perf reports parse and carry grid comm attribution =="
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[row]' "$WORK/grid1x8.perf.json"
 # flat baseline: world-wide collectives, labeled by the world handle.
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/flat4x2.perf.json"
+
+echo "== placement dispatch: the journal at -ranks 3 matches the grid =="
+"$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" -ranks 3 \
+  -checkpoint "$WORK/lasso.uoickpt" -b1 8 -b2 4 -q 6 -seed 3 \
+  -model-out "$WORK/ckpt3.uoim" > /dev/null
+cmp "$WORK/grid4x2.uoim" "$WORK/ckpt3.uoim"
+"$GO" run ./cmd/uoigen -kind var -n 300 -p 6 -order 1 -seed 5 -o "$WORK/var.hbf"
+varfit() { # varfit <tag> <placement flags...>
+  local tag=$1
+  shift
+  "$GO" run ./cmd/uoifit -algo var -data "$WORK/var.hbf" -b1 6 -b2 3 -q 5 -seed 2 \
+    -model-out "$WORK/$tag.uoim" "$@" > /dev/null
+}
+varfit vargrid2x2 -grid 2x2
+varfit varckpt3 -ranks 3 -checkpoint "$WORK/var.uoickpt"
+cmp "$WORK/vargrid2x2.uoim" "$WORK/varckpt3.uoim"
 
 echo "grid smoke passed"

@@ -6,7 +6,7 @@
 //
 // # Fitting models
 //
-// Serial fits take plain matrices:
+// Fits take plain matrices, and run in this process by default:
 //
 //	reg := uoivar.MakeRegression(1, 3000, 80, nil)
 //	res, err := uoivar.FitLasso(reg.X, reg.Y, &uoivar.LassoConfig{B1: 20, B2: 10})
@@ -14,14 +14,16 @@
 //	model, err := uoivar.FitVAR(series, &uoivar.VARConfig{Order: 1, B1: 40, B2: 5})
 //	edges := uoivar.Edges(model.A, 1e-7, false)
 //
-// Distributed fits run across simulated MPI ranks with the paper's
-// randomized data distribution and distributed Kronecker assembly:
+// A Placement on the config runs the same fit across simulated MPI ranks:
+// over the full data on every rank, or with the paper's randomized data
+// distribution and distributed Kronecker assembly:
 //
 //	err := uoivar.Run(8, func(c *uoivar.Comm) error {
 //	    block, err := uoivar.RandomizedDistribute(c, "data.hbf", seed)
 //	    if err != nil { return err }
 //	    x, y := block.XY()
-//	    res, err := uoivar.FitLassoDistributed(c, x, y, cfg, uoivar.Grid{})
+//	    res, err := uoivar.FitLasso(x, y, &uoivar.LassoConfig{B1: 20, B2: 10,
+//	        Placement: &uoivar.Placement{Comm: c, Partitioned: true}})
 //	    ...
 //	})
 //
@@ -81,64 +83,69 @@ type VARConfig = uoi.VARConfig
 // VARResult is a fitted UoI_VAR model with partitioned lag matrices.
 type VARResult = uoi.VARResult
 
-// VARDistOptions configures distributed UoI_VAR runs (reader counts,
-// communication-avoiding assembly, process grids).
-type VARDistOptions = uoi.VARDistOptions
+// Placement says where a fit runs (Lasso/VARConfig.Placement): the ranks of
+// a communicator, a P_B × P_λ shape, and replicated or row-partitioned data.
+// nil runs the fit in this process.
+type Placement = uoi.Placement
 
-// Grid is the P_B × P_λ process grid of the paper's §III parallelism.
-type Grid = uoi.Grid
+// ErrPlacement reports a placement a fit cannot run at (for example a
+// checkpoint with partitioned data); every rank of the fit returns it
+// alike.
+var ErrPlacement = uoi.ErrPlacement
 
-// GridShape is a 2-D P_B × P_λ execution-grid layout for the
-// communication-avoiding engine (DESIGN.md §16): PB grid rows shard
-// bootstraps, PL grid columns shard the λ path.
+// VARDistOptions is the Placement of FitVARDistributed.
+type VARDistOptions = Placement
+
+// GridShape is the P_B × P_λ decomposition of the paper's §III: PB
+// bootstrap groups times PL λ groups (DESIGN.md §16).
 type GridShape = uoi.GridShape
+
+// Grid is the GridShape of FitLassoDistributed.
+type Grid = GridShape
 
 // ParseGridShape parses an "RxC" layout spec (e.g. "4x2").
 func ParseGridShape(s string) (GridShape, error) { return uoi.ParseGridShape(s) }
 
-// GridOptions configures a 2-D grid fit: the grid shape and the choice
-// between tree/ring collectives and the flat-Allgather baseline. Either
-// mode returns results bit-identical to the serial fit.
-type GridOptions = uoi.GridOptions
-
 // ADMMOptions tunes the inner LASSO-ADMM solver.
 type ADMMOptions = admm.Options
 
-// FitLasso runs serial UoI_LASSO on design x and response y.
+// FitLasso runs UoI_LASSO on design x and response y at cfg.Placement.
 func FitLasso(x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
 	return uoi.Lasso(x, y, cfg)
 }
 
-// FitLassoDistributed runs UoI_LASSO across the ranks of comm; each rank
-// passes its local row block (see RandomizedDistribute).
+// FitLassoDistributed runs UoI_LASSO across the ranks of comm in ADMM
+// groups of the given shape; each rank passes its local row block (see
+// RandomizedDistribute).
 func FitLassoDistributed(comm *Comm, xLocal *Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*LassoResult, error) {
-	return uoi.LassoDistributed(comm, xLocal, yLocal, cfg, grid)
+	return uoi.Lasso(xLocal, yLocal, placed(cfg, func(c *LassoConfig) {
+		c.Placement = &Placement{Comm: comm, Shape: grid, Partitioned: true}
+	}))
 }
 
-// FitLassoGrid runs UoI_LASSO on a 2-D bootstrap × λ execution grid
-// (comm.Size() must equal opt.Shape.Ranks(); every rank passes the full
-// dataset). Any grid shape reproduces the serial fit bit-for-bit.
-func FitLassoGrid(comm *Comm, x *Dense, y []float64, cfg *LassoConfig, opt GridOptions) (*LassoResult, error) {
-	return uoi.LassoGrid(comm, x, y, cfg, opt)
-}
-
-// FitVAR runs serial UoI_VAR on an n×p series.
+// FitVAR runs UoI_VAR on an n×p series at cfg.Placement.
 func FitVAR(series *Dense, cfg *VARConfig) (*VARResult, error) {
 	return uoi.VAR(series, cfg)
 }
 
 // FitVARDistributed runs UoI_VAR across the ranks of comm with the
-// distributed Kronecker/vectorization assembly; series must be non-nil on
-// reader ranks.
+// distributed Kronecker/vectorization assembly, at opts; series must be
+// non-nil on reader ranks.
 func FitVARDistributed(comm *Comm, series *Dense, cfg *VARConfig, opts *VARDistOptions) (*VARResult, error) {
-	return uoi.VARDistributed(comm, series, cfg, opts)
+	return uoi.VAR(series, placed(cfg, func(c *VARConfig) {
+		c.Placement = placed(opts, func(at *Placement) { at.Comm, at.Partitioned = comm, true })
+	}))
 }
 
-// FitVARGrid runs UoI_VAR on a 2-D bootstrap × λ execution grid; every
-// rank passes the full series. Any grid shape reproduces the serial fit
-// bit-for-bit.
-func FitVARGrid(comm *Comm, series *Dense, cfg *VARConfig, opt GridOptions) (*VARResult, error) {
-	return uoi.VARGrid(comm, series, cfg, opt)
+// placed returns a copy of v (nil: the zero value) changed by set: each
+// rank's config carries its own communicator.
+func placed[T any](v *T, set func(*T)) *T {
+	var c T
+	if v != nil {
+		c = *v
+	}
+	set(&c)
+	return &c
 }
 
 // LassoCV fits the plain cross-validated LASSO baseline.
@@ -370,20 +377,6 @@ var (
 	// ErrCheckpointMismatch reports a checkpoint from a different fit.
 	ErrCheckpointMismatch = checkpoint.ErrMismatch
 )
-
-// FitLassoCheckpointed runs checkpointed UoI_LASSO across the ranks of
-// comm. Unlike FitLassoDistributed, every rank passes the FULL dataset
-// (replicated-data bootstrap-sharded mode); cfg.Checkpoint must be set.
-func FitLassoCheckpointed(comm *Comm, x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
-	return uoi.LassoCheckpointedDistributed(comm, x, y, cfg)
-}
-
-// FitVARCheckpointed runs checkpointed UoI_VAR across the ranks of comm;
-// every rank passes the full series and cfg.Checkpoint must be set. For a
-// serial checkpointed fit, set VARConfig.Checkpoint and call FitVAR.
-func FitVARCheckpointed(comm *Comm, series *Dense, cfg *VARConfig) (*VARResult, error) {
-	return uoi.VARCheckpointedDistributed(comm, series, cfg)
-}
 
 // ---- Performance observability (DESIGN.md §8) ----
 
