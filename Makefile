@@ -2,10 +2,10 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck deadcheck experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck deadcheck fuzz-short experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
-DOCCHECK_PKGS = ./internal/checkpoint ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
+DOCCHECK_PKGS = ./internal/checkpoint ./internal/envelope ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ deadcheck:
 
 test:
 	$(GO) test ./...
+
+# Short fuzz runs of the binary decoders: the shared container codec and the
+# .uoim and .uoickpt parsers on top of it, 15 s each. Any panic, untyped
+# error, or accepted input that does not re-encode fails the target.
+FUZZ_PKGS = ./internal/envelope ./internal/model ./internal/checkpoint
+fuzz-short:
+	@for pkg in $(FUZZ_PKGS); do \
+		$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 15s $$pkg || exit 1; \
+	done
 
 test-short:
 	$(GO) test -short ./...

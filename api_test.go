@@ -33,9 +33,9 @@ func TestPublicAPISerial(t *testing.T) {
 	}
 
 	// Graph export.
-	g := uoivar.NewGraph(10)
-	for _, e := range edges {
-		g.AddEdge(e.Source, e.Target, e.Weight)
+	g, err := uoivar.BuildGraph(10, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if g.NumEdges() != len(edges) {
 		t.Fatal("graph edge count mismatch")

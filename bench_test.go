@@ -63,7 +63,7 @@ func BenchmarkFig10(b *testing.B)   { benchExperiment(b, "fig10") }
 func BenchmarkFig11(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11(io.Discard, 2013); err != nil {
+		if _, _, err := experiments.Fig11(io.Discard, 2013); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -88,6 +88,7 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/distio"
+	"uoivar/internal/graph"
 	"uoivar/internal/hbf"
 	"uoivar/internal/mat"
 	"uoivar/internal/model"
@@ -657,7 +658,7 @@ func runVAR(o *options) error {
 	if o.Checkpoint != "" {
 		fmt.Println("checkpoint at", o.Checkpoint)
 	}
-	if err := reportVAR(result.A, result.Mu, series.Cols, o.Edges, o.Dot,
+	if err := reportVAR(result.A, series.Cols, o.Edges, o.Dot,
 		fmt.Sprintf("UoI_VAR: p=%d order=%d, Kron %.3fs, selection %.3fs, estimation %.3fs",
 			series.Cols, o.Order, result.KronTime.Seconds(),
 			result.Diag.SelectionTime.Seconds(), result.Diag.EstimationTime.Seconds())); err != nil {
@@ -691,7 +692,7 @@ func runAllPairs(o *options) error {
 		return err
 	}
 	perf.setState("edges", result.Edges)
-	if err := reportVAR(result.A, result.Mu, series.Cols, o.Edges, o.Dot,
+	if err := reportVAR(result.A, series.Cols, o.Edges, o.Dot,
 		fmt.Sprintf("all-pairs: p=%d order=%d ranks=%d, rank 0 fitted %d/%d targets (%d lasso fits)",
 			series.Cols, o.Order, o.Ranks, result.Diag.Targets, series.Cols, result.Diag.LassoFits)); err != nil {
 		return err
@@ -735,7 +736,7 @@ func runVARBaseline(o *options) error {
 	if err != nil {
 		return err
 	}
-	if err := reportVAR(a, mu, series.Cols, o.Edges, o.Dot,
+	if err := reportVAR(a, series.Cols, o.Edges, o.Dot,
 		fmt.Sprintf("var-cv baseline: p=%d order=%d λ=%.6f", series.Cols, o.Order, res.Lambda)); err != nil {
 		return err
 	}
@@ -743,23 +744,25 @@ func runVARBaseline(o *options) error {
 		&uoi.VARConfig{Order: o.Order, Q: o.Q, Seed: o.Seed}))
 }
 
-func reportVAR(a []*mat.Dense, mu []float64, p int, edgesPath, dotPath, header string) error {
+func reportVAR(a []*mat.Dense, p int, edgesPath, dotPath, header string) error {
 	edges := varsim.GrangerEdges(a, 1e-7, false)
 	fmt.Println(header)
 	fmt.Printf("Granger edges: %d of %d possible\n", len(edges), p*(p-1))
-	g := buildGraph(p, edges)
+	g, err := graph.FromGranger(p, edges)
+	if err != nil {
+		return err
+	}
 	if edgesPath != "" {
-		if err := os.WriteFile(edgesPath, []byte(g.EdgeList()), 0o644); err != nil {
+		if err := os.WriteFile(edgesPath, []byte(g.EdgeList(nil)), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("edge list written to", edgesPath)
 	}
 	if dotPath != "" {
-		if err := os.WriteFile(dotPath, []byte(g.DOT("granger")), 0o644); err != nil {
+		if err := os.WriteFile(dotPath, []byte(g.DOT("granger", nil)), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("DOT written to", dotPath)
 	}
-	_ = mu
 	return nil
 }

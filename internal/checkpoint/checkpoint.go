@@ -8,8 +8,8 @@
 // them, re-shards the remaining cells across however many ranks it now has,
 // and produces coefficients bit-identical to the uninterrupted run.
 //
-// Layout (schema uoivar/ckpt/v1, all integers little-endian, following the
-// internal/model artifact conventions):
+// Layout (schema uoivar/ckpt/v1, all integers little-endian; the
+// internal/envelope container, shared with .uoim model artifacts):
 //
 //	magic   8 bytes  "UOICKPT\x01"
 //	version u32      format major version (1)
@@ -21,12 +21,12 @@
 // bit-identical resume), per-λ selection support bitsets, and estimation
 // winner coefficients as exact sparse triplets.
 //
-// Error taxonomy mirrors internal/model: structural damage — bad magic,
-// truncation, checksum mismatch, out-of-range cell indices — is ErrCorrupt;
-// a structurally intact file from a future format is ErrSchema; a valid
-// checkpoint that belongs to a different fit (other data, seed, or
-// configuration, detected via the fingerprint and the λ grid) is
-// ErrMismatch. The parser never panics on hostile input (fuzzed).
+// Errors: structural damage — bad magic, truncation, checksum mismatch,
+// out-of-range cell indices — is ErrCorrupt; a structurally intact file from
+// a future format is ErrSchema; a valid checkpoint that belongs to a
+// different fit (other data, seed, or configuration, detected via the
+// fingerprint and the λ grid) is ErrMismatch. The parser never panics on
+// hostile input (fuzzed).
 package checkpoint
 
 import (
@@ -34,11 +34,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"uoivar/internal/envelope"
 )
 
 // Schema identifies the checkpoint layout; Load rejects others with
@@ -51,6 +50,10 @@ const formatVersion = 1
 
 // magic identifies a UoI checkpoint file.
 var magic = [8]byte{'U', 'O', 'I', 'C', 'K', 'P', 'T', 1}
+
+// format is the checkpoint's container: magic, version, and the meta and
+// cells sections, with damage reported as ErrCorrupt / ErrSchema.
+var format = &envelope.Format{Magic: magic, Version: formatVersion, Corrupt: ErrCorrupt, Schema: ErrSchema}
 
 // ErrCorrupt reports a structurally damaged checkpoint: truncation, checksum
 // mismatch, bad magic, or internally inconsistent cell data.
@@ -296,18 +299,7 @@ func (s *State) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := s.encodeCells()
-	out := make([]byte, 0, len(magic)+4+2*(8+4)+len(metaJSON)+len(cells))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, formatVersion)
-	section := func(payload []byte) {
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	}
-	section(metaJSON)
-	section(cells)
-	return out, nil
+	return format.Encode(metaJSON, s.encodeCells()), nil
 }
 
 // encodeCells serializes the λ grid and the recorded cells. Cells are
@@ -396,55 +388,10 @@ func unpackBits(data []byte, n int) ([]bool, error) {
 	return out, nil
 }
 
-// cellReader walks the cells section with bounds checking; every read
-// failure is ErrCorrupt, never a panic.
-type cellReader struct {
-	buf []byte
-	off int
-}
-
-func (r *cellReader) u8() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("%w: cells section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *cellReader) u32() (uint32, error) {
-	if r.off+4 > len(r.buf) {
-		return 0, fmt.Errorf("%w: cells section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *cellReader) u64() (uint64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, fmt.Errorf("%w: cells section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *cellReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.buf) {
-		return nil, fmt.Errorf("%w: cells section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := r.buf[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-
-func (r *cellReader) remaining() int { return len(r.buf) - r.off }
-
 // decodeCells parses the cells section against an already-validated meta.
 func decodeCells(meta *Meta, buf []byte) (*State, error) {
-	r := &cellReader{buf: buf}
-	q, err := r.u32()
+	r := format.Reader(buf, "cells section")
+	q, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -453,14 +400,14 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 	}
 	lambdas := make([]float64, q)
 	for i := range lambdas {
-		bits, err := r.u64()
+		bits, err := r.U64()
 		if err != nil {
 			return nil, err
 		}
 		lambdas[i] = math.Float64frombits(bits)
 	}
 	st := New(*meta, lambdas)
-	nSel, err := r.u32()
+	nSel, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +416,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 	}
 	supBytes := (meta.Q*meta.P + 7) / 8
 	for i := uint32(0); i < nSel; i++ {
-		k, err := r.u32()
+		k, err := r.U32()
 		if err != nil {
 			return nil, err
 		}
@@ -479,7 +426,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 		if _, _, ok := st.Selection(int(k)); ok {
 			return nil, fmt.Errorf("%w: duplicate selection cell %d", ErrCorrupt, k)
 		}
-		status, err := r.u8()
+		status, err := r.U8()
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +434,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 		case cellDropped:
 			st.DropSelection(int(k))
 		case cellDone:
-			raw, err := r.bytes(supBytes)
+			raw, err := r.Bytes(supBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -500,7 +447,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 			return nil, fmt.Errorf("%w: selection cell %d status %d", ErrCorrupt, k, status)
 		}
 	}
-	nEst, err := r.u32()
+	nEst, err := r.U32()
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +455,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 		return nil, fmt.Errorf("%w: %d estimation cells with b2=%d", ErrCorrupt, nEst, meta.B2)
 	}
 	for i := uint32(0); i < nEst; i++ {
-		k, err := r.u32()
+		k, err := r.U32()
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +465,7 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 		if _, _, ok := st.Estimation(int(k)); ok {
 			return nil, fmt.Errorf("%w: duplicate estimation cell %d", ErrCorrupt, k)
 		}
-		status, err := r.u8()
+		status, err := r.U8()
 		if err != nil {
 			return nil, err
 		}
@@ -526,20 +473,20 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 		case cellDropped:
 			st.DropEstimation(int(k))
 		case cellDone:
-			nnz, err := r.u64()
+			nnz, err := r.U64()
 			if err != nil {
 				return nil, err
 			}
-			if nnz > uint64(r.remaining())/12 || nnz > uint64(meta.P) {
+			if nnz > uint64(r.Remaining())/12 || nnz > uint64(meta.P) {
 				return nil, fmt.Errorf("%w: estimation cell %d claims %d nonzeros", ErrCorrupt, k, nnz)
 			}
 			beta := make([]float64, meta.P)
 			for j := uint64(0); j < nnz; j++ {
-				idx, err := r.u32()
+				idx, err := r.U32()
 				if err != nil {
 					return nil, err
 				}
-				bits, err := r.u64()
+				bits, err := r.U64()
 				if err != nil {
 					return nil, err
 				}
@@ -553,8 +500,8 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 			return nil, fmt.Errorf("%w: estimation cell %d status %d", ErrCorrupt, k, status)
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after cells", ErrCorrupt, r.remaining())
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after cells", ErrCorrupt, r.Remaining())
 	}
 	return st, nil
 }
@@ -563,50 +510,11 @@ func decodeCells(meta *Meta, buf []byte) (*State, error) {
 // ErrCorrupt; a future format or schema returns ErrSchema; Decode never
 // panics.
 func Decode(data []byte) (*State, error) {
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorrupt, len(data))
-	}
-	if [8]byte(data[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	version := binary.LittleEndian.Uint32(data[8:])
-	if version == 0 {
-		return nil, fmt.Errorf("%w: format version 0", ErrCorrupt)
-	}
-	if version > formatVersion {
-		return nil, fmt.Errorf("%w: format version %d (this reader understands ≤ %d)", ErrSchema, version, formatVersion)
-	}
-	rest := data[12:]
-	section := func() ([]byte, error) {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
-		}
-		n := binary.LittleEndian.Uint64(rest)
-		if n > uint64(len(rest)-8) {
-			return nil, fmt.Errorf("%w: section of %d bytes exceeds file", ErrCorrupt, n)
-		}
-		payload := rest[8 : 8+n]
-		if len(rest) < int(8+n+4) {
-			return nil, fmt.Errorf("%w: truncated section checksum", ErrCorrupt)
-		}
-		sum := binary.LittleEndian.Uint32(rest[8+n:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("%w: section checksum mismatch", ErrCorrupt)
-		}
-		rest = rest[8+n+4:]
-		return payload, nil
-	}
-	metaJSON, err := section()
+	sections, err := format.Decode(data, 2)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := section()
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
+	metaJSON, cells := sections[0], sections[1]
 	var meta Meta
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return nil, fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
@@ -620,50 +528,12 @@ func Decode(data []byte) (*State, error) {
 // Save writes the checkpoint to path atomically (temp file + fsync +
 // rename): a crash mid-write leaves the previous checkpoint intact, never a
 // half-written file — the ordering guarantee resume correctness rests on.
-func Save(path string, s *State) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".uoickpt-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
+func Save(path string, s *State) error { return envelope.Save(path, ".uoickpt-*", s) }
 
 // Load reads and fully validates a checkpoint from path. A missing file
 // surfaces as the fs error (errors.Is(err, fs.ErrNotExist)); damage and
 // schema problems surface as ErrCorrupt / ErrSchema.
-func Load(path string) (*State, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
+func Load(path string) (*State, error) { return envelope.Load(path, Decode) }
 
 // Hasher accumulates the fit fingerprint stored in Meta.Fingerprint: an
 // FNV-1a chain over the fit's configuration scalars and every data value.

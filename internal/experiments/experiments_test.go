@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"uoivar/internal/graph"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -81,7 +83,7 @@ func TestFig11SparseNetwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig11 runs the full 50-company UoI_VAR fit")
 	}
-	g, err := Fig11(io.Discard, 2013)
+	g, labels, err := Fig11(io.Discard, 2013)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +97,38 @@ func TestFig11SparseNetwork(t *testing.T) {
 	}
 	// A hub structure exists (some node with degree ≥ 3, echoing the
 	// Google-dependence finding).
-	deg := g.Degree()
 	max := 0
-	for _, d := range deg {
-		if d > max {
-			max = d
+	for i := 0; i < g.N; i++ {
+		if s := g.Node(i); s.InDegree+s.OutDegree > max {
+			max = s.InDegree + s.OutDegree
 		}
 	}
 	if max < 3 {
 		t.Fatalf("no hub: max degree %d", max)
 	}
 	// DOT export renders.
-	dot := g.DOT("fig11")
+	dot := g.DOT("fig11", labels)
 	if !strings.Contains(dot, "->") {
 		t.Fatal("DOT missing edges")
+	}
+}
+
+// TestTopByDegree: Fig. 11's hub ranking orders nodes by total degree,
+// ties by index, and caps k at the node count.
+func TestTopByDegree(t *testing.T) {
+	g, err := graph.Build(4, []graph.Edge{
+		{From: 1, To: 0, Weight: 0.5}, {From: 2, To: 0, Weight: 0.3}, {From: 3, To: 2, Weight: 0.9},
+	}, graph.DupLast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := topByDegree(g, 2)
+	if len(top) != 2 || top[0] != 0 || top[1] != 2 {
+		t.Fatalf("top = %v", top)
+	}
+	all := topByDegree(g, 99)
+	if len(all) != 4 {
+		t.Fatalf("top overflow = %v", all)
 	}
 }
 

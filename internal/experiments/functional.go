@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"uoivar/internal/admm"
@@ -22,7 +23,7 @@ func init() {
 	register(Driver{
 		Name:        "fig11",
 		Description: "Fig 11: Granger network of 50 S&P-like companies (functional UoI_VAR)",
-		Run:         func(w io.Writer) error { _, err := Fig11(w, 2013); return err },
+		Run:         func(w io.Writer) error { _, _, err := Fig11(w, 2013); return err },
 	})
 	register(Driver{
 		Name:        "tab2-mini",
@@ -44,8 +45,9 @@ func init() {
 // Fig11 runs the paper's §VI Granger-causality analysis on synthetic
 // S&P-like data: 50 companies, weekly first differences over two years,
 // UoI_VAR(1) with B1=40, B2=5 ("selected to create a strong pressure toward
-// sparse parameter estimates"). It returns the inferred network.
-func Fig11(w io.Writer, seed uint64) (*graph.Directed, error) {
+// sparse parameter estimates"). It returns the inferred network and the
+// tickers that label its nodes.
+func Fig11(w io.Writer, seed uint64) (*graph.CSR, []string, error) {
 	// Two years of daily closes for the full index, then subsample 50
 	// companies as the paper does.
 	fin := datagen.MakeFinance(seed, 470, 2*260, nil)
@@ -84,32 +86,43 @@ func Fig11(w io.Writer, seed uint64) (*graph.Directed, error) {
 		ADMM: admm.Options{MaxIter: 200, AbsTol: 1e-5, RelTol: 1e-3},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	edges := varsim.GrangerEdges(res.A, 1e-7, false)
-	g := graph.New(50)
-	g.Labels = make([]string, 50)
+	g, err := graph.FromGranger(50, varsim.GrangerEdges(res.A, 1e-7, false))
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make([]string, 50)
 	for i, c := range cols {
-		g.Labels[i] = fin.Tickers[c]
-	}
-	for _, e := range edges {
-		g.AddEdge(e.Source, e.Target, e.Weight)
+		labels[i] = fin.Tickers[c]
 	}
 	fmt.Fprintf(w, "companies: 50 (of 470), samples: %d weekly first differences\n", diffs.Rows)
 	fmt.Fprintf(w, "edges selected: %d of %d possible (paper: fewer than 40 of 2500)\n", g.NumEdges(), 50*49)
-	top := g.TopByDegree(5)
-	deg := g.Degree()
 	fmt.Fprint(w, "highest-degree nodes:")
-	for _, i := range top {
-		fmt.Fprintf(w, " %s(%d)", g.Labels[i], deg[i])
+	for _, i := range topByDegree(g, 5) {
+		s := g.Node(i)
+		fmt.Fprintf(w, " %s(%d)", labels[i], s.InDegree+s.OutDegree)
 	}
 	fmt.Fprintln(w)
-	comps := g.WeaklyConnectedComponents()
+	sizes, count := g.Components()
 	fmt.Fprintf(w, "weakly connected components: %d (largest %d nodes), reciprocity %.2f\n",
-		len(comps), len(comps[0]), g.Reciprocity())
+		count, sizes[0], g.Reciprocity())
 	fmt.Fprintln(w, "edge list (source target |weight|):")
-	fmt.Fprint(w, g.EdgeList())
-	return g, nil
+	fmt.Fprint(w, g.EdgeList(labels))
+	return g, labels, nil
+}
+
+// topByDegree returns the k nodes with the highest total (in + out)
+// degree, the quantity Fig. 11 scales node sizes by; ties go to the lower
+// index.
+func topByDegree(g *graph.CSR, k int) []int {
+	idx, deg := make([]int, g.N), make([]int, g.N)
+	for i := range idx {
+		s := g.Node(i)
+		idx[i], deg[i] = i, s.InDegree+s.OutDegree
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return deg[idx[a]] > deg[idx[b]] })
+	return idx[:min(k, len(idx))]
 }
 
 // tab2Mini measures the functional distio strategies on a real (small) HBF

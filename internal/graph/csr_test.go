@@ -168,6 +168,9 @@ func TestComponentsAndCommunities(t *testing.T) {
 }
 
 func TestCSRReciprocity(t *testing.T) {
+	if r := mustBuild(t, 3, nil, DupLast).Reciprocity(); r != 0 {
+		t.Fatalf("empty graph reciprocity = %v, want 0", r)
+	}
 	g := mustBuild(t, 3, []Edge{{0, 1, 1}, {1, 0, 1}, {1, 2, 1}}, DupLast)
 	if r := g.Reciprocity(); r != 2.0/3.0 {
 		t.Fatalf("reciprocity = %v", r)
@@ -205,19 +208,16 @@ func TestSummaryJSONStable(t *testing.T) {
 func TestExportsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	edges := randomEdges(rng, 12, 0.4)
-	a := New(12)
-	for _, e := range edges {
-		a.AddEdge(e.From, e.To, e.Weight)
+	shuffled := make([]Edge, len(edges))
+	for i, j := range rng.Perm(len(edges)) {
+		shuffled[i] = edges[j]
 	}
-	b := New(12)
-	perm := rng.Perm(len(edges))
-	for _, i := range perm {
-		b.AddEdge(edges[i].From, edges[i].To, edges[i].Weight)
-	}
-	if a.DOT("g") != b.DOT("g") {
+	a := mustBuild(t, 12, edges, DupLast)
+	b := mustBuild(t, 12, shuffled, DupLast)
+	if a.DOT("g", nil) != b.DOT("g", nil) {
 		t.Fatal("DOT export depends on insertion order")
 	}
-	if a.EdgeList() != b.EdgeList() {
+	if a.EdgeList(nil) != b.EdgeList(nil) {
 		t.Fatal("edge-list export depends on insertion order")
 	}
 }

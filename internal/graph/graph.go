@@ -1,20 +1,21 @@
-// Package graph is the causal-network analytics layer: the directed
-// weighted graph representation used to report inferred Granger-causal
-// networks (paper Fig. 11, node degrees, density, DOT / edge-list export)
-// plus the compact CSR adjacency store (csr.go) behind the served
-// /v1/graph query endpoints — heap-based top-k edge queries, per-node
-// influence scores, connected components, label-propagation communities,
-// and byte-stable JSON summaries.
+// Package graph is the causal-network analytics layer. An inferred
+// Granger-causal network (paper Fig. 11) is held in one type, the compact
+// CSR adjacency store (csr.go), which answers everything asked of it:
+// degree and strength per node, density, reciprocity, connected
+// components, label-propagation communities, heap-based top-k edge queries
+// and byte-stable JSON summaries behind the served /v1/graph endpoints,
+// plus the DOT / edge-list renderings of the figure.
 //
-// Exports are canonical: the same edge multiset renders byte-identically
-// regardless of insertion order (edges are sorted before rendering), so
-// graphs accumulated from unordered map iteration still diff cleanly.
+// Exports are canonical: Build sorts the edges, so the same edge set
+// renders byte-identically regardless of insertion order, and graphs
+// accumulated from unordered map iteration still diff cleanly.
 package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"uoivar/internal/varsim"
 )
 
 // Edge is a directed weighted edge From → To.
@@ -25,234 +26,72 @@ type Edge struct {
 	Weight float64
 }
 
-// Directed is a directed weighted graph over nodes 0..N-1.
-type Directed struct {
-	// N is the node count.
-	N int
-	// Edges is the edge list in insertion order (duplicates allowed).
-	Edges []Edge
-	// Labels optionally names nodes (e.g. company tickers); missing entries
-	// render as node indices.
-	Labels []string
-}
-
-// New creates an empty graph with n nodes.
-func New(n int) *Directed { return &Directed{N: n} }
-
-// AddEdge appends a directed edge. Duplicate (From, To) pairs are allowed
-// and counted separately until resolved — Build takes an explicit
-// DupPolicy to collapse them; exports render duplicates as separate lines
-// (in canonical order) rather than silently picking one.
-func (g *Directed) AddEdge(from, to int, w float64) {
-	if from < 0 || from >= g.N || to < 0 || to >= g.N {
-		panic(fmt.Sprintf("graph: edge (%d→%d) outside %d nodes", from, to, g.N))
+// FromGranger builds the store for a Granger network over p series. The
+// extracted edge set never repeats a (source, target) pair, so the DupLast
+// policy drops nothing.
+func FromGranger(p int, edges []varsim.GrangerEdge) (*CSR, error) {
+	ge := make([]Edge, len(edges))
+	for i, e := range edges {
+		ge[i] = Edge{From: e.Source, To: e.Target, Weight: e.Weight}
 	}
-	g.Edges = append(g.Edges, Edge{From: from, To: to, Weight: w})
+	return Build(p, ge, DupLast)
 }
 
-// canonicalEdges returns a copy of the edge list sorted by (From, To,
-// Weight) — the order every export renders in, so output bytes do not
-// depend on insertion (e.g. map-iteration) order.
-func (g *Directed) canonicalEdges() []Edge {
-	edges := make([]Edge, len(g.Edges))
-	copy(edges, g.Edges)
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
-		}
-		if edges[a].To != edges[b].To {
-			return edges[a].To < edges[b].To
-		}
-		return edges[a].Weight < edges[b].Weight
-	})
-	return edges
-}
-
-// NumEdges returns the edge count.
-func (g *Directed) NumEdges() int { return len(g.Edges) }
-
-// Density returns |E| / (N·(N−1)), the fraction of possible directed edges
-// (self-loops excluded from the denominator).
-func (g *Directed) Density() float64 {
-	if g.N <= 1 {
-		return 0
-	}
-	return float64(len(g.Edges)) / float64(g.N*(g.N-1))
-}
-
-// InDegree returns per-node in-degrees.
-func (g *Directed) InDegree() []int {
-	d := make([]int, g.N)
-	for _, e := range g.Edges {
-		d[e.To]++
-	}
-	return d
-}
-
-// OutDegree returns per-node out-degrees.
-func (g *Directed) OutDegree() []int {
-	d := make([]int, g.N)
-	for _, e := range g.Edges {
-		d[e.From]++
-	}
-	return d
-}
-
-// Degree returns total (in+out) degrees — the quantity Fig. 11 scales node
-// sizes by.
-func (g *Directed) Degree() []int {
-	d := g.InDegree()
-	for i, o := range g.OutDegree() {
-		d[i] += o
-	}
-	return d
-}
-
-// TopByDegree returns the k node indices with the highest total degree,
-// ties broken by index.
-func (g *Directed) TopByDegree(k int) []int {
-	deg := g.Degree()
-	idx := make([]int, g.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if deg[idx[a]] != deg[idx[b]] {
-			return deg[idx[a]] > deg[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
-// label returns the display name of node i.
-func (g *Directed) label(i int) string {
-	if i < len(g.Labels) && g.Labels[i] != "" {
-		return g.Labels[i]
+// label returns the display name of node i: labels[i] when present and
+// non-empty, else "n<i>".
+func label(labels []string, i int) string {
+	if i < len(labels) && labels[i] != "" {
+		return labels[i]
 	}
 	return fmt.Sprintf("n%d", i)
 }
 
 // DOT renders the graph in Graphviz format with node sizes proportional to
 // degree and edge pen widths proportional to weight, matching the paper's
-// Fig. 11 conventions.
-func (g *Directed) DOT(name string) string {
+// Fig. 11 conventions. labels optionally names nodes (e.g. company
+// tickers); missing entries render as "n<i>".
+func (g *CSR) DOT(name string, labels []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", name)
-	deg := g.Degree()
+	deg := make([]int, g.N)
 	maxDeg := 1
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
+	for i := range deg {
+		deg[i] = int(g.outPtr[i+1] - g.outPtr[i] + g.inPtr[i+1] - g.inPtr[i])
+		if deg[i] > maxDeg {
+			maxDeg = deg[i]
 		}
 	}
 	maxW := 0.0
-	for _, e := range g.Edges {
-		if e.Weight > maxW {
-			maxW = e.Weight
+	for _, w := range g.outW {
+		if w > maxW {
+			maxW = w
 		}
 	}
 	if maxW == 0 {
 		maxW = 1
 	}
-	for i := 0; i < g.N; i++ {
-		if deg[i] == 0 {
+	for i, d := range deg {
+		if d == 0 {
 			continue // isolated nodes clutter the figure
 		}
-		size := 0.3 + 1.2*float64(deg[i])/float64(maxDeg)
-		fmt.Fprintf(&b, "  %q [width=%.2f];\n", g.label(i), size)
+		fmt.Fprintf(&b, "  %q [width=%.2f];\n", label(labels, i), 0.3+1.2*float64(d)/float64(maxDeg))
 	}
-	for _, e := range g.canonicalEdges() {
-		fmt.Fprintf(&b, "  %q -> %q [penwidth=%.2f];\n", g.label(e.From), g.label(e.To), 0.5+2.5*e.Weight/maxW)
+	for src := 0; src < g.N; src++ {
+		for e := g.outPtr[src]; e < g.outPtr[src+1]; e++ {
+			fmt.Fprintf(&b, "  %q -> %q [penwidth=%.2f];\n",
+				label(labels, src), label(labels, int(g.outCol[e])), 0.5+2.5*g.outW[e]/maxW)
+		}
 	}
 	b.WriteString("}\n")
 	return b.String()
 }
 
-// EdgeList renders "from to weight" lines sorted by weight descending,
-// ties broken by (From, To) ascending — a total order, so the
-// output is byte-identical for the same edge multiset regardless of
-// insertion order.
-func (g *Directed) EdgeList() string {
-	edges := make([]Edge, len(g.Edges))
-	copy(edges, g.Edges)
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].Weight != edges[b].Weight {
-			return edges[a].Weight > edges[b].Weight
-		}
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
-		}
-		return edges[a].To < edges[b].To
-	})
+// EdgeList renders "from to weight" lines in ranking order: weight
+// descending, ties broken by (From, To) ascending.
+func (g *CSR) EdgeList(labels []string) string {
 	var b strings.Builder
-	for _, e := range edges {
-		fmt.Fprintf(&b, "%s %s %.6f\n", g.label(e.From), g.label(e.To), e.Weight)
+	for _, e := range g.TopK(g.NumEdges()) {
+		fmt.Fprintf(&b, "%s %s %.6f\n", label(labels, e.From), label(labels, e.To), e.Weight)
 	}
 	return b.String()
-}
-
-// WeaklyConnectedComponents returns the node sets of the weakly connected
-// components (edge direction ignored), largest first. Isolated nodes form
-// singleton components.
-func (g *Directed) WeaklyConnectedComponents() [][]int {
-	adj := make([][]int, g.N)
-	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	seen := make([]bool, g.N)
-	var comps [][]int
-	for start := 0; start < g.N; start++ {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, w := range adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(a, b int) bool {
-		if len(comps[a]) != len(comps[b]) {
-			return len(comps[a]) > len(comps[b])
-		}
-		return comps[a][0] < comps[b][0]
-	})
-	return comps
-}
-
-// Reciprocity returns the fraction of directed edges whose reverse edge is
-// also present (0 for an empty graph). Granger networks are typically far
-// from symmetric; high reciprocity flags either genuine feedback loops or
-// over-selection.
-func (g *Directed) Reciprocity() float64 {
-	if len(g.Edges) == 0 {
-		return 0
-	}
-	has := make(map[[2]int]bool, len(g.Edges))
-	for _, e := range g.Edges {
-		has[[2]int{e.From, e.To}] = true
-	}
-	recip := 0
-	for _, e := range g.Edges {
-		if has[[2]int{e.To, e.From}] {
-			recip++
-		}
-	}
-	return float64(recip) / float64(len(g.Edges))
 }

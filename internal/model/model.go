@@ -2,8 +2,9 @@
 // models — the persistence half of the training/inference split. A fit
 // (uoi.Result / uoi.VARResult) lives only as long as its process; an
 // Artifact survives it: sparse coefficient matrices, intercepts, the lag
-// order, the fit configuration and seed, and selection statistics, in a
-// length-prefixed binary layout with per-section CRC32 checksums.
+// order, the fit configuration and seed, and selection statistics, in the
+// internal/envelope container (length-prefixed sections with per-section
+// CRC32 checksums, written atomically).
 //
 // Layout (schema uoivar/model/v1, all integers little-endian):
 //
@@ -17,10 +18,10 @@
 // round-trip exactly (Save→Load preserves every coefficient bit, which the
 // serving layer's bit-identical-forecast guarantee builds on).
 //
-// Error taxonomy mirrors internal/hbf: structural damage — bad magic, short
-// file, checksum mismatch, inconsistent counts — is ErrCorrupt; a file from
-// a future format or an unknown model kind is ErrSchema. Both are terminal;
-// the parser never panics on hostile input (fuzzed).
+// Errors: structural damage — bad magic, short file, checksum mismatch,
+// inconsistent counts — is ErrCorrupt; a file from a future format or an
+// unknown model kind is ErrSchema. Both are terminal; the parser never
+// panics on hostile input (fuzzed).
 package model
 
 import (
@@ -28,11 +29,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 
+	"uoivar/internal/envelope"
 	"uoivar/internal/mat"
 	"uoivar/internal/uoi"
 )
@@ -46,6 +45,10 @@ const formatVersion = 1
 
 // magic identifies a UoI model artifact file.
 var magic = [8]byte{'U', 'O', 'I', 'M', 'D', 'L', 0, 1}
+
+// format is the artifact's container: magic, version, and the meta and
+// coefficient sections, with damage reported as ErrCorrupt / ErrSchema.
+var format = &envelope.Format{Magic: magic, Version: formatVersion, Corrupt: ErrCorrupt, Schema: ErrSchema}
 
 // Ext is the conventional artifact file extension (the serve registry's
 // directory scan looks for it).
@@ -280,55 +283,19 @@ func (a *Artifact) encodeCoef() []byte {
 	return buf
 }
 
-// coefReader walks the coefficient section with bounds checking; every read
-// failure is ErrCorrupt, never a panic.
-type coefReader struct {
-	buf []byte
-	off int
-}
-
-func (r *coefReader) u32() (uint32, error) {
-	if r.off+4 > len(r.buf) {
-		return 0, fmt.Errorf("%w: coefficient section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *coefReader) u64() (uint64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, fmt.Errorf("%w: coefficient section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *coefReader) u8() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("%w: coefficient section truncated at byte %d", ErrCorrupt, r.off)
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *coefReader) remaining() int { return len(r.buf) - r.off }
-
 // decodeCoef parses the coefficient section against the already-validated
 // meta. All counts are cross-checked against the section length before any
 // allocation sized from them.
 func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 	a := &Artifact{Meta: *meta}
-	r := &coefReader{buf: buf}
+	r := format.Reader(buf, "coefficient section")
 	switch meta.Kind {
 	case KindVAR:
-		d, err := r.u32()
+		d, err := r.U32()
 		if err != nil {
 			return nil, err
 		}
-		p, err := r.u32()
+		p, err := r.U32()
 		if err != nil {
 			return nil, err
 		}
@@ -338,24 +305,24 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 		}
 		a.A = make([]*mat.Dense, meta.Order)
 		for j := range a.A {
-			nnz, err := r.u64()
+			nnz, err := r.U64()
 			if err != nil {
 				return nil, err
 			}
-			if nnz > uint64(r.remaining())/16 || nnz > uint64(meta.P)*uint64(meta.P) {
+			if nnz > uint64(r.Remaining())/16 || nnz > uint64(meta.P)*uint64(meta.P) {
 				return nil, fmt.Errorf("%w: lag %d claims %d nonzeros", ErrCorrupt, j, nnz)
 			}
 			aj := mat.NewDense(meta.P, meta.P)
 			for k := uint64(0); k < nnz; k++ {
-				ri, err := r.u32()
+				ri, err := r.U32()
 				if err != nil {
 					return nil, err
 				}
-				ci, err := r.u32()
+				ci, err := r.U32()
 				if err != nil {
 					return nil, err
 				}
-				bits, err := r.u64()
+				bits, err := r.U64()
 				if err != nil {
 					return nil, err
 				}
@@ -366,7 +333,7 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 			}
 			a.A[j] = aj
 		}
-		hasMu, err := r.u8()
+		hasMu, err := r.U8()
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +343,7 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 		if hasMu == 1 {
 			a.Mu = make([]float64, meta.P)
 			for i := range a.Mu {
-				bits, err := r.u64()
+				bits, err := r.U64()
 				if err != nil {
 					return nil, err
 				}
@@ -387,27 +354,27 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("%w: meta intercept=%v but coefficient section says %v", ErrCorrupt, meta.Intercept, hasMu == 1)
 		}
 	case KindLasso:
-		plen, err := r.u64()
+		plen, err := r.U64()
 		if err != nil {
 			return nil, err
 		}
 		if int64(plen) != int64(meta.P) {
 			return nil, fmt.Errorf("%w: coefficient length %d disagrees with meta p=%d", ErrCorrupt, plen, meta.P)
 		}
-		nnz, err := r.u64()
+		nnz, err := r.U64()
 		if err != nil {
 			return nil, err
 		}
-		if nnz > uint64(r.remaining())/16 || nnz > plen {
+		if nnz > uint64(r.Remaining())/16 || nnz > plen {
 			return nil, fmt.Errorf("%w: %d nonzeros in a length-%d vector", ErrCorrupt, nnz, plen)
 		}
 		a.Beta = make([]float64, meta.P)
 		for k := uint64(0); k < nnz; k++ {
-			idx, err := r.u64()
+			idx, err := r.U64()
 			if err != nil {
 				return nil, err
 			}
-			bits, err := r.u64()
+			bits, err := r.U64()
 			if err != nil {
 				return nil, err
 			}
@@ -416,7 +383,7 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 			}
 			a.Beta[idx] = math.Float64frombits(bits)
 		}
-		bits, err := r.u64()
+		bits, err := r.U64()
 		if err != nil {
 			return nil, err
 		}
@@ -424,8 +391,8 @@ func decodeCoef(meta *Meta, buf []byte) (*Artifact, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrSchema, meta.Kind)
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after coefficients", ErrCorrupt, r.remaining())
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after coefficients", ErrCorrupt, r.Remaining())
 	}
 	return a, nil
 }
@@ -442,67 +409,17 @@ func (a *Artifact) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	coef := a.encodeCoef()
-	out := make([]byte, 0, len(magic)+4+2*(8+4)+len(metaJSON)+len(coef))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, formatVersion)
-	section := func(payload []byte) {
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	}
-	section(metaJSON)
-	section(coef)
-	return out, nil
+	return format.Encode(metaJSON, a.encodeCoef()), nil
 }
 
 // Decode parses an artifact from its binary form. Damage returns ErrCorrupt;
 // a future format or schema returns ErrSchema; Decode never panics.
 func Decode(data []byte) (*Artifact, error) {
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorrupt, len(data))
-	}
-	if [8]byte(data[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	version := binary.LittleEndian.Uint32(data[8:])
-	if version == 0 {
-		return nil, fmt.Errorf("%w: format version 0", ErrCorrupt)
-	}
-	if version > formatVersion {
-		return nil, fmt.Errorf("%w: format version %d (this reader understands ≤ %d)", ErrSchema, version, formatVersion)
-	}
-	rest := data[12:]
-	section := func() ([]byte, error) {
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
-		}
-		n := binary.LittleEndian.Uint64(rest)
-		if n > uint64(len(rest)-8) {
-			return nil, fmt.Errorf("%w: section of %d bytes exceeds file", ErrCorrupt, n)
-		}
-		payload := rest[8 : 8+n]
-		if len(rest) < int(8+n+4) {
-			return nil, fmt.Errorf("%w: truncated section checksum", ErrCorrupt)
-		}
-		sum := binary.LittleEndian.Uint32(rest[8+n:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("%w: section checksum mismatch", ErrCorrupt)
-		}
-		rest = rest[8+n+4:]
-		return payload, nil
-	}
-	metaJSON, err := section()
+	sections, err := format.Decode(data, 2)
 	if err != nil {
 		return nil, err
 	}
-	coef, err := section()
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
+	metaJSON, coef := sections[0], sections[1]
 	var meta Meta
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return nil, fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
@@ -529,47 +446,10 @@ func Decode(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// Save writes the artifact to path atomically (temp file + rename), so a
-// serving registry watching the path never observes a half-written file.
-func Save(path string, a *Artifact) error {
-	data, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".uoim-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
+// Save writes the artifact to path atomically (temp file + fsync + rename),
+// so a serving registry watching the path never observes a half-written
+// file.
+func Save(path string, a *Artifact) error { return envelope.Save(path, ".uoim-*", a) }
 
 // Load reads and fully validates an artifact from path.
-func Load(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	a, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
-}
+func Load(path string) (*Artifact, error) { return envelope.Load(path, Decode) }

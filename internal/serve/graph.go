@@ -64,11 +64,7 @@ func (gp *GraphProvider) Get(entry *Entry, tol float64, selfLoops bool) (*graph.
 	if err != nil {
 		return nil, false, err
 	}
-	gedges := make([]graph.Edge, len(edges))
-	for i, e := range edges {
-		gedges[i] = graph.Edge{From: e.Source, To: e.Target, Weight: e.Weight}
-	}
-	g, err := graph.Build(entry.Pred.P(), gedges, graph.DupLast)
+	g, err := graph.FromGranger(entry.Pred.P(), edges)
 	if err != nil {
 		return nil, false, err
 	}

@@ -295,11 +295,12 @@ func CompareSupports(trueBeta, estBeta []float64, tol float64) Selection {
 	return metrics.CompareSupports(trueBeta, estBeta, tol)
 }
 
-// DirectedGraph is a weighted directed network with DOT export.
-type DirectedGraph = graph.Directed
+// Graph is a Granger-causal network: degrees, strengths, components,
+// top-k edges, summaries, and DOT / edge-list export.
+type Graph = graph.CSR
 
-// NewGraph creates an empty directed graph over n nodes.
-func NewGraph(n int) *DirectedGraph { return graph.New(n) }
+// BuildGraph builds the network over p series from extracted Granger edges.
+func BuildGraph(p int, edges []GrangerEdge) (*Graph, error) { return graph.FromGranger(p, edges) }
 
 // ---- Performance model ----
 
