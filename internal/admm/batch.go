@@ -43,10 +43,11 @@ func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, war
 func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64, warmZ, warmU [][]float64, o *Options, out []Result) {
 	p, w := f.p, hi-lo
 	stride := panelStride(w)
-	// z, u, the x-update's right-hand side r = Xᵀy + ρ(z − u), and x (the
-	// product's panel, p rounded up to 4 rows).
-	panels := make([]float64, (3*p+((p+3)&^3))*stride)
-	z, u, r, x := panels[:p*stride], panels[p*stride:2*p*stride], panels[2*p*stride:3*p*stride], panels[3*p*stride:]
+	// a = Xᵀy, z, u, the x-update's right-hand side r = a + ρ(z − u), and x
+	// (the product's panel, p rounded up to 4 rows).
+	n := p * stride
+	panels := make([]float64, 4*n+((p+3)&^3)*stride)
+	a, z, u, r, x := panels[:n], panels[n:2*n], panels[2*n:3*n], panels[3*n:4*n], panels[4*n:]
 	slot := make([]int, w) // slot → panel column
 	for c := range slot {
 		slot[c] = lo + c
@@ -54,12 +55,15 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 		scatterCol(u, stride, c, warmAt(warmU, lo+c), p)
 	}
 	for i := 0; i < p; i++ {
-		for c, av := range aty.Data[i*aty.Cols+lo : i*aty.Cols+hi] {
-			r[i*stride+c] = av + float64(f.rho*(z[i*stride+c]-u[i*stride+c]))
+		row := i * stride
+		copy(a[row:row+w], aty.Data[i*aty.Cols+lo:i*aty.Cols+hi])
+		for k := row; k < row+w; k++ {
+			r[k] = a[k] + float64(f.rho*(z[k]-u[k]))
 		}
 	}
-	// Per-slot reductions of one iteration: the squared residual sums and
-	// the plain sums of squares of x, z and u that screen the stopping test.
+	// Per-slot reductions of one iteration (zuPass): the squared residual
+	// sums and the plain sums of squares of x, z and u that screen the
+	// stopping test.
 	acc := make([]float64, 5*stride)
 	primal, dual := acc[:stride], acc[stride:2*stride]
 	sqX, sqZ, sqU := acc[2*stride:3*stride], acc[3*stride:4*stride], acc[4*stride:]
@@ -98,31 +102,8 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 		f.XUpdatePanel(x, r, stride, padTo8(active))
 
 		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, the residual
-		// sums and the next iteration's right-hand side, column by column
-		// so each column's five sums accumulate in registers, over its rows
-		// in order.
-		for c := 0; c < active; c++ {
-			var pr, du, sx, sz, su float64
-			a, k := aty.Data[slot[c]:], c
-			for i := 0; i < p; i, k = i+1, k+stride {
-				xv, uv, zOld := x[k], u[k], z[k]
-				zv := xv + uv
-				if lambda > 0 {
-					zv = SoftThreshold(zv, kappa)
-				}
-				uv += xv - zv
-				z[k], u[k] = zv, uv
-				r[k] = a[i*aty.Cols] + float64(f.rho*(zv-uv))
-				d := xv - zv
-				pr += float64(d * d)
-				d = f.rho * (zv - zOld)
-				du += float64(d * d)
-				sx += float64(xv * xv)
-				sz += float64(zv * zv)
-				su += float64(uv * uv)
-			}
-			primal[c], dual[c], sqX[c], sqZ[c], sqU[c] = pr, du, sx, sz, su
-		}
+		// sums and the next iteration's right-hand side.
+		zuPass(z, u, r, x, a, acc, stride, p, active, kappa, f.rho, lambda > 0, hasAVX2)
 
 		// Stopping test per column, last slot first so a refill only ever
 		// moves a slot that has already been tested this iteration. A
@@ -152,7 +133,7 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 			}
 			for i := 0; i < p; i++ {
 				d, s := i*stride+c, i*stride+active
-				z[d], u[d], r[d] = z[s], u[s], r[s]
+				a[d], z[d], u[d], r[d] = a[s], z[s], u[s], r[s]
 			}
 			primal[c], dual[c], slot[c] = primal[active], dual[active], slot[active]
 		}
@@ -161,6 +142,50 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 		finish(c, o.MaxIter, false)
 	}
 	countSolves(o.Trace, w, totalIters, totalIters)
+}
+
+// zuPass is the z/u pass of one iteration of the serial loop over slots
+// [0, active) of row-major p×stride panels: z = S_κ(x + u) (no threshold
+// unless shrink, so λ = 0 keeps a −0), u += x − z, the next right-hand side
+// r = a + ρ(z − u), and per slot c five sums over the rows in order —
+// primal, dual, Σx², Σz² and Σu² at acc[j·stride+c], j = 0…4. The portable
+// loop below is the oracle. With avx2 a wider panel runs zuStrips instead,
+// whose lanes are columns: each lane is the portable loop on its column, so
+// the bits are the same. It runs whole 4-column strips, so the slots between
+// active and the strip boundary are computed too — stale slots that nothing
+// reads, inside the panel since cols ≤ stride. A one-column panel stays
+// scalar: lanes over its rows would reorder its sums.
+func zuPass(z, u, r, x, a, acc []float64, stride, p, active int, kappa, rho float64, shrink, avx2 bool) {
+	if avx2 && stride > 1 && p > 0 {
+		cols, n := (active+3)&^3, p*stride
+		if cols > stride {
+			panic(mat.ErrShape)
+		}
+		_, _, _, _, _, _ = z[n-1], u[n-1], r[n-1], x[n-1], a[n-1], acc[5*stride-1] // keep the assembly in bounds
+		zuStrips(&z[0], &u[0], &r[0], &x[0], &a[0], &acc[0], stride, p, cols, kappa, rho, shrink)
+		return
+	}
+	for c := 0; c < active; c++ {
+		var pr, du, sx, sz, su float64
+		for k := c; k < p*stride; k += stride {
+			xv, uv, zOld := x[k], u[k], z[k]
+			zv := xv + uv
+			if shrink {
+				zv = SoftThreshold(zv, kappa)
+			}
+			uv += xv - zv
+			z[k], u[k] = zv, uv
+			r[k] = a[k] + float64(rho*(zv-uv))
+			d := xv - zv
+			pr += float64(d * d)
+			d = rho * (zv - zOld)
+			du += float64(d * d)
+			sx += float64(xv * xv)
+			sz += float64(zv * zv)
+			su += float64(uv * uv)
+		}
+		acc[c], acc[stride+c], acc[2*stride+c], acc[3*stride+c], acc[4*stride+c] = pr, du, sx, sz, su
+	}
 }
 
 // stopScreen is the cheap half of an ADMM stopping test over vectors of n

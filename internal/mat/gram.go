@@ -79,6 +79,11 @@ func GramWorkers(a *Dense, s Sample, workers int) *Dense {
 	return gram(a, s, workers, hasAVX2)
 }
 
+// HasAVX2 reports whether this binary runs the AVX2 kernels: the build has
+// them and the CPU and OS support them. Hand-written kernels elsewhere
+// (internal/admm) key on it, so one CPU check decides every kernel.
+func HasAVX2() bool { return hasAVX2 }
+
 // gram is GramWorkers with the kernel named by the caller: the AVX2 one when
 // avx2 is set (valid only where hasAVX2 is), the portable one otherwise.
 func gram(a *Dense, s Sample, workers int, avx2 bool) *Dense {
@@ -267,6 +272,51 @@ func gramTile(c0, c1, w, x []float64, m int) {
 	}
 	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
+}
+
+// MulAtB returns AᵀB (q×p) for an n×q A and an n×p B: entry (j, k) is
+// Σᵣ a_rj·b_rk summed from zero over the rows in order, one rounded product
+// and one rounded sum per row. Column k is therefore bit for bit GramVec of
+// a with column k of b over all rows: the same products (a product does not
+// depend on its operands' order) added in the same order. Whole 4×8 blocks
+// run the tile straight on the row-major inputs — four columns of A as its w
+// operand, eight of B as its x operand, no packing — and the last q mod 4
+// rows and p mod 8 columns add one input row at a time.
+func MulAtB(a, b *Dense) *Dense { return mulAtB(a, b, hasAVX2) }
+
+// mulAtB is MulAtB with the tile kernel named by the caller, as gram.
+func mulAtB(a, b *Dense, avx2 bool) *Dense {
+	if a.Rows != b.Rows {
+		panic(ErrShape)
+	}
+	n, q, p := a.Rows, a.Cols, b.Cols
+	sp := tracer().Start("mat/gemm_atb")
+	c := NewDense(q, p)
+	qt, pt := q&^3, p&^7
+	for j := 0; j < qt && n > 0; j += 4 {
+		for k := 0; k < pt; k += 8 {
+			tile(c.Data[j*p+k:], p, a.Data[j:], q, b.Data[k:], p, n, avx2)
+		}
+	}
+	j0 := 0 // rows before j0 have no edge columns
+	if pt == p {
+		j0 = qt
+	}
+	for r := 0; r < n && j0 < q; r++ {
+		ar, br := a.Row(r), b.Row(r)
+		for j := j0; j < q; j++ {
+			k0 := pt // a tiled row takes only the edge columns
+			if j >= qt {
+				k0 = 0
+			}
+			v, crow := ar[j], c.Data[j*p+k0:(j+1)*p]
+			for kk, bv := range br[k0:] {
+				crow[kk] += float64(v * bv)
+			}
+		}
+	}
+	sp.End()
+	return c
 }
 
 // AtVecWorkers computes Aᵀy under the signature of the budgeted kernels: the

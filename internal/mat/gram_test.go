@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -271,6 +272,63 @@ func TestGramKernelsIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMulAtBIdenticalToGramVec: every column of MulAtB(X, Y) is GramVec of
+// X with that column of Y, Float64bits for Float64bits, under both tile
+// kernels — for q mod 4 = 0…3 design columns, p mod 8 = 0…7 response
+// columns (so every mix of whole tiles and edges), n = 0, 1, 7 and 600
+// rows, and a VAR lag design with a trailing intercept column.
+func TestMulAtBIdenticalToGramVec(t *testing.T) {
+	kernels := []bool{false}
+	if hasAVX2 {
+		kernels = append(kernels, true)
+	}
+	check := func(name string, x, y *Dense) {
+		t.Helper()
+		col := make([]float64, y.Rows)
+		for _, avx2 := range kernels {
+			got := mulAtB(x, y, avx2)
+			if got.Rows != x.Cols || got.Cols != y.Cols {
+				t.Fatalf("%s avx2=%v: result is %d×%d, want %d×%d", name, avx2, got.Rows, got.Cols, x.Cols, y.Cols)
+			}
+			gotCol := make([]float64, x.Cols)
+			for e := 0; e < y.Cols; e++ {
+				want := GramVec(x, y.Col(e, col), Sample{})
+				got.Col(e, gotCol)
+				if i, ok := bitsEqual(gotCol, want); !ok {
+					t.Fatalf("%s avx2=%v column %d: entry %d is %v, GramVec has %v", name, avx2, e, i, gotCol[i], want[i])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{0, 1, 7, 600} {
+		for q := 1; q <= 12; q++ {
+			for p := 1; p <= 17; p++ {
+				check(fmt.Sprintf("n=%d q=%d p=%d", n, q, p), randomDense(rng, n, q), randomDense(rng, n, p))
+			}
+		}
+	}
+	// An order-2 lag design of a 6-series process with an intercept: row i
+	// targets time t = i+2, X row = [x_{t−1}, x_{t−2}, 1], Y row = x_t.
+	const series, order, steps = 6, 2, 300
+	z := randomDense(rng, steps, series)
+	for t := 1; t < steps; t++ {
+		for j := 0; j < series; j++ {
+			z.Data[t*series+j] += 0.5 * z.Data[(t-1)*series+(j+1)%series]
+		}
+	}
+	m := steps - order
+	x, y := NewDense(m, order*series+1), NewDense(m, series)
+	for i := 0; i < m; i++ {
+		copy(y.Row(i), z.Row(i+order))
+		for l := 1; l <= order; l++ {
+			copy(x.Row(i)[(l-1)*series:l*series], z.Row(i+order-l))
+		}
+		x.Set(i, order*series, 1)
+	}
+	check("VAR design", x, y)
 }
 
 // BenchmarkGram times the Gram kernel at the shapes the repository benchmark

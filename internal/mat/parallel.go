@@ -65,8 +65,9 @@ func PeakWorkers() int64 { return peakKernelWorkers.Load() }
 var kernelTracer atomic.Pointer[trace.Tracer]
 
 // SetTracer installs (or, with nil, removes) the process-wide kernel
-// tracer. Kernel calls record spans "mat/gemm", "mat/gemv", "mat/gemv_t",
-// "mat/ata", "mat/chol" and the gauge "mat/workers" (largest budget used).
+// tracer. Kernel calls record spans "mat/gemm", "mat/gemm_abt",
+// "mat/gemm_atb", "mat/gemv", "mat/gemv_t", "mat/ata", "mat/chol" and the
+// gauge "mat/workers" (largest budget used).
 func SetTracer(t *trace.Tracer) {
 	if t == nil {
 		kernelTracer.Store(nil)

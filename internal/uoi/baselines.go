@@ -125,7 +125,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 	m := full.X.Rows
 	p := full.P
 	rowsB := full.X.Cols
-	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full, 0), 1e-3, q)
+	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full), 1e-3, q)
 	blockLen := int(math.Ceil(math.Sqrt(float64(m))))
 	rng := resample.NewRNG(seed)
 
@@ -145,7 +145,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		xty := designXtY(trainDes, 0)
+		xty := designXtY(trainDes)
 		beta := make([]float64, rowsB*p)
 		for j, lam := range lambdas {
 			for eq, r := range fac.SolveRHSBatch(xty, lam, nil, nil, nil, 0) {
@@ -166,7 +166,7 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		return nil, nil, nil, err
 	}
 	beta := make([]float64, rowsB*p)
-	for eq, r := range fac.SolveRHSBatch(designXtY(full, 0), lambdas[best], nil, nil, nil, 0) {
+	for eq, r := range fac.SolveRHSBatch(designXtY(full), lambdas[best], nil, nil, nil, 0) {
 		copy(beta[eq*rowsB:(eq+1)*rowsB], r.Beta)
 	}
 	a, mu := full.PartitionBeta(beta)

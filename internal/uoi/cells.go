@@ -320,7 +320,7 @@ func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, 
 			warmZ[eq], warmU[eq] = warm(eq)
 		}
 	}
-	xty := designXtY(des, kw)
+	xty := designXtY(des)
 	for _, j := range order {
 		for eq, r := range f.SolveRHSBatch(xty, lambdas[j], warmZ, warmU, &c.ADMM, kw) {
 			warmZ[eq], warmU[eq] = r.Beta, r.U
@@ -355,7 +355,7 @@ func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen i
 	kron = time.Since(t0)
 
 	gram := mat.AtAWorkers(trainDes.X, kw)
-	xty := designXtY(trainDes, kw)
+	xty := designXtY(trainDes)
 	var best winner
 	for _, s := range distinct {
 		b := olsOnVecSupport(gram, xty, s)

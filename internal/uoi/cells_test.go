@@ -264,7 +264,7 @@ func newVarCellFixture(series *mat.Dense, cfg *VARConfig) varCellFixture {
 	return varCellFixture{
 		series: series, c: c, m: m, blockLen: int(math.Ceil(math.Sqrt(float64(m)))),
 		rowsB: full.X.Cols, betaLen: full.X.Cols * full.P,
-		lambdas: admm.LogSpaceLambdas(vecLambdaMax(full, 1), c.LambdaRatio, c.Q),
+		lambdas: admm.LogSpaceLambdas(vecLambdaMax(full), c.LambdaRatio, c.Q),
 	}
 }
 
@@ -516,6 +516,23 @@ func TestVarSelCellMatchesPerEquationSweep(t *testing.T) {
 					t.Fatalf("%s kw=%d: support indicator %d differs", name, kw, i)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkVARSelCell times one selection cell at the var_network
+// benchmark's shape (p=60, n=600, order 1, Q=16) on one kernel worker, as
+// the fit's bootstrap pool runs it: the bootstrap design, its Gram and
+// inverse, XᵀY, and the λ-outer batched solve of all 60 equations.
+func BenchmarkVARSelCell(b *testing.B) {
+	series := datagen.MakeFinance(1000, 60, 600, nil).Series
+	fx := newVarCellFixture(series, &VARConfig{Order: 1, B1: 6, B2: 3, Q: 16, Seed: 7})
+	root := resample.NewRNG(fx.c.Seed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, _, err := varSelCellRange(series, root, i%fx.c.B1, fx.m, fx.blockLen, fx.lambdas, 0, len(fx.lambdas), nil, nil, &fx.c, 1, nil, trace.Span{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

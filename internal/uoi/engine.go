@@ -188,7 +188,7 @@ func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, erro
 	full := varsim.NewDesign(series, d, !c.NoIntercept)
 	spKron.End()
 	pb.kron = time.Since(tKron)
-	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return vecLambdaMax(full, kw) })
+	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return vecLambdaMax(full) })
 	root := resample.NewRNG(c.Seed)
 	pb.meta = func() checkpoint.Meta {
 		return checkpoint.Meta{

@@ -181,21 +181,15 @@ func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
 }
 
 // designXtY returns the q×p panel XᵀY of a design (q = X columns): column
-// eq is the Xᵀy of equation eq, with kernel budget kw. It is the right-hand
-// side panel of the batched selection solve and, with XᵀX, the sufficient
-// statistics every estimation fit on the design is solved from.
-func designXtY(des *varsim.Design, kw int) *mat.Dense {
-	xty := mat.NewDense(des.X.Cols, des.P)
-	yCol := make([]float64, des.X.Rows)
-	for eq := 0; eq < des.P; eq++ {
-		xty.SetCol(eq, mat.AtVecWorkers(des.X, des.Y.Col(eq, yCol), kw))
-	}
-	return xty
-}
+// eq is the Xᵀy of equation eq, bit for bit GramVec of X with y_eq
+// (mat.MulAtB). It is the right-hand side panel of the batched selection
+// solve and, with XᵀX, the sufficient statistics every estimation fit on the
+// design is solved from.
+func designXtY(des *varsim.Design) *mat.Dense { return mat.MulAtB(des.X, des.Y) }
 
 // vecLambdaMax is ‖(I⊗X)ᵀ vec(Y)‖∞ = max_j ‖Xᵀ y_j‖∞.
-func vecLambdaMax(des *varsim.Design, kw int) float64 {
-	if maxV := mat.NormInf(designXtY(des, kw).Data); maxV > 0 {
+func vecLambdaMax(des *varsim.Design) float64 {
+	if maxV := mat.NormInf(designXtY(des).Data); maxV > 0 {
 		return maxV
 	}
 	return 1
