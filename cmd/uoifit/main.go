@@ -18,11 +18,14 @@
 // Baselines: -algo lasso-cv | lasso-bic | var-cv.
 //
 // Where a fit runs is one uoi.Placement built from the flags. By default
-// every rank reads its own row block (-dist) and cells run as consensus
-// ADMM in -pb × -pl groups of ranks (-readers VAR reader ranks each).
-// -grid RxC replicates the data on R·C ranks and shards the cells over the
-// bootstrap × λ grid, and -checkpoint replicates it and journals the cells;
-// both are bit-identical to a serial fit. A combination the library cannot
+// UoI_LASSO has every rank read its own row block (-dist) and run its cells
+// as consensus ADMM in -pb × -pl groups of ranks, and UoI_VAR holds the
+// series on -readers reader ranks of each group, broadcasts it once and
+// fits it bit-identically to a serial fit (the paper's Kronecker assembly
+// is a library baseline, uoi.KroneckerGets). -grid RxC replicates the data
+// on R·C ranks and shards the cells over the bootstrap × λ grid, and
+// -checkpoint replicates it and journals the cells; both are bit-identical
+// to a serial fit. A combination the library cannot
 // run, such as -grid with -checkpoint, exits 2 like any usage error.
 //
 // Saving fitted models:
@@ -172,9 +175,9 @@ type options struct {
 // placement builds the fit's placement from the flags, leaving each rank to
 // set its communicator: -grid is the replicated-data grid of R·C ranks (it
 // sets -ranks), -checkpoint the journal over replicated data, and otherwise
-// every rank holds a row block and cells run in -pb × -pl ADMM groups, each
-// with -readers VAR reader ranks. uoi rejects what it cannot run with
-// ErrPlacement.
+// the data is partitioned over -pb × -pl groups: row blocks for UoI_LASSO,
+// and for UoI_VAR the series on -readers reader ranks of each group. uoi
+// rejects what it cannot run with ErrPlacement.
 func (o *options) placement() (uoi.Placement, error) {
 	if o.Grid != "" {
 		shape, err := uoi.ParseGridShape(o.Grid)
@@ -229,7 +232,7 @@ func main() {
 	flag.IntVar(&o.MaxOrder, "maxorder", 4, "maximum order considered when -order 0")
 	flag.IntVar(&o.PB, "pb", 1, "bootstrap-level parallelism P_B")
 	flag.IntVar(&o.PL, "pl", 1, "λ-level parallelism P_λ")
-	flag.IntVar(&o.Readers, "readers", 2, "reader ranks for the VAR Kronecker assembly")
+	flag.IntVar(&o.Readers, "readers", 2, "VAR reader ranks per group that hold the series (rank 0 broadcasts it)")
 	flag.StringVar(&o.Dist, "dist", "randomized", "lasso data distribution: randomized | conventional")
 	flag.StringVar(&o.Edges, "edges", "", "write the Granger edge list to this file (var algos)")
 	flag.StringVar(&o.Dot, "dot", "", "write Graphviz DOT to this file (var algos)")

@@ -76,7 +76,7 @@ func MakeRegression(seed uint64, n, p int, opts *RegressionOptions) *Regression 
 	}
 	y := mat.MulVec(x, beta)
 	for i := range y {
-		y[i] += noise * rng.NormFloat64()
+		y[i] += float64(noise * rng.NormFloat64())
 	}
 	return &Regression{X: x, Y: y, TrueBeta: beta}
 }
@@ -157,7 +157,7 @@ func MakeFinance(seed uint64, p, n int, opts *FinanceOptions) *Finance {
 				prob = intra
 			}
 			if rng.Float64() < prob {
-				v := 0.3 + 0.7*rng.Float64()
+				v := 0.3 + float64(0.7*rng.Float64())
 				if rng.Float64() < 0.35 {
 					v = -v
 				}
@@ -165,20 +165,20 @@ func MakeFinance(seed uint64, p, n int, opts *FinanceOptions) *Finance {
 			}
 		}
 		// Mild momentum on the diagonal.
-		a.Set(i, i, 0.2+0.2*rng.Float64())
+		a.Set(i, i, 0.2+float64(0.2*rng.Float64()))
 	}
 	// Hubs: first `hubs` companies receive influence from many sectors.
 	for h := 0; h < hubs && h < p; h++ {
 		for s := 0; s < sectors; s++ {
 			src := s + sectors*(1+rng.Intn(maxInt(1, p/sectors-1)))
 			if src < p && src != h {
-				a.Set(h, src, 0.4+0.5*rng.Float64())
+				a.Set(h, src, 0.4+float64(0.5*rng.Float64()))
 			}
 		}
 	}
 	model := &varsim.Model{A: []*mat.Dense{a}, Mu: make([]float64, p), NoiseStd: make([]float64, p)}
 	for i := range model.NoiseStd {
-		model.NoiseStd[i] = 0.8 + 0.4*rng.Float64() // heteroskedastic returns
+		model.NoiseStd[i] = 0.8 + float64(0.4*rng.Float64()) // heteroskedastic returns
 	}
 	// Stabilize to a target spectral radius.
 	if r := model.SpectralRadius(); r > 0 {
@@ -230,14 +230,14 @@ func MakeNeuro(seed uint64, p, n int) *Neuro {
 				continue
 			}
 			if rng.Float64() < 0.5 {
-				a.Set(i, j, (0.2+0.5*rng.Float64())/float64(1+absInt(off)))
+				a.Set(i, j, (0.2+float64(0.5*rng.Float64()))/float64(1+absInt(off)))
 			}
 		}
 		// Sparse long-range connections (M1 ↔ S1 style).
 		for k := 0; k < 2; k++ {
 			j := rng.Intn(p)
 			if j != i {
-				v := 0.2 + 0.4*rng.Float64()
+				v := 0.2 + float64(0.4*rng.Float64())
 				if rng.Float64() < 0.5 {
 					v = -v
 				}
@@ -276,7 +276,7 @@ func poisson(rng *resample.RNG, lambda float64) float64 {
 		return 0
 	}
 	if lambda > 30 {
-		v := lambda + math.Sqrt(lambda)*rng.NormFloat64()
+		v := lambda + float64(math.Sqrt(lambda)*rng.NormFloat64())
 		if v < 0 {
 			return 0
 		}
@@ -363,13 +363,13 @@ func MakeSparseVAR(seed uint64, p, n int, opts *SparseVAROptions) *SparseVAR {
 				continue
 			}
 			chosen[src] = true
-			v := scale * (0.5 + 0.5*rng.Float64())
+			v := scale * (0.5 + float64(0.5*rng.Float64()))
 			if rng.Float64() < 0.4 {
 				v = -v
 			}
 			a.Set(i, src, v)
 		}
-		a.Set(i, i, 0.25+0.15*rng.Float64()) // mild self-persistence
+		a.Set(i, i, 0.25+float64(0.15*rng.Float64())) // mild self-persistence
 	}
 	model := &varsim.Model{A: []*mat.Dense{a}, Mu: make([]float64, p), NoiseStd: make([]float64, p)}
 	for i := range model.NoiseStd {

@@ -52,7 +52,7 @@ func TrainEvalSplit(rng *RNG, n int, frac float64) (train, eval []int) {
 		panic(fmt.Sprintf("resample: train fraction %v outside (0,1)", frac))
 	}
 	p := rng.Perm(n)
-	k := int(float64(n)*frac + 0.5)
+	k := int(float64(float64(n)*frac) + 0.5)
 	if k < 1 {
 		k = 1
 	}
@@ -152,7 +152,7 @@ func BlockTrainEvalSplit(rng *RNG, n, blockLen int, frac float64) (train, eval [
 		panic("resample: need at least two blocks to split")
 	}
 	order := rng.Perm(numBlocks)
-	kTrain := int(float64(numBlocks)*frac + 0.5)
+	kTrain := int(float64(float64(numBlocks)*frac) + 0.5)
 	if kTrain < 1 {
 		kTrain = 1
 	}

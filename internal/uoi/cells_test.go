@@ -151,7 +151,7 @@ func consensusVARSkipsNaNLoss(t *testing.T) {
 	fit := func(series *mat.Dense) *VARResult {
 		var res *VARResult
 		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
-			res, err = VAR(series, varOn(cfg, Placement{Comm: comm, Partitioned: true}))
+			res, err = VAR(series, varOn(cfg, Placement{Comm: comm, Partitioned: true, Assembly: KroneckerGets}))
 			return err
 		})
 		if err != nil {

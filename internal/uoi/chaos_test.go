@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"uoivar/internal/fault"
+	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
+	"uoivar/internal/trace"
 )
 
 // chaosDeadline bounds every chaos run: the invariant under test is that a
@@ -262,7 +265,7 @@ func TestChaosVARCrash(t *testing.T) {
 				CollectiveTimeout: 20 * time.Second,
 				Fault:             plan,
 			}, func(c *mpi.Comm) error {
-				_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 3, B2: 2, Q: 3, Seed: 5}, Placement{Comm: c, Partitioned: true}))
+				_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 3, B2: 2, Q: 3, Seed: 5}, Placement{Comm: c, Partitioned: true, Assembly: KroneckerGets}))
 				return err
 			})
 		})
@@ -273,6 +276,80 @@ func TestChaosVARCrash(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("VAR crash outcome not reproducible:\n  first:  %s\n  replay: %s", a, b)
+	}
+}
+
+// TestChaosVARSharedSeriesCrash drives the default partitioned VAR — the
+// series broadcast, then the serial problem on the grid — through a crash of
+// rank 3, a non-reader, at two points: while it awaits the series, and in
+// the middle of selection. Each must unwind into a typed error on every
+// rank, identical on replay, never a hang. A reader without the series
+// fails the agreement before the broadcast.
+func TestChaosVARSharedSeriesCrash(t *testing.T) {
+	_, series := makeVARData(53, 4, 1, 160)
+	const ranks, readers = 4, 1
+	// Two groups of two ranks, so ranks 0 and 2 are the readers. Rank 3's
+	// comm ops: the grid's two Splits (an Allgather and two barriers each,
+	// 0–5), the agreement that every reader holds the series (6), its shape
+	// (7), the series (8), then selection: on the 2×2 grid the 1×2 shape
+	// becomes, rank 3 receives bootstrap 1's four warm-start chains (9–12).
+	for _, tc := range []struct {
+		name    string
+		op      int
+		reached string // a phase rank 0 completes before the crash ("": none)
+		missed  string // a phase the crash keeps rank 0 from completing
+	}{
+		{"series broadcast", 8, "", "kron_assembly"},
+		{"selection", 10, "lambda_grid", "intersection"},
+	} {
+		run := func() string {
+			plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 3, Op: tc.op})
+			tr := trace.New()
+			err := runBounded(t, func() error {
+				return mpi.RunWithOptions(ranks, mpi.RunOptions{CollectiveTimeout: 20 * time.Second, Fault: plan}, func(c *mpi.Comm) error {
+					var s *mat.Dense
+					cfg := &VARConfig{Order: 1, B1: 3, B2: 2, Q: 3, Seed: 5}
+					if c.Rank()%2 < readers {
+						s = series
+					}
+					if c.Rank() == 0 {
+						cfg.Trace = tr
+					}
+					_, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: readers, Shape: GridShape{1, 2}}))
+					return err
+				})
+			})
+			if !errors.Is(err, mpi.ErrRankFailed) || !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("%s: err = %v, want ErrRankFailed wrapping the injected crash", tc.name, err)
+			}
+			phases := topLevel(tr)
+			if _, ok := phases[tc.reached]; tc.reached != "" && !ok {
+				t.Fatalf("%s: rank 0 never completed %s (phases %v)", tc.name, tc.reached, phases)
+			}
+			if _, ok := phases[tc.missed]; ok {
+				t.Fatalf("%s: rank 0 completed %s: the crash came too late", tc.name, tc.missed)
+			}
+			return err.Error()
+		}
+		if a, b := run(), run(); a != b {
+			t.Fatalf("%s: crash outcome not reproducible:\n  first:  %s\n  replay: %s", tc.name, a, b)
+		}
+	}
+	err := runBounded(t, func() error {
+		return mpi.Run(ranks, func(c *mpi.Comm) error {
+			var s *mat.Dense
+			if c.Rank() == 0 {
+				s = series // rank 1, the group's second reader, passes nil
+			}
+			_, err := VAR(s, varOn(&VARConfig{B1: 2, B2: 2, Q: 3}, Placement{Comm: c, Partitioned: true, NReaders: 2}))
+			if err == nil || !strings.Contains(err.Error(), "reader rank(s) missing the series") {
+				return fmt.Errorf("rank %d: err = %v, want the missing-series error", c.Rank(), err)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

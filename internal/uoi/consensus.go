@@ -260,43 +260,31 @@ func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xE
 
 // newVARConsensusProblem binds UoI_VAR to a series held by the leading
 // at.NReaders ranks of every group of pl, each passing the series and the
-// rest nil: every rank derives identical bootstrap indices from c.Seed, so
-// no coordination traffic is needed beyond the assembly Gets and the
-// solver Allreduces. Each bootstrap's vectorized design is
-// assembled across its group from the readers' rows, and its cells run
-// consensus ADMM on it. When the λ grid is derived, bootstrap 0's design is
-// assembled here, for λ_max, and handed to selection cell 0.
+// rest nil: the Kronecker baseline (at.Assembly). Every rank derives
+// identical bootstrap indices from c.Seed, so no coordination traffic is
+// needed beyond the assembly Gets and the solver Allreduces. Each
+// bootstrap's vectorized design is assembled across its group from the
+// readers' rows, and its cells run consensus ADMM on it. When the λ grid is
+// derived, bootstrap 0's design is assembled here, for λ_max, and handed to
+// selection cell 0.
 func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *Placement) (*problem, error) {
-	world, group := pl.world, pl.group
-	nReaders := at.NReaders
-	if nReaders <= 0 {
-		nReaders = min(group.Size(), 8)
-	}
-	if nReaders > group.Size() {
-		return nil, fmt.Errorf("uoi: %d readers exceed %d group ranks", nReaders, group.Size())
-	}
-	isReader := group.Rank() < nReaders
-	// Agree on validity before anyone leaves the collective sequence; the
-	// shape comes from world rank 0, a reader of the first group.
-	valid := 1.0
-	if isReader && series == nil {
-		valid = 0
-	}
-	shape := make([]float64, 2)
-	if world.Rank() == 0 && series != nil {
-		shape[0], shape[1] = float64(series.Rows), float64(series.Cols)
-	}
-	if world.AllreduceScalar(mpi.OpMin, valid) == 0 {
-		return nil, fmt.Errorf("uoi: reader rank(s) missing the series")
-	}
-	world.Bcast(0, shape)
-	m, blockLen, err := varWindow(int(shape[0]), c)
+	group := pl.group
+	nReaders, err := at.readers(group.Size())
 	if err != nil {
 		return nil, err
 	}
-	pb, kw := varBase(c, int(shape[1]), pl.streams())
+	isReader := group.Rank() < nReaders
+	rows, cols, err := agreeSeries(pl.world, series, isReader)
+	if err != nil {
+		return nil, err
+	}
+	m, blockLen, err := varWindow(rows, c)
+	if err != nil {
+		return nil, err
+	}
+	pb, kw := varBase(c, cols, pl.streams())
 	assemble := kron.Assemble
-	if at.CommAvoiding {
+	if at.Assembly == KroneckerCommAvoiding {
 		assemble = kron.AssembleCommAvoiding
 	}
 	// design assembles, under the kron_assembly span sp, the vectorized

@@ -117,12 +117,12 @@ func consensusCases() []consensusCase {
 				return varFit(VAR(s, varOn(&v, mine)))
 			}})
 	}
-	varRow("var", 2, 1, Placement{})
-	varRow("var", 4, 2, Placement{})
-	varRow("var-ca", 2, 1, Placement{CommAvoiding: true})
-	varRow("var", 4, 1, Placement{Shape: GridShape{2, 1}})
-	varRow("var", 6, 1, Placement{Shape: GridShape{2, 1}}) // group size 3
-	varRow("var", 4, 1, Placement{Shape: GridShape{1, 2}}) // two λ groups
+	varRow("var", 2, 1, Placement{Assembly: KroneckerGets})
+	varRow("var", 4, 2, Placement{Assembly: KroneckerGets})
+	varRow("var-ca", 2, 1, Placement{Assembly: KroneckerCommAvoiding})
+	varRow("var", 4, 1, Placement{Shape: GridShape{2, 1}, Assembly: KroneckerGets})
+	varRow("var", 6, 1, Placement{Shape: GridShape{2, 1}, Assembly: KroneckerGets}) // group size 3
+	varRow("var", 4, 1, Placement{Shape: GridShape{1, 2}, Assembly: KroneckerGets}) // two λ groups
 	return cases
 }
 

@@ -411,7 +411,7 @@ func TestVARDistributedTraced(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		tracers[c.Rank()] = trace.New()
 		start := time.Now()
-		_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 4, B2: 2, Q: 4, Seed: 3, Trace: tracers[c.Rank()]}, Placement{Comm: c, Partitioned: true}))
+		_, err := VAR(series, varOn(&VARConfig{Order: 1, B1: 4, B2: 2, Q: 4, Seed: 3, Trace: tracers[c.Rank()]}, Placement{Comm: c, Partitioned: true, Assembly: KroneckerGets}))
 		walls[c.Rank()] = time.Since(start)
 		return err
 	})

@@ -18,8 +18,13 @@ import (
 //     one rank per grid cell, so Shape.Ranks() equals the world size;
 //   - replicated data without a Shape, checkpointed: the journal, its cells
 //     dealt round-robin over the ranks (checkpointed.go);
-//   - partitioned data: PB·PL consensus-ADMM groups of size/(PB·PL) ranks
-//     each (consensus.go); an unset Shape is one group of every rank.
+//   - partitioned UoI_LASSO, and partitioned UoI_VAR at a Kronecker
+//     Assembly: PB·PL consensus-ADMM groups of size/(PB·PL) ranks each
+//     (consensus.go); an unset Shape is one group of every rank;
+//   - partitioned UoI_VAR at the default Assembly: world rank 0 broadcasts
+//     the series once, and the serial problem runs on the replicated-data
+//     grid of (size/PL) × PL ranks — each group's ranks become bootstrap
+//     rows — so the fit is the serial one bit for bit.
 //
 // Every other combination is an ErrPlacement. All-pairs inference takes the
 // communicator alone and shards its targets over the ranks.
@@ -46,18 +51,37 @@ type Placement struct {
 	// NReaders is, for partitioned UoI_VAR, the number of reader ranks per
 	// ADMM group that hold the series — the leading ranks of the group ("a
 	// small number of processes ... read the data file in parallel and
-	// create windows", §III-B2). 0 selects min(groupSize, 8).
+	// create windows", §III-B2); the other ranks may pass nil. 0 selects
+	// min(groupSize, 8).
 	NReaders int
-	// CommAvoiding selects partitioned UoI_VAR's de-duplicated assembly
-	// (the Discussion's proposed communication-avoiding strategy) instead
-	// of the paper's measured per-row Gets.
-	CommAvoiding bool
+	// Assembly says how partitioned UoI_VAR gets the series to its ranks:
+	// by default one broadcast from world rank 0, the first reader; the
+	// Kronecker values run the paper's pipeline as a measured baseline.
+	Assembly VARAssembly
 	// FlatCollectives replaces the grid's tree/ring reassembly with the
 	// flat barrier collectives (full-width Allreduce/Allgather): the
 	// baseline the communication-avoiding path is measured against. The
 	// results are bit-identical; only bytes on the wire and waits differ.
 	FlatCollectives bool
 }
+
+// VARAssembly is how a partitioned UoI_VAR fit builds its designs from the
+// series its reader ranks hold.
+type VARAssembly int
+
+const (
+	// SharedSeries broadcasts the series once and has every rank build the
+	// serial designs from it: the serial fit, bit for bit, at any rank
+	// count, reader count and shape.
+	SharedSeries VARAssembly = iota
+	// KroneckerGets is the paper's §III-B2 pipeline: every bootstrap's
+	// vectorized design (I⊗X, vec Y) assembled across its ADMM group with
+	// one one-sided Get per row, then solved by consensus ADMM.
+	KroneckerGets
+	// KroneckerCommAvoiding is KroneckerGets with the Discussion's
+	// de-duplicated assembly: each design row is fetched once per rank.
+	KroneckerCommAvoiding
+)
 
 // ErrPlacement reports a placement the fit cannot run at, on every rank
 // alike and, but for the grid's WarmBeta check, before any collective.
@@ -92,6 +116,9 @@ func (pl *Placement) place(a fitAsk) (placement, error) {
 		return nil, err
 	}
 	switch {
+	case pl.Partitioned && a.fit == "VAR" && pl.Assembly == SharedSeries:
+		shape := pl.Shape.normalize()
+		return newGrid(pl.Comm, GridShape{PB: pl.Comm.Size() / shape.PL, PL: shape.PL}, false), nil
 	case pl.Partitioned:
 		return newConsensus(pl.Comm, pl.Shape), nil
 	case a.ckpt != nil:
@@ -123,15 +150,17 @@ func (pl *Placement) check(a fitAsk) error {
 		why = "a checkpointed fit needs replicated data"
 	case a.ckpt != nil && shape != GridShape{}:
 		why = "a checkpointed fit takes no grid shape"
-	case (pl.NReaders != 0 || pl.CommAvoiding) && !(part && a.fit == "VAR"):
-		why = "NReaders and CommAvoiding apply to partitioned VAR only"
+	case (pl.NReaders != 0 || pl.Assembly != SharedSeries) && !(part && a.fit == "VAR"):
+		why = "NReaders and a Kronecker Assembly apply to partitioned VAR only"
+	case pl.Assembly < SharedSeries || pl.Assembly > KroneckerCommAvoiding:
+		why = fmt.Sprintf("unknown VARAssembly %d", pl.Assembly)
 	case pl.EstX != nil && !(part && a.fit == "Lasso"):
 		why = "an estimation block applies to partitioned Lasso only"
 	case pl.FlatCollectives && !grid:
 		why = "FlatCollectives applies to the replicated-data grid only"
 	case part && a.fit == "VAR" && (a.cells || a.warm || a.l2):
-		// Honouring L2 waits for a reduce of sufficient statistics: the
-		// Kronecker factorization has no ℓ2 term.
+		// The Kronecker factorization has no ℓ2 term. The shared series
+		// could honour all three but keeps the baseline's surface for now.
 		why = "partitioned VAR takes no cell cache, WarmBeta or L2"
 	case grid && a.cells:
 		why = "the grid splits the λ path, which the cell cache keys whole"

@@ -83,7 +83,12 @@ func TestPlacementRejects(t *testing.T) {
 			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.NReaders, at.Partitioned = 1, true })
 		}},
 		{name: "var CommAvoiding grid", fit: func(c *mpi.Comm) error {
-			return varWith(c, func(_ *VARConfig, at *Placement) { at.CommAvoiding, at.Shape = true, GridShape{c.Size(), 1} })
+			return varWith(c, func(_ *VARConfig, at *Placement) {
+				at.Assembly, at.Shape = KroneckerCommAvoiding, GridShape{c.Size(), 1}
+			})
+		}},
+		{name: "var unknown Assembly", fit: func(c *mpi.Comm) error {
+			return varWith(c, func(_ *VARConfig, at *Placement) { at.Assembly, at.Partitioned = KroneckerCommAvoiding+1, true })
 		}},
 		{name: "lasso FlatCollectives partitioned", fit: func(c *mpi.Comm) error {
 			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.FlatCollectives, at.Partitioned = true, true })

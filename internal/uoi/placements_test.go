@@ -69,6 +69,9 @@ type execution struct {
 	tr          *trace.Tracer
 	ck          *CheckpointConfig
 	at          *Placement // nil: in-process
+	// noData: this rank is not one of a partitioned UoI_VAR fit's readers
+	// and passes a nil series.
+	noData bool
 }
 
 // tableProblem is the problem half: fit runs it under an execution.
@@ -76,6 +79,9 @@ type tableProblem struct {
 	name   string
 	fit    func(e execution) (placedFit, error)
 	gridOK func(GridShape) bool // false: the grid entry point must reject the problem
+	// partitioned: the partitioned UoI_VAR placements apply (they hold no
+	// row blocks of a regression); partOK: they must accept the problem.
+	partitioned, partOK bool
 }
 
 func lassoTableProblem(name string, x *mat.Dense, y []float64, base LassoConfig) tableProblem {
@@ -90,12 +96,17 @@ func lassoTableProblem(name string, x *mat.Dense, y []float64, base LassoConfig)
 func varTableProblem(name string, series *mat.Dense, base VARConfig) tableProblem {
 	return tableProblem{name: name,
 		// A WarmBeta seed reverses the λ sweep, which a grid with more than
-		// one λ column cannot pipeline.
-		gridOK: func(s GridShape) bool { return base.WarmBeta == nil || s.PL == 1 },
+		// one λ column cannot pipeline; partitioned VAR refuses it outright.
+		gridOK:      func(s GridShape) bool { return base.WarmBeta == nil || s.PL == 1 },
+		partitioned: true, partOK: base.WarmBeta == nil,
 		fit: func(e execution) (placedFit, error) {
 			cfg := base
 			cfg.Workers, cfg.KernelWorkers, cfg.Trace, cfg.Checkpoint, cfg.Placement = e.workers, e.kw, e.tr, e.ck, e.at
-			return varFit(VAR(series, &cfg))
+			s := series
+			if e.noData {
+				s = nil
+			}
+			return varFit(VAR(s, &cfg))
 		}}
 }
 
@@ -164,9 +175,11 @@ func tableProblems() []tableProblem {
 // placedRun is one table cell's outcome: the fit every rank returned and
 // the counters the golden table pins.
 type placedRun struct {
-	fits     []placedFit // per rank (one entry for in-process placements)
-	rejected bool        // the entry point refused the problem, as gridOK said it must
-	ckpt     [3]int64    // ckpt/writes, ckpt/cells_skipped, ckpt/cells_loaded summed over ranks
+	fits []placedFit // per rank (one entry for in-process placements)
+	// rejected: the entry point refused the problem, as gridOK or partOK
+	// said it must, or the placement does not apply to it.
+	rejected bool
+	ckpt     [3]int64 // ckpt/writes, ckpt/cells_skipped, ckpt/cells_loaded summed over ranks
 	mpi      map[string][2]int64
 }
 
@@ -210,6 +223,9 @@ func runRanks(ranks int, opts mpi.RunOptions, pb tableProblem, e execution) (*pl
 	err := mpi.RunWithOptions(ranks, opts, func(c *mpi.Comm) error {
 		mine := e
 		mine.at, mine.tr = placedAt(e.at, c), trace.New()
+		if at := mine.at; at.Partitioned {
+			mine.noData = c.Rank()%(ranks/at.Shape.normalize().Ranks()) >= at.NReaders
+		}
 		fit, err := pb.fit(mine)
 		if err != nil {
 			return err
@@ -358,6 +374,34 @@ func tablePlacements() []tablePlacement {
 					return run, err
 				}})
 		}
+	}
+	// Partitioned UoI_VAR at its default assembly: the readers' series is
+	// broadcast and the serial problem runs on the grid, so every rank
+	// count, reader count and shape gives the oracle's bits. Six ranks in
+	// two groups is a group of three.
+	for _, part := range []struct {
+		ranks, readers int
+		shape          GridShape
+	}{
+		{2, 1, GridShape{1, 1}}, {3, 2, GridShape{1, 1}}, {4, 2, GridShape{2, 1}},
+		{4, 1, GridShape{1, 2}}, {6, 2, GridShape{2, 1}}, {6, 1, GridShape{1, 2}},
+	} {
+		at := &Placement{Shape: part.shape, Partitioned: true, NReaders: part.readers}
+		name := fmt.Sprintf("part-r%d-%s-n%d", part.ranks, part.shape, part.readers)
+		pls = append(pls, tablePlacement{name: name,
+			run: func(t *testing.T, pb tableProblem, kw int) (*placedRun, error) {
+				if !pb.partitioned {
+					return &placedRun{rejected: true}, nil
+				}
+				run, err := runRanks(part.ranks, mpi.RunOptions{}, pb, execution{kw: kw, at: at})
+				switch {
+				case !pb.partOK && errors.Is(err, ErrPlacement):
+					return &placedRun{rejected: true}, nil
+				case !pb.partOK:
+					t.Fatalf("%s: got %v, want an ErrPlacement", name, err)
+				}
+				return run, err
+			}})
 	}
 	return pls
 }

@@ -186,7 +186,7 @@ func TestCommMatrixConservationVAR(t *testing.T) {
 		if c.Rank() < 2 {
 			s = series
 		}
-		_, err := VAR(s, varOn(&VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5}, Placement{Comm: c, Partitioned: true, NReaders: 2}))
+		_, err := VAR(s, varOn(&VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, LambdaRatio: 1e-2, Seed: 5}, Placement{Comm: c, Partitioned: true, NReaders: 2, Assembly: KroneckerGets}))
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,8 @@
 // entry point per problem — Lasso, VAR and AllPairs — and one Placement
 // value on its config picks where it runs; a combination no placement runs
 // is an ErrPlacement. A replicated-data fit's bits do not depend on the
-// placement (DESIGN.md §17). Whole-network all-pairs inference (AllPairs)
+// placement (DESIGN.md §17), and neither do a partitioned UoI_VAR fit's at
+// its default Assembly, which broadcasts the series and runs the grid. Whole-network all-pairs inference (AllPairs)
 // has its own loop over the same helpers.
 package uoi
 

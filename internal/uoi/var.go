@@ -7,6 +7,7 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
 )
@@ -82,7 +83,9 @@ type VARConfig struct {
 	Checkpoint *CheckpointConfig
 	// Placement, when non-nil, runs the fit across the ranks of its
 	// communicator (see Placement). Partitioned, the leading NReaders ranks
-	// of every ADMM group pass the series and the rest may pass nil.
+	// of every ADMM group pass the series and the rest may pass nil; world
+	// rank 0 broadcasts it and the result is the serial fit's, unless the
+	// Placement's Assembly names the Kronecker baseline.
 	Placement *Placement
 	// ADMM tunes the inner solver, as in LassoConfig.
 	ADMM admm.Options
@@ -121,16 +124,21 @@ type VARResult struct {
 	Supports [][]int // per-λ support indices into vec(B)
 	// Diag carries phase timings; KronTime aggregates the vectorization /
 	// Kronecker-construction work (design construction per bootstrap),
-	// the paper's "distribution" phase analogue in the serial code.
+	// the paper's "distribution" phase analogue in the serial code. A
+	// partitioned fit's includes getting the series to the ranks: the
+	// one-sided assembly, or the series broadcast.
 	Diag     Diagnostics
 	KronTime time.Duration // total design-assembly time (see Diag comment)
 }
 
 // VAR runs UoI_VAR on an N×p series at cfg.Placement, as Lasso does. A
-// Partitioned placement runs the paper's full pipeline: per-bootstrap
-// distributed Kronecker/vectorization assembly from reader windows,
-// consensus LASSO-ADMM over the vectorized problem, and projected-OLS
-// estimation.
+// Partitioned placement takes the series from its reader ranks only. By
+// default world rank 0 broadcasts it once and every rank runs the serial
+// problem on the replicated-data grid, so the result is the serial fit bit
+// for bit. A Kronecker Assembly runs the paper's full pipeline instead:
+// per-bootstrap distributed Kronecker/vectorization assembly from reader
+// windows, consensus LASSO-ADMM over the vectorized problem, and
+// projected-OLS estimation.
 func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	c := cfg.defaults()
 	pl, err := c.Placement.place(c.ask())
@@ -138,14 +146,21 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 		return nil, err
 	}
 	var pb *problem
-	if cons, ok := pl.(*consensus); ok {
+	var shared time.Duration // the series broadcast, when there is one
+	switch cons, ok := pl.(*consensus); {
+	case ok:
 		pb, err = newVARConsensusProblem(cons, series, &c, c.Placement)
-	} else {
+	case c.Placement != nil && c.Placement.Partitioned:
+		if series, shared, err = shareSeries(c.Placement, series, c.Trace); err == nil {
+			pb, err = newVARProblem(series, &c, pl.streams())
+		}
+	default:
 		pb, err = newVARProblem(series, &c, pl.streams())
 	}
 	if err != nil {
 		return nil, err
 	}
+	pb.kron += shared
 	fit, err := run(pb, pl)
 	if err != nil {
 		return nil, err
@@ -166,6 +181,65 @@ func (c *VARConfig) ask() fitAsk {
 // CheckPlacement returns the ErrPlacement a fit of c would, as
 // LassoConfig.CheckPlacement does.
 func (c *VARConfig) CheckPlacement() error { return c.Placement.check(c.ask()) }
+
+// readers resolves a partitioned UoI_VAR fit's reader count for groups of
+// groupSize ranks: NReaders, or min(groupSize, 8).
+func (pl *Placement) readers(groupSize int) (int, error) {
+	n := pl.NReaders
+	if n <= 0 {
+		n = min(groupSize, 8)
+	}
+	if n > groupSize {
+		return 0, fmt.Errorf("uoi: %d readers exceed %d group ranks", n, groupSize)
+	}
+	return n, nil
+}
+
+// agreeSeries has the ranks of world agree, before any of them leaves the
+// collective sequence, that every reader holds the series (isReader: this
+// rank is one), and returns its shape as world rank 0, the first reader of
+// the first group, holds it.
+func agreeSeries(world *mpi.Comm, series *mat.Dense, isReader bool) (rows, cols int, err error) {
+	valid := 1.0
+	if isReader && series == nil {
+		valid = 0
+	}
+	shape := make([]float64, 2)
+	if world.Rank() == 0 && series != nil {
+		shape[0], shape[1] = float64(series.Rows), float64(series.Cols)
+	}
+	if world.AllreduceScalar(mpi.OpMin, valid) == 0 {
+		return 0, 0, fmt.Errorf("uoi: reader rank(s) missing the series")
+	}
+	world.Bcast(0, shape)
+	return int(shape[0]), int(shape[1]), nil
+}
+
+// shareSeries gives every rank of a partitioned UoI_VAR fit at `at` the
+// series its readers hold: once the ranks agree that every reader has it,
+// world rank 0 broadcasts it, and every other rank fits that copy. It
+// returns the series this rank fits and the time the exchange took (traced
+// as series_bcast).
+func shareSeries(at *Placement, series *mat.Dense, tr *trace.Tracer) (*mat.Dense, time.Duration, error) {
+	world := at.Comm
+	groupSize := world.Size() / at.Shape.normalize().Ranks()
+	nReaders, err := at.readers(groupSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	sp := tr.Start("series_bcast")
+	defer sp.End()
+	rows, cols, err := agreeSeries(world, series, world.Rank()%groupSize < nReaders)
+	if err != nil {
+		return nil, 0, err
+	}
+	if world.Rank() != 0 {
+		series = mat.NewDense(rows, cols)
+	}
+	world.Bcast(0, series.Data)
+	return series, time.Since(start), nil
+}
 
 // varWindow resolves the design-row count m of an order-c.Order fit to an
 // nTotal-sample series and its block-bootstrap length (⌈√m⌉ by default).

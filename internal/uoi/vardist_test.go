@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"uoivar/internal/datagen"
 	"uoivar/internal/mat"
 	"uoivar/internal/metrics"
 	"uoivar/internal/mpi"
@@ -94,7 +95,7 @@ func TestVARDistributedMatchesSerialQuality(t *testing.T) {
 func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 	_, series := makeVARData(53, 4, 1, 200)
 	cfg := &VARConfig{Order: 1, B1: 4, B2: 2, Q: 5, Seed: 3}
-	run := func(ca bool) ([]float64, int64) {
+	run := func(assembly VARAssembly) ([]float64, int64) {
 		var beta []float64
 		var oneSided int64
 		err := mpi.Run(2, func(c *mpi.Comm) error {
@@ -102,7 +103,7 @@ func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 			if c.Rank() < 1 {
 				s = series
 			}
-			res, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: 1, CommAvoiding: ca}))
+			res, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: 1, Assembly: assembly}))
 			if err != nil {
 				return err
 			}
@@ -118,8 +119,8 @@ func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 		}
 		return beta, oneSided
 	}
-	a, bytesNaive := run(false)
-	b, bytesCA := run(true)
+	a, bytesNaive := run(KroneckerGets)
+	b, bytesCA := run(KroneckerCommAvoiding)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("comm-avoiding assembly changed the estimate")
@@ -206,5 +207,35 @@ func TestVARDistributedGridValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkVARPartitioned times a partitioned UoI_VAR fit at the dist_mix
+// benchmark's VAR job shape (p=40, n=600, order 1, B1 4, B2 2, Q 8, 2 ranks,
+// one reader, one kernel worker each): the default series broadcast against
+// the paper's per-row Kronecker assembly.
+func BenchmarkVARPartitioned(b *testing.B) {
+	series := datagen.MakeFinance(1100, 40, 600, nil).Series
+	cfg := &VARConfig{Order: 1, B1: 4, B2: 2, Q: 8, Seed: 1, KernelWorkers: 1}
+	for _, a := range []struct {
+		name     string
+		assembly VARAssembly
+	}{{"shared-series", SharedSeries}, {"kronecker-gets", KroneckerGets}} {
+		b.Run(a.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				err := mpi.Run(2, func(c *mpi.Comm) error {
+					var s *mat.Dense
+					if c.Rank() == 0 {
+						s = series
+					}
+					_, err := VAR(s, varOn(cfg, Placement{Comm: c, Partitioned: true, NReaders: 1, Assembly: a.assembly}))
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,8 @@
 #      carries per-communicator ("collective[row]"/"[col]") attribution, and
 #   3. the CLI dispatches its flags to the right placement: a checkpointed
 #      -ranks 3 fit, which the journal runs, writes the same model as a grid
-#      fit, for UoI_LASSO and for UoI_VAR.
+#      fit, for UoI_LASSO and for UoI_VAR, and so does a partitioned
+#      UoI_VAR fit whose two reader ranks hold the series.
 # Exits nonzero if any step fails or any artifact differs.
 set -euo pipefail
 
@@ -53,7 +54,7 @@ echo "== perf reports parse and carry grid comm attribution =="
 # flat baseline: world-wide collectives, labeled by the world handle.
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/flat4x2.perf.json"
 
-echo "== placement dispatch: the journal at -ranks 3 matches the grid =="
+echo "== placement dispatch: the journal and partitioned VAR match the grid =="
 "$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" -ranks 3 \
   -checkpoint "$WORK/lasso.uoickpt" -b1 8 -b2 4 -q 6 -seed 3 \
   -model-out "$WORK/ckpt3.uoim" > /dev/null
@@ -68,5 +69,7 @@ varfit() { # varfit <tag> <placement flags...>
 varfit vargrid2x2 -grid 2x2
 varfit varckpt3 -ranks 3 -checkpoint "$WORK/var.uoickpt"
 cmp "$WORK/vargrid2x2.uoim" "$WORK/varckpt3.uoim"
+varfit varpart4 -ranks 4 -readers 2
+cmp "$WORK/vargrid2x2.uoim" "$WORK/varpart4.uoim"
 
 echo "grid smoke passed"

@@ -96,6 +96,18 @@ var ErrPlacement = uoi.ErrPlacement
 // VARDistOptions is the Placement of FitVARDistributed.
 type VARDistOptions = Placement
 
+// VARAssembly is how a partitioned UoI_VAR fit gets its series to the ranks
+// (Placement.Assembly).
+type VARAssembly = uoi.VARAssembly
+
+// The VARAssembly values: the default series broadcast, and the paper's
+// Kronecker pipeline with per-row or de-duplicated Gets as baselines.
+const (
+	SharedSeries          = uoi.SharedSeries
+	KroneckerGets         = uoi.KroneckerGets
+	KroneckerCommAvoiding = uoi.KroneckerCommAvoiding
+)
+
 // GridShape is the P_B × P_λ decomposition of the paper's §III: PB
 // bootstrap groups times PL λ groups (DESIGN.md §16).
 type GridShape = uoi.GridShape
@@ -128,9 +140,12 @@ func FitVAR(series *Dense, cfg *VARConfig) (*VARResult, error) {
 	return uoi.VAR(series, cfg)
 }
 
-// FitVARDistributed runs UoI_VAR across the ranks of comm with the
-// distributed Kronecker/vectorization assembly, at opts; series must be
-// non-nil on reader ranks.
+// FitVARDistributed runs UoI_VAR across the ranks of comm at opts; series
+// must be non-nil on the reader ranks (opts.NReaders per group) and may be
+// nil elsewhere. By default rank 0 broadcasts the series once and the
+// result is FitVAR's, bit for bit; opts.Assembly KroneckerGets or
+// KroneckerCommAvoiding runs the paper's distributed Kronecker/vectorization
+// assembly and consensus ADMM instead.
 func FitVARDistributed(comm *Comm, series *Dense, cfg *VARConfig, opts *VARDistOptions) (*VARResult, error) {
 	return uoi.VAR(series, placed(cfg, func(c *VARConfig) {
 		c.Placement = placed(opts, func(at *Placement) { at.Comm, at.Partitioned = comm, true })
