@@ -81,7 +81,7 @@ determinism:
 # packages for both targets and fails on any fused instruction in the listing.
 # The compiler's listing does not cover hand-written assembly, so the
 # packages' *_amd64.s files are searched for the VEX fused mnemonics too.
-FMACHECK_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi ./internal/varsim ./internal/stream ./internal/preprocess ./internal/resample ./internal/datagen ./internal/model ./internal/serve
+FMACHECK_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi ./internal/varsim ./internal/stream ./internal/preprocess ./internal/resample ./internal/datagen ./internal/model ./internal/serve ./internal/metrics ./internal/fleet
 fmacheck:
 	@for target in "GOARCH=arm64" "GOARCH=amd64 GOAMD64=v3"; do \
 		out="$$(env $$target $(GO) build -gcflags=-S $(FMACHECK_PKGS) 2>&1)" || { echo "$$out"; exit 1; }; \

@@ -49,7 +49,7 @@ func TestExitCodeUsageErrors(t *testing.T) {
 	if code, out := uoifit(t, "-data", "x.hbf", "-algo", "lasso-cv", "-checkpoint", "c.uoickpt"); code != 2 {
 		t.Fatalf("-checkpoint with a baseline algo: exit %d\n%s", code, out)
 	}
-	// -pb/-pl shape the consensus fits only; a grid or checkpointed fit
+	// -pb/-pl shape the partitioned fits only; a grid or checkpointed fit
 	// would silently ignore them.
 	for _, args := range [][]string{
 		{"-grid", "2x1", "-pb", "2"},
@@ -67,6 +67,14 @@ func TestExitCodeUsageErrors(t *testing.T) {
 		code, out := uoifit(t, "-data", "x.hbf", "-algo", algo, "-grid", "2x1", "-checkpoint", "c.uoickpt")
 		if code != 2 || !strings.Contains(out, "unsupported placement") {
 			t.Fatalf("-algo %s -grid with -checkpoint: exit %d, want 2\n%s", algo, code, out)
+		}
+	}
+	// A partitioned UoI_LASSO runs one bootstrap per rank: -pb/-pl would
+	// change nothing but the time.
+	for _, args := range [][]string{{"-pb", "2"}, {"-pl", "2"}} {
+		code, out := uoifit(t, append([]string{"-data", "x.hbf", "-algo", "lasso", "-ranks", "2"}, args...)...)
+		if code != 2 || !strings.Contains(out, "unsupported placement") {
+			t.Fatalf("-algo lasso %v: exit %d, want 2\n%s", args, code, out)
 		}
 	}
 }

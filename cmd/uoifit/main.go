@@ -18,11 +18,14 @@
 // Baselines: -algo lasso-cv | lasso-bic | var-cv.
 //
 // Where a fit runs is one uoi.Placement built from the flags. By default
-// UoI_LASSO has every rank read its own row block (-dist) and run its cells
-// as consensus ADMM in -pb × -pl groups of ranks, and UoI_VAR holds the
-// series on -readers reader ranks of each group, broadcasts it once and
-// fits it bit-identically to a serial fit (the paper's Kronecker assembly
-// is a library baseline, uoi.KroneckerGets). -grid RxC replicates the data
+// UoI_LASSO has every rank read its own row block (-dist), and the ranks sum
+// each bootstrap's Gram and run the serial cells, one bootstrap per rank:
+// the serial fit of the blocks' rank-order concatenation (-dist conventional
+// keeps file order); it takes no -pb or -pl. UoI_VAR holds the
+// series on -readers reader ranks of each -pb × -pl group, broadcasts it
+// once and fits it bit-identically to a serial fit. The paper's consensus
+// ADMM and Kronecker assembly are library baselines (uoi.ConsensusADMM,
+// uoi.KroneckerGets). -grid RxC replicates the data
 // on R·C ranks and shards the cells over the bootstrap × λ grid, and
 // -checkpoint replicates it and journals the cells; both are bit-identical
 // to a serial fit. A combination the library cannot
@@ -175,9 +178,10 @@ type options struct {
 // placement builds the fit's placement from the flags, leaving each rank to
 // set its communicator: -grid is the replicated-data grid of R·C ranks (it
 // sets -ranks), -checkpoint the journal over replicated data, and otherwise
-// the data is partitioned over -pb × -pl groups: row blocks for UoI_LASSO,
-// and for UoI_VAR the series on -readers reader ranks of each group. uoi
-// rejects what it cannot run with ErrPlacement.
+// the data is partitioned: row blocks for UoI_LASSO, and for UoI_VAR the
+// series on -readers reader ranks of each of the -pb × -pl groups. uoi
+// rejects what it cannot run (-pb or -pl on UoI_LASSO among it) with
+// ErrPlacement.
 func (o *options) placement() (uoi.Placement, error) {
 	if o.Grid != "" {
 		shape, err := uoi.ParseGridShape(o.Grid)
@@ -202,7 +206,7 @@ func (o *options) placement() (uoi.Placement, error) {
 	return at, nil
 }
 
-// groupSize is the rank count of one -pb × -pl ADMM group.
+// groupSize is the rank count of one -pb × -pl group.
 func (o *options) groupSize() int { return max(o.Ranks/max(o.PB*o.PL, 1), 1) }
 
 // ckpt builds the uoi checkpoint config from the flags (nil when
@@ -230,8 +234,8 @@ func main() {
 	flag.Uint64Var(&o.Seed, "seed", 1, "RNG seed")
 	flag.IntVar(&o.Order, "order", 1, "VAR order (0 = select by BIC up to -maxorder)")
 	flag.IntVar(&o.MaxOrder, "maxorder", 4, "maximum order considered when -order 0")
-	flag.IntVar(&o.PB, "pb", 1, "bootstrap-level parallelism P_B")
-	flag.IntVar(&o.PL, "pl", 1, "λ-level parallelism P_λ")
+	flag.IntVar(&o.PB, "pb", 1, "bootstrap-level parallelism P_B (partitioned -algo var)")
+	flag.IntVar(&o.PL, "pl", 1, "λ-level parallelism P_λ (partitioned -algo var)")
 	flag.IntVar(&o.Readers, "readers", 2, "VAR reader ranks per group that hold the series (rank 0 broadcasts it)")
 	flag.StringVar(&o.Dist, "dist", "randomized", "lasso data distribution: randomized | conventional")
 	flag.StringVar(&o.Edges, "edges", "", "write the Granger edge list to this file (var algos)")
@@ -262,7 +266,7 @@ func main() {
 		os.Exit(2)
 	}
 	if (o.PB > 1 || o.PL > 1) && (o.Grid != "" || o.Checkpoint != "") {
-		fmt.Fprintln(os.Stderr, "-pb/-pl shape the consensus fits; -grid and -checkpoint fits do not take them")
+		fmt.Fprintln(os.Stderr, "-pb/-pl shape the partitioned fits; -grid and -checkpoint fits do not take them")
 		os.Exit(2)
 	}
 	if *pprofAddr != "" {
@@ -508,7 +512,8 @@ func runLasso(o *options) error {
 	}
 	// Replicated placements hold the full dataset on every rank (the P_B
 	// bootstrap-sharding axis), so every cell is rank-independent; a
-	// partitioned one shards rows with distio and runs consensus ADMM.
+	// partitioned one shards rows with distio and sums each cell's
+	// statistics over the ranks.
 	var xFull *mat.Dense
 	var yFull []float64
 	if !at.Partitioned {

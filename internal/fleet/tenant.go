@@ -58,7 +58,7 @@ func (l *TenantLimiter) Allow(tenant string) (ok bool, retryAfter time.Duration)
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[tenant] = b
 	} else {
-		b.tokens = math.Min(l.burst, b.tokens+l.rate*now.Sub(b.last).Seconds())
+		b.tokens = math.Min(l.burst, b.tokens+float64(l.rate*now.Sub(b.last).Seconds()))
 		b.last = now
 	}
 	if b.tokens >= 1 {
@@ -86,7 +86,7 @@ func (l *TenantLimiter) Occupancy() map[string]float64 {
 	now := l.now()
 	out := make(map[string]float64, len(l.buckets))
 	for tenant, b := range l.buckets {
-		out[tenant] = math.Min(l.burst, b.tokens+l.rate*now.Sub(b.last).Seconds())
+		out[tenant] = math.Min(l.burst, b.tokens+float64(l.rate*now.Sub(b.last).Seconds()))
 	}
 	return out
 }

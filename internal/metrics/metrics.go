@@ -89,10 +89,10 @@ func CompareEstimates(trueBeta, estBeta []float64, tol float64) EstimationError 
 	nSup := 0
 	for i := range trueBeta {
 		d := estBeta[i] - trueBeta[i]
-		sumSq += d * d
+		sumSq += float64(d * d)
 		if math.Abs(trueBeta[i]) > tol {
 			nSup++
-			supSumSq += d * d
+			supSumSq += float64(d * d)
 			biasSum += d
 		}
 	}
@@ -119,9 +119,9 @@ func R2(y, yHat []float64) float64 {
 	var ssRes, ssTot float64
 	for i := range y {
 		d := y[i] - yHat[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		m := y[i] - mean
-		ssTot += m * m
+		ssTot += float64(m * m)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

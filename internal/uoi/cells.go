@@ -74,21 +74,28 @@ func bootstrapSample(rng *resample.RNG, n int) mat.Sample {
 }
 
 // lassoSelCellRange runs selection bootstrap k of UoI_LASSO over the λ
-// block [jLo, jHi): resample, factorize once, sweep the block with lassoPath
-// and return its block-local support indicators. The whole path is the block
-// [0, len(lambdas)) with nil hooks; on a grid the hooks continue the exact
-// serial warm-start chain across columns, so a grid fit's supports are
-// bit-identical to serial by construction.
+// block [jLo, jHi): resample, then lassoSelSolve on the sample's Gram and
+// Xᵀy.
 func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	rng := root.Derive(uint64(k) + 1)
-	boot := bootstrapSample(rng, x.Rows)
-	f, err := admm.NewFactorizationElasticWorkers(mat.GramWorkers(x, boot, kw), c.ADMM.Rho, c.L2, kw)
+	boot := bootstrapSample(root.Derive(uint64(k)+1), x.Rows)
+	return lassoSelSolve(mat.GramWorkers(x, boot, kw), mat.GramVec(x, y, boot), k, lambdas, jLo, jHi, warm, emit, c, kw, tr)
+}
+
+// lassoSelSolve is the body of UoI_LASSO selection bootstrap k on its
+// sample's sufficient statistics gram = XᵀX and xty = Xᵀy: factorize once,
+// sweep the block with lassoPath and return its block-local support
+// indicators. The whole path is the block [0, len(lambdas)) with nil hooks;
+// on a grid the hooks continue the exact serial warm-start chain across
+// columns, so a grid fit's supports are bit-identical to serial by
+// construction.
+func lassoSelSolve(gram *mat.Dense, xty []float64, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
+	f, err := admm.NewFactorizationElasticWorkers(gram, c.ADMM.Rho, c.L2, kw)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
-	f.SetRHS(mat.GramVec(x, y, boot))
+	f.SetRHS(xty)
 	tr.Add("admm/factorizations", 1)
-	sup, fits, iters = lassoPath(f.Solve, x.Cols, lambdas, jLo, jHi, warm, emit, c.ADMM, c.SupportTol)
+	sup, fits, iters = lassoPath(f.Solve, len(xty), lambdas, jLo, jHi, warm, emit, c.ADMM, c.SupportTol)
 	return sup, fits, iters, nil
 }
 
@@ -134,48 +141,63 @@ func markSupport(row []bool, beta []float64, tol float64) {
 // return the estimate minimizing held-out loss (all zeros when the
 // candidate family is empty). Every support is a column subset of the one
 // training sample, so the cell computes XᵀX and Xᵀy once over the training
-// rows and the union of the supports' columns, and each fit solves the
-// sub-block G[S,S]·β = Xᵀy[S] — the same bits as a Gram built per support.
+// rows and the union of the supports' columns (supportColumns), and each
+// fit solves the sub-block G[S,S]·β = Xᵀy[S] (olsCandidate).
 func lassoEstCell(x *mat.Dense, y []float64, root *resample.RNG, k int, distinct [][]int, c *LassoConfig, kw int) (beta []float64, fits int) {
 	n, p := x.Rows, x.Cols
 	rng := root.Derive(1_000_000 + uint64(k))
 	trainIdx, evalIdx := resample.TrainEvalSplit(rng, n, c.TrainFrac)
-	// The union of the candidate supports' columns, ascending (empty, not
-	// nil, when there is no candidate: nil would mean every column), and
-	// at[j], column j's position in it.
-	at := make([]int, p)
-	for _, s := range distinct {
-		for _, j := range s {
-			at[j] = 1
-		}
-	}
-	train := mat.Sample{Rows: trainIdx, Cols: []int{}}
-	for j, used := range at {
-		if used != 0 {
-			at[j] = len(train.Cols)
-			train.Cols = append(train.Cols, j)
-		}
-	}
+	cols, at := supportColumns(distinct, p)
+	train := mat.Sample{Rows: trainIdx, Cols: cols}
 	gram := mat.GramWorkers(x, train, kw)
 	xty := mat.GramVec(x, y, train)
 
 	var best winner
 	for _, s := range distinct {
-		b := make([]float64, p)
-		if len(s) > 0 {
-			pos := make([]int, len(s))
-			rhs := make([]float64, len(s))
-			for i, j := range s {
-				pos[i], rhs[i] = at[j], xty[at[j]]
-			}
-			for i, v := range olsSubBlock(gram, pos, rhs) {
-				b[s[i]] = v
-			}
-		}
+		b := olsCandidate(gram, xty, at, s, p)
 		fits++
 		best.offer(heldOutLoss(x, y, evalIdx, s, b), b)
 	}
 	return best.estimate(p), fits
+}
+
+// supportColumns returns the union of the candidate supports' columns of p,
+// ascending (empty, not nil, when there is no candidate: a nil Sample.Cols
+// would mean every column), and at[j], column j's position in it.
+func supportColumns(distinct [][]int, p int) (cols, at []int) {
+	at = make([]int, p)
+	for _, s := range distinct {
+		for _, j := range s {
+			at[j] = 1
+		}
+	}
+	cols = []int{}
+	for j, used := range at {
+		if used != 0 {
+			at[j] = len(cols)
+			cols = append(cols, j)
+		}
+	}
+	return cols, at
+}
+
+// olsCandidate fits OLS on support s from the sufficient statistics of the
+// support columns (supportColumns' at): it solves the sub-block
+// G[S,S]·β = Xᵀy[S] — the same bits as a Gram built for s alone — and
+// returns β over all p coefficients.
+func olsCandidate(gram *mat.Dense, xty []float64, at, s []int, p int) []float64 {
+	b := make([]float64, p)
+	if len(s) > 0 {
+		pos := make([]int, len(s))
+		rhs := make([]float64, len(s))
+		for i, j := range s {
+			pos[i], rhs[i] = at[j], xty[at[j]]
+		}
+		for i, v := range olsSubBlock(gram, pos, rhs) {
+			b[s[i]] = v
+		}
+	}
+	return b
 }
 
 // heldOutLoss is ½‖y − Xβ‖² over the given evaluation rows of x, read in

@@ -79,7 +79,7 @@ func consensusLassoSkipsNaNLoss(t *testing.T) {
 	fit := func(xEst *mat.Dense, yEst []float64) *Result {
 		var res *Result
 		err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
-			res, err = Lasso(x, y, lassoOn(cfg, Placement{Comm: comm, Partitioned: true, EstX: xEst, EstY: yEst}))
+			res, err = Lasso(x, y, lassoOn(cfg, Placement{Comm: comm, Partitioned: true, EstX: xEst, EstY: yEst, Assembly: ConsensusADMM}))
 			return err
 		})
 		if err != nil {

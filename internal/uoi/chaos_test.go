@@ -133,7 +133,7 @@ func TestDistributedQuorumDegradedFit(t *testing.T) {
 				res, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{
 					B1: 6, B2: 3, Q: 5, Seed: 11,
 					MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-				}, Placement{Comm: c, Shape: grid, Partitioned: true}))
+				}, Placement{Comm: c, Shape: grid, Partitioned: true, Assembly: ConsensusADMM}))
 				if err != nil {
 					return err
 				}
@@ -179,7 +179,7 @@ func TestDistributedQuorumNotMetIsCollectiveSafe(t *testing.T) {
 			_, err := Lasso(xl, ys[c.Rank()], lassoOn(&LassoConfig{
 				B1: 4, B2: 3, Q: 4, Seed: 5,
 				MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-			}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
+			}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true, Assembly: ConsensusADMM}))
 			if !errors.Is(err, ErrQuorum) {
 				return fmt.Errorf("rank %d: err = %v, want ErrQuorum", c.Rank(), err)
 			}
@@ -227,7 +227,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 					res, err := Lasso(denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], lassoOn(&LassoConfig{
 						B1: 4, B2: 3, Q: 4, Seed: 9,
 						MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
-					}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
+					}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true, Assembly: ConsensusADMM}))
 					if err != nil {
 						return err
 					}
@@ -350,6 +350,49 @@ func TestChaosVARSharedSeriesCrash(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosLassoStatisticsCrash kills a rank of a partitioned UoI_LASSO fit
+// at the default Assembly in the middle of a statistics Allreduce: every
+// rank must unwind into a typed error, identical on replay, never a hang.
+// Rank 3's comm ops: the grid's two Splits (0–5), the row-block agreement
+// (6), λ_max (7), then the Allreduce of bootstrap 0's Gram (8).
+func TestChaosLassoStatisticsCrash(t *testing.T) {
+	x, y, _ := makeRegression(54, 160, 8, 2, 0.2)
+	rows := make([][]float64, x.Rows)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	const ranks = 4
+	xs, ys := shuffledBlocks(21, rows, y, x.Cols, ranks)
+	run := func() string {
+		plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 3, Op: 8})
+		tr := trace.New()
+		err := runBounded(t, func() error {
+			return mpi.RunWithOptions(ranks, mpi.RunOptions{CollectiveTimeout: 20 * time.Second, Fault: plan}, func(c *mpi.Comm) error {
+				cfg := &LassoConfig{B1: 3, B2: 2, Q: 3, Seed: 5}
+				if c.Rank() == 0 {
+					cfg.Trace = tr
+				}
+				_, err := Lasso(denseFromRows(xs[c.Rank()], x.Cols), ys[c.Rank()], lassoOn(cfg, Placement{Comm: c, Partitioned: true}))
+				return err
+			})
+		})
+		if !errors.Is(err, mpi.ErrRankFailed) || !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("err = %v, want ErrRankFailed wrapping the injected crash", err)
+		}
+		phases := topLevel(tr)
+		if _, ok := phases["lambda_grid"]; !ok {
+			t.Fatalf("rank 0 never completed lambda_grid (phases %v): the crash came too early", phases)
+		}
+		if _, ok := phases["selection"]; ok {
+			t.Fatalf("rank 0 completed selection (phases %v): the crash came too late", phases)
+		}
+		return err.Error()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("crash outcome not reproducible:\n  first:  %s\n  replay: %s", a, b)
 	}
 }
 

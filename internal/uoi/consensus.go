@@ -1,9 +1,11 @@
 package uoi
 
-// The consensus placement and its two problems: UoI over data distributed by
-// rows (§III), every cell a consensus-ADMM solve sequence over one group of
-// ranks. A cell's result is replicated on every rank of its group, so groups
-// meet through their leaders alone and every reassembled value is exact.
+// The consensus placement and its two problems: the paper's UoI over data
+// distributed by rows (§III), every cell a consensus-ADMM solve sequence over
+// one group of ranks — the baselines a Placement selects with Assembly
+// ConsensusADMM (UoI_LASSO) or a Kronecker Assembly (UoI_VAR). A cell's
+// result is replicated on every rank of its group, so groups meet through
+// their leaders alone and every reassembled value is exact.
 
 import (
 	"fmt"
@@ -205,8 +207,9 @@ func consensusWinner(group *mpi.Comm, p int, distinct [][]int, solve func(mask [
 }
 
 // newLassoConsensusProblem binds UoI_LASSO to row blocks distributed over
-// pl's ranks: selection cells resample (xSel, ySel) and estimation cells
-// split (xEst, yEst), each rank its own rows.
+// pl's ranks as the paper does: selection cells resample (xSel, ySel) and
+// estimation cells split (xEst, yEst), each rank its own rows, and every
+// solve is consensus ADMM over the group.
 func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, c *LassoConfig) (*problem, *preprocess.Scaler, error) {
 	world, p := pl.world, xSel.Cols
 	// The blocks differ per rank, so the ranks agree on validity before

@@ -12,9 +12,11 @@ import (
 )
 
 // The consensus golden table pins the drivers whose data is distributed by
-// rows — LassoDistributed, LassoDistributedPhases and VARDistributed — the
-// way placements_golden_test.go pins the replicated-data placements: per row
-// the FNV-1a hash of Beta (which every rank must return bit-identically), the
+// rows and whose cells are consensus-ADMM solves — partitioned Lasso at
+// Assembly ConsensusADMM, with and without an estimation block, and
+// partitioned VAR at the Kronecker Assemblies — the way
+// placements_golden_test.go pins the replicated-data placements: per row the
+// FNV-1a hash of Beta (which every rank must return bit-identically), the
 // Diag work counters per rank, and mpi calls/bytes summed over ranks per
 // category and communicator label.
 //
@@ -78,7 +80,7 @@ func consensusCases() []consensusCase {
 		cases = append(cases, consensusCase{
 			name: fmt.Sprintf("%s/r%d-%dx%d", problem, ranks, grid.PB, grid.PL), ranks: ranks,
 			fit: func(c *mpi.Comm) (placedFit, error) {
-				return lassoFit(Lasso(xs[c.Rank()], ys[c.Rank()], lassoOn(&lc.cfg, Placement{Comm: c, Shape: grid, Partitioned: true})))
+				return lassoFit(Lasso(xs[c.Rank()], ys[c.Rank()], lassoOn(&lc.cfg, Placement{Comm: c, Shape: grid, Partitioned: true, Assembly: ConsensusADMM})))
 			}})
 	}
 	lassoRow("lasso", 1, GridShape{1, 1})
@@ -95,7 +97,7 @@ func consensusCases() []consensusCase {
 		cases = append(cases, consensusCase{name: "lasso-phases/r2-1x1", ranks: 2,
 			fit: func(c *mpi.Comm) (placedFit, error) {
 				r := c.Rank()
-				return lassoFit(Lasso(xs[r], ys[r], lassoOn(&lc.cfg, Placement{Comm: c, Partitioned: true, EstX: xe[r], EstY: ye[r]})))
+				return lassoFit(Lasso(xs[r], ys[r], lassoOn(&lc.cfg, Placement{Comm: c, Partitioned: true, EstX: xe[r], EstY: ye[r], Assembly: ConsensusADMM})))
 			}})
 	}
 

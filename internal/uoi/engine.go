@@ -20,9 +20,10 @@ import (
 // estimation bootstraps, a union — exactly once, in three parts:
 //
 //   - a problem owns what differs between fits: validation, the λ grid, the
-//     cell bodies (cells.go for replicated data, consensus.go for data
-//     distributed by rows), the fault and quorum policy and the checkpoint
-//     identity;
+//     cell bodies (cells.go; over data distributed by rows the same bodies
+//     on statistics summed across ranks, uoi.go, or the consensus-ADMM
+//     baselines, consensus.go), the fault and quorum policy and the
+//     checkpoint identity;
 //   - a placement says where cells run and how their results meet: the
 //     bootstrap worker pool (below), the checkpoint journal (checkpointed.go),
 //     the P_B × P_λ process grid (grid.go) or the P_B × P_λ grid of
@@ -71,6 +72,12 @@ type problem struct {
 	// cell calls it (through ready) between building its solver and its
 	// first collective solve; attempt calls it for a cell a fault skips.
 	agree func(phase string, ok bool) bool
+	// stats, set by a problem whose cells read sums over every rank's rows
+	// (partitioned UoI_LASSO, on a grid of one column), is the phase's
+	// collective statistics step: the grid calls it on every rank with the
+	// same round of cells — ks[r] is world rank r's bootstrap, −1 for none —
+	// before any rank runs its cell of the round.
+	stats func(ph phase, ks []int)
 
 	mu   sync.Mutex // guards diag and kron: cells run concurrently on a pool
 	diag Diagnostics

@@ -82,6 +82,7 @@ type grid struct {
 	// The column handoff of the selection bootstrap in progress, k: one
 	// message per warm-start chain, tagged k·chains + chain.
 	k, chains, chainLen int
+	stats               func(ph phase, ks []int) // the problem's statistics step, if any
 }
 
 // newGrid derives the row/column sub-communicators of a validated shape.
@@ -176,7 +177,7 @@ func (g *grid) begin(pb *problem) error {
 		return fmt.Errorf("%w: a WarmBeta seed on grid %s, whose PL > 1 splits the λ path", ErrPlacement, g.shape)
 	}
 	g.q, g.p = len(pb.lambdas), pb.p
-	g.chains, g.chainLen = pb.chains, pb.chainLen
+	g.chains, g.chainLen, g.stats = pb.chains, pb.chainLen, pb.stats
 	g.jLo, g.jHi = admm.RowBlock(g.q, g.shape.PL, g.colIx)
 	g.counts = make([]float64, (g.jHi-g.jLo)*g.p)
 	return nil
@@ -200,7 +201,9 @@ func (g *grid) emit(chain int, z, u []float64) {
 // columns drain earlier bootstraps (software pipelining). Faults and
 // factorization errors are pure functions of (phase, k) and the replicated
 // data, so every column of the row reaches the same skip/fail verdict with
-// no agreement messages.
+// no agreement messages. The bootstraps run in rounds of one per row, and a
+// problem with a statistics step (one column, so rows are world ranks) takes
+// it once per round on every rank.
 func (g *grid) selection(ph phase) (int, error) {
 	var warm warmFn
 	var emit emitFn
@@ -214,7 +217,19 @@ func (g *grid) selection(ph phase) (int, error) {
 	if ph.quorum {
 		okB1 = make([]float64, ph.total)
 	}
-	for g.k = g.rowIx; g.k < ph.total; g.k += g.shape.PB {
+	for lo := 0; lo < ph.total; lo += g.shape.PB {
+		if g.stats != nil {
+			ks := make([]int, g.shape.PB)
+			for r := range ks {
+				if ks[r] = lo + r; ks[r] >= ph.total {
+					ks[r] = -1
+				}
+			}
+			g.stats(ph, ks)
+		}
+		if g.k = lo + g.rowIx; g.k >= ph.total {
+			continue
+		}
 		sup, err := ph.sel(g.k, g.jLo, g.jHi, warm, emit)
 		if err != nil {
 			if !ph.quorum {
@@ -299,6 +314,18 @@ func (g *grid) estimation(ph phase) ([][]float64, error) {
 		return nil
 	}
 	round := func(t int) ([]float64, error) {
+		if g.stats != nil {
+			// Round t's cells: the t-th bootstrap of every rank's block.
+			ks := make([]int, size)
+			for r := range ks {
+				if lo, hi := admm.RowBlock(b2, size, r); lo+t < hi {
+					ks[r] = lo + t
+				} else {
+					ks[r] = -1
+				}
+			}
+			g.stats(ph, ks)
+		}
 		k := kLo + t
 		if k >= kHi {
 			return nil, nil

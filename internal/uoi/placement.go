@@ -6,6 +6,7 @@ import (
 
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
+	"uoivar/internal/trace"
 )
 
 // Placement says where a fit runs: over which ranks, at what P_B × P_λ
@@ -18,13 +19,19 @@ import (
 //     one rank per grid cell, so Shape.Ranks() equals the world size;
 //   - replicated data without a Shape, checkpointed: the journal, its cells
 //     dealt round-robin over the ranks (checkpointed.go);
-//   - partitioned UoI_LASSO, and partitioned UoI_VAR at a Kronecker
-//     Assembly: PB·PL consensus-ADMM groups of size/(PB·PL) ranks each
-//     (consensus.go); an unset Shape is one group of every rank;
-//   - partitioned UoI_VAR at the default Assembly: world rank 0 broadcasts
-//     the series once, and the serial problem runs on the replicated-data
-//     grid of (size/PL) × PL ranks — each group's ranks become bootstrap
-//     rows — so the fit is the serial one bit for bit.
+//   - partitioned data at the default Assembly: the serial problem on the
+//     replicated-data grid. UoI_VAR gets there by one broadcast of the
+//     series from world rank 0 and runs on (size/PL) × PL ranks — each
+//     group's ranks become bootstrap rows — so the fit is the serial one
+//     bit for bit. UoI_LASSO keeps its row blocks, runs one bootstrap per
+//     rank on a size × 1 grid (it takes no Shape) and reduces each
+//     bootstrap's Gram and Xᵀy over the ranks, so the fit is the serial
+//     one on the rank-order concatenation of the blocks (bit for bit on
+//     one rank, up to the rounding of the cross-rank sum on more);
+//   - partitioned data at a baseline Assembly (ConsensusADMM for UoI_LASSO,
+//     KroneckerGets or KroneckerCommAvoiding for UoI_VAR): PB·PL
+//     consensus-ADMM groups of size/(PB·PL) ranks each (consensus.go), the
+//     paper's §III pipeline; an unset Shape is one group of every rank.
 //
 // Every other combination is an ErrPlacement. All-pairs inference takes the
 // communicator alone and shards its targets over the ranks.
@@ -33,13 +40,13 @@ type Placement struct {
 	Comm *mpi.Comm
 	// Shape is the P_B × P_λ decomposition: PB bootstrap groups times PL
 	// λ groups, each of size/(PB·PL) ranks. The paper's Figure 3 sweeps
-	// 16×2, 8×4, 4×8 and 2×16 at fixed total cores.
+	// 16×2, 8×4, 4×8 and 2×16 at fixed total cores. A partitioned
+	// UoI_LASSO at the default Assembly takes none.
 	Shape GridShape
 	// Partitioned: each rank passes its own row block of the data —
-	// typically from distio.RandomizedDistribute, whose randomization is
-	// what makes per-rank local resampling a faithful bootstrap of the
-	// global data — and every cell is a consensus-ADMM solve over its
-	// group. Otherwise every rank passes the full data.
+	// typically from distio.RandomizedDistribute — and the fit's data is
+	// the blocks' concatenation in rank order (see Assembly). Otherwise
+	// every rank passes the full data.
 	Partitioned bool
 	// EstX and EstY, when set, are this rank's rows for the estimation
 	// phase of partitioned UoI_LASSO: the paper's Fig. 1c pipeline, which
@@ -54,10 +61,11 @@ type Placement struct {
 	// create windows", §III-B2); the other ranks may pass nil. 0 selects
 	// min(groupSize, 8).
 	NReaders int
-	// Assembly says how partitioned UoI_VAR gets the series to its ranks:
-	// by default one broadcast from world rank 0, the first reader; the
-	// Kronecker values run the paper's pipeline as a measured baseline.
-	Assembly VARAssembly
+	// Assembly says how a partitioned fit brings its rows together: by
+	// default UoI_VAR broadcasts the series from world rank 0, the first
+	// reader, and UoI_LASSO reduces each bootstrap's sufficient statistics;
+	// the other values run the paper's pipelines as measured baselines.
+	Assembly Assembly
 	// FlatCollectives replaces the grid's tree/ring reassembly with the
 	// flat barrier collectives (full-width Allreduce/Allgather): the
 	// baseline the communication-avoiding path is measured against. The
@@ -65,22 +73,34 @@ type Placement struct {
 	FlatCollectives bool
 }
 
-// VARAssembly is how a partitioned UoI_VAR fit builds its designs from the
-// series its reader ranks hold.
-type VARAssembly int
+// Assembly is how a partitioned fit brings the rows its ranks hold
+// together.
+type Assembly int
 
 const (
-	// SharedSeries broadcasts the series once and has every rank build the
-	// serial designs from it: the serial fit, bit for bit, at any rank
-	// count, reader count and shape.
-	SharedSeries VARAssembly = iota
-	// KroneckerGets is the paper's §III-B2 pipeline: every bootstrap's
-	// vectorized design (I⊗X, vec Y) assembled across its ADMM group with
-	// one one-sided Get per row, then solved by consensus ADMM.
+	// Shared is the default: the ranks share what the serial cells need
+	// and run them on the grid. Partitioned UoI_VAR broadcasts the series
+	// once and every rank builds the serial designs from it: the serial
+	// fit, bit for bit, at any rank count, reader count and shape.
+	// Partitioned UoI_LASSO draws every bootstrap and split from the serial
+	// seeds over the blocks' rank-order concatenation, and each rank sums
+	// the Gram and Xᵀy of the rows it owns: one Allreduce per bootstrap
+	// completes them, and one per round of estimation cells sums their
+	// held-out losses. It runs one bootstrap per rank and takes no Shape.
+	Shared Assembly = iota
+	// KroneckerGets is the paper's §III-B2 UoI_VAR pipeline: every
+	// bootstrap's vectorized design (I⊗X, vec Y) assembled across its ADMM
+	// group with one one-sided Get per row, then solved by consensus ADMM.
 	KroneckerGets
 	// KroneckerCommAvoiding is KroneckerGets with the Discussion's
 	// de-duplicated assembly: each design row is fetched once per rank.
 	KroneckerCommAvoiding
+	// ConsensusADMM is the paper's §III UoI_LASSO pipeline: each rank
+	// resamples its own rows and every cell is a consensus-ADMM solve over
+	// its group, one (p+3)-double Allreduce per iteration. Shared is faster
+	// and holds no more per rank; this stays as the measured baseline of
+	// the paper's Fig. 2 (cmd/experiments -exp fig2-mini).
+	ConsensusADMM
 )
 
 // ErrPlacement reports a placement the fit cannot run at, on every rank
@@ -98,11 +118,14 @@ type fitAsk struct {
 	// cells, warm and l2: a UoI_VAR fit's cell cache, WarmBeta and ℓ2
 	// penalty are set.
 	cells, warm, l2 bool
+	tr              *trace.Tracer // the fit's tracer
 }
 
 // place validates pl for the fit and builds the engine placement it names:
 // the worker pool (journalled when checkpointed) for a nil pl, else the
-// consensus groups, the journal over pl.Comm, or the grid.
+// consensus groups, the journal over pl.Comm, or the grid — the last three
+// traced as the top-level span placement, since splitting a communicator
+// is collective.
 func (pl *Placement) place(a fitAsk) (placement, error) {
 	switch {
 	case pl == nil && a.ckpt != nil:
@@ -115,8 +138,10 @@ func (pl *Placement) place(a fitAsk) (placement, error) {
 	if err := pl.check(a); err != nil {
 		return nil, err
 	}
+	sp := a.tr.Start("placement")
+	defer sp.End()
 	switch {
-	case pl.Partitioned && a.fit == "VAR" && pl.Assembly == SharedSeries:
+	case pl.Partitioned && pl.Assembly == Shared:
 		shape := pl.Shape.normalize()
 		return newGrid(pl.Comm, GridShape{PB: pl.Comm.Size() / shape.PL, PL: shape.PL}, false), nil
 	case pl.Partitioned:
@@ -150,14 +175,21 @@ func (pl *Placement) check(a fitAsk) error {
 		why = "a checkpointed fit needs replicated data"
 	case a.ckpt != nil && shape != GridShape{}:
 		why = "a checkpointed fit takes no grid shape"
-	case (pl.NReaders != 0 || pl.Assembly != SharedSeries) && !(part && a.fit == "VAR"):
+	case pl.Assembly < Shared || pl.Assembly > ConsensusADMM:
+		why = fmt.Sprintf("unknown Assembly %d", pl.Assembly)
+	case (pl.NReaders != 0 || pl.Assembly == KroneckerGets || pl.Assembly == KroneckerCommAvoiding) && !(part && a.fit == "VAR"):
 		why = "NReaders and a Kronecker Assembly apply to partitioned VAR only"
-	case pl.Assembly < SharedSeries || pl.Assembly > KroneckerCommAvoiding:
-		why = fmt.Sprintf("unknown VARAssembly %d", pl.Assembly)
+	case pl.Assembly == ConsensusADMM && !(part && a.fit == "Lasso"):
+		why = "ConsensusADMM applies to partitioned Lasso only"
 	case pl.EstX != nil && !(part && a.fit == "Lasso"):
 		why = "an estimation block applies to partitioned Lasso only"
 	case pl.FlatCollectives && !grid:
 		why = "FlatCollectives applies to the replicated-data grid only"
+	case part && a.fit == "Lasso" && pl.Assembly == Shared && shape != (GridShape{1, 1}):
+		// Every round of cells reduces statistics over all ranks, so PB
+		// groups would change nothing and PL columns would only serialize
+		// the λ path behind that reduce.
+		why = fmt.Sprintf("partitioned Lasso at the Shared Assembly runs one bootstrap per rank and takes no grid %s", shape)
 	case part && a.fit == "VAR" && (a.cells || a.warm || a.l2):
 		// The Kronecker factorization has no ℓ2 term. The shared series
 		// could honour all three but keeps the baseline's surface for now.

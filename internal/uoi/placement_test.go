@@ -68,7 +68,9 @@ func TestPlacementRejects(t *testing.T) {
 			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.L2, at.Partitioned = 500, true })
 		}},
 		{name: "lasso shape not dividing ranks", fit: func(c *mpi.Comm) error {
-			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Shape, at.Partitioned = GridShape{2, 1}, true })
+			return lassoWith(c, func(_ *LassoConfig, at *Placement) {
+				at.Shape, at.Partitioned, at.Assembly = GridShape{2, 1}, true, ConsensusADMM
+			})
 		}},
 		{name: "var shape not dividing ranks", fit: func(c *mpi.Comm) error {
 			return varWith(c, func(_ *VARConfig, at *Placement) { at.Shape, at.Partitioned = GridShape{1, 2}, true })
@@ -88,7 +90,22 @@ func TestPlacementRejects(t *testing.T) {
 			})
 		}},
 		{name: "var unknown Assembly", fit: func(c *mpi.Comm) error {
-			return varWith(c, func(_ *VARConfig, at *Placement) { at.Assembly, at.Partitioned = KroneckerCommAvoiding+1, true })
+			return varWith(c, func(_ *VARConfig, at *Placement) { at.Assembly, at.Partitioned = ConsensusADMM+1, true })
+		}},
+		{name: "var ConsensusADMM", fit: func(c *mpi.Comm) error {
+			return varWith(c, func(_ *VARConfig, at *Placement) { at.Assembly, at.Partitioned = ConsensusADMM, true })
+		}},
+		{name: "lasso Kronecker Assembly", fit: func(c *mpi.Comm) error {
+			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Assembly, at.Partitioned = KroneckerGets, true })
+		}},
+		{name: "lasso ConsensusADMM grid", fit: func(c *mpi.Comm) error {
+			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Assembly, at.Shape = ConsensusADMM, GridShape{c.Size(), 1} })
+		}},
+		{name: "lasso Shared PB", fit: func(c *mpi.Comm) error {
+			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Shape, at.Partitioned = GridShape{2, 1}, true })
+		}},
+		{name: "lasso Shared PL", fit: func(c *mpi.Comm) error {
+			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Shape, at.Partitioned = GridShape{1, 2}, true })
 		}},
 		{name: "lasso FlatCollectives partitioned", fit: func(c *mpi.Comm) error {
 			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.FlatCollectives, at.Partitioned = true, true })
@@ -180,7 +197,8 @@ func TestCheckPlacement(t *testing.T) {
 		{"lasso in process", (&LassoConfig{Checkpoint: ck}).CheckPlacement(), false},
 		{"lasso grid with checkpoint", (&LassoConfig{Checkpoint: ck, Placement: &Placement{Shape: GridShape{2, 1}}}).CheckPlacement(), true},
 		{"lasso grid, ranks unknown", (&LassoConfig{Placement: &Placement{Shape: GridShape{2, 1}}}).CheckPlacement(), false},
-		{"lasso partitioned, ranks unknown", (&LassoConfig{Placement: &Placement{Shape: GridShape{3, 1}, Partitioned: true}}).CheckPlacement(), false},
+		{"lasso partitioned, ranks unknown", (&LassoConfig{Placement: &Placement{Shape: GridShape{3, 1}, Partitioned: true, Assembly: ConsensusADMM}}).CheckPlacement(), false},
+		{"lasso partitioned shared with a shape", (&LassoConfig{Placement: &Placement{Shape: GridShape{1, 2}, Partitioned: true}}).CheckPlacement(), true},
 		{"var partitioned L2", (&VARConfig{L2: 1, Placement: &Placement{Partitioned: true}}).CheckPlacement(), true},
 		{"var journal", (&VARConfig{Checkpoint: ck, Placement: &Placement{}}).CheckPlacement(), false},
 	} {

@@ -44,7 +44,7 @@ func TestTimelineReplayDeterministic(t *testing.T) {
 					B1: 4, B2: 3, Q: 4, Seed: 9,
 					MinBootstrapFrac: 0.5, BootstrapFault: plan.BootstrapFault,
 					Trace: tr,
-				}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true}))
+				}, Placement{Comm: c, Shape: GridShape{2, 1}, Partitioned: true, Assembly: ConsensusADMM}))
 				return err
 			})
 		})
@@ -156,7 +156,7 @@ func TestCommMatrixConservationLasso(t *testing.T) {
 			return err
 		}
 		xl, yl := block.XY()
-		_, err = Lasso(xl, yl, lassoOn(&LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, Placement{Comm: c, Shape: GridShape{2, 2}, Partitioned: true}))
+		_, err = Lasso(xl, yl, lassoOn(&LassoConfig{B1: 4, B2: 3, Q: 4, Seed: 9}, Placement{Comm: c, Shape: GridShape{2, 2}, Partitioned: true, Assembly: ConsensusADMM}))
 		if err != nil {
 			return err
 		}

@@ -18,17 +18,22 @@
 // distributed by rows) owns validation, the λ grid and the cell bodies; a
 // placement says where cells run and how their results meet — the bootstrap
 // worker pool, the checkpoint journal (Checkpoint set), the P_B × P_λ
-// process grid or the P_B × P_λ grid of consensus-ADMM groups. There is one
+// process grid or, for the paper's baselines over data distributed by rows,
+// the P_B × P_λ grid of consensus-ADMM groups. There is one
 // entry point per problem — Lasso, VAR and AllPairs — and one Placement
 // value on its config picks where it runs; a combination no placement runs
 // is an ErrPlacement. A replicated-data fit's bits do not depend on the
 // placement (DESIGN.md §17), and neither do a partitioned UoI_VAR fit's at
-// its default Assembly, which broadcasts the series and runs the grid. Whole-network all-pairs inference (AllPairs)
-// has its own loop over the same helpers.
+// its default Assembly, which broadcasts the series and runs the grid. A
+// partitioned UoI_LASSO fit at its default Assembly runs the grid too, its
+// ranks summing each bootstrap's Gram over the rows they hold: the serial
+// fit of their blocks' concatenation, up to that sum's rounding. Whole-network
+// all-pairs inference (AllPairs) has its own loop over the same helpers.
 package uoi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -36,7 +41,9 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
+	"uoivar/internal/mpi"
 	"uoivar/internal/preprocess"
+	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 )
 
@@ -300,8 +307,11 @@ type Result struct {
 // Lasso runs UoI_LASSO on design x and response y at cfg.Placement: in
 // this process when it is nil — bootstraps on cfg.Workers goroutines,
 // journalled when cfg.Checkpoint is set — and otherwise across its ranks,
-// each passing the full data or, Partitioned, its own row block. Every rank
-// returns the identical Result.
+// each passing the full data or, Partitioned, its own row block. By default
+// a partitioned fit is the serial fit of the blocks' rank-order
+// concatenation: bit for bit on one rank, and up to the rounding of the
+// statistics' cross-rank sums on more. Every rank returns the identical
+// Result.
 func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	c := cfg.defaults()
 	pl, err := c.Placement.place(c.ask())
@@ -310,12 +320,16 @@ func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	}
 	var pb *problem
 	var scaler *preprocess.Scaler
-	if cons, ok := pl.(*consensus); ok {
+	if at := c.Placement; at != nil && at.Partitioned {
 		xEst, yEst := x, y
-		if c.Placement.EstX != nil {
-			xEst, yEst = c.Placement.EstX, c.Placement.EstY
+		if at.EstX != nil {
+			xEst, yEst = at.EstX, at.EstY
 		}
-		pb, scaler, err = newLassoConsensusProblem(cons, x, y, xEst, yEst, &c)
+		if cons, ok := pl.(*consensus); ok {
+			pb, scaler, err = newLassoConsensusProblem(cons, x, y, xEst, yEst, &c)
+		} else {
+			pb, scaler, err = newLassoSharedProblem(at.Comm, x, y, xEst, yEst, &c)
+		}
 	} else {
 		pb, scaler, err = newLassoProblem(x, y, &c, pl.streams())
 	}
@@ -335,9 +349,200 @@ func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	return res, nil
 }
 
+// newLassoSharedProblem binds UoI_LASSO to row blocks distributed over the
+// ranks of world — selection cells over (xSel, ySel), estimation cells over
+// (xEst, yEst) — as the serial problem over each pair's rank-order
+// concatenation, one bootstrap per rank and round. Every bootstrap and split
+// is drawn in those global row coordinates from the serial seeds, and each
+// rank sums the Gram and Xᵀy of the drawn rows it owns. The problem's
+// statistics step completes a round's sums one bootstrap at a time, one
+// Allreduce each, and keeps only those of this rank's cell, so a rank holds
+// O(p²) statistics whatever the rank count; the serial cell bodies run on
+// them. In estimation every rank also scores every candidate on its own
+// evaluation rows, and one more Allreduce per round sums those losses.
+func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64, c *LassoConfig) (*problem, *preprocess.Scaler, error) {
+	sp := c.Trace.Start("row_blocks")
+	sel, est, err := agreeBlocks(world, xSel, ySel, xEst, yEst)
+	if err != nil {
+		sp.End()
+		return nil, nil, err
+	}
+	p, me := xSel.Cols, world.Rank()
+	var scaler *preprocess.Scaler
+	if c.Standardize {
+		// Global moments agreed by Allreduce; both phases share the scaler.
+		scaler = preprocess.FitDistributed(world, xSel, ySel)
+		xSel, ySel = scaler.Transform(xSel), scaler.TransformY(ySel)
+		xEst, yEst = scaler.Transform(xEst), scaler.TransformY(yEst)
+	}
+	sp.End()
+	pb, kw := lassoBase(c, p, world.Size(), func(kw int) float64 {
+		xty := mat.AtVecWorkers(xSel, ySel, kw)
+		world.Allreduce(mpi.OpSum, xty)
+		return mat.NormInf(xty)
+	})
+	root := resample.NewRNG(c.Seed)
+	// This rank's statistics for its cell of the round in progress: a
+	// selection cell's Gram and Xᵀy, an estimation cell's fitted candidates
+	// and their summed held-out losses.
+	var selGram *mat.Dense
+	var selXty []float64
+	var estMine candidates
+	pb.stats = func(ph phase, ks []int) {
+		sp := ph.span.Child("statistics")
+		defer sp.End()
+		// Every rank skips the bootstraps a fault drops (pure in (phase, k))
+		// and the ranks with no cell, so the collectives line up.
+		live := func(k int) bool { return k >= 0 && (pb.fault == nil || pb.fault(ph.name, k) == nil) }
+		if ph.name == "selection" {
+			selGram, selXty = nil, nil
+			for r, k := range ks {
+				if !live(k) {
+					continue
+				}
+				boot := sel.sample(bootstrapSample(root.Derive(uint64(k)+1), sel.total))
+				gram, xty := mat.GramWorkers(xSel, boot, kw), mat.GramVec(xSel, ySel, boot)
+				if sumStats(world, gram, xty); r == me {
+					selGram, selXty = gram, xty
+				}
+			}
+			return
+		}
+		estMine = candidates{}
+		cols, at := supportColumns(ph.distinct, p)
+		nd := len(ph.distinct)
+		losses := make([]float64, len(ks)*nd)
+		for r, k := range ks {
+			if !live(k) {
+				continue
+			}
+			trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)), est.total, c.TrainFrac)
+			train := mat.Sample{Rows: est.rows(trainIdx), Cols: cols}
+			gram, xty := mat.GramWorkers(xEst, train, kw), mat.GramVec(xEst, yEst, train)
+			sumStats(world, gram, xty)
+			eval := est.rows(evalIdx)
+			cd := candidates{losses: losses[r*nd : (r+1)*nd]}
+			for j, s := range ph.distinct {
+				b := olsCandidate(gram, xty, at, s, p)
+				cd.losses[j] = heldOutLoss(xEst, yEst, eval, s, b)
+				if r == me {
+					cd.betas = append(cd.betas, b)
+				}
+			}
+			if r == me {
+				estMine = cd
+			}
+		}
+		if len(losses) > 0 {
+			world.Allreduce(mpi.OpSum, losses)
+		}
+	}
+	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
+		sup, fits, iters, err := lassoSelSolve(selGram, selXty, k, pb.lambdas, jLo, jHi, warm, emit, c, kw, pb.tr)
+		pb.addWork(fits, 0, iters, 0)
+		return sup, err
+	}
+	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
+		var best winner
+		for j, b := range estMine.betas {
+			best.offer(estMine.losses[j], b)
+		}
+		pb.addWork(0, len(distinct), 0, 0)
+		return best.estimate(p), nil
+	}
+	return pb, scaler, nil
+}
+
+// candidates are an estimation cell's fitted candidate estimates and their
+// held-out losses, in the order of the phase's distinct supports.
+type candidates struct {
+	betas  [][]float64
+	losses []float64
+}
+
+// rowBlock is one rank's share of a partitioned fit's rows: rows [off,
+// off+n) of the rank-order concatenation of every rank's block, total rows
+// in all.
+type rowBlock struct{ off, n, total int }
+
+// rows maps global row indices to this block's local ones, keeping their
+// order and dropping the rows other ranks own.
+func (b rowBlock) rows(global []int) []int {
+	local := []int{} // never nil: a nil Sample.Rows means every row
+	for _, i := range global {
+		if i >= b.off && i < b.off+b.n {
+			local = append(local, i-b.off)
+		}
+	}
+	return local
+}
+
+// sample restricts a bootstrap sample, whose rows ascend, to this block.
+func (b rowBlock) sample(s mat.Sample) mat.Sample {
+	lo, hi := sort.SearchInts(s.Rows, b.off), sort.SearchInts(s.Rows, b.off+b.n)
+	local := make([]int, hi-lo)
+	for i, r := range s.Rows[lo:hi] {
+		local[i] = r - b.off
+	}
+	return mat.Sample{Rows: local, Weights: s.Weights[lo:hi]}
+}
+
+// agreeBlocks has the ranks of world agree, before any of them leaves the
+// collective sequence, that every rank's selection and estimation blocks
+// are well formed over the same columns, and returns this rank's share of
+// each phase's rows. The error is the same on every rank.
+func agreeBlocks(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEst *mat.Dense, yEst []float64) (sel, est rowBlock, err error) {
+	ok := 1.0
+	if xSel.Rows != len(ySel) || xEst.Rows != len(yEst) || xEst.Cols != xSel.Cols {
+		ok = 0
+	}
+	all := world.Allgather([]float64{ok, float64(xSel.Cols), float64(xSel.Rows), float64(xEst.Rows)})
+	for r := 0; r < world.Size(); r++ {
+		v := all[4*r : 4*r+4]
+		if v[0] == 0 || v[1] != all[1] {
+			return sel, est, fmt.Errorf("uoi: rank %d's row block does not match its responses or the other ranks' columns", r)
+		}
+		if r == world.Rank() {
+			sel.off, est.off = sel.total, est.total
+			sel.n, est.n = int(v[2]), int(v[3])
+		}
+		sel.total += int(v[2])
+		est.total += int(v[3])
+	}
+	if sel.total < 4 || est.total < 4 {
+		return sel, est, fmt.Errorf("uoi: need at least 4 samples, have %d for selection and %d for estimation", sel.total, est.total)
+	}
+	return sel, est, nil
+}
+
+// sumStats sums a symmetric Gram and its Xᵀy over the ranks of world in
+// place, with one Allreduce of the Gram's upper triangle and Xᵀy: the
+// triangle is all the sum needs to move, and mirroring it back is exact. No
+// columns, which every rank has alike, need no call.
+func sumStats(world *mpi.Comm, gram *mat.Dense, xty []float64) {
+	p := gram.Rows
+	if p == 0 {
+		return
+	}
+	buf := make([]float64, 0, p*(p+1)/2+p)
+	for i := 0; i < p; i++ {
+		buf = append(buf, gram.Row(i)[i:]...)
+	}
+	buf = append(buf, xty...)
+	world.Allreduce(mpi.OpSum, buf)
+	pos := 0
+	for i := 0; i < p; i++ {
+		pos += copy(gram.Row(i)[i:], buf[pos:pos+p-i])
+		for j := i + 1; j < p; j++ {
+			gram.Data[j*p+i] = gram.Data[i*p+j]
+		}
+	}
+	copy(xty, buf[pos:])
+}
+
 // ask is what the fit asks of its placement.
 func (c *LassoConfig) ask() fitAsk {
-	return fitAsk{fit: "Lasso", ckpt: c.Checkpoint, workers: c.Workers}
+	return fitAsk{fit: "Lasso", ckpt: c.Checkpoint, workers: c.Workers, tr: c.Trace}
 }
 
 // CheckPlacement returns the ErrPlacement a fit of c would, from the config

@@ -175,7 +175,7 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 // ask is what the fit asks of its placement.
 func (c *VARConfig) ask() fitAsk {
 	return fitAsk{fit: "VAR", ckpt: c.Checkpoint, workers: c.Workers,
-		cells: c.Cells != nil, warm: c.WarmBeta != nil, l2: c.L2 > 0}
+		cells: c.Cells != nil, warm: c.WarmBeta != nil, l2: c.L2 > 0, tr: c.Trace}
 }
 
 // CheckPlacement returns the ErrPlacement a fit of c would, as

@@ -95,7 +95,7 @@ func TestVARDistributedMatchesSerialQuality(t *testing.T) {
 func TestVARDistributedCommAvoidingEquivalent(t *testing.T) {
 	_, series := makeVARData(53, 4, 1, 200)
 	cfg := &VARConfig{Order: 1, B1: 4, B2: 2, Q: 5, Seed: 3}
-	run := func(assembly VARAssembly) ([]float64, int64) {
+	run := func(assembly Assembly) ([]float64, int64) {
 		var beta []float64
 		var oneSided int64
 		err := mpi.Run(2, func(c *mpi.Comm) error {
@@ -219,8 +219,8 @@ func BenchmarkVARPartitioned(b *testing.B) {
 	cfg := &VARConfig{Order: 1, B1: 4, B2: 2, Q: 8, Seed: 1, KernelWorkers: 1}
 	for _, a := range []struct {
 		name     string
-		assembly VARAssembly
-	}{{"shared-series", SharedSeries}, {"kronecker-gets", KroneckerGets}} {
+		assembly Assembly
+	}{{"shared-series", Shared}, {"kronecker-gets", KroneckerGets}} {
 		b.Run(a.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

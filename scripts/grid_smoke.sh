@@ -8,8 +8,9 @@
 #      carries per-communicator ("collective[row]"/"[col]") attribution, and
 #   3. the CLI dispatches its flags to the right placement: a checkpointed
 #      -ranks 3 fit, which the journal runs, writes the same model as a grid
-#      fit, for UoI_LASSO and for UoI_VAR, and so does a partitioned
-#      UoI_VAR fit whose two reader ranks hold the series.
+#      fit, for UoI_LASSO and for UoI_VAR; so does a partitioned UoI_VAR fit
+#      whose two reader ranks hold the series, and a partitioned UoI_LASSO
+#      fit on one rank, whose single row block is the file in order.
 # Exits nonzero if any step fails or any artifact differs.
 set -euo pipefail
 
@@ -54,11 +55,16 @@ echo "== perf reports parse and carry grid comm attribution =="
 # flat baseline: world-wide collectives, labeled by the world handle.
 "$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/flat4x2.perf.json"
 
-echo "== placement dispatch: the journal and partitioned VAR match the grid =="
+echo "== placement dispatch: the journal and the partitioned fits match the grid =="
 "$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" -ranks 3 \
   -checkpoint "$WORK/lasso.uoickpt" -b1 8 -b2 4 -q 6 -seed 3 \
   -model-out "$WORK/ckpt3.uoim" > /dev/null
 cmp "$WORK/grid4x2.uoim" "$WORK/ckpt3.uoim"
+# The artifact records no placement, so the 1-rank partitioned fit (shared
+# statistics over the one contiguous block) must write the same bytes.
+"$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" -ranks 1 -dist conventional \
+  -b1 8 -b2 4 -q 6 -seed 3 -model-out "$WORK/part1.uoim" > /dev/null
+cmp "$WORK/grid4x2.uoim" "$WORK/part1.uoim"
 "$GO" run ./cmd/uoigen -kind var -n 300 -p 6 -order 1 -seed 5 -o "$WORK/var.hbf"
 varfit() { # varfit <tag> <placement flags...>
   local tag=$1

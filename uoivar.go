@@ -15,8 +15,9 @@
 //	edges := uoivar.Edges(model.A, 1e-7, false)
 //
 // A Placement on the config runs the same fit across simulated MPI ranks:
-// over the full data on every rank, or with the paper's randomized data
-// distribution and distributed Kronecker assembly:
+// over the full data on every rank, or over row blocks from the paper's
+// randomized data distribution, whose fit is the serial one of the blocks'
+// rank-order concatenation (the ranks sum each bootstrap's Gram):
 //
 //	err := uoivar.Run(8, func(c *uoivar.Comm) error {
 //	    block, err := uoivar.RandomizedDistribute(c, "data.hbf", seed)
@@ -96,14 +97,15 @@ var ErrPlacement = uoi.ErrPlacement
 // VARDistOptions is the Placement of FitVARDistributed.
 type VARDistOptions = Placement
 
-// VARAssembly is how a partitioned UoI_VAR fit gets its series to the ranks
+// Assembly is how a partitioned fit brings its ranks' rows together
 // (Placement.Assembly).
-type VARAssembly = uoi.VARAssembly
+type Assembly = uoi.Assembly
 
-// The VARAssembly values: the default series broadcast, and the paper's
-// Kronecker pipeline with per-row or de-duplicated Gets as baselines.
+// The Assembly values: the default Shared — UoI_VAR broadcasts the series,
+// UoI_LASSO reduces each bootstrap's Gram — and the paper's Kronecker
+// assembly of UoI_VAR with per-row or de-duplicated Gets as baselines.
 const (
-	SharedSeries          = uoi.SharedSeries
+	Shared                = uoi.Shared
 	KroneckerGets         = uoi.KroneckerGets
 	KroneckerCommAvoiding = uoi.KroneckerCommAvoiding
 )
@@ -126,9 +128,12 @@ func FitLasso(x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
 	return uoi.Lasso(x, y, cfg)
 }
 
-// FitLassoDistributed runs UoI_LASSO across the ranks of comm in ADMM
-// groups of the given shape; each rank passes its local row block (see
-// RandomizedDistribute).
+// FitLassoDistributed runs UoI_LASSO across the ranks of comm over row
+// blocks; each rank passes its local block (see RandomizedDistribute). The
+// fit is FitLasso's on the blocks' rank-order concatenation: the ranks sum
+// each bootstrap's Gram and Xᵀy and run the serial cells, one bootstrap per
+// rank. The fit takes no shape: a grid other than the zero Grid (or 1×1) is
+// an ErrPlacement.
 func FitLassoDistributed(comm *Comm, xLocal *Dense, yLocal []float64, cfg *LassoConfig, grid Grid) (*LassoResult, error) {
 	return uoi.Lasso(xLocal, yLocal, placed(cfg, func(c *LassoConfig) {
 		c.Placement = &Placement{Comm: comm, Shape: grid, Partitioned: true}
