@@ -47,10 +47,6 @@ func NewFactorizationElasticWorkers(gram *mat.Dense, rho, lambda2 float64, worke
 	return &Factorization{inv: inv, rho: rho, p: gram.Cols}, nil
 }
 
-// SetRHS attaches (or replaces) the Xᵀy right-hand side on a factorization
-// built from a Gram matrix.
-func (f *Factorization) SetRHS(aty []float64) { f.aty = aty }
-
 // ElasticNetObjective evaluates ½‖Xβ−y‖² + λ₁‖β‖₁ + ½λ₂‖β‖², running the
 // product Xβ across at most workers goroutines (≤0 selects
 // mat.DefaultWorkers).

@@ -274,24 +274,73 @@ func gramTile(c0, c1, w, x []float64, m int) {
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 }
 
-// MulAtB returns AᵀB (q×p) for an n×q A and an n×p B: entry (j, k) is
-// Σᵣ a_rj·b_rk summed from zero over the rows in order, one rounded product
-// and one rounded sum per row. Column k is therefore bit for bit GramVec of
-// a with column k of b over all rows: the same products (a product does not
-// depend on its operands' order) added in the same order. Whole 4×8 blocks
-// run the tile straight on the row-major inputs — four columns of A as its w
-// operand, eight of B as its x operand, no packing — and the last q mod 4
-// rows and p mod 8 columns add one input row at a time.
-func MulAtB(a, b *Dense) *Dense { return mulAtB(a, b, hasAVX2) }
+// MulAtB returns AᵀB (q×p) over the rows, weights and columns of A that s
+// names, for an n×q A and an n×p B whose rows go with A's: entry (j, k) is
+// Σᵣ (w_r·b_rk)·a_rj summed from zero over the rows in s.Rows order, one
+// rounded product (two with a weight) and one rounded sum per row. Column k
+// is therefore bit for bit GramVec of a with column k of b over s — the same
+// products (a product does not depend on its operands' order) added in the
+// same order — and a one-column B runs GramVec's loop. Whole 4×8 blocks run
+// the tile on the row-major inputs — four columns of A as its w operand,
+// eight of B as its x operand — and the last q mod 4 rows and p mod 8
+// columns add one input row at a time. A sample other than the whole matrix
+// is packed gramChunk rows at a time (A's columns of s, and w·b), never
+// gathered whole.
+func MulAtB(a, b *Dense, s Sample) *Dense { return mulAtB(a, b, s, hasAVX2) }
 
 // mulAtB is MulAtB with the tile kernel named by the caller, as gram.
-func mulAtB(a, b *Dense, avx2 bool) *Dense {
+func mulAtB(a, b *Dense, s Sample, avx2 bool) *Dense {
 	if a.Rows != b.Rows {
 		panic(ErrShape)
 	}
-	n, q, p := a.Rows, a.Cols, b.Cols
+	n, q := s.shape(a)
+	if b.Cols == 1 {
+		return NewDenseData(q, 1, GramVec(a, b.Data, s))
+	}
+	p := b.Cols
 	sp := tracer().Start("mat/gemm_atb")
 	c := NewDense(q, p)
+	if s.Rows == nil && s.Weights == nil && s.Cols == nil {
+		addAtB(c, a, b, avx2)
+		sp.End()
+		return c
+	}
+	m := min(n, gramChunk)
+	pa, pb := NewDense(m, q), NewDense(m, p)
+	for r0 := 0; r0 < n; r0 += m {
+		pa.Rows = min(m, n-r0)
+		pb.Rows = pa.Rows
+		for r := 0; r < pa.Rows; r++ {
+			i := r0 + r
+			if s.Rows != nil {
+				i = s.Rows[i]
+			}
+			ar, dst := a.Row(i), pa.Row(r)
+			if s.Cols == nil {
+				copy(dst, ar)
+			} else {
+				for jj, j := range s.Cols {
+					dst[jj] = ar[j]
+				}
+			}
+			if s.Weights == nil {
+				copy(pb.Row(r), b.Row(i))
+				continue
+			}
+			w, bw := s.Weights[r0+r], pb.Row(r)
+			for k, v := range b.Row(i) {
+				bw[k] = float64(w * v)
+			}
+		}
+		addAtB(c, pa, pb, avx2)
+	}
+	sp.End()
+	return c
+}
+
+// addAtB adds AᵀB to c, continuing every entry's sum over a's rows in order.
+func addAtB(c, a, b *Dense, avx2 bool) {
+	n, q, p := a.Rows, a.Cols, b.Cols
 	qt, pt := q&^3, p&^7
 	for j := 0; j < qt && n > 0; j += 4 {
 		for k := 0; k < pt; k += 8 {
@@ -315,8 +364,6 @@ func mulAtB(a, b *Dense, avx2 bool) *Dense {
 			}
 		}
 	}
-	sp.End()
-	return c
 }
 
 // AtVecWorkers computes Aᵀy under the signature of the budgeted kernels: the

@@ -288,7 +288,7 @@ func TestMulAtBIdenticalToGramVec(t *testing.T) {
 		t.Helper()
 		col := make([]float64, y.Rows)
 		for _, avx2 := range kernels {
-			got := mulAtB(x, y, avx2)
+			got := mulAtB(x, y, Sample{}, avx2)
 			if got.Rows != x.Cols || got.Cols != y.Cols {
 				t.Fatalf("%s avx2=%v: result is %d×%d, want %d×%d", name, avx2, got.Rows, got.Cols, x.Cols, y.Cols)
 			}
@@ -329,6 +329,101 @@ func TestMulAtBIdenticalToGramVec(t *testing.T) {
 		x.Set(i, order*series, 1)
 	}
 	check("VAR design", x, y)
+}
+
+// TestMulAtBSampleIdentical: MulAtB over a sample — repeated, unsorted rows,
+// per-row weights, a column subset, or none of them — is, under both tile
+// kernels and Float64bits for Float64bits, MulAtB of the gathered rows (with
+// the weights folded into B as w·b) and, column by column, GramVec over the
+// same sample. Empty samples give zeros of the sample's shape.
+func TestMulAtBSampleIdentical(t *testing.T) {
+	kernels := []bool{false}
+	if hasAVX2 {
+		kernels = append(kernels, true)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 7, 130, 600} {
+		for _, shape := range [][2]int{{1, 1}, {3, 2}, {9, 8}, {12, 17}, {61, 60}} {
+			q, p := shape[0], shape[1]
+			a, b := randomDense(rng, n, q), randomDense(rng, n, p)
+			rows := drawRows(n, n+n/3, uint64(n*q+p))
+			distinct, w := multiplicities(n, rows)
+			cols := []int{q - 1}
+			for j := 0; j < q-1; j += 2 {
+				cols = append(cols, j)
+			}
+			for _, sc := range []struct {
+				name string
+				s    Sample
+			}{
+				{"all", Sample{}},
+				{"repeats", Sample{Rows: rows}},
+				{"weights", Sample{Rows: distinct, Weights: w}},
+				{"all-weighted", Sample{Weights: drawWeights(n)}},
+				{"cols", Sample{Cols: cols}},
+				{"repeats-cols", Sample{Rows: rows, Cols: cols}},
+				{"weights-cols", Sample{Rows: distinct, Weights: w, Cols: cols}},
+				{"no-rows", Sample{Rows: []int{}}},
+				{"no-cols", Sample{Rows: rows, Cols: []int{}}},
+			} {
+				name := fmt.Sprintf("n=%d q=%d p=%d %s", n, q, p, sc.name)
+				ga, gb := gatherSample(a, b, sc.s)
+				col := make([]float64, n)
+				for _, avx2 := range kernels {
+					got := mulAtB(a, b, sc.s, avx2)
+					if got.Rows != ga.Cols || got.Cols != p {
+						t.Fatalf("%s avx2=%v: result is %d×%d, want %d×%d", name, avx2, got.Rows, got.Cols, ga.Cols, p)
+					}
+					if i, ok := bitsEqual(got.Data, mulAtB(ga, gb, Sample{}, avx2).Data); !ok {
+						t.Fatalf("%s avx2=%v: entry %d differs from MulAtB of the gathered rows", name, avx2, i)
+					}
+					gotCol := make([]float64, got.Rows)
+					for e := 0; e < p; e++ {
+						want := GramVec(a, b.Col(e, col), sc.s)
+						if i, ok := bitsEqual(got.Col(e, gotCol), want); !ok {
+							t.Fatalf("%s avx2=%v column %d: entry %d is %v, GramVec has %v", name, avx2, e, i, gotCol[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// drawWeights is a weight per row of n, small integers and fractions.
+func drawWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(i%5) + 0.25*float64(i%3)
+	}
+	return w
+}
+
+// gatherSample copies the rows and columns of a that s names, and the rows
+// of b scaled by their weights.
+func gatherSample(a, b *Dense, s Sample) (ga, gb *Dense) {
+	n, q := s.shape(a)
+	ga, gb = NewDense(n, q), NewDense(n, b.Cols)
+	for r := 0; r < n; r++ {
+		i := r
+		if s.Rows != nil {
+			i = s.Rows[r]
+		}
+		for jj := 0; jj < q; jj++ {
+			j := jj
+			if s.Cols != nil {
+				j = s.Cols[jj]
+			}
+			ga.Set(r, jj, a.At(i, j))
+		}
+		for k, v := range b.Row(i) {
+			if s.Weights != nil {
+				v = float64(s.Weights[r] * v)
+			}
+			gb.Set(r, k, v)
+		}
+	}
+	return ga, gb
 }
 
 // BenchmarkGram times the Gram kernel at the shapes the repository benchmark

@@ -163,32 +163,12 @@ func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPai
 	if screen > q {
 		screen = q
 	}
+	xbar, ybar := colMeans(des.X), colMeans(des.Y)
 	xc := mat.NewDense(m, q)
-	xbar := make([]float64, q)
-	for j := 0; j < q; j++ {
-		var s float64
-		for i := 0; i < m; i++ {
-			s += des.X.At(i, j)
-		}
-		xbar[j] = s / float64(m)
-	}
 	for i := 0; i < m; i++ {
-		src := des.X.Row(i)
 		dst := xc.Row(i)
-		for j := 0; j < q; j++ {
-			dst[j] = src[j] - xbar[j]
-		}
-	}
-	ybar := make([]float64, p)
-	{
-		col := make([]float64, m)
-		for j := 0; j < p; j++ {
-			des.Y.Col(j, col)
-			var s float64
-			for _, v := range col {
-				s += v
-			}
-			ybar[j] = s / float64(m)
+		for j, v := range des.X.Row(i) {
+			dst[j] = v - xbar[j]
 		}
 	}
 
@@ -214,11 +194,7 @@ func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPai
 		fit := fits[i]
 		res.Mu[i] = fit.mu
 		for k, g := range fit.cols {
-			l, src := g/p, g%p
-			res.A[l].Set(i, src, fit.vals[k])
-			if src != i {
-				res.Edges++
-			}
+			res.A[g/p].Set(i, g%p, fit.vals[k])
 		}
 		res.Diag.ScreenTime += fit.diag.ScreenTime
 		res.Diag.SelectTime += fit.diag.SelectTime
@@ -226,9 +202,41 @@ func allPairs(series *mat.Dense, c *AllPairsConfig, offset, stride int) (*AllPai
 		res.Diag.LassoFits += fit.diag.LassoFits
 		res.Diag.ADMMIters += fit.diag.ADMMIters
 	}
+	res.Edges = edges(res.A)
 	tr.Add("allpairs/targets", int64(len(own)))
 	tr.Add("allpairs/lasso_fits", int64(res.Diag.LassoFits))
 	return res, nil
+}
+
+// edges counts the nonzero off-diagonal coefficients of the lag matrices a:
+// the directed causal edges they infer.
+func edges(a []*mat.Dense) int {
+	n := 0
+	for _, al := range a {
+		for i := 0; i < al.Rows; i++ {
+			for k, v := range al.Row(i) {
+				if v != 0 && k != i {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// colMeans returns the column means of a, each summed over the rows in
+// order.
+func colMeans(a *mat.Dense) []float64 {
+	mean := make([]float64, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] /= float64(a.Rows)
+	}
+	return mean
 }
 
 // fitTarget runs one target channel's screened mini-UoI fit. It is a
@@ -269,58 +277,48 @@ func fitTarget(xc, y *mat.Dense, xbar, ybar []float64, i, blockLen, screen int, 
 	lambdas := admm.LogSpaceLambdas(admm.LambdaMax(xs, yc), c.LambdaRatio, c.Q)
 	counts := make([]float64, len(lambdas)*screen)
 	root := resample.NewRNG(c.Seed).Derive(uint64(i) + 1)
+	sel := path{lambdas: lambdas, opts: c.ADMM, tol: c.SupportTol, kw: 1}
+	target := column(yc)
 	for b := 0; b < c.NB; b++ {
-		rng := root.Derive(uint64(b) + 1)
-		bi := resample.MovingBlockBootstrap(rng, m, blockLen)
-		xb := xs.SelectRows(bi)
-		yb := selectVec(yc, bi)
-		f, err := admm.NewFactorizationWorkers(xb, yb, c.ADMM.Rho, 1)
+		bi := resample.MovingBlockBootstrap(root.Derive(uint64(b)+1), m, blockLen)
+		gram, xty := stats(xc, target, mat.Sample{Rows: bi, Cols: cols}, 1)
+		sup, d, err := sel.cell(gram, xty, 0, len(lambdas), nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("uoi: all-pairs target %d bootstrap %d: %w", i, b, err)
 		}
-		sup, fits, iters := lassoPath(f.Solve, screen, lambdas, 0, len(lambdas), nil, nil, c.ADMM, c.SupportTol)
 		addSupportCounts(counts, sup)
-		diag.LassoFits += fits
-		diag.ADMMIters += iters
+		diag.LassoFits += d.LassoFits
+		diag.ADMMIters += d.ADMMIters
 	}
-	threshold := selectionThreshold(c.SelectionFrac, c.NB)
+	threshold := ceilCount(c.SelectionFrac, c.NB)
 	var distinct [][]int
-	seen := map[string]bool{}
-	for _, sup := range supportsFromCounts(counts, len(lambdas), screen, float64(threshold)) {
-		if len(sup) == 0 {
-			continue
-		}
-		key := fmt.Sprint(sup)
-		if !seen[key] {
-			seen[key] = true
+	for _, sup := range dedupeSupports(supportsFromCounts(counts, len(lambdas), screen, float64(threshold))) {
+		if len(sup) > 0 {
 			distinct = append(distinct, sup)
 		}
 	}
 	diag.SelectTime = time.Since(t0)
 
-	// Estimation: OLS on the full centered data per candidate support,
-	// ranked by BIC (ties keep the earlier — sparser/larger-λ —
-	// candidate, since only a strictly lower BIC replaces the best).
+	// Estimation: the estimation cell on the full centered data — every row
+	// trains and every row scores — with the candidates ranked by BIC (ties
+	// keep the earlier — sparser/larger-λ — candidate, since only a strictly
+	// lower BIC replaces the best).
 	t0 = time.Now()
+	rows := make([]int, m)
+	for t := range rows {
+		rows[t] = t
+	}
+	supCols, at := supportColumns(distinct, screen)
+	gram, xty := stats(xs, target, mat.Sample{Cols: supCols}, 1)
 	fit := &targetFit{mu: ybar[i]}
 	var best winner
-	for _, sup := range distinct {
-		beta := admm.OLSOnSupportWorkers(xs, yc, sup, 1)
-		rss := 0.0
-		for t := 0; t < m; t++ {
-			r := yc[t]
-			row := xs.Row(t)
-			for _, k := range sup {
-				r -= float64(row[k] * beta[k])
-			}
-			rss += float64(r * r)
-		}
+	fitCandidates(xs, target, gram, xty, at, rows, distinct, func(j int, loss float64, beta []float64) {
+		rss := 2 * loss
 		if rss <= 0 {
 			rss = math.SmallestNonzeroFloat64
 		}
-		bic := float64(float64(m)*math.Log(rss/float64(m))) + float64(float64(len(sup))*math.Log(float64(m)))
-		best.offer(bic, beta)
-	}
+		best.offer(float64(float64(m)*math.Log(rss/float64(m)))+float64(float64(len(distinct[j]))*math.Log(float64(m))), beta)
+	})
 	if best.beta != nil {
 		mu := ybar[i]
 		for k, v := range best.beta {
@@ -408,34 +406,22 @@ func AllPairs(series *mat.Dense, cfg *AllPairsConfig) (*AllPairsResult, error) {
 	recv := comm.Allgather(send)
 	spX.End()
 
-	res := &AllPairsResult{Mu: make([]float64, p), Diag: local.Diag}
-	res.A = make([]*mat.Dense, d)
-	for l := range res.A {
-		res.A[l] = mat.NewDense(p, p)
-	}
+	// local is full-size with only this rank's rows set: fill in the rest.
+	res := local
 	for r := 0; r < size; r++ {
-		base := r * slots * slotLen
 		for s := 0; s < slots; s++ {
 			i := s*size + r
 			if i >= p {
 				break
 			}
-			at := base + s*slotLen
+			at := (r*slots + s) * slotLen
 			res.Mu[i] = recv[at]
 			for l := 0; l < d; l++ {
 				copy(res.A[l].Row(i), recv[at+1+l*p:at+1+(l+1)*p])
 			}
 		}
 	}
-	for l := 0; l < d; l++ {
-		for i := 0; i < p; i++ {
-			for k, v := range res.A[l].Row(i) {
-				if v != 0 && k != i {
-					res.Edges++
-				}
-			}
-		}
-	}
+	res.Edges = edges(res.A)
 	tr.Add("allpairs/edges", int64(res.Edges))
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
@@ -172,5 +173,42 @@ func TestAllPairsVARResultBridge(t *testing.T) {
 	vr := res.VARResult()
 	if len(vr.A) != 1 || vr.A[0].Rows != 6 || vr.A[0].Cols != 6 || len(vr.Mu) != 6 {
 		t.Fatalf("bridge shape: %d lags, %v mu", len(vr.A), vr.Mu)
+	}
+}
+
+// allPairsGolden is the FNV-1a hash (betaHash) of each fixture's Mu followed
+// by its lag matrices, captured while the all-pairs selection bootstraps
+// still gathered their screened rows and columns into copies.
+var allPairsGolden = map[string]uint64{
+	"order2":  0xd11d6fe946ea7554,
+	"p10":     0x2375ee4153afb8bf,
+	"p11":     0x6c322f9b66d3c7fe,
+	"rho-cap": 0x52a22a4a71fce8b5,
+}
+
+// TestAllPairsGolden pins the all-pairs fit's bits across changes to the
+// selection cell it shares with UoI_LASSO and UoI_VAR.
+func TestAllPairsGolden(t *testing.T) {
+	for name, fx := range map[string]struct {
+		p, n int
+		cfg  AllPairsConfig
+	}{
+		"p11":     {11, 400, AllPairsConfig{NB: 3, Q: 5, Screen: 8, Seed: 7}},
+		"p10":     {10, 1500, AllPairsConfig{Seed: 3}},
+		"order2":  {8, 600, AllPairsConfig{Order: 2, NB: 4, Q: 6, Screen: 10, Seed: 5, SelectionFrac: 0.75}},
+		"rho-cap": {9, 500, AllPairsConfig{NB: 2, Q: 4, Screen: 6, Seed: 9, ADMM: admm.Options{Rho: 2, MaxIter: 15}}},
+	} {
+		_, series := sparseTestSeries(fx.p, fx.n)
+		res, err := AllPairs(series, &fx.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		flat := append([]float64(nil), res.Mu...)
+		for _, a := range res.A {
+			flat = append(flat, a.Data...)
+		}
+		if got := betaHash(flat); got != allPairsGolden[name] {
+			t.Errorf("%s: Beta hash %#x, golden %#x", name, got, allPairsGolden[name])
+		}
 	}
 }

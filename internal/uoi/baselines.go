@@ -122,36 +122,34 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		q = 16
 	}
 	full := varsim.NewDesign(series, order, intercept)
-	m := full.X.Rows
-	p := full.P
-	rowsB := full.X.Cols
-	lambdas := admm.LogSpaceLambdas(vecLambdaMax(full), 1e-3, q)
+	m, p, rowsB := full.X.Rows, full.P, full.X.Cols
+	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y, mat.Sample{}).Data), 1e-3, q)
 	blockLen := int(math.Ceil(math.Sqrt(float64(m))))
 	rng := resample.NewRNG(seed)
 
-	cvLoss := make([]float64, len(lambdas))
-	for f := 0; f < folds; f++ {
-		trainIdx, evalIdx := resample.BlockTrainEvalSplit(rng.Derive(uint64(f)), m, blockLen, 1-1/float64(folds))
-		toTargets := func(idx []int) []int {
-			out := make([]int, len(idx))
-			for i, v := range idx {
-				out[i] = order + v
-			}
-			return out
-		}
-		trainDes := varsim.NewDesignFromRows(series, order, intercept, toTargets(trainIdx))
-		evalDes := varsim.NewDesignFromRows(series, order, intercept, toTargets(evalIdx))
-		fac, err := admm.NewFactorizationGramWorkers(mat.AtA(trainDes.X), 0, 0)
+	// fit solves every equation at each of lams from the statistics of the
+	// design rows s names and hands each vec(B) to use.
+	fit := func(s mat.Sample, lams []float64, use func(j int, beta []float64)) error {
+		gram, xty := stats(full.X, full.Y, s, 0)
+		fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
-		xty := designXtY(trainDes)
-		beta := make([]float64, rowsB*p)
-		for j, lam := range lambdas {
+		for j, lam := range lams {
+			beta := make([]float64, rowsB*p)
 			for eq, r := range fac.SolveRHSBatch(xty, lam, nil, nil, nil, 0) {
 				copy(beta[eq*rowsB:(eq+1)*rowsB], r.Beta)
 			}
-			cvLoss[j] += vecLoss(evalDes, beta)
+			use(j, beta)
+		}
+		return nil
+	}
+	cvLoss := make([]float64, len(lambdas))
+	for f := 0; f < folds; f++ {
+		trainIdx, evalIdx := resample.BlockTrainEvalSplit(rng.Derive(uint64(f)), m, blockLen, 1-1/float64(folds))
+		err := fit(mat.Sample{Rows: trainIdx}, lambdas, func(j int, beta []float64) { cvLoss[j] += heldOut(full.X, full.Y, evalIdx, beta) })
+		if err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	best := 0
@@ -161,13 +159,9 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 		}
 	}
 	// Refit on all data at the winning λ.
-	fac, err := admm.NewFactorizationGramWorkers(mat.AtA(full.X), 0, 0)
-	if err != nil {
+	var beta []float64
+	if err := fit(mat.Sample{}, lambdas[best:best+1], func(_ int, b []float64) { beta = b }); err != nil {
 		return nil, nil, nil, err
-	}
-	beta := make([]float64, rowsB*p)
-	for eq, r := range fac.SolveRHSBatch(designXtY(full), lambdas[best], nil, nil, nil, 0) {
-		copy(beta[eq*rowsB:(eq+1)*rowsB], r.Beta)
 	}
 	a, mu := full.PartitionBeta(beta)
 	return &BaselineResult{Beta: beta, Lambda: lambdas[best]}, a, mu, nil

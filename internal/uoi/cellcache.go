@@ -142,50 +142,33 @@ func hashTargetRows(h *checkpoint.Hasher, series *mat.Dense, targets []int, d in
 	}
 }
 
-// selCellKey hashes every input of varSelCell k: cell identity and
-// resampling geometry, solver tolerances, the λ grid, the warm-start seed,
-// and the touched series rows.
-func selCellKey(series *mat.Dense, k, m, blockLen int, lambdas []float64, c *VARConfig) uint64 {
+// cellKey starts the key of VAR cell k of the given kind (1 selection, 2
+// estimation): the cell's identity and resampling geometry.
+func cellKey(kind uint64, k, m, blockLen int, c *VARConfig) *checkpoint.Hasher {
 	h := checkpoint.NewHasher()
-	h.AddUint64(1) // cell kind: selection
-	h.AddUint64(c.Seed)
-	h.AddUint64(uint64(k))
-	h.AddUint64(uint64(m))
-	h.AddUint64(uint64(blockLen))
-	h.AddUint64(uint64(c.Order))
-	if c.NoIntercept {
-		h.AddUint64(1)
-	} else {
-		h.AddUint64(0)
+	for _, v := range []uint64{kind, c.Seed, uint64(k), uint64(m), uint64(blockLen), uint64(c.Order), bit(c.NoIntercept)} {
+		h.AddUint64(v)
 	}
-	h.AddFloat(c.ADMM.Rho)
-	h.AddUint64(uint64(c.ADMM.MaxIter))
-	h.AddFloat(c.ADMM.AbsTol)
-	h.AddFloat(c.ADMM.RelTol)
-	h.AddFloat(c.L2)
-	h.AddFloat(c.SupportTol)
+	return h
+}
+
+// selCellKey hashes every input of UoI_VAR selection cell k: cell identity
+// and resampling geometry, solver tolerances, the λ grid, the warm-start
+// seed, and the touched series rows.
+func selCellKey(series *mat.Dense, k, m, blockLen int, lambdas []float64, c *VARConfig) uint64 {
+	h := cellKey(1, k, m, blockLen, c)
+	hashSolves(h, &c.ADMM, c.L2, c.SupportTol)
 	h.AddFloats(lambdas)
 	h.AddFloats(c.WarmBeta)
-	targets := varSelTargets(resample.NewRNG(c.Seed), k, m, blockLen, c)
-	hashTargetRows(h, series, targets, c.Order)
+	hashTargetRows(h, series, varSelTargets(resample.NewRNG(c.Seed), k, m, blockLen, c), c.Order)
 	return h.Sum()
 }
 
-// estCellKey hashes every input of varEstCell k: cell identity, split
-// geometry, the candidate support family, and the touched series rows.
+// estCellKey hashes every input of UoI_VAR estimation cell k: cell
+// identity, split geometry, the candidate support family, and the touched
+// series rows.
 func estCellKey(series *mat.Dense, k, m, blockLen int, distinct [][]int, c *VARConfig) uint64 {
-	h := checkpoint.NewHasher()
-	h.AddUint64(2) // cell kind: estimation
-	h.AddUint64(c.Seed)
-	h.AddUint64(uint64(k))
-	h.AddUint64(uint64(m))
-	h.AddUint64(uint64(blockLen))
-	h.AddUint64(uint64(c.Order))
-	if c.NoIntercept {
-		h.AddUint64(1)
-	} else {
-		h.AddUint64(0)
-	}
+	h := cellKey(2, k, m, blockLen, c)
 	h.AddFloat(c.TrainFrac)
 	h.AddUint64(uint64(len(distinct)))
 	for _, s := range distinct {
@@ -196,13 +179,6 @@ func estCellKey(series *mat.Dense, k, m, blockLen int, distinct [][]int, c *VARC
 	}
 	rng := resample.NewRNG(c.Seed).Derive(1_000_000 + uint64(k))
 	trainIdx, evalIdx := resample.BlockTrainEvalSplit(rng, m, blockLen, c.TrainFrac)
-	targets := make([]int, 0, len(trainIdx)+len(evalIdx))
-	for _, v := range trainIdx {
-		targets = append(targets, c.Order+v)
-	}
-	for _, v := range evalIdx {
-		targets = append(targets, c.Order+v)
-	}
-	hashTargetRows(h, series, targets, c.Order)
+	hashTargetRows(h, series, designTargets(c.Order, append(trainIdx, evalIdx...)), c.Order)
 	return h.Sum()
 }

@@ -1,36 +1,38 @@
 package uoi
 
 import (
-	"fmt"
 	"math"
-	"time"
+	"slices"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/resample"
 	"uoivar/internal/trace"
-	"uoivar/internal/varsim"
 )
 
-// This file holds the per-bootstrap *cell* computations of UoI_LASSO and
-// UoI_VAR: the bodies of one selection bootstrap (fit the λ path, report
-// per-(λ, coefficient) support indicators) and one estimation bootstrap
-// (fit OLS on every candidate support, report the held-out winner). Each
-// cell is a pure function of (data, root seed, cell index) — independent of
-// worker counts, rank counts, and every other cell — which is what makes
-// UoI embarrassingly parallel and, in checkpointed execution, independently
-// resumable: a checkpoint is just the union of completed cells.
-//
-// Every placement of the engine (engine.go) runs these bodies, so a cell
-// reproduces the same bits wherever it runs: on a pool worker, resumed from
-// a checkpoint, or as one λ block on one rank of a grid.
+// This file holds the per-bootstrap *cell* computations of UoI, once for
+// every problem: a design X (n×q) and a target panel Y (n×t) with one column
+// per equation — UoI_LASSO's response, or the p channels of UoI_VAR's lagged
+// design, whose vectorised problem (I ⊗ X) is block separable. Equation e's
+// coefficients are β[e·q : (e+1)·q]. A selection cell fits the λ path of
+// every equation from one sample's XᵀX and XᵀY and reports per-(λ,
+// coefficient) support indicators; an estimation cell fits OLS on every
+// candidate support from a training sample's statistics and reports the
+// held-out winner. A mat.Sample names a cell's rows, never a gathered copy.
+// Each cell is a pure function of (data, root seed, cell index) —
+// independent of worker counts, rank counts, and every other cell — which is
+// what makes UoI embarrassingly parallel and, in checkpointed execution,
+// independently resumable. Every placement of the engine (engine.go) runs
+// these bodies, so a cell reproduces the same bits wherever it runs; over
+// data distributed by rows they run on statistics summed across the ranks
+// (uoi.go), and the consensus baselines and all-pairs inference share the λ
+// sweep.
 
 // warmFn supplies the (z, u) pair a selection cell's warm-start chain
 // carries into its first λ, and emitFn receives the chain's state after its
 // last: together they hand the λ path of one bootstrap from one grid column
-// to the next. A UoI_LASSO cell has one chain (chain 0), a UoI_VAR cell one
-// per equation. A cell calls every warm before its first solve and every
-// emit after its last, chains in ascending order.
+// to the next. A cell has one chain per equation. It calls every warm before
+// its first solve and every emit after its last, chains in ascending order.
 type (
 	warmFn func(chain int) (z, u []float64)
 	emitFn func(chain int, z, u []float64)
@@ -73,58 +75,94 @@ func bootstrapSample(rng *resample.RNG, n int) mat.Sample {
 	return mat.Sample{Rows: rows, Weights: counts}
 }
 
-// lassoSelCellRange runs selection bootstrap k of UoI_LASSO over the λ
-// block [jLo, jHi): resample, then lassoSelSolve on the sample's Gram and
-// Xᵀy.
-func lassoSelCellRange(x *mat.Dense, y []float64, root *resample.RNG, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	boot := bootstrapSample(root.Derive(uint64(k)+1), x.Rows)
-	return lassoSelSolve(mat.GramWorkers(x, boot, kw), mat.GramVec(x, y, boot), k, lambdas, jLo, jHi, warm, emit, c, kw, tr)
+// stats returns the sufficient statistics of a cell's sample: the Gram XᵀX
+// and the panel XᵀY over the rows, weights and columns s names.
+func stats(x, y *mat.Dense, s mat.Sample, kw int) (gram, xty *mat.Dense) {
+	return mat.GramWorkers(x, s, kw), mat.MulAtB(x, y, s)
 }
 
-// lassoSelSolve is the body of UoI_LASSO selection bootstrap k on its
-// sample's sufficient statistics gram = XᵀX and xty = Xᵀy: factorize once,
-// sweep the block with lassoPath and return its block-local support
-// indicators. The whole path is the block [0, len(lambdas)) with nil hooks;
-// on a grid the hooks continue the exact serial warm-start chain across
-// columns, so a grid fit's supports are bit-identical to serial by
-// construction.
-func lassoSelSolve(gram *mat.Dense, xty []float64, k int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *LassoConfig, kw int, tr *trace.Tracer) (sup []bool, fits, iters int, err error) {
-	f, err := admm.NewFactorizationElasticWorkers(gram, c.ADMM.Rho, c.L2, kw)
+// path is what a selection cell needs besides its statistics: the λ grid and
+// how each solve on it runs.
+type path struct {
+	lambdas []float64
+	opts    admm.Options // opts.Rho ≤ 0 scales ρ to each Gram's mean diagonal
+	l2      float64      // the elastic-net ℓ2 weight of every selection solve
+	tol     float64      // the |β| > tol support threshold
+	// seed, when set, starts equation e's chain from seed[e·q : (e+1)·q], a
+	// previous model's coefficients (VARConfig.WarmBeta).
+	seed []float64
+	kw   int           // the kernel budget of the cell's kernels and batched solve
+	tr   *trace.Tracer // receives admm/factorizations
+}
+
+// cell is the body of a selection bootstrap over the λ block [jLo, jHi), on
+// its sample's statistics gram = XᵀX and xty = XᵀY: factorize once, then
+// sweep every equation's chain as one batch (admm.SolveRHSBatch, whose
+// column e is bit for bit SolveRHS of equation e). The whole path is the
+// block [0, len(lambdas)) with nil hooks; on a grid the hooks continue the
+// exact serial warm-start chains across columns, so a grid fit's supports
+// are bit-identical to serial by construction.
+func (pa *path) cell(gram, xty *mat.Dense, jLo, jHi int, warm warmFn, emit emitFn) ([]bool, Diagnostics, error) {
+	f, err := admm.NewFactorizationElasticWorkers(gram, pa.opts.Rho, pa.l2, pa.kw)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
+		return nil, Diagnostics{}, err
 	}
-	f.SetRHS(xty)
-	tr.Add("admm/factorizations", 1)
-	sup, fits, iters = lassoPath(f.Solve, len(xty), lambdas, jLo, jHi, warm, emit, c.ADMM, c.SupportTol)
-	return sup, fits, iters, nil
+	pa.tr.Add("admm/factorizations", 1)
+	solve := func(lambda float64, warmZ, warmU [][]float64) []admm.Result {
+		return f.SolveRHSBatch(xty, lambda, warmZ, warmU, &pa.opts, pa.kw)
+	}
+	sup, d := sweep(solve, xty.Cols, xty.Rows, pa.lambdas, jLo, jHi, warm, emit, pa.seed, pa.tol)
+	return sup, d, nil
 }
 
-// lassoPath sweeps one selection bootstrap's λ block [jLo, jHi) with solve
-// and returns the support indicators of its p coefficients in the
-// block-local flattening sup[(j−jLo)·p+i]. Each λ is warm-started from its
-// neighbour's (z, u) pair — carrying only z would restart the dual at zero
-// every step and forfeit most of the saved iterations (Boyd §4.3's standard
-// path warm start). On a grid, warm supplies the pair the serial sweep would
-// have carried into λ index jLo and emit receives the pair after jHi−1.
-func lassoPath(solve func(lambda float64, opts *admm.Options) *admm.Result, p int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, opts admm.Options, tol float64) (sup []bool, fits, iters int) {
-	sup = make([]bool, (jHi-jLo)*p)
-	var warmZ, warmU []float64
-	if warm != nil {
-		warmZ, warmU = warm(0)
+// batchFn solves one λ for every warm-start chain of a selection cell:
+// result e continues chain e from (warmZ[e], warmU[e]), a nil pair starting
+// cold.
+type batchFn func(lambda float64, warmZ, warmU [][]float64) []admm.Result
+
+// sweep runs one selection bootstrap's λ block [jLo, jHi) over its `chains`
+// warm-start chains of chainLen coefficients and returns the support
+// indicators in the block-local flattening sup[(j−jLo)·chains·chainLen +
+// chain·chainLen + i], with the solves' work. Each λ is warm-started from its
+// neighbour's (z, u) pair — z alone would restart the dual at zero every
+// step (Boyd §4.3). On a grid, warm supplies the pairs the serial sweep
+// would carry into λ index jLo and emit receives the pairs after jHi−1. The
+// λ grid descends from λ_max, where the cold solution is near zero; a seed
+// approximates the small-λ solutions, so a seeded sweep runs smallest-λ
+// first, and the grid, which hands chains rightwards, rejects one.
+func sweep(solve batchFn, chains, chainLen int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, seed []float64, tol float64) (sup []bool, d Diagnostics) {
+	width := chains * chainLen
+	sup = make([]bool, (jHi-jLo)*width)
+	order := make([]int, jHi-jLo)
+	for i := range order {
+		order[i] = jLo + i
 	}
-	for j := jLo; j < jHi; j++ {
-		o := opts
-		o.WarmZ, o.WarmU = warmZ, warmU
-		r := solve(lambdas[j], &o)
-		warmZ, warmU = r.Beta, r.U
-		fits++
-		iters += r.Iters
-		markSupport(sup[(j-jLo)*p:(j-jLo+1)*p], r.Beta, tol)
+	warmZ, warmU := make([][]float64, chains), make([][]float64, chains)
+	if seed != nil {
+		for e := range warmZ {
+			warmZ[e] = seed[e*chainLen : (e+1)*chainLen]
+		}
+		slices.Reverse(order)
+	}
+	if warm != nil {
+		for e := range warmZ {
+			warmZ[e], warmU[e] = warm(e)
+		}
+	}
+	for _, j := range order {
+		for e, r := range solve(lambdas[j], warmZ, warmU) {
+			warmZ[e], warmU[e] = r.Beta, r.U
+			d.LassoFits++
+			d.solved(&r)
+			markSupport(sup[(j-jLo)*width+e*chainLen:], r.Beta, tol)
+		}
 	}
 	if emit != nil {
-		emit(0, warmZ, warmU)
+		for e := range warmZ {
+			emit(e, warmZ[e], warmU[e])
+		}
 	}
-	return sup, fits, iters
+	return sup, d
 }
 
 // markSupport sets row[i] for every coefficient with |beta[i]| > tol.
@@ -136,39 +174,15 @@ func markSupport(row []bool, beta []float64, tol float64) {
 	}
 }
 
-// lassoEstCell runs estimation bootstrap k of UoI_LASSO: resample a
-// train/evaluation split, fit OLS on every distinct candidate support, and
-// return the estimate minimizing held-out loss (all zeros when the
-// candidate family is empty). Every support is a column subset of the one
-// training sample, so the cell computes XᵀX and Xᵀy once over the training
-// rows and the union of the supports' columns (supportColumns), and each
-// fit solves the sub-block G[S,S]·β = Xᵀy[S] (olsCandidate).
-func lassoEstCell(x *mat.Dense, y []float64, root *resample.RNG, k int, distinct [][]int, c *LassoConfig, kw int) (beta []float64, fits int) {
-	n, p := x.Rows, x.Cols
-	rng := root.Derive(1_000_000 + uint64(k))
-	trainIdx, evalIdx := resample.TrainEvalSplit(rng, n, c.TrainFrac)
-	cols, at := supportColumns(distinct, p)
-	train := mat.Sample{Rows: trainIdx, Cols: cols}
-	gram := mat.GramWorkers(x, train, kw)
-	xty := mat.GramVec(x, y, train)
-
-	var best winner
+// supportColumns returns the union of the candidate supports' design
+// columns (coefficient g is column g mod q), ascending — empty, not nil, when
+// there is no candidate: a nil Sample.Cols would mean every column — and
+// at[j], column j's position in it.
+func supportColumns(distinct [][]int, q int) (cols, at []int) {
+	at = make([]int, q)
 	for _, s := range distinct {
-		b := olsCandidate(gram, xty, at, s, p)
-		fits++
-		best.offer(heldOutLoss(x, y, evalIdx, s, b), b)
-	}
-	return best.estimate(p), fits
-}
-
-// supportColumns returns the union of the candidate supports' columns of p,
-// ascending (empty, not nil, when there is no candidate: a nil Sample.Cols
-// would mean every column), and at[j], column j's position in it.
-func supportColumns(distinct [][]int, p int) (cols, at []int) {
-	at = make([]int, p)
-	for _, s := range distinct {
-		for _, j := range s {
-			at[j] = 1
+		for _, g := range s {
+			at[g%q] = 1
 		}
 	}
 	cols = []int{}
@@ -181,37 +195,72 @@ func supportColumns(distinct [][]int, p int) (cols, at []int) {
 	return cols, at
 }
 
-// olsCandidate fits OLS on support s from the sufficient statistics of the
-// support columns (supportColumns' at): it solves the sub-block
-// G[S,S]·β = Xᵀy[S] — the same bits as a Gram built for s alone — and
-// returns β over all p coefficients.
-func olsCandidate(gram *mat.Dense, xty []float64, at, s []int, p int) []float64 {
-	b := make([]float64, p)
-	if len(s) > 0 {
-		pos := make([]int, len(s))
-		rhs := make([]float64, len(s))
-		for i, j := range s {
-			pos[i], rhs[i] = at[j], xty[at[j]]
+// fitCandidates is the body of an estimation bootstrap on its training
+// statistics over the support columns (gram, xty and at as supportColumns
+// gives them): it fits every candidate support (ascending, as dedupeSupports
+// leaves them) by OLS equation by equation — equation e with support columns
+// S solves the sub-block gram[S,S]·β = xty[S,e], the same bits as a Gram
+// built for S alone — scores the fit by heldOut over the evaluation rows of
+// (x, y), and hands both to offer, candidates in order.
+func fitCandidates(x, y, gram, xty *mat.Dense, at, eval []int, distinct [][]int, offer func(j int, loss float64, beta []float64)) {
+	q := x.Cols
+	for j, s := range distinct {
+		beta := make([]float64, q*y.Cols)
+		for lo, hi := 0, 0; lo < len(s); lo = hi {
+			e := s[lo] / q
+			for hi = lo; hi < len(s) && s[hi]/q == e; hi++ {
+			}
+			pos, rhs := make([]int, hi-lo), make([]float64, hi-lo)
+			for i, g := range s[lo:hi] {
+				pos[i] = at[g%q]
+				rhs[i] = xty.At(pos[i], e)
+			}
+			for i, v := range olsSubBlock(gram, pos, rhs) {
+				beta[s[lo+i]] = v
+			}
 		}
-		for i, v := range olsSubBlock(gram, pos, rhs) {
-			b[s[i]] = v
-		}
+		offer(j, heldOut(x, y, eval, beta), beta)
 	}
-	return b
 }
 
-// heldOutLoss is ½‖y − Xβ‖² over the given evaluation rows of x, read in
-// place, for a β that is zero off the support: a prediction costs |support|
-// multiply-adds, not a full row.
-func heldOutLoss(x *mat.Dense, y []float64, rows, support []int, beta []float64) float64 {
-	sum := 0.0
-	for _, i := range rows {
-		xr := x.Row(i)
-		r := -y[i]
-		for _, j := range support {
-			r += float64(xr[j] * beta[j])
+// olsSubBlock solves gram[idx,idx]·β = rhs, the least-squares fit on the
+// columns idx of a design whose Gram was computed once (rhs is Xᵀy already
+// restricted to idx).
+func olsSubBlock(gram *mat.Dense, idx []int, rhs []float64) []float64 {
+	sub := mat.NewDense(len(idx), len(idx))
+	for i, j := range idx {
+		row := gram.Row(j)
+		for k, jk := range idx {
+			sub.Data[i*len(idx)+k] = row[jk]
 		}
-		sum += float64(r * r)
+	}
+	return admm.OLSFromGram(sub, rhs)
+}
+
+// heldOut is ½‖Y − Xβ‖² over the given rows of (x, y), read in place,
+// summed equation by equation into one running sum. A prediction reads only
+// its equation's nonzero coefficients: candidates are sparse, so it costs
+// |support| multiply-adds, not a full design row.
+func heldOut(x, y *mat.Dense, rows []int, beta []float64) float64 {
+	q := x.Cols
+	sum := 0.0
+	var nz []int
+	for e := 0; e < y.Cols; e++ {
+		b := beta[e*q : (e+1)*q]
+		nz = nz[:0]
+		for j, v := range b {
+			if v != 0 {
+				nz = append(nz, j)
+			}
+		}
+		for _, i := range rows {
+			xr := x.Row(i)
+			r := y.At(i, e)
+			for _, j := range nz {
+				r -= float64(xr[j] * b[j])
+			}
+			sum += float64(r * r)
+		}
 	}
 	return 0.5 * sum
 }
@@ -257,20 +306,22 @@ func supportsFromCounts(counts []float64, q, p int, threshold float64) [][]int {
 	return supports
 }
 
-// varSelTargets derives selection bootstrap k's design-row targets (window
-// row indices in [d, d+m)): window-relative moving blocks by default, or
-// grid blocks at absolute stream coordinates when c.Anchored. Shared by the
-// cell body and the cell-cache key so the two can never disagree.
-func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
+// varSelRows derives UoI_VAR selection bootstrap k's design rows in draw
+// order, repeats kept: window-relative moving blocks by default, or grid
+// blocks at absolute stream coordinates when c.Anchored.
+func varSelRows(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 	rng := root.Derive(uint64(k) + 1)
-	var idx []int
 	if c.Anchored {
 		// Design row t sits at absolute stream row Anchor + Order + t.
-		idx = resample.AnchoredBlockBootstrap(rng, c.Anchor+int64(c.Order), m, blockLen)
-	} else {
-		idx = resample.MovingBlockBootstrap(rng, m, blockLen)
+		return resample.AnchoredBlockBootstrap(rng, c.Anchor+int64(c.Order), m, blockLen)
 	}
-	return designTargets(c.Order, idx)
+	return resample.MovingBlockBootstrap(rng, m, blockLen)
+}
+
+// varSelTargets is varSelRows as the series rows the design rows predict:
+// what the cell-cache key and the Kronecker baseline's assembly read.
+func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
+	return designTargets(c.Order, varSelRows(root, k, m, blockLen, c))
 }
 
 // designTargets maps design-row indices of an order-d model to the series
@@ -281,108 +332,4 @@ func designTargets(d int, idx []int) []int {
 		targets[i] = d + v
 	}
 	return targets
-}
-
-// varSelCellRange runs selection bootstrap k of UoI_VAR over the λ block
-// [jLo, jHi) — the whole path, or one grid column's share: block-bootstrap
-// target rows, assemble the design (spPhase receives the kron_assembly child
-// span), factorize once. The p equations share the design and its
-// factorization, so the sweep is λ-outer: each λ is one batched solve over
-// all equations (admm.SolveRHSBatch, column groups over kw goroutines),
-// warm-started per equation from the previous λ. The warm-start chain is
-// per equation, so the handoff is too: warm(eq) supplies the (z, u) pair
-// the serial sweep would carry into λ index jLo of equation eq, emit(eq)
-// receives the chain state after jHi−1. Callers that pass hooks must not
-// set c.WarmBeta (the seeded sweep reverses the λ order, which would
-// reverse the pipeline direction); the grid rejects that combination with
-// ErrPlacement. sup is the block-local flattening
-// sup[(j−jLo)·betaLen + eq·rowsB + i].
-func varSelCellRange(series *mat.Dense, root *resample.RNG, k, m, blockLen int, lambdas []float64, jLo, jHi int, warm warmFn, emit emitFn, c *VARConfig, kw int, tr *trace.Tracer, spPhase trace.Span) (sup []bool, fits, iters int, kron time.Duration, err error) {
-	d := c.Order
-	p := series.Cols
-	targets := varSelTargets(root, k, m, blockLen, c)
-	t0 := time.Now()
-	spK := spPhase.Child("kron_assembly")
-	des := varsim.NewDesignFromRows(series, d, !c.NoIntercept, targets)
-	spK.End()
-	kron = time.Since(t0)
-	rowsB := des.X.Cols
-
-	// One factorization shared across all p equations and the λ path — the
-	// block-diagonal Gram of (I ⊗ X_T) is I ⊗ (X_TᵀX_T).
-	f, err := admm.NewFactorizationElasticWorkers(mat.AtAWorkers(des.X, kw), c.ADMM.Rho, c.L2, kw)
-	if err != nil {
-		return nil, 0, 0, kron, fmt.Errorf("uoi: VAR selection bootstrap %d: %w", k, err)
-	}
-	tr.Add("admm/factorizations", 1)
-	betaLen := rowsB * p
-	sup = make([]bool, (jHi-jLo)*betaLen)
-	// Sweep order: the λ grid is descending (λ_max first), where the cold
-	// solution starts near zero — the natural chain for zero starts. When a
-	// previous model seeds the sweep (c.WarmBeta, streaming refits), the
-	// seed approximates the *small*-λ solutions, so the sweep runs
-	// smallest-λ-first instead and chains (z, u) upward from there.
-	order := make([]int, jHi-jLo)
-	for i := range order {
-		order[i] = jLo + i
-	}
-	// Carry both halves of the warm start along the path; z alone restarts
-	// the dual from zero at every λ (see lassoSelCell).
-	warmZ, warmU := make([][]float64, p), make([][]float64, p)
-	if len(c.WarmBeta) == betaLen {
-		for eq := range warmZ {
-			warmZ[eq] = c.WarmBeta[eq*rowsB : (eq+1)*rowsB]
-		}
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-	if warm != nil {
-		for eq := range warmZ {
-			warmZ[eq], warmU[eq] = warm(eq)
-		}
-	}
-	xty := designXtY(des)
-	for _, j := range order {
-		for eq, r := range f.SolveRHSBatch(xty, lambdas[j], warmZ, warmU, &c.ADMM, kw) {
-			warmZ[eq], warmU[eq] = r.Beta, r.U
-			fits++
-			iters += r.Iters
-			markSupport(sup[(j-jLo)*betaLen+eq*rowsB:], r.Beta, c.SupportTol)
-		}
-	}
-	if emit != nil {
-		for eq := range warmZ {
-			emit(eq, warmZ[eq], warmU[eq])
-		}
-	}
-	return sup, fits, iters, kron, nil
-}
-
-// varEstCell runs estimation bootstrap k of UoI_VAR: block train/eval
-// split, per-equation OLS on every distinct vec support, and the held-out
-// winner (all zeros when the candidate family is empty). Every support is a
-// column subset of the one training design, so the cell computes that
-// design's sufficient statistics XᵀX and XᵀY once and each (support,
-// equation) fit solves the sub-blocks G[S,S]·β = XᵀY[S,eq].
-func varEstCell(series *mat.Dense, root *resample.RNG, k, m, blockLen, betaLen int, distinct [][]int, c *VARConfig, kw int, spPhase trace.Span) (beta []float64, fits int, kron time.Duration) {
-	d := c.Order
-	rng := root.Derive(1_000_000 + uint64(k))
-	trainIdx, evalIdx := resample.BlockTrainEvalSplit(rng, m, blockLen, c.TrainFrac)
-	t0 := time.Now()
-	spK := spPhase.Child("kron_assembly")
-	trainDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, designTargets(d, trainIdx))
-	evalDes := varsim.NewDesignFromRows(series, d, !c.NoIntercept, designTargets(d, evalIdx))
-	spK.End()
-	kron = time.Since(t0)
-
-	gram := mat.AtAWorkers(trainDes.X, kw)
-	xty := designXtY(trainDes)
-	var best winner
-	for _, s := range distinct {
-		b := olsOnVecSupport(gram, xty, s)
-		fits++
-		best.offer(vecLoss(evalDes, b), b)
-	}
-	return best.estimate(betaLen), fits, kron
 }

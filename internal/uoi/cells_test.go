@@ -22,18 +22,18 @@ import (
 func TestEstCellSkipsNaNLoss(t *testing.T) {
 	x, y, _ := makeRegression(3, 60, 6, 3, 0.2)
 	root := resample.NewRNG(7)
-	c := (&LassoConfig{}).defaults()
+	c := (&LassoConfig{Seed: 7}).defaults()
 	// Poison feature 0 in the cell's *training* rows only: the OLS fit on
 	// any support containing 0 turns NaN (and with it that candidate's
 	// held-out loss), while candidates that exclude 0 stay finite. The split
-	// here re-derives exactly what lassoEstCell(k=0) will draw.
+	// here re-derives exactly what estimation cell 0 will draw.
 	trainIdx, _ := resample.TrainEvalSplit(root.Derive(1_000_000), x.Rows, c.TrainFrac)
 	for _, i := range trainIdx {
 		x.Row(i)[0] = math.NaN()
 	}
 	// Candidate order matters: the poisoned support comes first.
 	distinct := [][]int{{0}, {1, 2, 3}}
-	beta, fits := lassoEstCell(x, y, root, 0, distinct, &c, 1)
+	beta, fits := lassoEst(t, x, y, 0, distinct, &c, 1)
 	if fits != len(distinct) {
 		t.Fatalf("fits = %d, want %d", fits, len(distinct))
 	}
@@ -186,9 +186,8 @@ func TestEstCellAllNaNFallsBackToNull(t *testing.T) {
 	for i := 0; i < x.Rows; i++ {
 		x.Row(i)[0] = math.NaN()
 	}
-	root := resample.NewRNG(9)
-	c := (&LassoConfig{}).defaults()
-	beta, _ := lassoEstCell(x, y, root, 0, [][]int{{0}, {0, 1}}, &c, 1)
+	c := (&LassoConfig{Seed: 9}).defaults()
+	beta, _ := lassoEst(t, x, y, 0, [][]int{{0}, {0, 1}}, &c, 1)
 	for i, v := range beta {
 		if v != 0 {
 			t.Fatalf("all-NaN family must yield the null model, got beta[%d] = %v", i, v)
@@ -204,18 +203,12 @@ func TestVarEstCellSkipsNaNLoss(t *testing.T) {
 	m := varsim.GenerateStable(rng, 3, 1, nil)
 	series := m.Simulate(rng.Derive(1), 80, 50)
 	c := (&VARConfig{Order: 1}).defaults()
-	d := c.Order
-	nTotal := series.Rows
-	mm := nTotal - d
-	blockLen := int(math.Ceil(math.Sqrt(float64(mm))))
-	full := varsim.NewDesign(series, d, true)
-	betaLen := full.X.Cols * series.Cols
+	full := varsim.NewDesign(series, c.Order, true)
 
 	// A support using only the intercept column always fits finitely; a
 	// NaN-poisoned series makes every support NaN instead, checked below.
-	root := resample.NewRNG(c.Seed)
 	clean := []int{full.X.Cols - 1}
-	beta, fits, _ := varEstCell(series, root, 0, mm, blockLen, betaLen, [][]int{clean}, &c, 1, trace.Span{})
+	beta, fits := varEst(t, series, 0, [][]int{clean}, &c, 1)
 	if fits != 1 {
 		t.Fatalf("fits = %d, want 1", fits)
 	}
@@ -226,7 +219,7 @@ func TestVarEstCellSkipsNaNLoss(t *testing.T) {
 	}
 
 	series.Row(10)[0] = math.NaN()
-	beta, _, _ = varEstCell(series, root, 0, mm, blockLen, betaLen, [][]int{{0}, {1}}, &c, 1, trace.Span{})
+	beta, _ = varEst(t, series, 0, [][]int{{0}, {1}}, &c, 1)
 	for i, v := range beta {
 		if math.IsNaN(v) {
 			t.Fatalf("NaN winner survived VAR est cell: beta[%d] = %v", i, v)
@@ -264,7 +257,7 @@ func newVarCellFixture(series *mat.Dense, cfg *VARConfig) varCellFixture {
 	return varCellFixture{
 		series: series, c: c, m: m, blockLen: int(math.Ceil(math.Sqrt(float64(m)))),
 		rowsB: full.X.Cols, betaLen: full.X.Cols * full.P,
-		lambdas: admm.LogSpaceLambdas(vecLambdaMax(full), c.LambdaRatio, c.Q),
+		lambdas: admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y, mat.Sample{}).Data), c.LambdaRatio, c.Q),
 	}
 }
 
@@ -358,7 +351,7 @@ func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 		for _, kw := range []int{1, 3} {
 			for k := 0; k < fx.c.B2; k++ {
 				want, winner := perSupportVarEstCell(fx, root, k, distinct)
-				got, fits, _ := varEstCell(series, root, k, fx.m, fx.blockLen, fx.betaLen, distinct, &fx.c, kw, trace.Span{})
+				got, fits := varEst(t, series, k, distinct, &fx.c, kw)
 				if fits != len(distinct) {
 					t.Fatalf("seed %d cell %d: fits = %d, want %d", f.seed, k, fits, len(distinct))
 				}
@@ -400,7 +393,7 @@ func TestVarEstCellPoisonedChannel(t *testing.T) {
 	}
 	series.Row(tau)[0] = math.NaN()
 	eq0onCh1, eq1onCh0, eq1onCh1 := 0*fx.rowsB+1, 1*fx.rowsB+0, 1*fx.rowsB+1
-	beta, fits, _ := varEstCell(series, root, 0, fx.m, fx.blockLen, fx.betaLen, [][]int{{eq0onCh1}, {eq1onCh0}, {eq1onCh1}}, &fx.c, 1, trace.Span{})
+	beta, fits := varEst(t, series, 0, [][]int{{eq0onCh1}, {eq1onCh0}, {eq1onCh1}}, &fx.c, 1)
 	if fits != 3 {
 		t.Fatalf("fits = %d, want 3", fits)
 	}
@@ -416,7 +409,7 @@ func TestVarEstCellPoisonedChannel(t *testing.T) {
 	for i := 0; i < series.Rows; i++ {
 		series.Row(i)[0] = math.NaN()
 	}
-	beta, _, _ = varEstCell(series, root, 0, fx.m, fx.blockLen, fx.betaLen, [][]int{{eq1onCh1}, {eq0onCh1}}, &fx.c, 1, trace.Span{})
+	beta, _ = varEst(t, series, 0, [][]int{{eq1onCh1}, {eq0onCh1}}, &fx.c, 1)
 	for i, v := range beta {
 		if v != 0 {
 			t.Fatalf("all-NaN family must yield the null model, got beta[%d] = %v", i, v)
@@ -459,7 +452,7 @@ func TestVarSelCellMatchesPerEquationSweep(t *testing.T) {
 				emitted = make([][2][]float64, p)
 				emit = func(eq int, z, u []float64) { emitted[eq] = [2][]float64{z, u} }
 			}
-			sup, fits, iters, _, err := varSelCellRange(series, root, 1, fx.m, fx.blockLen, fx.lambdas, jLo, jHi, warm, emit, &fx.c, kw, nil, trace.Span{})
+			sup, fits, iters, err := varSel(t, series, 1, jLo, jHi, warm, emit, &fx.c, kw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,11 +520,11 @@ func TestVarSelCellMatchesPerEquationSweep(t *testing.T) {
 func BenchmarkVARSelCell(b *testing.B) {
 	series := datagen.MakeFinance(1000, 60, 600, nil).Series
 	fx := newVarCellFixture(series, &VARConfig{Order: 1, B1: 6, B2: 3, Q: 16, Seed: 7})
-	root := resample.NewRNG(fx.c.Seed)
+	pb := varProblem(b, series, &fx.c, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := varSelCellRange(series, root, i%fx.c.B1, fx.m, fx.blockLen, fx.lambdas, 0, len(fx.lambdas), nil, nil, &fx.c, 1, nil, trace.Span{}); err != nil {
+		if _, err := pb.selCell(i%fx.c.B1, 0, len(fx.lambdas), nil, nil, trace.Span{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -550,10 +543,62 @@ func BenchmarkVAREstCell(b *testing.B) {
 	}
 	distinct := dedupeSupports(res.Supports)
 	fx := newVarCellFixture(series, &cfg)
-	root := resample.NewRNG(fx.c.Seed)
+	pb := varProblem(b, series, &fx.c, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		varEstCell(series, root, i%fx.c.B2, fx.m, fx.blockLen, fx.betaLen, distinct, &fx.c, 1, trace.Span{})
+		if _, err := pb.estCell(i%fx.c.B2, distinct, trace.Span{}); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// varProblem is the UoI_VAR problem of c (defaulted) over series at kernel
+// budget kw.
+func varProblem(t testing.TB, series *mat.Dense, c *VARConfig, kw int) *problem {
+	t.Helper()
+	cc := *c
+	cc.KernelWorkers = kw
+	pb, err := newVARProblem(series, &cc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pb
+}
+
+// varSel runs selection bootstrap k of c's UoI_VAR problem over series at
+// kernel budget kw over the λ block [jLo, jHi), and returns its support
+// indicators, LASSO fits and ADMM iterations.
+func varSel(t testing.TB, series *mat.Dense, k, jLo, jHi int, warm warmFn, emit emitFn, c *VARConfig, kw int) ([]bool, int, int, error) {
+	pb := varProblem(t, series, c, kw)
+	sup, err := pb.selCell(k, jLo, jHi, warm, emit, trace.Span{})
+	return sup, pb.diag.LassoFits, pb.diag.ADMMIters, err
+}
+
+// varEst runs estimation bootstrap k of c's UoI_VAR problem over series at
+// kernel budget kw, and returns its winner and OLS fits.
+func varEst(t testing.TB, series *mat.Dense, k int, distinct [][]int, c *VARConfig, kw int) ([]float64, int) {
+	pb := varProblem(t, series, c, kw)
+	beta, err := pb.estCell(k, distinct, trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return beta, pb.diag.OLSFits
+}
+
+// lassoEst runs estimation bootstrap k of c's (defaulted) UoI_LASSO problem
+// over (x, y) at kernel budget kw, and returns its winner and OLS fits.
+func lassoEst(t testing.TB, x *mat.Dense, y []float64, k int, distinct [][]int, c *LassoConfig, kw int) ([]float64, int) {
+	t.Helper()
+	cc := *c
+	cc.KernelWorkers = kw
+	pb, _, err := newLassoProblem(x, y, &cc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta, err := pb.estCell(k, distinct, trace.Span{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return beta, pb.diag.OLSFits
 }

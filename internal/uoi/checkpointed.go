@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"uoivar/internal/admm"
 	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
@@ -348,12 +349,7 @@ func lassoFingerprintAt(rev uint64, x *mat.Dense, y []float64, c *LassoConfig) u
 	h.AddUint64(rev)
 	h.AddUint64(uint64(x.Rows))
 	h.AddUint64(uint64(x.Cols))
-	h.AddFloat(c.ADMM.Rho)
-	h.AddUint64(uint64(c.ADMM.MaxIter))
-	h.AddFloat(c.ADMM.AbsTol)
-	h.AddFloat(c.ADMM.RelTol)
-	h.AddFloat(c.L2)
-	h.AddFloat(c.SupportTol)
+	hashSolves(h, &c.ADMM, c.L2, c.SupportTol)
 	h.AddFloat(c.SelectionFrac)
 	h.AddFloat(c.TrainFrac)
 	h.AddFloat(c.MinBootstrapFrac)
@@ -380,17 +376,8 @@ func varFingerprintAt(rev uint64, series *mat.Dense, blockLen int, c *VARConfig)
 	h.AddUint64(uint64(series.Cols))
 	h.AddUint64(uint64(c.Order))
 	h.AddUint64(uint64(blockLen))
-	if c.NoIntercept {
-		h.AddUint64(1)
-	} else {
-		h.AddUint64(0)
-	}
-	h.AddFloat(c.ADMM.Rho)
-	h.AddUint64(uint64(c.ADMM.MaxIter))
-	h.AddFloat(c.ADMM.AbsTol)
-	h.AddFloat(c.ADMM.RelTol)
-	h.AddFloat(c.L2)
-	h.AddFloat(c.SupportTol)
+	h.AddUint64(bit(c.NoIntercept))
+	hashSolves(h, &c.ADMM, c.L2, c.SupportTol)
 	h.AddFloat(c.SelectionFrac)
 	h.AddFloat(c.TrainFrac)
 	// WarmBeta changes selection-cell outputs, so a checkpoint taken with
@@ -409,4 +396,22 @@ func varFingerprintAt(rev uint64, series *mat.Dense, blockLen int, c *VARConfig)
 	}
 	h.AddFloats(series.Data)
 	return h.Sum()
+}
+
+// hashSolves folds the settings of a fit's selection solves into h.
+func hashSolves(h *checkpoint.Hasher, o *admm.Options, l2, tol float64) {
+	h.AddFloat(o.Rho)
+	h.AddUint64(uint64(o.MaxIter))
+	h.AddFloat(o.AbsTol)
+	h.AddFloat(o.RelTol)
+	h.AddFloat(l2)
+	h.AddFloat(tol)
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

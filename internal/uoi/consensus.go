@@ -192,18 +192,41 @@ func countSet(flags []float64) int {
 	return n
 }
 
-// consensusWinner is a consensus estimation cell's candidate loop: the
-// projected solve on every distinct support, the held-out loss summed over
-// the group, and the winner.
-func consensusWinner(group *mpi.Comm, p int, distinct [][]int, solve func(mask []bool) *admm.Result, loss func(support []int, beta []float64) float64) (beta []float64, fits, iters int) {
-	var best winner
-	for _, s := range distinct {
-		r := solve(admm.SupportMask(p, s))
-		fits++
-		iters += r.Iters
-		best.offer(group.AllreduceScalar(mpi.OpSum, loss(s, r.Beta)), r.Beta)
+// consensusSel sweeps selection bootstrap k's λ block [jLo, jHi) with the
+// consensus solver sv, whose construction returned err on this rank: the λ
+// sweep as a batch of one chain.
+func (pb *problem) consensusSel(k, jLo, jHi int, sv *admm.ConsensusSolver, err error) ([]bool, error) {
+	if err = pb.ready("selection", k, err); err != nil {
+		return nil, err
 	}
-	return best.estimate(p), fits, iters
+	solve := func(lambda float64, warmZ, warmU [][]float64) []admm.Result {
+		o := pb.opts
+		o.WarmZ, o.WarmU = warmZ[0], warmU[0]
+		return []admm.Result{*sv.Solve(lambda, &o)}
+	}
+	sup, d := sweep(solve, 1, pb.p, pb.lambdas, jLo, jHi, nil, nil, nil, pb.tol)
+	pb.add(d, 0)
+	return sup, nil
+}
+
+// consensusEst is estimation bootstrap k's candidate loop with the consensus
+// solver sv, whose construction returned err on this rank: the projected
+// solve on every distinct support, the held-out loss summed over the group,
+// and the winner.
+func (pb *problem) consensusEst(group *mpi.Comm, k int, distinct [][]int, sv *admm.ConsensusSolver, err error, loss func(beta []float64) float64) ([]float64, error) {
+	if err = pb.ready("estimation", k, err); err != nil {
+		return nil, err
+	}
+	var best winner
+	var d Diagnostics
+	for _, s := range distinct {
+		r := sv.SolveProjected(admm.SupportMask(pb.p, s), &pb.opts)
+		d.OLSFits++
+		d.solved(r)
+		best.offer(group.AllreduceScalar(mpi.OpSum, loss(r.Beta)), r.Beta)
+	}
+	pb.add(d, 0)
+	return best.estimate(pb.p), nil
 }
 
 // newLassoConsensusProblem binds UoI_LASSO to row blocks distributed over
@@ -230,33 +253,23 @@ func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xE
 		xEst, yEst = scaler.Transform(xEst), scaler.TransformY(yEst)
 	}
 	// λ_max must agree everywhere: one Allreduce over local ‖Xᵀy‖∞.
-	pb, kw := lassoBase(c, p, pl.streams(), func(kw int) float64 {
-		return orOne(world.AllreduceScalar(mpi.OpMax, mat.NormInf(mat.AtVecWorkers(xSel, ySel, kw))))
+	pb := newProblem(c, 1, p, pl.streams())
+	pb.setLambdas(c, func() float64 {
+		return orOne(world.AllreduceScalar(mpi.OpMax, mat.NormInf(mat.AtVecWorkers(xSel, ySel, pb.kw))))
 	})
 	root := resample.NewRNG(c.Seed)
+	yE := column(yEst)
 	rank := uint64(world.Rank()) + 1
 	pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, _ trace.Span) ([]bool, error) {
 		boot := bootstrapSample(root.Derive(uint64(k)+1).Derive(rank), xSel.Rows)
-		solver, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xSel, boot, kw), mat.GramVec(xSel, ySel, boot), c.ADMM.Rho, c.L2, kw)
-		if err = pb.ready("selection", k, err); err != nil {
-			return nil, err
-		}
-		sup, fits, iters := lassoPath(solver.Solve, p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
-		pb.addWork(fits, 0, iters, 0)
-		return sup, nil
+		sv, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xSel, boot, pb.kw), mat.GramVec(xSel, ySel, boot), c.ADMM.Rho, c.L2, pb.kw)
+		return pb.consensusSel(k, jLo, jHi, sv, err)
 	}
 	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
 		trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)).Derive(rank), xEst.Rows, c.TrainFrac)
 		train := mat.Sample{Rows: trainIdx}
-		solver, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xEst, train, kw), mat.GramVec(xEst, yEst, train), c.ADMM.Rho, 0, kw)
-		if err = pb.ready("estimation", k, err); err != nil {
-			return nil, err
-		}
-		beta, fits, iters := consensusWinner(pl.group, p, distinct,
-			func(mask []bool) *admm.Result { return solver.SolveProjected(mask, &c.ADMM) },
-			func(support []int, beta []float64) float64 { return heldOutLoss(xEst, yEst, evalIdx, support, beta) })
-		pb.addWork(0, fits, iters, 0)
-		return beta, nil
+		sv, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xEst, train, pb.kw), mat.GramVec(xEst, yEst, train), c.ADMM.Rho, 0, pb.kw)
+		return pb.consensusEst(pl.group, k, distinct, sv, err, func(beta []float64) float64 { return heldOut(xEst, yE, evalIdx, beta) })
 	}
 	return pb, scaler, nil
 }
@@ -285,7 +298,9 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 	if err != nil {
 		return nil, err
 	}
-	pb, kw := varBase(c, cols, pl.streams())
+	vc := c.vec()
+	// Each equation has c.Order·cols lag columns, and the intercept's.
+	pb := newProblem(vc, cols, c.Order*cols+int(bit(!c.NoIntercept)), pl.streams())
 	assemble := kron.Assemble
 	if at.Assembly == KroneckerCommAvoiding {
 		assemble = kron.AssembleCommAvoiding
@@ -302,7 +317,7 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 		}
 		b, err := assemble(group, local, nReaders)
 		if err == nil {
-			pb.addWork(0, 0, 0, b.AssembleTime)
+			pb.add(Diagnostics{}, b.AssembleTime)
 		}
 		return b, err
 	}
@@ -323,7 +338,7 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 		}
 		rho0 = rho(block0)
 	}
-	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 {
+	pb.setLambdas(vc, func() float64 {
 		// ‖(I⊗X)ᵀ vec(Y)‖∞ over the group's rows of the design.
 		aty := make([]float64, pb.p)
 		q := block0.Q
@@ -347,13 +362,8 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 			r = rho(b)
 		}
 		block0 = nil
-		f, err := kron.NewVecFactorizationWorkers(group, b, r, kw)
-		if err = pb.ready("selection", k, err); err != nil {
-			return nil, err
-		}
-		sup, fits, iters := lassoPath(f.Solve, pb.p, pb.lambdas, jLo, jHi, nil, nil, c.ADMM, c.SupportTol)
-		pb.addWork(fits, 0, iters, 0)
-		return sup, nil
+		sv, err := kron.NewVecFactorizationWorkers(group, b, r, pb.kw)
+		return pb.consensusSel(k, jLo, jHi, sv, err)
 	}
 	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
 		trainIdx, evalIdx := resample.BlockTrainEvalSplit(root.Derive(1_000_000+uint64(k)), m, blockLen, c.TrainFrac)
@@ -365,15 +375,8 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 		if err != nil {
 			return nil, fmt.Errorf("uoi: estimation bootstrap %d: assembly: %w", k, err)
 		}
-		f, err := kron.NewVecFactorizationWorkers(group, train, rho(train), kw)
-		if err = pb.ready("estimation", k, err); err != nil {
-			return nil, err
-		}
-		beta, fits, iters := consensusWinner(group, pb.p, distinct,
-			func(mask []bool) *admm.Result { return f.SolveProjected(mask, &c.ADMM) },
-			func(_ []int, beta []float64) float64 { return eval.LocalSquaredError(beta) })
-		pb.addWork(0, fits, iters, 0)
-		return beta, nil
+		sv, err := kron.NewVecFactorizationWorkers(group, train, rho(train), pb.kw)
+		return pb.consensusEst(group, k, distinct, sv, err, eval.LocalSquaredError)
 	}
 	return pb, nil
 }

@@ -58,7 +58,7 @@ func TestConsensusReassemblyExact(t *testing.T) {
 	}{{3, GridShape{1, 1}}, {6, GridShape{2, 1}}} {
 		err := mpi.Run(tc.ranks, func(c *mpi.Comm) error {
 			pl := newConsensus(c, tc.grid)
-			pb := &problem{b1: b1, b2: b2, p: p, lambdas: make([]float64, q), selFrac: 1}
+			pb := &problem{path: path{lambdas: make([]float64, q)}, b1: b1, b2: b2, p: p, selFrac: 1}
 			pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, _ trace.Span) ([]bool, error) {
 				sup := make([]bool, (jHi-jLo)*p)
 				for j := jLo; j < jHi; j++ {

@@ -9,10 +9,7 @@ import (
 	"uoivar/internal/admm"
 	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
-	"uoivar/internal/preprocess"
-	"uoivar/internal/resample"
 	"uoivar/internal/trace"
-	"uoivar/internal/varsim"
 )
 
 // This file holds the UoI algorithm — paper Algorithms 1 and 2 are one
@@ -20,10 +17,11 @@ import (
 // estimation bootstraps, a union — exactly once, in three parts:
 //
 //   - a problem owns what differs between fits: validation, the λ grid, the
-//     cell bodies (cells.go; over data distributed by rows the same bodies
-//     on statistics summed across ranks, uoi.go, or the consensus-ADMM
-//     baselines, consensus.go), the fault and quorum policy and the
-//     checkpoint identity;
+//     cells (cells.go: one selection and one estimation body over a design
+//     and a target panel, bound to replicated data by replicated below or,
+//     over data distributed by rows, run on statistics summed across ranks,
+//     uoi.go; or the consensus-ADMM baselines, consensus.go), the fault and
+//     quorum policy and the checkpoint identity;
 //   - a placement says where cells run and how their results meet: the
 //     bootstrap worker pool (below), the checkpoint journal (checkpointed.go),
 //     the P_B × P_λ process grid (grid.go) or the P_B × P_λ grid of
@@ -42,29 +40,27 @@ import (
 // problem is a UoI fit with its data bound: everything run and a placement
 // need to know about the algorithm being fitted.
 type problem struct {
-	b1, b2  int       // selection and estimation bootstrap counts
-	p       int       // coefficients: features, or the length of vec(B)
-	lambdas []float64 // the λ grid, computed once at the fit's kernel budget
+	// path is the λ grid, computed once at the fit's kernel budget, with the
+	// settings of every selection solve on it and the fit's tracer.
+	path
+	b1, b2 int // selection and estimation bootstrap counts
+	p      int // coefficients: features, or the length of vec(B)
 	// chains is how many warm-start chains a selection cell carries along
-	// the λ path (one, or one per VAR equation) and chainLen the
-	// coefficients in each; a grid sizes and tags its column handoff by them.
+	// the λ path (one per equation) and chainLen the coefficients in each; a
+	// grid sizes and tags its column handoff by them.
 	chains, chainLen int
-	// reversed: the λ sweep runs smallest-λ first (a WarmBeta seed), so the
-	// chain cannot be handed from a grid column to its right neighbour.
-	reversed bool
-	selFrac  float64 // soft-intersection fraction
-	median   bool    // median instead of mean in the union
-	quorum   float64 // MinBootstrapFrac; 0 = any cell failure fails the fit
+	selFrac          float64 // soft-intersection fraction
+	median           bool    // median instead of mean in the union
+	quorum           float64 // MinBootstrapFrac; 0 = any cell failure fails the fit
 	// fault is the injected-failure hook (nil = none), pure in (phase, k).
 	fault func(phase string, k int) error
 	// meta is the fit's checkpoint identity. It hashes the data, so only a
 	// placement that journals asks for it.
 	meta func() checkpoint.Meta
-	tr   *trace.Tracer
 	// selCell runs selection bootstrap k over the λ block [jLo, jHi) and
 	// returns its block-local support indicators; estCell runs estimation
 	// bootstrap k over the candidate supports and returns the winner. Both
-	// account their work through addWork; phase receives child spans.
+	// account their work through add; phase receives child spans.
 	selCell func(k, jLo, jHi int, warm warmFn, emit emitFn, phase trace.Span) ([]bool, error)
 	estCell func(k int, distinct [][]int, phase trace.Span) ([]float64, error)
 	// agree, set by a placement whose cells span several ranks, makes those
@@ -84,163 +80,80 @@ type problem struct {
 	kron time.Duration // design-assembly time (UoI_VAR)
 }
 
-// addWork accounts the work one cell performed.
-func (pb *problem) addWork(lassoFits, olsFits, iters int, kron time.Duration) {
+// add accounts the work one cell performed, and counts its unconverged
+// solves on the tracer as admm/unconverged.
+func (pb *problem) add(d Diagnostics, kron time.Duration) {
 	pb.mu.Lock()
-	pb.diag.LassoFits += lassoFits
-	pb.diag.OLSFits += olsFits
-	pb.diag.ADMMIters += iters
+	pb.diag.LassoFits += d.LassoFits
+	pb.diag.OLSFits += d.OLSFits
+	pb.diag.ADMMIters += d.ADMMIters
+	pb.diag.Unconverged += d.Unconverged
 	pb.kron += kron
 	pb.mu.Unlock()
+	if d.Unconverged > 0 {
+		pb.tr.Add("admm/unconverged", int64(d.Unconverged))
+	}
 }
 
-// newLassoProblem binds UoI_LASSO (Algorithm 1) to a design and response.
-// c is already defaulted; streams is the placement's count of execution
-// streams sharing the process. With c.Standardize the problem is posed in
-// standardized space and the returned scaler maps the estimate back.
-func newLassoProblem(x *mat.Dense, y []float64, c *LassoConfig, streams int) (*problem, *preprocess.Scaler, error) {
-	n, p := x.Rows, x.Cols
-	if n != len(y) {
-		return nil, nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
-	}
-	if n < 4 {
-		return nil, nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
-	}
-	var scaler *preprocess.Scaler
-	if c.Standardize {
-		// Replicated data: every rank of a distributed placement fits the
-		// identical scaler locally, so the transform needs no communication.
-		scaler = preprocess.FitXY(x, y)
-		x, y = scaler.Transform(x), scaler.TransformY(y)
-	}
-	pb, kw := lassoBase(c, p, streams, func(kw int) float64 { return mat.NormInf(mat.AtVecWorkers(x, y, kw)) })
-	root := resample.NewRNG(c.Seed)
-	pb.meta = func() checkpoint.Meta {
-		return checkpoint.Meta{
-			Kind: checkpoint.KindLasso, Seed: c.Seed, B1: c.B1, B2: c.B2,
-			P: p, Q: len(pb.lambdas), Fingerprint: lassoFingerprint(x, y, c),
-		}
-	}
-	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
-		sup, fits, iters, err := lassoSelCellRange(x, y, root, k, pb.lambdas, jLo, jHi, warm, emit, c, kw, pb.tr)
-		pb.addWork(fits, 0, iters, 0)
-		return sup, err
-	}
-	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
-		beta, fits := lassoEstCell(x, y, root, k, distinct, c, kw)
-		pb.addWork(0, fits, 0, 0)
-		return beta, nil
-	}
-	return pb, scaler, nil
-}
-
-// lassoBase starts a UoI_LASSO problem over p features: the kernel budget
-// kw of a fit sharing the process with `streams` execution streams, and the
-// λ grid — c.Lambdas, or c.Q points below lmax(kw).
-func lassoBase(c *LassoConfig, p, streams int, lmax func(kw int) float64) (pb *problem, kw int) {
-	kw = kernelBudget(c.KernelWorkers, streams)
-	pb = &problem{
-		b1: c.B1, b2: c.B2, p: p, chains: 1, chainLen: p,
+// newProblem starts a fit of c over `chains` equations of chainLen
+// coefficients each: its bootstrap, intersection, union and quorum rules, and
+// its selection solves' settings at the kernel budget of a fit sharing the
+// process with `streams` execution streams. UoI_VAR passes the LassoConfig
+// of its vectorised problem (VARConfig.vec). The caller fixes the λ grid
+// (setLambdas) and binds the cells — replicated, or over data distributed
+// by rows.
+func newProblem(c *LassoConfig, chains, chainLen, streams int) *problem {
+	pb := &problem{
+		path: path{opts: c.ADMM, l2: c.L2, tol: c.SupportTol, kw: kernelBudget(c.KernelWorkers, streams), tr: c.Trace},
+		b1:   c.B1, b2: c.B2, p: chains * chainLen, chains: chains, chainLen: chainLen,
 		selFrac: c.SelectionFrac, median: c.MedianUnion,
-		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault, tr: c.Trace,
+		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault,
 	}
-	pb.tr.SetMax("mat/kernel_workers", int64(kw))
-	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return lmax(kw) })
-	return pb, kw
+	pb.tr.SetMax("mat/kernel_workers", int64(pb.kw))
+	return pb
 }
 
-// varBase starts a UoI_VAR problem of p equations — the vec(B) of an
-// order-c.Order model, chainLen = rowsB coefficients per equation — and its
-// kernel budget, as lassoBase does. The caller sets the λ grid.
-func varBase(c *VARConfig, p, streams int) (pb *problem, kw int) {
-	rowsB := c.Order * p // columns per equation, +1 with the intercept
-	if !c.NoIntercept {
-		rowsB++
-	}
-	kw = kernelBudget(c.KernelWorkers, streams)
-	pb = &problem{
-		b1: c.B1, b2: c.B2, p: rowsB * p, chains: p, chainLen: rowsB,
-		reversed: len(c.WarmBeta) == rowsB*p,
-		selFrac:  c.SelectionFrac, median: c.MedianUnion, tr: c.Trace,
-	}
-	pb.tr.SetMax("mat/kernel_workers", int64(kw))
-	return pb, kw
-}
-
-// setLambdas fixes the λ grid: explicit, or q points from lmax() down to
-// ratio·lmax (traced as lambda_grid).
-func (pb *problem) setLambdas(explicit []float64, q int, ratio float64, lmax func() float64) {
+// setLambdas fixes the λ grid: c.Lambdas, or c.Q points from lmax() down to
+// c.LambdaRatio·lmax (traced as lambda_grid).
+func (pb *problem) setLambdas(c *LassoConfig, lmax func() float64) {
 	sp := pb.tr.Start("lambda_grid")
-	if pb.lambdas = explicit; explicit == nil {
-		pb.lambdas = admm.LogSpaceLambdas(lmax(), ratio, q)
+	if pb.lambdas = c.Lambdas; pb.lambdas == nil {
+		pb.lambdas = admm.LogSpaceLambdas(lmax(), c.LambdaRatio, c.Q)
 	}
 	sp.End()
 }
 
-// newVARProblem binds UoI_VAR (Algorithm 2) to an N×p series: UoI_LASSO on
-// the vectorised problem, whose cells exploit its block structure. c is
-// already defaulted. With c.Cells, whole cells are looked up in (and stored
-// to) the cache around the cell bodies, so every placement that runs whole
-// cells honours it.
-func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, error) {
-	p, d := series.Cols, c.Order
-	m, blockLen, err := varWindow(series.Rows, c)
+// replicated binds pb to data every process holds whole: the design x and
+// the target panel y, one column per equation. Selection bootstrap k sums
+// their statistics over sample(k); estimation bootstrap k fits on the
+// training rows split(k) returns first and scores on the evaluation rows it
+// returns second. Without c.Lambdas the grid starts at λ_max = ‖XᵀY‖∞.
+func (pb *problem) replicated(c *LassoConfig, x, y *mat.Dense, sample func(k int) mat.Sample, split func(k int) (train, eval []int)) {
+	pb.setLambdas(c, func() float64 { return mat.NormInf(mat.MulAtB(x, y, mat.Sample{}).Data) })
+	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
+		gram, xty := stats(x, y, sample(k), pb.kw)
+		return pb.sel(k, gram, xty, jLo, jHi, warm, emit)
+	}
+	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
+		train, eval := split(k)
+		cols, at := supportColumns(distinct, x.Cols)
+		gram, xty := stats(x, y, mat.Sample{Rows: train, Cols: cols}, pb.kw)
+		var best winner
+		fitCandidates(x, y, gram, xty, at, eval, distinct, func(_ int, loss float64, beta []float64) { best.offer(loss, beta) })
+		pb.add(Diagnostics{OLSFits: len(distinct)}, 0)
+		return best.estimate(pb.p), nil
+	}
+}
+
+// sel runs selection bootstrap k's cell on its statistics and accounts its
+// work.
+func (pb *problem) sel(k int, gram, xty *mat.Dense, jLo, jHi int, warm warmFn, emit emitFn) ([]bool, error) {
+	sup, d, err := pb.cell(gram, xty, jLo, jHi, warm, emit)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("uoi: selection bootstrap %d: %w", k, err)
 	}
-	pb, kw := varBase(c, p, streams)
-	tr := pb.tr
-	tKron := time.Now()
-	spKron := tr.Start("kron_assembly")
-	full := varsim.NewDesign(series, d, !c.NoIntercept)
-	spKron.End()
-	pb.kron = time.Since(tKron)
-	pb.setLambdas(c.Lambdas, c.Q, c.LambdaRatio, func() float64 { return vecLambdaMax(full) })
-	root := resample.NewRNG(c.Seed)
-	pb.meta = func() checkpoint.Meta {
-		return checkpoint.Meta{
-			Kind: checkpoint.KindVAR, Seed: c.Seed, B1: c.B1, B2: c.B2,
-			P: pb.p, Q: len(pb.lambdas), Order: d, Intercept: !c.NoIntercept,
-			Fingerprint: varFingerprint(series, blockLen, c),
-		}
-	}
-	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, phase trace.Span) ([]bool, error) {
-		// A bootstrap whose inputs are bit-unchanged from a previous fit
-		// (same touched rows, λ grid, warm seed) is skipped outright — the
-		// streaming refit's "re-run only what changed" path. The one
-		// placement that splits the λ path, the grid, rejects c.Cells.
-		var key uint64
-		if c.Cells != nil {
-			key = selCellKey(series, k, m, blockLen, pb.lambdas, c)
-			if sup, ok := c.Cells.GetSel(key); ok {
-				tr.Add("uoi/sel_cells_reused", 1)
-				return sup, nil
-			}
-		}
-		sup, fits, iters, kTime, err := varSelCellRange(series, root, k, m, blockLen, pb.lambdas, jLo, jHi, warm, emit, c, kw, tr, phase)
-		pb.addWork(fits, 0, iters, kTime)
-		if err == nil && c.Cells != nil {
-			c.Cells.PutSel(key, sup)
-		}
-		return sup, err
-	}
-	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
-		var key uint64
-		if c.Cells != nil {
-			key = estCellKey(series, k, m, blockLen, distinct, c)
-			if beta, ok := c.Cells.GetEst(key); ok {
-				tr.Add("uoi/est_cells_reused", 1)
-				return beta, nil
-			}
-		}
-		beta, fits, kTime := varEstCell(series, root, k, m, blockLen, pb.p, distinct, c, kw, phase)
-		pb.addWork(0, fits, 0, kTime)
-		if c.Cells != nil {
-			c.Cells.PutEst(key, beta)
-		}
-		return beta, nil
-	}
-	return pb, nil
+	pb.add(d, 0)
+	return sup, nil
 }
 
 // placement says where a fit's cells run and how their results meet. Its
@@ -338,7 +251,7 @@ func (ph phase) end(completed int, err error) error {
 	if err != nil {
 		return err
 	}
-	if need := quorumCount(ph.pb.quorum, ph.total); ph.quorum && completed < need {
+	if need := ceilCount(ph.pb.quorum, ph.total); ph.quorum && completed < need {
 		head := fmt.Errorf("%w: %s completed %d/%d, need %d", ErrQuorum, ph.name, completed, ph.total, need)
 		return errors.Join(append([]error{head}, compactErrs(ph.errs)...)...)
 	}
@@ -366,7 +279,7 @@ func run(pb *problem, pl placement) (*Result, error) {
 	// In degraded mode the intersection threshold is relative to the
 	// bootstraps that actually completed.
 	spInt := tr.Start("intersection")
-	res.Supports, err = pl.supports(selectionThreshold(pb.selFrac, b1Done))
+	res.Supports, err = pl.supports(ceilCount(pb.selFrac, b1Done))
 	selTime := time.Since(tSel)
 
 	// ---- Model estimation (Algorithm 1 lines 12–24, Algorithm 2 lines 15–30) ----

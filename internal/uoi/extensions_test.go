@@ -21,8 +21,8 @@ func TestSelectionThreshold(t *testing.T) {
 		{0.75, 8, 6}, {1.0, 1, 1}, {0.33, 3, 1},
 	}
 	for _, c := range cases {
-		if got := selectionThreshold(c.frac, c.b1); got != c.want {
-			t.Fatalf("selectionThreshold(%v, %d) = %d, want %d", c.frac, c.b1, got, c.want)
+		if got := ceilCount(c.frac, c.b1); got != c.want {
+			t.Fatalf("ceilCount(%v, %d) = %d, want %d", c.frac, c.b1, got, c.want)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func splitWarmPayload(pay []float64, n int) (z, u []float64) {
 func (g *grid) streams() int { return g.world.Size() }
 
 func (g *grid) begin(pb *problem) error {
-	if pb.reversed && g.shape.PL > 1 {
+	if pb.seed != nil && g.shape.PL > 1 {
 		// The seeded sweep runs smallest-λ first, so the chain would have
 		// to be handed leftwards across the grid's columns.
 		return fmt.Errorf("%w: a WarmBeta seed on grid %s, whose PL > 1 splits the λ path", ErrPlacement, g.shape)

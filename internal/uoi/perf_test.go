@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
-	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 )
 
@@ -56,13 +54,8 @@ func TestQuorumCountClamps(t *testing.T) {
 		{1.0, 1, 1},
 	}
 	for _, c := range cases {
-		if got := quorumCount(c.frac, c.b); got != c.want {
-			t.Errorf("quorumCount(%v, %d) = %d, want %d", c.frac, c.b, got, c.want)
-		}
-	}
-	for _, c := range cases {
-		if got := selectionThreshold(c.frac, c.b); got != c.want {
-			t.Errorf("selectionThreshold(%v, %d) = %d, want %d", c.frac, c.b, got, c.want)
+		if got := ceilCount(c.frac, c.b); got != c.want {
+			t.Errorf("ceilCount(%v, %d) = %d, want %d", c.frac, c.b, got, c.want)
 		}
 	}
 }
@@ -349,13 +342,41 @@ func TestLassoFitAllocatesNoBootstrapCopies(t *testing.T) {
 // the warm-chained λ path.
 func BenchmarkLassoSelCell(b *testing.B) {
 	x, y, _ := makeRegression(67, 8192, 256, 12, 0.5)
-	c := (&LassoConfig{Q: 12, Seed: 7}).defaults()
-	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.GramVec(x, y, mat.Sample{})), c.LambdaRatio, c.Q)
-	root := resample.NewRNG(c.Seed)
+	c := (&LassoConfig{Q: 12, Seed: 7, KernelWorkers: 2}).defaults()
+	pb, _, err := newLassoProblem(x, y, &c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := lassoSelCellRange(x, y, root, i%8, lambdas, 0, len(lambdas), nil, nil, &c, 2, nil); err != nil {
+		if _, err := pb.selCell(i%8, 0, len(pb.lambdas), nil, nil, trace.Span{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLassoEstCell times one estimation cell at the lasso_tall
+// benchmark's shape (8192×256, B1 8, Q=12, two kernel workers) over the
+// distinct supports of that fit: the Gram and Xᵀy of the training rows over
+// the supports' columns once, then a Cholesky per support sub-block and its
+// held-out loss.
+func BenchmarkLassoEstCell(b *testing.B) {
+	x, y, _ := makeRegression(67, 8192, 256, 12, 0.5)
+	c := (&LassoConfig{B1: 8, B2: 4, Q: 12, Seed: 7, KernelWorkers: 2}).defaults()
+	res, err := Lasso(x, y, &c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	distinct := dedupeSupports(res.Supports)
+	pb, _, err := newLassoProblem(x, y, &c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pb.estCell(i%c.B2, distinct, trace.Span{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@
 //
 // The algorithm exists once, as run(problem, placement) in engine.go: a
 // problem (UoI_LASSO or UoI_VAR, over replicated data or over data
-// distributed by rows) owns validation, the λ grid and the cell bodies; a
+// distributed by rows) owns validation, the λ grid and the cells; a
 // placement says where cells run and how their results meet — the bootstrap
 // worker pool, the checkpoint journal (Checkpoint set), the P_B × P_λ
 // process grid or, for the paper's baselines over data distributed by rows,
@@ -27,8 +27,11 @@
 // its default Assembly, which broadcasts the series and runs the grid. A
 // partitioned UoI_LASSO fit at its default Assembly runs the grid too, its
 // ranks summing each bootstrap's Gram over the rows they hold: the serial
-// fit of their blocks' concatenation, up to that sum's rounding. Whole-network
-// all-pairs inference (AllPairs) has its own loop over the same helpers.
+// fit of their blocks' concatenation, up to that sum's rounding. UoI_VAR is
+// UoI_LASSO with one equation per channel: both pose a design and a target
+// panel, so there is one selection cell, one λ sweep and one estimation
+// cell (cells.go). Whole-network all-pairs inference (AllPairs) has its own
+// loop over the same cells.
 package uoi
 
 import (
@@ -40,6 +43,7 @@ import (
 	"time"
 
 	"uoivar/internal/admm"
+	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/preprocess"
@@ -177,14 +181,7 @@ func kernelBudget(explicit, streams int) int {
 	if explicit < 0 {
 		return mat.DefaultWorkers()
 	}
-	if streams < 1 {
-		streams = 1
-	}
-	w := runtime.GOMAXPROCS(0) / streams
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(runtime.GOMAXPROCS(0)/max(streams, 1), 1)
 }
 
 // ErrQuorum reports that too few bootstraps of a phase completed to
@@ -210,30 +207,10 @@ func ceilFrac(frac float64, b int) int {
 	return int(math.Ceil(float64(frac*float64(b)) - 1e-9))
 }
 
-// quorumCount is the minimum completed-bootstrap count ceil(frac·b),
-// clamped to [1, b].
-func quorumCount(frac float64, b int) int {
-	q := ceilFrac(frac, b)
-	if q < 1 {
-		q = 1
-	}
-	if q > b {
-		q = b
-	}
-	return q
-}
-
-// selectionThreshold returns the minimum bootstrap count a feature needs to
-// survive selection: ceil(frac·B1), at least 1, at most B1.
-func selectionThreshold(frac float64, b1 int) int {
-	t := ceilFrac(frac, b1)
-	if t < 1 {
-		t = 1
-	}
-	if t > b1 {
-		t = b1
-	}
-	return t
+// ceilCount is ceil(frac·b) clamped to [1, b]: the completed bootstraps a
+// quorum needs, and the bootstraps a feature needs to survive selection.
+func ceilCount(frac float64, b int) int {
+	return min(max(ceilFrac(frac, b), 1), b)
 }
 
 // combineWinners reduces the B2 winning estimates to the final β*: the mean
@@ -282,6 +259,20 @@ type Diagnostics struct {
 	LassoFits      int           // LASSO solves in selection
 	OLSFits        int           // OLS solves in estimation
 	ADMMIters      int           // total ADMM iterations across all solves
+	// Unconverged counts the ADMM solves that stopped at ADMM.MaxIter
+	// without meeting their tolerances: selection solves, and a consensus
+	// baseline's estimation solves. A grid sums the counters above over its
+	// ranks; this one stays the rank's own.
+	Unconverged int
+}
+
+// solved adds an ADMM solve's iterations, and counts it when it stopped
+// unconverged.
+func (d *Diagnostics) solved(r *admm.Result) {
+	d.ADMMIters += r.Iters
+	if !r.Converged {
+		d.Unconverged++
+	}
 }
 
 // Result is a fitted UoI model.
@@ -349,6 +340,44 @@ func Lasso(x *mat.Dense, y []float64, cfg *LassoConfig) (*Result, error) {
 	return res, nil
 }
 
+// newLassoProblem binds UoI_LASSO (Algorithm 1) to a design and response
+// every process holds whole: the replicated problem with the response as
+// its one target, bootstrapped by weighted distinct rows and split by
+// TrainEvalSplit. c is already defaulted; streams is the placement's count
+// of execution streams sharing the process. With c.Standardize the problem
+// is posed in standardized space and the returned scaler maps the estimate
+// back.
+func newLassoProblem(x *mat.Dense, y []float64, c *LassoConfig, streams int) (*problem, *preprocess.Scaler, error) {
+	n, p := x.Rows, x.Cols
+	if n != len(y) {
+		return nil, nil, fmt.Errorf("uoi: %d rows but %d responses", n, len(y))
+	}
+	if n < 4 {
+		return nil, nil, fmt.Errorf("uoi: need at least 4 samples, have %d", n)
+	}
+	var scaler *preprocess.Scaler
+	if c.Standardize {
+		// Replicated data: every rank of a distributed placement fits the
+		// identical scaler locally, so the transform needs no communication.
+		scaler = preprocess.FitXY(x, y)
+		x, y = scaler.Transform(x), scaler.TransformY(y)
+	}
+	root := resample.NewRNG(c.Seed)
+	pb := newProblem(c, 1, p, streams)
+	pb.replicated(c, x, column(y),
+		func(k int) mat.Sample { return bootstrapSample(root.Derive(uint64(k)+1), n) },
+		func(k int) ([]int, []int) {
+			return resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)), n, c.TrainFrac)
+		})
+	pb.meta = func() checkpoint.Meta {
+		return checkpoint.Meta{
+			Kind: checkpoint.KindLasso, Seed: c.Seed, B1: c.B1, B2: c.B2,
+			P: p, Q: len(pb.lambdas), Fingerprint: lassoFingerprint(x, y, c),
+		}
+	}
+	return pb, scaler, nil
+}
+
 // newLassoSharedProblem binds UoI_LASSO to row blocks distributed over the
 // ranks of world — selection cells over (xSel, ySel), estimation cells over
 // (xEst, yEst) — as the serial problem over each pair's rank-order
@@ -376,18 +405,20 @@ func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 		xEst, yEst = scaler.Transform(xEst), scaler.TransformY(yEst)
 	}
 	sp.End()
-	pb, kw := lassoBase(c, p, world.Size(), func(kw int) float64 {
-		xty := mat.AtVecWorkers(xSel, ySel, kw)
+	pb := newProblem(c, 1, p, world.Size())
+	pb.setLambdas(c, func() float64 {
+		xty := mat.AtVecWorkers(xSel, ySel, pb.kw)
 		world.Allreduce(mpi.OpSum, xty)
 		return mat.NormInf(xty)
 	})
 	root := resample.NewRNG(c.Seed)
+	yS, yE := column(ySel), column(yEst)
 	// This rank's statistics for its cell of the round in progress: a
 	// selection cell's Gram and Xᵀy, an estimation cell's fitted candidates
-	// and their summed held-out losses.
-	var selGram *mat.Dense
-	var selXty []float64
-	var estMine candidates
+	// and their held-out losses summed over the ranks.
+	var selGram, selXty *mat.Dense
+	var estBetas [][]float64
+	var estLosses []float64
 	pb.stats = func(ph phase, ks []int) {
 		sp := ph.span.Child("statistics")
 		defer sp.End()
@@ -401,63 +432,46 @@ func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 					continue
 				}
 				boot := sel.sample(bootstrapSample(root.Derive(uint64(k)+1), sel.total))
-				gram, xty := mat.GramWorkers(xSel, boot, kw), mat.GramVec(xSel, ySel, boot)
-				if sumStats(world, gram, xty); r == me {
+				gram, xty := stats(xSel, yS, boot, pb.kw)
+				if sumStats(world, gram, xty.Data); r == me {
 					selGram, selXty = gram, xty
 				}
 			}
 			return
 		}
-		estMine = candidates{}
 		cols, at := supportColumns(ph.distinct, p)
 		nd := len(ph.distinct)
 		losses := make([]float64, len(ks)*nd)
+		estBetas, estLosses = nil, losses[me*nd:(me+1)*nd]
 		for r, k := range ks {
 			if !live(k) {
 				continue
 			}
 			trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)), est.total, c.TrainFrac)
-			train := mat.Sample{Rows: est.rows(trainIdx), Cols: cols}
-			gram, xty := mat.GramWorkers(xEst, train, kw), mat.GramVec(xEst, yEst, train)
-			sumStats(world, gram, xty)
-			eval := est.rows(evalIdx)
-			cd := candidates{losses: losses[r*nd : (r+1)*nd]}
-			for j, s := range ph.distinct {
-				b := olsCandidate(gram, xty, at, s, p)
-				cd.losses[j] = heldOutLoss(xEst, yEst, eval, s, b)
-				if r == me {
-					cd.betas = append(cd.betas, b)
+			gram, xty := stats(xEst, yE, mat.Sample{Rows: est.rows(trainIdx), Cols: cols}, pb.kw)
+			sumStats(world, gram, xty.Data)
+			fitCandidates(xEst, yE, gram, xty, at, est.rows(evalIdx), ph.distinct, func(j int, loss float64, beta []float64) {
+				if losses[r*nd+j] = loss; r == me {
+					estBetas = append(estBetas, beta)
 				}
-			}
-			if r == me {
-				estMine = cd
-			}
+			})
 		}
 		if len(losses) > 0 {
 			world.Allreduce(mpi.OpSum, losses)
 		}
 	}
 	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
-		sup, fits, iters, err := lassoSelSolve(selGram, selXty, k, pb.lambdas, jLo, jHi, warm, emit, c, kw, pb.tr)
-		pb.addWork(fits, 0, iters, 0)
-		return sup, err
+		return pb.sel(k, selGram, selXty, jLo, jHi, warm, emit)
 	}
 	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
 		var best winner
-		for j, b := range estMine.betas {
-			best.offer(estMine.losses[j], b)
+		for j, b := range estBetas {
+			best.offer(estLosses[j], b)
 		}
-		pb.addWork(0, len(distinct), 0, 0)
+		pb.add(Diagnostics{OLSFits: len(distinct)}, 0)
 		return best.estimate(p), nil
 	}
 	return pb, scaler, nil
-}
-
-// candidates are an estimation cell's fitted candidate estimates and their
-// held-out losses, in the order of the phase's distinct supports.
-type candidates struct {
-	betas  [][]float64
-	losses []float64
 }
 
 // rowBlock is one rank's share of a partitioned fit's rows: rows [off,
@@ -549,6 +563,9 @@ func (c *LassoConfig) ask() fitAsk {
 // alone and before any data is read. With a nil c.Placement.Comm the checks
 // against the rank count wait for the fit.
 func (c *LassoConfig) CheckPlacement() error { return c.Placement.check(c.ask()) }
+
+// column views y as the one-column target panel of a single equation.
+func column(y []float64) *mat.Dense { return mat.NewDenseData(len(y), 1, y) }
 
 // selectVec gathers y[idx].
 func selectVec(y []float64, idx []int) []float64 {

@@ -1,12 +1,16 @@
 package uoi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/metrics"
+	"uoivar/internal/mpi"
+	"uoivar/internal/trace"
 )
 
 // makeRegression builds y = Xβ + σε with a known sparse β.
@@ -269,4 +273,53 @@ func TestResultPredict(t *testing.T) {
 	if r2 := metrics.R2(y, pred2); r2 < 0.85 {
 		t.Fatalf("standardized Predict R² = %v", r2)
 	}
+}
+
+// TestUnconvergedCounted: a solve that stops at ADMM.MaxIter without
+// meeting its tolerances is counted in Diag.Unconverged and on the tracer's
+// admm/unconverged counter. At MaxIter 1 that is every selection solve (and
+// every estimation solve of the consensus baseline); a default fit of a
+// well-posed problem has none.
+func TestUnconvergedCounted(t *testing.T) {
+	x, y, _ := makeRegression(97, 900, 20, 6, 0.3)
+	_, series := makeVARData(21, 8, 1, 400)
+	capped := admm.Options{MaxIter: 1}
+	check := func(name string, d Diagnostics, tr *trace.Tracer, want int) {
+		t.Helper()
+		if d.Unconverged != want || tr.Counter("admm/unconverged") != int64(want) {
+			t.Errorf("%s: Unconverged %d, admm/unconverged %d, want %d", name, d.Unconverged, tr.Counter("admm/unconverged"), want)
+		}
+	}
+	for _, maxIter := range []int{1, 0} {
+		tr := trace.New()
+		lr, err := Lasso(x, y, &LassoConfig{B1: 5, B2: 3, Q: 5, Seed: 11, Trace: tr, ADMM: admm.Options{MaxIter: maxIter}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if maxIter == 1 {
+			want = lr.Diag.LassoFits
+		}
+		check(fmt.Sprintf("lasso MaxIter=%d", maxIter), lr.Diag, tr, want)
+
+		tr = trace.New()
+		vr, err := VAR(series, &VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, Trace: tr, ADMM: admm.Options{MaxIter: maxIter}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = 0; maxIter == 1 {
+			want = vr.Diag.LassoFits
+		}
+		check(fmt.Sprintf("var MaxIter=%d", maxIter), vr.Diag, tr, want)
+	}
+	tr := trace.New()
+	var res *Result
+	err := mpi.Run(1, func(comm *mpi.Comm) (err error) {
+		res, err = Lasso(x, y, lassoOn(&LassoConfig{B1: 3, B2: 2, Q: 4, Seed: 11, Trace: tr, ADMM: capped}, Placement{Comm: comm, Partitioned: true, Assembly: ConsensusADMM}))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("consensus lasso MaxIter=1", res.Diag, tr, res.Diag.LassoFits+res.Diag.OLSFits)
 }

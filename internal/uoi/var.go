@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"uoivar/internal/admm"
+	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
+	"uoivar/internal/resample"
 	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
 )
@@ -74,8 +76,9 @@ type VARConfig struct {
 	// the work actually performed.
 	Cells CellCache
 	// Trace, when non-nil, records per-phase spans and solver counters for
-	// this fit (see LassoConfig.Trace). VAR adds kron_assembly spans for the
-	// design-construction work.
+	// this fit (see LassoConfig.Trace). VAR adds a kron_assembly span for
+	// building the lagged design, and the Kronecker baselines one per
+	// bootstrap assembly.
 	Trace *trace.Tracer
 	// Checkpoint, when non-nil, runs the fit in checkpointed mode (see
 	// CheckpointConfig): completed cells are durable and a crashed fit
@@ -97,16 +100,10 @@ func (c *VARConfig) defaults() VARConfig {
 		o = *c
 	}
 	positive(&o.Order, 1)
-	positive(&o.B1, 20)
-	positive(&o.B2, 10)
-	positive(&o.Q, 8)
-	fraction(&o.LambdaRatio, 1e-3)
-	fraction(&o.TrainFrac, 0.8)
-	positive(&o.SupportTol, 1e-7)
-	fraction(&o.SelectionFrac, 1)
-	if o.ADMM.Trace == nil {
-		o.ADMM.Trace = o.Trace
-	}
+	// The rest are the defaults of the vectorised problem's LassoConfig.
+	l := o.vec().defaults()
+	o.B1, o.B2, o.Q, o.LambdaRatio, o.TrainFrac = l.B1, l.B2, l.Q, l.LambdaRatio, l.TrainFrac
+	o.SupportTol, o.SelectionFrac, o.ADMM = l.SupportTol, l.SelectionFrac, l.ADMM
 	return o
 }
 
@@ -122,11 +119,11 @@ type VARResult struct {
 	// vec(B)).
 	Lambdas  []float64
 	Supports [][]int // per-λ support indices into vec(B)
-	// Diag carries phase timings; KronTime aggregates the vectorization /
-	// Kronecker-construction work (design construction per bootstrap),
-	// the paper's "distribution" phase analogue in the serial code. A
-	// partitioned fit's includes getting the series to the ranks: the
-	// one-sided assembly, or the series broadcast.
+	// Diag carries phase timings; KronTime is the design-construction
+	// work, the paper's "distribution" phase analogue in the serial code:
+	// the one build of the full lagged design, which every bootstrap then
+	// samples in place, plus a partitioned fit's series broadcast. A
+	// Kronecker baseline's is its per-bootstrap one-sided assembly.
 	Diag     Diagnostics
 	KronTime time.Duration // total design-assembly time (see Diag comment)
 }
@@ -147,15 +144,15 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 	}
 	var pb *problem
 	var shared time.Duration // the series broadcast, when there is one
-	switch cons, ok := pl.(*consensus); {
-	case ok:
+	if cons, ok := pl.(*consensus); ok {
 		pb, err = newVARConsensusProblem(cons, series, &c, c.Placement)
-	case c.Placement != nil && c.Placement.Partitioned:
-		if series, shared, err = shareSeries(c.Placement, series, c.Trace); err == nil {
+	} else {
+		if c.Placement != nil && c.Placement.Partitioned {
+			series, shared, err = shareSeries(c.Placement, series, c.Trace)
+		}
+		if err == nil {
 			pb, err = newVARProblem(series, &c, pl.streams())
 		}
-	default:
-		pb, err = newVARProblem(series, &c, pl.streams())
 	}
 	if err != nil {
 		return nil, err
@@ -254,88 +251,83 @@ func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
 	return m, blockLen, nil
 }
 
-// designXtY returns the q×p panel XᵀY of a design (q = X columns): column
-// eq is the Xᵀy of equation eq, bit for bit GramVec of X with y_eq
-// (mat.MulAtB). It is the right-hand side panel of the batched selection
-// solve and, with XᵀX, the sufficient statistics every estimation fit on the
-// design is solved from.
-func designXtY(des *varsim.Design) *mat.Dense { return mat.MulAtB(des.X, des.Y) }
-
-// vecLambdaMax is ‖(I⊗X)ᵀ vec(Y)‖∞ = max_j ‖Xᵀ y_j‖∞.
-func vecLambdaMax(des *varsim.Design) float64 {
-	if maxV := mat.NormInf(designXtY(des).Data); maxV > 0 {
-		return maxV
+// vec is the LassoConfig of c's vectorised problem: UoI_VAR is UoI_LASSO on
+// (I ⊗ X), one equation per channel.
+func (c *VARConfig) vec() *LassoConfig {
+	return &LassoConfig{
+		B1: c.B1, B2: c.B2, Lambdas: c.Lambdas, Q: c.Q, LambdaRatio: c.LambdaRatio, Seed: c.Seed,
+		TrainFrac: c.TrainFrac, SupportTol: c.SupportTol, SelectionFrac: c.SelectionFrac,
+		MedianUnion: c.MedianUnion, L2: c.L2, KernelWorkers: c.KernelWorkers, Trace: c.Trace, ADMM: c.ADMM,
 	}
-	return 1
 }
 
-// olsOnVecSupport fits the support-restricted OLS equation by equation (the
-// vec problem is block separable) from the design's sufficient statistics
-// gram = XᵀX and xty = XᵀY: equation eq with support columns S solves
-// gram[S,S]·β = xty[S,eq].
-func olsOnVecSupport(gram, xty *mat.Dense, support []int) []float64 {
-	rowsB, p := gram.Rows, xty.Cols
-	beta := make([]float64, rowsB*p)
-	// Split the vec support into per-equation supports.
-	perEq := make([][]int, p)
-	for _, g := range support {
-		eq := g / rowsB
-		perEq[eq] = append(perEq[eq], g%rowsB)
+// newVARProblem binds UoI_VAR (Algorithm 2) to an N×p series: the
+// replicated problem over the full lagged design, built once, with the p
+// channels as targets. A selection bootstrap sums the design rows its block
+// bootstrap draws, in draw order with repeats; an estimation bootstrap
+// splits the design rows into blocks. c is already defaulted. With c.Cells,
+// whole cells are looked up in (and stored to) the cache around the cell
+// bodies, so every placement that runs whole cells honours it.
+func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, error) {
+	m, blockLen, err := varWindow(series.Rows, c)
+	if err != nil {
+		return nil, err
 	}
-	for eq, cols := range perEq {
-		if len(cols) == 0 {
-			continue
-		}
-		rhs := make([]float64, len(cols))
-		for i, j := range cols {
-			rhs[i] = xty.At(j, eq)
-		}
-		sol := olsSubBlock(gram, cols, rhs)
-		for i, j := range cols {
-			beta[eq*rowsB+j] = sol[i]
-		}
+	t0 := time.Now()
+	sp := c.Trace.Start("kron_assembly")
+	full := varsim.NewDesign(series, c.Order, !c.NoIntercept)
+	sp.End()
+	kron := time.Since(t0)
+	vc := c.vec()
+	pb := newProblem(vc, series.Cols, full.X.Cols, streams)
+	pb.kron = kron
+	if len(c.WarmBeta) == pb.p {
+		pb.seed = c.WarmBeta
 	}
-	return beta
-}
-
-// olsSubBlock solves gram[idx,idx]·β = rhs, the least-squares fit on the
-// columns idx of a design whose Gram was computed once (rhs is Xᵀy already
-// restricted to idx).
-func olsSubBlock(gram *mat.Dense, idx []int, rhs []float64) []float64 {
-	sub := mat.NewDense(len(idx), len(idx))
-	for i, j := range idx {
-		row := gram.Row(j)
-		for k, jk := range idx {
-			sub.Data[i*len(idx)+k] = row[jk]
+	root := resample.NewRNG(c.Seed)
+	pb.replicated(vc, full.X, full.Y,
+		func(k int) mat.Sample { return mat.Sample{Rows: varSelRows(root, k, m, blockLen, c)} },
+		func(k int) ([]int, []int) {
+			return resample.BlockTrainEvalSplit(root.Derive(1_000_000+uint64(k)), m, blockLen, c.TrainFrac)
+		})
+	pb.meta = func() checkpoint.Meta {
+		return checkpoint.Meta{
+			Kind: checkpoint.KindVAR, Seed: c.Seed, B1: c.B1, B2: c.B2,
+			P: pb.p, Q: len(pb.lambdas), Order: c.Order, Intercept: !c.NoIntercept,
+			Fingerprint: varFingerprint(series, blockLen, c),
 		}
 	}
-	return admm.OLSFromGram(sub, rhs)
-}
-
-// vecLoss is ½‖vec(Y) − (I⊗X)β‖², summed row by row over each equation's
-// nonzero coefficients only: estimation and baseline candidates are sparse,
-// so a prediction costs |support| multiply-adds, not a full design row, and
-// no residual vector is materialised.
-func vecLoss(des *varsim.Design, beta []float64) float64 {
-	rowsB := des.X.Cols
-	sum := 0.0
-	var nz []int
-	for eq := 0; eq < des.P; eq++ {
-		b := beta[eq*rowsB : (eq+1)*rowsB]
-		nz = nz[:0]
-		for j, v := range b {
-			if v != 0 {
-				nz = append(nz, j)
-			}
-		}
-		for i := 0; i < des.X.Rows; i++ {
-			xr := des.X.Row(i)
-			r := des.Y.At(i, eq)
-			for _, j := range nz {
-				r -= float64(xr[j] * b[j])
-			}
-			sum += float64(r * r)
-		}
+	if c.Cells == nil {
+		return pb, nil
 	}
-	return 0.5 * sum
+	// A bootstrap whose inputs are bit-unchanged from a previous fit (same
+	// touched rows, λ grid, warm seed) is skipped outright — the streaming
+	// refit's "re-run only what changed" path. The one placement that
+	// splits the λ path, the grid, rejects c.Cells.
+	selCell, estCell := pb.selCell, pb.estCell
+	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, phase trace.Span) ([]bool, error) {
+		key := selCellKey(series, k, m, blockLen, pb.lambdas, c)
+		if sup, ok := c.Cells.GetSel(key); ok {
+			pb.tr.Add("uoi/sel_cells_reused", 1)
+			return sup, nil
+		}
+		sup, err := selCell(k, jLo, jHi, warm, emit, phase)
+		if err == nil {
+			c.Cells.PutSel(key, sup)
+		}
+		return sup, err
+	}
+	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
+		key := estCellKey(series, k, m, blockLen, distinct, c)
+		if beta, ok := c.Cells.GetEst(key); ok {
+			pb.tr.Add("uoi/est_cells_reused", 1)
+			return beta, nil
+		}
+		beta, err := estCell(k, distinct, phase)
+		if err == nil {
+			c.Cells.PutEst(key, beta)
+		}
+		return beta, err
+	}
+	return pb, nil
 }
