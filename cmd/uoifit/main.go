@@ -552,8 +552,8 @@ func runLasso(o *options) error {
 	if o.Checkpoint != "" {
 		fmt.Println("checkpoint at", o.Checkpoint)
 	}
-	fmt.Printf("UoI_LASSO: p=%d, |support|=%d, lasso fits=%d, OLS fits=%d, unconverged solves=%d\n",
-		len(result.Beta), len(result.SelectedSupport), result.Diag.LassoFits, result.Diag.OLSFits, result.Diag.Unconverged)
+	fmt.Printf("UoI_LASSO: p=%d, |support|=%d, lasso fits=%d, OLS fits=%d, unconverged solves=%d, kernel=%s\n",
+		len(result.Beta), len(result.SelectedSupport), result.Diag.LassoFits, result.Diag.OLSFits, result.Diag.Unconverged, mat.Kernel())
 	fmt.Printf("selection %.3fs, estimation %.3fs\n",
 		result.Diag.SelectionTime.Seconds(), result.Diag.EstimationTime.Seconds())
 	for _, j := range result.SelectedSupport {
@@ -667,9 +667,9 @@ func runVAR(o *options) error {
 		fmt.Println("checkpoint at", o.Checkpoint)
 	}
 	if err := reportVAR(result.A, series.Cols, o.Edges, o.Dot,
-		fmt.Sprintf("UoI_VAR: p=%d order=%d, Kron %.3fs, selection %.3fs, estimation %.3fs, unconverged solves=%d",
+		fmt.Sprintf("UoI_VAR: p=%d order=%d, Kron %.3fs, selection %.3fs, estimation %.3fs, unconverged solves=%d, kernel=%s",
 			series.Cols, o.Order, result.KronTime.Seconds(),
-			result.Diag.SelectionTime.Seconds(), result.Diag.EstimationTime.Seconds(), result.Diag.Unconverged)); err != nil {
+			result.Diag.SelectionTime.Seconds(), result.Diag.EstimationTime.Seconds(), result.Diag.Unconverged, mat.Kernel())); err != nil {
 		return err
 	}
 	if err := saveModel(o.ModelOut, model.FromVAR(result, &uoi.VARConfig{

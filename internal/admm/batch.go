@@ -2,6 +2,7 @@ package admm
 
 import (
 	"math"
+	"sync"
 
 	"uoivar/internal/mat"
 )
@@ -39,15 +40,28 @@ func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, war
 // row-major p×stride panels (panelStride) whose leading `active` slots hold
 // the columns still iterating: a column that meets its stopping test is
 // copied out and its slot refilled from the last active one (slot order is
-// immaterial), so late iterations sweep only the stragglers.
+// immaterial), so late iterations sweep only the stragglers. The panels
+// come from loopScratch, zeroed, and go back on return: only the results
+// outlive the call.
 func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64, warmZ, warmU [][]float64, o *Options, out []Result) {
 	p, w := f.p, hi-lo
 	stride := panelStride(w)
-	// a = Xᵀy, z, u, the x-update's right-hand side r = a + ρ(z − u), and x
-	// (the product's panel, p rounded up to 4 rows).
-	n := p * stride
-	panels := make([]float64, 4*n+((p+3)&^3)*stride)
-	a, z, u, r, x := panels[:n], panels[n:2*n], panels[2*n:3*n], panels[3*n:4*n], panels[4*n:]
+	// a = Xᵀy, z, u, the x-update's right-hand side r = a + ρ(z − u), x
+	// (the product's panel, p rounded up to 4 rows), the per-slot sums acc
+	// and, on a wider panel, one gathered column each of x, z and u.
+	n, nx := p*stride, ((p+3)&^3)*stride
+	size := 4*n + nx + 5*stride
+	if stride > 1 {
+		size += 3 * p
+	}
+	buf := loopScratch.Get().(*[]float64)
+	defer loopScratch.Put(buf)
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	panels := (*buf)[:size]
+	clear(panels)
+	a, z, u, r, x := panels[:n], panels[n:2*n], panels[2*n:3*n], panels[3*n:4*n], panels[4*n:4*n+nx]
 	slot := make([]int, w) // slot → panel column
 	for c := range slot {
 		slot[c] = lo + c
@@ -64,29 +78,25 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	// Per-slot reductions of one iteration (zuPass): the squared residual
 	// sums and the plain sums of squares of x, z and u that screen the
 	// stopping test.
-	acc := make([]float64, 5*stride)
+	acc := panels[4*n+nx : 4*n+nx+5*stride]
 	primal, dual := acc[:stride], acc[stride:2*stride]
 	sqX, sqZ, sqU := acc[2*stride:3*stride], acc[3*stride:4*stride], acc[4*stride:]
 	// One column of x, z and u for the exact test: a one-column panel is
-	// its own column (and its z and u become the result), a wider one is
-	// gathered.
-	var xc, zc, uc []float64
-	if stride == 1 {
-		xc, zc, uc = x[:p], z[:p:p], u[:p:p]
-	} else {
-		cols := make([]float64, 3*p)
+	// its own column, a wider one is gathered.
+	xc, zc, uc := x[:p], z[:p], u[:p]
+	if stride > 1 {
+		cols := panels[4*n+nx+5*stride:]
 		xc, zc, uc = cols[:p], cols[p:2*p], cols[2*p:]
 	}
 
 	totalIters := 0
 	finish := func(c, iters int, converged bool) {
-		res := Result{Beta: zc, U: uc, Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
-		if stride > 1 {
-			bu := make([]float64, 2*p)
-			res.Beta, res.U = bu[:p:p], bu[p:]
-			gatherCol(res.Beta, z, stride, c)
-			gatherCol(res.U, u, stride, c)
-		}
+		// The result's pair is fresh: a λ sweep keeps it as the next
+		// solve's warm start after the panels have gone back to the pool.
+		bu := make([]float64, 2*p)
+		res := Result{Beta: bu[:p:p], U: bu[p:], Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
+		gatherCol(res.Beta, z, stride, c)
+		gatherCol(res.U, u, stride, c)
 		out[slot[c]] = res
 		totalIters += iters
 	}
@@ -103,7 +113,7 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 
 		// z-update z = S_{λ/ρ}(x + u), u-update u += x − z, the residual
 		// sums and the next iteration's right-hand side.
-		zuPass(z, u, r, x, a, acc, stride, p, active, kappa, f.rho, lambda > 0, hasAVX2)
+		zuPass(z, u, r, x, a, acc, stride, p, active, kappa, f.rho, lambda > 0, best)
 
 		// Stopping test per column, last slot first so a refill only ever
 		// moves a slot that has already been tested this iteration. A
@@ -144,25 +154,38 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 	countSolves(o.Trace, w, totalIters, totalIters)
 }
 
+// loopScratch recycles solveColumns' panels: a selection cell calls it once
+// per λ, and at var_network's shape its panels are most of the cell's bytes.
+var loopScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // zuPass is the z/u pass of one iteration of the serial loop over slots
 // [0, active) of row-major p×stride panels: z = S_κ(x + u) (no threshold
 // unless shrink, so λ = 0 keeps a −0), u += x − z, the next right-hand side
 // r = a + ρ(z − u), and per slot c five sums over the rows in order —
 // primal, dual, Σx², Σz² and Σu² at acc[j·stride+c], j = 0…4. The portable
-// loop below is the oracle. With avx2 a wider panel runs zuStrips instead,
+// loop below is the oracle. With a vector kernel a wider panel runs zuStrips
+// (avx2, 4-column strips) or zuStrips8 (avx512, 8-column strips) instead,
 // whose lanes are columns: each lane is the portable loop on its column, so
-// the bits are the same. It runs whole 4-column strips, so the slots between
-// active and the strip boundary are computed too — stale slots that nothing
-// reads, inside the panel since cols ≤ stride. A one-column panel stays
-// scalar: lanes over its rows would reorder its sums.
-func zuPass(z, u, r, x, a, acc []float64, stride, p, active int, kappa, rho float64, shrink, avx2 bool) {
-	if avx2 && stride > 1 && p > 0 {
-		cols, n := (active+3)&^3, p*stride
+// the bits are the same. They run whole strips, so the slots between active
+// and the strip boundary are computed too — stale slots that nothing reads,
+// inside the panel since cols ≤ stride. A one-column panel stays scalar:
+// lanes over its rows would reorder its sums.
+func zuPass(z, u, r, x, a, acc []float64, stride, p, active int, kappa, rho float64, shrink bool, k kernel) {
+	if k != portable && stride > 1 && p > 0 {
+		lanes := 4
+		if k == avx512 {
+			lanes = 8
+		}
+		cols, n := (active+lanes-1)&^(lanes-1), p*stride
 		if cols > stride {
 			panic(mat.ErrShape)
 		}
 		_, _, _, _, _, _ = z[n-1], u[n-1], r[n-1], x[n-1], a[n-1], acc[5*stride-1] // keep the assembly in bounds
-		zuStrips(&z[0], &u[0], &r[0], &x[0], &a[0], &acc[0], stride, p, cols, kappa, rho, shrink)
+		if k == avx512 {
+			zuStrips8(&z[0], &u[0], &r[0], &x[0], &a[0], &acc[0], stride, p, cols, kappa, rho, shrink)
+		} else {
+			zuStrips(&z[0], &u[0], &r[0], &x[0], &a[0], &acc[0], stride, p, cols, kappa, rho, shrink)
+		}
 		return
 	}
 	for c := 0; c < active; c++ {
@@ -187,6 +210,22 @@ func zuPass(z, u, r, x, a, acc []float64, stride, p, active int, kappa, rho floa
 		acc[c], acc[stride+c], acc[2*stride+c], acc[3*stride+c], acc[4*stride+c] = pr, du, sx, sz, su
 	}
 }
+
+// kernel is a z/u pass: the portable loop, or the 4-column (avx2) or
+// 8-column (avx512) strips.
+type kernel uint8
+
+const (
+	portable kernel = iota
+	avx2
+	avx512
+)
+
+func (k kernel) String() string { return [...]string{"portable", "avx2", "avx512"}[k] }
+
+// best is the widest z/u pass this binary runs: the family mat.Kernel names,
+// so one CPU check decides every kernel.
+var best = map[string]kernel{"avx2": avx2, "avx512": avx512}[mat.Kernel()]
 
 // stopScreen is the cheap half of an ADMM stopping test over vectors of n
 // entries, whose tolerances abs + rel·max(norm, scale·‖v‖) take ‖v‖ from

@@ -21,9 +21,10 @@
 // Both run every x-update through Factorization.XUpdatePanel: a one-column
 // panel goes through the GEMV tile, a wider one through the panel product,
 // and the two give the same bits per column. The serial loop's z/u pass
-// (zuPass) on a wider panel is an AVX2 kernel over 4-column strips on amd64
-// (zu_amd64.s): lanes are columns, rows run in order and no product is fused
-// into its add, so it returns the portable loop's bits. The portable loop
+// (zuPass) on a wider panel is a vector kernel on amd64 (zu_amd64.s), over
+// 8-column strips with AVX-512 and 4-column strips with AVX2, whichever
+// mat.Kernel names: lanes are columns, rows run in order and no product is
+// fused into its add, so it returns the portable loop's bits. The portable loop
 // runs one-column panels, purego and other GOARCHes, and is the kernel's
 // test oracle. The consensus loop's pass stays scalar: its sums run over the
 // whole vector, which lanes would reorder.

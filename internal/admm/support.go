@@ -39,26 +39,57 @@ func OLSOnSupportWorkers(x *mat.Dense, y []float64, support []int, workers int) 
 // the data are non-finite and the estimate is all NaN — not a panic — so
 // held-out scoring discards the support.
 func OLSFromGram(gram *mat.Dense, xty []float64) []float64 {
-	ch, err := mat.NewCholesky(gram)
-	if err != nil {
-		tr := 0.0
-		for i := 0; i < gram.Rows; i++ {
-			tr += gram.At(i, i)
-		}
-		jitter := 1e-8 * (tr/float64(gram.Rows) + 1)
-		ch, err = mat.NewCholesky(mat.AddRidge(gram, jitter))
-		if err != nil {
-			ch, err = mat.NewCholesky(mat.AddRidge(gram, 1.0))
-		}
-		if err != nil {
-			sol := make([]float64, len(xty))
-			for i := range sol {
-				sol[i] = math.NaN()
-			}
-			return sol
-		}
+	sol := append([]float64(nil), xty...)
+	OLSOnBlock(gram, nil, sol, nil)
+	return sol
+}
+
+// OLSOnBlock is OLSFromGram on the sub-block gram[idx, idx] (idx nil: the
+// whole matrix) with rhs = Xᵀy on idx, solved in place: rhs becomes β. The
+// block is factored in scratch, which it grows when it is short and
+// returns, so a caller that fits many supports of one Gram reuses one
+// buffer. Each rung of the ridge ladder re-reads the block from gram, since
+// a failed factorization clobbers scratch; the arithmetic is OLSFromGram's
+// on a copied block, bit for bit.
+func OLSOnBlock(gram *mat.Dense, idx []int, rhs, scratch []float64) []float64 {
+	k := len(rhs)
+	if cap(scratch) < k*k {
+		scratch = make([]float64, k*k)
 	}
-	return ch.Solve(xty)
+	l := scratch[:k*k]
+	at := func(i int) int {
+		if idx == nil {
+			return i
+		}
+		return idx[i]
+	}
+	// solve loads the block plus ridge·I and solves in place.
+	solve := func(ridge bool, shift float64) bool {
+		for i := 0; i < k; i++ {
+			row := gram.Row(at(i))
+			for j := 0; j < k; j++ {
+				l[i*k+j] = row[at(j)]
+			}
+			if ridge {
+				l[i*k+i] += shift
+			}
+		}
+		return mat.SolveSPDInPlace(l, k, rhs) == nil
+	}
+	if solve(false, 0) {
+		return scratch
+	}
+	tr := 0.0
+	for i := 0; i < k; i++ {
+		tr += gram.At(at(i), at(i))
+	}
+	if solve(true, 1e-8*(tr/float64(k)+1)) || solve(true, 1.0) {
+		return scratch
+	}
+	for i := range rhs {
+		rhs[i] = math.NaN()
+	}
+	return scratch
 }
 
 // SupportMask converts an index support to a boolean mask of length p.

@@ -84,6 +84,73 @@ func TestOLSFromGramLadder(t *testing.T) {
 	}
 }
 
+// ladderOracle is the ridge ladder on a gathered block through
+// mat.Cholesky, a fresh factor per rung: the arithmetic OLSOnBlock must
+// reproduce.
+func ladderOracle(sub *mat.Dense, rhs []float64) []float64 {
+	ch, err := mat.NewCholesky(sub)
+	if err != nil {
+		tr := 0.0
+		for i := 0; i < sub.Rows; i++ {
+			tr += sub.At(i, i)
+		}
+		ch, err = mat.NewCholesky(mat.AddRidge(sub, 1e-8*(tr/float64(sub.Rows)+1)))
+		if err != nil {
+			ch, err = mat.NewCholesky(mat.AddRidge(sub, 1.0))
+		}
+		if err != nil {
+			sol := make([]float64, len(rhs))
+			for i := range sol {
+				sol[i] = math.NaN()
+			}
+			return sol
+		}
+	}
+	return ch.Solve(rhs)
+}
+
+// TestOLSOnBlockMatchesGathered: solving a sub-block of a Gram in reused
+// scratch gives, bit for bit, the ridge ladder on the gathered block — on
+// every rung: positive definite, singular (a zero column takes the jitter),
+// indefinite (only +1 factors) and non-finite — as does OLSFromGram, and
+// the Gram is left untouched.
+func TestOLSOnBlockMatchesGathered(t *testing.T) {
+	x, y, _ := makeRegression(59, 40, 9, 3, 0.1)
+	gram, xty := mat.AtA(x), mat.GramVec(x, y, mat.Sample{})
+	for i := 0; i < 9; i++ {
+		gram.Set(i, 8, 0)
+		gram.Set(8, i, 0)
+	}
+	gram.Set(7, 7, -0.5)
+	gram.Set(6, 6, math.NaN())
+	before := gram.Clone()
+	var scratch []float64
+	for _, idx := range [][]int{{0, 3, 5}, {1}, {2, 4, 8}, {7}, {6, 0}, {0, 1, 2, 3, 4, 5}} {
+		sub, rhs := mat.NewDense(len(idx), len(idx)), make([]float64, len(idx))
+		for i, r := range idx {
+			rhs[i] = xty[r]
+			for j, c := range idx {
+				sub.Set(i, j, gram.At(r, c))
+			}
+		}
+		want := ladderOracle(sub, rhs)
+		whole := OLSFromGram(sub, rhs)
+		scratch = OLSOnBlock(gram, idx, rhs, scratch)
+		for i := range want {
+			for _, got := range []float64{rhs[i], whole[i]} {
+				if math.Float64bits(got) != math.Float64bits(want[i]) && !(math.IsNaN(got) && math.IsNaN(want[i])) {
+					t.Fatalf("block %v: beta[%d] = %v, gathered ladder %v", idx, i, got, want[i])
+				}
+			}
+		}
+	}
+	for i := range gram.Data {
+		if math.Float64bits(gram.Data[i]) != math.Float64bits(before.Data[i]) {
+			t.Fatal("OLSOnBlock modified the Gram")
+		}
+	}
+}
+
 func TestSupportMask(t *testing.T) {
 	m := SupportMask(5, []int{0, 3})
 	want := []bool{true, false, false, true, false}

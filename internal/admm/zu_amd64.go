@@ -2,13 +2,6 @@
 
 package admm
 
-import "uoivar/internal/mat"
-
-// hasAVX2 selects the AVX2 z/u strip kernel for the serial loop. It is mat's
-// CPU check, so one binary runs every AVX2 kernel or none; a test that needs
-// the portable pass passes avx2=false to zuPass.
-var hasAVX2 = mat.HasAVX2()
-
 // zuStrips is the z/u pass of zuPass over panel columns [0, cols), cols a
 // multiple of 4, rows rows of row stride stride (zu_amd64.s): each lane of a
 // YMM register is one column, the rows run in order, and each of the five
@@ -19,3 +12,10 @@ var hasAVX2 = mat.HasAVX2()
 //
 //go:noescape
 func zuStrips(z, u, r, x, a, acc *float64, stride, rows, cols int, kappa, rho float64, shrink bool)
+
+// zuStrips8 is zuStrips over 8-column strips of ZMM lanes, cols a multiple
+// of 8 (zu_amd64.s). Its soft threshold compares into opmasks and selects
+// with zero-masked arithmetic, so a NaN still gives +0.
+//
+//go:noescape
+func zuStrips8(z, u, r, x, a, acc *float64, stride, rows, cols int, kappa, rho float64, shrink bool)

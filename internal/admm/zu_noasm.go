@@ -2,11 +2,14 @@
 
 package admm
 
-// hasAVX2 is false in builds without the AVX2 z/u kernel (other GOARCHes,
-// or -tags purego): the portable pass is the only one.
-const hasAVX2 = false
+// noSIMD is the panic of the stubs below, which complete zuPass's kernel
+// switch; mat.Kernel is "portable" in these builds, so nothing selects them.
+const noSIMD = "admm: the vector z/u kernels are not built for this target"
 
-// zuStrips completes zuPass's kernel switch; nothing selects it here.
 func zuStrips(z, u, r, x, a, acc *float64, stride, rows, cols int, kappa, rho float64, shrink bool) {
-	panic("admm: the AVX2 z/u kernel is not built for this target")
+	panic(noSIMD)
+}
+
+func zuStrips8(z, u, r, x, a, acc *float64, stride, rows, cols int, kappa, rho float64, shrink bool) {
+	panic(noSIMD)
 }

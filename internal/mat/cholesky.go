@@ -78,27 +78,53 @@ func factorUnblocked(l []float64, n int) error {
 
 // Solve solves A·x = b (that is, L·Lᵀ·x = b) and returns x.
 func (c *Cholesky) Solve(b []float64) []float64 {
-	n := c.n
-	if len(b) != n {
+	if len(b) != c.n {
 		panic(ErrShape)
 	}
-	y := make([]float64, n)
-	copy(y, b)
+	y := append([]float64(nil), b...)
+	substitute(c.l, c.lt, c.n, y)
+	return y
+}
+
+// SolveSPDInPlace solves a·x = b for the n×n symmetric positive-definite
+// matrix in a (row-major) without allocating: it factors a in place — L on
+// and below the diagonal, Lᵀ above it — and overwrites b with x, by
+// NewCholesky's arithmetic, so x has Solve's bits. When a is not positive
+// definite it returns ErrNotPD, b is untouched and a is clobbered.
+func SolveSPDInPlace(a []float64, n int, b []float64) error {
+	if len(a) != n*n || len(b) != n {
+		return ErrShape
+	}
+	if err := factorUnblocked(a, n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < n; k++ {
+			a[i*n+k] = a[k*n+i]
+		}
+	}
+	substitute(a, a, n, b)
+	return nil
+}
+
+// substitute overwrites y with (L·Lᵀ)⁻¹·y: a forward sweep over the rows
+// of L (read on and below the diagonal of l), then a backward sweep over
+// the rows of Lᵀ (read above the diagonal of lt).
+func substitute(l, lt []float64, n int, y []float64) {
 	for i := 0; i < n; i++ {
 		s := y[i]
-		for k, v := range c.l[i*n : i*n+i] {
+		for k, v := range l[i*n : i*n+i] {
 			s -= float64(v * y[k])
 		}
-		y[i] = s / c.l[i*n+i]
+		y[i] = s / l[i*n+i]
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
-		for k, v := range c.lt[i*n+i+1 : (i+1)*n] {
+		for k, v := range lt[i*n+i+1 : (i+1)*n] {
 			s -= float64(v * y[i+1+k])
 		}
-		y[i] = s / c.l[i*n+i]
+		y[i] = s / l[i*n+i]
 	}
-	return y
 }
 
 // AddRidge returns a + rho*I as a new matrix (a must be square).

@@ -147,3 +147,33 @@ func TestCholeskyBlockedRejectsNonPD(t *testing.T) {
 		t.Fatalf("expected ErrShape, got %v", err)
 	}
 }
+
+// TestSolveSPDInPlaceIdentical: the in-place solve returns Solve's bits,
+// leaves b alone on a matrix that is not positive definite, and rejects
+// mismatched shapes.
+func TestSolveSPDInPlaceIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 7, 40} {
+		a := randomSPD(rng, n)
+		b := randomPanel(rng, 1, n)
+		ch, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ch.Solve(b)
+		buf, got := append([]float64(nil), a.Data...), append([]float64(nil), b...)
+		if err := SolveSPDInPlace(buf, n, got); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if i, ok := bitsEqual(got, want); !ok {
+			t.Fatalf("n=%d: entry %d is %v, Solve has %v", n, i, got[i], want[i])
+		}
+	}
+	b := []float64{1, 2}
+	if err := SolveSPDInPlace([]float64{1, 2, 2, 1}, 2, b); err != ErrNotPD || b[0] != 1 || b[1] != 2 {
+		t.Fatalf("indefinite: err = %v, b = %v; want ErrNotPD and b untouched", err, b)
+	}
+	if err := SolveSPDInPlace(make([]float64, 3), 2, b); err != ErrShape {
+		t.Fatalf("short matrix: err = %v, want ErrShape", err)
+	}
+}

@@ -70,27 +70,17 @@ const (
 //
 // The pass packs gramChunk rows at a time into a panel (a second panel holds
 // w·x when there are weights) and accumulates register tiles from it. On
-// amd64 CPUs with AVX2 the panel is row-major and a tile is 4×8 vector lanes,
-// one output entry each (gram_amd64.go); elsewhere the panel is transposed
-// (one contiguous run of the chunk per column) and a tile is tileJ×tileK
-// scalars. Both kernels add the same rounded products in the same order, so
-// their bits agree (DESIGN.md §6).
+// amd64 CPUs with AVX2 the panel is row-major and a tile is 4×8 vector lanes
+// (8×8 with AVX-512), one output entry each (gram_amd64.go); elsewhere the
+// panel is transposed (one contiguous run of the chunk per column) and a
+// tile is tileJ×tileK scalars. Every kernel adds the same rounded products in
+// the same order, so their bits agree (DESIGN.md §6).
 func GramWorkers(a *Dense, s Sample, workers int) *Dense {
-	return gram(a, s, workers, hasAVX2)
+	return gram(a, s, workers, best)
 }
 
-// HasAVX2 reports whether this binary runs the AVX2 kernels: the build has
-// them and the CPU and OS support them. Hand-written kernels elsewhere
-// (internal/admm) key on it, so one CPU check decides every kernel.
-func HasAVX2() bool { return hasAVX2 }
-
-// gram is GramWorkers with the kernel named by the caller: the AVX2 one when
-// avx2 is set (valid only where hasAVX2 is), the portable one otherwise.
-func gram(a *Dense, s Sample, workers int, avx2 bool) *Dense {
-	worker := gramWorker
-	if avx2 {
-		worker = gramWorkerAVX2
-	}
+// gram is GramWorkers with the kernel family k (valid only up to best).
+func gram(a *Dense, s Sample, workers int, k kernel) *Dense {
 	n, p := s.shape(a)
 	tr := tracer()
 	sp := tr.Start("mat/ata")
@@ -104,12 +94,12 @@ func gram(a *Dense, s Sample, workers int, avx2 bool) *Dense {
 		nWorkers = 1
 	}
 	if nWorkers == 1 {
-		worker(c, a, &s, 0, 1)
+		gramPass(c, a, &s, 0, 1, k)
 	} else {
 		tr.SetMax("mat/workers", int64(nWorkers))
 		parallelFor(nWorkers, nWorkers, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				worker(c, a, &s, t, nWorkers)
+				gramPass(c, a, &s, t, nWorkers, k)
 			}
 		})
 	}
@@ -121,6 +111,15 @@ func gram(a *Dense, s Sample, workers int, avx2 bool) *Dense {
 	}
 	sp.End()
 	return c
+}
+
+// gramPass accumulates worker t's share with kernel family k.
+func gramPass(c, a *Dense, s *Sample, t, nWorkers int, k kernel) {
+	if k == portable {
+		gramWorker(c, a, s, t, nWorkers)
+		return
+	}
+	gramWorkerSIMD(c, a, s, t, nWorkers, k)
 }
 
 // gramPanels recycles the packed panels: a fit calls the kernel once per
@@ -149,7 +148,7 @@ func gramPanelPair(width int, weighted bool) (buf *[]float64, xs, ws []float64) 
 
 // gramWorker accumulates worker t's share of the upper triangle of the Gram
 // into c: bands t, t+nWorkers, t+2·nWorkers, … in one pass over the rows. It
-// is the portable kernel and the AVX2 kernel's oracle.
+// is the portable kernel and the vector kernels' oracle.
 func gramWorker(c, a *Dense, s *Sample, t, nWorkers int) {
 	n, p := s.shape(a)
 	first := t * gramBand // columns before the worker's first band are never read
@@ -280,16 +279,16 @@ func gramTile(c0, c1, w, x []float64, m int) {
 // rounded product (two with a weight) and one rounded sum per row. Column k
 // is therefore bit for bit GramVec of a with column k of b over s — the same
 // products (a product does not depend on its operands' order) added in the
-// same order — and a one-column B runs GramVec's loop. Whole 4×8 blocks run
-// the tile on the row-major inputs — four columns of A as its w operand,
-// eight of B as its x operand — and the last q mod 4 rows and p mod 8
-// columns add one input row at a time. A sample other than the whole matrix
-// is packed gramChunk rows at a time (A's columns of s, and w·b), never
-// gathered whole.
-func MulAtB(a, b *Dense, s Sample) *Dense { return mulAtB(a, b, s, hasAVX2) }
+// same order — and a one-column B runs GramVec's loop. Whole 8×8 and 4×8
+// blocks run the tiles on the row-major inputs — eight or four columns of A
+// as their w operand, eight of B as their x operand — and the last q mod 4
+// rows and p mod 8 columns add one input row at a time. A sample other than
+// the whole matrix is packed gramChunk rows at a time (A's columns of s, and
+// w·b), never gathered whole.
+func MulAtB(a, b *Dense, s Sample) *Dense { return mulAtB(a, b, s, best) }
 
-// mulAtB is MulAtB with the tile kernel named by the caller, as gram.
-func mulAtB(a, b *Dense, s Sample, avx2 bool) *Dense {
+// mulAtB is MulAtB with the kernel family k, as gram.
+func mulAtB(a, b *Dense, s Sample, k kernel) *Dense {
 	if a.Rows != b.Rows {
 		panic(ErrShape)
 	}
@@ -301,7 +300,7 @@ func mulAtB(a, b *Dense, s Sample, avx2 bool) *Dense {
 	sp := tracer().Start("mat/gemm_atb")
 	c := NewDense(q, p)
 	if s.Rows == nil && s.Weights == nil && s.Cols == nil {
-		addAtB(c, a, b, avx2)
+		addAtB(c, a, b, k)
 		sp.End()
 		return c
 	}
@@ -332,19 +331,25 @@ func mulAtB(a, b *Dense, s Sample, avx2 bool) *Dense {
 				bw[k] = float64(w * v)
 			}
 		}
-		addAtB(c, pa, pb, avx2)
+		addAtB(c, pa, pb, k)
 	}
 	sp.End()
 	return c
 }
 
 // addAtB adds AᵀB to c, continuing every entry's sum over a's rows in order.
-func addAtB(c, a, b *Dense, avx2 bool) {
+func addAtB(c, a, b *Dense, kern kernel) {
 	n, q, p := a.Rows, a.Cols, b.Cols
 	qt, pt := q&^3, p&^7
-	for j := 0; j < qt && n > 0; j += 4 {
+	j := 0
+	for ; j+8 <= qt && n > 0; j += 8 {
 		for k := 0; k < pt; k += 8 {
-			tile(c.Data[j*p+k:], p, a.Data[j:], q, b.Data[k:], p, n, avx2)
+			tile8(c.Data[j*p+k:], p, a.Data[j:], q, b.Data[k:], p, n, kern)
+		}
+	}
+	for ; j < qt && n > 0; j += 4 {
+		for k := 0; k < pt; k += 8 {
+			tile(c.Data[j*p+k:], p, a.Data[j:], q, b.Data[k:], p, n, kern)
 		}
 	}
 	j0 := 0 // rows before j0 have no edge columns

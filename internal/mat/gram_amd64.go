@@ -2,10 +2,21 @@
 
 package mat
 
-// hasAVX2 selects the AVX2 Gram tile for GramWorkers: the CPU has AVX2 and
-// the OS saves the YMM registers across context switches. It is read once at
-// start-up; a test that needs the portable kernel passes avx2=false to gram.
-var hasAVX2 = cpuHasAVX2()
+// best is the widest kernel family the CPU and the OS support, read once at
+// start-up: avx512 when cpuHasAVX512, else avx2 when cpuHasAVX2, else
+// portable. A test that needs another family passes it to gram, tile and the
+// Inverse's products instead of switching this.
+var best = cpuKernel()
+
+func cpuKernel() kernel {
+	switch {
+	case cpuHasAVX512():
+		return avx512
+	case cpuHasAVX2():
+		return avx2
+	}
+	return portable
+}
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub (gram_amd64.s).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -33,6 +44,22 @@ func cpuHasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// cpuHasAVX512 reports CPUID's AVX512F flag, provided cpuHasAVX2 holds (an
+// AVX-512 path still runs the AVX2 tile on a 4-row block) and the OS saves
+// the AVX-512 state: XCR0's opmask, ZMM_Hi256 and Hi16_ZMM bits.
+func cpuHasAVX512() bool {
+	if !cpuHasAVX2() {
+		return false
+	}
+	const zmm = 1<<5 | 1<<6 | 1<<7
+	if xgetbv()&zmm != zmm {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 // avxTileJ × avxTileK is the AVX2 register tile: 4 rows of 8 outputs, two
 // YMM accumulators per row.
 const avxTileJ, avxTileK = 4, 8
@@ -47,18 +74,29 @@ const avxTileJ, avxTileK = 4, 8
 //go:noescape
 func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int)
 
+// gramTile8x8 is gramTile4x8 over 8 rows, jj < 8 (gram_amd64.s): one ZMM
+// accumulator per row, each lane one output with the same rounding.
+//
+//go:noescape
+func gramTile8x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int)
+
 // gemvTile1x32 adds Σᵣ v[r]·a[r·lda+kk] over r < m, in that order, to y[kk]
 // for kk < 32 (gram_amd64.s), with gramTile4x8's rounding.
 //
 //go:noescape
 func gemvTile1x32(y, a *float64, lda int, v *float64, m int)
 
-// gramWorkerAVX2 is gramWorker over a row-major panel: packed row r holds
-// columns first, …, p−1 of input row r0+r, so a tile's 8 columns are one
-// contiguous run, and the weighted panel holds w·x in the same layout (the
-// worker's own band columns only). Bands, chunks and the order of every
-// entry's sum are gramWorker's.
-func gramWorkerAVX2(c, a *Dense, s *Sample, t, nWorkers int) {
+// gemvTile1x64 is gemvTile1x32 over 64 outputs, kk < 64 (gram_amd64.s).
+//
+//go:noescape
+func gemvTile1x64(y, a *float64, lda int, v *float64, m int)
+
+// gramWorkerSIMD is gramWorker over a row-major panel for the vector kernel
+// family k: packed row r holds columns first, …, p−1 of input row r0+r, so
+// a tile's 8 columns are one contiguous run, and the weighted panel holds
+// w·x in the same layout (the worker's own band columns only). Bands,
+// chunks and the order of every entry's sum are gramWorker's.
+func gramWorkerSIMD(c, a *Dense, s *Sample, t, nWorkers int, k kernel) {
 	n, p := s.shape(a)
 	first := t * gramBand
 	if first >= p || n == 0 {
@@ -91,20 +129,26 @@ func gramWorkerAVX2(c, a *Dense, s *Sample, t, nWorkers int) {
 			}
 		}
 		for lo := first; lo < p; lo += step {
-			gramBandChunkAVX2(c.Data, p, ws, xs, width, first, m, lo, min(lo+gramBand, p))
+			gramBandChunkSIMD(c.Data, p, ws, xs, width, first, m, lo, min(lo+gramBand, p), k)
 		}
 	}
 	gramPanels.Put(buf)
 }
 
-// gramBandChunkAVX2 adds one row-major chunk of m rows (row stride width) to
+// gramBandChunkSIMD adds one row-major chunk of m rows (row stride width) to
 // rows [lo, hi) of the upper triangle of c (stride p), tiles k-outer like
-// gramBandChunk. A partial tile — the last p mod 8 columns, or a band shorter
+// gramBandChunk. On avx512 a whole band (8 rows) takes one 8×8 tile per 8
+// columns, elsewhere two 4×8 tiles: an entry's sum does not depend on which
+// tile holds it. A partial tile — the last p mod 8 columns, or a band shorter
 // than 8 rows — adds the chunk one row at a time, each entry's terms still in
 // row order.
-func gramBandChunkAVX2(c []float64, p int, ws, xs []float64, width, first, m, lo, hi int) {
+func gramBandChunkSIMD(c []float64, p int, ws, xs []float64, width, first, m, lo, hi int, kern kernel) {
 	for k := lo; k < p; k += avxTileK {
 		kn := min(p-k, avxTileK)
+		if kern == avx512 && hi-lo == gramBand && kn == avxTileK {
+			gramTile8x8(&c[lo*p+k], p, &ws[lo-first], width, &xs[k-first], width, m)
+			continue
+		}
 		for j := lo; j < hi && j < k+kn; j += avxTileJ {
 			jn := min(hi-j, avxTileJ)
 			if jn == avxTileJ && kn == avxTileK {

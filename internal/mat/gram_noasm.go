@@ -2,14 +2,16 @@
 
 package mat
 
-// hasAVX2 is false in builds without the AVX2 tiles (other GOARCHes, or
-// -tags purego): the portable kernels are the only ones.
-const hasAVX2 = false
+// best is portable in builds without the vector kernels (other GOARCHes, or
+// -tags purego): it is the only family.
+const best = portable
 
-// noAVX2 is the panic of the stubs below, which complete the kernel switches
-// of gram, tile and Inverse.mulVec; nothing selects them here.
-const noAVX2 = "mat: the AVX2 kernels are not built for this target"
+// noSIMD is the panic of the stubs below, which complete the kernel switches
+// of gram, tile, tile8 and Inverse.mulVec; nothing selects them here.
+const noSIMD = "mat: the vector kernels are not built for this target"
 
-func gramWorkerAVX2(c, a *Dense, s *Sample, t, nWorkers int)                       { panic(noAVX2) }
-func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int) { panic(noAVX2) }
-func gemvTile1x32(y, a *float64, lda int, v *float64, m int)                       { panic(noAVX2) }
+func gramWorkerSIMD(c, a *Dense, s *Sample, t, nWorkers int, k kernel)             { panic(noSIMD) }
+func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int) { panic(noSIMD) }
+func gramTile8x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int) { panic(noSIMD) }
+func gemvTile1x32(y, a *float64, lda int, v *float64, m int)                       { panic(noSIMD) }
+func gemvTile1x64(y, a *float64, lda int, v *float64, m int)                       { panic(noSIMD) }

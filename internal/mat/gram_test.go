@@ -205,16 +205,17 @@ func sameBitsOrNaN(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// TestGramKernelsIdentical: the AVX2 kernel and the portable one return the
-// same Float64bits across the chunk edge (n = 63, 64, 65), widths below, at
-// and past one 8-column tile, for all rows, a repeated row list, weights with
-// zeros, ascending and non-ascending column subsets, at budgets 1/2/3; and a
-// NaN or an Inf input row yields the same non-finite entries. Both kernels
-// run in this binary: the test passes the choice to gram, so no package
-// state is switched under other tests.
+// TestGramKernelsIdentical: every vector kernel family (AVX2, AVX-512) and
+// the portable one return the same Float64bits across the chunk edge (n =
+// 63, 64, 65), widths below, at and past one 8-column tile and band, for all
+// rows, a repeated row list, weights with zeros, ascending and non-ascending
+// column subsets, at budgets 1/2/3; and a NaN or an Inf input row yields the
+// same non-finite entries. Every family runs in this binary: the test passes
+// the choice to gram, so no package state is switched under other tests.
 func TestGramKernelsIdentical(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2 Gram kernel in this build or on this CPU: only the portable kernel runs")
+	kernels := hostKernels(t)[1:]
+	if len(kernels) == 0 {
+		t.Skip("no vector Gram kernel in this build or on this CPU: only the portable kernel runs")
 	}
 	for _, n := range []int{1, 63, 64, 65, 767, 8192} {
 		for _, p := range []int{1, 3, 7, 8, 9, 41, 161, 256} {
@@ -254,8 +255,11 @@ func TestGramKernelsIdentical(t *testing.T) {
 			}
 			for si, s := range samples {
 				for _, b := range budgets {
-					if i, ok := bitsEqual(gram(x, s, b, true).Data, gram(x, s, b, false).Data); !ok {
-						t.Fatalf("n=%d p=%d sample %d workers=%d: entry %d differs in bits between the AVX2 and portable kernels", n, p, si, b, i)
+					want := gram(x, s, b, portable).Data
+					for _, k := range kernels {
+						if i, ok := bitsEqual(gram(x, s, b, k).Data, want); !ok {
+							t.Fatalf("n=%d p=%d sample %d workers=%d: entry %d differs in bits between the %s and portable kernels", n, p, si, b, i, k)
+						}
 					}
 				}
 			}
@@ -266,8 +270,11 @@ func TestGramKernelsIdentical(t *testing.T) {
 			bad.Set(n/2, p/2, math.NaN())
 			bad.Set(n-1, 0, math.Inf(-1))
 			for si, s := range samples[:3] {
-				if i, ok := sameBitsOrNaN(gram(bad, s, 2, true).Data, gram(bad, s, 2, false).Data); !ok {
-					t.Fatalf("n=%d p=%d non-finite sample %d: entry %d differs between the AVX2 and portable kernels", n, p, si, i)
+				want := gram(bad, s, 2, portable).Data
+				for _, k := range kernels {
+					if i, ok := sameBitsOrNaN(gram(bad, s, 2, k).Data, want); !ok {
+						t.Fatalf("n=%d p=%d non-finite sample %d: entry %d differs between the %s and portable kernels", n, p, si, i, k)
+					}
 				}
 			}
 		}
@@ -275,29 +282,27 @@ func TestGramKernelsIdentical(t *testing.T) {
 }
 
 // TestMulAtBIdenticalToGramVec: every column of MulAtB(X, Y) is GramVec of
-// X with that column of Y, Float64bits for Float64bits, under both tile
-// kernels — for q mod 4 = 0…3 design columns, p mod 8 = 0…7 response
+// X with that column of Y, Float64bits for Float64bits, under every kernel
+// family of this host — for q mod 4 = 0…3 design columns (q ≥ 8 takes 8-row
+// tiles), p mod 8 = 0…7 response
 // columns (so every mix of whole tiles and edges), n = 0, 1, 7 and 600
 // rows, and a VAR lag design with a trailing intercept column.
 func TestMulAtBIdenticalToGramVec(t *testing.T) {
-	kernels := []bool{false}
-	if hasAVX2 {
-		kernels = append(kernels, true)
-	}
+	kernels := hostKernels(t)
 	check := func(name string, x, y *Dense) {
 		t.Helper()
 		col := make([]float64, y.Rows)
-		for _, avx2 := range kernels {
-			got := mulAtB(x, y, Sample{}, avx2)
+		for _, k := range kernels {
+			got := mulAtB(x, y, Sample{}, k)
 			if got.Rows != x.Cols || got.Cols != y.Cols {
-				t.Fatalf("%s avx2=%v: result is %d×%d, want %d×%d", name, avx2, got.Rows, got.Cols, x.Cols, y.Cols)
+				t.Fatalf("%s %s: result is %d×%d, want %d×%d", name, k, got.Rows, got.Cols, x.Cols, y.Cols)
 			}
 			gotCol := make([]float64, x.Cols)
 			for e := 0; e < y.Cols; e++ {
 				want := GramVec(x, y.Col(e, col), Sample{})
 				got.Col(e, gotCol)
 				if i, ok := bitsEqual(gotCol, want); !ok {
-					t.Fatalf("%s avx2=%v column %d: entry %d is %v, GramVec has %v", name, avx2, e, i, gotCol[i], want[i])
+					t.Fatalf("%s %s column %d: entry %d is %v, GramVec has %v", name, k, e, i, gotCol[i], want[i])
 				}
 			}
 		}
@@ -332,15 +337,12 @@ func TestMulAtBIdenticalToGramVec(t *testing.T) {
 }
 
 // TestMulAtBSampleIdentical: MulAtB over a sample — repeated, unsorted rows,
-// per-row weights, a column subset, or none of them — is, under both tile
-// kernels and Float64bits for Float64bits, MulAtB of the gathered rows (with
+// per-row weights, a column subset, or none of them — is, under every kernel
+// family of this host and Float64bits for Float64bits, MulAtB of the gathered rows (with
 // the weights folded into B as w·b) and, column by column, GramVec over the
 // same sample. Empty samples give zeros of the sample's shape.
 func TestMulAtBSampleIdentical(t *testing.T) {
-	kernels := []bool{false}
-	if hasAVX2 {
-		kernels = append(kernels, true)
-	}
+	kernels := hostKernels(t)
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{1, 7, 130, 600} {
 		for _, shape := range [][2]int{{1, 1}, {3, 2}, {9, 8}, {12, 17}, {61, 60}} {
@@ -369,19 +371,19 @@ func TestMulAtBSampleIdentical(t *testing.T) {
 				name := fmt.Sprintf("n=%d q=%d p=%d %s", n, q, p, sc.name)
 				ga, gb := gatherSample(a, b, sc.s)
 				col := make([]float64, n)
-				for _, avx2 := range kernels {
-					got := mulAtB(a, b, sc.s, avx2)
+				for _, k := range kernels {
+					got := mulAtB(a, b, sc.s, k)
 					if got.Rows != ga.Cols || got.Cols != p {
-						t.Fatalf("%s avx2=%v: result is %d×%d, want %d×%d", name, avx2, got.Rows, got.Cols, ga.Cols, p)
+						t.Fatalf("%s %s: result is %d×%d, want %d×%d", name, k, got.Rows, got.Cols, ga.Cols, p)
 					}
-					if i, ok := bitsEqual(got.Data, mulAtB(ga, gb, Sample{}, avx2).Data); !ok {
-						t.Fatalf("%s avx2=%v: entry %d differs from MulAtB of the gathered rows", name, avx2, i)
+					if i, ok := bitsEqual(got.Data, mulAtB(ga, gb, Sample{}, k).Data); !ok {
+						t.Fatalf("%s %s: entry %d differs from MulAtB of the gathered rows", name, k, i)
 					}
 					gotCol := make([]float64, got.Rows)
 					for e := 0; e < p; e++ {
 						want := GramVec(a, b.Col(e, col), sc.s)
 						if i, ok := bitsEqual(got.Col(e, gotCol), want); !ok {
-							t.Fatalf("%s avx2=%v column %d: entry %d is %v, GramVec has %v", name, avx2, e, i, gotCol[i], want[i])
+							t.Fatalf("%s %s column %d: entry %d is %v, GramVec has %v", name, k, e, i, gotCol[i], want[i])
 						}
 					}
 				}

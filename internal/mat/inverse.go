@@ -26,11 +26,11 @@ var inverseScratch = sync.Pool{New: func() any { return new([]float64) }}
 // lives in M's buffer until M overwrites it, so only M is allocated. a is
 // not modified.
 func NewInverse(a *Dense, shift float64, workers int) (*Inverse, error) {
-	return newInverse(a, shift, workers, hasAVX2)
+	return newInverse(a, shift, workers, best)
 }
 
-// newInverse is NewInverse with the tile kernel named by the caller, as gram.
-func newInverse(a *Dense, shift float64, workers int, avx2 bool) (*Inverse, error) {
+// newInverse is NewInverse with the kernel family k, as gram.
+func newInverse(a *Dense, shift float64, workers int, k kernel) (*Inverse, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
@@ -59,9 +59,9 @@ func newInverse(a *Dense, shift float64, workers int, avx2 bool) (*Inverse, erro
 		}
 		w[i*ld+i] = 1
 	}
-	lowerInverse(w, l, n, ld, avx2)
+	lowerInverse(w, l, n, ld, k)
 	clear(inv.m)
-	inv.gramOf(w, avx2)
+	inv.gramOf(w, k)
 	return inv, nil
 }
 
@@ -71,10 +71,10 @@ func newInverse(a *Dense, shift float64, workers int, avx2 bool) (*Inverse, erro
 // 4×8 tiles (column block k needs rows k … i0−1 only: row r of L⁻¹ is zero
 // past column r), then its own earlier rows and the division row by row.
 // The last block's rows past n read t past its row ends; nothing reads them.
-func lowerInverse(w, t []float64, n, ld int, avx2 bool) {
+func lowerInverse(w, t []float64, n, ld int, kern kernel) {
 	for i0 := 0; i0 < n; i0 += 4 {
 		for k := 0; k < i0; k += 8 {
-			tile(w[i0*ld+k:], ld, t[k*n+i0:], n, w[k*ld+k:], ld, i0-k, avx2)
+			tile(w[i0*ld+k:], ld, t[k*n+i0:], n, w[k*ld+k:], ld, i0-k, kern)
 		}
 		for i := i0; i < min(i0+4, n); i++ {
 			row := w[i*ld : i*ld+i+1]
@@ -91,15 +91,19 @@ func lowerInverse(w, t []float64, n, ld int, avx2 bool) {
 	}
 }
 
-// gramOf sets M = WᵀW for the lower-triangular W = L⁻¹: 4×8 tiles over the
-// upper triangle, each summed over rows r ≥ max(j, k) of its corner (the
-// terms above an entry's own index are exact zeros), then mirrored.
-func (v *Inverse) gramOf(w []float64, avx2 bool) {
+// gramOf sets M = WᵀW for the lower-triangular W = L⁻¹ over the upper
+// triangle, 8 rows j … j+7 at a time, then mirrors it. A tile is summed over
+// rows r ≥ max(j, k) of its corner (the terms above an entry's own index are
+// exact zeros): the diagonal block takes a 4×8 tile per half, each from its
+// own first row, and every block right of it one 8×8 tile from row k.
+func (v *Inverse) gramOf(w []float64, kern kernel) {
 	n, ld, m := v.n, v.ld, v.m
-	for j := 0; j < n; j += 4 {
-		for k := j &^ 7; k < n; k += 8 {
-			r := max(j, k)
-			tile(m[j*ld+k:], ld, w[r*ld+j:], ld, w[r*ld+k:], ld, n-r, avx2)
+	for j := 0; j < n; j += 8 {
+		for h := j; h < min(j+8, n); h += 4 {
+			tile(m[h*ld+j:], ld, w[h*ld+h:], ld, w[h*ld+j:], ld, n-h, kern)
+		}
+		for k := j + 8; k < n; k += 8 {
+			tile8(m[j*ld+k:], ld, w[k*ld+j:], ld, w[k*ld+k:], ld, n-k, kern)
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -110,66 +114,84 @@ func (v *Inverse) gramOf(w []float64, avx2 bool) {
 }
 
 // MulVec sets dst = M·src (n entries each). Output k is Σᵣ src[r]·M[r][k]
-// summed from zero over r in order; 32 outputs at a time are the lanes of
-// one accumulator row.
-func (v *Inverse) MulVec(dst, src []float64) { v.mulVec(dst, src, hasAVX2) }
+// summed from zero over r in order; 32 outputs at a time (64 on AVX-512)
+// are the lanes of one accumulator row.
+func (v *Inverse) MulVec(dst, src []float64) { v.mulVec(dst, src, best) }
 
-func (v *Inverse) mulVec(dst, src []float64, avx2 bool) {
+func (v *Inverse) mulVec(dst, src []float64, kern kernel) {
 	n, ld := v.n, v.ld
 	if len(dst) < n || len(src) < n {
 		panic(ErrShape)
 	}
-	var acc [32]float64
-	for k := 0; k < n; k += len(acc) {
-		// On the AVX2 path a short last block starts early enough to be 32
-		// lanes wide: the outputs it repeats are the same sums, same bits.
+	width := 32
+	if kern == avx512 && ld >= 64 {
+		width = 64
+	}
+	var acc [64]float64
+	for k := 0; k < n; k += width {
+		// On a vector path a short last block starts early enough to be
+		// width lanes wide: the outputs it repeats are the same sums, same
+		// bits.
 		k0 := k
-		if avx2 && ld >= len(acc) {
-			k0 = min(k, ld-len(acc))
+		if kern != portable && ld >= width {
+			k0 = min(k, ld-width)
 		}
-		lanes := acc[:min(len(acc), ld-k0)]
+		lanes := acc[:min(width, ld-k0)]
 		clear(lanes)
-		if avx2 && len(lanes) == len(acc) {
+		switch {
+		case len(lanes) == 64:
+			gemvTile1x64(&lanes[0], &v.m[k0], ld, &src[0], n)
+		case kern != portable && len(lanes) == 32:
 			gemvTile1x32(&lanes[0], &v.m[k0], ld, &src[0], n)
-		} else {
+		default:
 			for g := 0; g < len(lanes); g += 8 {
 				dot8(lanes[g:], src, 1, v.m[k0+g:], ld, n)
 			}
 		}
-		copy(dst[k:min(k+len(acc), n)], lanes[k-k0:])
+		copy(dst[k:min(k+width, n)], lanes[k-k0:])
 	}
 }
 
 // MulPanel sets dst = M·src on the leading cols columns (a multiple of 8) of
 // two row-major panels with row stride stride: src has n rows, dst n rounded
 // up to 4. Column e of dst is bit for bit MulVec of column e of src — the
-// same products (M is symmetric) summed in the same order from zero.
+// same products (M is symmetric) summed in the same order from zero. Rows
+// run 8 at a time, and a last block of 4 — dst's rows stop there — as a
+// 4-row tile.
 func (v *Inverse) MulPanel(dst, src []float64, stride, cols int) {
-	v.mulPanel(dst, src, stride, cols, hasAVX2)
+	v.mulPanel(dst, src, stride, cols, best)
 }
 
-func (v *Inverse) mulPanel(dst, src []float64, stride, cols int, avx2 bool) {
+func (v *Inverse) mulPanel(dst, src []float64, stride, cols int, kern kernel) {
 	if cols%8 != 0 || cols > stride {
 		panic(ErrShape)
 	}
-	clear(dst[:((v.n+3)&^3)*stride])
-	for k := 0; k < v.n; k += 4 {
+	rows := (v.n + 3) &^ 3
+	clear(dst[:rows*stride])
+	k := 0
+	for ; k+8 <= rows; k += 8 {
 		for e := 0; e < cols; e += 8 {
-			tile(dst[k*stride+e:], stride, v.m[k:], v.ld, src[e:], stride, v.n, avx2)
+			tile8(dst[k*stride+e:], stride, v.m[k:], v.ld, src[e:], stride, v.n, kern)
+		}
+	}
+	for ; k < rows; k += 4 {
+		for e := 0; e < cols; e += 8 {
+			tile(dst[k*stride+e:], stride, v.m[k:], v.ld, src[e:], stride, v.n, kern)
 		}
 	}
 }
 
 // tile adds Σᵣ w[r·ldw+jj]·x[r·ldx+kk] over r < m, in that order, to
-// c[jj·ldc+kk] for jj < 4 and kk < 8: gramTile4x8 when avx2 is set (valid
-// only where hasAVX2 is), four portable dot8 rows otherwise. The two round
-// alike, so a result's bits do not depend on the kernel.
-func tile(c []float64, ldc int, w []float64, ldw int, x []float64, ldx, m int, avx2 bool) {
+// c[jj·ldc+kk] for jj < 4 and kk < 8 with kernel family k (valid only up to
+// best): gramTile4x8 on either vector family, four portable dot8 rows
+// otherwise. They round alike, so a result's bits do not depend on the
+// family.
+func tile(c []float64, ldc int, w []float64, ldw int, x []float64, ldx, m int, k kernel) {
 	if m == 0 {
 		return
 	}
 	_, _, _ = c[3*ldc+7], w[(m-1)*ldw+3], x[(m-1)*ldx+7] // keep the assembly in bounds
-	if avx2 {
+	if k != portable {
 		gramTile4x8(&c[0], ldc, &w[0], ldw, &x[0], ldx, m)
 		return
 	}
@@ -178,9 +200,24 @@ func tile(c []float64, ldc int, w []float64, ldw int, x []float64, ldx, m int, a
 	}
 }
 
+// tile8 is tile over 8 rows, jj < 8: one gramTile8x8 on avx512, two 4-row
+// tiles otherwise.
+func tile8(c []float64, ldc int, w []float64, ldw int, x []float64, ldx, m int, k kernel) {
+	if m == 0 {
+		return
+	}
+	if k != avx512 {
+		tile(c, ldc, w, ldw, x, ldx, m, k)
+		tile(c[4*ldc:], ldc, w[4:], ldw, x, ldx, m, k)
+		return
+	}
+	_, _, _ = c[7*ldc+7], w[(m-1)*ldw+7], x[(m-1)*ldx+7] // keep the assembly in bounds
+	gramTile8x8(&c[0], ldc, &w[0], ldw, &x[0], ldx, m)
+}
+
 // dot8 adds Σᵣ w[r·ldw]·x[r·ldx+kk] over r < m, in that order, to c[kk] for
 // kk < 8, one rounded product and one rounded sum per term: the portable
-// tile row and the oracle of both AVX2 tiles.
+// tile row and the oracle of every vector tile.
 func dot8(c, w []float64, ldw int, x []float64, ldx, m int) {
 	c0, c1, c2, c3, c4, c5, c6, c7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
 	for r := 0; r < m; r++ {

@@ -17,54 +17,95 @@ func randomPanel(rng *rand.Rand, rows, stride int) []float64 {
 	return b
 }
 
-// TestInverseKernelsIdentical: the AVX2 tiles and the portable dot8 rows
-// return the same Float64bits — the 4×8 tile at unequal leading dimensions
-// and row counts 0, 1 and past a chunk, and the inverse build, MulVec and
-// MulPanel at every size (blocked and unblocked factor, n below, at and past
-// a multiple of 4, 8 and 32).
+// TestInverseKernelsIdentical: every vector kernel family of this host
+// (AVX2, AVX-512) and the portable dot8 rows return the same Float64bits —
+// the 4×8 and 8×8 tiles at unequal leading dimensions and row counts 0, 1
+// and past a chunk, with and without NaN and ±Inf operands; and the inverse
+// build, MulVec and MulPanel (panel widths 8 to 64, n rounded up to 4 or to
+// 8 output rows) at every size (blocked and unblocked factor, n below, at and
+// past a multiple of 4, 8, 32 and 64), the products also on a vector with
+// NaN and ±Inf entries. A NaN matches any NaN: which operand's payload it
+// carries is not part of the contract.
 func TestInverseKernelsIdentical(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2 tiles in this build or on this CPU: only the portable kernels run")
+	kernels := hostKernels(t)[1:]
+	if len(kernels) == 0 {
+		t.Skip("no vector tiles in this build or on this CPU: only the portable kernels run")
 	}
 	rng := rand.New(rand.NewSource(21))
+	poison := func(v []float64) []float64 {
+		out := append([]float64(nil), v...)
+		for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if len(out) > 0 {
+				out[(7*i+3)%len(out)] = bad
+			}
+		}
+		return out
+	}
 	for _, m := range []int{0, 1, 5, 64, 130} {
-		ldc, ldw, ldx := 11, 6, 13
+		ldc, ldw, ldx := 11, 9, 13
 		w, x := randomPanel(rng, m, ldw), randomPanel(rng, m, ldx)
-		got, want := randomPanel(rng, 4, ldc), make([]float64, 4*ldc)
-		copy(want, got)
-		tile(got, ldc, w, ldw, x, ldx, m, true)
-		tile(want, ldc, w, ldw, x, ldx, m, false)
-		if i, ok := bitsEqual(got, want); !ok {
-			t.Fatalf("tile m=%d: entry %d differs in bits between the AVX2 and portable kernels", m, i)
+		c := randomPanel(rng, 8, ldc)
+		for _, bad := range []bool{false, true} {
+			if bad {
+				w, x = poison(w), poison(x)
+			}
+			for _, rows := range []int{4, 8} {
+				run := func(k kernel) []float64 {
+					out := append([]float64(nil), c...)
+					if rows == 4 {
+						tile(out, ldc, w, ldw, x, ldx, m, k)
+					} else {
+						tile8(out, ldc, w, ldw, x, ldx, m, k)
+					}
+					return out
+				}
+				want := run(portable)
+				for _, k := range kernels {
+					if i, ok := sameBitsOrNaN(run(k), want); !ok {
+						t.Fatalf("%d-row tile m=%d non-finite=%v: entry %d differs in bits between the %s and portable kernels", rows, m, bad, i, k)
+					}
+				}
+			}
 		}
 	}
-	for _, n := range inverseSizes {
+	for _, n := range append(inverseSizes, 13, 63, 100, 127, 128) {
 		a := randomSPD(rng, n)
-		fast, err := newInverse(a, 0.5, 2, true)
+		slow, err := newInverse(a, 0.5, 2, portable)
 		if err != nil {
 			t.Fatal(err)
-		}
-		slow, err := newInverse(a, 0.5, 2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i, ok := bitsEqual(fast.m, slow.m); !ok {
-			t.Fatalf("n=%d: inverse entry %d differs in bits between the AVX2 and portable builds", n, i)
 		}
 		v := randomPanel(rng, 1, n)
-		got, want := make([]float64, n), make([]float64, n)
-		fast.mulVec(got, v, true)
-		fast.mulVec(want, v, false)
-		if i, ok := bitsEqual(got, want); !ok {
-			t.Fatalf("n=%d: MulVec entry %d differs in bits between the AVX2 and portable kernels", n, i)
-		}
-		stride := 24
+		stride := 64
 		src := randomPanel(rng, n, stride)
-		pg, pw := make([]float64, (n+3)*stride), make([]float64, (n+3)*stride)
-		fast.mulPanel(pg, src, stride, 16, true)
-		fast.mulPanel(pw, src, stride, 16, false)
-		if i, ok := bitsEqual(pg, pw); !ok {
-			t.Fatalf("n=%d: MulPanel entry %d differs in bits between the AVX2 and portable kernels", n, i)
+		rows := (n + 3) &^ 3
+		for _, k := range kernels {
+			fast, err := newInverse(a, 0.5, 2, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := bitsEqual(fast.m, slow.m); !ok {
+				t.Fatalf("n=%d: inverse entry %d differs in bits between the %s and portable builds", n, i, k)
+			}
+			for _, in := range [][]float64{v, poison(v)} {
+				got, want := make([]float64, n), make([]float64, n)
+				fast.mulVec(got, in, k)
+				fast.mulVec(want, in, portable)
+				if i, ok := sameBitsOrNaN(got, want); !ok {
+					t.Fatalf("n=%d: MulVec entry %d differs in bits between the %s and portable kernels", n, i, k)
+				}
+			}
+			for cols := 8; cols <= stride; cols += 8 {
+				in := src
+				if cols == 24 {
+					in = poison(src)
+				}
+				pg, pw := make([]float64, rows*stride), make([]float64, rows*stride)
+				fast.mulPanel(pg, in, stride, cols, k)
+				fast.mulPanel(pw, in, stride, cols, portable)
+				if i, ok := sameBitsOrNaN(pg, pw); !ok {
+					t.Fatalf("n=%d cols=%d: MulPanel entry %d differs in bits between the %s and portable kernels", n, cols, i, k)
+				}
+			}
 		}
 	}
 }

@@ -202,39 +202,32 @@ func supportColumns(distinct [][]int, q int) (cols, at []int) {
 // S solves the sub-block gram[S,S]·β = xty[S,e], the same bits as a Gram
 // built for S alone — scores the fit by heldOut over the evaluation rows of
 // (x, y), and hands both to offer, candidates in order.
+//
+// The fits share one set of scratch — positions, right-hand side and the
+// factor (admm.OLSOnBlock) — so the call allocates only the coefficient
+// vectors it hands out.
 func fitCandidates(x, y, gram, xty *mat.Dense, at, eval []int, distinct [][]int, offer func(j int, loss float64, beta []float64)) {
 	q := x.Cols
+	var pos []int
+	var rhs, chol []float64
 	for j, s := range distinct {
 		beta := make([]float64, q*y.Cols)
 		for lo, hi := 0, 0; lo < len(s); lo = hi {
 			e := s[lo] / q
 			for hi = lo; hi < len(s) && s[hi]/q == e; hi++ {
 			}
-			pos, rhs := make([]int, hi-lo), make([]float64, hi-lo)
-			for i, g := range s[lo:hi] {
-				pos[i] = at[g%q]
-				rhs[i] = xty.At(pos[i], e)
+			pos, rhs = pos[:0], rhs[:0]
+			for _, g := range s[lo:hi] {
+				pos = append(pos, at[g%q])
+				rhs = append(rhs, xty.At(at[g%q], e))
 			}
-			for i, v := range olsSubBlock(gram, pos, rhs) {
+			chol = admm.OLSOnBlock(gram, pos, rhs, chol)
+			for i, v := range rhs {
 				beta[s[lo+i]] = v
 			}
 		}
 		offer(j, heldOut(x, y, eval, beta), beta)
 	}
-}
-
-// olsSubBlock solves gram[idx,idx]·β = rhs, the least-squares fit on the
-// columns idx of a design whose Gram was computed once (rhs is Xᵀy already
-// restricted to idx).
-func olsSubBlock(gram *mat.Dense, idx []int, rhs []float64) []float64 {
-	sub := mat.NewDense(len(idx), len(idx))
-	for i, j := range idx {
-		row := gram.Row(j)
-		for k, jk := range idx {
-			sub.Data[i*len(idx)+k] = row[jk]
-		}
-	}
-	return admm.OLSFromGram(sub, rhs)
 }
 
 // heldOut is ½‖Y − Xβ‖² over the given rows of (x, y), read in place,
