@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race determinism fmacheck bench bench-full vet fmt fmtcheck doccheck deadcheck fuzz-short experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
+.PHONY: build test test-short test-race determinism fmacheck bench-full vet fmt fmtcheck doccheck deadcheck fuzz-short experiments csv examples trace serve-smoke fleet-smoke stream-smoke metrics-smoke graph-smoke grid-smoke clean
 
 # Packages whose exported surface must be fully documented (CI gate).
 DOCCHECK_PKGS = ./internal/checkpoint ./internal/envelope ./internal/fleet ./internal/graph ./internal/model ./internal/mpi ./internal/serve ./internal/stream ./internal/telemetry ./internal/uoi .
@@ -102,12 +102,6 @@ fmacheck:
 		done; \
 	done; \
 	echo "fmacheck: no fused multiply-add in $(FMACHECK_PKGS) or their amd64 assembly"
-
-# Regenerate the machine-readable benchmark artifact (schema uoivar/bench/v2):
-# trace overhead on/off, kernel shapes, ADMM, full-pipeline fits, and the
-# inference-server serving rows (QPS, p50/p99, coalescing at 1/8/64 clients).
-bench:
-	$(GO) run ./cmd/benchjson -o BENCH_PR2.json
 
 # The full go-test benchmark suite (every paper table/figure + ablations).
 bench-full:

@@ -230,21 +230,6 @@ func BenchmarkBiasVariance(b *testing.B) { benchExperiment(b, "bias-variance") }
 
 // ---- Kernel benches (the §IV-A1 hot spots) ----
 
-func BenchmarkKernelGEMM(b *testing.B) {
-	rng := resample.NewRNG(8)
-	a := mat.NewDense(256, 256)
-	c := mat.NewDense(256, 256)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-		c.Data[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(256 * 256 * 256 * 2 * 8))
-	for i := 0; i < b.N; i++ {
-		mat.Mul(a, c)
-	}
-}
-
 func BenchmarkKernelGEMV(b *testing.B) {
 	rng := resample.NewRNG(9)
 	a := mat.NewDense(1024, 512)

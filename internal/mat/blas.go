@@ -2,81 +2,15 @@ package mat
 
 import "math"
 
-// blockSize is the cache-blocking tile edge for GEMM. 64 float64 rows/cols
-// keeps three tiles (≈96 KiB) within L2 on typical cores, mirroring the
-// MKL-style blocking the paper relies on for the compute phase.
-const blockSize = 64
-
 // parallelThreshold is the minimum flop count (multiply-adds) before a
 // vector kernel (GEMV, Gram accumulation) bothers spawning goroutines.
 const parallelThreshold = 16 * 1024
 
-// gemmParallelFlops is the minimum multiply-add count before GEMM spawns
-// goroutines. GEMM work is m·n·k, NOT the output size m·n — gating on the
-// output alone left tall-skinny products (small m·n, huge inner dimension
-// k) permanently serial. 1M madds corresponds to the old m·n = 16384 gate
-// at the typical k ≈ 64 of the pipeline's Gram-sized products, so square-ish
-// behavior is unchanged while k-dominated shapes now parallelize.
+// gemmParallelFlops is the minimum multiply-add count before a matrix
+// product (MulABtTo) spawns goroutines. Its work is m·n·k, NOT the output
+// size m·n — gating on the output alone leaves tall-skinny products (small
+// m·n, huge inner dimension k) permanently serial.
 const gemmParallelFlops = 1 << 20
-
-// Mul computes C = A·B with the default worker budget. Panics on shape
-// mismatch.
-func Mul(a, b *Dense) *Dense { return MulWorkers(a, b, 0) }
-
-// MulWorkers is Mul with an explicit kernel worker budget (≤0 selects
-// DefaultWorkers). Callers running inside wider parallelism — mpi rank
-// goroutines, bootstrap workers — pass their share of the machine.
-func MulWorkers(a, b *Dense, workers int) *Dense {
-	if a.Cols != b.Rows {
-		panic(ErrShape)
-	}
-	c := NewDense(a.Rows, b.Cols)
-	gemm(c, a, b, clampWorkers(workers))
-	return c
-}
-
-// gemm accumulates a·b into c using i-k-j loop order with row blocking.
-func gemm(c, a, b *Dense, workers int) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	tr := tracer()
-	sp := tr.Start("mat/gemm")
-	body := func(lo, hi int) {
-		for ii := lo; ii < hi; ii += blockSize {
-			iMax := ii + blockSize
-			if iMax > hi {
-				iMax = hi
-			}
-			for kk := 0; kk < k; kk += blockSize {
-				kMax := kk + blockSize
-				if kMax > k {
-					kMax = k
-				}
-				for i := ii; i < iMax; i++ {
-					arow := a.Data[i*k : (i+1)*k]
-					crow := c.Data[i*n : (i+1)*n]
-					for p := kk; p < kMax; p++ {
-						av := arow[p]
-						if av == 0 {
-							continue
-						}
-						brow := b.Data[p*n : (p+1)*n]
-						axpy(crow, av, brow)
-					}
-				}
-			}
-		}
-	}
-	// Parallel gate on the flop count m·n·k (multiply-adds), not the output
-	// size: a 32×4096 · 4096×32 product is 4M madds of work even though the
-	// output is only 1024 elements. Splitting needs at least 2 rows.
-	if m >= 2 && m*n*k >= gemmParallelFlops && workers > 1 {
-		tr.SetMax("mat/workers", int64(workers))
-		parallelFor(m, workers, body)
-	} else {
-		body(0, m)
-	}
-	sp.End()
-}
 
 // axpy computes y += a*x with 4-way unrolling.
 func axpy(y []float64, a float64, x []float64) {

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-// naiveMul is the reference O(n³) product used to validate the blocked kernel.
+// naiveMul is the reference O(n³) product the kernels are checked against.
 func naiveMul(a, b *Dense) *Dense {
 	c := NewDense(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -30,15 +30,17 @@ func randomDense(rng *rand.Rand, r, c int) *Dense {
 	return m
 }
 
+// TestMulMatchesNaive checks the XᵀY product MulAtB against the reference
+// product of the transpose, for one and several response columns.
 func TestMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 9}, {65, 70, 63}, {130, 40, 128}} {
 		a := randomDense(rng, dims[0], dims[1])
-		b := randomDense(rng, dims[1], dims[2])
-		got := Mul(a, b)
-		want := naiveMul(a, b)
+		b := randomDense(rng, dims[0], dims[2])
+		got := MulAtB(a, b, Sample{})
+		want := naiveMul(a.T(), b)
 		if !got.Equal(want, 1e-10) {
-			t.Fatalf("Mul mismatch for dims %v", dims)
+			t.Fatalf("MulAtB mismatch for dims %v", dims)
 		}
 	}
 }
@@ -83,13 +85,14 @@ func TestMulABtShapePanic(t *testing.T) {
 	MulABtWorkers(NewDense(2, 3), NewDense(2, 4), 0)
 }
 
+// TestMulShapePanic: MulABtTo refuses an output buffer of the wrong shape.
 func TestMulShapePanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
+	MulABtTo(NewDense(2, 3), NewDense(2, 4), NewDense(2, 4), 0)
 }
 
 func TestMulIdentity(t *testing.T) {
@@ -99,7 +102,7 @@ func TestMulIdentity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		eye.Set(i, i, 1)
 	}
-	if !Mul(a, eye).Equal(a, 1e-14) || !Mul(eye, a).Equal(a, 1e-14) {
+	if !MulABtWorkers(a, eye, 0).Equal(a, 0) || !MulABtWorkers(eye, a.T(), 0).Equal(a, 0) {
 		t.Fatal("multiplication by identity must be identity")
 	}
 }
@@ -113,7 +116,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 	}
 	y := MulVec(a, x)
 	xm := NewDenseData(21, 1, x)
-	want := Mul(a, xm)
+	want := naiveMul(a, xm)
 	for i := range y {
 		if math.Abs(y[i]-want.At(i, 0)) > 1e-12 {
 			t.Fatalf("MulVec[%d] = %v, want %v", i, y[i], want.At(i, 0))
@@ -160,7 +163,7 @@ func TestAtAMatchesExplicit(t *testing.T) {
 	for _, dims := range [][2]int{{5, 3}, {50, 20}, {200, 90}} {
 		a := randomDense(rng, dims[0], dims[1])
 		got := AtA(a)
-		want := Mul(a.T(), a)
+		want := naiveMul(a.T(), a)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("AtA mismatch for dims %v", dims)
 		}
@@ -223,16 +226,19 @@ func TestAddSubAxpyScale(t *testing.T) {
 	}
 }
 
-// Property: (A·B)·C == A·(B·C) for random small matrices.
+// Property: (A·Bᵀ)·Cᵀ == A·(C·B)ᵀ for random small matrices, both sides
+// products of MulABtWorkers.
 func TestMulAssociativityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, k, n, q := 1+r.Intn(8), 1+r.Intn(8), 1+r.Intn(8), 1+r.Intn(8)
 		a := randomDense(r, m, k)
-		b := randomDense(r, k, n)
-		c := randomDense(r, n, q)
-		return Mul(Mul(a, b), c).Equal(Mul(a, Mul(b, c)), 1e-8)
+		b := randomDense(r, n, k)
+		c := randomDense(r, q, n)
+		left := MulABtWorkers(MulABtWorkers(a, b, 0), c, 0)
+		right := MulABtWorkers(a, MulABtWorkers(c, b.T(), 0), 0)
+		return left.Equal(right, 1e-8)
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {

@@ -32,39 +32,41 @@ func maxAbsDiff(a, b []float64) float64 {
 }
 
 // TestMulWorkersMatchesSerial checks that every worker budget computes the
-// same product — the parallel split is a pure partition of the output.
+// same product bit for bit — the parallel split is a pure partition of the
+// output rows. The shape is above the flop gate, so the split happens.
 func TestMulWorkersMatchesSerial(t *testing.T) {
-	a := randDense(37, 53, 1)
-	b := randDense(53, 29, 2)
-	want := MulWorkers(a, b, 1)
+	a := randDense(37, 530, 1)
+	b := randDense(61, 530, 2)
+	if m, n, k := 37, 61, 530; m*n*k < gemmParallelFlops {
+		t.Fatalf("test shape below the flop gate (%d < %d)", m*n*k, gemmParallelFlops)
+	}
+	want := MulABtWorkers(a, b, 1)
 	for _, w := range []int{0, 2, 3, 8} {
-		got := MulWorkers(a, b, w)
-		if d := maxAbsDiff(want.Data, got.Data); d > 1e-12 {
-			t.Fatalf("workers=%d: max diff %g", w, d)
+		if i, ok := bitsEqual(MulABtWorkers(a, b, w).Data, want.Data); !ok {
+			t.Fatalf("workers=%d: entry %d differs in bits", w, i)
 		}
 	}
 }
 
 // TestGemmFlopGateTallSkinny is the regression for the inner-dimension bug:
-// the old gate looked only at output rows, so a tall-skinny product
-// (tiny m·n, huge k — exactly the Gram-style shapes the λ-max scan hits)
-// never parallelized. The gate now scores m·n·k flops, so this shape must
+// a gate on output rows alone never parallelizes a tall-skinny product
+// (tiny m·n, huge k). The gate scores m·n·k flops, so this shape must
 // engage the worker pool.
 func TestGemmFlopGateTallSkinny(t *testing.T) {
 	// m·n = 4·64 output cells, but m·n·k = 4·64·8192 = 2^21 flops ≥ gate.
 	a := randDense(4, 8192, 3)
-	b := randDense(8192, 64, 4)
+	b := randDense(64, 8192, 4)
 	if m, n, k := 4, 64, 8192; m*n*k < gemmParallelFlops {
 		t.Fatalf("test shape below the flop gate (%d < %d)", m*n*k, gemmParallelFlops)
 	}
 	ResetPeakWorkers()
-	got := MulWorkers(a, b, 4)
+	got := MulABtWorkers(a, b, 4)
 	if peak := PeakWorkers(); peak < 2 {
-		t.Fatalf("tall-skinny gemm ran with peak %d workers, want >= 2 (flop gate ignored k?)", peak)
+		t.Fatalf("tall-skinny product ran with peak %d workers, want >= 2 (flop gate ignored k?)", peak)
 	}
-	want := MulWorkers(a, b, 1)
-	if d := maxAbsDiff(want.Data, got.Data); d > 1e-12 {
-		t.Fatalf("parallel tall-skinny gemm wrong: max diff %g", d)
+	want := MulABtWorkers(a, b, 1)
+	if i, ok := bitsEqual(want.Data, got.Data); !ok {
+		t.Fatalf("parallel tall-skinny product: entry %d differs in bits", i)
 	}
 }
 
@@ -77,9 +79,9 @@ func TestGemmFlopGateSmallStaysSerial(t *testing.T) {
 		t.Fatalf("test shape unexpectedly above the flop gate")
 	}
 	ResetPeakWorkers()
-	MulWorkers(a, b, 8)
+	MulABtWorkers(a, b, 8)
 	if peak := PeakWorkers(); peak > 1 {
-		t.Fatalf("small gemm spawned %d workers, want serial", peak)
+		t.Fatalf("small product spawned %d workers, want serial", peak)
 	}
 }
 
@@ -91,7 +93,7 @@ func TestGemmFlopGateSmallStaysSerial(t *testing.T) {
 func TestWorkerBudgetUnderConcurrentStreams(t *testing.T) {
 	const ranks, budget = 4, 2
 	a := randDense(8, 8192, 7)
-	b := randDense(8192, 64, 8)
+	b := randDense(64, 8192, 8)
 	x := randDense(2048, 96, 9)
 	ResetPeakWorkers()
 	var wg sync.WaitGroup
@@ -100,7 +102,7 @@ func TestWorkerBudgetUnderConcurrentStreams(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				MulWorkers(a, b, budget)
+				MulABtWorkers(a, b, budget)
 				AtAWorkers(x, budget)
 				AtVecWorkers(x, make([]float64, 2048), budget)
 			}
@@ -198,8 +200,8 @@ func TestKernelTracer(t *testing.T) {
 	defer SetTracer(nil)
 
 	a := randDense(4, 8192, 12)
-	b := randDense(8192, 64, 13)
-	MulWorkers(a, b, 2)
+	b := randDense(64, 8192, 13)
+	MulABtWorkers(a, b, 2)
 	x := randDense(256, 32, 14)
 	AtAWorkers(x, 2)
 	MulVecWorkers(x, make([]float64, 32), 1)
@@ -210,7 +212,7 @@ func TestKernelTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, name := range []string{"mat/gemm", "mat/ata", "mat/gemv", "mat/chol"} {
+	for _, name := range []string{"mat/gemm_abt", "mat/ata", "mat/gemv", "mat/chol"} {
 		if got := tr.PhaseSeconds(name); got <= 0 {
 			found := false
 			for _, p := range tr.Phases() {
@@ -229,27 +231,27 @@ func TestKernelTracer(t *testing.T) {
 
 	SetTracer(nil)
 	before := len(tr.Phases())
-	MulWorkers(a, b, 2)
+	MulABtWorkers(a, b, 2)
 	if after := len(tr.Phases()); after != before {
 		t.Fatal("kernel recorded spans after SetTracer(nil)")
 	}
 }
 
-// BenchmarkGemmTallSkinny documents the flop-gate fix's win: the serial
-// variant is what every tall-skinny product got before the gate considered k.
+// BenchmarkGemmTallSkinny documents the flop gate's win: the serial
+// variant is what a tall-skinny product gets from a gate that ignores k.
 func BenchmarkGemmTallSkinny(b *testing.B) {
 	a := randDense(8, 8192, 20)
-	c := randDense(8192, 64, 21)
+	c := randDense(64, 8192, 21)
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			MulWorkers(a, c, 1)
+			MulABtWorkers(a, c, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			MulWorkers(a, c, 0)
+			MulABtWorkers(a, c, 0)
 		}
 	})
 }

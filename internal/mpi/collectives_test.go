@@ -362,8 +362,12 @@ func TestStatsWaitAccumulates(t *testing.T) {
 		}
 		c.Barrier()
 		s := c.LocalStats()
+		var w time.Duration
+		for _, d := range s.Wait {
+			w += d
+		}
 		mu.Lock()
-		waits = append(waits, s.TotalWait())
+		waits = append(waits, w)
 		mu.Unlock()
 		return nil
 	})

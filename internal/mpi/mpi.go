@@ -156,14 +156,6 @@ func (s *Stats) Total() (calls, bytes int64, d time.Duration) {
 	return
 }
 
-// TotalWait returns the blocked time summed across categories.
-func (s *Stats) TotalWait() (d time.Duration) {
-	for c := 0; c < int(numCategories); c++ {
-		d += s.Wait[c]
-	}
-	return
-}
-
 // add merges o into s.
 func (s *Stats) add(o *Stats) {
 	for c := 0; c < int(numCategories); c++ {

@@ -6,7 +6,6 @@ import (
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
-	"uoivar/internal/metrics"
 	"uoivar/internal/resample"
 	"uoivar/internal/varsim"
 )
@@ -33,9 +32,11 @@ func LassoCV(x *mat.Dense, y []float64, folds, q int, seed uint64) (*BaselineRes
 		return nil, fmt.Errorf("uoi: %d samples for %d folds", n, folds)
 	}
 	lambdas := admm.LogSpaceLambdas(admm.LambdaMax(x, y), 1e-3, q)
-	rng := resample.NewRNG(seed)
-	perm := rng.Perm(n)
+	perm := resample.NewRNG(seed).Perm(n)
+	yd := column(y)
 
+	// Each fold solves from the statistics of its training rows and scores
+	// on its evaluation rows, both read in place.
 	cvLoss := make([]float64, len(lambdas))
 	for f := 0; f < folds; f++ {
 		var trainIdx, evalIdx []int
@@ -46,17 +47,16 @@ func LassoCV(x *mat.Dense, y []float64, folds, q int, seed uint64) (*BaselineRes
 				trainIdx = append(trainIdx, v)
 			}
 		}
-		xt, yt := x.SelectRows(trainIdx), selectVec(y, trainIdx)
-		xe, ye := x.SelectRows(evalIdx), selectVec(y, evalIdx)
-		fac, err := admm.NewFactorizationWorkers(xt, yt, 0, 0)
+		gram, xty := stats(x, yd, mat.Sample{Rows: trainIdx}, 0)
+		fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		var warmZ, warmU []float64
 		for j, lam := range lambdas {
-			r := fac.Solve(lam, &admm.Options{WarmZ: warmZ, WarmU: warmU})
+			r := fac.SolveRHS(xty.Data, lam, &admm.Options{WarmZ: warmZ, WarmU: warmU})
 			warmZ, warmU = r.Beta, r.U
-			cvLoss[j] += metrics.PredictionLoss(xe, ye, r.Beta)
+			cvLoss[j] += heldOut(x, yd, evalIdx, r.Beta)
 		}
 	}
 	best := 0
@@ -80,7 +80,13 @@ func LassoBIC(x *mat.Dense, y []float64, q int) (*BaselineResult, error) {
 	}
 	n := float64(x.Rows)
 	lambdas := admm.LogSpaceLambdas(admm.LambdaMax(x, y), 1e-3, q)
-	fac, err := admm.NewFactorizationWorkers(x, y, 0, 0)
+	yd := column(y)
+	all := make([]int, x.Rows)
+	for i := range all {
+		all[i] = i
+	}
+	gram, xty := stats(x, yd, mat.Sample{}, 0)
+	fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -89,9 +95,9 @@ func LassoBIC(x *mat.Dense, y []float64, q int) (*BaselineResult, error) {
 	bestLambda := lambdas[0]
 	var warmZ, warmU []float64
 	for _, lam := range lambdas {
-		r := fac.Solve(lam, &admm.Options{WarmZ: warmZ, WarmU: warmU})
+		r := fac.SolveRHS(xty.Data, lam, &admm.Options{WarmZ: warmZ, WarmU: warmU})
 		warmZ, warmU = r.Beta, r.U
-		rss := 2 * metrics.PredictionLoss(x, y, r.Beta)
+		rss := 2 * heldOut(x, yd, all, r.Beta)
 		if rss <= 0 {
 			rss = 1e-300
 		}

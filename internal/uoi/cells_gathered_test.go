@@ -279,3 +279,12 @@ func TestVarSelCellGatheredIdentical(t *testing.T) {
 		}
 	}
 }
+
+// selectVec gathers y[idx].
+func selectVec(y []float64, idx []int) []float64 {
+	out := make([]float64, len(idx))
+	for i, j := range idx {
+		out[i] = y[j]
+	}
+	return out
+}

@@ -3,11 +3,14 @@ package uoi
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"uoivar/internal/datagen"
 	"uoivar/internal/fault"
+	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 )
 
@@ -172,43 +175,103 @@ func TestVARGridMatchesSerialAllShapes(t *testing.T) {
 	}
 }
 
-// The communication-avoiding mode must actually avoid communication: at a
-// 1×8 grid the tree/ring reassembly ships fewer collective bytes than the
-// flat Allreduce/Allgather baseline on the same fit.
-func TestLassoGridTreeBytesBelowFlat(t *testing.T) {
-	x, y, _ := makeRegression(3, 80, 12, 4, 0.3)
-	cfg := &LassoConfig{B1: 8, B2: 8, Q: 8, Seed: 11, KernelWorkers: 1}
-	shape := GridShape{1, 8}
-	measure := func(flat bool) int64 {
-		var mu sync.Mutex
-		var bytes int64
-		err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-			if _, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat})); err != nil {
-				return err
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				st := c.GlobalStats()
-				mu.Lock()
-				bytes = st.Bytes[mpi.CatCollective]
-				mu.Unlock()
-			}
-			return nil
-		})
+// fitMetered fits x, y under the placement at on a fresh world of the given
+// rank count and returns rank 0's coefficients and the bytes the whole fit
+// put on the wire, summed over every rank and category.
+func fitMetered(x *mat.Dense, y []float64, cfg *LassoConfig, ranks int, at Placement) (beta []float64, bytes int64, err error) {
+	err = mpi.Run(ranks, func(c *mpi.Comm) error {
+		at := at
+		at.Comm = c
+		res, err := Lasso(x, y, lassoOn(cfg, at))
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		return bytes
+		c.Barrier()
+		if c.Rank() == 0 {
+			st := c.GlobalStats()
+			_, bytes, _ = st.Total()
+			beta = res.Beta
+		}
+		return nil
+	})
+	return beta, bytes, err
+}
+
+// gridBytesCase is the fit the grid byte test and BenchmarkLassoPlacements'
+// grid rows run: n×p regression with 6 true non-zeros, B1 = B2 = b, Q q.
+func gridBytesCase(short bool) (*datagen.Regression, *LassoConfig) {
+	n, p, b, q := 512, 48, 8, 8
+	if short {
+		n, p, b, q = 192, 24, 4, 6
 	}
-	tree := measure(false)
-	flat := measure(true)
-	if tree <= 0 || flat <= 0 {
-		t.Fatalf("no collective traffic metered: tree=%d flat=%d", tree, flat)
+	reg := datagen.MakeRegression(11, n, p, &datagen.RegressionOptions{NNZ: 6, NoiseStd: 0.3})
+	return reg, &LassoConfig{B1: b, B2: b, Q: q, Seed: 1, KernelWorkers: 1}
+}
+
+// The communication-avoiding mode must actually avoid communication without
+// moving a bit: at a 1×8 and a 4×2 grid the tree/ring reassembly gives the
+// flat Allreduce/Allgather baseline's coefficients bit for bit and puts
+// strictly fewer bytes on the wire.
+func TestLassoGridTreeBytesBelowFlat(t *testing.T) {
+	reg, cfg := gridBytesCase(false)
+	for _, shape := range []GridShape{{1, 8}, {4, 2}} {
+		t.Run(shape.String(), func(t *testing.T) {
+			tree, treeBytes, err := fitMetered(reg.X, reg.Y, cfg, shape.Ranks(), Placement{Shape: shape})
+			if err != nil {
+				t.Fatalf("tree: %v", err)
+			}
+			flat, flatBytes, err := fitMetered(reg.X, reg.Y, cfg, shape.Ranks(), Placement{Shape: shape, FlatCollectives: true})
+			if err != nil {
+				t.Fatalf("flat: %v", err)
+			}
+			assertBitsEqual(t, "tree vs flat", tree, flat)
+			if treeBytes <= 0 || treeBytes >= flatBytes {
+				t.Fatalf("tree/ring moved %d bytes, flat %d; want 0 < tree < flat", treeBytes, flatBytes)
+			}
+			t.Logf("bytes on the wire: tree/ring %d, flat %d", treeBytes, flatBytes)
+		})
 	}
-	if tree >= flat {
-		t.Fatalf("tree/ring bytes %d not below flat baseline %d", tree, flat)
+}
+
+// BenchmarkLassoPlacements times whole replicated-data UoI_LASSO fits: the
+// 2-D grid at 1×8 and 4×2 (tree/ring collectives) and the checkpointed
+// engine on 4 ranks with a fresh journal per fit. Each row reports the
+// fit's bytes on the wire, summed over the ranks, as mpi-B/op; -short runs
+// smaller problems.
+func BenchmarkLassoPlacements(b *testing.B) {
+	reg, cfg := gridBytesCase(testing.Short())
+	n, p, b1, b2, q := 1024, 64, 6, 4, 6
+	if testing.Short() {
+		n, p, b1, b2, q = 256, 32, 3, 2, 4
 	}
-	t.Logf("collective bytes at %s: tree/ring %d, flat %d (%.1fx reduction)", shape, tree, flat, float64(flat)/float64(tree))
+	ckReg := datagen.MakeRegression(7, n, p, &datagen.RegressionOptions{NNZ: 8, NoiseStd: 0.3})
+	ckCfg := &LassoConfig{B1: b1, B2: b2, Q: q, Seed: 1}
+	dir := b.TempDir()
+	run := func(name string, reg *datagen.Regression, ranks int, fit func(i int) (*LassoConfig, Placement)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var bytes int64
+			for i := 0; i < b.N; i++ {
+				cfg, at := fit(i)
+				_, by, err := fitMetered(reg.X, reg.Y, cfg, ranks, at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bytes += by
+			}
+			b.ReportMetric(float64(bytes)/float64(b.N), "mpi-B/op")
+		})
+	}
+	for _, shape := range []GridShape{{1, 8}, {4, 2}} {
+		run("grid-"+shape.String(), reg, shape.Ranks(), func(int) (*LassoConfig, Placement) {
+			return cfg, Placement{Shape: shape}
+		})
+	}
+	run("checkpointed-4ranks", ckReg, 4, func(i int) (*LassoConfig, Placement) {
+		c := *ckCfg
+		c.Checkpoint = &CheckpointConfig{Path: filepath.Join(dir, fmt.Sprintf("b%d.uoickpt", i))}
+		return &c, Placement{}
+	})
 }
 
 // Shape validation: wrong rank counts and malformed specs are rejected.

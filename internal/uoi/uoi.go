@@ -567,15 +567,6 @@ func (c *LassoConfig) CheckPlacement() error { return c.Placement.check(c.ask())
 // column views y as the one-column target panel of a single equation.
 func column(y []float64) *mat.Dense { return mat.NewDenseData(len(y), 1, y) }
 
-// selectVec gathers y[idx].
-func selectVec(y []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
-}
-
 // dedupeSupports removes duplicate candidate supports (identical supports
 // produce identical OLS fits; the paper's family S may repeat across λ).
 // The empty support is kept if present — it corresponds to the null model.

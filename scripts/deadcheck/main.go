@@ -40,20 +40,24 @@ import (
 // allowList names the exported identifiers that only tests call, keyed
 // "pkg.Name" or "pkg.Type.Method", each with the reason it stays.
 var allowList = map[string]string{
-	"admm.CoordinateDescentLasso": "reference oracle: the ADMM solvers are checked against coordinate descent",
-	"checkpoint.State.Lambdas":    "test helper: uoi's resume tests rebuild a stale checkpoint from a saved λ grid",
-	"fault.Generate":              "test helper: the seeded chaos schedules of the uoi suites",
-	"fault.Plan.BootstrapFault":   "test helper: plugs a plan into uoi's LassoConfig.BootstrapFault hook",
-	"fault.Plan.IOFault":          "test helper: plugs a plan into the hbf and distio read-fault hooks",
-	"mat.Dense.Equal":             "test helper: tolerance comparison of matrices across package tests",
-	"mat.PeakWorkers":             "test hook: uoi's kernel worker-budget regression tests read the high-water mark",
-	"mat.ResetPeakWorkers":        "test hook: clears the high-water mark PeakWorkers reports",
-	"telemetry.Exposition.Value":  "test helper: the metrics tests of serve, fleet, stream and monitor read scraped samples",
-	"trace.Event.Signature":       "test helper: timestamp-free event identity for the replay-determinism tests",
-	"trace.Tracer.Max":            "test helper: kernel and serving tests read a gauge",
-	"trace.Tracer.PhaseSeconds":   "test helper: kernel and engine tests read a phase's accumulated time",
-	"varsim.Design.VecY":          "reference oracle: vec(Y) of eq. 9, the response kron's assembled blocks are checked against",
-	"varsim.Model.Forecast":       "reference oracle: the predictor's batched forecasts are checked against the model recursion",
+	"admm.CoordinateDescentLasso":            "reference oracle: the ADMM solvers are checked against coordinate descent",
+	"checkpoint.State.Lambdas":               "test helper: uoi's resume tests rebuild a stale checkpoint from a saved λ grid",
+	"fault.Generate":                         "test helper: the seeded chaos schedules of the uoi suites",
+	"fault.Plan.BootstrapFault":              "test helper: plugs a plan into uoi's LassoConfig.BootstrapFault hook",
+	"fault.Plan.IOFault":                     "test helper: plugs a plan into the hbf and distio read-fault hooks",
+	"mat.Dense.Equal":                        "test helper: tolerance comparison of matrices across package tests",
+	"mat.PeakWorkers":                        "test hook: uoi's kernel worker-budget regression tests read the high-water mark",
+	"mat.ResetPeakWorkers":                   "test hook: clears the high-water mark PeakWorkers reports",
+	"metrics.PredictionLoss":                 "reference oracle: the gathered cell bodies uoi's cells are checked against score with it",
+	"telemetry.Exposition.HistogramQuantile": "test helper: serve's metrics tests read a latency quantile from a scrape",
+	"telemetry.Exposition.Value":             "test helper: the metrics tests of serve, fleet, stream and monitor read scraped samples",
+	"telemetry.Registry.Expose":              "test helper: the metrics tests of serve, fleet and stream render a registry without an HTTP round trip",
+	"trace.Event.Signature":                  "test helper: timestamp-free event identity for the replay-determinism tests",
+	"trace.Tracer.Counter":                   "test helper: serve's batching tests and benchmarks read a counter",
+	"trace.Tracer.Max":                       "test helper: kernel and serving tests read a gauge",
+	"trace.Tracer.PhaseSeconds":              "test helper: kernel and engine tests read a phase's accumulated time",
+	"varsim.Design.VecY":                     "reference oracle: vec(Y) of eq. 9, the response kron's assembled blocks are checked against",
+	"varsim.Model.Forecast":                  "reference oracle: the predictor's batched forecasts are checked against the model recursion",
 }
 
 func main() {
