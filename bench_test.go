@@ -114,7 +114,7 @@ func BenchmarkAblationKron(b *testing.B) {
 			err := mpi.Run(4, func(c *mpi.Comm) error {
 				var local *varsim.Design
 				if c.Rank() < 2 {
-					lo, hi := admm.RowBlock(m, 2, c.Rank())
+					lo, hi := mpi.RowBlock(m, 2, c.Rank())
 					targets := make([]int, hi-lo)
 					for t := range targets {
 						targets[t] = 1 + lo + t
@@ -184,7 +184,7 @@ func BenchmarkAblationGrid(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(ranks, func(c *mpi.Comm) error {
-					lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
+					lo, hi := mpi.RowBlock(reg.X.Rows, c.Size(), c.Rank())
 					_, err := uoi.Lasso(reg.X.SubRows(lo, hi), reg.Y[lo:hi], &uoi.LassoConfig{B1: 8, B2: 4, Q: 8, Seed: 1,
 						Placement: &uoi.Placement{Comm: c, Shape: grid, Partitioned: true}})
 					return err

@@ -136,12 +136,7 @@ func writePerf(path string, tr *trace.Tracer, start time.Time) {
 			rp = trace.RankPerf{Rank: r, Phases: []trace.PhaseStat{}}
 		}
 		if r < len(stats) {
-			for _, cat := range []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided} {
-				if stats[r].Calls[cat] == 0 {
-					continue
-				}
-				rp.AddComm(cat.String(), stats[r].Calls[cat], stats[r].Bytes[cat], stats[r].Time[cat].Seconds())
-			}
+			rp.Comm = stats[r].Rows("")
 		}
 		rp.FinalizeCompute()
 		ranks = append(ranks, rp)

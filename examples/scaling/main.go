@@ -43,7 +43,7 @@ func main() {
 		start := time.Now()
 		var iters int
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
-			lo, hi := admm.RowBlock(reg.X.Rows, c.Size(), c.Rank())
+			lo, hi := mpi.RowBlock(reg.X.Rows, c.Size(), c.Rank())
 			s, err := admm.NewConsensusSolverWorkers(c, reg.X.SubRows(lo, hi), reg.Y[lo:hi], 0, 0)
 			if err != nil {
 				return err

@@ -287,17 +287,3 @@ func (s *ConsensusSolver) run(opts *Options, rule zRule) *Result {
 		AllreduceN: iters,
 	}
 }
-
-// RowBlock computes the [lo, hi) row range assigned to rank r when n rows
-// are block-striped over size ranks (the paper's "row-wise block-striping":
-// each core receives N/B rows). Remainder rows go to the leading ranks.
-func RowBlock(n, size, r int) (lo, hi int) {
-	base := n / size
-	rem := n % size
-	lo = r*base + min(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}

@@ -15,7 +15,7 @@ func TestRowBlockPartition(t *testing.T) {
 		covered := 0
 		prevHi := 0
 		for r := 0; r < c.size; r++ {
-			lo, hi := RowBlock(c.n, c.size, r)
+			lo, hi := mpi.RowBlock(c.n, c.size, r)
 			if lo != prevHi {
 				t.Fatalf("n=%d size=%d: rank %d starts at %d, want %d", c.n, c.size, r, lo, prevHi)
 			}
@@ -29,8 +29,8 @@ func TestRowBlockPartition(t *testing.T) {
 			t.Fatalf("n=%d size=%d: covered %d rows", c.n, c.size, covered)
 		}
 		// Balance: blocks differ by at most one row.
-		lo0, hi0 := RowBlock(c.n, c.size, 0)
-		loL, hiL := RowBlock(c.n, c.size, c.size-1)
+		lo0, hi0 := mpi.RowBlock(c.n, c.size, 0)
+		loL, hiL := mpi.RowBlock(c.n, c.size, c.size-1)
 		if (hi0-lo0)-(hiL-loL) > 1 {
 			t.Fatalf("imbalance: first %d last %d", hi0-lo0, hiL-loL)
 		}
@@ -42,7 +42,7 @@ func runConsensus(t *testing.T, x *mat.Dense, y []float64, lambda float64, nRank
 	t.Helper()
 	results := make([]*Result, nRanks)
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		xl := x.SubRows(lo, hi)
 		yl := y[lo:hi]
 		s, err := NewConsensusSolverWorkers(c, xl, yl, 0, 0)
@@ -82,7 +82,7 @@ func TestConsensusAllRanksAgree(t *testing.T) {
 	const nRanks = 4
 	betas := make([][]float64, nRanks)
 	err := mpi.Run(nRanks, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
@@ -116,7 +116,7 @@ func TestConsensusOLS(t *testing.T) {
 func TestConsensusCountsAllreduces(t *testing.T) {
 	x, y, _ := makeRegression(14, 60, 5, 2, 0.1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		solver, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
@@ -284,7 +284,7 @@ func TestConsensusSolveMatchesLoop(t *testing.T) {
 				name := fmt.Sprintf("ranks%d/rho%v/maxiter%d", ranks, rho, maxIter)
 				counts := make([][2]*trace.Tracer, ranks)
 				err := mpi.Run(ranks, func(c *mpi.Comm) error {
-					lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+					lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 					xl, yl := x.SubRows(lo, hi), y[lo:hi]
 					var s *ConsensusSolver
 					var err error
@@ -364,7 +364,7 @@ func BenchmarkConsensusSolve(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		err := mpi.Run(ranks, func(c *mpi.Comm) error {
-			lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+			lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 			s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 1)
 			if err != nil {
 				return err

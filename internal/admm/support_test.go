@@ -168,7 +168,7 @@ func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 	mask := SupportMask(8, support)
 	const ranks = 3
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
@@ -190,7 +190,7 @@ func TestConsensusOLSWrapper(t *testing.T) {
 	x, y, _ := makeRegression(54, 90, 6, 6, 0.05)
 	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err
@@ -213,7 +213,7 @@ func TestConsensusElasticMatchesSerialElastic(t *testing.T) {
 	const lambda1, lambda2 = 2.0, 8.0
 	serial := CoordinateDescentElasticNet(x, y, lambda1, lambda2, 8000, 1e-11)
 	err := mpi.Run(4, func(c *mpi.Comm) error {
-		lo, hi := RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		xl, yl := x.SubRows(lo, hi), y[lo:hi]
 		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl, mat.Sample{}), 0, lambda2, 0)
 		if err != nil {

@@ -103,7 +103,7 @@ func RandomizedDistributeOpts(comm *mpi.Comm, path string, seed uint64, opts *Re
 	}
 
 	// Tier-1: parallel contiguous read of this rank's block.
-	lo, hi := rowBlock(n, size, rank)
+	lo, hi := mpi.RowBlock(n, size, rank)
 	tRead := time.Now()
 	local, err := f.ReadRows(lo, hi, nil)
 	if err != nil {
@@ -116,14 +116,14 @@ func RandomizedDistributeOpts(comm *mpi.Comm, path string, seed uint64, opts *Re
 	tDist := time.Now()
 	rng := resample.NewRNG(seed)
 	perm := rng.Perm(n)
-	myLo, myHi := rowBlock(n, size, rank)
+	myLo, myHi := mpi.RowBlock(n, size, rank)
 	recvBuf := make([]float64, (myHi-myLo)*cols)
 	win := comm.CreateWin(recvBuf)
 	win.Fence()
 	for i := lo; i < hi; i++ {
 		slot := perm[i]
-		dst := rankOfRow(n, size, slot)
-		dLo, _ := rowBlock(n, size, dst)
+		dst := mpi.RowOwner(n, size, slot)
+		dLo, _ := mpi.RowBlock(n, size, dst)
 		win.Put(dst, (slot-dLo)*cols, local[(i-lo)*cols:(i-lo+1)*cols])
 	}
 	win.Fence()
@@ -171,7 +171,7 @@ func ConventionalDistributeOpts(comm *mpi.Comm, path string, opts *ReadOptions) 
 		var readTime, distTime time.Duration
 		var myBlock []float64
 		for r := 0; r < size; r++ {
-			lo, hi := rowBlock(n, size, r)
+			lo, hi := mpi.RowBlock(n, size, r)
 			// Serial chunked read: one chunk at a time through the single
 			// handle (the conventional method "can read only a small chunk
 			// of data at a time").
@@ -197,7 +197,7 @@ func ConventionalDistributeOpts(comm *mpi.Comm, path string, opts *ReadOptions) 
 			comm.Send(r, tag, rows)
 			distTime += time.Since(t0)
 		}
-		lo, hi := rowBlock(n, size, 0)
+		lo, hi := mpi.RowBlock(n, size, 0)
 		return &Block{
 			Data:           mat.NewDenseData(hi-lo, cols, myBlock),
 			GlobalRows:     n,
@@ -212,7 +212,7 @@ func ConventionalDistributeOpts(comm *mpi.Comm, path string, opts *ReadOptions) 
 	n, cols := int(shape[0]), int(shape[1])
 	t0 := time.Now()
 	rows := comm.Recv(0, tag)
-	lo, hi := rowBlock(n, size, rank)
+	lo, hi := mpi.RowBlock(n, size, rank)
 	if len(rows) != (hi-lo)*cols {
 		return nil, fmt.Errorf("distio: rank %d received %d values, want %d", rank, len(rows), (hi-lo)*cols)
 	}
@@ -221,39 +221,4 @@ func ConventionalDistributeOpts(comm *mpi.Comm, path string, opts *ReadOptions) 
 		GlobalRows:     n,
 		DistributeTime: time.Since(t0),
 	}, nil
-}
-
-// rowBlock mirrors admm.RowBlock (duplicated to avoid a dependency cycle
-// with packages importing both).
-func rowBlock(n, size, r int) (lo, hi int) {
-	base := n / size
-	rem := n % size
-	lo = r*base + minInt(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// rankOfRow returns the rank owning global row slot under block striping.
-func rankOfRow(n, size, row int) int {
-	base := n / size
-	rem := n % size
-	// Leading rem ranks own base+1 rows each.
-	boundary := rem * (base + 1)
-	if row < boundary {
-		return row / (base + 1)
-	}
-	if base == 0 {
-		return size - 1
-	}
-	return rem + (row-boundary)/base
 }

@@ -59,7 +59,7 @@ func timeConsensus(x *mat.Dense, y []float64, lambda float64, ranks int) (time.D
 	start := time.Now()
 	iters := 0
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		lo, hi := admm.RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := admm.NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
 		if err != nil {
 			return err

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"time"
 
-	"uoivar/internal/admm"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/varsim"
@@ -112,7 +111,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 		sizeOK = 0
 	}
 	if isReader {
-		lo, hi := admm.RowBlock(m, nReaders, rank)
+		lo, hi := mpi.RowBlock(m, nReaders, rank)
 		if local.X.Rows != hi-lo || local.X.Cols != q || local.P != p {
 			sizeOK = 0
 		}
@@ -137,7 +136,7 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 	win.Fence()
 
 	// This rank's slice of the vectorized problem.
-	gLo, gHi := admm.RowBlock(m*p, size, rank)
+	gLo, gHi := mpi.RowBlock(m*p, size, rank)
 	nLocal := gHi - gLo
 	xLocal := mat.NewDense(nLocal, q)
 	yLocal := make([]float64, nLocal)
@@ -153,8 +152,8 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 			j := g / m
 			row, ok := cache[i]
 			if !ok {
-				reader := readerOfSample(m, nReaders, i)
-				rdLo, _ := admm.RowBlock(m, nReaders, reader)
+				reader := mpi.RowOwner(m, nReaders, i)
+				rdLo, _ := mpi.RowBlock(m, nReaders, reader)
 				win.Get(reader, (i-rdLo)*stride, fetch)
 				row = make([]float64, stride)
 				copy(row, fetch)
@@ -168,8 +167,8 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 			g := gLo + r
 			i := g % m
 			j := g / m
-			reader := readerOfSample(m, nReaders, i)
-			rdLo, _ := admm.RowBlock(m, nReaders, reader)
+			reader := mpi.RowOwner(m, nReaders, i)
+			rdLo, _ := mpi.RowBlock(m, nReaders, reader)
 			win.Get(reader, (i-rdLo)*stride, fetch)
 			copy(xLocal.Row(r), fetch[:q])
 			yLocal[r] = fetch[q+j]
@@ -184,18 +183,4 @@ func assemble(comm *mpi.Comm, local *varsim.Design, nReaders int, dedup bool) (*
 		M: m, P: p, Q: q,
 		AssembleTime: time.Since(start),
 	}, nil
-}
-
-// readerOfSample locates the reader holding sample i.
-func readerOfSample(m, nReaders, i int) int {
-	base := m / nReaders
-	rem := m % nReaders
-	boundary := rem * (base + 1)
-	if i < boundary {
-		return i / (base + 1)
-	}
-	if base == 0 {
-		return nReaders - 1
-	}
-	return rem + (i-boundary)/base
 }

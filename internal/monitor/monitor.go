@@ -34,11 +34,14 @@ import (
 	"uoivar/internal/trace"
 )
 
-// CommCounters is one communication category's live totals.
+// CommCounters is one communication category's live totals: an
+// mpi.Stats.Rows row keyed by its category.
 type CommCounters struct {
 	Calls   int64   `json:"calls"`
 	Bytes   int64   `json:"bytes"`
 	Seconds float64 `json:"seconds"`
+	// WaitSeconds is the blocked portion of Seconds.
+	WaitSeconds float64 `json:"wait_seconds,omitempty"`
 }
 
 // RankSnapshot is one rank's live view.
@@ -191,15 +194,8 @@ func (s *Server) Snapshot() Snapshot {
 		}
 		if r < len(stats) {
 			rs.Comm = map[string]CommCounters{}
-			for _, cat := range []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided} {
-				if stats[r].Calls[cat] == 0 {
-					continue
-				}
-				rs.Comm[cat.String()] = CommCounters{
-					Calls:   stats[r].Calls[cat],
-					Bytes:   stats[r].Bytes[cat],
-					Seconds: stats[r].Time[cat].Seconds(),
-				}
+			for _, row := range stats[r].Rows("") {
+				rs.Comm[row.Category] = CommCounters{Calls: row.Calls, Bytes: row.Bytes, Seconds: row.Seconds, WaitSeconds: row.WaitSeconds}
 			}
 		}
 		snap.Ranks = append(snap.Ranks, rs)

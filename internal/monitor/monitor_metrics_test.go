@@ -1,15 +1,22 @@
 package monitor
 
 import (
+	"encoding/json"
 	"expvar"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"uoivar/internal/mpi"
 	"uoivar/internal/telemetry"
+	"uoivar/internal/trace"
+	"uoivar/internal/uoi"
 )
 
 // TestMonitorMetricsEndpoint: SetMetrics mounts the registry's Prometheus
@@ -139,5 +146,92 @@ func TestExpvarFollowsLatestServer(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "second-server") {
 		t.Fatalf("/debug/vars = %s", body)
+	}
+}
+
+// TestCommRowsMatchStats: for one labeled 2-rank world, the /debug/uoivar
+// comm map, the uoivar_mpi_* gauges on /metrics and uoi.RankPerf's Comm
+// rows all carry the meters of LocalStats and LocalLabelStats, blocked time
+// included.
+func TestCommRowsMatchStats(t *testing.T) {
+	local := make([]mpi.Stats, 2)
+	labeled := make([]map[string]mpi.Stats, 2)
+	perf := make([]trace.RankPerf, 2)
+	var world *mpi.Comm
+	if err := mpi.Run(2, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			world = c
+			c.Send(1, 0, []float64{1, 2})
+		} else {
+			c.Recv(0, 0)
+			time.Sleep(2 * time.Millisecond) // rank 0 waits in the Allreduce
+		}
+		row := c.WithLabel("row")
+		row.Allreduce(mpi.OpSum, []float64{1, 2, 3})
+		row.Barrier()
+		local[c.Rank()], labeled[c.Rank()] = c.LocalStats(), c.LocalLabelStats()
+		perf[c.Rank()] = uoi.RankPerf(c, trace.New())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if local[0].Wait[mpi.CatCollective] == 0 {
+		t.Fatal("the stalled Allreduce recorded no blocked time")
+	}
+
+	s := New("rows")
+	s.SetStats(world.AllStats)
+	reg := telemetry.NewRegistry()
+	telemetry.BridgeMPI(reg, world.AllStats)
+	s.SetMetrics(reg)
+	addr, err := s.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, body := get(t, addr, "/debug/uoivar")
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	_, body = get(t, addr, "/metrics")
+	exp, err := telemetry.ParseExposition(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cats := []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided}
+	for r := range local {
+		var want []trace.CommStat
+		rows := func(st mpi.Stats, suffix string) {
+			for _, cat := range cats {
+				if st.Calls[cat] > 0 {
+					want = append(want, trace.CommStat{Category: cat.String() + suffix,
+						Calls: st.Calls[cat], Bytes: st.Bytes[cat],
+						Seconds: st.Time[cat].Seconds(), WaitSeconds: st.Wait[cat].Seconds()})
+				}
+			}
+		}
+		rows(local[r], "")
+		comm := map[string]CommCounters{}
+		for _, w := range want {
+			comm[w.Category] = CommCounters{Calls: w.Calls, Bytes: w.Bytes, Seconds: w.Seconds, WaitSeconds: w.WaitSeconds}
+			at := map[string]string{"rank": strconv.Itoa(r), "category": w.Category}
+			for name, v := range map[string]float64{
+				"uoivar_mpi_calls": float64(w.Calls), "uoivar_mpi_bytes": float64(w.Bytes),
+				"uoivar_mpi_seconds": w.Seconds, "uoivar_mpi_wait_seconds": w.WaitSeconds,
+			} {
+				if got, ok := exp.Value(name, at); !ok || got != v {
+					t.Errorf("%s%v = %g (present %v), want %g", name, at, got, ok, v)
+				}
+			}
+		}
+		if !reflect.DeepEqual(snap.Ranks[r].Comm, comm) {
+			t.Errorf("rank %d snapshot comm %+v, want %+v", r, snap.Ranks[r].Comm, comm)
+		}
+		rows(labeled[r]["row"], "[row]")
+		if len(labeled[r]) != 1 || !reflect.DeepEqual(perf[r].Comm, want) {
+			t.Errorf("rank %d RankPerf comm %+v (labels %v), want %+v", r, perf[r].Comm, labeled[r], want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ package mpi
 // Unlike the flat collectives in mpi.go — which deposit into shared slots
 // behind a barrier and charge every rank the full payload — these run on
 // point-to-point messages and meter bytes as wire-truth: each hop is charged
-// once, to the sender (meterWire). A binomial-tree reduce over R ranks
+// once, to the sender (sendMsg/recvMsg). A binomial-tree reduce over R ranks
 // therefore records (R−1)·n floats on the wire versus the flat Allreduce's
 // R·n, and a ring allgatherv of total payload S records (R−1)·S versus the
 // flat Allgather's R·S — the byte savings the bench artifact reports are
@@ -42,70 +42,6 @@ func (g *group) collSeq(rank int) int64 {
 // collTag derives this call's tag from the per-rank sequence.
 func (c *Comm) collTag() int {
 	return collTagBase + int(c.group.collSeq(c.rank))
-}
-
-// wireSend is the sending half of a tree/ring collective hop: it transmits a
-// copy of data to comm rank dst on the collective tag space, charges the
-// payload once to this rank's CatCollective byte counters (wire-truth — the
-// receiving side charges zero), and returns the time spent blocked on a
-// full channel.
-func (c *Comm) wireSend(dst, tag int, data []float64) time.Duration {
-	start := time.Now()
-	c.checkRank(dst)
-	buf := make([]float64, len(data))
-	copy(buf, data)
-	ch := c.channel(c.rank, dst, tag)
-	var wait time.Duration
-	select {
-	case ch <- buf:
-	default:
-		t0 := time.Now()
-		timer := c.deadline()
-		select {
-		case ch <- buf:
-		case <-c.world.failCh:
-			panic(commFailure{c.world.failCause})
-		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: collective send to rank %d (tag %d) after %v", ErrTimeout, dst, tag, c.world.opts.CollectiveTimeout)})
-		}
-		wait = time.Since(t0)
-	}
-	c.meterWire(c.group.members[dst], pairSend, len(data), start)
-	return wait
-}
-
-// wireRecv is the receiving half of a tree/ring collective hop: it blocks
-// for the payload from comm rank src, records the hop's call and time (but
-// zero aggregate bytes — the sender already charged them), and returns the
-// payload plus the time spent blocked waiting.
-func (c *Comm) wireRecv(src, tag int) ([]float64, time.Duration) {
-	start := time.Now()
-	c.checkRank(src)
-	ch := c.channel(src, c.rank, tag)
-	var data []float64
-	var wait time.Duration
-	select {
-	case data = <-ch:
-	default:
-		t0 := time.Now()
-		timer := c.deadline()
-		select {
-		case data = <-ch:
-		case <-c.world.failCh:
-			// Prefer data already in flight over the failure, so a
-			// completed exchange is never reported as failed.
-			select {
-			case data = <-ch:
-			default:
-				panic(commFailure{c.world.failCause})
-			}
-		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: collective recv from rank %d (tag %d) after %v", ErrTimeout, src, tag, c.world.opts.CollectiveTimeout)})
-		}
-		wait = time.Since(t0)
-	}
-	c.meterWire(c.group.members[src], pairRecv, len(data), start)
-	return data, wait
 }
 
 // vrank maps this communicator's rank r to its virtual rank in a binomial
@@ -140,11 +76,11 @@ func (c *Comm) TreeReduce(root int, op Op, data []float64) {
 	copy(acc, data)
 	for k := 1; k < size; k <<= 1 {
 		if vr&k != 0 {
-			wait += c.wireSend(rrank(vr-k, root, size), tag, acc)
+			wait += c.sendMsg(CatCollective, rrank(vr-k, root, size), tag, acc)
 			break
 		}
 		if vr+k < size {
-			other, w := c.wireRecv(rrank(vr+k, root, size), tag)
+			other, w := c.recvMsg(CatCollective, rrank(vr+k, root, size), tag)
 			wait += w
 			if len(other) != len(acc) {
 				panic(fmt.Sprintf("mpi: TreeReduce length mismatch (%d vs %d)", len(other), len(acc)))
@@ -155,6 +91,7 @@ func (c *Comm) TreeReduce(root int, op Op, data []float64) {
 	if c.rank == root {
 		copy(data, acc)
 	}
+	c.meter(CatCollective, 0, 0, 0, start, wait, flow{})
 	c.commEvent("tree-reduce", CatCollective, len(data), start, wait)
 }
 
@@ -177,14 +114,15 @@ func (c *Comm) TreeBcastV(root int, data []float64) []float64 {
 	buf := data
 	if vr != 0 {
 		var w time.Duration
-		buf, w = c.wireRecv(rrank(vr-vr&(-vr), root, size), tag)
+		buf, w = c.recvMsg(CatCollective, rrank(vr-vr&(-vr), root, size), tag)
 		wait += w
 	}
 	for k := highestPow2Below(size); k >= 1; k >>= 1 {
 		if vr&(k-1) == 0 && vr&k == 0 && vr+k < size {
-			wait += c.wireSend(rrank(vr+k, root, size), tag, buf)
+			wait += c.sendMsg(CatCollective, rrank(vr+k, root, size), tag, buf)
 		}
 	}
+	c.meter(CatCollective, 0, 0, 0, start, wait, flow{})
 	c.commEvent("tree-bcastv", CatCollective, len(buf), start, wait)
 	return buf
 }
@@ -203,10 +141,10 @@ func (c *Comm) ringStep(tag int, data []float64) ([][]float64, time.Duration) {
 	left := (rank - 1 + size) % size
 	for s := 0; s < size-1; s++ {
 		sendOrigin := ((rank-s)%size + size) % size
-		wait += c.wireSend(right, tag, blocks[sendOrigin])
+		wait += c.sendMsg(CatCollective, right, tag, blocks[sendOrigin])
 		recvOrigin := ((rank-1-s)%size + size) % size
 		var w time.Duration
-		blocks[recvOrigin], w = c.wireRecv(left, tag)
+		blocks[recvOrigin], w = c.recvMsg(CatCollective, left, tag)
 		wait += w
 	}
 	return blocks, wait
@@ -235,6 +173,7 @@ func (c *Comm) RingAllgatherv(data []float64) []float64 {
 	for _, b := range blocks {
 		out = append(out, b...)
 	}
+	c.meter(CatCollective, 0, 0, 0, start, wait, flow{})
 	c.commEvent("ring-allgatherv", CatCollective, len(data), start, wait)
 	return out
 }
@@ -307,6 +246,7 @@ func (r *GatherRequest) Wait() []float64 {
 	if r.err != nil {
 		panic(commFailure{r.err})
 	}
+	r.comm.meter(CatCollective, 0, 0, 0, r.start, wait, flow{})
 	r.comm.commEvent("iring-allgatherv", CatCollective, r.floats, r.start, wait)
 	return r.result
 }

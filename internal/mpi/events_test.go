@@ -283,26 +283,50 @@ func TestStatsSafeMidRun(t *testing.T) {
 	}
 }
 
-// Process-wide aggregation folds world rank r of every Run into row r.
+// Process-wide aggregation folds world rank r of every Run into row r: after
+// two worlds of p2p, a stalled Allreduce, a labeled Split and a one-sided
+// Put, ProcessStats equals the per-rank sum of the worlds' AllStats in every
+// meter, blocked time included.
 func TestProcessStats(t *testing.T) {
 	EnableProcessStats(true)
 	ResetProcessStats()
 	defer EnableProcessStats(false)
+	want := make([]Stats, 2)
 	for i := 0; i < 2; i++ {
+		var world *Comm
 		if err := Run(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				world = c
+				c.Send(1, 0, []float64{1, 2})
+			} else {
+				c.Recv(0, 0)
+				time.Sleep(2 * time.Millisecond) // rank 0 waits in the Allreduce
+			}
 			c.Allreduce(OpSum, []float64{1})
+			c.WithLabel("grid").Split(c.Rank(), 0)
+			win := c.CreateWin(make([]float64, 2))
+			win.Fence()
+			win.Put(1-c.Rank(), c.Rank(), []float64{3})
+			win.Fence()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
+		for r, s := range world.AllStats() {
+			want[r].add(&s)
+		}
+	}
+	if want[0].Wait[CatCollective] == 0 {
+		t.Fatal("the stalled Allreduce recorded no blocked time")
 	}
 	st := ProcessStats()
 	if len(st) != 2 {
 		t.Fatalf("got %d rank rows", len(st))
 	}
 	for r, s := range st {
-		if s.Calls[CatCollective] != 2 {
-			t.Fatalf("rank %d collective calls = %d, want 2 (one per world)", r, s.Calls[CatCollective])
+		w := want[r]
+		if s.Calls != w.Calls || s.Bytes != w.Bytes || s.Time != w.Time || s.Wait != w.Wait {
+			t.Fatalf("rank %d process stats %+v, want the worlds' sum %+v", r, s, w)
 		}
 	}
 	ResetProcessStats()

@@ -159,28 +159,52 @@ func (s *Stats) Total() (calls, bytes int64, d time.Duration) {
 // add merges o into s.
 func (s *Stats) add(o *Stats) {
 	for c := 0; c < int(numCategories); c++ {
-		s.Calls[c] += o.Calls[c]
-		s.Bytes[c] += o.Bytes[c]
-		s.Time[c] += o.Time[c]
-		s.Wait[c] += o.Wait[c]
+		s.record(Category(c), o.Calls[c], o.Bytes[c], o.Time[c], o.Wait[c])
 	}
 	if o.Health > s.Health {
 		s.Health = o.Health
 	}
 }
 
+// record adds one metered step to category cat.
+func (s *Stats) record(cat Category, calls, bytes int64, elapsed, wait time.Duration) {
+	s.Calls[cat] += calls
+	s.Bytes[cat] += bytes
+	s.Time[cat] += elapsed
+	s.Wait[cat] += wait
+}
+
+// Rows renders s as PerfReport communication rows: one per category with
+// calls, in category order, each named by its category plus suffix (the
+// "[row]" of a labeled communicator's breakdown). Every report of the
+// meters — PerfReport, /debug/uoivar, /metrics — renders these rows.
+func (s *Stats) Rows(suffix string) []trace.CommStat {
+	var out []trace.CommStat
+	for c := Category(0); c < numCategories; c++ {
+		if s.Calls[c] == 0 {
+			continue
+		}
+		out = append(out, trace.CommStat{
+			Category: c.String() + suffix, Calls: s.Calls[c], Bytes: s.Bytes[c],
+			Seconds: s.Time[c].Seconds(), WaitSeconds: s.Wait[c].Seconds(),
+		})
+	}
+	return out
+}
+
 const bytesPerFloat = 8
 
-// pairCell is one src→dst×category cell of the communication matrix. Send
-// fields are recorded by the sending rank, recv fields by the receiving
-// rank; for one-sided (RMA) transfers the origin records both directions,
-// since the target is passive.
-type pairCell struct {
-	sendCalls, sendBytes int64
-	sendTime             time.Duration
-	recvCalls, recvBytes int64
-	recvTime             time.Duration
+// pairSide is one endpoint's accounting of a communication-matrix cell.
+type pairSide struct {
+	calls, bytes int64
+	time         time.Duration
 }
+
+// pairCell is one src→dst×category cell of the communication matrix. The
+// send side is recorded by the sending rank, the recv side by the receiving
+// rank; for one-sided (RMA) transfers the origin records both sides, since
+// the target is passive.
+type pairCell struct{ send, recv pairSide }
 
 // PairFlow is one nonzero cell of the per-pair communication matrix: all
 // traffic from Src to Dst in one category, with both endpoints' accounting.
@@ -206,13 +230,14 @@ func (w *World) pairIndex(src, dst int, cat Category) int {
 	return (src*w.size+dst)*int(numCategories) + int(cat)
 }
 
-// pairDir selects which side of a pair cell a call updates.
-type pairDir uint8
-
-const (
-	pairSend pairDir = iota
-	pairRecv
-)
+// flow names the communication-matrix cell a metered step updates: the
+// src→dst traffic (world ranks), of which this rank records the send side,
+// the recv side, or — as an RMA origin — both. The zero flow updates no
+// cell.
+type flow struct {
+	src, dst   int
+	send, recv bool
+}
 
 // procStats optionally aggregates every world's per-rank meters
 // process-wide, across all Run invocations — the hook cmd/experiments uses
@@ -242,18 +267,6 @@ func ProcessStats() []Stats {
 	out := make([]Stats, len(procStats.ranks))
 	copy(out, procStats.ranks)
 	return out
-}
-
-func procAdd(rank int, cat Category, bytes int64, elapsed time.Duration) {
-	procStats.mu.Lock()
-	for len(procStats.ranks) <= rank {
-		procStats.ranks = append(procStats.ranks, Stats{})
-	}
-	s := &procStats.ranks[rank]
-	s.Calls[cat]++
-	s.Bytes[cat] += bytes
-	s.Time[cat] += elapsed
-	procStats.mu.Unlock()
 }
 
 // FaultInjector is consulted at the start of every communication operation
@@ -308,8 +321,7 @@ type World struct {
 	// pairIndex and guarded by statsMu alongside stats.
 	pairs []pairCell
 	// labeled accumulates per-(rank, communicator-label) counters for comms
-	// tagged with WithLabel; guarded by statsMu. Lazily allocated so
-	// label-free runs pay one nil check per meter call.
+	// tagged with WithLabel; guarded by statsMu.
 	labeled map[labelKey]*Stats
 	statsMu sync.Mutex
 
@@ -375,12 +387,13 @@ func RunWithOptions(size int, opts RunOptions, body func(c *Comm) error) error {
 		opts.CollectiveTimeout = DefaultCollectiveTimeout
 	}
 	w := &World{
-		size:   size,
-		opts:   opts,
-		stats:  make([]Stats, size),
-		pairs:  make([]pairCell, size*size*int(numCategories)),
-		failCh: make(chan struct{}),
-		health: make([]atomic.Int32, size),
+		size:    size,
+		opts:    opts,
+		stats:   make([]Stats, size),
+		pairs:   make([]pairCell, size*size*int(numCategories)),
+		labeled: map[labelKey]*Stats{},
+		failCh:  make(chan struct{}),
+		health:  make([]atomic.Int32, size),
 	}
 	for _, r := range opts.Recorders {
 		if r != nil {
@@ -615,146 +628,59 @@ func (c *Comm) syncW(wait *time.Duration) {
 	*wait += time.Since(t0)
 }
 
-// addWait folds a call's blocked time into this rank's Stats.Wait (and the
-// labeled counters when the handle carries a communicator label).
-func (c *Comm) addWait(cat Category, wait time.Duration) {
-	if wait == 0 {
+// meter records one metered step of this rank — a call or hop (calls 1)
+// or a collective's wait-only record (calls 0, which adds no time) — under
+// one statsMu acquisition: charged floats go to the rank's Stats and its
+// label's (wire truth: 0 on a tree/ring receive), the payload to the pair
+// cell f names, and wait to Stats.Wait. The process-wide aggregate, when
+// enabled, gets the same record.
+func (c *Comm) meter(cat Category, calls, charged, payload int, start time.Time, wait time.Duration, f flow) {
+	if calls == 0 && wait == 0 {
 		return
 	}
+	var elapsed time.Duration
+	if calls > 0 {
+		elapsed = time.Since(start)
+	}
+	n, bytes := int64(calls), int64(charged*bytesPerFloat)
 	w := c.world
 	w.statsMu.Lock()
-	w.stats[c.worldRank].Wait[cat] += wait
+	w.stats[c.worldRank].record(cat, n, bytes, elapsed, wait)
 	if c.label != "" {
-		c.labeledLocked().Wait[cat] += wait
+		k := labelKey{rank: c.worldRank, label: c.label}
+		ls := w.labeled[k]
+		if ls == nil {
+			ls = &Stats{}
+			w.labeled[k] = ls
+		}
+		ls.record(cat, n, bytes, elapsed, wait)
 	}
-	w.statsMu.Unlock()
-}
-
-// labeledLocked returns (creating on first use) this handle's per-label
-// Stats cell. Caller holds world.statsMu.
-func (c *Comm) labeledLocked() *Stats {
-	w := c.world
-	if w.labeled == nil {
-		w.labeled = map[labelKey]*Stats{}
-	}
-	k := labelKey{rank: c.worldRank, label: c.label}
-	s, ok := w.labeled[k]
-	if !ok {
-		s = &Stats{}
-		w.labeled[k] = s
-	}
-	return s
-}
-
-// meter records a communication event on this rank's aggregate counters.
-func (c *Comm) meter(cat Category, floats int, start time.Time) {
-	c.meterPair(cat, -1, 0, floats, start)
-}
-
-// meterPair is meter plus, when peerWorld ≥ 0, an update of the per-pair
-// communication matrix under the same lock acquisition. dir selects whether
-// this rank is the sending or receiving endpoint of the src→dst flow.
-func (c *Comm) meterPair(cat Category, peerWorld int, dir pairDir, floats int, start time.Time) {
-	elapsed := time.Since(start)
-	bytes := int64(floats * bytesPerFloat)
-	w := c.world
-	w.statsMu.Lock()
-	s := &w.stats[c.worldRank]
-	s.Calls[cat]++
-	s.Bytes[cat] += bytes
-	s.Time[cat] += elapsed
-	if c.label != "" {
-		ls := c.labeledLocked()
-		ls.Calls[cat]++
-		ls.Bytes[cat] += bytes
-		ls.Time[cat] += elapsed
-	}
-	if peerWorld >= 0 {
-		if dir == pairSend {
-			cell := &w.pairs[w.pairIndex(c.worldRank, peerWorld, cat)]
-			cell.sendCalls++
-			cell.sendBytes += bytes
-			cell.sendTime += elapsed
-		} else {
-			cell := &w.pairs[w.pairIndex(peerWorld, c.worldRank, cat)]
-			cell.recvCalls++
-			cell.recvBytes += bytes
-			cell.recvTime += elapsed
+	if f.send || f.recv {
+		side := pairSide{calls: n, bytes: int64(payload * bytesPerFloat), time: elapsed}
+		cell := &w.pairs[w.pairIndex(f.src, f.dst, cat)]
+		if f.send {
+			cell.send.add(side)
+		}
+		if f.recv {
+			cell.recv.add(side)
 		}
 	}
 	w.statsMu.Unlock()
 	if procStats.enabled.Load() {
-		procAdd(c.worldRank, cat, bytes, elapsed)
+		procStats.mu.Lock()
+		for len(procStats.ranks) <= c.worldRank {
+			procStats.ranks = append(procStats.ranks, Stats{})
+		}
+		procStats.ranks[c.worldRank].record(cat, n, bytes, elapsed, wait)
+		procStats.mu.Unlock()
 	}
 }
 
-// meterWire records one endpoint of a wire-metered (tree/ring collective)
-// hop: the sending side charges the payload to its aggregate and labeled
-// byte counters plus the pair matrix's send cell; the receiving side charges
-// the call and its time but ZERO aggregate bytes — the payload appears only
-// in the pair matrix's recv cell, so per-pair conservation (send bytes ==
-// recv bytes) still holds while rank-summed Stats.Bytes counts each message
-// exactly once (see the Stats doc comment).
-func (c *Comm) meterWire(peerWorld int, dir pairDir, floats int, start time.Time) {
-	elapsed := time.Since(start)
-	bytes := int64(floats * bytesPerFloat)
-	statBytes := bytes
-	if dir == pairRecv {
-		statBytes = 0
-	}
-	w := c.world
-	w.statsMu.Lock()
-	s := &w.stats[c.worldRank]
-	s.Calls[CatCollective]++
-	s.Bytes[CatCollective] += statBytes
-	s.Time[CatCollective] += elapsed
-	if c.label != "" {
-		ls := c.labeledLocked()
-		ls.Calls[CatCollective]++
-		ls.Bytes[CatCollective] += statBytes
-		ls.Time[CatCollective] += elapsed
-	}
-	if dir == pairSend {
-		cell := &w.pairs[w.pairIndex(c.worldRank, peerWorld, CatCollective)]
-		cell.sendCalls++
-		cell.sendBytes += bytes
-		cell.sendTime += elapsed
-	} else {
-		cell := &w.pairs[w.pairIndex(peerWorld, c.worldRank, CatCollective)]
-		cell.recvCalls++
-		cell.recvBytes += bytes
-		cell.recvTime += elapsed
-	}
-	w.statsMu.Unlock()
-	if procStats.enabled.Load() {
-		procAdd(c.worldRank, CatCollective, statBytes, elapsed)
-	}
-}
-
-// meterFlow records a one-sided (RMA) transfer flowing srcWorld→dstWorld:
-// the origin rank accounts for both endpoints of the cell, since the target
-// is passive. The aggregate counters are still charged to the calling rank
-// only (the rank that spent the time).
-func (c *Comm) meterFlow(cat Category, srcWorld, dstWorld, floats int, start time.Time) {
-	elapsed := time.Since(start)
-	bytes := int64(floats * bytesPerFloat)
-	w := c.world
-	w.statsMu.Lock()
-	s := &w.stats[c.worldRank]
-	s.Calls[cat]++
-	s.Bytes[cat] += bytes
-	s.Time[cat] += elapsed
-	cell := &w.pairs[w.pairIndex(srcWorld, dstWorld, cat)]
-	cell.sendCalls++
-	cell.sendBytes += bytes
-	cell.sendTime += elapsed
-	cell.recvCalls++
-	cell.recvBytes += bytes
-	cell.recvTime += elapsed
-	w.statsMu.Unlock()
-	if procStats.enabled.Load() {
-		procAdd(c.worldRank, cat, bytes, elapsed)
-	}
+// add merges o into p.
+func (p *pairSide) add(o pairSide) {
+	p.calls += o.calls
+	p.bytes += o.bytes
+	p.time += o.time
 }
 
 // LocalStats returns a copy of this rank's counters.
@@ -808,13 +734,13 @@ func (c *Comm) CommMatrix() []PairFlow {
 		for dst := 0; dst < w.size; dst++ {
 			for cat := Category(0); cat < numCategories; cat++ {
 				cell := &w.pairs[w.pairIndex(src, dst, cat)]
-				if cell.sendCalls == 0 && cell.recvCalls == 0 {
+				if cell.send.calls == 0 && cell.recv.calls == 0 {
 					continue
 				}
 				out = append(out, PairFlow{
 					Src: src, Dst: dst, Category: cat,
-					SendCalls: cell.sendCalls, SendBytes: cell.sendBytes, SendTime: cell.sendTime,
-					RecvCalls: cell.recvCalls, RecvBytes: cell.recvBytes, RecvTime: cell.recvTime,
+					SendCalls: cell.send.calls, SendBytes: cell.send.bytes, SendTime: cell.send.time,
+					RecvCalls: cell.recv.calls, RecvBytes: cell.recv.bytes, RecvTime: cell.recv.time,
 				})
 			}
 		}
@@ -867,12 +793,10 @@ func (w *World) flowID(key chanKey, send bool) uint64 {
 	return flowHash(uint64(key.comm), uint64(key.src)+1, uint64(key.dst)+1, uint64(int64(key.tag))+1, uint64(seq))
 }
 
-// commEvent records a completed peerless (collective/RMA-epoch) call: the
-// blocked portion is folded into Stats.Wait, and — when a recorder is
-// attached — the call appears on the rank's event timeline under the
+// commEvent records a completed peerless (collective/RMA-epoch) call on the
+// rank's event timeline, when a recorder is attached, under the
 // label-suffixed name (see WithLabel).
 func (c *Comm) commEvent(name string, cat Category, floats int, start time.Time, wait time.Duration) {
-	c.addWait(cat, wait)
 	if r := c.recorder(); r != nil {
 		r.Comm(c.evName(name), cat.String(), -1, 0, int64(floats*bytesPerFloat), start, wait, 0, false)
 	}
@@ -882,21 +806,24 @@ func (c *Comm) commEvent(name string, cat Category, floats int, start time.Time,
 func (c *Comm) Send(dst, tag int, data []float64) {
 	start := time.Now()
 	c.faultPoint()
-	var flow uint64
+	var id uint64
 	if c.world.eventsOn {
-		flow = c.world.flowID(chanKey{comm: c.group.id, src: c.rank, dst: dst, tag: tag}, true)
+		id = c.world.flowID(chanKey{comm: c.group.id, src: c.rank, dst: dst, tag: tag}, true)
 	}
-	wait := c.sendRaw(dst, tag, data)
+	wait := c.sendMsg(CatP2P, dst, tag, data)
 	if r := c.recorder(); r != nil {
 		r.Comm(c.evName("send"), CatP2P.String(), c.group.members[dst], tag,
-			int64(len(data)*bytesPerFloat), start, wait, flow, false)
+			int64(len(data)*bytesPerFloat), start, wait, id, false)
 	}
 }
 
-// sendRaw is the transport half of Send, without its fault point or event
-// recording; it returns the time spent blocked on a full channel. The communication matrix is
-// updated here so every message is accounted for, wrapped or not.
-func (c *Comm) sendRaw(dst, tag int, data []float64) (wait time.Duration) {
+// sendMsg is the transport of a Send (cat CatP2P) or of a tree/ring
+// collective hop (CatCollective): it puts a copy of data on the channel to
+// comm rank dst, meters the message as one call charging its payload to
+// this rank, and returns the time spent blocked on a full channel. A Send
+// charges that blocked time with the call; a hop leaves it to its
+// collective's one wait-only record.
+func (c *Comm) sendMsg(cat Category, dst, tag int, data []float64) (wait time.Duration) {
 	start := time.Now()
 	c.checkRank(dst)
 	buf := make([]float64, len(data))
@@ -913,12 +840,12 @@ func (c *Comm) sendRaw(dst, tag int, data []float64) (wait time.Duration) {
 		case <-c.world.failCh:
 			panic(commFailure{c.world.failCause})
 		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: Send to rank %d (tag %d) after %v", ErrTimeout, dst, tag, c.world.opts.CollectiveTimeout)})
+			panic(commFailure{fmt.Errorf("%w: %s send to rank %d (tag %d) after %v", ErrTimeout, cat, dst, tag, c.world.opts.CollectiveTimeout)})
 		}
 		wait = time.Since(t0)
 	}
-	c.addWait(CatP2P, wait)
-	c.meterPair(CatP2P, c.group.members[dst], pairSend, len(data), start)
+	c.meter(cat, 1, len(data), len(data), start, p2pWait(cat, wait),
+		flow{src: c.worldRank, dst: c.group.members[dst], send: true})
 	return wait
 }
 
@@ -928,21 +855,24 @@ func (c *Comm) sendRaw(dst, tag int, data []float64) (wait time.Duration) {
 func (c *Comm) Recv(src, tag int) []float64 {
 	start := time.Now()
 	c.faultPoint()
-	var flow uint64
+	var id uint64
 	if c.world.eventsOn {
-		flow = c.world.flowID(chanKey{comm: c.group.id, src: src, dst: c.rank, tag: tag}, false)
+		id = c.world.flowID(chanKey{comm: c.group.id, src: src, dst: c.rank, tag: tag}, false)
 	}
-	data, wait := c.recvRaw(src, tag)
+	data, wait := c.recvMsg(CatP2P, src, tag)
 	if r := c.recorder(); r != nil {
 		r.Comm(c.evName("recv"), CatP2P.String(), c.group.members[src], tag,
-			int64(len(data)*bytesPerFloat), start, wait, flow, true)
+			int64(len(data)*bytesPerFloat), start, wait, id, true)
 	}
 	return data
 }
 
-// recvRaw is Recv without the fault point or event recording (see sendRaw);
-// it returns the payload and the time spent blocked waiting for it.
-func (c *Comm) recvRaw(src, tag int) ([]float64, time.Duration) {
+// recvMsg is the transport of a Recv or of a tree/ring collective hop (see
+// sendMsg): it returns the payload from comm rank src and the time spent
+// blocked waiting for it. A Recv charges the payload to this rank too; a
+// hop charges 0 aggregate bytes (wire truth: the sender already did) and
+// records the payload only on its pair cell's recv side.
+func (c *Comm) recvMsg(cat Category, src, tag int) ([]float64, time.Duration) {
 	start := time.Now()
 	c.checkRank(src)
 	ch := c.channel(src, c.rank, tag)
@@ -964,13 +894,27 @@ func (c *Comm) recvRaw(src, tag int) ([]float64, time.Duration) {
 				panic(commFailure{c.world.failCause})
 			}
 		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: Recv from rank %d (tag %d) after %v", ErrTimeout, src, tag, c.world.opts.CollectiveTimeout)})
+			panic(commFailure{fmt.Errorf("%w: %s recv from rank %d (tag %d) after %v", ErrTimeout, cat, src, tag, c.world.opts.CollectiveTimeout)})
 		}
 		wait = time.Since(t0)
 	}
-	c.addWait(CatP2P, wait)
-	c.meterPair(CatP2P, c.group.members[src], pairRecv, len(data), start)
+	charged := len(data)
+	if cat == CatCollective {
+		charged = 0
+	}
+	c.meter(cat, 1, charged, len(data), start, p2pWait(cat, wait),
+		flow{src: c.group.members[src], dst: c.worldRank, recv: true})
 	return data, wait
+}
+
+// p2pWait is the blocked time a message charges with its own call: all of
+// it for Send/Recv, none for a tree/ring hop, whose collective charges its
+// blocked time once.
+func p2pWait(cat Category, wait time.Duration) time.Duration {
+	if cat == CatP2P {
+		return wait
+	}
+	return 0
 }
 
 // deadline returns a timer channel for the collective timeout (nil — which
@@ -995,7 +939,7 @@ func (c *Comm) Barrier() {
 	c.faultPoint()
 	var wait time.Duration
 	c.syncW(&wait)
-	c.meter(CatCollective, 0, start)
+	c.meter(CatCollective, 1, 0, 0, start, wait, flow{})
 	c.commEvent("barrier", CatCollective, 0, start, wait)
 }
 
@@ -1023,7 +967,7 @@ func (c *Comm) Bcast(root int, data []float64) {
 		copy(data, src)
 	}
 	c.syncW(&wait)
-	c.meter(CatCollective, len(data), start)
+	c.meter(CatCollective, 1, len(data), len(data), start, wait, flow{})
 	c.commEvent("bcast", CatCollective, len(data), start, wait)
 }
 
@@ -1055,7 +999,7 @@ func (c *Comm) Allreduce(op Op, data []float64) {
 	g.mu.Unlock()
 	copy(data, res)
 	c.syncW(&wait)
-	c.meter(CatCollective, len(data), start)
+	c.meter(CatCollective, 1, len(data), len(data), start, wait, flow{})
 	c.commEvent("allreduce", CatCollective, len(data), start, wait)
 }
 
@@ -1082,8 +1026,9 @@ func (c *Comm) Allgather(data []float64) []float64 {
 		out = append(out, g.slots[r]...)
 	}
 	c.syncW(&wait)
-	c.meter(CatCollective, len(data)*c.Size(), start)
-	c.commEvent("allgather", CatCollective, len(data)*c.Size(), start, wait)
+	n := len(data) * c.Size()
+	c.meter(CatCollective, 1, n, n, start, wait, flow{})
+	c.commEvent("allgather", CatCollective, n, start, wait)
 	return out
 }
 
@@ -1138,13 +1083,38 @@ func (c *Comm) Split(color, key int) *Comm {
 	if newRank == 0 {
 		c.world.registry.Delete(keyStr)
 	}
-	c.meter(CatCollective, 0, start)
+	c.meter(CatCollective, 1, 0, 0, start, 0, flow{})
 	return &Comm{world: c.world, group: ng, rank: newRank, worldRank: c.worldRank}
 }
 
 type groupKey struct {
 	parent int64
 	color  int
+}
+
+// RowBlock returns the [lo, hi) range of rank r when n rows are
+// block-striped over size ranks (the paper's row-wise block-striping: each
+// rank receives n/size rows, the remainder going one each to the leading
+// ranks).
+func RowBlock(n, size, r int) (lo, hi int) {
+	base, rem := n/size, n%size
+	lo = r*base + min(r, rem)
+	hi = lo + base
+	if r < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// RowOwner returns the rank whose RowBlock(n, size, ·) holds row i. The
+// leading rem ranks hold base+1 rows each; when n < size every row lies
+// below that boundary, so base > 0 past it.
+func RowOwner(n, size, i int) int {
+	base, rem := n/size, n%size
+	if boundary := rem * (base + 1); i >= boundary {
+		return rem + (i-boundary)/base
+	}
+	return i / (base + 1)
 }
 
 // cyclicBarrier is a reusable synchronization barrier that can be broken:

@@ -315,3 +315,41 @@ func TestAllreduceLargeVector(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// RowOwner must agree with RowBlock's striping for every row, including
+// n < size, where the trailing ranks own nothing.
+func TestRowBlockOwner(t *testing.T) {
+	for _, c := range []struct{ n, size int }{
+		{10, 3}, {12, 4}, {7, 7}, {9, 2}, {7, 2}, {9, 9}, {4, 1}, {3, 5}, {1, 4},
+	} {
+		for i := 0; i < c.n; i++ {
+			r := RowOwner(c.n, c.size, i)
+			lo, hi := RowBlock(c.n, c.size, r)
+			if i < lo || i >= hi {
+				t.Fatalf("n=%d size=%d: row %d → rank %d block [%d,%d)", c.n, c.size, i, r, lo, hi)
+			}
+		}
+	}
+}
+
+// BenchmarkMeteredCalls is the meter's layer row: one 2-rank world runs b.N
+// iterations of an 8-float Allreduce plus a Send/Recv pair, each call
+// metered once.
+func BenchmarkMeteredCalls(b *testing.B) {
+	b.ReportAllocs()
+	err := Run(2, func(c *Comm) error {
+		data := make([]float64, 8)
+		for i := 0; i < b.N; i++ {
+			c.Allreduce(OpMax, data)
+			if c.Rank() == 0 {
+				c.Send(1, 0, data)
+			} else {
+				c.Recv(0, 0)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -30,7 +30,7 @@ func (c *Comm) CreateWin(local []float64) *Win {
 	buffers := make([][]float64, c.Size())
 	copy(buffers, g.slots)
 	c.syncW(&wait)
-	c.meter(CatOneSided, 0, start)
+	c.meter(CatOneSided, 1, 0, 0, start, wait, flow{})
 	c.commEvent("win/create", CatOneSided, 0, start, wait)
 	return &Win{comm: c, buffers: buffers}
 }
@@ -42,7 +42,7 @@ func (w *Win) Fence() {
 	w.comm.faultPoint()
 	var wait time.Duration
 	w.comm.syncW(&wait)
-	w.comm.meter(CatOneSided, 0, start)
+	w.comm.meter(CatOneSided, 1, 0, 0, start, wait, flow{})
 	w.comm.commEvent("win/fence", CatOneSided, 0, start, wait)
 }
 
@@ -57,7 +57,8 @@ func (w *Win) Get(target, offset int, dst []float64) {
 	copy(dst, buf[offset:offset+len(dst)])
 	// Data flows target→origin; the origin records both matrix endpoints
 	// because the target is passive.
-	w.comm.meterFlow(CatOneSided, w.comm.group.members[target], w.comm.worldRank, len(dst), start)
+	w.comm.meter(CatOneSided, 1, len(dst), len(dst), start, 0,
+		flow{src: w.comm.group.members[target], dst: w.comm.worldRank, send: true, recv: true})
 	w.rmaEvent("win/get", target, len(dst), start)
 }
 
@@ -72,15 +73,17 @@ func (w *Win) Put(target, offset int, src []float64) {
 			offset, offset+len(src), len(buf), target))
 	}
 	copy(buf[offset:offset+len(src)], src)
-	w.comm.meterFlow(CatOneSided, w.comm.worldRank, w.comm.group.members[target], len(src), start)
+	w.comm.meter(CatOneSided, 1, len(src), len(src), start, 0,
+		flow{src: w.comm.worldRank, dst: w.comm.group.members[target], send: true, recv: true})
 	w.rmaEvent("win/put", target, len(src), start)
 }
 
 // rmaEvent records one RMA operation on the origin rank's event timeline
-// (no flow arrow: the target rank makes no matching call to anchor one).
+// under the label-suffixed name, like the window's collective calls (no
+// flow arrow: the target rank makes no matching call to anchor one).
 func (w *Win) rmaEvent(name string, target, floats int, start time.Time) {
 	if r := w.comm.recorder(); r != nil {
-		r.Comm(name, CatOneSided.String(), w.comm.group.members[target], 0,
+		r.Comm(w.comm.evName(name), CatOneSided.String(), w.comm.group.members[target], 0,
 			int64(floats*bytesPerFloat), start, 0, 0, false)
 	}
 }

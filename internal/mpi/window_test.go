@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +123,26 @@ func TestWinOneSidedStats(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A window created on a labeled handle attributes every call to the label —
+// Put and Get included — in LocalLabelStats and on the event timeline.
+func TestWinLabeled(t *testing.T) {
+	recs := runRecorded(t, 2, func(c *Comm) error {
+		win := c.WithLabel("row").CreateWin(make([]float64, 4))
+		win.Fence()
+		win.Put(1-c.Rank(), 0, []float64{1, 2})
+		win.Get(1-c.Rank(), 2, make([]float64, 2))
+		win.Fence()
+		if got, all := c.LocalLabelStats()["row"], c.LocalStats(); got.Calls != all.Calls || got.Bytes != all.Bytes {
+			return fmt.Errorf("label stats %+v, want all of %+v", got, all)
+		}
+		return nil
+	})
+	for _, e := range recs[0].Events() {
+		if !strings.HasSuffix(e.Name, "@row") {
+			t.Fatalf("event %q lacks the label suffix", e.Name)
+		}
 	}
 }

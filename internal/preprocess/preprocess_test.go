@@ -144,7 +144,7 @@ func TestFitDistributedMatchesSerial(t *testing.T) {
 	const ranks = 4
 	scalers := make([]*Scaler, ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		lo, hi := admm.RowBlock(x.Rows, c.Size(), c.Rank())
+		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s := FitDistributed(c, x.SubRows(lo, hi), y[lo:hi])
 		scalers[c.Rank()] = s
 		return nil

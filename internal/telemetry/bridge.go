@@ -47,8 +47,10 @@ func BridgeTrace(reg *Registry, tr *trace.Tracer) {
 //	uoivar_mpi_calls{rank="0",category="collective"}
 //	uoivar_mpi_bytes{rank="0",category="collective"}
 //	uoivar_mpi_seconds{rank="0",category="collective"}
+//	uoivar_mpi_wait_seconds{rank="0",category="collective"}
 //
-// Categories with zero calls are skipped. Nil arguments disable the bridge.
+// One gauge set per mpi.Stats.Rows row, so categories with zero calls are
+// skipped. Nil arguments disable the bridge.
 func BridgeMPI(reg *Registry, stats func() []mpi.Stats) {
 	if reg == nil || stats == nil {
 		return
@@ -59,17 +61,16 @@ func BridgeMPI(reg *Registry, stats func() []mpi.Stats) {
 		"Mirrored MPI bytes on the wire by rank and category.", "rank", "category")
 	seconds := reg.Gauge("uoivar_mpi_seconds",
 		"Mirrored MPI wall time by rank and category.", "rank", "category")
+	wait := reg.Gauge("uoivar_mpi_wait_seconds",
+		"Mirrored MPI blocked time (part of uoivar_mpi_seconds) by rank and category.", "rank", "category")
 	reg.OnScrape(func() {
 		for r, st := range stats() {
 			rank := strconv.Itoa(r)
-			for _, cat := range []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided} {
-				if st.Calls[cat] == 0 {
-					continue
-				}
-				c := cat.String()
-				calls.With(rank, c).Set(float64(st.Calls[cat]))
-				bytes.With(rank, c).Set(float64(st.Bytes[cat]))
-				seconds.With(rank, c).Set(st.Time[cat].Seconds())
+			for _, row := range st.Rows("") {
+				calls.With(rank, row.Category).Set(float64(row.Calls))
+				bytes.With(rank, row.Category).Set(float64(row.Bytes))
+				seconds.With(rank, row.Category).Set(row.Seconds)
+				wait.With(rank, row.Category).Set(row.WaitSeconds)
 			}
 		}
 	})

@@ -8,16 +8,10 @@ import (
 	"strings"
 )
 
-// SchemaVersion identifies the PerfReport JSON layout. Bump on breaking
-// changes; consumers (and the golden test) pin against it. v2 is a strictly
-// additive extension of v1: rank entries gain optional per-peer
-// communication rows ("peers") and event-drop counts; every v1 field keeps
-// its name, type, and ordering, so v1 consumers can read v2 reports by
-// ignoring the new fields and this parser still accepts v1 artifacts.
-const (
-	SchemaVersion   = "uoivar/perf-report/v2"
-	SchemaVersionV1 = "uoivar/perf-report/v1"
-)
+// SchemaVersion identifies the PerfReport JSON layout, the only one
+// ParsePerfReport accepts. Bump on breaking changes; consumers (and the
+// golden test) pin against it.
+const SchemaVersion = "uoivar/perf-report/v2"
 
 // PerfReport is the structured performance artifact a run emits behind
 // -perf-report: per-rank phase timings joined with the per-rank
@@ -80,8 +74,8 @@ type PhaseStat struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// CommStat mirrors one mpi.Stats category (p2p, collective, one-sided).
-// Category may carry a sub-communicator label suffix — "collective[row]" —
+// CommStat mirrors one mpi.Stats category (p2p, collective, one-sided); the
+// rows come from mpi.Stats.Rows. Category may carry a sub-communicator label suffix — "collective[row]" —
 // when the fit attributed traffic to labeled communicators (the 2-D grid
 // engine labels its row/column sub-comms); labeled rows are a breakdown of
 // the unlabeled aggregate, not additional traffic.
@@ -92,32 +86,20 @@ type CommStat struct {
 	Seconds  float64 `json:"seconds"`
 	// WaitSeconds is the blocked portion of Seconds: time spent waiting for
 	// peers (barrier entry, p2p channel block, nonblocking-request Wait)
-	// rather than moving bytes. Additive schema field — absent in reports
-	// from runtimes that predate wait metering.
+	// rather than moving bytes; omitted when zero.
 	WaitSeconds float64 `json:"wait_seconds,omitempty"`
 }
 
 // RankPerf snapshots the tracer into a report entry for the given rank.
 // Comm and the compute/comm seconds are left for the caller to fill (see
-// uoi.RankPerf, which joins the mpi meters); FinalizeCompute derives the
-// compute split once Comm is set.
+// uoi.RankPerf, which appends the mpi meters' Stats.Rows); FinalizeCompute
+// derives the compute split once Comm is set.
 func (t *Tracer) RankPerf(rank int) RankPerf {
 	return RankPerf{
 		Rank:     rank,
 		Phases:   t.Phases(),
 		Counters: t.Counters(),
 	}
-}
-
-// AddComm appends one communication category's meters.
-func (r *RankPerf) AddComm(category string, calls, bytes int64, seconds float64) {
-	r.Comm = append(r.Comm, CommStat{Category: category, Calls: calls, Bytes: bytes, Seconds: seconds})
-}
-
-// AddCommWait appends one communication category's meters including the
-// blocked-time split (CommStat.WaitSeconds).
-func (r *RankPerf) AddCommWait(category string, calls, bytes int64, seconds, waitSeconds float64) {
-	r.Comm = append(r.Comm, CommStat{Category: category, Calls: calls, Bytes: bytes, Seconds: seconds, WaitSeconds: waitSeconds})
 }
 
 // TopLevelSeconds sums the top-level phases (names without '/') — the
@@ -169,16 +151,15 @@ func (p *PerfReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ParsePerfReport decodes and schema-checks a report. Both the current v2
-// layout and the v1 layout it additively extends are accepted (a v1 report
-// simply has no peers/dropped_events fields).
+// ParsePerfReport decodes and schema-checks a report: only the current
+// SchemaVersion is accepted.
 func ParsePerfReport(data []byte) (*PerfReport, error) {
 	var p PerfReport
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("trace: parsing perf report: %w", err)
 	}
-	if p.Schema != SchemaVersion && p.Schema != SchemaVersionV1 {
-		return nil, fmt.Errorf("trace: perf report schema %q, want %q (or legacy %q)", p.Schema, SchemaVersion, SchemaVersionV1)
+	if p.Schema != SchemaVersion {
+		return nil, fmt.Errorf("trace: perf report schema %q, want %q", p.Schema, SchemaVersion)
 	}
 	return &p, nil
 }

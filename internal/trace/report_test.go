@@ -31,8 +31,10 @@ func sampleReport() *PerfReport {
 				"mat/kernel_workers": 2,
 			},
 		}
-		rp.AddComm("collective", 24, 4096, 0.11)
-		rp.AddComm("p2p", 6, 1024, 0.04)
+		rp.Comm = []CommStat{
+			{Category: "collective", Calls: 24, Bytes: 4096, Seconds: 0.11},
+			{Category: "p2p", Calls: 6, Bytes: 1024, Seconds: 0.04},
+		}
 		rp.FinalizeCompute()
 		ranks[rank] = rp
 	}
@@ -63,7 +65,7 @@ func TestFinalizeCompute(t *testing.T) {
 
 func TestFinalizeComputeClampsAtZero(t *testing.T) {
 	rp := RankPerf{Phases: []PhaseStat{{Name: "selection", Seconds: 0.1}}}
-	rp.AddComm("collective", 1, 8, 0.5) // comm exceeds phase total
+	rp.Comm = []CommStat{{Category: "collective", Calls: 1, Bytes: 8, Seconds: 0.5}} // comm exceeds phase total
 	rp.FinalizeCompute()
 	if rp.ComputeSeconds != 0 {
 		t.Fatalf("ComputeSeconds = %v, want clamped 0", rp.ComputeSeconds)
@@ -99,26 +101,20 @@ func TestPerfReportRoundTrip(t *testing.T) {
 	}
 }
 
+// Only the current schema parses: a v0 document and a legacy v1 artifact
+// (well-formed, no peers/dropped_events) are both refused.
 func TestParsePerfReportRejectsWrongSchema(t *testing.T) {
-	if _, err := ParsePerfReport([]byte(`{"schema":"uoivar/perf-report/v0"}`)); err == nil {
-		t.Fatal("want schema error")
+	for _, doc := range []string{
+		`{"schema":"uoivar/perf-report/v0"}`,
+		`{"schema":"uoivar/perf-report/v1","name":"old","wall_seconds":1,
+			"ranks":[{"rank":0,"phases":[],"compute_seconds":0,"comm_seconds":0}]}`,
+	} {
+		if _, err := ParsePerfReport([]byte(doc)); err == nil {
+			t.Fatalf("want schema error for %s", doc)
+		}
 	}
 	if _, err := ParsePerfReport([]byte(`{not json`)); err == nil {
 		t.Fatal("want parse error")
-	}
-}
-
-// A legacy v1 artifact (no peers/dropped_events) must still parse: v2 is an
-// additive extension.
-func TestParsePerfReportAcceptsV1(t *testing.T) {
-	v1 := `{"schema":"uoivar/perf-report/v1","name":"old","wall_seconds":1,
-		"ranks":[{"rank":0,"phases":[],"compute_seconds":0,"comm_seconds":0}]}`
-	p, err := ParsePerfReport([]byte(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema != SchemaVersionV1 || len(p.Ranks) != 1 {
-		t.Fatalf("v1 report parsed wrong: %+v", p)
 	}
 }
 
@@ -131,7 +127,7 @@ func TestPerfReportGolden(t *testing.T) {
 		Phases:   []PhaseStat{{Name: "selection", Count: 2, Seconds: 0.5}},
 		Counters: map[string]int64{"admm/iters": 40},
 	}
-	rp.AddComm("collective", 3, 256, 0.125)
+	rp.Comm = []CommStat{{Category: "collective", Calls: 3, Bytes: 256, Seconds: 0.125}}
 	rp.AddPeer(1, "p2p", "send", 2, 128, 0.01)
 	rp.FinalizeCompute()
 	p := NewPerfReport("golden", 1.5, []RankPerf{rp})

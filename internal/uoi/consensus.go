@@ -25,7 +25,7 @@ import (
 // decomposition of §III. The world splits into PB·PL groups of
 // size/(PB·PL) ranks, each running consensus ADMM over its ranks' row
 // blocks. Group (b, l) runs the selection bootstraps k ≡ b (mod PB) over the
-// contiguous λ block admm.RowBlock(q, PL, l), and estimation bootstraps are
+// contiguous λ block mpi.RowBlock(q, PL, l), and estimation bootstraps are
 // dealt round-robin over all groups. The paper's multi-node scaling runs
 // use 1×1 (all cores in one ADMM group).
 type consensus struct {
@@ -67,7 +67,7 @@ func (pl *consensus) begin(pb *problem) error {
 		pb.agree = pl.agree
 	}
 	pl.q, pl.p = len(pb.lambdas), pb.p
-	pl.jLo, pl.jHi = admm.RowBlock(pl.q, pl.shape.PL, pl.l)
+	pl.jLo, pl.jHi = mpi.RowBlock(pl.q, pl.shape.PL, pl.l)
 	pl.counts = make([]float64, pl.q*pl.p)
 	return nil
 }
@@ -312,7 +312,7 @@ func newVARConsensusProblem(pl *consensus, series *mat.Dense, c *VARConfig, at *
 		defer sp.End()
 		var local *varsim.Design
 		if isReader {
-			lo, hi := admm.RowBlock(len(targets), nReaders, group.Rank())
+			lo, hi := mpi.RowBlock(len(targets), nReaders, group.Rank())
 			local = varsim.NewDesignFromRows(series, c.Order, !c.NoIntercept, targets[lo:hi])
 		}
 		b, err := assemble(group, local, nReaders)

@@ -20,7 +20,6 @@ package uoi
 import (
 	"fmt"
 
-	"uoivar/internal/admm"
 	"uoivar/internal/mpi"
 )
 
@@ -34,7 +33,7 @@ type GridShape struct {
 	// k is processed by row k mod PB.
 	PB int
 	// PL is the number of λ groups (grid columns); column c owns the
-	// contiguous λ-index block admm.RowBlock(len(lambdas), PL, c).
+	// contiguous λ-index block mpi.RowBlock(len(lambdas), PL, c).
 	PL int
 }
 
@@ -178,7 +177,7 @@ func (g *grid) begin(pb *problem) error {
 	}
 	g.q, g.p = len(pb.lambdas), pb.p
 	g.chains, g.chainLen, g.stats = pb.chains, pb.chainLen, pb.stats
-	g.jLo, g.jHi = admm.RowBlock(g.q, g.shape.PL, g.colIx)
+	g.jLo, g.jHi = mpi.RowBlock(g.q, g.shape.PL, g.colIx)
 	g.counts = make([]float64, (g.jHi-g.jLo)*g.p)
 	return nil
 }
@@ -285,7 +284,7 @@ func (g *grid) supports(threshold int) ([][]int, error) {
 func (g *grid) estimation(ph phase) ([][]float64, error) {
 	world, b2, betaLen := g.world, ph.total, g.p
 	size := world.Size()
-	kLo, kHi := admm.RowBlock(b2, size, world.Rank())
+	kLo, kHi := mpi.RowBlock(b2, size, world.Rank())
 	rounds := (b2 + size - 1) / size
 	winners := make([][]float64, b2)
 	// Round payload: [k, status, beta…] per computed bootstrap — status 0
@@ -318,7 +317,7 @@ func (g *grid) estimation(ph phase) ([][]float64, error) {
 			// Round t's cells: the t-th bootstrap of every rank's block.
 			ks := make([]int, size)
 			for r := range ks {
-				if lo, hi := admm.RowBlock(b2, size, r); lo+t < hi {
+				if lo, hi := mpi.RowBlock(b2, size, r); lo+t < hi {
 					ks[r] = lo + t
 				} else {
 					ks[r] = -1

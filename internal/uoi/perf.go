@@ -23,12 +23,7 @@ import (
 func RankPerf(comm *mpi.Comm, tr *trace.Tracer) trace.RankPerf {
 	rp := tr.RankPerf(comm.Rank())
 	st := comm.LocalStats()
-	for _, cat := range []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided} {
-		if st.Calls[cat] == 0 {
-			continue
-		}
-		rp.AddCommWait(cat.String(), st.Calls[cat], st.Bytes[cat], st.Time[cat].Seconds(), st.Wait[cat].Seconds())
-	}
+	rp.Comm = st.Rows("")
 	rp.FinalizeCompute()
 	// Per-communicator attribution (grid fits label their row/column
 	// sub-comms): breakdown rows like "collective[row]" appended after
@@ -42,12 +37,7 @@ func RankPerf(comm *mpi.Comm, tr *trace.Tracer) trace.RankPerf {
 	sort.Strings(labels)
 	for _, label := range labels {
 		ls := labeled[label]
-		for _, cat := range []mpi.Category{mpi.CatP2P, mpi.CatCollective, mpi.CatOneSided} {
-			if ls.Calls[cat] == 0 {
-				continue
-			}
-			rp.AddCommWait(cat.String()+"["+label+"]", ls.Calls[cat], ls.Bytes[cat], ls.Time[cat].Seconds(), ls.Wait[cat].Seconds())
-		}
+		rp.Comm = append(rp.Comm, ls.Rows("["+label+"]")...)
 	}
 	if rec := tr.EventRecorder(); rec != nil {
 		rp.DroppedEvents = rec.Dropped()

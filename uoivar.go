@@ -411,7 +411,7 @@ type Tracer = trace.Tracer
 func NewTracer() *Tracer { return trace.New() }
 
 // PerfReport is the serialized phase/communication breakdown artifact
-// (schema uoivar/perf-report/v2; legacy v1 still parses), one RankPerf
+// (schema uoivar/perf-report/v2, the only one the parser accepts), one RankPerf
 // entry per rank.
 type PerfReport = trace.PerfReport
 
