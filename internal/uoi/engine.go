@@ -305,10 +305,12 @@ func run(pb *problem, pl placement) (*Result, error) {
 	res.Bootstrap.B2Completed, res.Bootstrap.B2Failed = len(completed), pb.b2-len(completed)
 	spUnion := tr.Start("union")
 	res.Beta = combineWinners(completed, pb.p, pb.median)
-	spUnion.End()
 	res.Diag = pb.diag
 	res.Diag.SelectionTime, res.Diag.EstimationTime = selTime, time.Since(tEst)
+	// The grid's totals are a world Allreduce: inside the span, a rank's
+	// wait there for its slowest peer is phase time, not unaccounted wall.
 	pl.totals(&res.Diag)
+	spUnion.End()
 	return res, nil
 }
 
