@@ -24,15 +24,24 @@ import (
 // is independent of the split; workers only decide who computes a column.
 // Tracer counters advance exactly as E SolveRHS calls would advance them.
 func (f *Factorization) SolveRHSBatch(aty *mat.Dense, lambda float64, warmZ, warmU [][]float64, opts *Options, workers int) []Result {
-	if aty.Rows != f.p {
+	out := make([]Result, aty.Cols)
+	f.SolveRHSBatchTo(out, aty, lambda, warmZ, warmU, opts, workers)
+	return out
+}
+
+// SolveRHSBatchTo is SolveRHSBatch into out, one Result per column of aty:
+// result e's Beta and U are written into out[e]'s own when each holds p
+// entries, and are fresh otherwise. A λ sweep that alternates two out
+// slices allocates its pairs once; the pairs out holds must not be this
+// call's warm starts.
+func (f *Factorization) SolveRHSBatchTo(out []Result, aty *mat.Dense, lambda float64, warmZ, warmU [][]float64, opts *Options, workers int) {
+	if aty.Rows != f.p || len(out) != aty.Cols {
 		panic(mat.ErrShape)
 	}
 	o := opts.defaults()
-	out := make([]Result, aty.Cols)
 	mat.ParallelFor(aty.Cols, workers, func(lo, hi int) {
 		f.solveColumns(aty, lo, hi, lambda, warmZ, warmU, &o, out)
 	})
-	return out
 }
 
 // solveColumns is the serial ADMM loop: it runs the lock-step iteration
@@ -91,13 +100,18 @@ func (f *Factorization) solveColumns(aty *mat.Dense, lo, hi int, lambda float64,
 
 	totalIters := 0
 	finish := func(c, iters int, converged bool) {
-		// The result's pair is fresh: a λ sweep keeps it as the next
-		// solve's warm start after the panels have gone back to the pool.
-		bu := make([]float64, 2*p)
-		res := Result{Beta: bu[:p:p], U: bu[p:], Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
-		gatherCol(res.Beta, z, stride, c)
-		gatherCol(res.U, u, stride, c)
-		out[slot[c]] = res
+		// The result's pair is never the panels': a λ sweep keeps it as the
+		// next solve's warm start after they have gone back to the pool. It
+		// is the caller's when out holds one, else fresh.
+		res := &out[slot[c]]
+		rz, ru := res.Beta, res.U
+		if len(rz) != p || len(ru) != p {
+			bu := make([]float64, 2*p)
+			rz, ru = bu[:p:p], bu[p:]
+		}
+		gatherCol(rz, z, stride, c)
+		gatherCol(ru, u, stride, c)
+		*res = Result{Beta: rz, U: ru, Iters: iters, Converged: converged, PrimalRes: primal[c], DualRes: dual[c]}
 		totalIters += iters
 	}
 

@@ -202,6 +202,48 @@ func TestSolveRHSBatchMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestSolveRHSBatchToReusesPairsIdentical: a λ path that alternates two
+// result sets through SolveRHSBatchTo returns SolveRHSBatch's bits at every
+// step, writes each step's pairs into the set it passed once that set holds
+// pairs, and leaves the previous step's pairs — its warm starts — alone.
+func TestSolveRHSBatchToReusesPairsIdentical(t *testing.T) {
+	const p, e = 23, 11
+	bp := makeBatchProblem(t, 7, 120, p, e, 0)
+	lambdas := []float64{0.6 * bp.lmax, 0.3 * bp.lmax, 0.1 * bp.lmax, 0.01 * bp.lmax, 0}
+	for _, workers := range []int{1, 3} {
+		outs := [2][]Result{make([]Result, e), make([]Result, e)}
+		warmZ, warmU := make([][]float64, e), make([][]float64, e)
+		var prev [][]float64 // copies of the previous step's pairs
+		for step, lam := range lambdas {
+			want := bp.f.SolveRHSBatch(bp.aty, lam, warmZ, warmU, nil, workers)
+			out := outs[step%2]
+			held := make([]*float64, e)
+			for c := range out {
+				if out[c].Beta != nil {
+					held[c] = &out[c].Beta[0]
+				}
+			}
+			bp.f.SolveRHSBatchTo(out, bp.aty, lam, warmZ, warmU, nil, workers)
+			for c := range out {
+				if diff := diffResult(&out[c], &want[c]); diff != "" {
+					t.Fatalf("workers=%d λ=%v col %d: %s", workers, lam, c, diff)
+				}
+				if held[c] != nil && held[c] != &out[c].Beta[0] {
+					t.Fatalf("workers=%d step %d col %d: the pair was not reused", workers, step, c)
+				}
+				if prev != nil && (!sameBits(warmZ[c], prev[2*c]) || !sameBits(warmU[c], prev[2*c+1])) {
+					t.Fatalf("workers=%d step %d col %d: the warm start changed under the solve", workers, step, c)
+				}
+			}
+			prev = prev[:0]
+			for c := range out {
+				warmZ[c], warmU[c] = out[c].Beta, out[c].U
+				prev = append(prev, append([]float64(nil), out[c].Beta...), append([]float64(nil), out[c].U...))
+			}
+		}
+	}
+}
+
 // TestSolveRHSBatchEmptyAndShape: zero columns is a no-op, a panel of the
 // wrong height a programming error.
 func TestSolveRHSBatchEmptyAndShape(t *testing.T) {

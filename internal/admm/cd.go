@@ -82,13 +82,13 @@ func Ridge(x *mat.Dense, y []float64, alpha float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ch.Solve(mat.GramVec(x, y, mat.Sample{})), nil
+	return ch.Solve(mat.GramVec(x, y)), nil
 }
 
 // LambdaMax returns ‖Xᵀy‖∞, the smallest λ for which the LASSO solution is
 // identically zero; λ grids are placed below it.
 func LambdaMax(x *mat.Dense, y []float64) float64 {
-	return mat.NormInf(mat.GramVec(x, y, mat.Sample{}))
+	return mat.NormInf(mat.GramVec(x, y))
 }
 
 // LogSpaceLambdas builds a q-point λ grid geometrically spaced in

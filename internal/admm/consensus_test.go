@@ -105,7 +105,7 @@ func TestConsensusAllRanksAgree(t *testing.T) {
 func TestConsensusOLS(t *testing.T) {
 	x, y, _ := makeRegression(13, 90, 8, 8, 0.05)
 	dist := runConsensus(t, x, y, 0, 3, &Options{MaxIter: 8000, AbsTol: 1e-10, RelTol: 1e-8})
-	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
+	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y))
 	for i := range want {
 		if math.Abs(dist.Beta[i]-want[i]) > 1e-4 {
 			t.Fatalf("consensus OLS beta[%d] = %v, want %v", i, dist.Beta[i], want[i])
@@ -291,7 +291,7 @@ func TestConsensusSolveMatchesLoop(t *testing.T) {
 					if rho > 0 {
 						s, err = NewConsensusSolverWorkers(c, xl, yl, rho, 1)
 					} else {
-						s, err = NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl, mat.Sample{}), 0, 3.5, 1)
+						s, err = NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl), 0, 3.5, 1)
 					}
 					if err != nil {
 						return err

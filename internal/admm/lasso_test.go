@@ -61,7 +61,7 @@ func TestLassoZeroLambdaIsOLS(t *testing.T) {
 		t.Fatal("OLS-via-ADMM did not converge")
 	}
 	// Closed-form OLS.
-	want, err := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
+	want, err := solveSPD(mat.AtA(x), mat.GramVec(x, y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestOLSWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
+	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y))
 	for i := range want {
 		if math.Abs(res.Beta[i]-want[i]) > 1e-4 {
 			t.Fatalf("OLS beta[%d] = %v, want %v", i, res.Beta[i], want[i])
@@ -258,7 +258,7 @@ func TestRidge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ols, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
+	ols, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y))
 	for i := range ols {
 		if math.Abs(b0[i]-ols[i]) > 1e-8 {
 			t.Fatal("Ridge(0) must equal OLS")

@@ -21,7 +21,7 @@ func TestOLSOnSupport(t *testing.T) {
 	}
 	// Matches the closed-form restricted OLS.
 	sub := x.SelectCols(support)
-	want, err := solveSPD(mat.AtA(sub), mat.GramVec(sub, y, mat.Sample{}))
+	want, err := solveSPD(mat.AtA(sub), mat.GramVec(sub, y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestOLSOnSupportRankDeficient(t *testing.T) {
 // non-finite block yields an all-NaN estimate rather than a panic.
 func TestOLSFromGramLadder(t *testing.T) {
 	x, y, _ := makeRegression(53, 50, 4, 2, 0.1)
-	gram, xty := mat.AtA(x), mat.GramVec(x, y, mat.Sample{})
+	gram, xty := mat.AtA(x), mat.GramVec(x, y)
 	want, err := solveSPD(gram, xty)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func ladderOracle(sub *mat.Dense, rhs []float64) []float64 {
 // the Gram is left untouched.
 func TestOLSOnBlockMatchesGathered(t *testing.T) {
 	x, y, _ := makeRegression(59, 40, 9, 3, 0.1)
-	gram, xty := mat.AtA(x), mat.GramVec(x, y, mat.Sample{})
+	gram, xty := mat.AtA(x), mat.GramVec(x, y)
 	for i := 0; i < 9; i++ {
 		gram.Set(i, 8, 0)
 		gram.Set(8, i, 0)
@@ -188,7 +188,7 @@ func TestConsensusSolveProjectedMatchesRestrictedOLS(t *testing.T) {
 
 func TestConsensusOLSWrapper(t *testing.T) {
 	x, y, _ := makeRegression(54, 90, 6, 6, 0.05)
-	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y, mat.Sample{}))
+	want, _ := solveSPD(mat.AtA(x), mat.GramVec(x, y))
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		s, err := NewConsensusSolverWorkers(c, x.SubRows(lo, hi), y[lo:hi], 0, 0)
@@ -215,7 +215,7 @@ func TestConsensusElasticMatchesSerialElastic(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		lo, hi := mpi.RowBlock(x.Rows, c.Size(), c.Rank())
 		xl, yl := x.SubRows(lo, hi), y[lo:hi]
-		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl, mat.Sample{}), 0, lambda2, 0)
+		s, err := NewConsensusSolverGram(c, mat.AtA(xl), mat.GramVec(xl, yl), 0, lambda2, 0)
 		if err != nil {
 			return err
 		}

@@ -52,7 +52,7 @@ func triangularLasso(x *mat.Dense, y []float64, lambda, rho float64, o Options) 
 	if err != nil {
 		panic(err)
 	}
-	aty := mat.GramVec(x, y, mat.Sample{})
+	aty := mat.GramVec(x, y)
 	p := x.Cols
 	z, u, rhs := make([]float64, p), make([]float64, p), make([]float64, p)
 	sqrtP := math.Sqrt(float64(p))

@@ -37,7 +37,7 @@ func TestMulMatchesNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 9}, {65, 70, 63}, {130, 40, 128}} {
 		a := randomDense(rng, dims[0], dims[1])
 		b := randomDense(rng, dims[0], dims[2])
-		got := MulAtB(a, b, Sample{})
+		got := MulAtB(a, b)
 		want := naiveMul(a.T(), b)
 		if !got.Equal(want, 1e-10) {
 			t.Fatalf("MulAtB mismatch for dims %v", dims)
@@ -131,7 +131,7 @@ func TestMulTVecMatchesTranspose(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got := GramVec(a, x, Sample{})
+	got := GramVec(a, x)
 	want := MulVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -149,7 +149,7 @@ func TestMulTVecParallelPath(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got := GramVec(a, x, Sample{})
+	got := GramVec(a, x)
 	want := MulVec(a.T(), x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-10 {

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrNotPD reports that a matrix passed to Cholesky was not (numerically)
 // positive definite.
@@ -35,45 +32,17 @@ func newCholesky(n int, l []float64) *Cholesky {
 	return &Cholesky{n: n, l: l, lt: lt}
 }
 
-// NewCholesky factors the symmetric positive-definite matrix a.
+// NewCholesky factors the symmetric positive-definite matrix a, unblocked.
 // a is not modified.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
 	l := append([]float64(nil), a.Data...)
-	if err := factorUnblocked(l, a.Rows); err != nil {
-		return nil, err
+	if factorUnblocked(l, a.Rows, best) >= 0 {
+		return nil, ErrNotPD
 	}
 	return newCholesky(a.Rows, l), nil
-}
-
-// factorUnblocked overwrites the lower triangle of the n×n matrix in l with
-// its Cholesky factor.
-func factorUnblocked(l []float64, n int) error {
-	for j := 0; j < n; j++ {
-		d := l[j*n+j]
-		for k := 0; k < j; k++ {
-			v := l[j*n+k]
-			d -= float64(v * v)
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotPD
-		}
-		d = math.Sqrt(d)
-		l[j*n+j] = d
-		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			s := l[i*n+j]
-			li := l[i*n : i*n+j]
-			lj := l[j*n : j*n+j]
-			for k := range lj {
-				s -= float64(li[k] * lj[k])
-			}
-			l[i*n+j] = s * inv
-		}
-	}
-	return nil
 }
 
 // Solve solves A·x = b (that is, L·Lᵀ·x = b) and returns x.
@@ -95,8 +64,8 @@ func SolveSPDInPlace(a []float64, n int, b []float64) error {
 	if len(a) != n*n || len(b) != n {
 		return ErrShape
 	}
-	if err := factorUnblocked(a, n); err != nil {
-		return err
+	if factorUnblocked(a, n, best) >= 0 {
+		return ErrNotPD
 	}
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {

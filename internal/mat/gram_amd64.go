@@ -91,52 +91,88 @@ func gemvTile1x32(y, a *float64, lda int, v *float64, m int)
 //go:noescape
 func gemvTile1x64(y, a *float64, lda int, v *float64, m int)
 
-// gramWorkerSIMD is gramWorker over a row-major panel for the vector kernel
-// family k: packed row r holds columns first, …, p−1 of input row r0+r, so
-// a tile's 8 columns are one contiguous run, and the weighted panel holds
-// w·x in the same layout (the worker's own band columns only). Bands,
-// chunks and the order of every entry's sum are gramWorker's.
-func gramWorkerSIMD(c, a *Dense, s *Sample, t, nWorkers int, k kernel) {
-	n, p := s.shape(a)
-	first := t * gramBand
-	if first >= p || n == 0 {
+// workerSIMD is worker over a row-major panel for the job's vector kernel
+// family: packed row r holds augmented columns first, …, tp+q−1 of input
+// row r0+r, so a tile's 8 columns are one contiguous run, and the weighted
+// panel holds w·x and w·y in the same layout (the worker's own band columns
+// only). Bands, chunks and the order of every entry's sum are worker's.
+func (j *statsJob) workerSIMD(w int) {
+	g := &j.g
+	if w >= g.bands || j.n == 0 {
 		return
 	}
-	width, step := p-first, nWorkers*gramBand
-	buf, xs, ws := gramPanelPair(width, s.Weights != nil)
-	for r0 := 0; r0 < n; r0 += gramChunk {
-		m := min(n-r0, gramChunk)
+	first, width := j.first(w)
+	weighted := j.s.Weights != nil
+	buf, xs, ws := gramPanelPair(width, g.tp+g.q, weighted)
+	for r0 := 0; r0 < j.n; r0 += gramChunk {
+		m := min(j.n-r0, gramChunk)
 		for r := 0; r < m; r++ {
-			i := r0 + r
-			if s.Rows != nil {
-				i = s.Rows[i]
-			}
-			row, dst := a.Row(i), xs[r*width:(r+1)*width]
-			if s.Cols == nil {
-				copy(dst, row[first:])
-			} else {
-				for j, cj := range s.Cols[first:] {
-					dst[j] = row[cj]
-				}
-			}
-			if s.Weights != nil {
-				w, wdst := s.Weights[r0+r], ws[r*width:(r+1)*width]
-				for lo := 0; lo < width; lo += step {
-					for j := lo; j < min(lo+gramBand, width); j++ {
-						wdst[j] = w * dst[j]
+			j.pack(xs[r*width:(r+1)*width], 1, j.rowIndex(r0+r), first)
+		}
+		if weighted {
+			// Only the worker's own bands are read from the weighted panel.
+			for b := w; b < g.bands; b += j.nWorkers {
+				lo, hi := g.band(b)
+				for r, wt := range j.s.Weights[r0 : r0+m] {
+					src, dst := xs[r*width+lo-first:r*width+hi-first], ws[r*width+lo-first:r*width+hi-first]
+					for c, v := range src {
+						dst[c] = wt * v
 					}
 				}
 			}
 		}
-		for lo := first; lo < p; lo += step {
-			gramBandChunkSIMD(c.Data, p, ws, xs, width, first, m, lo, min(lo+gramBand, p), k)
+		for b := w; b < g.bands; b += j.nWorkers {
+			lo, hi := g.band(b)
+			if lo >= g.tp {
+				gramBandChunkSIMD(j.c, g.q, ws, xs, width, first-g.tp, m, lo-g.tp, hi-g.tp, j.k)
+				continue
+			}
+			// A response band runs whole tiles or rows against every column
+			// of X: the panel's slack covers the last one's reads past X's
+			// last column, whose lanes land in yx's scratch columns.
+			xoff := g.tp - first
+			if hi-lo < gramBand {
+				j.responseRows(ws, xs[xoff:], width, first, m)
+				continue
+			}
+			for k := 0; k < g.q; k += avxTileK {
+				tile8(j.yx[lo*j.ldy+k:], j.ldy, ws[lo-first:], width, xs[xoff+k:], width, m, j.k)
+			}
 		}
 	}
 	gramPanels.Put(buf)
 }
 
+// responseRows adds one row-major chunk to the rows of a short response (t
+// ≤ 4, one 4-row band) as GEMV rows: response e's w·y is gathered into one
+// contiguous run, the rows' multipliers, and every 64 columns of X (32 on
+// avx2) are the lanes of one accumulator row, each summed in row order. x
+// is the panel from X's first column.
+func (j *statsJob) responseRows(ws, x []float64, width, first, m int) {
+	lanes := 32
+	if j.k == avx512 {
+		lanes = 64
+	}
+	var v [gramChunk]float64
+	for e := 0; e < j.g.t; e++ {
+		for r := range v[:m] {
+			v[r] = ws[r*width+e-first]
+		}
+		out := j.yx[e*j.ldy : (e+1)*j.ldy]
+		for k := 0; k < j.g.q; k += lanes {
+			_, _ = out[k+lanes-1], x[(m-1)*width+k+lanes-1] // keep the assembly in bounds
+			if lanes == 64 {
+				gemvTile1x64(&out[k], &x[k], width, &v[0], m)
+			} else {
+				gemvTile1x32(&out[k], &x[k], width, &v[0], m)
+			}
+		}
+	}
+}
+
 // gramBandChunkSIMD adds one row-major chunk of m rows (row stride width) to
-// rows [lo, hi) of the upper triangle of c (stride p), tiles k-outer like
+// rows [lo, hi) of the upper triangle of c (stride p), column j at panel
+// column j−first, tiles k-outer like
 // gramBandChunk. On avx512 a whole band (8 rows) takes one 8×8 tile per 8
 // columns, elsewhere two 4×8 tiles: an entry's sum does not depend on which
 // tile holds it. A partial tile — the last p mod 8 columns, or a band shorter

@@ -7,10 +7,10 @@ package mat
 const best = portable
 
 // noSIMD is the panic of the stubs below, which complete the kernel switches
-// of gram, tile, tile8 and Inverse.mulVec; nothing selects them here.
+// of stats, tile, tile8 and Inverse.mulVec; nothing selects them here.
 const noSIMD = "mat: the vector kernels are not built for this target"
 
-func gramWorkerSIMD(c, a *Dense, s *Sample, t, nWorkers int, k kernel)             { panic(noSIMD) }
+func (j *statsJob) workerSIMD(w int)                                               { panic(noSIMD) }
 func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int) { panic(noSIMD) }
 func gramTile8x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int) { panic(noSIMD) }
 func gemvTile1x32(y, a *float64, lda int, v *float64, m int)                       { panic(noSIMD) }

@@ -84,7 +84,8 @@ func TestGramUnitWeightsIdentical(t *testing.T) {
 
 // TestGramWeightsMatchGatheredIdentical: multiplicity weights over the
 // distinct rows agree with the Gram of the gathered draw to rounding, at
-// every budget in the same bits, and GramVec likewise with the gathered Xᵀy.
+// every budget in the same bits, and Stats' Xᵀy likewise with the gathered
+// Xᵀy.
 func TestGramWeightsMatchGatheredIdentical(t *testing.T) {
 	for _, p := range gramWidths {
 		x := randDense(300, p, uint64(100+p))
@@ -114,8 +115,9 @@ func TestGramWeightsMatchGatheredIdentical(t *testing.T) {
 		for i, r := range idx {
 			yb[i] = y[r]
 		}
-		wantV := GramVec(x.SelectRows(idx), yb, Sample{})
-		if d := maxAbsDiff(GramVec(x, y, s), wantV); d > 1e-12*NormInf(wantV) {
+		wantV := GramVec(x.SelectRows(idx), yb)
+		_, xty := Stats(x, NewDenseData(len(y), 1, y), s, 2)
+		if d := maxAbsDiff(xty.Data, wantV); d > 1e-12*NormInf(wantV) {
 			t.Fatalf("p=%d: weighted Xᵀy off by %g", p, d)
 		}
 	}
@@ -151,20 +153,19 @@ func TestGramRowCountsIdentical(t *testing.T) {
 }
 
 // TestGramColumnSubsetIdentical: an ascending column subset is bitwise the
-// sub-block of the full Gram, weights or not, and GramVec the sub-vector.
+// sub-block of the full Gram, weights or not, and Stats' Xᵀy the
+// sub-vector.
 func TestGramColumnSubsetIdentical(t *testing.T) {
 	x := randDense(200, 37, 31)
-	y := randDense(200, 1, 6).Data
+	y := randDense(200, 1, 6)
 	rows, w := multiplicities(x.Rows, drawRows(x.Rows, 200, 4))
 	cols := []int{0, 3, 4, 9, 10, 11, 12, 20, 21, 30, 36}
 	for _, s := range []Sample{{}, {Rows: rows, Weights: w}} {
-		full := GramWorkers(x, s, 2)
-		fullV := GramVec(x, y, s)
+		full, fullV := Stats(x, y, s, 2)
 		s.Cols = cols
-		sub := GramWorkers(x, s, 3)
-		subV := GramVec(x, y, s)
+		sub, subV := Stats(x, y, s, 3)
 		for a, ja := range cols {
-			if math.Float64bits(subV[a]) != math.Float64bits(fullV[ja]) {
+			if math.Float64bits(subV.Data[a]) != math.Float64bits(fullV.Data[ja]) {
 				t.Fatalf("Xᵀy entry %d differs in bits from the full vector's", a)
 			}
 			for b, jb := range cols {
@@ -293,13 +294,13 @@ func TestMulAtBIdenticalToGramVec(t *testing.T) {
 		t.Helper()
 		col := make([]float64, y.Rows)
 		for _, k := range kernels {
-			got := mulAtB(x, y, Sample{}, k)
+			got := mulAtB(x, y, k)
 			if got.Rows != x.Cols || got.Cols != y.Cols {
 				t.Fatalf("%s %s: result is %d×%d, want %d×%d", name, k, got.Rows, got.Cols, x.Cols, y.Cols)
 			}
 			gotCol := make([]float64, x.Cols)
 			for e := 0; e < y.Cols; e++ {
-				want := GramVec(x, y.Col(e, col), Sample{})
+				want := GramVec(x, y.Col(e, col))
 				got.Col(e, gotCol)
 				if i, ok := bitsEqual(gotCol, want); !ok {
 					t.Fatalf("%s %s column %d: entry %d is %v, GramVec has %v", name, k, e, i, gotCol[i], want[i])
@@ -336,11 +337,12 @@ func TestMulAtBIdenticalToGramVec(t *testing.T) {
 	check("VAR design", x, y)
 }
 
-// TestMulAtBSampleIdentical: MulAtB over a sample — repeated, unsorted rows,
-// per-row weights, a column subset, or none of them — is, under every kernel
-// family of this host and Float64bits for Float64bits, MulAtB of the gathered rows (with
-// the weights folded into B as w·b) and, column by column, GramVec over the
-// same sample. Empty samples give zeros of the sample's shape.
+// TestMulAtBSampleIdentical: Stats' XᵀY over a sample — repeated, unsorted
+// rows, per-row weights, a column subset, or none of them — is, under every
+// kernel family of this host and at budgets 1 and 3, Float64bits for
+// Float64bits MulAtB of the gathered rows (with the weights folded into B
+// as w·b) and, column by column, the per-column Xᵀy oracle over the same
+// sample. Empty samples give zeros of the sample's shape.
 func TestMulAtBSampleIdentical(t *testing.T) {
 	kernels := hostKernels(t)
 	rng := rand.New(rand.NewSource(41))
@@ -372,18 +374,20 @@ func TestMulAtBSampleIdentical(t *testing.T) {
 				ga, gb := gatherSample(a, b, sc.s)
 				col := make([]float64, n)
 				for _, k := range kernels {
-					got := mulAtB(a, b, sc.s, k)
-					if got.Rows != ga.Cols || got.Cols != p {
-						t.Fatalf("%s %s: result is %d×%d, want %d×%d", name, k, got.Rows, got.Cols, ga.Cols, p)
-					}
-					if i, ok := bitsEqual(got.Data, mulAtB(ga, gb, Sample{}, k).Data); !ok {
-						t.Fatalf("%s %s: entry %d differs from MulAtB of the gathered rows", name, k, i)
-					}
-					gotCol := make([]float64, got.Rows)
-					for e := 0; e < p; e++ {
-						want := GramVec(a, b.Col(e, col), sc.s)
-						if i, ok := bitsEqual(got.Col(e, gotCol), want); !ok {
-							t.Fatalf("%s %s column %d: entry %d is %v, GramVec has %v", name, k, e, i, gotCol[i], want[i])
+					for _, budget := range []int{1, 3} {
+						_, got := stats(a, b, sc.s, budget, k)
+						if got.Rows != ga.Cols || got.Cols != p {
+							t.Fatalf("%s %s: result is %d×%d, want %d×%d", name, k, got.Rows, got.Cols, ga.Cols, p)
+						}
+						if i, ok := bitsEqual(got.Data, mulAtB(ga, gb, k).Data); !ok {
+							t.Fatalf("%s %s workers=%d: entry %d differs from MulAtB of the gathered rows", name, k, budget, i)
+						}
+						gotCol := make([]float64, got.Rows)
+						for e := 0; e < p; e++ {
+							want := gramVecSample(a, b.Col(e, col), sc.s)
+							if i, ok := bitsEqual(got.Col(e, gotCol), want); !ok {
+								t.Fatalf("%s %s column %d: entry %d is %v, the oracle has %v", name, k, e, i, gotCol[i], want[i])
+							}
 						}
 					}
 				}
@@ -431,23 +435,32 @@ func gatherSample(a, b *Dense, s Sample) (ga, gb *Dense) {
 // BenchmarkGram times the Gram kernel at the shapes the repository benchmark
 // runs: lasso_tall's full and bootstrap-weighted 8192×256, dist_mix's local
 // 4096×161, and the two VAR designs the kernel must not slow (600×61,
-// 768×41). GFLOP/s counts rows·p² like the bench's mat.ata_gflops.
+// 768×41); and Stats with the response columns riding in the sweep at
+// lasso_tall's bootstrap (t = 1) and var_network's design (t = 60).
+// GFLOP/s counts rows·p² like the bench's mat.ata_gflops, so a response
+// case's rate against its plain twin is the response bands' cost.
 func BenchmarkGram(b *testing.B) {
 	for _, bc := range []struct {
-		n, p     int
+		n, p, t  int
 		weighted bool
-	}{{8192, 256, false}, {8192, 256, true}, {4096, 161, false}, {4096, 161, true}, {600, 61, false}, {768, 41, false}} {
+	}{{8192, 256, 0, false}, {8192, 256, 0, true}, {8192, 256, 1, true}, {4096, 161, 0, false}, {4096, 161, 0, true},
+		{600, 61, 0, false}, {600, 61, 60, false}, {768, 41, 0, false}} {
 		x := randDense(bc.n, bc.p, 7)
+		var y *Dense
 		var s Sample
 		name := fmt.Sprintf("%dx%d", bc.n, bc.p)
 		if bc.weighted {
 			s.Rows, s.Weights = multiplicities(bc.n, drawRows(bc.n, bc.n, 11))
 			name += "-bootstrap"
 		}
+		if bc.t > 0 {
+			y = randDense(bc.n, bc.t, 8)
+			name += fmt.Sprintf("-y%d", bc.t)
+		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				GramWorkers(x, s, 2)
+				Stats(x, y, s, 2)
 			}
 			flops := float64(bc.n) * float64(bc.p) * float64(bc.p)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

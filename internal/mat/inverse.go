@@ -13,18 +13,18 @@ type Inverse struct {
 	m     []float64 // ld×ld
 }
 
-// inverseScratch recycles NewInverse's L⁻¹ buffer: a fit builds one inverse
-// per bootstrap, and only M outlives it.
+// inverseScratch recycles NewInverse's scratch, the factor's and then L⁻¹'s:
+// a fit builds one inverse per bootstrap, and only M outlives it.
 var inverseScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // NewInverse returns M = (a + shift·I)⁻¹ for a symmetric a, as L⁻ᵀL⁻¹ from
 // the Cholesky factor L of a + shift·I that NewCholeskyBlockedWorkers
-// computes (across at most workers goroutines). L⁻¹ is a forward
-// substitution on the identity, four rows at a time, whose update from the
-// rows above a block is the 4×8 tile; M is then the Gram of L⁻¹ by the same
-// tile, each entry summed over rows from its own index down. The factor
-// lives in M's buffer until M overwrites it, so only M is allocated. a is
-// not modified.
+// computes on the tile kernels (across at most workers goroutines). L⁻¹ is
+// a forward substitution on the identity, four rows at a time, whose update
+// from the rows above a block is the 4×8 tile; M is then the Gram of L⁻¹ by
+// the same tile, each entry summed over rows from its own index down, its
+// 8-row bands dealt to the workers cyclically. The factor lives in M's
+// buffer until M overwrites it, so only M is allocated. a is not modified.
 func NewInverse(a *Dense, shift float64, workers int) (*Inverse, error) {
 	return newInverse(a, shift, workers, best)
 }
@@ -42,13 +42,10 @@ func newInverse(a *Dense, shift float64, workers int, k kernel) (*Inverse, error
 	for i := 0; i < n; i++ {
 		l[i*n+i] += shift
 	}
-	if err := factorBlocked(l, n, workers); err != nil {
-		return nil, err
-	}
-	buf := inverseScratch.Get().(*[]float64)
+	buf := takePanel(&inverseScratch, max(ld*ld, factorScratch(n, workers)))
 	defer inverseScratch.Put(buf)
-	if cap(*buf) < ld*ld {
-		*buf = make([]float64, ld*ld)
+	if factorBlocked(l, n, workers, k, *buf) >= 0 {
+		return nil, ErrNotPD
 	}
 	// −Lᵀ goes above l's diagonal (L stays on and below it); w starts as I.
 	w := (*buf)[:ld*ld]
@@ -61,7 +58,7 @@ func newInverse(a *Dense, shift float64, workers int, k kernel) (*Inverse, error
 	}
 	lowerInverse(w, l, n, ld, k)
 	clear(inv.m)
-	inv.gramOf(w, k)
+	inv.gramOf(w, clampWorkers(workers), k)
 	return inv, nil
 }
 
@@ -95,17 +92,28 @@ func lowerInverse(w, t []float64, n, ld int, kern kernel) {
 // triangle, 8 rows j … j+7 at a time, then mirrors it. A tile is summed over
 // rows r ≥ max(j, k) of its corner (the terms above an entry's own index are
 // exact zeros): the diagonal block takes a 4×8 tile per half, each from its
-// own first row, and every block right of it one 8×8 tile from row k.
-func (v *Inverse) gramOf(w []float64, kern kernel) {
+// own first row, and every block right of it one 8×8 tile from row k. The
+// 8-row bands are dealt to at most workers goroutines cyclically (the band
+// at row j has n−j columns); every entry is one tile's sum wherever it runs.
+func (v *Inverse) gramOf(w []float64, workers int, kern kernel) {
 	n, ld, m := v.n, v.ld, v.m
-	for j := 0; j < n; j += 8 {
-		for h := j; h < min(j+8, n); h += 4 {
-			tile(m[h*ld+j:], ld, w[h*ld+h:], ld, w[h*ld+j:], ld, n-h, kern)
-		}
-		for k := j + 8; k < n; k += 8 {
-			tile8(m[j*ld+k:], ld, w[k*ld+j:], ld, w[k*ld+k:], ld, n-k, kern)
+	bands := (n + 7) / 8
+	nWorkers := min(workers, bands)
+	// n³/6 is the madd count of the product.
+	if n*n*n/6 < gemmParallelFlops {
+		nWorkers = 1
+	}
+	pass := func(t int) {
+		for j := t * 8; j < n; j += nWorkers * 8 {
+			for h := j; h < min(j+8, n); h += 4 {
+				tile(m[h*ld+j:], ld, w[h*ld+h:], ld, w[h*ld+j:], ld, n-h, kern)
+			}
+			for k := j + 8; k < n; k += 8 {
+				tile8(m[j*ld+k:], ld, w[k*ld+j:], ld, w[k*ld+k:], ld, n-k, kern)
+			}
 		}
 	}
+	forEachWorker(nWorkers, pass)
 	for j := 0; j < n; j++ {
 		for k := j + 1; k < n; k++ {
 			m[k*ld+j] = m[j*ld+k]

@@ -67,7 +67,9 @@ var kernelTracer atomic.Pointer[trace.Tracer]
 // SetTracer installs (or, with nil, removes) the process-wide kernel
 // tracer. Kernel calls record spans "mat/gemm", "mat/gemm_abt",
 // "mat/gemm_atb", "mat/gemv", "mat/gemv_t", "mat/ata", "mat/chol" and the
-// gauge "mat/workers" (largest budget used).
+// gauge "mat/workers" (largest budget used). "mat/ata" is a Stats sweep,
+// XᵀY included, so the UoI cells emit no "mat/gemv_t"; that span is the
+// all-rows GramVec of the λ_max product and the standalone solvers.
 func SetTracer(t *trace.Tracer) {
 	if t == nil {
 		kernelTracer.Store(nil)
@@ -112,6 +114,17 @@ func parallelFor(n, workers int, f func(lo, hi int)) {
 	}
 	wg.Wait()
 	release()
+}
+
+// forEachWorker runs f(0), …, f(n−1), one goroutine each (inline when n is
+// 1): the kernels that deal bands cyclically hand worker w the bands w,
+// w+n, w+2n, ….
+func forEachWorker(n int, f func(w int)) {
+	parallelFor(n, n, func(lo, hi int) {
+		for w := lo; w < hi; w++ {
+			f(w)
+		}
+	})
 }
 
 // ParallelFor is parallelFor for callers one layer up whose work items are

@@ -281,7 +281,7 @@ func fitTarget(xc, y *mat.Dense, xbar, ybar []float64, i, blockLen, screen int, 
 	target := column(yc)
 	for b := 0; b < c.NB; b++ {
 		bi := resample.MovingBlockBootstrap(root.Derive(uint64(b)+1), m, blockLen)
-		gram, xty := stats(xc, target, mat.Sample{Rows: bi, Cols: cols}, 1)
+		gram, xty := mat.Stats(xc, target, mat.Sample{Rows: bi, Cols: cols}, 1)
 		sup, d, err := sel.cell(gram, xty, 0, len(lambdas), nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("uoi: all-pairs target %d bootstrap %d: %w", i, b, err)
@@ -309,7 +309,7 @@ func fitTarget(xc, y *mat.Dense, xbar, ybar []float64, i, blockLen, screen int, 
 		rows[t] = t
 	}
 	supCols, at := supportColumns(distinct, screen)
-	gram, xty := stats(xs, target, mat.Sample{Cols: supCols}, 1)
+	gram, xty := mat.Stats(xs, target, mat.Sample{Cols: supCols}, 1)
 	fit := &targetFit{mu: ybar[i]}
 	var best winner
 	fitCandidates(xs, target, gram, xty, at, rows, distinct, func(j int, loss float64, beta []float64) {

@@ -47,7 +47,7 @@ func LassoCV(x *mat.Dense, y []float64, folds, q int, seed uint64) (*BaselineRes
 				trainIdx = append(trainIdx, v)
 			}
 		}
-		gram, xty := stats(x, yd, mat.Sample{Rows: trainIdx}, 0)
+		gram, xty := mat.Stats(x, yd, mat.Sample{Rows: trainIdx}, 0)
 		fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 		if err != nil {
 			return nil, err
@@ -85,7 +85,7 @@ func LassoBIC(x *mat.Dense, y []float64, q int) (*BaselineResult, error) {
 	for i := range all {
 		all[i] = i
 	}
-	gram, xty := stats(x, yd, mat.Sample{}, 0)
+	gram, xty := mat.Stats(x, yd, mat.Sample{}, 0)
 	fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 	if err != nil {
 		return nil, err
@@ -129,14 +129,14 @@ func VARLassoCV(series *mat.Dense, order int, intercept bool, folds, q int, seed
 	}
 	full := varsim.NewDesign(series, order, intercept)
 	m, p, rowsB := full.X.Rows, full.P, full.X.Cols
-	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y, mat.Sample{}).Data), 1e-3, q)
+	lambdas := admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y).Data), 1e-3, q)
 	blockLen := int(math.Ceil(math.Sqrt(float64(m))))
 	rng := resample.NewRNG(seed)
 
 	// fit solves every equation at each of lams from the statistics of the
 	// design rows s names and hands each vec(B) to use.
 	fit := func(s mat.Sample, lams []float64, use func(j int, beta []float64)) error {
-		gram, xty := stats(full.X, full.Y, s, 0)
+		gram, xty := mat.Stats(full.X, full.Y, s, 0)
 		fac, err := admm.NewFactorizationGramWorkers(gram, 0, 0)
 		if err != nil {
 			return err

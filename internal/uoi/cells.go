@@ -15,10 +15,10 @@ import (
 // per equation — UoI_LASSO's response, or the p channels of UoI_VAR's lagged
 // design, whose vectorised problem (I ⊗ X) is block separable. Equation e's
 // coefficients are β[e·q : (e+1)·q]. A selection cell fits the λ path of
-// every equation from one sample's XᵀX and XᵀY and reports per-(λ,
-// coefficient) support indicators; an estimation cell fits OLS on every
-// candidate support from a training sample's statistics and reports the
-// held-out winner. A mat.Sample names a cell's rows, never a gathered copy.
+// every equation from one sample's XᵀX and XᵀY (one mat.Stats sweep) and
+// reports per-(λ, coefficient) support indicators; an estimation cell fits
+// OLS on every candidate support from a training sample's statistics and
+// reports the held-out winner. A mat.Sample names a cell's rows, never a gathered copy.
 // Each cell is a pure function of (data, root seed, cell index) —
 // independent of worker counts, rank counts, and every other cell — which is
 // what makes UoI embarrassingly parallel and, in checkpointed execution,
@@ -75,12 +75,6 @@ func bootstrapSample(rng *resample.RNG, n int) mat.Sample {
 	return mat.Sample{Rows: rows, Weights: counts}
 }
 
-// stats returns the sufficient statistics of a cell's sample: the Gram XᵀX
-// and the panel XᵀY over the rows, weights and columns s names.
-func stats(x, y *mat.Dense, s mat.Sample, kw int) (gram, xty *mat.Dense) {
-	return mat.GramWorkers(x, s, kw), mat.MulAtB(x, y, s)
-}
-
 // path is what a selection cell needs besides its statistics: the λ grid and
 // how each solve on it runs.
 type path struct {
@@ -97,7 +91,7 @@ type path struct {
 
 // cell is the body of a selection bootstrap over the λ block [jLo, jHi), on
 // its sample's statistics gram = XᵀX and xty = XᵀY: factorize once, then
-// sweep every equation's chain as one batch (admm.SolveRHSBatch, whose
+// sweep every equation's chain as one batch (admm.SolveRHSBatchTo, whose
 // column e is bit for bit SolveRHS of equation e). The whole path is the
 // block [0, len(lambdas)) with nil hooks; on a grid the hooks continue the
 // exact serial warm-start chains across columns, so a grid fit's supports
@@ -108,17 +102,17 @@ func (pa *path) cell(gram, xty *mat.Dense, jLo, jHi int, warm warmFn, emit emitF
 		return nil, Diagnostics{}, err
 	}
 	pa.tr.Add("admm/factorizations", 1)
-	solve := func(lambda float64, warmZ, warmU [][]float64) []admm.Result {
-		return f.SolveRHSBatch(xty, lambda, warmZ, warmU, &pa.opts, pa.kw)
+	solve := func(out []admm.Result, lambda float64, warmZ, warmU [][]float64) {
+		f.SolveRHSBatchTo(out, xty, lambda, warmZ, warmU, &pa.opts, pa.kw)
 	}
 	sup, d := sweep(solve, xty.Cols, xty.Rows, pa.lambdas, jLo, jHi, warm, emit, pa.seed, pa.tol)
 	return sup, d, nil
 }
 
-// batchFn solves one λ for every warm-start chain of a selection cell:
-// result e continues chain e from (warmZ[e], warmU[e]), a nil pair starting
-// cold.
-type batchFn func(lambda float64, warmZ, warmU [][]float64) []admm.Result
+// batchFn solves one λ for every warm-start chain of a selection cell into
+// out: result e continues chain e from (warmZ[e], warmU[e]), a nil pair
+// starting cold, and may reuse the pair out[e] holds.
+type batchFn func(out []admm.Result, lambda float64, warmZ, warmU [][]float64)
 
 // sweep runs one selection bootstrap's λ block [jLo, jHi) over its `chains`
 // warm-start chains of chainLen coefficients and returns the support
@@ -149,11 +143,18 @@ func sweep(solve batchFn, chains, chainLen int, lambdas []float64, jLo, jHi int,
 			warmZ[e], warmU[e] = warm(e)
 		}
 	}
-	for _, j := range order {
-		for e, r := range solve(lambdas[j], warmZ, warmU) {
+	// Two result sets alternate along the path: a step overwrites the pairs
+	// of the step before last, which no warm start holds any more. They are
+	// the sweep's own, so the pairs handed to emit are never reused.
+	outs := [2][]admm.Result{make([]admm.Result, chains), make([]admm.Result, chains)}
+	for step, j := range order {
+		res := outs[step%2]
+		solve(res, lambdas[j], warmZ, warmU)
+		for e := range res {
+			r := &res[e]
 			warmZ[e], warmU[e] = r.Beta, r.U
 			d.LassoFits++
-			d.solved(&r)
+			d.solved(r)
 			markSupport(sup[(j-jLo)*width+e*chainLen:], r.Beta, tol)
 		}
 	}

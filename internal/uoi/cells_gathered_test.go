@@ -169,7 +169,7 @@ func gatheredVarSelCell(series *mat.Dense, root *resample.RNG, k, m, blockLen in
 			warmZ[eq], warmU[eq] = warm(eq)
 		}
 	}
-	xty := mat.MulAtB(des.X, des.Y, mat.Sample{})
+	xty := mat.MulAtB(des.X, des.Y)
 	for _, j := range order {
 		for eq, r := range f.SolveRHSBatch(xty, lambdas[j], warmZ, warmU, &c.ADMM, kw) {
 			warmZ[eq], warmU[eq] = r.Beta, r.U

@@ -257,7 +257,7 @@ func newVarCellFixture(series *mat.Dense, cfg *VARConfig) varCellFixture {
 	return varCellFixture{
 		series: series, c: c, m: m, blockLen: int(math.Ceil(math.Sqrt(float64(m)))),
 		rowsB: full.X.Cols, betaLen: full.X.Cols * full.P,
-		lambdas: admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y, mat.Sample{}).Data), c.LambdaRatio, c.Q),
+		lambdas: admm.LogSpaceLambdas(mat.NormInf(mat.MulAtB(full.X, full.Y).Data), c.LambdaRatio, c.Q),
 	}
 }
 

@@ -199,10 +199,10 @@ func (pb *problem) consensusSel(k, jLo, jHi int, sv *admm.ConsensusSolver, err e
 	if err = pb.ready("selection", k, err); err != nil {
 		return nil, err
 	}
-	solve := func(lambda float64, warmZ, warmU [][]float64) []admm.Result {
+	solve := func(out []admm.Result, lambda float64, warmZ, warmU [][]float64) {
 		o := pb.opts
 		o.WarmZ, o.WarmU = warmZ[0], warmU[0]
-		return []admm.Result{*sv.Solve(lambda, &o)}
+		out[0] = *sv.Solve(lambda, &o)
 	}
 	sup, d := sweep(solve, 1, pb.p, pb.lambdas, jLo, jHi, nil, nil, nil, pb.tol)
 	pb.add(d, 0)
@@ -258,17 +258,19 @@ func newLassoConsensusProblem(pl *consensus, xSel *mat.Dense, ySel []float64, xE
 		return orOne(world.AllreduceScalar(mpi.OpMax, mat.NormInf(mat.AtVecWorkers(xSel, ySel, pb.kw))))
 	})
 	root := resample.NewRNG(c.Seed)
-	yE := column(yEst)
+	yS, yE := column(ySel), column(yEst)
 	rank := uint64(world.Rank()) + 1
 	pb.selCell = func(k, jLo, jHi int, _ warmFn, _ emitFn, _ trace.Span) ([]bool, error) {
 		boot := bootstrapSample(root.Derive(uint64(k)+1).Derive(rank), xSel.Rows)
-		sv, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xSel, boot, pb.kw), mat.GramVec(xSel, ySel, boot), c.ADMM.Rho, c.L2, pb.kw)
+		gram, xty := mat.Stats(xSel, yS, boot, pb.kw)
+		sv, err := admm.NewConsensusSolverGram(pl.group, gram, xty.Data, c.ADMM.Rho, c.L2, pb.kw)
 		return pb.consensusSel(k, jLo, jHi, sv, err)
 	}
 	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
 		trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)).Derive(rank), xEst.Rows, c.TrainFrac)
 		train := mat.Sample{Rows: trainIdx}
-		sv, err := admm.NewConsensusSolverGram(pl.group, mat.GramWorkers(xEst, train, pb.kw), mat.GramVec(xEst, yEst, train), c.ADMM.Rho, 0, pb.kw)
+		gram, xty := mat.Stats(xEst, yE, train, pb.kw)
+		sv, err := admm.NewConsensusSolverGram(pl.group, gram, xty.Data, c.ADMM.Rho, 0, pb.kw)
 		return pb.consensusEst(pl.group, k, distinct, sv, err, func(beta []float64) float64 { return heldOut(xEst, yE, evalIdx, beta) })
 	}
 	return pb, scaler, nil

@@ -129,15 +129,15 @@ func (pb *problem) setLambdas(c *LassoConfig, lmax func() float64) {
 // training rows split(k) returns first and scores on the evaluation rows it
 // returns second. Without c.Lambdas the grid starts at λ_max = ‖XᵀY‖∞.
 func (pb *problem) replicated(c *LassoConfig, x, y *mat.Dense, sample func(k int) mat.Sample, split func(k int) (train, eval []int)) {
-	pb.setLambdas(c, func() float64 { return mat.NormInf(mat.MulAtB(x, y, mat.Sample{}).Data) })
+	pb.setLambdas(c, func() float64 { return mat.NormInf(mat.MulAtB(x, y).Data) })
 	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, _ trace.Span) ([]bool, error) {
-		gram, xty := stats(x, y, sample(k), pb.kw)
+		gram, xty := mat.Stats(x, y, sample(k), pb.kw)
 		return pb.sel(k, gram, xty, jLo, jHi, warm, emit)
 	}
 	pb.estCell = func(k int, distinct [][]int, _ trace.Span) ([]float64, error) {
 		train, eval := split(k)
 		cols, at := supportColumns(distinct, x.Cols)
-		gram, xty := stats(x, y, mat.Sample{Rows: train, Cols: cols}, pb.kw)
+		gram, xty := mat.Stats(x, y, mat.Sample{Rows: train, Cols: cols}, pb.kw)
 		var best winner
 		fitCandidates(x, y, gram, xty, at, eval, distinct, func(_ int, loss float64, beta []float64) { best.offer(loss, beta) })
 		pb.add(Diagnostics{OLSFits: len(distinct)}, 0)

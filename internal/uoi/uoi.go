@@ -432,7 +432,7 @@ func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 					continue
 				}
 				boot := sel.sample(bootstrapSample(root.Derive(uint64(k)+1), sel.total))
-				gram, xty := stats(xSel, yS, boot, pb.kw)
+				gram, xty := mat.Stats(xSel, yS, boot, pb.kw)
 				if sumStats(world, gram, xty.Data); r == me {
 					selGram, selXty = gram, xty
 				}
@@ -448,7 +448,7 @@ func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 				continue
 			}
 			trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)), est.total, c.TrainFrac)
-			gram, xty := stats(xEst, yE, mat.Sample{Rows: est.rows(trainIdx), Cols: cols}, pb.kw)
+			gram, xty := mat.Stats(xEst, yE, mat.Sample{Rows: est.rows(trainIdx), Cols: cols}, pb.kw)
 			sumStats(world, gram, xty.Data)
 			fitCandidates(xEst, yE, gram, xty, at, est.rows(evalIdx), ph.distinct, func(j int, loss float64, beta []float64) {
 				if losses[r*nd+j] = loss; r == me {

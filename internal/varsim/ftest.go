@@ -109,7 +109,7 @@ func rss(x *mat.Dense, y []float64) (float64, error) {
 			return 0, err
 		}
 	}
-	beta := ch.Solve(mat.GramVec(x, y, mat.Sample{}))
+	beta := ch.Solve(mat.GramVec(x, y))
 	r := mat.Sub(mat.MulVec(x, beta), y)
 	return mat.Dot(r, r), nil
 }

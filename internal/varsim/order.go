@@ -63,7 +63,7 @@ func SelectOrder(series *mat.Dense, maxOrder int, criterion OrderCriterion) (int
 		yCol := make([]float64, des.X.Rows)
 		for eq := 0; eq < p; eq++ {
 			des.Y.Col(eq, yCol)
-			beta := ch.Solve(mat.GramVec(des.X, yCol, mat.Sample{}))
+			beta := ch.Solve(mat.GramVec(des.X, yCol))
 			r := mat.Sub(mat.MulVec(des.X, beta), yCol)
 			rssTotal += mat.Dot(r, r)
 		}

@@ -71,7 +71,7 @@ func ADFTest(series *mat.Dense, lags int, level float64) ([]DFResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		beta := ch.Solve(mat.GramVec(design, dy, mat.Sample{}))
+		beta := ch.Solve(mat.GramVec(design, dy))
 		// Residual variance and the standard error of γ (coefficient 1).
 		r := mat.Sub(mat.MulVec(design, beta), dy)
 		sigma2 := mat.Dot(r, r) / float64(m-k)
