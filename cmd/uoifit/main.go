@@ -85,6 +85,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -344,7 +345,6 @@ type perfCollector struct {
 	o     *options
 	recs  []*trace.Recorder
 	mon   *monitor.Server
-	treg  *telemetry.Registry
 	mu    sync.Mutex
 	ranks []trace.RankPerf
 	extra map[string]any
@@ -365,16 +365,15 @@ func (p *perfCollector) runOpts() mpi.RunOptions {
 }
 
 // serve starts the live endpoint when -debug-addr is set. The endpoint also
-// exposes GET /metrics: fit-side trace counters and per-rank MPI stats are
-// bridged into a telemetry registry at scrape time, so the same Prometheus
-// tooling that watches the serving tier can watch a long fit.
+// exposes GET /metrics: the monitor renders rank 0's trace registry and the
+// per-rank MPI stats there at scrape time, so the same Prometheus tooling
+// that watches the serving tier can watch a long fit.
 func (p *perfCollector) serve() error {
 	if p.o.DebugAddr == "" {
 		return nil
 	}
 	p.mon = monitor.New(p.name)
-	p.treg = telemetry.NewRegistry()
-	p.mon.SetMetrics(p.treg)
+	p.mon.SetMetrics(telemetry.NewRegistry())
 	p.mon.SetRecorders(p.recs)
 	p.mon.SetState(func() map[string]any {
 		m := map[string]any{"algo": p.o.Algo, "ranks": p.o.Ranks, "b1": p.o.B1, "b2": p.o.B2}
@@ -401,7 +400,6 @@ func (p *perfCollector) register(c *mpi.Comm) {
 	}
 	p.mon.SetHealth(c.Health)
 	p.mon.SetStats(c.AllStats)
-	telemetry.BridgeMPI(p.treg, c.AllStats)
 }
 
 // setState publishes a key into the live endpoint's state map.
@@ -428,8 +426,8 @@ func (p *perfCollector) tracer(rank int) *trace.Tracer {
 		return nil
 	}
 	tr := trace.New().WithRecorder(rec)
-	if rank == 0 {
-		telemetry.BridgeTrace(p.treg, tr)
+	if rank == 0 && p.mon != nil {
+		p.mon.SetTracer(tr)
 	}
 	return tr
 }
@@ -455,48 +453,35 @@ func (p *perfCollector) write() error {
 		fmt.Print(trace.AnalyzeTimeline(p.recs).Format())
 	}
 	if p.o.TraceOut != "" {
-		if err := p.writeTrace(); err != nil {
+		chrome := func(w io.Writer) error { return trace.WriteChromeTrace(w, p.name, p.recs) }
+		if err := writeOut(p.o.TraceOut, "chrome trace", chrome); err != nil {
 			return err
 		}
 	}
 	if p.path == "" {
 		return nil
 	}
-	report := trace.NewPerfReport(p.name, time.Since(p.start).Seconds(), p.ranks)
-	if p.path == "-" {
-		return report.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(p.path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println("perf report written to", p.path)
-	return nil
+	return writeOut(p.path, "perf report",
+		trace.NewPerfReport(p.name, time.Since(p.start).Seconds(), p.ranks).WriteJSON)
 }
 
-func (p *perfCollector) writeTrace() error {
-	if p.o.TraceOut == "-" {
-		return trace.WriteChromeTrace(os.Stdout, p.name, p.recs)
+// writeOut renders what to path ("-" is stdout) and says where it went.
+func writeOut(path, what string, render func(io.Writer) error) error {
+	if path == "-" {
+		return render(os.Stdout)
 	}
-	f, err := os.Create(p.o.TraceOut)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChromeTrace(f, p.name, p.recs); err != nil {
+	if err := render(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Println("chrome trace written to", p.o.TraceOut, "(open in https://ui.perfetto.dev)")
+	fmt.Println(what, "written to", path)
 	return nil
 }
 

@@ -171,20 +171,14 @@ func run(o *options) error {
 
 	tr := trace.New()
 	mon := monitor.New("uoiserve")
-	mon.SetState(func() map[string]any {
-		st := map[string]any{"models": reg.Len()}
-		for k, v := range tr.Counters() {
-			st[k] = v
-		}
-		return st
-	})
+	mon.SetState(func() map[string]any { return map[string]any{"models": reg.Len()} })
+	mon.SetTracer(tr)
 	treg, accessLog, cleanup, err := telemetrySinks(o)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
 	mon.SetMetrics(treg)
-	telemetry.BridgeTrace(treg, tr)
 	if o.Metrics {
 		fmt.Println("telemetry: GET /metrics enabled")
 	}
@@ -212,17 +206,7 @@ func run(o *options) error {
 		return err
 	}
 	fmt.Printf("serving %d model(s) on http://%s\n", len(entries), bound)
-	if o.bound != nil {
-		o.bound <- bound
-	}
-
-	sigs := o.signals
-	if sigs == nil {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		sigs = ch
-	}
-	sig := <-sigs
+	sig := o.awaitShutdown(bound)
 	fmt.Printf("%s: draining (up to %s)...\n", sig, o.DrainWait)
 	ctx, cancel := context.WithTimeout(context.Background(), o.DrainWait)
 	defer cancel()
@@ -231,6 +215,21 @@ func run(o *options) error {
 	}
 	fmt.Println("drained cleanly")
 	return nil
+}
+
+// awaitShutdown hands the bound address to a waiting test, then blocks
+// until a shutdown signal arrives.
+func (o *options) awaitShutdown(bound string) os.Signal {
+	if o.bound != nil {
+		o.bound <- bound
+	}
+	sigs := o.signals
+	if sigs == nil {
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		sigs = ch
+	}
+	return <-sigs
 }
 
 // streamOptions maps the -stream family of flags onto stream.Options.
@@ -375,7 +374,7 @@ func runFleet(o *options) error {
 	tr := trace.New()
 	mon := monitor.New("uoiserve-fleet")
 	mon.SetMetrics(treg)
-	telemetry.BridgeTrace(treg, tr)
+	mon.SetTracer(tr)
 	if o.Metrics {
 		fmt.Println("telemetry: GET /metrics enabled (fleet-wide registry)")
 	}
@@ -395,13 +394,7 @@ func runFleet(o *options) error {
 		stopAll()
 		return err
 	}
-	mon.SetState(func() map[string]any {
-		st := rt.State()
-		for k, v := range tr.Counters() {
-			st[k] = v
-		}
-		return st
-	})
+	mon.SetState(rt.State)
 	bound, err := rt.ListenAndServe(o.Addr)
 	if err != nil {
 		stopAll()
@@ -409,17 +402,7 @@ func runFleet(o *options) error {
 	}
 	fmt.Printf("routing %d replica(s) (replication factor %d) on http://%s\n",
 		o.Replicas, o.ReplicationFactor, bound)
-	if o.bound != nil {
-		o.bound <- bound
-	}
-
-	sigs := o.signals
-	if sigs == nil {
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		sigs = ch
-	}
-	sig := <-sigs
+	sig := o.awaitShutdown(bound)
 	fmt.Printf("%s: draining fleet (up to %s)...\n", sig, o.DrainWait)
 	ctx, cancel := context.WithTimeout(context.Background(), o.DrainWait)
 	defer cancel()

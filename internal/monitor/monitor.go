@@ -12,10 +12,15 @@
 //	/debug/uoivar  — the full JSON snapshot
 //	/debug/vars    — standard expvar (the snapshot is also published as the
 //	                 expvar "uoivar" for stock tooling)
+//	/metrics       — Prometheus text exposition (404 until SetMetrics)
+//
+// The monitor is the one renderer of the numbers the system keeps about
+// itself, into both views: SetStats feeds the JSON comm map and the
+// uoivar_mpi_* gauges, SetTracer the JSON state and the trace families.
 //
 // Everything is pull-based and lock-scoped to the snapshot, so polling the
-// endpoint never blocks ranks: the sources (trace.Recorder, mpi stats) are
-// themselves safe for concurrent readers.
+// endpoint never blocks ranks: the sources (trace.Recorder, trace.Tracer,
+// mpi stats) are themselves safe for concurrent readers.
 package monitor
 
 import (
@@ -25,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,6 +89,7 @@ type Server struct {
 	readiness func() error
 	degraded  func() []string
 	metrics   *telemetry.Registry
+	tracer    *trace.Tracer
 
 	srv *http.Server
 	ln  net.Listener
@@ -118,7 +125,8 @@ func (s *Server) SetStats(fn func() []mpi.Stats) {
 }
 
 // SetState registers an arbitrary-state source merged into the snapshot
-// (quorum/degradation flags, run progress).
+// (quorum/degradation flags, run progress). fn returns a fresh map on every
+// call: the SetTracer counters are merged into it.
 func (s *Server) SetState(fn func() map[string]any) {
 	s.mu.Lock()
 	s.state = fn
@@ -157,10 +165,19 @@ func (s *Server) SetMetrics(reg *telemetry.Registry) {
 	s.mu.Unlock()
 }
 
+// SetTracer registers a tracer: its counters and maxima are merged into
+// the snapshot's State (over the SetState keys), and its registry is
+// rendered on /metrics after the SetMetrics registry.
+func (s *Server) SetTracer(tr *trace.Tracer) {
+	s.mu.Lock()
+	s.tracer = tr
+	s.mu.Unlock()
+}
+
 // Snapshot assembles the current live view.
 func (s *Server) Snapshot() Snapshot {
 	s.mu.Lock()
-	recs, healthFn, statsFn, stateFn := s.recs, s.health, s.stats, s.state
+	recs, healthFn, statsFn, stateFn, tr := s.recs, s.health, s.stats, s.state, s.tracer
 	s.mu.Unlock()
 	snap := Snapshot{
 		Name:          s.name,
@@ -203,7 +220,34 @@ func (s *Server) Snapshot() Snapshot {
 	if stateFn != nil {
 		snap.State = stateFn()
 	}
+	for k, v := range tr.Counters() {
+		if snap.State == nil {
+			snap.State = map[string]any{}
+		}
+		snap.State[k] = v
+	}
 	return snap
+}
+
+// commMetrics renders the ranks' comm maps as the uoivar_mpi_* gauges, one
+// series per (rank, category) — the same rows /debug/uoivar shows.
+func commMetrics(ranks []RankSnapshot) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	gauge := func(name, what string) *telemetry.GaugeVec {
+		return reg.Gauge("uoivar_mpi_"+name, "MPI "+what+" by rank and category.", "rank", "category")
+	}
+	calls, bytes := gauge("calls", "call counts"), gauge("bytes", "bytes on the wire")
+	seconds, wait := gauge("seconds", "wall time"), gauge("wait_seconds", "blocked time (part of uoivar_mpi_seconds)")
+	for _, rs := range ranks {
+		rank := strconv.Itoa(rs.Rank)
+		for cat, c := range rs.Comm {
+			calls.With(rank, cat).Set(float64(c.Calls))
+			bytes.With(rank, cat).Set(float64(c.Bytes))
+			seconds.With(rank, cat).Set(c.Seconds)
+			wait.With(rank, cat).Set(c.WaitSeconds)
+		}
+	}
+	return reg
 }
 
 // expvarOnce guards the process-wide expvar name (Publish panics on
@@ -280,13 +324,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	reg := s.metrics
+	reg, tr := s.metrics, s.tracer
 	s.mu.Unlock()
 	if !reg.Enabled() {
 		http.Error(w, "telemetry disabled", http.StatusNotFound)
 		return
 	}
-	reg.Handler().ServeHTTP(w, r)
+	telemetry.Handler(reg, commMetrics(s.Snapshot().Ranks), tr.Registry()).ServeHTTP(w, r)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

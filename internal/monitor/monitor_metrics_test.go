@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"uoivar/internal/datagen"
 	"uoivar/internal/mpi"
 	"uoivar/internal/telemetry"
 	"uoivar/internal/trace"
@@ -20,7 +22,8 @@ import (
 )
 
 // TestMonitorMetricsEndpoint: SetMetrics mounts the registry's Prometheus
-// exposition at GET /metrics; without a registry the endpoint answers 404.
+// exposition at GET /metrics, followed by the SetTracer registry; without a
+// SetMetrics registry the endpoint answers 404 even when a tracer is set.
 func TestMonitorMetricsEndpoint(t *testing.T) {
 	s := New("metrics")
 	addr, err := s.Serve("127.0.0.1:0")
@@ -29,6 +32,9 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	}
 	defer s.Close()
 
+	tr := trace.New()
+	tr.Add("serve/requests", 2)
+	s.SetTracer(tr)
 	if code, _ := get(t, addr, "/metrics"); code != http.StatusNotFound {
 		t.Fatalf("metrics without registry = %d, want 404", code)
 	}
@@ -53,6 +59,9 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := exp.Value("uoivar_test_requests_total", nil); !ok || v != 3 {
 		t.Fatalf("counter = %g %v", v, ok)
+	}
+	if v, ok := exp.Value("uoivar_trace_counter", map[string]string{"name": "serve/requests"}); !ok || v != 2 {
+		t.Fatalf("trace counter = %g %v", v, ok)
 	}
 }
 
@@ -100,6 +109,14 @@ func TestMonitorSettersRaceServing(t *testing.T) {
 		}
 	})
 	run(func(i int) { s.SetState(func() map[string]any { return map[string]any{"i": i} }) })
+	run(func(i int) {
+		tr := trace.New()
+		tr.Add("c", int64(i))
+		s.SetTracer(tr)
+	})
+	run(func(i int) {
+		s.SetStats(func() []mpi.Stats { return make([]mpi.Stats, i%3) })
+	})
 	run(func(int) { s.Register(http.NewServeMux()) })
 	run(func(int) { _ = s.Snapshot() })
 	run(func(int) {
@@ -149,28 +166,44 @@ func TestExpvarFollowsLatestServer(t *testing.T) {
 	}
 }
 
-// TestCommRowsMatchStats: for one labeled 2-rank world, the /debug/uoivar
-// comm map, the uoivar_mpi_* gauges on /metrics and uoi.RankPerf's Comm
-// rows all carry the meters of LocalStats and LocalLabelStats, blocked time
-// included.
+// TestCommRowsMatchStats is the agreement test for the numbers the system
+// reports about itself. One monitor sits over a traced 4-rank partitioned
+// UoI_LASSO fit (SetStats + SetTracer + SetMetrics), after a labeled
+// exchange that makes rank 0 block. The /debug/uoivar comm map, the
+// uoivar_mpi_* gauges and uoi.RankPerf's Comm rows must all carry the
+// meters of LocalStats and LocalLabelStats, blocked time included. Rank 0's
+// Tracer.Counters(), the snapshot's state, the scraped uoivar_trace_counter
+// and uoivar_trace_max series, the scraped uoivar_trace_phase_seconds
+// _count/_sum and RankPerf's phases must agree exactly.
 func TestCommRowsMatchStats(t *testing.T) {
-	local := make([]mpi.Stats, 2)
-	labeled := make([]map[string]mpi.Stats, 2)
-	perf := make([]trace.RankPerf, 2)
+	const ranks = 4
+	data := datagen.MakeRegression(43, 240, 16, nil)
+	local := make([]mpi.Stats, ranks)
+	labeled := make([]map[string]mpi.Stats, ranks)
+	perf := make([]trace.RankPerf, ranks)
+	tracers := make([]*trace.Tracer, ranks)
 	var world *mpi.Comm
-	if err := mpi.Run(2, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
+	if err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		switch c.Rank() {
+		case 0:
 			world = c
 			c.Send(1, 0, []float64{1, 2})
-		} else {
+		case 1:
 			c.Recv(0, 0)
 			time.Sleep(2 * time.Millisecond) // rank 0 waits in the Allreduce
 		}
 		row := c.WithLabel("row")
 		row.Allreduce(mpi.OpSum, []float64{1, 2, 3})
 		row.Barrier()
+		tr := trace.New()
+		lo, hi := c.Rank()*60, (c.Rank()+1)*60
+		cfg := &uoi.LassoConfig{B1: 4, B2: 3, Q: 5, Seed: 13, Trace: tr,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true}}
+		if _, err := uoi.Lasso(data.X.SubRows(lo, hi), data.Y[lo:hi], cfg); err != nil {
+			return err
+		}
 		local[c.Rank()], labeled[c.Rank()] = c.LocalStats(), c.LocalLabelStats()
-		perf[c.Rank()] = uoi.RankPerf(c, trace.New())
+		perf[c.Rank()], tracers[c.Rank()] = uoi.RankPerf(c, tr), tr
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -181,9 +214,8 @@ func TestCommRowsMatchStats(t *testing.T) {
 
 	s := New("rows")
 	s.SetStats(world.AllStats)
-	reg := telemetry.NewRegistry()
-	telemetry.BridgeMPI(reg, world.AllStats)
-	s.SetMetrics(reg)
+	s.SetTracer(tracers[0])
+	s.SetMetrics(telemetry.NewRegistry())
 	addr, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +261,60 @@ func TestCommRowsMatchStats(t *testing.T) {
 		if !reflect.DeepEqual(snap.Ranks[r].Comm, comm) {
 			t.Errorf("rank %d snapshot comm %+v, want %+v", r, snap.Ranks[r].Comm, comm)
 		}
-		rows(labeled[r]["row"], "[row]")
-		if len(labeled[r]) != 1 || !reflect.DeepEqual(perf[r].Comm, want) {
-			t.Errorf("rank %d RankPerf comm %+v (labels %v), want %+v", r, perf[r].Comm, labeled[r], want)
+		if _, ok := labeled[r]["row"]; !ok {
+			t.Errorf("rank %d: no [row] breakdown in %v", r, labeled[r])
+		}
+		labels := make([]string, 0, len(labeled[r]))
+		for l := range labeled[r] {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		for _, label := range labels {
+			rows(labeled[r][label], "["+label+"]")
+		}
+		if !reflect.DeepEqual(perf[r].Comm, want) {
+			t.Errorf("rank %d RankPerf comm %+v, want %+v", r, perf[r].Comm, want)
+		}
+	}
+
+	counters := tracers[0].Counters()
+	if counters["admm/solves"] == 0 || counters["mat/kernel_workers"] == 0 {
+		t.Fatalf("rank 0 tracer counted no solver work: %v", counters)
+	}
+	if len(snap.State) != len(counters) {
+		t.Errorf("snapshot state has %d keys, tracer %d counters", len(snap.State), len(counters))
+	}
+	_, nCounters := exp.SumValues("uoivar_trace_counter", nil)
+	_, nMaxes := exp.SumValues("uoivar_trace_max", nil)
+	if nCounters+nMaxes != len(counters) {
+		t.Errorf("scrape carries %d+%d trace series, tracer %d counters", nCounters, nMaxes, len(counters))
+	}
+	for k, v := range counters {
+		if got, ok := snap.State[k].(float64); !ok || got != float64(v) {
+			t.Errorf("state[%q] = %v, tracer %d", k, snap.State[k], v)
+		}
+		got, ok := exp.Value("uoivar_trace_counter", map[string]string{"name": k})
+		if !ok {
+			got, ok = exp.Value("uoivar_trace_max", map[string]string{"name": k})
+		}
+		if !ok || got != float64(v) {
+			t.Errorf("scraped trace series %q = %g (present %v), tracer %d", k, got, ok, v)
+		}
+	}
+	phases := tracers[0].Phases()
+	if !reflect.DeepEqual(perf[0].Phases, phases) {
+		t.Errorf("RankPerf phases %+v, tracer %+v", perf[0].Phases, phases)
+	}
+	if _, n := exp.SumValues("uoivar_trace_phase_seconds_count", nil); n != len(phases) {
+		t.Errorf("scrape carries %d phase series, tracer %d phases", n, len(phases))
+	}
+	for _, ph := range phases {
+		at := map[string]string{"phase": ph.Name}
+		if got, ok := exp.Value("uoivar_trace_phase_seconds_count", at); !ok || got != float64(ph.Count) {
+			t.Errorf("%s _count = %g (present %v), tracer %d", ph.Name, got, ok, ph.Count)
+		}
+		if got, ok := exp.Value("uoivar_trace_phase_seconds_sum", at); !ok || got != ph.Seconds {
+			t.Errorf("%s _sum = %g (present %v), tracer %g", ph.Name, got, ok, ph.Seconds)
 		}
 	}
 }

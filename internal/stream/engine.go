@@ -77,7 +77,7 @@ type Engine struct {
 	window  int
 	minRows int
 	buf     *Buffer
-	cache   *uoi.MapCellCache
+	cache   *uoi.CellCache
 	tr      *trace.Tracer
 	metrics *streamMetrics
 
@@ -142,7 +142,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		window:  window,
 		minRows: minRows,
 		buf:     NewBuffer(entry.Artifact.Meta.P, window),
-		cache:   uoi.NewMapCellCache(),
+		cache:   uoi.NewCellCache(),
 		tr:      cfg.Tracer,
 		metrics: newStreamMetrics(cfg.Metrics),
 	}

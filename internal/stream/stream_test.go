@@ -6,13 +6,16 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"uoivar/internal/mat"
 	"uoivar/internal/model"
+	"uoivar/internal/mpi"
 	"uoivar/internal/resample"
 	"uoivar/internal/serve"
+	"uoivar/internal/telemetry"
 	"uoivar/internal/trace"
 	"uoivar/internal/uoi"
 	"uoivar/internal/varsim"
@@ -403,4 +406,66 @@ func (m *Manager) Engine(name string) (*Engine, bool) {
 	defer m.mu.Unlock()
 	e, ok := m.engines[name]
 	return e, ok
+}
+
+// TestTracedFitsStayBelowSeriesCap: a tracer's series are named by program
+// constants, never by request data, so one tracer through a 2×2 grid
+// UoI_VAR fit, a 4-rank consensus-ADMM UoI_LASSO fit and a streaming
+// engine's refits mints a few dozen series per family and never the
+// registry's overflow series.
+func TestTracedFitsStayBelowSeriesCap(t *testing.T) {
+	tr := trace.New()
+	reg, long, base := seedModel(t, "net", 300, 200)
+	if err := mpi.Run(4, func(c *mpi.Comm) error {
+		grid := *base
+		grid.Trace = tr
+		grid.Placement = &uoi.Placement{Comm: c, Shape: uoi.GridShape{PB: 2, PL: 2}}
+		if _, err := uoi.VAR(long.SubRows(0, 200), &grid); err != nil {
+			return err
+		}
+		lo, hi := c.Rank()*50, (c.Rank()+1)*50
+		y := make([]float64, hi-lo)
+		for i := range y {
+			y[i] = long.Row(lo + i + 1)[0]
+		}
+		_, err := uoi.Lasso(long.SubRows(lo, hi), y, &uoi.LassoConfig{B1: 3, B2: 2, Q: 4, Seed: 5, Trace: tr,
+			Placement: &uoi.Placement{Comm: c, Partitioned: true, Assembly: uoi.ConsensusADMM}})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{Name: "net", Registry: reg, Base: *base, Window: 200, MinRows: 40, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range [][2]int{{0, 200}, {200, 260}} {
+		if _, err := e.Ingest(rowsOf(long, span[0], span[1])); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RefitNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Counter("stream/refits") != 2 || tr.Counter("admm/factorizations") == 0 {
+		t.Fatalf("the fits left no trace: %v", tr.Counters())
+	}
+
+	exp, err := telemetry.ParseExposition(strings.NewReader(tr.Registry().Expose()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fam := range exp.Families {
+		series := map[string]bool{}
+		for _, s := range fam.Samples {
+			key := s.Labels["name"] + s.Labels["phase"]
+			if key == telemetry.OverflowLabel {
+				t.Fatalf("%s minted the overflow series", name)
+			}
+			series[key] = true
+		}
+		if len(series) > telemetry.MaxSeriesPerFamily/8 {
+			t.Errorf("%s holds %d series, want a few dozen", name, len(series))
+		}
+		t.Logf("%s: %d series", name, len(series))
+	}
 }

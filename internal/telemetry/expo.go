@@ -18,8 +18,8 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // WriteExposition renders the registry in Prometheus text format, version
 // 0.0.4: families sorted by name, series sorted by label values, HELP and
 // TYPE comments first, histogram series expanded into cumulative _bucket
-// rows plus _sum and _count. OnScrape hooks run first, so bridged sources
-// are current. The output round-trips through ParseExposition.
+// rows plus _sum and _count. OnScrape hooks run first, so values published
+// at scrape time are current. The output round-trips through ParseExposition.
 func (r *Registry) WriteExposition(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -50,25 +50,26 @@ func (r *Registry) Expose() string {
 	return sb.String()
 }
 
-// Handler returns the GET /metrics handler.
-func (r *Registry) Handler() http.Handler {
+// Handler returns a GET /metrics handler that renders each registry in
+// turn (nil registries contribute nothing). The registries must not share
+// a family name; each one's families stay sorted by name.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			http.Error(w, "metrics requires GET", http.StatusMethodNotAllowed)
 			return
 		}
 		w.Header().Set("Content-Type", ContentType)
-		if r == nil {
-			return
+		for _, r := range regs {
+			if r.WriteExposition(w) != nil {
+				return // client hangup
+			}
 		}
-		r.WriteExposition(w) //nolint:errcheck // client hangup
 	})
 }
 
 func (f *family) write(w *bufio.Writer) error {
-	f.mu.Lock()
-	ser := append([]*series(nil), f.order...)
-	f.mu.Unlock()
+	ser := f.snapshot()
 	if len(ser) == 0 {
 		return nil
 	}
@@ -95,24 +96,23 @@ func (f *family) writeSeries(w *bufio.Writer, s *series) error {
 	switch f.typ {
 	case TypeHistogram:
 		var cum uint64
-		for i, ub := range f.buckets {
+		for i := range s.counts {
 			cum += s.counts[i].Load()
+			le := "+Inf"
+			if i < len(f.buckets) {
+				le = formatFloat(f.buckets[i])
+			}
 			if err := writeSample(w, f.name+"_bucket", f.labelNames, s.labelValues,
-				"le", formatFloat(ub), float64(cum)); err != nil {
+				"le", le, float64(cum)); err != nil {
 				return err
 			}
-		}
-		cum += s.infN.Load()
-		if err := writeSample(w, f.name+"_bucket", f.labelNames, s.labelValues,
-			"le", "+Inf", float64(cum)); err != nil {
-			return err
 		}
 		if err := writeSample(w, f.name+"_sum", f.labelNames, s.labelValues,
 			"", "", math.Float64frombits(s.sumBits.Load())); err != nil {
 			return err
 		}
 		return writeSample(w, f.name+"_count", f.labelNames, s.labelValues,
-			"", "", float64(s.n.Load()))
+			"", "", float64(cum))
 	default:
 		return writeSample(w, f.name, f.labelNames, s.labelValues, "", "",
 			math.Float64frombits(s.valBits.Load()))

@@ -130,9 +130,13 @@ func TestParserAcceptsSpecials(t *testing.T) {
 	}
 }
 
+// TestMetricsHandler: Handler renders its registries one after another
+// (nil ones contribute nothing) as one valid exposition.
 func TestMetricsHandler(t *testing.T) {
 	reg := buildSample()
-	srv := httptest.NewServer(reg.Handler())
+	other := NewRegistry()
+	other.Counter("uoivar_other_total", "").With().Add(4)
+	srv := httptest.NewServer(Handler(reg, nil, other))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -142,8 +146,15 @@ func TestMetricsHandler(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != ContentType {
 		t.Fatalf("content type = %q", ct)
 	}
-	if _, err := ParseExposition(resp.Body); err != nil {
+	exp, err := ParseExposition(resp.Body)
+	if err != nil {
 		t.Fatalf("served exposition invalid: %v", err)
+	}
+	if len(exp.Families) != len(reg.families)+1 {
+		t.Fatalf("served %d families, want %d", len(exp.Families), len(reg.families)+1)
+	}
+	if v, ok := exp.Value("uoivar_other_total", nil); !ok || v != 4 {
+		t.Fatalf("second registry's counter = %g %v", v, ok)
 	}
 }
 

@@ -1,28 +1,28 @@
-// Package telemetry is the serving tier's operational-metrics layer: a
-// registry of labeled counters, gauges, and fixed-bucket histograms exposed
-// in Prometheus text format (version 0.0.4) on GET /metrics, plus the
+// Package telemetry is the process's metrics store: a registry of labeled
+// counters, gauges, and fixed-bucket histograms exposed in Prometheus text
+// format (version 0.0.4) on GET /metrics, plus the serving tier's
 // request-tracing glue — X-Request-ID generation/propagation and sampled
 // structured JSON access logs — that lets one request be followed through
 // router → replica → batch.
 //
-// The package mirrors internal/trace's cost model: a nil *Registry is the
-// canonical disabled registry, every method on it (and on the nil vectors
-// and nil handles it hands out) is a cheap no-op, and the disabled path
-// performs no allocation (asserted by TestDisabledRegistryAllocatesNothing).
-// Enabled registries are safe for concurrent use from any number of
-// goroutines: counters and gauges are single atomic words, histograms are
-// arrays of atomic bucket counts, so Observe/Add/Set never take a lock on
-// the hot path — only series creation (Vec.With on a new label set) and
-// exposition do.
+// A nil *Registry is the canonical disabled registry: every method on it
+// (and on the nil vectors and nil handles it hands out) is a cheap no-op,
+// and the disabled path performs no allocation (asserted by
+// TestDisabledRegistryAllocatesNothing). Enabled registries are safe for
+// concurrent use from any number of goroutines: counters and gauges are
+// single atomic words, histograms are arrays of atomic bucket counts, so
+// Observe/Add/Set never take a lock on the hot path — only series lookup
+// (Vec.With) and exposition take the family's lock.
 //
-// Where internal/trace answers "where did the fit spend its time", this
-// package answers "what is the serving tier doing right now, at what
-// latency, for whom" — the per-endpoint/per-model/per-tenant instrument the
-// scaling work optimizes against.
+// The registry is the process's one aggregate store: internal/trace keeps
+// its counters, maxima and span durations in one and reads them back
+// through Each, the serving tier registers its families directly, and
+// internal/monitor renders them on one /metrics page.
 package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -68,9 +68,9 @@ func NewRegistry() *Registry {
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
 
-// OnScrape registers a hook run at the start of every exposition (and
-// Gather). Bridges use it to copy externally-owned counters — trace
-// counters, mpi comm stats — into the registry just in time for the scrape.
+// OnScrape registers a hook run at the start of every exposition. The
+// serving tier uses it to publish values it keeps in its own atomics (an
+// EWMA, the router's in-flight count) just in time for the scrape.
 func (r *Registry) OnScrape(fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -89,21 +89,33 @@ type family struct {
 	labelNames []string
 	buckets    []float64 // upper bounds, strictly increasing, no +Inf
 
-	mu     sync.Mutex
-	series map[string]*series
-	order  []*series // insertion order; sorted at exposition
+	// index maps a series key to its series. It is replaced, never
+	// mutated, so a lookup of an existing series takes no lock; mu
+	// serializes series creation and guards order.
+	index atomic.Pointer[map[string]*series]
+	mu    sync.Mutex
+	order []*series // insertion order; sorted at exposition
 }
 
 // series is one label-set instance of a family. Counter and gauge values
-// live in valBits (float64 bits); histograms use counts/sumBits/count.
+// live in valBits (float64 bits); histograms use counts and sumBits, and
+// their observation count is the sum of counts, so a scrape's +Inf bucket
+// and _count always agree.
 type series struct {
 	labelValues []string
 	valBits     atomic.Uint64
 
-	counts  []atomic.Uint64 // one per finite bucket
-	infN    atomic.Uint64   // observations above the last bucket
+	counts  []atomic.Uint64 // one per finite bucket, then the +Inf bucket
 	sumBits atomic.Uint64
-	n       atomic.Uint64
+}
+
+// count returns a histogram series' observation count.
+func (s *series) count() uint64 {
+	var n uint64
+	for i := range s.counts {
+		n += s.counts[i].Load()
+	}
+	return n
 }
 
 func (s *series) addFloat(b *atomic.Uint64, v float64) {
@@ -162,8 +174,8 @@ func (r *Registry) register(name, help string, typ MetricType, labels []string, 
 		name: name, help: help, typ: typ,
 		labelNames: append([]string(nil), labels...),
 		buckets:    append([]float64(nil), buckets...),
-		series:     make(map[string]*series),
 	}
+	f.index.Store(&map[string]*series{})
 	r.families[name] = f
 	return f
 }
@@ -200,9 +212,13 @@ func (f *family) with(values []string) *series {
 			f.name, len(f.labelNames), len(values)))
 	}
 	key := seriesKey(values)
+	if s := (*f.index.Load())[key]; s != nil {
+		return s
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s := f.series[key]; s != nil {
+	index := *f.index.Load()
+	if s := index[key]; s != nil {
 		return s
 	}
 	if len(f.order) >= MaxSeriesPerFamily {
@@ -211,7 +227,7 @@ func (f *family) with(values []string) *series {
 			ov[i] = OverflowLabel
 		}
 		okey := seriesKey(ov)
-		if s := f.series[okey]; s != nil {
+		if s := index[okey]; s != nil {
 			return s
 		}
 		values = ov
@@ -219,11 +235,44 @@ func (f *family) with(values []string) *series {
 	}
 	s := &series{labelValues: append([]string(nil), values...)}
 	if f.typ == TypeHistogram {
-		s.counts = make([]atomic.Uint64, len(f.buckets))
+		s.counts = make([]atomic.Uint64, len(f.buckets)+1)
 	}
-	f.series[key] = s
+	next := maps.Clone(index)
+	next[key] = s
+	f.index.Store(&next)
 	f.order = append(f.order, s)
 	return s
+}
+
+// Each calls fn with every series of the named family, in creation order:
+// its label values (not to be modified), its value — a counter's or a
+// gauge's value, a histogram's observation sum — and a histogram's
+// observation count (0 otherwise). A nil registry or an unknown family
+// calls nothing.
+func (r *Registry) Each(name string, fn func(labels []string, value float64, count uint64)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	f := r.families[name]
+	r.mu.Unlock()
+	if f == nil {
+		return
+	}
+	for _, s := range f.snapshot() {
+		if f.typ == TypeHistogram {
+			fn(s.labelValues, math.Float64frombits(s.sumBits.Load()), s.count())
+		} else {
+			fn(s.labelValues, math.Float64frombits(s.valBits.Load()), 0)
+		}
+	}
+}
+
+// snapshot returns the family's series in creation order.
+func (f *family) snapshot() []*series {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*series(nil), f.order...)
 }
 
 // ---- Vectors and handles ----
@@ -331,6 +380,20 @@ func (g Gauge) Set(v float64) {
 	g.s.valBits.Store(math.Float64bits(v))
 }
 
+// SetMax raises the gauge to v if v exceeds its current value (a new
+// series starts at 0).
+func (g Gauge) SetMax(v float64) {
+	if g.s == nil {
+		return
+	}
+	for {
+		old := g.s.valBits.Load()
+		if v <= math.Float64frombits(old) || g.s.valBits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Add adjusts the gauge by delta (either sign).
 func (g Gauge) Add(delta float64) {
 	if g.s == nil {
@@ -346,18 +409,12 @@ func (h Histogram) Observe(v float64) {
 	}
 	// Buckets are few (≤ ~25) and log-spaced; linear scan beats binary
 	// search at this size and branch-predicts well for clustered latencies.
-	placed := false
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.s.counts[i].Add(1)
-			placed = true
-			break
-		}
+	// NaN and values above the last bound land in the +Inf bucket.
+	i := 0
+	for i < len(h.bounds) && !(v <= h.bounds[i]) {
+		i++
 	}
-	if !placed {
-		h.s.infN.Add(1)
-	}
-	h.s.n.Add(1)
+	h.s.counts[i].Add(1)
 	h.s.addFloat(&h.s.sumBits, v)
 }
 

@@ -170,6 +170,37 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestGaugeSetMaxAndEach: SetMax only raises a gauge, and Each reads a
+// family's series back in creation order — the read path internal/trace's
+// accessors stand on.
+func TestGaugeSetMaxAndEach(t *testing.T) {
+	reg := NewRegistry()
+	g := reg.Gauge("uoivar_x_max", "", "name")
+	for _, v := range []float64{4, 2, 7, 5} {
+		g.With("a").SetMax(v)
+	}
+	g.With("b").SetMax(1)
+	c := reg.Counter("uoivar_x_total", "", "name")
+	c.With("z").Add(2)
+	c.With("y").Add(3)
+	h := reg.Histogram("uoivar_x_seconds", "", []float64{1, 2}, "phase")
+	h.With("p").Observe(0.5)
+	h.With("p").Observe(5)
+
+	var got []string
+	for _, name := range []string{"uoivar_x_max", "uoivar_x_total", "uoivar_x_seconds", "uoivar_absent"} {
+		reg.Each(name, func(l []string, v float64, n uint64) {
+			got = append(got, fmt.Sprint(l[0], "=", v, "/", n))
+		})
+	}
+	want := []string{"a=7/0", "b=1/0", "z=2/0", "y=3/0", "p=5.5/2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Each = %v, want %v", got, want)
+	}
+	var nilReg *Registry
+	nilReg.Each("uoivar_x_max", func([]string, float64, uint64) { t.Fatal("nil registry has series") })
+}
+
 // The whole disabled path — nil registry, nil vectors, nil handles, nil
 // logger — must allocate nothing, so telemetry-off serving costs only the
 // nil checks (the same contract internal/trace makes).
@@ -182,6 +213,7 @@ func TestDisabledRegistryAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		cv.With("v").Inc()
 		gv.With("v").Set(1)
+		gv.With("v").SetMax(2)
 		hv.With("v").Observe(0.1)
 		reg.OnScrape(func() {})
 		al.Log(AccessEntry{Status: 200})
@@ -242,7 +274,7 @@ func (h Histogram) Count() uint64 {
 	if h.s == nil {
 		return 0
 	}
-	return h.s.n.Load()
+	return h.s.count()
 }
 
 // Sum returns the histogram's observation sum.
@@ -262,13 +294,11 @@ func (h Histogram) Quantile(q float64) float64 {
 	if h.s == nil {
 		return math.NaN()
 	}
-	cum := make([]uint64, len(h.bounds)+1)
+	cum := make([]uint64, len(h.s.counts))
 	var total uint64
-	for i := range h.bounds {
+	for i := range h.s.counts {
 		total += h.s.counts[i].Load()
 		cum[i] = total
 	}
-	total += h.s.infN.Load()
-	cum[len(h.bounds)] = total
 	return bucketQuantile(q, h.bounds, cum)
 }

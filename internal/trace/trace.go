@@ -6,47 +6,78 @@
 // meters of internal/mpi it reproduces the paper's §IV computation-vs-
 // communication phase breakdowns (Figures 2 and 7) for any run.
 //
+// A Tracer is a view over its own telemetry.Registry, the one aggregate
+// store: Add is a counter, SetMax a max-gauge and every finished span one
+// observation of a per-phase histogram. Phases, Counters and the other
+// readers read those families back, and internal/monitor renders the same
+// registry on /metrics, so a report and a scrape cannot disagree.
+//
 // The design goal is near-zero overhead when disabled: a nil *Tracer is a
 // valid, permanently-disabled tracer, every method is nil-safe, and the
 // disabled fast path performs no allocation, no time syscall, and no lock —
 // just a nil check (verified by TestDisabledTracerAllocatesNothing and the
 // <1% budget asserted over the bench suite). Enabled tracers are safe for
 // concurrent use from any number of goroutines (the in-process bootstrap
-// workers and mpi rank goroutines all share or own tracers freely).
+// workers and mpi rank goroutines all share or own tracers freely), and an
+// enabled Add, SetMax or span on an already-seen name allocates nothing.
 package trace
 
 import (
 	"sort"
-	"sync"
 	"time"
+
+	"uoivar/internal/telemetry"
 )
 
-// Tracer aggregates spans and counters. The zero value is NOT ready to use;
-// call New. A nil *Tracer is the canonical disabled tracer: every method on
-// it is a cheap no-op.
+// The families a tracer's registry holds. Their label values are the
+// program's own phase and counter names — a few dozen constants, far below
+// telemetry.MaxSeriesPerFamily — never values from the wire.
+const (
+	counterFamily = "uoivar_trace_counter"
+	maxFamily     = "uoivar_trace_max"
+	phaseFamily   = "uoivar_trace_phase_seconds"
+)
+
+// phaseBuckets spans 1 µs to ~268 s in ×4 steps: a cell's solve and a
+// whole fit on one axis.
+var phaseBuckets = telemetry.LogBuckets(1e-6, 4, 15)
+
+// Tracer aggregates spans and counters into families of its own
+// telemetry.Registry. The zero value is NOT ready to use; call New. A nil
+// *Tracer is the canonical disabled tracer: every method on it is a cheap
+// no-op.
 type Tracer struct {
-	mu       sync.Mutex
-	phases   map[string]*phaseAgg
-	counters map[string]int64
-	maxes    map[string]int64
+	reg      *telemetry.Registry
+	counters *telemetry.CounterVec
+	maxes    *telemetry.GaugeVec
+	phases   *telemetry.HistogramVec
 	// rec, when non-nil, additionally receives span begin/end and instant
 	// events on the per-rank timeline (see Recorder). Aggregation semantics
 	// are unchanged; the recorder only adds the event stream.
 	rec *Recorder
 }
 
-type phaseAgg struct {
-	count int64
-	nanos int64
+// New returns an enabled tracer over a fresh registry.
+func New() *Tracer {
+	reg := telemetry.NewRegistry()
+	return &Tracer{
+		reg: reg,
+		counters: reg.Counter(counterFamily,
+			"internal/trace counters (solver work, bootstrap and request counts) by name.", "name"),
+		maxes: reg.Gauge(maxFamily,
+			"internal/trace maxima (kernel worker budgets) by name.", "name"),
+		phases: reg.Histogram(phaseFamily,
+			"internal/trace span durations by phase.", phaseBuckets, "phase"),
+	}
 }
 
-// New returns an enabled tracer.
-func New() *Tracer {
-	return &Tracer{
-		phases:   make(map[string]*phaseAgg),
-		counters: make(map[string]int64),
-		maxes:    make(map[string]int64),
+// Registry returns the registry holding the tracer's aggregates (nil when
+// disabled), for rendering on a /metrics page.
+func (t *Tracer) Registry() *telemetry.Registry {
+	if t == nil {
+		return nil
 	}
+	return t.reg
 }
 
 // WithRecorder attaches a per-rank event recorder: every span Start/End and
@@ -83,8 +114,13 @@ func (t *Tracer) Instant(name, cat string) {
 type Span struct {
 	t     *Tracer
 	name  string
-	start time.Time
+	start time.Duration // on the monotonic clock, since epoch
 }
+
+// epoch anchors span timing: time.Since of a monotonic reading reads only
+// the monotonic clock, one clock read per span end instead of time.Now's
+// wall-plus-monotonic pair.
+var epoch = time.Now()
 
 // Start opens a span. Phase names use '/' to express nesting
 // ("selection/bootstrap"); top-level names (no '/') are the phases a
@@ -94,7 +130,7 @@ func (t *Tracer) Start(name string) Span {
 		return Span{}
 	}
 	t.rec.Begin(name)
-	return Span{t: t, name: name, start: time.Now()}
+	return Span{t: t, name: name, start: time.Since(epoch)}
 }
 
 // Child opens a nested span named parent/name. Children of concurrent
@@ -108,98 +144,72 @@ func (s Span) Child(name string) Span {
 	return s.t.Start(s.name + "/" + name)
 }
 
-// End closes the span, folding its elapsed time into the tracer.
+// End closes the span: one observation of its elapsed seconds in the
+// phase histogram.
 func (s Span) End() {
 	if s.t == nil {
 		return
 	}
-	d := time.Since(s.start)
-	s.t.mu.Lock()
-	a := s.t.phases[s.name]
-	if a == nil {
-		a = &phaseAgg{}
-		s.t.phases[s.name] = a
-	}
-	a.count++
-	a.nanos += int64(d)
-	s.t.mu.Unlock()
+	s.t.phases.With(s.name).Observe((time.Since(epoch) - s.start).Seconds())
 	s.t.rec.End(s.name)
 }
 
-// Add increments counter name by delta.
+// Add increments counter name by delta. Counters are monotone: a negative
+// delta is ignored.
 func (t *Tracer) Add(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.counters[name] += delta
-	t.mu.Unlock()
+	t.counters.With(name).Add(float64(delta))
 }
 
-// SetMax raises gauge name to v if v exceeds the recorded maximum. Gauges
-// are reported alongside counters, prefixed with "max:" semantics by name
-// convention (e.g. "mat/workers" records the largest kernel worker budget
-// observed).
+// SetMax raises gauge name to v if v exceeds the recorded maximum (a new
+// gauge starts at 0). Gauges are reported alongside counters (e.g.
+// "mat/workers" records the largest kernel worker budget observed).
 func (t *Tracer) SetMax(name string, v int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if cur, ok := t.maxes[name]; !ok || v > cur {
-		t.maxes[name] = v
-	}
-	t.mu.Unlock()
+	t.maxes.With(name).SetMax(float64(v))
 }
 
 // Counter returns the current value of a counter (0 if absent or disabled).
-func (t *Tracer) Counter(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
+func (t *Tracer) Counter(name string) int64 { return t.value(counterFamily, name) }
 
 // Max returns the current value of a gauge (0 if absent or disabled).
-func (t *Tracer) Max(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.maxes[name]
+func (t *Tracer) Max(name string) int64 { return t.value(maxFamily, name) }
+
+// value reads one series of a name-labeled family.
+func (t *Tracer) value(family, name string) (v int64) {
+	t.Registry().Each(family, func(l []string, x float64, _ uint64) {
+		if l[0] == name {
+			v = int64(x)
+		}
+	})
+	return v
 }
 
 // PhaseSeconds returns the accumulated seconds of a phase (0 if absent).
 func (t *Tracer) PhaseSeconds(name string) float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if a := t.phases[name]; a != nil {
-		return time.Duration(a.nanos).Seconds()
+	for _, p := range t.Phases() {
+		if p.Name == name {
+			return p.Seconds
+		}
 	}
 	return 0
 }
 
 // Phases returns every phase aggregate, sorted by name (deterministic for
-// reports and goldens).
+// reports and goldens): Count is the phase histogram's observation count,
+// Seconds its sum.
 func (t *Tracer) Phases() []PhaseStat {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]PhaseStat, 0, len(t.phases))
-	for name, a := range t.phases {
-		out = append(out, PhaseStat{
-			Name:    name,
-			Count:   a.count,
-			Seconds: time.Duration(a.nanos).Seconds(),
-		})
-	}
+	out := []PhaseStat{}
+	t.reg.Each(phaseFamily, func(l []string, sum float64, n uint64) {
+		out = append(out, PhaseStat{Name: l[0], Count: int64(n), Seconds: sum})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -207,20 +217,14 @@ func (t *Tracer) Phases() []PhaseStat {
 // Counters returns a copy of all counters, with gauges merged in (a gauge
 // and counter sharing a name would collide; by convention they do not).
 func (t *Tracer) Counters() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.counters) == 0 && len(t.maxes) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(t.counters)+len(t.maxes))
-	for k, v := range t.counters {
-		out[k] = v
-	}
-	for k, v := range t.maxes {
-		out[k] = v
+	var out map[string]int64
+	for _, family := range []string{counterFamily, maxFamily} {
+		t.Registry().Each(family, func(l []string, v float64, _ uint64) {
+			if out == nil {
+				out = make(map[string]int64)
+			}
+			out[l[0]] = int64(v)
+		})
 	}
 	return out
 }

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"uoivar/internal/telemetry"
 )
 
 // TestDisabledTracerAllocatesNothing pins the tentpole's overhead budget:
@@ -22,6 +25,57 @@ func TestDisabledTracerAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestEnabledTracerSeenNamesAllocateNothing: once a name has its series in
+// the tracer's registry, an enabled Add, SetMax and Start/End on that name
+// allocate nothing — the serving tier records them on every request.
+func TestEnabledTracerSeenNamesAllocateNothing(t *testing.T) {
+	tr := New()
+	record := func() {
+		sp := tr.Start("selection")
+		sp.End()
+		tr.Add("admm/iters", 3)
+		tr.SetMax("mat/kernel_workers", 4)
+	}
+	record()
+	if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
+		t.Fatalf("enabled tracer allocated %.1f allocs/op on seen names, want 0", allocs)
+	}
+	if got := tr.Counter("admm/iters"); got != 3*1002 {
+		t.Fatalf("admm/iters = %d, want %d", got, 3*1002)
+	}
+}
+
+// TestAggregatesLiveInRegistry: the tracer's aggregates are the families of
+// its registry — a counter, a max-gauge and a phase histogram whose count
+// and sum are what Phases reports.
+func TestAggregatesLiveInRegistry(t *testing.T) {
+	tr := New()
+	tr.Start("selection").End()
+	tr.Start("selection").End()
+	tr.Add("admm/solves", 5)
+	tr.SetMax("mat/workers", 3)
+	exp, err := telemetry.ParseExposition(strings.NewReader(tr.Registry().Expose()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		family, label, value string
+		want                 float64
+	}{
+		{"uoivar_trace_counter", "name", "admm/solves", 5},
+		{"uoivar_trace_max", "name", "mat/workers", 3},
+		{"uoivar_trace_phase_seconds_count", "phase", "selection", 2},
+		{"uoivar_trace_phase_seconds_sum", "phase", "selection", tr.PhaseSeconds("selection")},
+	} {
+		if got, ok := exp.Value(c.family, map[string]string{c.label: c.value}); !ok || got != c.want {
+			t.Errorf("%s{%s=%q} = %g (present %v), want %g", c.family, c.label, c.value, got, ok, c.want)
+		}
+	}
+	if (*Tracer)(nil).Registry() != nil {
+		t.Fatal("nil tracer has a registry")
 	}
 }
 

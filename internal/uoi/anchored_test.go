@@ -22,7 +22,7 @@ func TestAnchoredSelCellReuseAcrossSlide(t *testing.T) {
 	long := m.Simulate(rng.Derive(1), 519, 60)
 
 	lambdas := []float64{0.8, 0.4, 0.2, 0.1}
-	cache := NewMapCellCache()
+	cache := NewCellCache()
 	const b1, b2 = 4, 2
 	// Window 1: rows [0, 512) at stream offset 0. With Order 1 and
 	// BlockLen 16, selection targets span absolute rows [1, 512) → whole

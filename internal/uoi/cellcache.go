@@ -22,27 +22,15 @@ import (
 // cell whose bootstrap content is unchanged is skipped, while any cell
 // whose content changed re-runs.
 //
-// Implementations must be safe for concurrent use (cells run on
-// VARConfig.Workers goroutines) and must return slices the caller may
-// retain but will not mutate.
-type CellCache interface {
-	// GetSel returns the memoized selection-cell support indicators.
-	GetSel(key uint64) ([]bool, bool)
-	// PutSel stores a completed selection cell's support indicators.
-	PutSel(key uint64, sup []bool)
-	// GetEst returns the memoized estimation-cell winner.
-	GetEst(key uint64) ([]float64, bool)
-	// PutEst stores a completed estimation cell's winner.
-	PutEst(key uint64, beta []float64)
-}
-
-// MapCellCache is the built-in CellCache: a mutex-guarded two-generation
-// map. Rotate (called between fits by the streaming engine) demotes the
-// current generation and drops the previous one, so entries untouched for
-// two consecutive fits are evicted and a long-lived cache stays bounded by
-// roughly two fits' worth of cells. A hit in the demoted generation is
-// promoted back, keeping stable cells alive indefinitely.
-type MapCellCache struct {
+// The cache is safe for concurrent use (cells run on VARConfig.Workers
+// goroutines), and the slices it returns may be retained but must not be
+// mutated. It is a mutex-guarded two-generation map: Rotate (called between
+// fits by the streaming engine) demotes the current generation and drops
+// the previous one, so entries untouched for two consecutive fits are
+// evicted and a long-lived cache stays bounded by roughly two fits' worth
+// of cells. A hit in the demoted generation is promoted back, keeping
+// stable cells alive indefinitely.
+type CellCache struct {
 	mu           sync.Mutex
 	selCur       map[uint64][]bool
 	selPrev      map[uint64][]bool
@@ -51,16 +39,16 @@ type MapCellCache struct {
 	hits, misses int64
 }
 
-// NewMapCellCache returns an empty MapCellCache.
-func NewMapCellCache() *MapCellCache {
-	return &MapCellCache{
+// NewCellCache returns an empty CellCache.
+func NewCellCache() *CellCache {
+	return &CellCache{
 		selCur: map[uint64][]bool{}, selPrev: map[uint64][]bool{},
 		estCur: map[uint64][]float64{}, estPrev: map[uint64][]float64{},
 	}
 }
 
-// GetSel implements CellCache.
-func (c *MapCellCache) GetSel(key uint64) ([]bool, bool) {
+// GetSel returns the memoized selection-cell support indicators.
+func (c *CellCache) GetSel(key uint64) ([]bool, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.selCur[key]; ok {
@@ -76,15 +64,15 @@ func (c *MapCellCache) GetSel(key uint64) ([]bool, bool) {
 	return nil, false
 }
 
-// PutSel implements CellCache.
-func (c *MapCellCache) PutSel(key uint64, sup []bool) {
+// PutSel stores a completed selection cell's support indicators.
+func (c *CellCache) PutSel(key uint64, sup []bool) {
 	c.mu.Lock()
 	c.selCur[key] = sup
 	c.mu.Unlock()
 }
 
-// GetEst implements CellCache.
-func (c *MapCellCache) GetEst(key uint64) ([]float64, bool) {
+// GetEst returns the memoized estimation-cell winner.
+func (c *CellCache) GetEst(key uint64) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.estCur[key]; ok {
@@ -100,8 +88,8 @@ func (c *MapCellCache) GetEst(key uint64) ([]float64, bool) {
 	return nil, false
 }
 
-// PutEst implements CellCache.
-func (c *MapCellCache) PutEst(key uint64, beta []float64) {
+// PutEst stores a completed estimation cell's winner.
+func (c *CellCache) PutEst(key uint64, beta []float64) {
 	c.mu.Lock()
 	c.estCur[key] = beta
 	c.mu.Unlock()
@@ -109,7 +97,7 @@ func (c *MapCellCache) PutEst(key uint64, beta []float64) {
 
 // Rotate starts a new generation: the current cells become the previous
 // generation and anything already demoted is evicted. Call once per fit.
-func (c *MapCellCache) Rotate() {
+func (c *CellCache) Rotate() {
 	c.mu.Lock()
 	c.selPrev, c.selCur = c.selCur, map[uint64][]bool{}
 	c.estPrev, c.estCur = c.estCur, map[uint64][]float64{}
@@ -117,7 +105,7 @@ func (c *MapCellCache) Rotate() {
 }
 
 // Stats reports cumulative cache hits and misses.
-func (c *MapCellCache) Stats() (hits, misses int64) {
+func (c *CellCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses

@@ -15,7 +15,7 @@ func TestVARCellCacheReuse(t *testing.T) {
 	rng := resample.NewRNG(5)
 	m := varsim.GenerateStable(rng, 4, 1, nil)
 	series := m.Simulate(rng.Derive(1), 220, 60)
-	cache := NewMapCellCache()
+	cache := NewCellCache()
 	tr := trace.New()
 	cfg := &VARConfig{Order: 1, B1: 6, B2: 4, Q: 5, Seed: 11, Cells: cache, Trace: tr}
 	r1, err := VAR(series, cfg)
@@ -47,7 +47,7 @@ func TestVARCellCacheNeverCorrupts(t *testing.T) {
 	rng := resample.NewRNG(6)
 	m := varsim.GenerateStable(rng, 4, 1, nil)
 	series := m.Simulate(rng.Derive(1), 200, 60)
-	cache := NewMapCellCache()
+	cache := NewCellCache()
 	cfg := &VARConfig{Order: 1, B1: 5, B2: 3, Q: 4, Seed: 13, Cells: cache}
 	if _, err := VAR(series, cfg); err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func TestConsensusRejectsUnsupportedConfig(t *testing.T) {
 			return err
 		}},
 		{"VARDistributed cell cache", func(c *mpi.Comm) error {
-			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Cells = NewMapCellCache() }), Placement{Comm: c, Partitioned: true}))
+			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Cells = NewCellCache() }), Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 		{"VARDistributed WarmBeta", func(c *mpi.Comm) error {

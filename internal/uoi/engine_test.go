@@ -178,7 +178,7 @@ func TestBootstrapDroppedInstantEverywhere(t *testing.T) {
 // cells found in the cache are journalled, not recomputed.
 func TestCheckpointedVARHonoursCellCache(t *testing.T) {
 	_, series := makeVARData(31, 4, 1, 200)
-	cache := NewMapCellCache()
+	cache := NewCellCache()
 	base := VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, Seed: 9, Cells: cache}
 	plain, err := VAR(series, &base)
 	if err != nil {

@@ -74,7 +74,7 @@ type VARConfig struct {
 	// CellCache). Purely an execution hint: hits skip recomputation but
 	// never change results. Diagnostics (LassoFits, ADMMIters) count only
 	// the work actually performed.
-	Cells CellCache
+	Cells *CellCache
 	// Trace, when non-nil, records per-phase spans and solver counters for
 	// this fit (see LassoConfig.Trace). VAR adds a kron_assembly span for
 	// building the lagged design, and the Kronecker baselines one per

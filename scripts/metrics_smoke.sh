@@ -76,7 +76,7 @@ curl -fsS "http://$ADDR/metrics" >"$WORK/metrics.prom" || {
   exit 1
 }
 "$WORK/promcheck" \
-  -require uoivar_fleet_requests_total,uoivar_fleet_request_seconds,uoivar_serve_requests_total,uoivar_serve_request_seconds,uoivar_fleet_replica_healthy \
+  -require uoivar_fleet_requests_total,uoivar_fleet_request_seconds,uoivar_serve_requests_total,uoivar_serve_request_seconds,uoivar_fleet_replica_healthy,uoivar_trace_counter \
   -min uoivar_fleet_requests_total=30,uoivar_serve_requests_total=30 \
   <"$WORK/metrics.prom"
 
