@@ -155,10 +155,10 @@ metrics-smoke:
 graph-smoke:
 	bash scripts/graph_smoke.sh
 
-# 2-D grid smoke test: one dataset fitted at two grid shapes plus the
-# flat-collectives baseline, model artifacts byte-compared (bit-identity
-# invariant), PerfReports validated through trace.ParsePerfReport with
-# per-communicator comm attribution required.
+# 2-D grid smoke test: one dataset fitted at two grid shapes, model
+# artifacts byte-compared (bit-identity invariant), PerfReports validated
+# through trace.ParsePerfReport with per-communicator comm attribution
+# required.
 grid-smoke:
 	bash scripts/grid_smoke.sh
 

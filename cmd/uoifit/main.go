@@ -26,9 +26,9 @@
 // once and fits it bit-identically to a serial fit. The paper's consensus
 // ADMM and Kronecker assembly are library baselines (uoi.ConsensusADMM,
 // uoi.KroneckerGets). -grid RxC replicates the data
-// on R·C ranks and shards the cells over the bootstrap × λ grid, and
-// -checkpoint replicates it and journals the cells; both are bit-identical
-// to a serial fit. A combination the library cannot
+// on R·C ranks, shards the cells over the bootstrap × λ grid and reassembles
+// them with one Allreduce and one Allgather, and -checkpoint replicates it
+// and journals the cells; both are bit-identical to a serial fit. A combination the library cannot
 // run, such as -grid with -checkpoint, exits 2 like any usage error.
 //
 // Saving fitted models:
@@ -89,6 +89,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -165,15 +166,11 @@ type options struct {
 	// sure-independence screen in the all-pairs driver (0 = default 64).
 	Screen int
 	// Grid, when non-empty, runs the fit on a 2-D "RxC" bootstrap × λ
-	// process grid (R·C ranks, overriding -ranks) with communication-
-	// avoiding tree/ring reassembly. Grid fits replicate the dataset on
-	// every rank and are bit-identical to the serial fit at any shape.
+	// process grid (R·C ranks, overriding -ranks) whose supports and
+	// estimation winners meet in one world Allreduce and one Allgather.
+	// Grid fits replicate the dataset on every rank and are bit-identical
+	// to the serial fit at any shape.
 	Grid string
-	// GridCollectives picks the grid reassembly mode: "tree" (default;
-	// binomial-tree reduce/bcast + ring allgather + overlapped estimation
-	// rounds) or "flat" (full-width barrier collectives — the measurement
-	// baseline; identical results, more bytes).
-	GridCollectives string
 }
 
 // placement builds the fit's placement from the flags, leaving each rank to
@@ -189,13 +186,8 @@ func (o *options) placement() (uoi.Placement, error) {
 		if err != nil {
 			return uoi.Placement{}, err
 		}
-		switch o.GridCollectives {
-		case "", "tree", "flat":
-		default:
-			return uoi.Placement{}, fmt.Errorf("unknown -grid-collectives %q (tree | flat)", o.GridCollectives)
-		}
 		o.Ranks = shape.Ranks()
-		return uoi.Placement{Shape: shape, FlatCollectives: o.GridCollectives == "flat"}, nil
+		return uoi.Placement{Shape: shape}, nil
 	}
 	if o.Checkpoint != "" {
 		return uoi.Placement{}, nil
@@ -252,7 +244,6 @@ func main() {
 	flag.IntVar(&o.CkptEvery, "ckpt-every", 1, "checkpoint save cadence in completed bootstrap cells")
 	flag.IntVar(&o.Screen, "screen", 0, "all-pairs per-target screening cap (0 = 64)")
 	flag.StringVar(&o.Grid, "grid", "", "run on a 2-D RxC bootstrap × λ process grid (ranks = R·C; bit-identical to serial)")
-	flag.StringVar(&o.GridCollectives, "grid-collectives", "tree", "grid reassembly collectives: tree | flat")
 	flag.Parse()
 	if o.Data == "" {
 		fmt.Fprintln(os.Stderr, "missing -data")
@@ -665,6 +656,20 @@ func runVAR(o *options) error {
 	return perf.write()
 }
 
+// allPairsWorkers resolves -kernel-workers into the all-pairs fit's
+// per-rank target concurrency by the rule the other algos' kernel budget
+// follows: a positive value as given, 0 GOMAXPROCS/ranks and a negative
+// value the full machine, each at least 1.
+func (o *options) allPairsWorkers() int {
+	switch {
+	case o.KernelWorkers > 0:
+		return o.KernelWorkers
+	case o.KernelWorkers < 0:
+		return mat.DefaultWorkers()
+	}
+	return max(runtime.GOMAXPROCS(0)/max(o.Ranks, 1), 1)
+}
+
 // runAllPairs drives the rank-sharded all-pairs edge-inference engine:
 // every channel becomes a screened mini-UoI regression target, targets
 // shard round-robin across ranks, and an Allgather of fixed-size slots
@@ -678,7 +683,7 @@ func runAllPairs(o *options) error {
 	result, err := onRanks(perf, func(c *mpi.Comm, tr *trace.Tracer) (*uoi.AllPairsResult, error) {
 		return uoi.AllPairs(series, &uoi.AllPairsConfig{
 			Order: o.Order, NB: o.B1, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-			Screen: o.Screen, Workers: o.KernelWorkers, Trace: tr, Placement: &uoi.Placement{Comm: c},
+			Screen: o.Screen, Workers: o.allPairsWorkers(), Trace: tr, Placement: &uoi.Placement{Comm: c},
 		})
 	})
 	if err != nil {

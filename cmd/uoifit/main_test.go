@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"uoivar/internal/datagen"
@@ -279,5 +282,39 @@ func TestRunLassoModelOut(t *testing.T) {
 	}
 	if _, err := model.Load(vbase); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunAllPairsKernelWorkers: -kernel-workers resolves for -algo allpairs
+// as for the other algos (0 = GOMAXPROCS/ranks, <0 = the full machine), and
+// the artifact is byte-identical at every setting and rank count.
+func TestRunAllPairsKernelWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ kw, ranks, want int }{
+		{2, 3, 2}, {0, 1, procs}, {0, 3, max(procs/3, 1)}, {-1, 3, procs},
+	} {
+		if got := (&options{KernelWorkers: tc.kw, Ranks: tc.ranks}).allPairsWorkers(); got != tc.want {
+			t.Errorf("-kernel-workers %d -ranks %d: %d workers, want %d", tc.kw, tc.ranks, got, tc.want)
+		}
+	}
+	path := writeTestSeries(t)
+	dir := t.TempDir()
+	var want []byte
+	for _, ranks := range []int{1, 3} {
+		for _, kw := range []int{1, 0, -1} {
+			out := filepath.Join(dir, fmt.Sprintf("r%d-kw%d%s", ranks, kw, model.Ext))
+			if err := run(&options{Algo: "allpairs", Data: path, Ranks: ranks, B1: 3, Q: 4, Ratio: 1e-2, Seed: 2, Order: 1, MaxOrder: 4, PB: 1, PL: 1, Readers: 1, Screen: 6, KernelWorkers: kw, ModelOut: out}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("-ranks %d -kernel-workers %d: artifact differs from -ranks 1 -kernel-workers 1", ranks, kw)
+			}
+		}
 	}
 }

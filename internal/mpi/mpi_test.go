@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunSizes(t *testing.T) {
@@ -351,5 +353,74 @@ func BenchmarkMeteredCalls(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// Labeled handles attribute their traffic per label without disturbing the
+// unlabeled totals.
+func TestLabeledStatsAttribution(t *testing.T) {
+	const size = 4
+	err := Run(size, func(c *Comm) error {
+		row := c.Split(c.Rank()/2, c.Rank()).WithLabel("row")
+		col := c.Split(c.Rank()%2, c.Rank()).WithLabel("col")
+		row.Allreduce(OpSum, make([]float64, 8))
+		col.Allgather(make([]float64, 3))
+		labels := c.LocalLabelStats()
+		for _, want := range []string{"row", "col"} {
+			s, ok := labels[want]
+			if !ok {
+				return fmt.Errorf("rank %d: label %q missing (have %v)", c.Rank(), want, labels)
+			}
+			if s.Calls[CatCollective] == 0 {
+				return fmt.Errorf("rank %d: label %q has no collective calls", c.Rank(), want)
+			}
+		}
+		total := c.LocalStats()
+		var labeledBytes int64
+		for _, s := range labels {
+			labeledBytes += s.Bytes[CatCollective]
+		}
+		if labeledBytes > total.Bytes[CatCollective] {
+			return fmt.Errorf("rank %d: labeled bytes %d exceed total %d", c.Rank(), labeledBytes, total.Bytes[CatCollective])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Stats.Wait accumulates blocked time even without recorders attached: a
+// rank arriving late at a barrier charges the early ranks' wait counters.
+func TestStatsWaitAccumulates(t *testing.T) {
+	const size = 2
+	var mu sync.Mutex
+	var waits []time.Duration
+	err := Run(size, func(c *Comm) error {
+		if c.Rank() == 1 {
+			time.Sleep(30 * time.Millisecond)
+		}
+		c.Barrier()
+		s := c.LocalStats()
+		var w time.Duration
+		for _, d := range s.Wait {
+			w += d
+		}
+		mu.Lock()
+		waits = append(waits, w)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var max time.Duration
+	for _, w := range waits {
+		if w > max {
+			max = w
+		}
+	}
+	if max < 10*time.Millisecond {
+		t.Fatalf("expected ≥10ms barrier wait on the early rank, got max %v", max)
 	}
 }

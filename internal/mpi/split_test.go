@@ -121,9 +121,9 @@ func TestSplitCommMatrixConservation(t *testing.T) {
 		} else if row.Rank() == 1 {
 			row.Recv(0, 5)
 		}
-		// Wire-metered collectives on both sub-comms.
-		row.TreeReduce(0, OpSum, make([]float64, 4))
-		col.RingAllgatherv(make([]float64, 2))
+		// Collectives on both sub-comms fill no pair cell.
+		row.Allreduce(OpSum, make([]float64, 4))
+		col.Allgather(make([]float64, 2))
 		c.Barrier()
 		if c.Rank() == 0 {
 			mu.Lock()

@@ -30,7 +30,7 @@ func (c *Comm) CreateWin(local []float64) *Win {
 	buffers := make([][]float64, c.Size())
 	copy(buffers, g.slots)
 	c.syncW(&wait)
-	c.meter(CatOneSided, 1, 0, 0, start, wait, flow{})
+	c.meter(CatOneSided, 0, start, wait, flow{})
 	c.commEvent("win/create", CatOneSided, 0, start, wait)
 	return &Win{comm: c, buffers: buffers}
 }
@@ -42,7 +42,7 @@ func (w *Win) Fence() {
 	w.comm.faultPoint()
 	var wait time.Duration
 	w.comm.syncW(&wait)
-	w.comm.meter(CatOneSided, 1, 0, 0, start, wait, flow{})
+	w.comm.meter(CatOneSided, 0, start, wait, flow{})
 	w.comm.commEvent("win/fence", CatOneSided, 0, start, wait)
 }
 
@@ -57,7 +57,7 @@ func (w *Win) Get(target, offset int, dst []float64) {
 	copy(dst, buf[offset:offset+len(dst)])
 	// Data flows target→origin; the origin records both matrix endpoints
 	// because the target is passive.
-	w.comm.meter(CatOneSided, 1, len(dst), len(dst), start, 0,
+	w.comm.meter(CatOneSided, len(dst), start, 0,
 		flow{src: w.comm.group.members[target], dst: w.comm.worldRank, send: true, recv: true})
 	w.rmaEvent("win/get", target, len(dst), start)
 }
@@ -73,7 +73,7 @@ func (w *Win) Put(target, offset int, src []float64) {
 			offset, offset+len(src), len(buf), target))
 	}
 	copy(buf[offset:offset+len(src)], src)
-	w.comm.meter(CatOneSided, 1, len(src), len(src), start, 0,
+	w.comm.meter(CatOneSided, len(src), start, 0,
 		flow{src: w.comm.worldRank, dst: w.comm.group.members[target], send: true, recv: true})
 	w.rmaEvent("win/put", target, len(src), start)
 }

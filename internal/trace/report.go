@@ -75,9 +75,9 @@ type PhaseStat struct {
 }
 
 // CommStat mirrors one mpi.Stats category (p2p, collective, one-sided); the
-// rows come from mpi.Stats.Rows. Category may carry a sub-communicator label suffix — "collective[row]" —
+// rows come from mpi.Stats.Rows. Category may carry a communicator label suffix — "p2p[row]" —
 // when the fit attributed traffic to labeled communicators (the 2-D grid
-// engine labels its row/column sub-comms); labeled rows are a breakdown of
+// engine labels its world comm and row sub-comm); labeled rows are a breakdown of
 // the unlabeled aggregate, not additional traffic.
 type CommStat struct {
 	Category string  `json:"category"`

@@ -289,18 +289,18 @@ func TestChaosVARSharedSeriesCrash(t *testing.T) {
 	_, series := makeVARData(53, 4, 1, 160)
 	const ranks, readers = 4, 1
 	// Two groups of two ranks, so ranks 0 and 2 are the readers. Rank 3's
-	// comm ops: the grid's two Splits (an Allgather and two barriers each,
-	// 0–5), the agreement that every reader holds the series (6), its shape
-	// (7), the series (8), then selection: on the 2×2 grid the 1×2 shape
-	// becomes, rank 3 receives bootstrap 1's four warm-start chains (9–12).
+	// comm ops: the grid's row Split (an Allgather and two barriers, 0–2),
+	// the agreement that every reader holds the series (3), its shape (4),
+	// the series (5), then selection: on the 2×2 grid the 1×2 shape
+	// becomes, rank 3 receives bootstrap 1's four warm-start chains (6–9).
 	for _, tc := range []struct {
 		name    string
 		op      int
 		reached string // a phase rank 0 completes before the crash ("": none)
 		missed  string // a phase the crash keeps rank 0 from completing
 	}{
-		{"series broadcast", 8, "", "kron_assembly"},
-		{"selection", 10, "lambda_grid", "intersection"},
+		{"series broadcast", 5, "", "kron_assembly"},
+		{"selection", 7, "lambda_grid", "intersection"},
 	} {
 		run := func() string {
 			plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 3, Op: tc.op})
@@ -356,8 +356,8 @@ func TestChaosVARSharedSeriesCrash(t *testing.T) {
 // TestChaosLassoStatisticsCrash kills a rank of a partitioned UoI_LASSO fit
 // at the default Assembly in the middle of a statistics Allreduce: every
 // rank must unwind into a typed error, identical on replay, never a hang.
-// Rank 3's comm ops: the grid's two Splits (0–5), the row-block agreement
-// (6), λ_max (7), then the Allreduce of bootstrap 0's Gram (8).
+// Rank 3's comm ops: the grid's row Split (0–2), the row-block agreement
+// (3), λ_max (4), then the Allreduce of bootstrap 0's Gram (5).
 func TestChaosLassoStatisticsCrash(t *testing.T) {
 	x, y, _ := makeRegression(54, 160, 8, 2, 0.2)
 	rows := make([][]float64, x.Rows)
@@ -367,7 +367,7 @@ func TestChaosLassoStatisticsCrash(t *testing.T) {
 	const ranks = 4
 	xs, ys := shuffledBlocks(21, rows, y, x.Cols, ranks)
 	run := func() string {
-		plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 3, Op: 8})
+		plan := fault.NewPlan(ranks, fault.Event{Kind: fault.Crash, Rank: 3, Op: 5})
 		tr := trace.New()
 		err := runBounded(t, func() error {
 			return mpi.RunWithOptions(ranks, mpi.RunOptions{CollectiveTimeout: 20 * time.Second, Fault: plan}, func(c *mpi.Comm) error {

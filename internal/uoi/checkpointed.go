@@ -251,7 +251,7 @@ func (j *journal) selection(ph phase) (int, error) {
 	})
 }
 
-func (j *journal) supports(threshold int) ([][]int, error) {
+func (j *journal) supports(threshold int) [][]int {
 	for k := 0; k < j.st.Meta().B1; k++ {
 		if sup, dropped, ok := j.st.Selection(k); ok && !dropped {
 			addSupportCounts(j.counts, sup)

@@ -137,9 +137,9 @@ func (pl *consensus) selection(ph phase) (int, error) {
 	return countSet(done), nil
 }
 
-func (pl *consensus) supports(threshold int) ([][]int, error) {
+func (pl *consensus) supports(threshold int) [][]int {
 	pl.leaderSum(pl.counts)
-	return supportsFromCounts(pl.counts, pl.q, pl.p, float64(threshold)), nil
+	return supportsFromCounts(pl.counts, pl.q, pl.p, float64(threshold))
 }
 
 // estimation deals the bootstraps round-robin over the groups and, with

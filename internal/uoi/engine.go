@@ -171,7 +171,7 @@ type placement interface {
 	selection(ph phase) (completed int, err error)
 	// supports thresholds the completed selection cells' per-(λ,
 	// coefficient) counts into the per-λ supports.
-	supports(threshold int) ([][]int, error)
+	supports(threshold int) [][]int
 	// estimation runs the estimation bootstraps likewise and returns their
 	// winners by bootstrap index, nil where one was dropped.
 	estimation(ph phase) (winners [][]float64, err error)
@@ -279,16 +279,13 @@ func run(pb *problem, pl placement) (*Result, error) {
 	// In degraded mode the intersection threshold is relative to the
 	// bootstraps that actually completed.
 	spInt := tr.Start("intersection")
-	res.Supports, err = pl.supports(ceilCount(pb.selFrac, b1Done))
+	res.Supports = pl.supports(ceilCount(pb.selFrac, b1Done))
 	selTime := time.Since(tSel)
 
 	// ---- Model estimation (Algorithm 1 lines 12–24, Algorithm 2 lines 15–30) ----
 	tEst := time.Now()
 	distinct := dedupeSupports(res.Supports)
 	spInt.End()
-	if err != nil {
-		return nil, err
-	}
 	est := pb.newPhase("estimation", pb.b2)
 	est.distinct = distinct
 	winners, err := pl.estimation(est)
@@ -355,8 +352,8 @@ func (pl *pool) selection(ph phase) (int, error) {
 	})
 }
 
-func (pl *pool) supports(threshold int) ([][]int, error) {
-	return supportsFromCounts(pl.counts, pl.q, pl.p, float64(threshold)), nil
+func (pl *pool) supports(threshold int) [][]int {
+	return supportsFromCounts(pl.counts, pl.q, pl.p, float64(threshold))
 }
 
 func (pl *pool) estimation(ph phase) ([][]float64, error) {

@@ -225,10 +225,8 @@ func TestCheckpointedVARHonoursCellCache(t *testing.T) {
 	}
 }
 
-// A bootstrap dropped in estimation travels as a header-only payload in both
-// collective modes (before: the flat mode parsed the dropped slot's padding
-// as further headers and, at an odd coefficient count, failed the fit with
-// "estimation payload truncated").
+// A bootstrap dropped in estimation travels as a status-0 slot whose
+// padding is never read as coefficients, at an odd coefficient count too.
 func TestGridDroppedEstimationOddWidth(t *testing.T) {
 	x, y, _ := makeRegression(41, 60, 7, 2, 0.2)
 	cfg := LassoConfig{B1: 4, B2: 4, Q: 4, Seed: 3, MinBootstrapFrac: 0.5, BootstrapFault: failCells("estimation/1")}
@@ -236,19 +234,16 @@ func TestGridDroppedEstimationOddWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, flat := range []bool{false, true} {
-		var got *Result
-		err := mpi.Run(2, func(c *mpi.Comm) error {
-			res, err := Lasso(x, y, lassoOn(&cfg, Placement{Comm: c, Shape: GridShape{PB: 2, PL: 1}, FlatCollectives: flat}))
-			if c.Rank() == 0 {
-				got = res
-			}
-			return err
-		})
-		if err != nil {
-			t.Errorf("flat=%v: %v", flat, err)
-			continue
+	var got *Result
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		res, err := Lasso(x, y, lassoOn(&cfg, Placement{Comm: c, Shape: GridShape{PB: 2, PL: 1}}))
+		if c.Rank() == 0 {
+			got = res
 		}
-		assertBitsEqual(t, fmt.Sprintf("flat=%v beta", flat), got.Beta, want.Beta)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertBitsEqual(t, "beta", got.Beta, want.Beta)
 }

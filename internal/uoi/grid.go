@@ -1,21 +1,17 @@
 package uoi
 
-// Communication-avoiding 2-D grid execution of UoI (the follow-up paper's
-// P_B × P_λ decomposition, arXiv 1808.06992): the world is split into a
-// PB × PL process grid via two mpi.Split calls — a row communicator joins
-// the PL ranks that share a bootstrap group, a column communicator joins
-// the PB ranks that share a λ block. Selection cell (k, j) runs exactly
-// once, on the rank at (row k mod PB, column owning λ_j); the serial
-// warm-start chain along the λ path is preserved by a cross-column (z, u)
-// pipeline handoff, so every ADMM solve sees bit-for-bit the inputs the
-// serial sweep would give it. Reassembly avoids the flat barrier
-// collectives: per-λ-block support counts tree-reduce down each column
-// (O(log PB) depth, (PB−1)·bytes on the wire), the thresholded supports
-// ring-allgather across row 0 and tree-broadcast back down the columns, and
-// estimation rounds overlap each round's compute with the previous round's
-// non-blocking ring gather. Every reassembled quantity is either an exact
-// integer sum or a pure concatenation, so grid results are bit-identical to
-// serial at any grid shape.
+// 2-D grid execution of UoI (the P_B × P_λ decomposition of the paper and
+// its follow-up, arXiv 1808.06992): one mpi.Split joins the PL ranks that
+// share a bootstrap group into a row communicator. Selection cell (k, j)
+// runs exactly once, on the rank at (row k mod PB, column owning λ_j); the
+// serial warm-start chain along the λ path is preserved by a cross-column
+// (z, u) pipeline handoff along the row, so every ADMM solve sees
+// bit-for-bit the inputs the serial sweep would give it. Reassembly is two
+// world collectives, as in the paper's MPI program: one Allreduce sums the
+// per-λ support counts and one Allgather of fixed-size slots carries the
+// estimation winners. Every reassembled quantity is either an exact integer
+// sum or a pure concatenation, so grid results are bit-identical to serial
+// at any grid shape.
 
 import (
 	"fmt"
@@ -63,87 +59,37 @@ func (g GridShape) normalize() GridShape {
 	return g
 }
 
-// grid is the P_B × P_λ placement at one rank's position: the derived
-// communicators, the collective mode, and — once a fit begins — the rank's
-// λ block and that block's support counts.
+// grid is the P_B × P_λ placement at one rank's position: its row
+// communicator and — once a fit begins — the rank's λ block and the
+// support counts of this row's cells.
 type grid struct {
 	world *mpi.Comm // the full grid, labeled "world"
 	row   *mpi.Comm // the PL ranks sharing this bootstrap row, labeled "row"
-	col   *mpi.Comm // the PB ranks sharing this λ column, labeled "col"
 	rowIx int       // this rank's grid row (bootstrap group)
 	colIx int       // this rank's grid column (λ group)
 	shape GridShape
-	flat  bool // flat barrier collectives instead of tree/ring
 
 	q, p     int       // λ-grid size and coefficient count of the fit
 	jLo, jHi int       // this column's λ block [jLo, jHi)
-	counts   []float64 // the block's per-(λ, coefficient) tally over this row's cells
+	counts   []float64 // the q·p per-(λ, coefficient) tally, nonzero only in this column's block
 	// The column handoff of the selection bootstrap in progress, k: one
 	// message per warm-start chain, tagged k·chains + chain.
 	k, chains, chainLen int
 	stats               func(ph phase, ks []int) // the problem's statistics step, if any
 }
 
-// newGrid derives the row/column sub-communicators of a validated shape.
-// Within a row the sub-comm rank equals the grid column (Split orders by
-// key = parent rank), and within a column it equals the grid row, so column
-// roots (col.Rank() == 0) are exactly the grid's row 0.
-func newGrid(comm *mpi.Comm, shape GridShape, flat bool) *grid {
+// newGrid derives the row sub-communicator of a validated shape. Within a
+// row the sub-comm rank equals the grid column (Split orders by key =
+// parent rank).
+func newGrid(comm *mpi.Comm, shape GridShape) *grid {
 	g := &grid{
 		world: comm.WithLabel("world"),
 		rowIx: comm.Rank() / shape.PL,
 		colIx: comm.Rank() % shape.PL,
 		shape: shape,
-		flat:  flat,
 	}
 	g.row = comm.Split(g.rowIx, comm.Rank()).WithLabel("row")
-	g.col = comm.Split(g.colIx, comm.Rank()).WithLabel("col")
 	return g
-}
-
-// encodeSupports packs per-λ supports as [count, idx…]… — the
-// variable-length payload the ring/tree reassembly ships.
-func encodeSupports(supports [][]int) []float64 {
-	n := 0
-	for _, s := range supports {
-		n += 1 + len(s)
-	}
-	enc := make([]float64, 0, n)
-	for _, s := range supports {
-		enc = append(enc, float64(len(s)))
-		for _, i := range s {
-			enc = append(enc, float64(i))
-		}
-	}
-	return enc
-}
-
-// decodeSupports unpacks q per-λ supports from an encodeSupports payload.
-func decodeSupports(enc []float64, q int) ([][]int, error) {
-	out := make([][]int, q)
-	pos := 0
-	for j := 0; j < q; j++ {
-		if pos >= len(enc) {
-			return nil, fmt.Errorf("uoi: support payload truncated at λ %d", j)
-		}
-		n := int(enc[pos])
-		pos++
-		if n < 0 || pos+n > len(enc) {
-			return nil, fmt.Errorf("uoi: support payload corrupt at λ %d (count %d)", j, n)
-		}
-		if n > 0 {
-			s := make([]int, n)
-			for i := 0; i < n; i++ {
-				s[i] = int(enc[pos+i])
-			}
-			out[j] = s
-		}
-		pos += n
-	}
-	if pos != len(enc) {
-		return nil, fmt.Errorf("uoi: support payload has %d trailing values", len(enc)-pos)
-	}
-	return out, nil
 }
 
 // warmPayload packs a (z, u) warm-start pair for the cross-column pipeline
@@ -178,7 +124,7 @@ func (g *grid) begin(pb *problem) error {
 	g.q, g.p = len(pb.lambdas), pb.p
 	g.chains, g.chainLen, g.stats = pb.chains, pb.chainLen, pb.stats
 	g.jLo, g.jHi = mpi.RowBlock(g.q, g.shape.PL, g.colIx)
-	g.counts = make([]float64, (g.jHi-g.jLo)*g.p)
+	g.counts = make([]float64, g.q*g.p)
 	return nil
 }
 
@@ -239,7 +185,7 @@ func (g *grid) selection(ph phase) (int, error) {
 		if ph.quorum {
 			okB1[g.k] = 1
 		}
-		addSupportCounts(g.counts, sup)
+		addSupportCounts(g.counts[g.jLo*g.p:], sup)
 	}
 	if !ph.quorum {
 		return ph.total, nil
@@ -250,69 +196,28 @@ func (g *grid) selection(ph phase) (int, error) {
 	return countSet(okB1), nil
 }
 
-func (g *grid) supports(threshold int) ([][]int, error) {
-	if g.flat {
-		// Flat baseline: embed the local λ block in a full q·p vector and
-		// Allreduce(Sum) world-wide — every rank then thresholds the full
-		// integer counts locally. Exact, but ships q·p floats per rank.
-		full := make([]float64, g.q*g.p)
-		copy(full[g.jLo*g.p:], g.counts)
-		g.world.Allreduce(mpi.OpSum, full)
-		return supportsFromCounts(full, g.q, g.p, float64(threshold)), nil
-	}
-	// Communication-avoiding reassembly: per-block counts tree-reduce down
-	// each column to its root (row 0); roots threshold to sparse supports;
-	// row 0 ring-allgathers the encoded blocks (column order = ascending λ,
-	// pure concatenation); each column root tree-broadcasts the full
-	// encoding back down. Counts are integers, so the tree reduction order
-	// cannot change any value.
-	g.col.TreeReduce(0, mpi.OpSum, g.counts)
-	var enc []float64
-	if g.rowIx == 0 {
-		block := supportsFromCounts(g.counts, g.jHi-g.jLo, g.p, float64(threshold))
-		enc = g.row.RingAllgatherv(encodeSupports(block))
-	}
-	return decodeSupports(g.col.TreeBcastV(0, enc), g.q)
+// supports sums every row's counts over the grid with one world Allreduce
+// (each column's block sits at its λ offset, zeros elsewhere) and
+// thresholds the totals locally. The counts are integers, so the sum is
+// exact in any order.
+func (g *grid) supports(threshold int) [][]int {
+	g.world.Allreduce(mpi.OpSum, g.counts)
+	return supportsFromCounts(g.counts, g.q, g.p, float64(threshold))
 }
 
 // estimation block-partitions the B2 bootstraps over all ranks in rank
-// order (pure concatenation = k order), computes them in rounds, and
-// exchanges the winners either with the overlapped non-blocking ring gather
-// (each round's OLS compute overlaps the previous round's gather in flight)
-// or, in flat baseline mode, with one padded fixed-slot Allgather at the
-// end. The winners are identical on every rank.
+// order, computes them in rounds, and exchanges the winners with one
+// Allgather of fixed-size slots, one per round: [k+1, status, beta…], where
+// k+1 = 0 marks an empty slot (the ragged tail) and status 0 a dropped
+// bootstrap. The exchange is pure concatenation, so the winners are
+// identical on every rank.
 func (g *grid) estimation(ph phase) ([][]float64, error) {
-	world, b2, betaLen := g.world, ph.total, g.p
-	size := world.Size()
+	world, b2 := g.world, ph.total
+	size, slotLen := world.Size(), 2+g.p
 	kLo, kHi := mpi.RowBlock(b2, size, world.Rank())
 	rounds := (b2 + size - 1) / size
-	winners := make([][]float64, b2)
-	// Round payload: [k, status, beta…] per computed bootstrap — status 0
-	// marks a dropped bootstrap (no beta follows). An empty payload marks a
-	// rank with no bootstrap this round (the ragged tail).
-	apply := func(data []float64) error {
-		for pos := 0; pos < len(data); {
-			if pos+2 > len(data) {
-				return fmt.Errorf("uoi: estimation payload truncated at offset %d", pos)
-			}
-			k := int(data[pos])
-			status := data[pos+1]
-			pos += 2
-			if k < 0 || k >= b2 {
-				return fmt.Errorf("uoi: estimation payload names bootstrap %d of %d", k, b2)
-			}
-			if status != 0 {
-				if pos+betaLen > len(data) {
-					return fmt.Errorf("uoi: estimation payload truncated in bootstrap %d", k)
-				}
-				// The gathered buffer is this rank's own: alias it.
-				winners[k] = data[pos : pos+betaLen : pos+betaLen]
-				pos += betaLen
-			}
-		}
-		return nil
-	}
-	round := func(t int) ([]float64, error) {
+	mine := make([]float64, rounds*slotLen)
+	for t := 0; t < rounds; t++ {
 		if g.stats != nil {
 			// Round t's cells: the t-th bootstrap of every rank's block.
 			ks := make([]int, size)
@@ -327,74 +232,26 @@ func (g *grid) estimation(ph phase) ([][]float64, error) {
 		}
 		k := kLo + t
 		if k >= kHi {
-			return nil, nil
+			continue
 		}
+		slot := mine[t*slotLen : (t+1)*slotLen]
+		slot[0] = float64(k + 1)
 		beta, err := ph.est(k)
 		if err != nil {
 			if ph.quorum {
-				return []float64{float64(k), 0}, nil
+				continue
 			}
 			return nil, err
 		}
-		pay := make([]float64, 0, 2+betaLen)
-		pay = append(pay, float64(k), 1)
-		return append(pay, beta...), nil
+		slot[1] = 1
+		copy(slot[2:], beta)
 	}
-	if g.flat {
-		// Flat baseline: compute all rounds, then exchange once with a
-		// padded fixed-slot Allgather (slot = [k+1, status, beta…]; k+1 = 0
-		// marks an empty slot). Pure concatenation, like the ring path — the
-		// modes differ only in bytes and synchronization, never in results.
-		slotLen := 2 + betaLen
-		mine := make([]float64, rounds*slotLen)
-		for t := 0; t < rounds; t++ {
-			pay, err := round(t)
-			if err != nil {
-				return nil, err
-			}
-			if pay != nil {
-				slot := mine[t*slotLen:]
-				slot[0] = pay[0] + 1
-				copy(slot[1:], pay[1:])
-			}
-		}
-		all := world.Allgather(mine)
-		for r := 0; r < size; r++ {
-			for t := 0; t < rounds; t++ {
-				slot := all[(r*rounds+t)*slotLen:][:slotLen]
-				if slot[0] == 0 {
-					continue
-				}
-				if slot[1] == 0 {
-					slot = slot[:2] // dropped: the rest of the slot is padding
-				}
-				tuple := append([]float64{slot[0] - 1}, slot[1:]...)
-				if err := apply(tuple); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return winners, nil
-	}
-	// Tree/ring mode: while round t's cells run, round t−1's ring gather is
-	// in flight — the nonblocking-overlap half of the communication-avoiding
-	// design.
-	var prev *mpi.GatherRequest
-	for t := 0; t < rounds; t++ {
-		pay, err := round(t)
-		if err != nil {
-			return nil, err
-		}
-		if prev != nil {
-			if err := apply(prev.Wait()); err != nil {
-				return nil, err
-			}
-		}
-		prev = world.IRingAllgatherv(pay)
-	}
-	if prev != nil {
-		if err := apply(prev.Wait()); err != nil {
-			return nil, err
+	all := world.Allgather(mine)
+	winners := make([][]float64, b2)
+	for pos := 0; pos < len(all); pos += slotLen {
+		// The gathered buffer is this rank's own: alias it.
+		if slot := all[pos : pos+slotLen : pos+slotLen]; slot[0] != 0 && slot[1] != 0 {
+			winners[int(slot[0])-1] = slot[2:]
 		}
 	}
 	return winners, nil

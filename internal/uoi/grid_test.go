@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"uoivar/internal/fault"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
+	"uoivar/internal/trace"
 )
 
 // gridShapes are the layouts the acceptance bar requires bit-identity at:
@@ -20,13 +22,13 @@ var gridShapes = []GridShape{{1, 1}, {2, 2}, {4, 2}, {1, 8}}
 
 // runGridLasso fits LassoGrid at the given shape and returns rank 0's result
 // after checking every rank produced the identical model.
-func runGridLasso(t *testing.T, shape GridShape, flat bool, cfg *LassoConfig) *Result {
+func runGridLasso(t *testing.T, shape GridShape, cfg *LassoConfig) *Result {
 	t.Helper()
 	x, y, _ := makeRegression(3, 80, 12, 4, 0.3)
 	var mu sync.Mutex
 	perRank := make([]*Result, shape.Ranks())
 	err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-		res, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat}))
+		res, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape}))
 		if err != nil {
 			return err
 		}
@@ -36,7 +38,7 @@ func runGridLasso(t *testing.T, shape GridShape, flat bool, cfg *LassoConfig) *R
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("grid %s flat=%v: %v", shape, flat, err)
+		t.Fatalf("grid %s: %v", shape, err)
 	}
 	for r := 1; r < shape.Ranks(); r++ {
 		assertBitsEqual(t, fmt.Sprintf("grid %s rank %d vs rank 0", shape, r), perRank[r].Beta, perRank[0].Beta)
@@ -44,10 +46,9 @@ func runGridLasso(t *testing.T, shape GridShape, flat bool, cfg *LassoConfig) *R
 	return perRank[0]
 }
 
-// Grid Lasso must be bit-identical to serial at every shape, in both the
-// tree/ring and the flat-baseline collective modes: the reassembly is pure
-// concatenation plus exact integer sums, and the cross-column warm-start
-// pipeline reproduces the serial λ chain.
+// Grid Lasso must be bit-identical to serial at every shape: the
+// reassembly is pure concatenation plus exact integer sums, and the
+// cross-column warm-start pipeline reproduces the serial λ chain.
 func TestLassoGridMatchesSerialAllShapes(t *testing.T) {
 	cfg := &LassoConfig{B1: 6, B2: 4, Q: 7, Seed: 11, KernelWorkers: 1}
 	x, y, _ := makeRegression(3, 80, 12, 4, 0.3)
@@ -56,27 +57,25 @@ func TestLassoGridMatchesSerialAllShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shape := range gridShapes {
-		for _, flat := range []bool{false, true} {
-			res := runGridLasso(t, shape, flat, cfg)
-			assertBitsEqual(t, fmt.Sprintf("grid %s flat=%v beta", shape, flat), res.Beta, serial.Beta)
-			assertBitsEqual(t, fmt.Sprintf("grid %s flat=%v lambdas", shape, flat), res.Lambdas, serial.Lambdas)
-			if len(res.Supports) != len(serial.Supports) {
-				t.Fatalf("grid %s: %d supports, serial %d", shape, len(res.Supports), len(serial.Supports))
+		res := runGridLasso(t, shape, cfg)
+		assertBitsEqual(t, fmt.Sprintf("grid %s beta", shape), res.Beta, serial.Beta)
+		assertBitsEqual(t, fmt.Sprintf("grid %s lambdas", shape), res.Lambdas, serial.Lambdas)
+		if len(res.Supports) != len(serial.Supports) {
+			t.Fatalf("grid %s: %d supports, serial %d", shape, len(res.Supports), len(serial.Supports))
+		}
+		for j := range res.Supports {
+			if len(res.Supports[j]) != len(serial.Supports[j]) {
+				t.Fatalf("grid %s λ %d: support size %d vs serial %d", shape, j, len(res.Supports[j]), len(serial.Supports[j]))
 			}
-			for j := range res.Supports {
-				if len(res.Supports[j]) != len(serial.Supports[j]) {
-					t.Fatalf("grid %s λ %d: support size %d vs serial %d", shape, j, len(res.Supports[j]), len(serial.Supports[j]))
-				}
-				for i := range res.Supports[j] {
-					if res.Supports[j][i] != serial.Supports[j][i] {
-						t.Fatalf("grid %s λ %d: support mismatch", shape, j)
-					}
+			for i := range res.Supports[j] {
+				if res.Supports[j][i] != serial.Supports[j][i] {
+					t.Fatalf("grid %s λ %d: support mismatch", shape, j)
 				}
 			}
-			if res.Diag.LassoFits != serial.Diag.LassoFits || res.Diag.OLSFits != serial.Diag.OLSFits ||
-				res.Diag.ADMMIters != serial.Diag.ADMMIters {
-				t.Fatalf("grid %s flat=%v diag %+v, serial %+v", shape, flat, res.Diag, serial.Diag)
-			}
+		}
+		if res.Diag.LassoFits != serial.Diag.LassoFits || res.Diag.OLSFits != serial.Diag.OLSFits ||
+			res.Diag.ADMMIters != serial.Diag.ADMMIters {
+			t.Fatalf("grid %s diag %+v, serial %+v", shape, res.Diag, serial.Diag)
 		}
 	}
 }
@@ -130,7 +129,7 @@ func TestLassoGridQuorumMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shape := range []GridShape{{2, 2}, {1, 8}} {
-		res := runGridLasso(t, shape, false, cfg)
+		res := runGridLasso(t, shape, cfg)
 		assertBitsEqual(t, fmt.Sprintf("degraded grid %s", shape), res.Beta, serial.Beta)
 		if res.Bootstrap != serial.Bootstrap {
 			t.Fatalf("grid %s bootstrap stats %+v, serial %+v", shape, res.Bootstrap, serial.Bootstrap)
@@ -148,29 +147,27 @@ func TestVARGridMatchesSerialAllShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shape := range gridShapes {
-		for _, flat := range []bool{false, true} {
-			var mu sync.Mutex
-			perRank := make([]*VARResult, shape.Ranks())
-			err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
-				res, err := VAR(series, varOn(cfg, Placement{Comm: c, Shape: shape, FlatCollectives: flat}))
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				perRank[c.Rank()] = res
-				mu.Unlock()
-				return nil
-			})
+		var mu sync.Mutex
+		perRank := make([]*VARResult, shape.Ranks())
+		err := mpi.Run(shape.Ranks(), func(c *mpi.Comm) error {
+			res, err := VAR(series, varOn(cfg, Placement{Comm: c, Shape: shape}))
 			if err != nil {
-				t.Fatalf("VAR grid %s flat=%v: %v", shape, flat, err)
+				return err
 			}
-			for r := 0; r < shape.Ranks(); r++ {
-				assertBitsEqual(t, fmt.Sprintf("VAR grid %s flat=%v rank %d", shape, flat, r), perRank[r].Beta, serial.Beta)
-			}
-			assertBitsEqual(t, fmt.Sprintf("VAR grid %s mu", shape), perRank[0].Mu, serial.Mu)
-			for l := range serial.A {
-				assertBitsEqual(t, fmt.Sprintf("VAR grid %s A[%d]", shape, l), perRank[0].A[l].Data, serial.A[l].Data)
-			}
+			mu.Lock()
+			perRank[c.Rank()] = res
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("VAR grid %s: %v", shape, err)
+		}
+		for r := 0; r < shape.Ranks(); r++ {
+			assertBitsEqual(t, fmt.Sprintf("VAR grid %s rank %d", shape, r), perRank[r].Beta, serial.Beta)
+		}
+		assertBitsEqual(t, fmt.Sprintf("VAR grid %s mu", shape), perRank[0].Mu, serial.Mu)
+		for l := range serial.A {
+			assertBitsEqual(t, fmt.Sprintf("VAR grid %s A[%d]", shape, l), perRank[0].A[l].Data, serial.A[l].Data)
 		}
 	}
 }
@@ -197,8 +194,8 @@ func fitMetered(x *mat.Dense, y []float64, cfg *LassoConfig, ranks int, at Place
 	return beta, bytes, err
 }
 
-// gridBytesCase is the fit the grid byte test and BenchmarkLassoPlacements'
-// grid rows run: n×p regression with 6 true non-zeros, B1 = B2 = b, Q q.
+// gridBytesCase is the fit BenchmarkLassoPlacements' grid rows run: n×p
+// regression with 6 true non-zeros, B1 = B2 = b, Q q.
 func gridBytesCase(short bool) (*datagen.Regression, *LassoConfig) {
 	n, p, b, q := 512, 48, 8, 8
 	if short {
@@ -208,33 +205,8 @@ func gridBytesCase(short bool) (*datagen.Regression, *LassoConfig) {
 	return reg, &LassoConfig{B1: b, B2: b, Q: q, Seed: 1, KernelWorkers: 1}
 }
 
-// The communication-avoiding mode must actually avoid communication without
-// moving a bit: at a 1×8 and a 4×2 grid the tree/ring reassembly gives the
-// flat Allreduce/Allgather baseline's coefficients bit for bit and puts
-// strictly fewer bytes on the wire.
-func TestLassoGridTreeBytesBelowFlat(t *testing.T) {
-	reg, cfg := gridBytesCase(false)
-	for _, shape := range []GridShape{{1, 8}, {4, 2}} {
-		t.Run(shape.String(), func(t *testing.T) {
-			tree, treeBytes, err := fitMetered(reg.X, reg.Y, cfg, shape.Ranks(), Placement{Shape: shape})
-			if err != nil {
-				t.Fatalf("tree: %v", err)
-			}
-			flat, flatBytes, err := fitMetered(reg.X, reg.Y, cfg, shape.Ranks(), Placement{Shape: shape, FlatCollectives: true})
-			if err != nil {
-				t.Fatalf("flat: %v", err)
-			}
-			assertBitsEqual(t, "tree vs flat", tree, flat)
-			if treeBytes <= 0 || treeBytes >= flatBytes {
-				t.Fatalf("tree/ring moved %d bytes, flat %d; want 0 < tree < flat", treeBytes, flatBytes)
-			}
-			t.Logf("bytes on the wire: tree/ring %d, flat %d", treeBytes, flatBytes)
-		})
-	}
-}
-
 // BenchmarkLassoPlacements times whole replicated-data UoI_LASSO fits: the
-// 2-D grid at 1×8 and 4×2 (tree/ring collectives) and the checkpointed
+// 2-D grid at 1×8 and 4×2 and the checkpointed
 // engine on 4 ranks with a fresh journal per fit. Each row reports the
 // fit's bytes on the wire, summed over the ranks, as mpi-B/op; -short runs
 // smaller problems.
@@ -299,39 +271,90 @@ func TestGridShapeValidation(t *testing.T) {
 	}
 }
 
-// Killing a rank mid-fit must surface a typed fault-tolerance error on the
-// survivors — never a hang — at any grid shape.
+// Killing a rank mid-fit must end every rank in a typed fault-tolerance
+// error — never a hang — at any grid shape: early in the fit, inside the
+// supports Allreduce and inside the estimation Allgather. Rank 1's op index
+// of each collective comes from an event recording of the same fit: the
+// grid makes no one-sided calls, so every comm event is one fault-plan op.
 func TestGridRankKillTypedError(t *testing.T) {
 	x, y, _ := makeRegression(3, 60, 8, 3, 0.3)
 	cfg := &LassoConfig{B1: 4, B2: 4, Q: 5, Seed: 11, KernelWorkers: 1}
 	for _, shape := range []GridShape{{2, 2}, {1, 4}} {
 		shape := shape
 		t.Run(shape.String(), func(t *testing.T) {
-			plan := fault.NewPlan(shape.Ranks(), fault.Event{Kind: fault.Crash, Rank: 1, Op: 3})
-			done := make(chan error, 1)
-			go func() {
-				done <- mpi.RunWithOptions(shape.Ranks(), mpi.RunOptions{
-					CollectiveTimeout: 10 * time.Second,
-					Fault:             plan,
-				}, func(c *mpi.Comm) error {
-					_, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape}))
-					return err
-				})
-			}()
-			select {
-			case err := <-done:
+			var finished atomic.Int32 // ranks whose fit returned no error
+			fit := func(c *mpi.Comm) error {
+				_, err := Lasso(x, y, lassoOn(cfg, Placement{Comm: c, Shape: shape}))
 				if err == nil {
-					t.Fatal("rank kill produced no error")
+					finished.Add(1)
 				}
-				if !errors.Is(err, mpi.ErrRankFailed) && !errors.Is(err, fault.ErrInjected) &&
-					!errors.Is(err, mpi.ErrTimeout) {
-					t.Fatalf("untyped failure: %v", err)
+				return err
+			}
+			recs := trace.NewRecorderSet(shape.Ranks(), 1<<12)
+			if err := mpi.RunWithOptions(shape.Ranks(), mpi.RunOptions{Recorders: recs}, fit); err != nil {
+				t.Fatal(err)
+			}
+			if recs[1].Dropped() != 0 {
+				t.Fatalf("recorder dropped %d events", recs[1].Dropped())
+			}
+			kills := []struct {
+				name string
+				op   int
+			}{
+				{"early", 3},
+				{"supports-allreduce", commOp(recs[1], "allreduce@world")},
+				{"estimation-allgather", commOp(recs[1], "allgather@world")},
+			}
+			for _, kill := range kills {
+				if kill.op < 0 {
+					t.Fatalf("%s: rank 1 recorded no such call", kill.name)
 				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("grid fit hung after rank kill")
+				finished.Store(0)
+				plan := fault.NewPlan(shape.Ranks(), fault.Event{Kind: fault.Crash, Rank: 1, Op: kill.op})
+				err := runBounded(t, func() error {
+					return mpi.RunWithOptions(shape.Ranks(), mpi.RunOptions{CollectiveTimeout: 10 * time.Second, Fault: plan}, fit)
+				})
+				if n := finished.Load(); err == nil || n != 0 {
+					t.Fatalf("%s (op %d): %d ranks finished, err %v", kill.name, kill.op, n, err)
+				}
+				fired := false
+				for _, e := range joined(err) {
+					fired = fired || errors.Is(e, fault.ErrInjected)
+					if !errors.Is(e, mpi.ErrRankFailed) && !errors.Is(e, fault.ErrInjected) && !errors.Is(e, mpi.ErrTimeout) {
+						t.Fatalf("%s (op %d): untyped failure: %v", kill.name, kill.op, e)
+					}
+				}
+				if !fired {
+					t.Fatalf("%s (op %d): the kill never fired: %v", kill.name, kill.op, err)
+				}
+				t.Logf("%s: rank 1 killed at op %d", kill.name, kill.op)
 			}
 		})
 	}
+}
+
+// commOp returns the index among r's comm events — the fault plan's op
+// count on its rank — of the first call named name, or -1.
+func commOp(r *trace.Recorder, name string) int {
+	n := 0
+	for _, e := range r.Events() {
+		if e.Kind != trace.EvComm {
+			continue
+		}
+		if e.Name == name {
+			return n
+		}
+		n++
+	}
+	return -1
+}
+
+// joined lists the errors of an errors.Join, or err alone.
+func joined(err error) []error {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		return j.Unwrap()
+	}
+	return []error{err}
 }
 
 // VARGrid rejects the configurations whose semantics a grid cannot honor.

@@ -25,8 +25,8 @@ func RankPerf(comm *mpi.Comm, tr *trace.Tracer) trace.RankPerf {
 	st := comm.LocalStats()
 	rp.Comm = st.Rows("")
 	rp.FinalizeCompute()
-	// Per-communicator attribution (grid fits label their row/column
-	// sub-comms): breakdown rows like "collective[row]" appended after
+	// Per-communicator attribution (grid fits label their world comm and
+	// row sub-comm): breakdown rows like "p2p[row]" appended after
 	// FinalizeCompute so they never double-count CommSeconds — every labeled
 	// second is already inside the unlabeled aggregate above.
 	labeled := comm.LocalLabelStats()

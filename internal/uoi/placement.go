@@ -66,11 +66,6 @@ type Placement struct {
 	// reader, and UoI_LASSO reduces each bootstrap's sufficient statistics;
 	// the other values run the paper's pipelines as measured baselines.
 	Assembly Assembly
-	// FlatCollectives replaces the grid's tree/ring reassembly with the
-	// flat barrier collectives (full-width Allreduce/Allgather): the
-	// baseline the communication-avoiding path is measured against. The
-	// results are bit-identical; only bytes on the wire and waits differ.
-	FlatCollectives bool
 }
 
 // Assembly is how a partitioned fit brings the rows its ranks hold
@@ -143,13 +138,13 @@ func (pl *Placement) place(a fitAsk) (placement, error) {
 	switch {
 	case pl.Partitioned && pl.Assembly == Shared:
 		shape := pl.Shape.normalize()
-		return newGrid(pl.Comm, GridShape{PB: pl.Comm.Size() / shape.PL, PL: shape.PL}, false), nil
+		return newGrid(pl.Comm, GridShape{PB: pl.Comm.Size() / shape.PL, PL: shape.PL}), nil
 	case pl.Partitioned:
 		return newConsensus(pl.Comm, pl.Shape), nil
 	case a.ckpt != nil:
 		return &journal{comm: pl.Comm, cfg: a.ckpt}, nil
 	}
-	return newGrid(pl.Comm, pl.Shape, pl.FlatCollectives), nil
+	return newGrid(pl.Comm, pl.Shape), nil
 }
 
 // check returns an ErrPlacement for every combination no engine placement
@@ -183,8 +178,6 @@ func (pl *Placement) check(a fitAsk) error {
 		why = "ConsensusADMM applies to partitioned Lasso only"
 	case pl.EstX != nil && !(part && a.fit == "Lasso"):
 		why = "an estimation block applies to partitioned Lasso only"
-	case pl.FlatCollectives && !grid:
-		why = "FlatCollectives applies to the replicated-data grid only"
 	case part && a.fit == "Lasso" && pl.Assembly == Shared && shape != (GridShape{1, 1}):
 		// Every round of cells reduces statistics over all ranks, so PB
 		// groups would change nothing and PL columns would only serialize

@@ -107,12 +107,6 @@ func TestPlacementRejects(t *testing.T) {
 		{name: "lasso Shared PL", fit: func(c *mpi.Comm) error {
 			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.Shape, at.Partitioned = GridShape{1, 2}, true })
 		}},
-		{name: "lasso FlatCollectives partitioned", fit: func(c *mpi.Comm) error {
-			return lassoWith(c, func(_ *LassoConfig, at *Placement) { at.FlatCollectives, at.Partitioned = true, true })
-		}},
-		{name: "var FlatCollectives checkpoint", fit: func(c *mpi.Comm) error {
-			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.Checkpoint, at.FlatCollectives = ck(), true })
-		}},
 		{name: "var estimation block", fit: func(c *mpi.Comm) error {
 			return varWith(c, func(_ *VARConfig, at *Placement) { at.EstX, at.EstY, at.Partitioned = x, y, true })
 		}},

@@ -356,24 +356,19 @@ func tablePlacements() []tablePlacement {
 		}},
 	}
 	for _, shape := range gridShapes {
-		for _, flat := range []bool{false, true} {
-			at := &Placement{Shape: shape, FlatCollectives: flat}
-			name := "grid-" + shape.String()
-			if flat {
-				name += "-flat"
-			}
-			pls = append(pls, tablePlacement{name: name,
-				run: func(t *testing.T, pb tableProblem, kw int) (*placedRun, error) {
-					run, err := runRanks(shape.Ranks(), mpi.RunOptions{}, pb, execution{kw: kw, at: at})
-					if err != nil && !pb.gridOK(shape) {
-						return &placedRun{rejected: true}, nil
-					}
-					if err == nil && !pb.gridOK(shape) {
-						t.Fatalf("%s accepted a problem it cannot place", name)
-					}
-					return run, err
-				}})
-		}
+		at := &Placement{Shape: shape}
+		name := "grid-" + shape.String()
+		pls = append(pls, tablePlacement{name: name,
+			run: func(t *testing.T, pb tableProblem, kw int) (*placedRun, error) {
+				run, err := runRanks(shape.Ranks(), mpi.RunOptions{}, pb, execution{kw: kw, at: at})
+				if err != nil && !pb.gridOK(shape) {
+					return &placedRun{rejected: true}, nil
+				}
+				if err == nil && !pb.gridOK(shape) {
+					t.Fatalf("%s accepted a problem it cannot place", name)
+				}
+				return run, err
+			}})
 	}
 	// Partitioned UoI_VAR at its default assembly: the readers' series is
 	// broadcast and the serial problem runs on the grid, so every rank

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the 2-D (bootstrap × λ) grid engine: generate a
-# dataset, fit it at two different grid shapes (and the flat-collectives
-# baseline), and verify
-#   1. the fitted models are byte-for-byte identical across shapes and
-#      collective modes (the bit-identity invariant),
+# dataset, fit it at two different grid shapes, and verify
+#   1. the fitted models are byte-for-byte identical across shapes (the
+#      bit-identity invariant),
 #   2. each fit's PerfReport parses through trace.ParsePerfReport and
-#      carries per-communicator ("collective[row]"/"[col]") attribution, and
+#      carries per-communicator ("collective[world]"/"p2p[row]")
+#      attribution, and
 #   3. the CLI dispatches its flags to the right placement: a checkpointed
 #      -ranks 3 fit, which the journal runs, writes the same model as a grid
 #      fit, for UoI_LASSO and for UoI_VAR; so does a partitioned UoI_VAR fit
@@ -21,39 +21,33 @@ trap 'rm -rf "$WORK"' EXIT
 echo "== generate =="
 "$GO" run ./cmd/uoigen -kind regression -n 400 -p 24 -seed 7 -o "$WORK/data.hbf"
 
-fit() { # fit <tag> <grid> <collectives>
-  local tag=$1 grid=$2 coll=$3
+fit() { # fit <tag> <grid>
+  local tag=$1 grid=$2
   "$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" \
-    -grid "$grid" -grid-collectives "$coll" -b1 8 -b2 4 -q 6 -seed 3 \
+    -grid "$grid" -b1 8 -b2 4 -q 6 -seed 3 \
     -model-out "$WORK/$tag.uoim" -perf-report "$WORK/$tag.perf.json" \
     > "$WORK/$tag.out"
 }
 
-echo "== fit at 4x2 (tree), 1x8 (tree), 4x2 (flat) =="
-fit grid4x2 4x2 tree
-fit grid1x8 1x8 tree
-fit flat4x2 4x2 flat
+echo "== fit at 4x2 and 1x8 =="
+fit grid4x2 4x2
+fit grid1x8 1x8
 
 echo "== bit-identity: model artifacts must match byte for byte =="
 cmp "$WORK/grid4x2.uoim" "$WORK/grid1x8.uoim"
-cmp "$WORK/grid4x2.uoim" "$WORK/flat4x2.uoim"
 # The human-readable fit summaries (support, coefficients) must agree too —
 # minus the wall-time line, which legitimately varies run to run.
-for tag in grid4x2 grid1x8 flat4x2; do
+for tag in grid4x2 grid1x8; do
   grep -v -e '^selection ' -e '^model artifact written' -e '^perf report written' \
     "$WORK/$tag.out" > "$WORK/$tag.out.stable"
 done
 cmp "$WORK/grid4x2.out.stable" "$WORK/grid1x8.out.stable"
-cmp "$WORK/grid4x2.out.stable" "$WORK/flat4x2.out.stable"
 
 echo "== perf reports parse and carry grid comm attribution =="
-# 4x2: every rank tree-reduces/broadcasts down its column and hands the
-# warm-start pipeline across its row.
-"$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[col],p2p[row]' "$WORK/grid4x2.perf.json"
-# 1x8: a single row — the support ring-allgather runs on the row comm.
-"$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[row]' "$WORK/grid1x8.perf.json"
-# flat baseline: world-wide collectives, labeled by the world handle.
-"$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/flat4x2.perf.json"
+# Both shapes reassemble with the world Allreduce and Allgather; at 4x2 each
+# rank also hands the warm-start pipeline across its row.
+"$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world],p2p[row]' "$WORK/grid4x2.perf.json"
+"$GO" run ./scripts/perfcheck -ranks 8 -require-comm 'collective[world]' "$WORK/grid1x8.perf.json"
 
 echo "== placement dispatch: the journal and the partitioned fits match the grid =="
 "$GO" run ./cmd/uoifit -algo lasso -data "$WORK/data.hbf" -ranks 3 \

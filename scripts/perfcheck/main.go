@@ -13,7 +13,7 @@
 //	-ranks N          fail unless the report carries exactly N rank entries
 //	-require-comm c   fail unless every rank has a comm row whose category
 //	                  starts with c (repeatable via commas); use
-//	                  "collective[row]" to demand per-communicator
+//	                  "p2p[row]" to demand per-communicator
 //	                  attribution from a grid fit
 //
 // Exit status 0 means the report parses and all requirements hold; 1 means
