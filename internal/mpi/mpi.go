@@ -1000,7 +1000,6 @@ func (c *Comm) Allgather(data []float64) []float64 {
 // new communicator, ordered by key then by current rank), mirroring
 // MPI_Comm_split. The paper's P_B × P_λ parallelism is built from two Splits.
 func (c *Comm) Split(color, key int) *Comm {
-	start := time.Now()
 	g := c.group
 	type entry struct{ color, key, rank, worldRank int }
 	contrib := []float64{float64(color), float64(key), float64(c.rank), float64(c.worldRank)}
@@ -1047,7 +1046,6 @@ func (c *Comm) Split(color, key int) *Comm {
 	if newRank == 0 {
 		c.world.registry.Delete(keyStr)
 	}
-	c.meter(CatCollective, 0, start, 0, flow{})
 	return &Comm{world: c.world, group: ng, rank: newRank, worldRank: c.worldRank}
 }
 

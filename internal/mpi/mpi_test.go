@@ -244,6 +244,44 @@ func TestSplitGrid(t *testing.T) {
 	}
 }
 
+// A Split is metered as the calls it makes — one Allgather of four floats
+// per rank and two Barriers — and nothing more: its Stats equal those of the
+// same three calls made by hand, and its metered time lies inside the wall
+// time of the Split, so no span is counted twice.
+func TestSplitStatsAreItsInnerCalls(t *testing.T) {
+	const size = 3
+	err := Run(size, func(c *Comm) error {
+		before := c.LocalStats()
+		start := time.Now()
+		c.Split(c.Rank()%2, c.Rank())
+		wall := time.Since(start)
+		split := c.LocalStats()
+		c.Allgather(make([]float64, 4))
+		c.Barrier()
+		c.Barrier()
+		byHand := c.LocalStats()
+		for cat := Category(0); cat < numCategories; cat++ {
+			calls, bytes := split.Calls[cat]-before.Calls[cat], split.Bytes[cat]-before.Bytes[cat]
+			if want := byHand.Calls[cat] - split.Calls[cat]; calls != want {
+				return fmt.Errorf("rank %d %v: Split metered %d calls, its inner calls %d", c.Rank(), cat, calls, want)
+			}
+			if want := byHand.Bytes[cat] - split.Bytes[cat]; bytes != want {
+				return fmt.Errorf("rank %d %v: Split metered %d bytes, its inner calls %d", c.Rank(), cat, bytes, want)
+			}
+		}
+		if calls := split.Calls[CatCollective] - before.Calls[CatCollective]; calls != 3 {
+			return fmt.Errorf("rank %d: Split metered %d collective calls, want 3", c.Rank(), calls)
+		}
+		if d := split.Time[CatCollective] - before.Time[CatCollective]; d > wall {
+			return fmt.Errorf("rank %d: Split metered %v of collective time in %v of wall time", c.Rank(), d, wall)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSplitKeyOrdersRanks(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		// Reverse ordering via key.

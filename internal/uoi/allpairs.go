@@ -312,7 +312,7 @@ func fitTarget(xc, y *mat.Dense, xbar, ybar []float64, i, blockLen, screen int, 
 	gram, xty := mat.Stats(xs, target, mat.Sample{Cols: supCols}, 1)
 	fit := &targetFit{mu: ybar[i]}
 	var best winner
-	fitCandidates(xs, target, gram, xty, at, rows, distinct, func(j int, loss float64, beta []float64) {
+	fitCandidates(xs, target, gram, xty, at, rows, distinct, 1, func(j int, loss float64, beta []float64) {
 		rss := 2 * loss
 		if rss <= 0 {
 			rss = math.SmallestNonzeroFloat64

@@ -3,6 +3,8 @@ package uoi
 import (
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"uoivar/internal/admm"
 	"uoivar/internal/mat"
@@ -204,31 +206,67 @@ func supportColumns(distinct [][]int, q int) (cols, at []int) {
 // built for S alone — scores the fit by heldOut over the evaluation rows of
 // (x, y), and hands both to offer, candidates in order.
 //
-// The fits share one set of scratch — positions, right-hand side and the
-// factor (admm.OLSOnBlock) — so the call allocates only the coefficient
-// vectors it hands out.
-func fitCandidates(x, y, gram, xty *mat.Dense, at, eval []int, distinct [][]int, offer func(j int, loss float64, beta []float64)) {
-	q := x.Cols
-	var pos []int
-	var rhs, chol []float64
-	for j, s := range distinct {
-		beta := make([]float64, q*y.Cols)
-		for lo, hi := 0, 0; lo < len(s); lo = hi {
-			e := s[lo] / q
-			for hi = lo; hi < len(s) && s[hi]/q == e; hi++ {
-			}
-			pos, rhs = pos[:0], rhs[:0]
-			for _, g := range s[lo:hi] {
-				pos = append(pos, at[g%q])
-				rhs = append(rhs, xty.At(at[g%q], e))
-			}
-			chol = admm.OLSOnBlock(gram, pos, rhs, chol)
-			for i, v := range rhs {
-				beta[s[lo+i]] = v
-			}
+// Every candidate is an independent OLS, so the fits and their losses run
+// on up to `workers` goroutines (mat.ParallelFor, counted by PeakWorkers),
+// each claiming the next unfitted candidate — later candidates have larger
+// supports, so a contiguous split would be unbalanced — and storing its
+// coefficients and loss at the candidate's index. offer then runs on the
+// caller, in candidate order, after all of them: it sees the sequence a
+// single worker produces, bit for bit. At one worker, or with fewer than
+// two candidates, mat.ParallelFor runs the loop on the caller. Each worker
+// draws its scratch — positions, right-hand side and the factor
+// (admm.OLSOnBlock) — from a pool, so the call allocates the coefficient
+// vectors it hands out and the two slices holding them until the offers.
+func fitCandidates(x, y, gram, xty *mat.Dense, at, eval []int, distinct [][]int, workers int, offer func(j int, loss float64, beta []float64)) {
+	q, eqs := x.Cols, y.Cols
+	betas := make([][]float64, len(distinct))
+	losses := make([]float64, len(distinct))
+	var next atomic.Int64
+	w := min(workers, len(distinct))
+	mat.ParallelFor(w, w, func(int, int) {
+		sc := olsScratchPool.Get().(*olsScratch)
+		for j := int(next.Add(1)) - 1; j < len(distinct); j = int(next.Add(1)) - 1 {
+			betas[j] = sc.fit(gram, xty, at, distinct[j], q, eqs)
+			losses[j] = heldOut(x, y, eval, betas[j])
 		}
-		offer(j, heldOut(x, y, eval, beta), beta)
+		olsScratchPool.Put(sc)
+	})
+	for j, beta := range betas {
+		offer(j, losses[j], beta)
 	}
+}
+
+// olsScratch is one estimation worker's scratch: a support's Gram
+// positions, its right-hand side and the factor of its sub-block.
+type olsScratch struct {
+	pos       []int
+	rhs, chol []float64
+}
+
+// olsScratchPool keeps olsScratch values between estimation cells, so a
+// worker's buffers have grown to the largest support it met.
+var olsScratchPool = sync.Pool{New: func() any { return new(olsScratch) }}
+
+// fit solves support s (coefficient g is column g mod q of equation g/q) by
+// OLS, one sub-block of gram per equation, into a fresh β of q·eqs
+// coefficients.
+func (sc *olsScratch) fit(gram, xty *mat.Dense, at, s []int, q, eqs int) []float64 {
+	beta := make([]float64, q*eqs)
+	for lo, hi := 0, 0; lo < len(s); lo = hi {
+		e := s[lo] / q
+		for hi = lo; hi < len(s) && s[hi]/q == e; hi++ {
+		}
+		sc.pos, sc.rhs = sc.pos[:0], sc.rhs[:0]
+		for _, g := range s[lo:hi] {
+			sc.pos = append(sc.pos, at[g%q])
+			sc.rhs = append(sc.rhs, xty.At(at[g%q], e))
+		}
+		sc.chol = admm.OLSOnBlock(gram, sc.pos, sc.rhs, sc.chol)
+		for i, v := range sc.rhs {
+			beta[s[lo+i]] = v
+		}
+	}
+	return beta
 }
 
 // heldOut is ½‖Y − Xβ‖² over the given rows of (x, y), read in place,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uoivar/internal/admm"
@@ -346,9 +347,10 @@ func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 		}
 		fx := newVarCellFixture(series, &f.cfg)
 		root := resample.NewRNG(fx.c.Seed)
-		// Kernel budget 3 splits the full Gram across workers; the
-		// gathered-column Grams stay below the parallel gate.
-		for _, kw := range []int{1, 3} {
+		// Kernel budgets 2 and 3 split the full Gram and the candidate fits
+		// across workers; the gathered-column Grams stay below the parallel
+		// gate.
+		for _, kw := range []int{1, 2, 3} {
 			for k := 0; k < fx.c.B2; k++ {
 				want, winner := perSupportVarEstCell(fx, root, k, distinct)
 				got, fits := varEst(t, series, k, distinct, &fx.c, kw)
@@ -361,6 +363,116 @@ func TestVarEstCellMatchesPerSupportPath(t *testing.T) {
 					}
 				}
 				assertBitsEqual(t, fmt.Sprintf("seed %d cell %d kw %d beta", f.seed, k, kw), got, want)
+			}
+		}
+	}
+}
+
+// TestFitCandidatesWorkersIdentical: an estimation cell spreads its
+// candidate fits over its kernel budget, and offer must still see what one
+// worker hands it — the same (j, loss, β), in the same order, bit for bit —
+// at any budget, with more workers than candidates and with none, on VAR
+// and LASSO fixtures whose candidates include one whose OLS ridge ladder
+// ends all-NaN and one whose finite fit scores a NaN loss.
+func TestFitCandidatesWorkersIdentical(t *testing.T) {
+	type fixture struct {
+		name     string
+		x, y     *mat.Dense
+		distinct [][]int
+	}
+	_, series := makeVARData(21, 8, 1, 600)
+	vres, err := VAR(series, &VARConfig{Order: 1, B1: 6, B2: 3, Q: 10, LambdaRatio: 1e-2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	des := varsim.NewDesign(series, 1, true)
+	x, y, _ := makeRegression(67, 400, 30, 5, 0.5)
+	lres, err := Lasso(x, y, &LassoConfig{B1: 6, B2: 3, Q: 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := []fixture{
+		{"var", des.X, des.Y, dedupeSupports(vres.Supports)},
+		{"lasso", x, mat.NewDenseData(len(y), 1, y), dedupeSupports(lres.Supports)},
+	}
+	type offered struct {
+		j    int
+		loss float64
+		beta []float64
+	}
+	for _, f := range fixtures {
+		q, eqs, n := f.x.Cols, f.y.Cols, f.x.Rows
+		// c1 and c2 are the design columns the fit's candidates use least.
+		uses := make([]int, q)
+		for _, s := range f.distinct {
+			for _, g := range s {
+				uses[g%q]++
+			}
+		}
+		byUse := make([]int, q)
+		for c := range byUse {
+			byUse[c] = c
+		}
+		slices.SortStableFunc(byUse, func(a, b int) int { return uses[a] - uses[b] })
+		c1, c2 := byUse[0], byUse[1]
+		train, eval := make([]int, 0, n), make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			if i < n*7/10 {
+				train = append(train, i)
+			} else {
+				eval = append(eval, i)
+			}
+		}
+		// Candidate 0 regresses on c1, whose Gram diagonal is NaN: the
+		// ladder fails on every rung. The last regresses equation eqs−1 on
+		// c2, finite in every training row and NaN in one evaluation row.
+		distinct := append(append([][]int{{c1}}, f.distinct...), []int{(eqs-1)*q + c2})
+		xe := f.x.Clone()
+		xe.Set(eval[0], c2, math.NaN())
+		cols, at := supportColumns(distinct, q)
+		gram, xty := mat.Stats(xe, f.y, mat.Sample{Rows: train, Cols: cols}, 1)
+		gram.Set(at[c1], at[c1], math.NaN())
+		record := func(workers int, distinct [][]int) []offered {
+			var out []offered
+			fitCandidates(xe, f.y, gram, xty, at, eval, distinct, workers, func(j int, loss float64, beta []float64) {
+				out = append(out, offered{j, loss, beta})
+			})
+			return out
+		}
+		all := record(1, distinct)
+		if len(all) != len(distinct) {
+			t.Fatalf("%s: %d offers for %d candidates", f.name, len(all), len(distinct))
+		}
+		if b := all[0].beta[c1]; !math.IsNaN(b) {
+			t.Fatalf("%s: candidate 0 fit %v, want the ladder's NaN", f.name, b)
+		}
+		last := all[len(all)-1]
+		if b := last.beta[(eqs-1)*q+c2]; math.IsNaN(b) || !math.IsNaN(last.loss) {
+			t.Fatalf("%s: last candidate fit %v with loss %v, want a finite fit and a NaN loss", f.name, b, last.loss)
+		}
+		finite := 0
+		for _, o := range all {
+			if !math.IsNaN(o.loss) {
+				finite++
+			}
+		}
+		if finite < 2 {
+			t.Fatalf("%s: only %d candidates scored a finite loss", f.name, finite)
+		}
+		for _, sub := range [][][]int{distinct, distinct[:3], distinct[:1], nil} {
+			want := record(1, sub)
+			for _, w := range []int{2, 3, 7} {
+				got := record(w, sub)
+				if len(got) != len(want) {
+					t.Fatalf("%s %d candidates, %d workers: %d offers, want %d", f.name, len(sub), w, len(got), len(want))
+				}
+				for i := range want {
+					label := fmt.Sprintf("%s %d candidates, %d workers, offer %d", f.name, len(sub), w, i)
+					if got[i].j != want[i].j || math.Float64bits(got[i].loss) != math.Float64bits(want[i].loss) {
+						t.Fatalf("%s: (j, loss) = (%d, %v), want (%d, %v)", label, got[i].j, got[i].loss, want[i].j, want[i].loss)
+					}
+					assertBitsEqual(t, label+" beta", got[i].beta, want[i].beta)
+				}
 			}
 		}
 	}
@@ -532,8 +644,9 @@ func BenchmarkVARSelCell(b *testing.B) {
 
 // BenchmarkVAREstCell times one estimation cell at the var_network
 // benchmark's shape (p=60, n=600, order 1) over the distinct supports of a
-// Q=16 fit: the Gram and XᵀY of the training design once, then a Cholesky
-// per (support, equation) sub-block.
+// Q=16 fit, at kernel budgets 1 and 2: the Gram and XᵀY of the training
+// design once, then a Cholesky per (support, equation) sub-block and each
+// candidate's held-out loss, spread over the budget's workers.
 func BenchmarkVAREstCell(b *testing.B) {
 	series := datagen.MakeFinance(1000, 60, 600, nil).Series
 	cfg := VARConfig{Order: 1, B1: 6, B2: 3, Q: 16, Seed: 7}
@@ -543,13 +656,17 @@ func BenchmarkVAREstCell(b *testing.B) {
 	}
 	distinct := dedupeSupports(res.Supports)
 	fx := newVarCellFixture(series, &cfg)
-	pb := varProblem(b, series, &fx.c, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pb.estCell(i%fx.c.B2, distinct, trace.Span{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, kw := range []int{1, 2} {
+		b.Run(fmt.Sprintf("kw%d", kw), func(b *testing.B) {
+			pb := varProblem(b, series, &fx.c, kw)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pb.estCell(i%fx.c.B2, distinct, trace.Span{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -42,7 +42,10 @@ import (
 //     lasso/r2-1x1, lasso/r3-1x1, lasso/r4-2x1, lasso/r4-1x2,
 //     lasso-std/r2-1x1, lasso-quorum/r4-2x1, lasso-phases/r2-1x1,
 //     var/r2-1x1-readers1, var/r4-1x1-readers2, var/r4-2x1-readers1,
-//     var/r6-2x1-readers1, var/r4-1x2-readers1 and var-ca/r2-1x1-readers1.
+//     var/r6-2x1-readers1, var/r4-1x2-readers1 and var-ca/r2-1x1-readers1;
+//   - every row of more than one group has one collective call fewer per
+//     communicator Split per rank, and no other field moved: a Split no
+//     longer meters itself on top of its Allgather and two Barriers.
 
 var consensusPrint = flag.Bool("consensus-print-golden", false, "print the consensus golden table as Go source instead of checking it")
 
@@ -160,17 +163,17 @@ func TestConsensusGoldenIdentical(t *testing.T) {
 
 var consensusGolden = map[string]string{
 	"lasso-phases/r2-1x1":    "beta=0x312b90011939f03d work=25/9/550 ckpt=0/0/0 mpi=collective:1138/202704",
-	"lasso-quorum/r4-2x1":    "beta=0xffe1626510dd9511 work=15/4/325,15/4/325,5/4/159,5/4/159 ckpt=0/0/0 mpi=collective:1068/184928",
+	"lasso-quorum/r4-2x1":    "beta=0xffe1626510dd9511 work=15/4/325,15/4/325,5/4/159,5/4/159 ckpt=0/0/0 mpi=collective:1060/184928",
 	"lasso-std/r2-1x1":       "beta=0x3c87a10435192979 work=25/9/545 ckpt=0/0/0 mpi=collective:1132/201536",
 	"lasso/r1-1x1":           "beta=0x8b39746cbce9ef0 work=25/9/613 ckpt=0/0/0 mpi=collective:632/112944",
 	"lasso/r2-1x1":           "beta=0x56817e7d11f017ef work=25/9/545 ckpt=0/0/0 mpi=collective:1128/200864",
 	"lasso/r3-1x1":           "beta=0x604b4bb03067ea8c work=25/9/536 ckpt=0/0/0 mpi=collective:1665/296328",
-	"lasso/r4-1x2":           "beta=0x649577f85d53d4b0 work=15/6/376,15/6/376,10/3/250,10/3/250 ckpt=0/0/0 mpi=collective:1328/236416",
-	"lasso/r4-2x1":           "beta=0xb2cacfbb3661420e work=15/8/402,15/8/402,10/4/242,10/4/242 ckpt=0/0/0 mpi=collective:1360/243008",
+	"lasso/r4-1x2":           "beta=0x649577f85d53d4b0 work=15/6/376,15/6/376,10/3/250,10/3/250 ckpt=0/0/0 mpi=collective:1324/236416",
+	"lasso/r4-2x1":           "beta=0xb2cacfbb3661420e work=15/8/402,15/8/402,10/4/242,10/4/242 ckpt=0/0/0 mpi=collective:1356/243008",
 	"var-ca/r2-1x1-readers1": "beta=0xd63b81189ac7fecc work=16/12/946 ckpt=0/0/0 mpi=collective:2016/349760,one-sided:4246/301392",
 	"var/r2-1x1-readers1":    "beta=0xd63b81189ac7fecc work=16/12/946 ckpt=0/0/0 mpi=collective:2016/349760,one-sided:8432/602784",
 	"var/r4-1x1-readers2":    "beta=0xa26222ffc848d447 work=16/12/1598 ckpt=0/0/0 mpi=collective:6640/1179392,one-sided:8492/602784",
-	"var/r4-1x2-readers1":    "beta=0xd63b81189ac7fecc work=8/8/514,8/8/514,8/4/456,8/4/456 ckpt=0/0/0 mpi=collective:2134/364400,one-sided:13240/947232",
-	"var/r4-2x1-readers1":    "beta=0xd63b81189ac7fecc work=8/8/527,8/8/527,8/4/419,8/4/419 ckpt=0/0/0 mpi=collective:2056/355232,one-sided:9634/688896",
-	"var/r6-2x1-readers1":    "beta=0x769f54ef1faf0555 work=8/8/687,8/8/687,8/8/687,8/4/550,8/4/550,8/4/550 ckpt=0/0/0 mpi=collective:3957/693864,one-sided:9667/688896",
+	"var/r4-1x2-readers1":    "beta=0xd63b81189ac7fecc work=8/8/514,8/8/514,8/4/456,8/4/456 ckpt=0/0/0 mpi=collective:2130/364400,one-sided:13240/947232",
+	"var/r4-2x1-readers1":    "beta=0xd63b81189ac7fecc work=8/8/527,8/8/527,8/4/419,8/4/419 ckpt=0/0/0 mpi=collective:2052/355232,one-sided:9634/688896",
+	"var/r6-2x1-readers1":    "beta=0x769f54ef1faf0555 work=8/8/687,8/8/687,8/8/687,8/4/550,8/4/550,8/4/550 ckpt=0/0/0 mpi=collective:3951/693864,one-sided:9667/688896",
 }

@@ -139,7 +139,7 @@ func (pb *problem) replicated(c *LassoConfig, x, y *mat.Dense, sample func(k int
 		cols, at := supportColumns(distinct, x.Cols)
 		gram, xty := mat.Stats(x, y, mat.Sample{Rows: train, Cols: cols}, pb.kw)
 		var best winner
-		fitCandidates(x, y, gram, xty, at, eval, distinct, func(_ int, loss float64, beta []float64) { best.offer(loss, beta) })
+		fitCandidates(x, y, gram, xty, at, eval, distinct, pb.kw, func(_ int, loss float64, beta []float64) { best.offer(loss, beta) })
 		pb.add(Diagnostics{OLSFits: len(distinct)}, 0)
 		return best.estimate(pb.p), nil
 	}

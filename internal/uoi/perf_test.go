@@ -314,6 +314,19 @@ func TestVARKernelWorkerBudget(t *testing.T) {
 			t.Fatalf("Workers=%d KernelWorkers=1: peak kernel workers %d", streams, peak)
 		}
 	}
+	// At budget 2 an estimation cell also fans its candidates out: each
+	// stream stays within its two kernel streams.
+	for _, streams := range []int{1, 2} {
+		c := cfg(streams)
+		c.KernelWorkers = 2
+		mat.ResetPeakWorkers()
+		if _, err := VAR(series, c); err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > int64(2*streams) {
+			t.Fatalf("Workers=%d KernelWorkers=2: peak kernel workers %d", streams, peak)
+		}
+	}
 	const ranks = 2
 	mat.ResetPeakWorkers()
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
@@ -345,6 +358,19 @@ func TestLassoKernelWorkerBudget(t *testing.T) {
 		}
 		if peak := mat.PeakWorkers(); peak > int64(streams) {
 			t.Fatalf("Workers=%d KernelWorkers=1: peak kernel workers %d", streams, peak)
+		}
+	}
+	// At budget 2 an estimation cell also fans its candidates out: each
+	// stream stays within its two kernel streams.
+	for _, streams := range []int{1, 2} {
+		c := cfg(streams)
+		c.KernelWorkers = 2
+		mat.ResetPeakWorkers()
+		if _, err := Lasso(x, y, c); err != nil {
+			t.Fatal(err)
+		}
+		if peak := mat.PeakWorkers(); peak > int64(2*streams) {
+			t.Fatalf("Workers=%d KernelWorkers=2: peak kernel workers %d", streams, peak)
 		}
 	}
 	const ranks = 2

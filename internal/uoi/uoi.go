@@ -111,13 +111,16 @@ type LassoConfig struct {
 	// (phase, k), identical on every rank, so the distributed algorithms
 	// agree on the outcome without communication. nil disables injection.
 	BootstrapFault func(phase string, k int) error
-	// KernelWorkers bounds the goroutine parallelism of each dense kernel
-	// call (GEMM, AtA, Cholesky) issued by this fit. 0 derives a budget from
-	// the surrounding parallelism — GOMAXPROCS divided by the bootstrap
-	// Workers serially, by the world size in the distributed algorithms — so
-	// nested parallelism never oversubscribes the machine. Negative forces
-	// mat.DefaultWorkers (all cores per kernel call), the pre-budget
-	// behavior.
+	// KernelWorkers bounds the goroutine parallelism inside each cell of
+	// this fit: every dense kernel call (Gram and Xᵀy sweeps, GEMM,
+	// Cholesky), a selection cell's batched solve across equations, and an
+	// estimation cell's candidate OLS fits and held-out losses, which are
+	// offered to the winner rule in candidate order, so the fit is
+	// identical at any budget. 0 derives a budget from the surrounding
+	// parallelism — GOMAXPROCS divided by the bootstrap Workers serially,
+	// by the world size in the distributed algorithms — so nested
+	// parallelism never oversubscribes the machine. Negative forces
+	// mat.DefaultWorkers (all cores per cell), the pre-budget behavior.
 	KernelWorkers int
 	// Trace, when non-nil, records per-phase spans (lambda_grid, selection,
 	// intersection, estimation, union and their /bootstrap children) and
@@ -450,7 +453,7 @@ func newLassoSharedProblem(world *mpi.Comm, xSel *mat.Dense, ySel []float64, xEs
 			trainIdx, evalIdx := resample.TrainEvalSplit(root.Derive(1_000_000+uint64(k)), est.total, c.TrainFrac)
 			gram, xty := mat.Stats(xEst, yE, mat.Sample{Rows: est.rows(trainIdx), Cols: cols}, pb.kw)
 			sumStats(world, gram, xty.Data)
-			fitCandidates(xEst, yE, gram, xty, at, est.rows(evalIdx), ph.distinct, func(j int, loss float64, beta []float64) {
+			fitCandidates(xEst, yE, gram, xty, at, est.rows(evalIdx), ph.distinct, pb.kw, func(j int, loss float64, beta []float64) {
 				if losses[r*nd+j] = loss; r == me {
 					estBetas = append(estBetas, beta)
 				}

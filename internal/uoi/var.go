@@ -43,7 +43,9 @@ type VARConfig struct {
 	// Workers runs bootstraps concurrently (in-process P_B parallelism);
 	// results are identical at any worker count. 0/1 = sequential.
 	Workers int
-	// KernelWorkers bounds per-kernel-call goroutine parallelism, exactly as
+	// KernelWorkers bounds the goroutine parallelism inside each cell —
+	// dense kernels, the batched selection solve, and the estimation
+	// cell's candidate OLS fits and held-out losses — exactly as
 	// LassoConfig.KernelWorkers: 0 derives GOMAXPROCS/streams, negative
 	// forces the full-machine default.
 	KernelWorkers int
