@@ -89,7 +89,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -656,20 +655,6 @@ func runVAR(o *options) error {
 	return perf.write()
 }
 
-// allPairsWorkers resolves -kernel-workers into the all-pairs fit's
-// per-rank target concurrency by the rule the other algos' kernel budget
-// follows: a positive value as given, 0 GOMAXPROCS/ranks and a negative
-// value the full machine, each at least 1.
-func (o *options) allPairsWorkers() int {
-	switch {
-	case o.KernelWorkers > 0:
-		return o.KernelWorkers
-	case o.KernelWorkers < 0:
-		return mat.DefaultWorkers()
-	}
-	return max(runtime.GOMAXPROCS(0)/max(o.Ranks, 1), 1)
-}
-
 // runAllPairs drives the rank-sharded all-pairs edge-inference engine:
 // every channel becomes a screened mini-UoI regression target, targets
 // shard round-robin across ranks, and an Allgather of fixed-size slots
@@ -683,7 +668,7 @@ func runAllPairs(o *options) error {
 	result, err := onRanks(perf, func(c *mpi.Comm, tr *trace.Tracer) (*uoi.AllPairsResult, error) {
 		return uoi.AllPairs(series, &uoi.AllPairsConfig{
 			Order: o.Order, NB: o.B1, Q: o.Q, LambdaRatio: o.Ratio, Seed: o.Seed,
-			Screen: o.Screen, Workers: o.allPairsWorkers(), Trace: tr, Placement: &uoi.Placement{Comm: c},
+			Screen: o.Screen, Workers: o.KernelWorkers, Trace: tr, Placement: &uoi.Placement{Comm: c},
 		})
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"uoivar/internal/datagen"
@@ -285,18 +284,11 @@ func TestRunLassoModelOut(t *testing.T) {
 	}
 }
 
-// TestRunAllPairsKernelWorkers: -kernel-workers resolves for -algo allpairs
-// as for the other algos (0 = GOMAXPROCS/ranks, <0 = the full machine), and
-// the artifact is byte-identical at every setting and rank count.
+// TestRunAllPairsKernelWorkers: -kernel-workers is the all-pairs fit's
+// AllPairsConfig.Workers, which resolves as the other algos' kernel budget
+// does (0 = GOMAXPROCS/ranks, <0 = the full machine), and the artifact is
+// byte-identical at every setting and rank count.
 func TestRunAllPairsKernelWorkers(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct{ kw, ranks, want int }{
-		{2, 3, 2}, {0, 1, procs}, {0, 3, max(procs/3, 1)}, {-1, 3, procs},
-	} {
-		if got := (&options{KernelWorkers: tc.kw, Ranks: tc.ranks}).allPairsWorkers(); got != tc.want {
-			t.Errorf("-kernel-workers %d -ranks %d: %d workers, want %d", tc.kw, tc.ranks, got, tc.want)
-		}
-	}
 	path := writeTestSeries(t)
 	dir := t.TempDir()
 	var want []byte

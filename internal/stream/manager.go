@@ -28,7 +28,9 @@ type Options struct {
 	RefitEvery int
 	// MinRows overrides the minimum rows required before a refit.
 	MinRows int
-	// Workers bounds each refit's fit parallelism (0 = serial).
+	// Workers is each refit's VARConfig.Workers: how many bootstrap cells
+	// run side by side (0 = one per core, up to a phase's cells; 1 = one
+	// at a time).
 	Workers int
 	// NoWarm disables warm starts and the cell cache (bench comparison).
 	NoWarm bool

@@ -59,8 +59,11 @@ type AllPairsConfig struct {
 	// Seed is the root RNG seed; per-(target, bootstrap) streams derive
 	// from it, so results are independent of execution order.
 	Seed uint64
-	// Workers runs targets concurrently (0/1 = sequential). Results are
-	// identical at any worker count: each target's fit is self-contained.
+	// Workers runs a process's targets on that many goroutines. Results
+	// are identical at any worker count: each target's fit is
+	// self-contained. It resolves as LassoConfig.KernelWorkers does: 0 is
+	// GOMAXPROCS divided by the Placement's ranks (1 in process), negative
+	// the full machine, each at least 1.
 	Workers int
 	// Trace, when non-nil, records phase spans (allpairs/fit,
 	// allpairs/allgather) and solver counters.
@@ -84,6 +87,11 @@ func (c *AllPairsConfig) defaults() AllPairsConfig {
 	positive(&o.Screen, 64)
 	fraction(&o.SelectionFrac, 1)
 	positive(&o.SupportTol, 1e-7)
+	ranks := 1
+	if o.Placement != nil && o.Placement.Comm != nil {
+		ranks = o.Placement.Comm.Size()
+	}
+	o.Workers = kernelBudget(o.Workers, ranks)
 	if o.ADMM.Trace == nil {
 		o.ADMM.Trace = o.Trace
 	}

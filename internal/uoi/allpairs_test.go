@@ -1,7 +1,9 @@
 package uoi
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"uoivar/internal/admm"
@@ -160,6 +162,30 @@ func TestAllPairsShortSeriesError(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllPairsWorkersResolve pins the zero-value rule of
+// AllPairsConfig.Workers: positive as given, 0 GOMAXPROCS divided by the
+// placement's ranks (1 in process), negative the full machine, each ≥ 1.
+func TestAllPairsWorkersResolve(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, ranks, want int }{
+		{2, 1, 2}, {2, 3, 2}, {0, 1, procs}, {0, 3, max(procs/3, 1)}, {-1, 1, procs}, {-1, 3, procs},
+	} {
+		err := mpi.Run(tc.ranks, func(c *mpi.Comm) error {
+			at := &AllPairsConfig{Workers: tc.workers}
+			if tc.ranks > 1 {
+				at = allPairsOn(at, c)
+			}
+			if got := at.defaults().Workers; got != tc.want {
+				return fmt.Errorf("Workers %d on %d ranks: %d, want %d", tc.workers, tc.ranks, got, tc.want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func (j *journal) streams() int {
 	if j.comm != nil {
 		return j.comm.Size()
 	}
-	return j.workers
+	return j.pool.streams()
 }
 
 func (j *journal) begin(pb *problem) (err error) {

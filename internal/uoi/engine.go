@@ -3,6 +3,7 @@ package uoi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -52,6 +53,7 @@ type problem struct {
 	selFrac          float64 // soft-intersection fraction
 	median           bool    // median instead of mean in the union
 	quorum           float64 // MinBootstrapFrac; 0 = any cell failure fails the fit
+	kernelWorkers    int     // KernelWorkers as configured; path.kw is its resolution
 	// fault is the injected-failure hook (nil = none), pure in (phase, k).
 	fault func(phase string, k int) error
 	// meta is the fit's checkpoint identity. It hashes the data, so only a
@@ -98,19 +100,33 @@ func (pb *problem) add(d Diagnostics, kron time.Duration) {
 // newProblem starts a fit of c over `chains` equations of chainLen
 // coefficients each: its bootstrap, intersection, union and quorum rules, and
 // its selection solves' settings at the kernel budget of a fit sharing the
-// process with `streams` execution streams. UoI_VAR passes the LassoConfig
-// of its vectorised problem (VARConfig.vec). The caller fixes the λ grid
-// (setLambdas) and binds the cells — replicated, or over data distributed
-// by rows.
+// process with `streams` execution streams — or, at 0 streams, at the
+// budget of one stream until a placement that sizes each phase itself (the
+// pool) calls setStreams. UoI_VAR passes the LassoConfig of its vectorised
+// problem (VARConfig.vec). The caller fixes the λ grid (setLambdas) and
+// binds the cells — replicated, or over data distributed by rows.
 func newProblem(c *LassoConfig, chains, chainLen, streams int) *problem {
 	pb := &problem{
-		path: path{opts: c.ADMM, l2: c.L2, tol: c.SupportTol, kw: kernelBudget(c.KernelWorkers, streams), tr: c.Trace},
+		path: path{opts: c.ADMM, l2: c.L2, tol: c.SupportTol, tr: c.Trace},
 		b1:   c.B1, b2: c.B2, p: chains * chainLen, chains: chains, chainLen: chainLen,
 		selFrac: c.SelectionFrac, median: c.MedianUnion,
-		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault,
+		quorum: c.MinBootstrapFrac, fault: c.BootstrapFault, kernelWorkers: c.KernelWorkers,
 	}
-	pb.tr.SetMax("mat/kernel_workers", int64(pb.kw))
+	if streams > 0 {
+		pb.setStreams(streams)
+	} else {
+		pb.kw = kernelBudget(c.KernelWorkers, 1)
+	}
 	return pb
+}
+
+// setStreams sets the kernel budget of cells run on `streams` execution
+// streams sharing the process and records both on the tracer as the max
+// gauges uoi/streams and mat/kernel_workers. No cell may be running.
+func (pb *problem) setStreams(streams int) {
+	pb.kw = kernelBudget(pb.kernelWorkers, streams)
+	pb.tr.SetMax("uoi/streams", int64(streams))
+	pb.tr.SetMax("mat/kernel_workers", int64(pb.kw))
 }
 
 // setLambdas fixes the λ grid: c.Lambdas, or c.Q points from lmax() down to
@@ -160,8 +176,9 @@ func (pb *problem) sel(k int, gram, xty *mat.Dense, jLo, jHi int, warm warmFn, e
 // methods are called once each, in declaration order, by run. A placement
 // spanning several processes returns the same values on every one of them.
 type placement interface {
-	// streams is the number of execution streams sharing this process
-	// (bootstrap workers, or mpi ranks): the divisor of the kernel budget.
+	// streams is the number of execution streams sharing this process for
+	// the whole fit (mpi ranks): the divisor of the kernel budget. It is 0
+	// for the pool, which sizes every phase's streams and budget itself.
 	streams() int
 	// begin binds the placement to the problem before any cell runs.
 	begin(pb *problem) error
@@ -311,16 +328,18 @@ func run(pb *problem, pl placement) (*Result, error) {
 	return res, nil
 }
 
-// pool is the in-process placement: bootstraps run on up to `workers`
-// goroutines (the in-process form of the paper's P_B parallelism) and meet
-// in shared memory.
+// pool is the in-process placement: bootstraps run on goroutines (the
+// in-process form of the paper's P_B parallelism) and meet in shared
+// memory. With workers ≥ 1 a phase runs on that many streams; at 0 on
+// min(GOMAXPROCS, its cells), so the cells take the cores before the
+// kernels inside them, which get what is left (setStreams).
 type pool struct {
 	workers int
 	q, p    int
 	counts  []float64 // per-(λ, coefficient) tally over completed selection cells
 }
 
-func (pl *pool) streams() int { return pl.workers }
+func (pl *pool) streams() int { return 0 }
 
 func (pl *pool) begin(pb *problem) error {
 	pl.q, pl.p = len(pb.lambdas), pb.p
@@ -328,14 +347,22 @@ func (pl *pool) begin(pb *problem) error {
 	return nil
 }
 
-// each runs fn over n bootstraps of the phase on the workers and returns
-// how many completed: a strict phase stops at the first error, a quorum
-// phase attempts every bootstrap.
+// each runs fn over the phase's n cells and returns how many completed: a
+// strict phase stops at the first error, a quorum phase attempts every
+// cell. It first sizes the phase's streams and their kernel budget.
 func (pl *pool) each(ph phase, n int, fn func(i int) error) (int, error) {
-	if !ph.quorum {
-		return n, forEachBootstrap(pl.workers, n, fn)
+	if n == 0 { // a resumed journal's phase may have no cell left: no streams to record
+		return 0, nil
 	}
-	return n - len(compactErrs(forEachBootstrapCollect(pl.workers, n, fn))), nil
+	streams := pl.workers
+	if streams <= 0 {
+		streams = min(runtime.GOMAXPROCS(0), n)
+	}
+	ph.pb.setStreams(streams)
+	if !ph.quorum {
+		return n, forEachBootstrap(streams, n, fn)
+	}
+	return n - len(compactErrs(forEachBootstrapCollect(streams, n, fn))), nil
 }
 
 func (pl *pool) selection(ph phase) (int, error) {

@@ -137,8 +137,15 @@ func TestSerialLassoTraced(t *testing.T) {
 			t.Errorf("counter %q not recorded", counter)
 		}
 	}
-	if tr.Max("mat/kernel_workers") < 1 {
-		t.Error("mat/kernel_workers gauge missing")
+	// At Workers 0 each phase runs min(GOMAXPROCS, B) streams at the cores
+	// left over: the gauges hold the widest phase's streams (selection, B1
+	// 6) and the largest budget (estimation's, B2 3).
+	procs := runtime.GOMAXPROCS(0)
+	if got, want := tr.Max("uoi/streams"), int64(min(procs, 6)); got != want {
+		t.Errorf("uoi/streams gauge %d, want %d", got, want)
+	}
+	if got, want := tr.Max("mat/kernel_workers"), int64(max(procs/min(procs, 3), 1)); got != want {
+		t.Errorf("mat/kernel_workers gauge %d, want %d", got, want)
 	}
 	// ADMM iterations bound solves from below (every solve iterates at
 	// least once).

@@ -92,9 +92,12 @@ type LassoConfig struct {
 	// supports, i.e. the relaxed elastic net. Correlated designs select far
 	// more stably with a modest L2.
 	L2 float64
-	// Workers runs bootstraps concurrently in the serial algorithms (the
-	// in-process form of the paper's P_B parallelism). Results are
-	// identical at any worker count; 0/1 = sequential.
+	// Workers is how many bootstrap cells of a phase run side by side in
+	// this process (the in-process form of the paper's P_B parallelism):
+	// 1 runs them one at a time. 0 runs each phase on min(GOMAXPROCS, its
+	// cells) goroutines, so the cells take the cores before the kernels
+	// inside them (see KernelWorkers). Results are identical at any worker
+	// count.
 	Workers int
 	// MinBootstrapFrac enables graceful degradation under faults: when
 	// positive, a failed selection or estimation bootstrap is dropped and
@@ -117,10 +120,12 @@ type LassoConfig struct {
 	// estimation cell's candidate OLS fits and held-out losses, which are
 	// offered to the winner rule in candidate order, so the fit is
 	// identical at any budget. 0 derives a budget from the surrounding
-	// parallelism — GOMAXPROCS divided by the bootstrap Workers serially,
-	// by the world size in the distributed algorithms — so nested
-	// parallelism never oversubscribes the machine. Negative forces
-	// mat.DefaultWorkers (all cores per cell), the pre-budget behavior.
+	// parallelism — in process, GOMAXPROCS divided by the streams a phase
+	// runs on (Workers, or at Workers 0 min(GOMAXPROCS, the phase's cells),
+	// set for each phase); at a placement, by the world size — floored at
+	// 1, so nested parallelism never oversubscribes the machine. Negative
+	// forces mat.DefaultWorkers (all cores per cell), the pre-budget
+	// behavior.
 	KernelWorkers int
 	// Trace, when non-nil, records per-phase spans (lambda_grid, selection,
 	// intersection, estimation, union and their /bootstrap children) and
@@ -176,7 +181,8 @@ func fraction(v *float64, def float64) {
 // kernelBudget resolves the per-kernel-call worker budget: an explicit
 // positive KernelWorkers wins, negative forces the full-machine default, and
 // 0 divides GOMAXPROCS by the number of concurrent execution streams
-// (bootstrap workers or mpi ranks) sharing the process, floored at 1.
+// (a phase's bootstrap workers or mpi ranks) sharing the process, floored
+// at 1. AllPairsConfig.Workers resolves by the same rule.
 func kernelBudget(explicit, streams int) int {
 	if explicit > 0 {
 		return explicit
@@ -299,8 +305,9 @@ type Result struct {
 }
 
 // Lasso runs UoI_LASSO on design x and response y at cfg.Placement: in
-// this process when it is nil — bootstraps on cfg.Workers goroutines,
-// journalled when cfg.Checkpoint is set — and otherwise across its ranks,
+// this process when it is nil — bootstraps on cfg.Workers goroutines (at
+// 0, one per core up to a phase's cells), journalled when cfg.Checkpoint is
+// set — and otherwise across its ranks,
 // each passing the full data or, Partitioned, its own row block. By default
 // a partitioned fit is the serial fit of the blocks' rank-order
 // concatenation: bit for bit on one rank, and up to the rounding of the

@@ -40,14 +40,17 @@ type VARConfig struct {
 	// L2 adds an elastic-net ℓ2 penalty to every selection solve
 	// (UoI_ElasticNet for VAR); estimation remains OLS on the supports.
 	L2 float64
-	// Workers runs bootstraps concurrently (in-process P_B parallelism);
-	// results are identical at any worker count. 0/1 = sequential.
+	// Workers is how many bootstrap cells of a phase run side by side in
+	// this process, as LassoConfig.Workers: 1 runs them one at a time, 0
+	// on min(GOMAXPROCS, the phase's cells) goroutines. Results are
+	// identical at any worker count.
 	Workers int
 	// KernelWorkers bounds the goroutine parallelism inside each cell —
 	// dense kernels, the batched selection solve, and the estimation
 	// cell's candidate OLS fits and held-out losses — exactly as
-	// LassoConfig.KernelWorkers: 0 derives GOMAXPROCS/streams, negative
-	// forces the full-machine default.
+	// LassoConfig.KernelWorkers: 0 derives GOMAXPROCS divided by a phase's
+	// streams (or the world size at a placement), negative forces the
+	// full-machine default.
 	KernelWorkers int
 	// Anchored switches the selection bootstraps from window-relative
 	// moving blocks to blocks anchored at ABSOLUTE stream coordinates

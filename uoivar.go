@@ -6,7 +6,10 @@
 //
 // # Fitting models
 //
-// Fits take plain matrices, and run in this process by default:
+// Fits take plain matrices, and run in this process by default — the
+// bootstrap cells of each phase side by side, one per core up to the
+// phase's cell count, each cell's kernels on the cores left over, with the
+// same bits at any split (LassoConfig.Workers):
 //
 //	reg := uoivar.MakeRegression(1, 3000, 80, nil)
 //	res, err := uoivar.FitLasso(reg.X, reg.Y, &uoivar.LassoConfig{B1: 20, B2: 10})
@@ -123,7 +126,9 @@ func ParseGridShape(s string) (GridShape, error) { return uoi.ParseGridShape(s) 
 // ADMMOptions tunes the inner LASSO-ADMM solver.
 type ADMMOptions = admm.Options
 
-// FitLasso runs UoI_LASSO on design x and response y at cfg.Placement.
+// FitLasso runs UoI_LASSO on design x and response y at cfg.Placement:
+// in this process when it is nil, its bootstrap cells on up to GOMAXPROCS
+// goroutines unless cfg.Workers fixes their count.
 func FitLasso(x *Dense, y []float64, cfg *LassoConfig) (*LassoResult, error) {
 	return uoi.Lasso(x, y, cfg)
 }
@@ -140,7 +145,8 @@ func FitLassoDistributed(comm *Comm, xLocal *Dense, yLocal []float64, cfg *Lasso
 	}))
 }
 
-// FitVAR runs UoI_VAR on an n×p series at cfg.Placement.
+// FitVAR runs UoI_VAR on an n×p series at cfg.Placement, in this process
+// as FitLasso runs when it is nil.
 func FitVAR(series *Dense, cfg *VARConfig) (*VARResult, error) {
 	return uoi.VAR(series, cfg)
 }
