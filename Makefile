@@ -53,12 +53,13 @@ test-race:
 
 # Determinism gate: a fit's bits may not depend on how many cores the host
 # has, so the bit-identity tests of the dense kernels, the solver and the UoI
-# engine (kernel budgets, worker counts, placements — DESIGN.md §6, §17) run
-# at several GOMAXPROCS, uncached. Two more hosts check their bits against
+# engine (kernel budgets, worker counts, placements — DESIGN.md §6, §17) and
+# the streaming refits' equality with cold fits run at several GOMAXPROCS,
+# uncached. Two more hosts check their bits against
 # the same golden tables: a GOARCH=386 pass (portable kernels, runs natively
 # on amd64) and a GOAMD64=v3 pass (where gc may fuse multiply-adds, which the
 # pinned float64(a*b) sites forbid; needs a v3-capable CPU).
-DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi
+DETERMINISM_PKGS = ./internal/mat ./internal/admm ./internal/kron ./internal/uoi ./internal/stream
 DETERMINISM_RUN = 'Identical|MatchesSerial|MatchSerial|VariantsMatch|MatchesLoop|MatchesPerEquation|Deterministic'
 determinism:
 	@for tags in "" purego; do \

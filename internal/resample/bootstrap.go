@@ -95,10 +95,10 @@ func MovingBlockBootstrap(rng *RNG, n, blockLen int) []int {
 // [k·blockLen, (k+1)·blockLen) that lie entirely inside that range, and
 // each of the ⌈n/blockLen⌉ output slots picks the candidate minimizing a
 // per-(slot, block) hash derived from rng's stream. Two windows that
-// cover the same grid-block set therefore draw the same absolute rows —
-// the property the streaming cell cache needs so that a refit after a
-// small slide (one that crosses no grid boundary) reuses its bootstrap
-// cells. Returns n window-relative indices in [0, n).
+// cover the same grid-block set therefore draw the same absolute rows, so
+// a streaming refit after a small slide (one that crosses no grid
+// boundary) resamples the same observations as the fit before it. Returns
+// n window-relative indices in [0, n).
 //
 // The window must cover at least one whole grid block
 // (n ≥ 2·blockLen−1 guarantees this at any alignment); panics otherwise.

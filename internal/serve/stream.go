@@ -74,9 +74,6 @@ type StreamStatus struct {
 	// LastRefitIters is the ADMM iteration total of the last refit — the
 	// number warm starts drive down.
 	LastRefitIters int `json:"last_refit_iters,omitempty"`
-	// CellsReused counts bootstrap cells skipped via the content-hash cell
-	// cache across the stream's lifetime.
-	CellsReused int64 `json:"cells_reused,omitempty"`
 	// LastError is the last refit failure ("" when healthy). The previous
 	// model keeps serving while this is set.
 	LastError string `json:"last_error,omitempty"`

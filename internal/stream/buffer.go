@@ -1,15 +1,15 @@
 // Package stream keeps served UoI-VAR models fresh under continuous data:
 // an append-only observation buffer with sliding-window (and optional
-// forgetting-factor) semantics, a refit engine that re-runs only the
-// bootstrap cells whose windows changed and warm-starts ADMM from the
-// previous model, and atomic publication of each refreshed model into the
-// serving registry's hot-swap path.
+// forgetting-factor) semantics, a refit engine that re-runs UoI-VAR on the
+// window, warm-started from the previous model and with its selection
+// bootstraps anchored at absolute stream rows, and atomic publication of
+// each refreshed model into the serving registry's hot-swap path.
 //
-// The core guarantee is *bit-identity*: a warm-started streaming refit on
-// window W produces exactly the artifact a cold uoi.VAR fit on W would —
-// the warm seed (VARConfig.WarmBeta) is part of the fit's identity and the
-// cell cache only returns content-hash-verified results, so warm starts
-// and reuse change the work performed, never the bits published.
+// The core guarantee is *bit-identity*: a streaming refit on window W is a
+// pure function of (W, cfg), where cfg is the engine's base config plus the
+// warm seed (VARConfig.WarmBeta) and the anchor (Anchored, Anchor) it sets.
+// The engine keeps the last refit's (W, cfg), and a plain uoi.VAR of W at
+// that cfg produces exactly the published artifact.
 package stream
 
 import (

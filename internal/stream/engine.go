@@ -31,8 +31,12 @@ type Config struct {
 	// Registry receives each refreshed model via its hot-swap path.
 	Registry *serve.Registry
 	// Base is the fit configuration every refit runs with (order, B1/B2,
-	// λ grid, seed, workers). The engine owns the WarmBeta, Cells, Trace,
-	// and Checkpoint fields; values set there are overwritten.
+	// λ grid, seed, workers). The engine owns the WarmBeta, Trace and
+	// Checkpoint fields and overwrites what is set there: each refit
+	// warm-starts from the previous refit's β. It also sets Anchored and
+	// Anchor whenever the window holds at least 2·BlockLen−1 design rows,
+	// anchoring the selection bootstraps at the window's absolute stream
+	// offset.
 	Base uoi.VARConfig
 	// Window caps the sliding window in rows (default 512).
 	Window int
@@ -52,32 +56,26 @@ type Config struct {
 	// atomically-written .uoim file before registry publication, keeping
 	// the on-disk artifact (and /v1/reload) coherent with what serves.
 	ArtifactPath string
-	// NoWarm disables the warm start and cell cache: every refit runs
-	// cold. The published bits are identical either way (warm starts only
-	// change the work done); this exists for the warm-vs-cold bench.
-	NoWarm bool
 	// Tracer, when non-nil, receives stream/* spans and counters.
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives the engine's uoivar_stream_* telemetry
 	// families (window fill, refit durations and outcomes, warm-start
-	// savings, cell-cache hit ratio), labeled by model name.
+	// savings), labeled by model name.
 	Metrics *telemetry.Registry
 }
 
 // Engine ingests observations for one model and keeps its served artifact
 // fresh: appended rows accumulate in a sliding window, every RefitEvery
 // rows a single-flight background refit re-runs UoI-VAR on the window —
-// warm-started from the previous model and skipping content-hash-unchanged
-// bootstrap cells — and the result is published atomically into the
-// registry (bumping the model's version) while the old model serves
-// uninterrupted.
+// warm-started from the previous model — and the result is published
+// atomically into the registry (bumping the model's version) while the old
+// model serves uninterrupted.
 type Engine struct {
 	cfg     Config
 	p       int
 	window  int
 	minRows int
 	buf     *Buffer
-	cache   *uoi.CellCache
 	tr      *trace.Tracer
 	metrics *streamMetrics
 
@@ -142,7 +140,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		window:  window,
 		minRows: minRows,
 		buf:     NewBuffer(entry.Artifact.Meta.P, window),
-		cache:   uoi.NewCellCache(),
 		tr:      cfg.Tracer,
 		metrics: newStreamMetrics(cfg.Metrics),
 	}
@@ -250,29 +247,22 @@ func (e *Engine) refit() error {
 		return fmt.Errorf("%w: %d < %d", ErrNotReady, snap.Rows, e.minRows)
 	}
 
-	// The fit input is exactly (window, cfg): WarmBeta and the cell cache
+	// The fit input is exactly (window, cfg): the warm seed and the anchor
 	// ride inside cfg, so a cold uoi.VAR with this cfg on this window
 	// reproduces the published bits exactly.
 	cfg := e.cfg.Base
 	cfg.Trace = e.tr
 	cfg.Checkpoint = nil
-	cfg.WarmBeta = nil
-	cfg.Cells = nil
-	if !e.cfg.NoWarm {
-		cfg.WarmBeta = warm
-		e.cache.Rotate()
-		cfg.Cells = e.cache
-	}
-	// Anchor the selection bootstraps at absolute stream coordinates so a
+	cfg.WarmBeta = warm
+	// Anchor the selection bootstraps at absolute stream coordinates, so a
 	// refit after a small slide (one that crosses no block-grid boundary)
-	// draws the same rows and its selection cells hit the cache. The guard
-	// only matters for explicit Base.BlockLen choices too big for the
-	// window; the ⌈√m⌉ default always passes.
+	// resamples the same observations. The guard only matters for explicit
+	// Base.BlockLen choices too big for the window (uoi.VAR rejects those
+	// anchored); the ⌈√m⌉ default always passes.
 	if m := snap.Rows - cfg.Order; m >= 2*cfg.BlockLen-1 && m > 0 {
 		cfg.Anchored = true
 		cfg.Anchor = snapTotal - int64(snap.Rows)
 	}
-	hits0, _ := e.cache.Stats()
 	t0 := time.Now()
 	res, err := uoi.VAR(snap, &cfg)
 	if err != nil {
@@ -283,8 +273,6 @@ func (e *Engine) refit() error {
 		e.mu.Unlock()
 		return err
 	}
-	hits1, _ := e.cache.Stats()
-	e.tr.Add("stream/cells_reused", hits1-hits0)
 
 	art := model.FromVAR(res, &cfg)
 	spPub := sp.Child("publish")
@@ -326,8 +314,7 @@ func (e *Engine) refit() error {
 	e.lastSeries = snap
 	e.lastCfg = cfg
 	e.mu.Unlock()
-	hits, misses := e.cache.Stats()
-	e.metrics.observeRefit(e.cfg.Name, time.Since(t0).Seconds(), res.Diag.ADMMIters, coldIters, hits, misses)
+	e.metrics.observeRefit(e.cfg.Name, time.Since(t0).Seconds(), res.Diag.ADMMIters, coldIters)
 	e.metrics.observeWindow(e.cfg.Name, e.buf.Len())
 	return nil
 }
@@ -361,7 +348,6 @@ func (e *Engine) Status() serve.StreamStatus {
 	e.mu.Unlock()
 	st.Rows = e.buf.Len()
 	st.TotalRows = e.buf.Total()
-	st.CellsReused, _ = e.cache.Stats()
 	if entry := e.cfg.Registry.Get(e.cfg.Name); entry != nil {
 		st.Version = entry.Version
 	}

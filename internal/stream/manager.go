@@ -32,8 +32,6 @@ type Options struct {
 	// run side by side (0 = one per core, up to a phase's cells; 1 = one
 	// at a time).
 	Workers int
-	// NoWarm disables warm starts and the cell cache (bench comparison).
-	NoWarm bool
 	// Tracer, when non-nil, receives stream/* spans and counters.
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives every engine's uoivar_stream_*
@@ -84,7 +82,6 @@ func (m *Manager) engineFor(name string) (*Engine, error) {
 		RefitEvery:   m.opts.RefitEvery,
 		MinRows:      m.opts.MinRows,
 		ArtifactPath: entry.Path,
-		NoWarm:       m.opts.NoWarm,
 		Tracer:       m.opts.Tracer,
 		Metrics:      m.opts.Metrics,
 	})

@@ -21,7 +21,6 @@ var streamRefitBuckets = telemetry.LogBuckets(1e-3, 2, 21)
 //	uoivar_stream_refit_iters{model}            — last refit's ADMM iterations
 //	uoivar_stream_warm_iters_saved_total{model} — ADMM iterations avoided vs
 //	                                              the first (cold) refit
-//	uoivar_stream_cell_hit_ratio{model}         — cumulative cell-cache hit ratio
 //
 // Gauges are updated eagerly (at ingest and refit time) rather than via
 // scrape hooks: engines are recreated on replica restarts while the
@@ -34,7 +33,6 @@ type streamMetrics struct {
 	refitErrs  *telemetry.CounterVec
 	refitIters *telemetry.GaugeVec
 	itersSaved *telemetry.CounterVec
-	cellRatio  *telemetry.GaugeVec
 }
 
 func newStreamMetrics(reg *telemetry.Registry) *streamMetrics {
@@ -54,8 +52,6 @@ func newStreamMetrics(reg *telemetry.Registry) *streamMetrics {
 			"ADMM iterations spent by the last successful refit.", "model"),
 		itersSaved: reg.Counter("uoivar_stream_warm_iters_saved_total",
 			"ADMM iterations avoided relative to the model's first, cold refit.", "model"),
-		cellRatio: reg.Gauge("uoivar_stream_cell_hit_ratio",
-			"Cumulative bootstrap-cell cache hit ratio (hits / lookups).", "model"),
 	}
 }
 
@@ -75,7 +71,7 @@ func (m *streamMetrics) observeRefitError(model string) {
 // count of the model's first refit (the cold baseline); iterations saved is
 // the shortfall of this refit against it, clamped at zero so a later,
 // harder window never "un-saves" work.
-func (m *streamMetrics) observeRefit(model string, seconds float64, iters, coldIters int, hits, misses int64) {
+func (m *streamMetrics) observeRefit(model string, seconds float64, iters, coldIters int) {
 	if m == nil {
 		return
 	}
@@ -84,8 +80,5 @@ func (m *streamMetrics) observeRefit(model string, seconds float64, iters, coldI
 	m.refitIters.With(model).Set(float64(iters))
 	if saved := coldIters - iters; saved > 0 {
 		m.itersSaved.With(model).Add(float64(saved))
-	}
-	if total := hits + misses; total > 0 {
-		m.cellRatio.With(model).Set(float64(hits) / float64(total))
 	}
 }

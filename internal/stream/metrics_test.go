@@ -52,15 +52,6 @@ func TestEngineTelemetryFamilies(t *testing.T) {
 	if v, ok := exp.Value("uoivar_stream_refit_iters", model); !ok || v <= 0 {
 		t.Fatalf("refit_iters = %g %v, want > 0", v, ok)
 	}
-	// The gauge mirrors the cache's own cumulative hit ratio exactly.
-	hits, misses := e.cache.Stats()
-	if hits+misses == 0 {
-		t.Fatal("cell cache recorded no lookups across two refits")
-	}
-	want := float64(hits) / float64(hits+misses)
-	if v, ok := exp.Value("uoivar_stream_cell_hit_ratio", model); !ok || v != want {
-		t.Fatalf("cell_hit_ratio = %g %v, want %g", v, ok, want)
-	}
 	if v, ok := exp.Value("uoivar_stream_refit_errors_total", model); ok && v != 0 {
 		t.Fatalf("refit_errors_total = %g, want 0", v)
 	}

@@ -2,91 +2,12 @@ package uoi
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"uoivar/internal/resample"
-	"uoivar/internal/trace"
 	"uoivar/internal/varsim"
 )
-
-// TestAnchoredSelCellReuseAcrossSlide is the satellite proof that cell
-// keys are index-invariant: with anchored resampling, a window slide
-// that crosses no block-grid boundary re-draws the same absolute rows
-// for every selection bootstrap, so every selection cell HITS the cache
-// even though all its rows now sit at different window indices. The λ
-// grid is pinned (derived grids change with window content and would
-// change the keys for the honest reason that the solves differ).
-func TestAnchoredSelCellReuseAcrossSlide(t *testing.T) {
-	rng := resample.NewRNG(21)
-	m := varsim.GenerateStable(rng, 3, 1, nil)
-	long := m.Simulate(rng.Derive(1), 519, 60)
-
-	lambdas := []float64{0.8, 0.4, 0.2, 0.1}
-	cache := NewCellCache()
-	const b1, b2 = 4, 2
-	// Window 1: rows [0, 512) at stream offset 0. With Order 1 and
-	// BlockLen 16, selection targets span absolute rows [1, 512) → whole
-	// grid blocks 1..31.
-	cfg1 := &VARConfig{Order: 1, B1: b1, B2: b2, BlockLen: 16, Seed: 9,
-		Lambdas: lambdas, Cells: cache, Anchored: true, Anchor: 0}
-	if _, err := VAR(long.SubRows(0, 512), cfg1); err != nil {
-		t.Fatal(err)
-	}
-	hits0, misses0 := cache.Stats()
-	if hits0 != 0 || misses0 != b1+b2 {
-		t.Fatalf("first fit: hits=%d misses=%d, want 0/%d", hits0, misses0, b1+b2)
-	}
-
-	// Window 2: rows [7, 519) at stream offset 7 — targets span absolute
-	// rows [8, 519), still grid blocks 1..31. Every selection cell must
-	// hit; estimation cells touch the whole (changed) window and must not.
-	cache.Rotate()
-	tr := trace.New()
-	cfg2 := &VARConfig{Order: 1, B1: b1, B2: b2, BlockLen: 16, Seed: 9,
-		Lambdas: lambdas, Cells: cache, Anchored: true, Anchor: 7, Trace: tr}
-	slid := long.SubRows(7, 519)
-	cached, err := VAR(slid, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits1, _ := cache.Stats()
-	if hits1-hits0 != b1 {
-		t.Fatalf("slid window hit %d cells, want all %d selection cells", hits1-hits0, b1)
-	}
-	if c := tr.Counters(); c["uoi/sel_cells_reused"] != b1 {
-		t.Fatalf("uoi/sel_cells_reused = %d, want %d", c["uoi/sel_cells_reused"], b1)
-	}
-	if cached.Diag.LassoFits != 0 {
-		t.Fatalf("slid window re-ran %d selection solves, want 0", cached.Diag.LassoFits)
-	}
-
-	// Hits must be harmless: the cached fit equals the cache-less fit on
-	// the slid window bit for bit.
-	cold, err := VAR(slid, &VARConfig{Order: 1, B1: b1, B2: b2, BlockLen: 16, Seed: 9,
-		Lambdas: lambdas, Anchored: true, Anchor: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached.Beta, cold.Beta) {
-		t.Fatal("cached slid-window fit differs from the cache-less fit")
-	}
-
-	// A slide that crosses a grid boundary (16 rows) changes the draw, so
-	// nothing may hit.
-	cache.Rotate()
-	cfg3 := &VARConfig{Order: 1, B1: b1, B2: b2, BlockLen: 16, Seed: 9,
-		Lambdas: lambdas, Cells: cache, Anchored: true, Anchor: 3}
-	hitsBefore, _ := cache.Stats()
-	if _, err := VAR(long.SubRows(3, 515), cfg3); err != nil {
-		t.Fatal(err)
-	}
-	// Offset 3 keeps blocks 1..31 too (targets [4, 515)), so this still
-	// hits; shift by a full block instead.
-	hitsMid, _ := cache.Stats()
-	if hitsMid-hitsBefore != b1 {
-		t.Fatalf("offset-3 window hit %d cells, want %d (same block set)", hitsMid-hitsBefore, b1)
-	}
-}
 
 // TestAnchoredMatchesDeclaredIdentity: (Anchored, Anchor) is part of the
 // fit's identity — the same window fitted at two different declared
@@ -128,5 +49,24 @@ func TestAnchoredFitIdentity(t *testing.T) {
 	}
 	if _, err := VAR(series, &a3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnchoredShortWindowRejected: an anchored fit whose design is shorter
+// than 2·BlockLen−1 rows is an error, never a panic — on the caller's
+// goroutine (Workers 1) or a pool's (Workers 0) — while one row more fits.
+func TestAnchoredShortWindowRejected(t *testing.T) {
+	_, series := makeVARData(29, 4, 1, 160)
+	cfg := VARConfig{Order: 1, B1: 3, B2: 2, Q: 4, Seed: 5, BlockLen: 80, Anchored: true}
+	for _, workers := range []int{0, 1} {
+		c := cfg
+		c.Workers = workers
+		_, err := VAR(series.SubRows(0, 100), &c)
+		if err == nil || !strings.Contains(err.Error(), "anchored fit needs at least 159 design rows") {
+			t.Fatalf("Workers %d: 99 design rows at block length 80: err = %v", workers, err)
+		}
+	}
+	if _, err := VAR(series, &cfg); err != nil {
+		t.Fatalf("159 design rows at block length 80: %v", err)
 	}
 }

@@ -351,7 +351,7 @@ func varSelRows(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 }
 
 // varSelTargets is varSelRows as the series rows the design rows predict:
-// what the cell-cache key and the Kronecker baseline's assembly read.
+// what the Kronecker baseline's assembly reads.
 func varSelTargets(root *resample.RNG, k, m, blockLen int, c *VARConfig) []int {
 	return designTargets(c.Order, varSelRows(root, k, m, blockLen, c))
 }

@@ -87,8 +87,8 @@ func TestConsensusReassemblyExact(t *testing.T) {
 }
 
 // TestConsensusRejectsUnsupportedConfig: the consensus drivers refuse what
-// they cannot honour — checkpointing, and for UoI_VAR the cell cache and a
-// WarmBeta seed — with a uoi error on every rank, before any collective,
+// they cannot honour — checkpointing, and for UoI_VAR a WarmBeta seed —
+// with a uoi error on every rank, before any collective,
 // instead of returning a fit that silently ignored it.
 func TestConsensusRejectsUnsupportedConfig(t *testing.T) {
 	x, y, _ := makeRegression(5, 40, 4, 2, 0.1)
@@ -110,10 +110,6 @@ func TestConsensusRejectsUnsupportedConfig(t *testing.T) {
 		}},
 		{"VARDistributed checkpoint", func(c *mpi.Comm) error {
 			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Checkpoint = ck }), Placement{Comm: c, Partitioned: true}))
-			return err
-		}},
-		{"VARDistributed cell cache", func(c *mpi.Comm) error {
-			_, err := VAR(series, varOn(withV(func(v *VARConfig) { v.Cells = NewCellCache() }), Placement{Comm: c, Partitioned: true}))
 			return err
 		}},
 		{"VARDistributed WarmBeta", func(c *mpi.Comm) error {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"uoivar/internal/checkpoint"
 	"uoivar/internal/mat"
 	"uoivar/internal/mpi"
 	"uoivar/internal/trace"
@@ -171,57 +170,6 @@ func TestBootstrapDroppedInstantEverywhere(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: %d fault/bootstrap_dropped instants, want %d", place, got, want)
 		}
-	}
-}
-
-// The journal honours VARConfig.Cells (before: varCheckpointed ignored it):
-// cells found in the cache are journalled, not recomputed.
-func TestCheckpointedVARHonoursCellCache(t *testing.T) {
-	_, series := makeVARData(31, 4, 1, 200)
-	cache := NewCellCache()
-	base := VARConfig{Order: 1, B1: 4, B2: 3, Q: 4, Seed: 9, Cells: cache}
-	plain, err := VAR(series, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, res *VARResult) {
-		t.Helper()
-		assertBitsEqual(t, label, res.Beta, plain.Beta)
-		if res.Diag.LassoFits != 0 || res.Diag.OLSFits != 0 {
-			t.Errorf("%s recomputed cached cells: %+v", label, res.Diag)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "var.uoickpt")
-	cfg := base
-	cfg.Trace = trace.New()
-	cfg.Checkpoint = &CheckpointConfig{Path: path}
-	ck, err := VAR(series, &cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("journal", ck)
-	if got := cfg.Trace.Counter("uoi/sel_cells_reused"); got != 4 {
-		t.Errorf("sel_cells_reused = %d, want B1 = 4", got)
-	}
-	st, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SelectionRecorded() != 4 || st.EstimationRecorded() != 3 {
-		t.Errorf("cached cells not journalled: %d selection, %d estimation on record", st.SelectionRecorded(), st.EstimationRecorded())
-	}
-	ranked := make([]*VARResult, 2)
-	err = mpi.Run(len(ranked), func(c *mpi.Comm) (err error) {
-		cfg := base
-		cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "var.uoickpt")}
-		ranked[c.Rank()], err = VAR(series, varOn(&cfg, Placement{Comm: c}))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, res := range ranked {
-		check(fmt.Sprintf("journal-r2 rank %d", r), res)
 	}
 }
 

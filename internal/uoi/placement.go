@@ -110,10 +110,9 @@ type fitAsk struct {
 	fit     string // "Lasso", "VAR" or "AllPairs"
 	ckpt    *CheckpointConfig
 	workers int
-	// cells, warm and l2: a UoI_VAR fit's cell cache, WarmBeta and ℓ2
-	// penalty are set.
-	cells, warm, l2 bool
-	tr              *trace.Tracer // the fit's tracer
+	// warm and l2: a UoI_VAR fit's WarmBeta and ℓ2 penalty are set.
+	warm, l2 bool
+	tr       *trace.Tracer // the fit's tracer
 }
 
 // place validates pl for the fit and builds the engine placement it names:
@@ -183,12 +182,10 @@ func (pl *Placement) check(a fitAsk) error {
 		// groups would change nothing and PL columns would only serialize
 		// the λ path behind that reduce.
 		why = fmt.Sprintf("partitioned Lasso at the Shared Assembly runs one bootstrap per rank and takes no grid %s", shape)
-	case part && a.fit == "VAR" && (a.cells || a.warm || a.l2):
+	case part && a.fit == "VAR" && (a.warm || a.l2):
 		// The Kronecker factorization has no ℓ2 term. The shared series
-		// could honour all three but keeps the baseline's surface for now.
-		why = "partitioned VAR takes no cell cache, WarmBeta or L2"
-	case grid && a.cells:
-		why = "the grid splits the λ path, which the cell cache keys whole"
+		// could honour both but keeps the baseline's surface for now.
+		why = "partitioned VAR takes no WarmBeta or L2"
 	case part && size > 0 && size%shape.Ranks() != 0:
 		why = fmt.Sprintf("world size %d not divisible by grid %s", size, shape)
 	case grid && (shape.PB < 1 || shape.PL < 1 || size > 0 && shape.Ranks() != size):

@@ -49,12 +49,6 @@ func TestPlacementRejects(t *testing.T) {
 		{name: "var checkpoint grid", fit: func(c *mpi.Comm) error {
 			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.Checkpoint, at.Shape = ck(), GridShape{1, c.Size()} })
 		}},
-		{name: "var cell cache partitioned", fit: func(c *mpi.Comm) error {
-			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.Cells, at.Partitioned = NewCellCache(), true })
-		}},
-		{name: "var cell cache grid", fit: func(c *mpi.Comm) error {
-			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.Cells, at.Shape = NewCellCache(), GridShape{c.Size(), 1} })
-		}},
 		{name: "var WarmBeta partitioned", fit: func(c *mpi.Comm) error {
 			return varWith(c, func(cfg *VARConfig, at *Placement) { cfg.WarmBeta, at.Partitioned = make([]float64, vecLen), true })
 		}},

@@ -56,12 +56,12 @@ type VARConfig struct {
 	// moving blocks to blocks anchored at ABSOLUTE stream coordinates
 	// (resample.AnchoredBlockBootstrap): the series is declared to start at
 	// stream offset Anchor, and bootstrap blocks align to a fixed grid of
-	// BlockLen-length blocks in stream coordinates. Two fits over windows
-	// that cover the same grid blocks then draw the same absolute rows, so
-	// their selection cells key identically in the CellCache — this is what
-	// lets a streaming refit after a small window slide reuse its cells.
-	// Like WarmBeta, (Anchored, Anchor) is part of the fit's identity: the
-	// default (false) reproduces prior releases bit for bit.
+	// BlockLen-length blocks in stream coordinates, so two fits over
+	// windows that cover the same grid blocks draw the same absolute rows.
+	// The design needs at least 2·BlockLen−1 rows to hold one whole grid
+	// block; a shorter one is an error. Like WarmBeta, (Anchored, Anchor)
+	// is part of the fit's identity: the default (false) reproduces prior
+	// releases bit for bit.
 	Anchored bool
 	// Anchor is the absolute stream offset of series row 0 (only read when
 	// Anchored is set; the streaming engine passes Buffer.Total−Buffer.Len).
@@ -74,12 +74,6 @@ type VARConfig struct {
 	// which is what lets a streaming warm refit equal a cold fit exactly.
 	// A mismatched length is ignored (cold sweep).
 	WarmBeta []float64
-	// Cells, when non-nil, memoizes completed bootstrap cells across fits
-	// keyed by the exact bytes that determine each cell's output (see
-	// CellCache). Purely an execution hint: hits skip recomputation but
-	// never change results. Diagnostics (LassoFits, ADMMIters) count only
-	// the work actually performed.
-	Cells *CellCache
 	// Trace, when non-nil, records per-phase spans and solver counters for
 	// this fit (see LassoConfig.Trace). VAR adds a kron_assembly span for
 	// building the lagged design, and the Kronecker baselines one per
@@ -177,7 +171,7 @@ func VAR(series *mat.Dense, cfg *VARConfig) (*VARResult, error) {
 // ask is what the fit asks of its placement.
 func (c *VARConfig) ask() fitAsk {
 	return fitAsk{fit: "VAR", ckpt: c.Checkpoint, workers: c.Workers,
-		cells: c.Cells != nil, warm: c.WarmBeta != nil, l2: c.L2 > 0, tr: c.Trace}
+		warm: c.WarmBeta != nil, l2: c.L2 > 0, tr: c.Trace}
 }
 
 // CheckPlacement returns the ErrPlacement a fit of c would, as
@@ -244,7 +238,9 @@ func shareSeries(at *Placement, series *mat.Dense, tr *trace.Tracer) (*mat.Dense
 }
 
 // varWindow resolves the design-row count m of an order-c.Order fit to an
-// nTotal-sample series and its block-bootstrap length (⌈√m⌉ by default).
+// nTotal-sample series and its block-bootstrap length (⌈√m⌉ by default),
+// and rejects a block longer than the design, or an anchored fit whose
+// window could cover no whole block.
 func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
 	if nTotal <= c.Order+4 {
 		return 0, 0, fmt.Errorf("uoi: series of %d samples too short for order %d", nTotal, c.Order)
@@ -252,6 +248,14 @@ func varWindow(nTotal int, c *VARConfig) (m, blockLen int, err error) {
 	m, blockLen = nTotal-c.Order, c.BlockLen
 	if blockLen <= 0 {
 		blockLen = int(math.Ceil(math.Sqrt(float64(m))))
+	}
+	if blockLen > m {
+		return 0, 0, fmt.Errorf("uoi: block length %d exceeds the %d design rows", blockLen, m)
+	}
+	if c.Anchored && m < 2*blockLen-1 {
+		// Below 2·BlockLen−1 rows some anchors leave no whole grid block
+		// inside the window (resample.AnchoredBlockBootstrap).
+		return 0, 0, fmt.Errorf("uoi: anchored fit needs at least %d design rows for block length %d, has %d", 2*blockLen-1, blockLen, m)
 	}
 	return m, blockLen, nil
 }
@@ -270,9 +274,7 @@ func (c *VARConfig) vec() *LassoConfig {
 // replicated problem over the full lagged design, built once, with the p
 // channels as targets. A selection bootstrap sums the design rows its block
 // bootstrap draws, in draw order with repeats; an estimation bootstrap
-// splits the design rows into blocks. c is already defaulted. With c.Cells,
-// whole cells are looked up in (and stored to) the cache around the cell
-// bodies, so every placement that runs whole cells honours it.
+// splits the design rows into blocks. c is already defaulted.
 func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, error) {
 	m, blockLen, err := varWindow(series.Rows, c)
 	if err != nil {
@@ -301,38 +303,6 @@ func newVARProblem(series *mat.Dense, c *VARConfig, streams int) (*problem, erro
 			P: pb.p, Q: len(pb.lambdas), Order: c.Order, Intercept: !c.NoIntercept,
 			Fingerprint: varFingerprint(series, blockLen, c),
 		}
-	}
-	if c.Cells == nil {
-		return pb, nil
-	}
-	// A bootstrap whose inputs are bit-unchanged from a previous fit (same
-	// touched rows, λ grid, warm seed) is skipped outright — the streaming
-	// refit's "re-run only what changed" path. The one placement that
-	// splits the λ path, the grid, rejects c.Cells.
-	selCell, estCell := pb.selCell, pb.estCell
-	pb.selCell = func(k, jLo, jHi int, warm warmFn, emit emitFn, phase trace.Span) ([]bool, error) {
-		key := selCellKey(series, k, m, blockLen, pb.lambdas, c)
-		if sup, ok := c.Cells.GetSel(key); ok {
-			pb.tr.Add("uoi/sel_cells_reused", 1)
-			return sup, nil
-		}
-		sup, err := selCell(k, jLo, jHi, warm, emit, phase)
-		if err == nil {
-			c.Cells.PutSel(key, sup)
-		}
-		return sup, err
-	}
-	pb.estCell = func(k int, distinct [][]int, phase trace.Span) ([]float64, error) {
-		key := estCellKey(series, k, m, blockLen, distinct, c)
-		if beta, ok := c.Cells.GetEst(key); ok {
-			pb.tr.Add("uoi/est_cells_reused", 1)
-			return beta, nil
-		}
-		beta, err := estCell(k, distinct, phase)
-		if err == nil {
-			c.Cells.PutEst(key, beta)
-		}
-		return beta, err
 	}
 	return pb, nil
 }

@@ -1,6 +1,7 @@
 package uoi
 
 import (
+	"reflect"
 	"testing"
 
 	"uoivar/internal/mat"
@@ -95,6 +96,10 @@ func TestVARTooShortSeries(t *testing.T) {
 	if _, err := VAR(series, &VARConfig{Order: 2}); err == nil {
 		t.Fatal("short series must fail")
 	}
+	_, long := makeVARData(29, 4, 1, 100)
+	if _, err := VAR(long, &VARConfig{Order: 1, BlockLen: 100, Workers: 1}); err == nil {
+		t.Fatal("a block longer than the 99 design rows must fail")
+	}
 }
 
 func TestVARSparserThanBaseline(t *testing.T) {
@@ -164,4 +169,42 @@ func TestVARResultModelForecast(t *testing.T) {
 	if fitted >= zeroRMSE {
 		t.Fatalf("fitted RMSE %v must beat zero model %v", fitted, zeroRMSE)
 	}
+}
+
+// TestVARWarmBetaDeterministic: WarmBeta is part of the fit's identity —
+// two fits with the same seed, series, and WarmBeta are bit-identical, and
+// the warm sweep spends fewer ADMM iterations than the cold one when the
+// seed comes from an overlapping window's model.
+func TestVARWarmBetaDeterministic(t *testing.T) {
+	rng := resample.NewRNG(8)
+	m := varsim.GenerateStable(rng, 4, 1, nil)
+	long := m.Simulate(rng.Derive(1), 300, 60)
+	w1 := long.SubRows(0, 250)
+	w2 := long.SubRows(50, 300)
+
+	prev, err := VAR(w1, &VARConfig{Order: 1, B1: 6, B2: 4, Q: 5, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmCfg := &VARConfig{Order: 1, B1: 6, B2: 4, Q: 5, Seed: 17, WarmBeta: prev.Beta}
+	warm1, err := VAR(w2, warmCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm2, err := VAR(w2, warmCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm1.Beta, warm2.Beta) {
+		t.Fatal("two warm fits with identical WarmBeta are not bit-identical")
+	}
+	cold, err := VAR(w2, &VARConfig{Order: 1, B1: 6, B2: 4, Q: 5, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm1.Diag.ADMMIters >= cold.Diag.ADMMIters {
+		t.Fatalf("warm sweep used %d ADMM iterations, cold %d — warm start saved nothing",
+			warm1.Diag.ADMMIters, cold.Diag.ADMMIters)
+	}
+	t.Logf("ADMM iterations: cold=%d warm=%d", cold.Diag.ADMMIters, warm1.Diag.ADMMIters)
 }
