@@ -94,11 +94,15 @@ func gram(a *Dense, s Sample, workers int, k kernel) *Dense {
 //
 // The pass packs gramChunk rows at a time into a panel (a second panel holds
 // w·x and w·y when there are weights) and accumulates register tiles from
-// it. On amd64 CPUs with AVX2 the panel is row-major and a tile is 4×8
-// vector lanes (8×8 with AVX-512), one output entry each (gram_amd64.go);
-// elsewhere the panel is transposed (one contiguous run of the chunk per
-// column) and a tile is tileJ×tileK scalars. Every kernel adds the same
-// rounded products in the same order, so their bits agree (DESIGN.md §6).
+// it. On amd64 CPUs with AVX2 the panel is row-major, X's columns are padded
+// with zeros to whole 8-column bands so that every tile is whole, and a tile
+// is 4×8 vector lanes (8×16, and 8×8 for an odd last block, with AVX-512),
+// one output entry each (gram_amd64.go); the upper triangle accumulates at
+// the padded stride and is compacted in place, so the padding's lanes are
+// scratch that no result reads. Elsewhere the panel is transposed (one
+// contiguous run of the chunk per column) and a tile is tileJ×tileK
+// scalars with an entry-by-entry edge. Every kernel adds the same rounded
+// products in the same order, so their bits agree (DESIGN.md §6).
 func Stats(x, y *Dense, s Sample, workers int) (gram, xty *Dense) {
 	return stats(x, y, s, workers, best)
 }
@@ -115,8 +119,8 @@ func stats(x, y *Dense, s Sample, workers int, k kernel) (gram, xty *Dense) {
 	}
 	tr := tracer()
 	sp := tr.Start("mat/ata")
-	job := statsJob{x: x, y: y, s: &s, n: n, g: newAugment(t, q), k: k}
-	job.c = NewDense(q, q).Data
+	job := statsJob{x: x, y: y, s: &s, n: n, g: newAugment(t, q, k != portable), k: k}
+	job.c = make([]float64, job.g.qx*job.g.qx)
 	job.ldy = (q + responseLanes - 1) &^ (responseLanes - 1)
 	var yx *[]float64
 	if t > 0 {
@@ -136,8 +140,16 @@ func stats(x, y *Dense, s Sample, workers int, k kernel) (gram, xty *Dense) {
 		tr.SetMax("mat/workers", int64(nWorkers))
 		forEachWorker(nWorkers, job.pass)
 	}
-	// Mirror the upper triangle into the lower.
-	c := job.c
+	// Compact a padded sweep's upper triangle to stride q in place, rows in
+	// ascending order (a row's destination ends before the next row's
+	// source starts), then mirror it into the lower.
+	c, ld := job.c, job.g.qx
+	if ld != q {
+		for i := 1; i < q; i++ {
+			copy(c[i*q+i:(i+1)*q], c[i*ld+i:i*ld+q])
+		}
+		c = c[: q*q : q*q]
+	}
 	for i := 0; i < q; i++ {
 		for j := i + 1; j < q; j++ {
 			c[j*q+i] = c[i*q+j]
@@ -160,23 +172,32 @@ func stats(x, y *Dense, s Sample, workers int, k kernel) (gram, xty *Dense) {
 }
 
 // augment is the column layout of one Stats sweep: tp padded response
-// columns ahead of X's q, cut into bands.
+// columns ahead of X's qx, cut into bands. The first q of X's columns are
+// the sample's; a vector sweep pads them with zero columns to whole bands.
 type augment struct {
-	t, tp, q  int // response columns, their padded count, design columns
+	t, tp     int // response columns, their padded count
+	q, qx     int // design columns, their padded count
 	rb, bands int // response bands, all bands
 }
 
 // newAugment lays t responses out ahead of q design columns: one 4-row band
 // for a short response (t ≤ 4), t rounded up to whole 8-row bands above.
-func newAugment(t, q int) augment {
+// padded rounds q up to whole 8-row bands as well, so that every band of X
+// is 8 rows and every tile against X's columns is whole: the vector
+// families' layout. The portable kernel keeps qx = q and its edge loops.
+func newAugment(t, q int, padded bool) augment {
 	tp := 0
 	if t > 4 {
 		tp = (t + 7) &^ 7
 	} else if t > 0 {
 		tp = 4
 	}
+	qx := q
+	if padded {
+		qx = (q + gramBand - 1) &^ (gramBand - 1)
+	}
 	rb := (tp + gramBand - 1) / gramBand
-	return augment{t: t, tp: tp, q: q, rb: rb, bands: rb + (q+gramBand-1)/gramBand}
+	return augment{t: t, tp: tp, q: q, qx: qx, rb: rb, bands: rb + (q+gramBand-1)/gramBand}
 }
 
 // band returns the augmented columns [lo, hi) of band b: the response bands
@@ -187,12 +208,13 @@ func (g *augment) band(b int) (lo, hi int) {
 		return lo, min(lo+gramBand, g.tp)
 	}
 	lo = g.tp + (b-g.rb)*gramBand
-	return lo, min(lo+gramBand, g.tp+g.q)
+	return lo, min(lo+gramBand, g.tp+g.qx)
 }
 
 // statsJob is one Stats sweep: its inputs, its layout and its outputs — the
-// upper triangle of XᵀX in c (stride q) and YᵀX in yx (tp rows, stride ldy,
-// q rounded up to responseLanes; the columns past q are scratch).
+// upper triangle of XᵀX in c (qx×qx, stride qx; the padding rows and
+// columns are scratch) and YᵀX in yx (tp rows, stride ldy, q rounded up to
+// responseLanes; the columns past q are scratch).
 type statsJob struct {
 	x, y     *Dense
 	s        *Sample
@@ -262,7 +284,7 @@ func gramPanelPair(width, full int, weighted bool) (buf *[]float64, xs, ws []flo
 // first band are never read — and the panel width from there.
 func (j *statsJob) first(w int) (first, width int) {
 	first, _ = j.g.band(w)
-	return first, j.g.tp + j.g.q - first
+	return first, j.g.tp + j.g.qx - first
 }
 
 // rowIndex is the input row of summed row r.
@@ -273,9 +295,9 @@ func (j *statsJob) rowIndex(r int) int {
 	return r
 }
 
-// pack writes augmented columns [first, tp+q) of input row i into dst[0],
+// pack writes augmented columns [first, tp+qx) of input row i into dst[0],
 // dst[step], dst[2·step], …: the response (zeros past t), then X's columns
-// of the sample.
+// of the sample (zeros past q).
 func (j *statsJob) pack(dst []float64, step, i, first int) {
 	g := &j.g
 	o := 0
@@ -292,19 +314,22 @@ func (j *statsJob) pack(dst []float64, step, i, first int) {
 	}
 	x0 := max(first-g.tp, 0)
 	row := j.x.Row(i)
-	if j.s.Cols == nil {
-		if step == 1 {
-			copy(dst[o:], row[x0:])
-			return
-		}
+	switch {
+	case j.s.Cols == nil && step == 1:
+		o += copy(dst[o:], row[x0:])
+	case j.s.Cols == nil:
 		for _, v := range row[x0:] {
 			dst[o] = v
 			o += step
 		}
-		return
+	default:
+		for _, cj := range j.s.Cols[x0:] {
+			dst[o] = row[cj]
+			o += step
+		}
 	}
-	for _, cj := range j.s.Cols[x0:] {
-		dst[o] = row[cj]
+	for range g.qx - g.q {
+		dst[o] = 0
 		o += step
 	}
 }
@@ -318,7 +343,7 @@ func (j *statsJob) worker(w int) {
 		return
 	}
 	first, width := j.first(w)
-	buf, xs, ws := gramPanelPair(width, g.tp+g.q, j.s.Weights != nil)
+	buf, xs, ws := gramPanelPair(width, g.tp+g.qx, j.s.Weights != nil)
 	for r0 := 0; r0 < j.n; r0 += gramChunk {
 		m := min(j.n-r0, gramChunk)
 		// Pack: xs[col·m + r] = augmented column first+col of row r0+r.

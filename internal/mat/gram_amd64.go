@@ -80,6 +80,14 @@ func gramTile4x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m in
 //go:noescape
 func gramTile8x8(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int)
 
+// gramTile8x16 is gramTile8x8 over 16 columns, kk < 16 (gram_amd64.s): two
+// ZMM accumulators per row, 16 in all, so each loaded row of x and each
+// broadcast w serve twice the products; the same VMULPD-then-VADDPD
+// rounding, never fused.
+//
+//go:noescape
+func gramTile8x16(c *float64, ldc int, w *float64, ldw int, x *float64, ldx, m int)
+
 // gemvTile1x32 adds Σᵣ v[r]·a[r·lda+kk] over r < m, in that order, to y[kk]
 // for kk < 32 (gram_amd64.s), with gramTile4x8's rounding.
 //
@@ -92,10 +100,13 @@ func gemvTile1x32(y, a *float64, lda int, v *float64, m int)
 func gemvTile1x64(y, a *float64, lda int, v *float64, m int)
 
 // workerSIMD is worker over a row-major panel for the job's vector kernel
-// family: packed row r holds augmented columns first, …, tp+q−1 of input
-// row r0+r, so a tile's 8 columns are one contiguous run, and the weighted
-// panel holds w·x and w·y in the same layout (the worker's own band columns
-// only). Bands, chunks and the order of every entry's sum are worker's.
+// family: packed row r holds augmented columns first, …, tp+qx−1 of input
+// row r0+r — X's columns padded with zeros to whole bands — so a tile's 8
+// or 16 columns are one contiguous run and every tile is whole. The
+// weighted panel holds w·x and w·y in the same layout, each packed row
+// scaled in one pass (only the worker's own band columns are read from
+// it). Bands, chunks and the order of every entry's sum are worker's; the
+// padding lanes are scratch outputs that nothing reads.
 func (j *statsJob) workerSIMD(w int) {
 	g := &j.g
 	if w >= g.bands || j.n == 0 {
@@ -103,40 +114,34 @@ func (j *statsJob) workerSIMD(w int) {
 	}
 	first, width := j.first(w)
 	weighted := j.s.Weights != nil
-	buf, xs, ws := gramPanelPair(width, g.tp+g.q, weighted)
+	buf, xs, ws := gramPanelPair(width, g.tp+g.qx, weighted)
+	xoff := g.tp - first // the panel column of X's column 0
 	for r0 := 0; r0 < j.n; r0 += gramChunk {
 		m := min(j.n-r0, gramChunk)
 		for r := 0; r < m; r++ {
 			j.pack(xs[r*width:(r+1)*width], 1, j.rowIndex(r0+r), first)
 		}
 		if weighted {
-			// Only the worker's own bands are read from the weighted panel.
-			for b := w; b < g.bands; b += j.nWorkers {
-				lo, hi := g.band(b)
-				for r, wt := range j.s.Weights[r0 : r0+m] {
-					src, dst := xs[r*width+lo-first:r*width+hi-first], ws[r*width+lo-first:r*width+hi-first]
-					for c, v := range src {
-						dst[c] = wt * v
-					}
+			for r, wt := range j.s.Weights[r0 : r0+m] {
+				dst := ws[r*width : (r+1)*width]
+				for c, v := range xs[r*width : (r+1)*width] {
+					dst[c] = wt * v
 				}
 			}
 		}
 		for b := w; b < g.bands; b += j.nWorkers {
 			lo, hi := g.band(b)
-			if lo >= g.tp {
-				gramBandChunkSIMD(j.c, g.q, ws, xs, width, first-g.tp, m, lo-g.tp, hi-g.tp, j.k)
-				continue
-			}
-			// A response band runs whole tiles or rows against every column
-			// of X: the panel's slack covers the last one's reads past X's
-			// last column, whose lanes land in yx's scratch columns.
-			xoff := g.tp - first
-			if hi-lo < gramBand {
+			switch {
+			case lo >= g.tp:
+				// X's band: its upper triangle from the diagonal block on.
+				d := lo - g.tp
+				gramBandChunkSIMD(j.c[d*g.qx+d:], g.qx, ws[lo-first:], xs[lo-first:], width, m, g.qx-d, j.k)
+			case hi-lo < gramBand:
 				j.responseRows(ws, xs[xoff:], width, first, m)
-				continue
-			}
-			for k := 0; k < g.q; k += avxTileK {
-				tile8(j.yx[lo*j.ldy+k:], j.ldy, ws[lo-first:], width, xs[xoff+k:], width, m, j.k)
+			default:
+				// A response band tiles against every column of X, padding
+				// included: those lanes land in yx's scratch columns.
+				gramBandChunkSIMD(j.yx[lo*j.ldy:], j.ldy, ws[lo-first:], xs[xoff:], width, m, g.qx, j.k)
 			}
 		}
 	}
@@ -171,36 +176,31 @@ func (j *statsJob) responseRows(ws, x []float64, width, first, m int) {
 }
 
 // gramBandChunkSIMD adds one row-major chunk of m rows (row stride width) to
-// rows [lo, hi) of the upper triangle of c (stride p), column j at panel
-// column j−first, tiles k-outer like
-// gramBandChunk. On avx512 a whole band (8 rows) takes one 8×8 tile per 8
-// columns, elsewhere two 4×8 tiles: an entry's sum does not depend on which
-// tile holds it. A partial tile — the last p mod 8 columns, or a band shorter
-// than 8 rows — adds the chunk one row at a time, each entry's terms still in
-// row order.
-func gramBandChunkSIMD(c []float64, p int, ws, xs []float64, width, first, m, lo, hi int, kern kernel) {
-	for k := lo; k < p; k += avxTileK {
-		kn := min(p-k, avxTileK)
-		if kern == avx512 && hi-lo == gramBand && kn == avxTileK {
-			gramTile8x8(&c[lo*p+k], p, &ws[lo-first], width, &xs[k-first], width, m)
-			continue
+// an 8-row block of c (stride ldc) over its columns [0, cols), a multiple of
+// 8: c[jj·ldc+kk] += Σᵣ w[r·width+jj]·x[r·width+kk], rows in order. On
+// avx512 it takes one 8×16 tile per 16 columns and an 8×8 tile for an odd
+// last 8, elsewhere two 4×8 tiles per 8 columns: an entry's sum does not
+// depend on which tile holds it. Every tile is whole — the sweep pads X to
+// whole bands — so there is no per-term edge loop. A tile that straddles the
+// diagonal also writes the few entries below it in the band's own rows; the
+// caller's mirror pass overwrites them.
+func gramBandChunkSIMD(c []float64, ldc int, w, x []float64, width, m, cols int, kern kernel) {
+	if cols == 0 { // a response against an empty column subset
+		return
+	}
+	_, _, _ = c[7*ldc+cols-1], w[(m-1)*width+7], x[(m-1)*width+cols-1] // keep the assembly in bounds
+	k := 0
+	if kern == avx512 {
+		for ; k+16 <= cols; k += 16 {
+			gramTile8x16(&c[k], ldc, &w[0], width, &x[k], width, m)
 		}
-		for j := lo; j < hi && j < k+kn; j += avxTileJ {
-			jn := min(hi-j, avxTileJ)
-			if jn == avxTileJ && kn == avxTileK {
-				gramTile4x8(&c[j*p+k], p, &ws[j-first], width, &xs[k-first], width, m)
-				continue
-			}
-			for r := 0; r < m; r++ {
-				wr := ws[r*width+j-first : r*width+j-first+jn]
-				xr := xs[r*width+k-first : r*width+k-first+kn]
-				for jj, v := range wr {
-					crow := c[(j+jj)*p+k : (j+jj)*p+k+kn]
-					for kk, b := range xr {
-						crow[kk] += float64(v * b)
-					}
-				}
-			}
+		if k < cols {
+			gramTile8x8(&c[k], ldc, &w[0], width, &x[k], width, m)
 		}
+		return
+	}
+	for ; k < cols; k += avxTileK {
+		gramTile4x8(&c[k], ldc, &w[0], width, &x[k], width, m)
+		gramTile4x8(&c[avxTileJ*ldc+k], ldc, &w[avxTileJ], width, &x[k], width, m)
 	}
 }

@@ -218,6 +218,115 @@ store8:
 	VZEROUPPER
 	RET
 
+// func gramTile8x16(c *float64, ldc int, w *float64, ldw int, x *float64, ldx int, m int)
+//
+// Z0..Z15 hold the 8×16 block of c, two registers per row (row j in Z2j and
+// Z2j+1). For each of the m rows r: load x[r·ldx : r·ldx+16] into Z16, Z17;
+// for each block row j broadcast w[r·ldw+j] into a register, multiply both
+// halves by it (VMULPD rounds each product) and add the products (VADDPD
+// rounds each sum) into row j's two accumulators. No fused multiply-add
+// anywhere. R10 and R11 point at rows 3 and 6 of c.
+TEXT ·gramTile8x16(SB), NOSPLIT, $0-56
+	MOVQ    c+0(FP), DI
+	MOVQ    ldc+8(FP), R8
+	MOVQ    w+16(FP), SI
+	MOVQ    ldw+24(FP), R9
+	MOVQ    x+32(FP), DX
+	MOVQ    ldx+40(FP), R13
+	MOVQ    m+48(FP), CX
+	SHLQ    $3, R8
+	SHLQ    $3, R9
+	SHLQ    $3, R13
+	LEAQ    (R8)(R8*2), R12
+	LEAQ    (DI)(R12*1), R10
+	LEAQ    (R10)(R12*1), R11
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(R8*1), Z2
+	VMOVUPD 64(DI)(R8*1), Z3
+	VMOVUPD (DI)(R8*2), Z4
+	VMOVUPD 64(DI)(R8*2), Z5
+	VMOVUPD (R10), Z6
+	VMOVUPD 64(R10), Z7
+	VMOVUPD (R10)(R8*1), Z8
+	VMOVUPD 64(R10)(R8*1), Z9
+	VMOVUPD (R10)(R8*2), Z10
+	VMOVUPD 64(R10)(R8*2), Z11
+	VMOVUPD (R11), Z12
+	VMOVUPD 64(R11), Z13
+	VMOVUPD (R11)(R8*1), Z14
+	VMOVUPD 64(R11)(R8*1), Z15
+	TESTQ   CX, CX
+	JEQ     store16
+
+loop16:
+	VMOVUPD      (DX), Z16
+	VMOVUPD      64(DX), Z17
+	VBROADCASTSD (SI), Z18
+	VBROADCASTSD 8(SI), Z19
+	VMULPD       Z18, Z16, Z20
+	VMULPD       Z18, Z17, Z21
+	VMULPD       Z19, Z16, Z22
+	VMULPD       Z19, Z17, Z23
+	VADDPD       Z20, Z0, Z0
+	VADDPD       Z21, Z1, Z1
+	VADDPD       Z22, Z2, Z2
+	VADDPD       Z23, Z3, Z3
+	VBROADCASTSD 16(SI), Z18
+	VBROADCASTSD 24(SI), Z19
+	VMULPD       Z18, Z16, Z20
+	VMULPD       Z18, Z17, Z21
+	VMULPD       Z19, Z16, Z22
+	VMULPD       Z19, Z17, Z23
+	VADDPD       Z20, Z4, Z4
+	VADDPD       Z21, Z5, Z5
+	VADDPD       Z22, Z6, Z6
+	VADDPD       Z23, Z7, Z7
+	VBROADCASTSD 32(SI), Z18
+	VBROADCASTSD 40(SI), Z19
+	VMULPD       Z18, Z16, Z20
+	VMULPD       Z18, Z17, Z21
+	VMULPD       Z19, Z16, Z22
+	VMULPD       Z19, Z17, Z23
+	VADDPD       Z20, Z8, Z8
+	VADDPD       Z21, Z9, Z9
+	VADDPD       Z22, Z10, Z10
+	VADDPD       Z23, Z11, Z11
+	VBROADCASTSD 48(SI), Z18
+	VBROADCASTSD 56(SI), Z19
+	VMULPD       Z18, Z16, Z20
+	VMULPD       Z18, Z17, Z21
+	VMULPD       Z19, Z16, Z22
+	VMULPD       Z19, Z17, Z23
+	VADDPD       Z20, Z12, Z12
+	VADDPD       Z21, Z13, Z13
+	VADDPD       Z22, Z14, Z14
+	VADDPD       Z23, Z15, Z15
+	ADDQ         R9, SI
+	ADDQ         R13, DX
+	DECQ         CX
+	JNZ          loop16
+
+store16:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R8*1)
+	VMOVUPD Z3, 64(DI)(R8*1)
+	VMOVUPD Z4, (DI)(R8*2)
+	VMOVUPD Z5, 64(DI)(R8*2)
+	VMOVUPD Z6, (R10)
+	VMOVUPD Z7, 64(R10)
+	VMOVUPD Z8, (R10)(R8*1)
+	VMOVUPD Z9, 64(R10)(R8*1)
+	VMOVUPD Z10, (R10)(R8*2)
+	VMOVUPD Z11, 64(R10)(R8*2)
+	VMOVUPD Z12, (R11)
+	VMOVUPD Z13, 64(R11)
+	VMOVUPD Z14, (R11)(R8*1)
+	VMOVUPD Z15, 64(R11)(R8*1)
+	VZEROUPPER
+	RET
+
 // func gemvTile1x64(y *float64, a *float64, lda int, v *float64, m int)
 //
 // Z0..Z7 hold y[0:64], one output per lane. For each of the m rows r:

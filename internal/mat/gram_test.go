@@ -62,6 +62,11 @@ func multiplicities(rows int, idx []int) ([]int, []float64) {
 
 var gramWidths = []int{1, 2, 3, 5, 7, 8, 9, 61, 161, 256}
 
+// tileWidths split a vector sweep's bands into every mix of 8×16, 8×8 and
+// padded tiles: one or two columns short of, at and one past 16, 24 and 32
+// columns, and two odd widths past 40.
+var tileWidths = []int{15, 16, 17, 23, 24, 25, 31, 33, 47, 49}
+
 // TestGramUnitWeightsIdentical: the tiled kernel equals the axpy kernel in
 // bits on every width, and a repeated, unsorted row list with unit weights
 // equals AtAWorkers of the gathered rows.
@@ -178,7 +183,11 @@ func TestGramColumnSubsetIdentical(t *testing.T) {
 }
 
 // TestGramNonFiniteIdentical: a non-finite input row must poison the Gram.
-// The axpy kernel skipped zero entries, which hid 0·Inf.
+// The axpy kernel skipped zero entries, which hid 0·Inf. At width 13 a
+// vector sweep pads X to 16 columns, and the Inf sits in the last real
+// column, next to the padding: its Inf·0 = NaN scratch lanes must reach no
+// real entry, so every entry off the Inf's row and column stays finite, at
+// budgets 1 and 2, weighted or not, in the portable kernel's bits.
 func TestGramNonFiniteIdentical(t *testing.T) {
 	x := randDense(20, 6, 41)
 	x.Set(7, 2, 0)
@@ -189,6 +198,28 @@ func TestGramNonFiniteIdentical(t *testing.T) {
 	}
 	if v := g.At(4, 4); !math.IsInf(v, 1) {
 		t.Fatalf("Inf² entry = %v, want +Inf", v)
+	}
+	const p, bad = 13, 12
+	x = randDense(70, p, 43)
+	x.Set(66, 3, 0)
+	x.Set(66, bad, math.Inf(1))
+	for _, s := range []Sample{{}, {Weights: drawWeights(x.Rows)}} {
+		for _, budget := range []int{1, 2} {
+			g := GramWorkers(x, s, budget)
+			if v := g.At(3, bad); !math.IsNaN(v) {
+				t.Fatalf("workers=%d: 0·Inf entry = %v, want NaN", budget, v)
+			}
+			for j := 0; j < bad; j++ {
+				for k := 0; k < bad; k++ {
+					if v := g.At(j, k); math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("workers=%d: entry (%d,%d) = %v away from the Inf column", budget, j, k, v)
+					}
+				}
+			}
+			if i, ok := sameBitsOrNaN(g.Data, gram(x, s, budget, portable).Data); !ok {
+				t.Fatalf("workers=%d: entry %d differs from the portable kernel's", budget, i)
+			}
+		}
 	}
 }
 
@@ -208,18 +239,20 @@ func sameBitsOrNaN(a, b []float64) (int, bool) {
 
 // TestGramKernelsIdentical: every vector kernel family (AVX2, AVX-512) and
 // the portable one return the same Float64bits across the chunk edge (n =
-// 63, 64, 65), widths below, at and past one 8-column tile and band, for all
-// rows, a repeated row list, weights with zeros, ascending and non-ascending
-// column subsets, at budgets 1/2/3; and a NaN or an Inf input row yields the
-// same non-finite entries. Every family runs in this binary: the test passes
-// the choice to gram, so no package state is switched under other tests.
+// 63, 64, 65), widths below, at and past one 8-column tile and band and
+// every split of a band into 8×16, 8×8 and padded tiles (tileWidths), for
+// all rows, a repeated row list, weights with zeros, ascending and
+// non-ascending column subsets, at budgets 1/2/3; and a NaN or an Inf input
+// row yields the same non-finite entries. Every family runs in this binary:
+// the test passes the choice to gram, so no package state is switched under
+// other tests.
 func TestGramKernelsIdentical(t *testing.T) {
 	kernels := hostKernels(t)[1:]
 	if len(kernels) == 0 {
 		t.Skip("no vector Gram kernel in this build or on this CPU: only the portable kernel runs")
 	}
 	for _, n := range []int{1, 63, 64, 65, 767, 8192} {
-		for _, p := range []int{1, 3, 7, 8, 9, 41, 161, 256} {
+		for _, p := range append([]int{1, 3, 7, 8, 9, 41, 161, 256}, tileWidths...) {
 			// Above 2²⁴ madds a shape runs three samples at one budget, and
 			// not at all under -short (the race run).
 			big := n*p*p > 1<<24
@@ -277,6 +310,34 @@ func TestGramKernelsIdentical(t *testing.T) {
 						t.Fatalf("n=%d p=%d non-finite sample %d: entry %d differs between the %s and portable kernels", n, p, si, i, k)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestGramTile8x16Identical: one 8×16 AVX-512 tile is, Float64bits for
+// Float64bits, the two 8×8 tiles of its column halves — over unequal
+// leading dimensions, row counts 1 to past a chunk, and operands with NaN
+// and ±Inf entries — and writes nothing outside its block.
+func TestGramTile8x16Identical(t *testing.T) {
+	if best < avx512 {
+		t.Skip("no avx512 kernels in this build or on this CPU")
+	}
+	rng := rand.New(rand.NewSource(16))
+	const ldc, ldw, ldx = 19, 11, 21
+	for _, m := range []int{1, 2, 7, 64, 130} {
+		w, x := randomPanel(rng, m, ldw), randomPanel(rng, m, ldx)
+		c := randomPanel(rng, 8, ldc)
+		for _, bad := range []bool{false, true} {
+			if bad {
+				w[(m-1)*ldw+5], x[(m/2)*ldx+3], x[(m-1)*ldx+12] = math.NaN(), math.Inf(1), math.Inf(-1)
+			}
+			got, want := append([]float64(nil), c...), append([]float64(nil), c...)
+			gramTile8x16(&got[0], ldc, &w[0], ldw, &x[0], ldx, m)
+			tile8(want, ldc, w, ldw, x, ldx, m, avx512)
+			tile8(want[8:], ldc, w, ldw, x[8:], ldx, m, avx512)
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("m=%d non-finite=%v: entry (%d,%d) is %v, the 8×8 tiles give %v", m, bad, i/ldc, i%ldc, got[i], want[i])
 			}
 		}
 	}
@@ -396,6 +457,18 @@ func TestMulAtBSampleIdentical(t *testing.T) {
 	}
 }
 
+// TestStatsPaddedAllocs: a weighted vector sweep at a padded width (q = 41,
+// laid out as 48, t = 1) allocates 6 times per call, one fewer than the
+// unpadded sweep with its q×q NewDense did: its padded upper triangle is
+// compacted in place, so a second q×q buffer would show here as a seventh.
+func TestStatsPaddedAllocs(t *testing.T) {
+	x, y := randDense(300, 41, 17), randDense(300, 1, 18)
+	s := Sample{Weights: drawWeights(x.Rows)}
+	if allocs := testing.AllocsPerRun(20, func() { Stats(x, y, s, 1) }); allocs > 6 {
+		t.Fatalf("Stats allocates %v times per call, want at most 6", allocs)
+	}
+}
+
 // drawWeights is a weight per row of n, small integers and fractions.
 func drawWeights(n int) []float64 {
 	w := make([]float64, n)
@@ -435,16 +508,21 @@ func gatherSample(a, b *Dense, s Sample) (ga, gb *Dense) {
 // BenchmarkGram times the Gram kernel at the shapes the repository benchmark
 // runs: lasso_tall's full and bootstrap-weighted 8192×256, dist_mix's local
 // 4096×161, and the two VAR designs the kernel must not slow (600×61,
-// 768×41); and Stats with the response columns riding in the sweep at
-// lasso_tall's bootstrap (t = 1) and var_network's design (t = 60).
-// GFLOP/s counts rows·p² like the bench's mat.ata_gflops, so a response
-// case's rate against its plain twin is the response bands' cost.
+// 768×41); Stats with the response columns riding in the sweep at
+// lasso_tall's bootstrap (t = 1) and var_network's design (t = 60); and
+// lasso_tall's estimation cell (-train-cols52): its 6 554 unit-weight
+// training rows in permuted order over an ascending 52-column support, a
+// width a vector sweep pads to 56. GFLOP/s counts rows·p² (p the summed
+// columns) like the bench's mat.ata_gflops, so a response case's rate
+// against its plain twin is the response bands' cost.
 func BenchmarkGram(b *testing.B) {
 	for _, bc := range []struct {
 		n, p, t  int
 		weighted bool
-	}{{8192, 256, 0, false}, {8192, 256, 0, true}, {8192, 256, 1, true}, {4096, 161, 0, false}, {4096, 161, 0, true},
-		{600, 61, 0, false}, {600, 61, 60, false}, {768, 41, 0, false}} {
+		cols     int // an ascending subset of this many columns, 0: all
+	}{{8192, 256, 0, false, 0}, {8192, 256, 0, true, 0}, {8192, 256, 1, true, 0}, {8192, 256, 1, false, 52},
+		{4096, 161, 0, false, 0}, {4096, 161, 0, true, 0},
+		{600, 61, 0, false, 0}, {600, 61, 60, false, 0}, {768, 41, 0, false, 0}} {
 		x := randDense(bc.n, bc.p, 7)
 		var y *Dense
 		var s Sample
@@ -452,6 +530,16 @@ func BenchmarkGram(b *testing.B) {
 		if bc.weighted {
 			s.Rows, s.Weights = multiplicities(bc.n, drawRows(bc.n, bc.n, 11))
 			name += "-bootstrap"
+		}
+		rows, p := bc.n, bc.p
+		if bc.cols > 0 {
+			rows = int(0.8*float64(bc.n) + 0.5)
+			s.Rows = rand.New(rand.NewSource(12)).Perm(bc.n)[:rows]
+			for j := 0; j < bc.cols; j++ {
+				s.Cols = append(s.Cols, j*bc.p/bc.cols)
+			}
+			p = bc.cols
+			name += fmt.Sprintf("-train-cols%d", bc.cols)
 		}
 		if bc.t > 0 {
 			y = randDense(bc.n, bc.t, 8)
@@ -462,7 +550,7 @@ func BenchmarkGram(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Stats(x, y, s, 2)
 			}
-			flops := float64(bc.n) * float64(bc.p) * float64(bc.p)
+			flops := float64(rows) * float64(p) * float64(p)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}

@@ -249,7 +249,8 @@ func TestSolveSPDInPlaceAllocatesNothing(t *testing.T) {
 // XᵀY the per-column oracle, Float64bits for Float64bits, on every kernel
 // family of this host at budgets 1 and 3 (2 for the row list and the
 // ascending subset) — for n below, at and past the panel chunk, design
-// widths across the tile and band edges, response widths in and past one
+// widths across the tile and band edges and every split of a band into
+// 8×16, 8×8 and padded tiles (tileWidths), response widths in and past one
 // tile band, over all rows, a repeated unsorted row list, weights with
 // zeros over an unordered column subset, and an ascending subset. A NaN or
 // Inf input yields the portable kernel's non-finite entries on every
@@ -258,7 +259,7 @@ func TestStatsKernelsIdentical(t *testing.T) {
 	kernels := hostKernels(t)
 	widths := []int{1, 3, 8, 9, 60}
 	for _, n := range []int{1, 63, 65, 130} {
-		for pi, p := range factorWidths {
+		for pi, p := range append(factorWidths[:len(factorWidths):len(factorWidths)], tileWidths...) {
 			x := randDense(n, p, uint64(100*n+p))
 			y := randDense(n, 60, uint64(7*n+p))
 			rows := drawRows(n, n+n/2, uint64(p))
